@@ -10,6 +10,7 @@ from .data import (
     IndicatorView,
     SupplementaryData,
     build_assignment,
+    cluster_counts,
     encode_dataset,
     encode_supplementary,
     read_csv_dataset,

@@ -9,9 +9,10 @@ input is enough to rebuild the assignment and re-evaluate the objective.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -41,19 +42,27 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    """Serialize with sorted keys and atomic replace."""
-    path = Path(path)
-    text = json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` through a temporary sibling and an atomic replace.
+
+    The temporary file is created like a plain ``open`` would create it
+    (mode 0666 less the umask), so the final file has the usual mode.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Serialize with sorted keys and atomic replace."""
+    text = json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    _atomic_write(Path(path), text)
 
 
 def load_json(path: str | Path) -> dict:
@@ -63,8 +72,6 @@ def load_json(path: str | Path) -> dict:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """CSV writer with the archive float convention and atomic replace."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
 
     def cell(value: Any) -> str:
         if value is None:
@@ -73,17 +80,12 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence])
             return f"{float(value):.15g}"
         return str(value)
 
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([cell(v) for v in row])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    _atomic_write(Path(path), buffer.getvalue())
 
 
 def assignment_records(assignment: HierarchicalAssignment) -> list[dict]:
@@ -173,10 +175,10 @@ def build_archive(
     centers_by_row = np.vstack(
         [solution.centers[natural[t]] for t in model.row_index]
     )
+    sizes = np.concatenate([assignment.cluster_sizes(h) for h in range(assignment.n_sup)])
     rows = []
     for i, (h, s, k) in enumerate(model.row_index):
-        offsets = assignment.spec.offsets(h)
-        size = int(assignment.cluster_sizes(h)[offsets[s] + k])
+        size = int(sizes[natural[h, s, k]])
         rows.append(
             {
                 "label": model.row_labels[i],

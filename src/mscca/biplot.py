@@ -20,9 +20,10 @@ from .data import (
     HierarchicalAssignment,
     IndicatorView,
     SupplementaryData,
+    cluster_counts,
     stacked_indicators,
 )
-from .errors import DegenerateGeometryError, EmptyClusterError, MassError, ShapeError
+from .errors import DegenerateGeometryError, MassError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -48,21 +49,6 @@ class BiplotModel:
     gamma: float = 1.0
 
 
-def _cluster_category_counts(
-    assignment: HierarchicalAssignment, view: IndicatorView, h: int
-) -> np.ndarray:
-    """U_h' Z as raw counts (K_h x Q)."""
-    codes = view.dataset.codes
-    col = assignment.column_index(h)
-    k_h = assignment.spec.k_per_variable[h]
-    out = np.zeros((k_h, view.total_categories))
-    for j in range(view.n_vars):
-        q_j = view.dataset.q[j]
-        flat = np.bincount(col * q_j + codes[:, j], minlength=k_h * q_j)
-        out[:, view.offsets[j] : view.offsets[j] + q_j] = flat.reshape(k_h, q_j)
-    return out
-
-
 def contingency(
     assignment: HierarchicalAssignment,
     view: IndicatorView,
@@ -79,30 +65,26 @@ def contingency(
         raise ShapeError(f"order must be 'size' or 'natural', got {order!r}")
     if view.n_stack != assignment.n_sup:
         raise ShapeError("view stacking does not match the assignment's variable count")
-    sup = assignment.sup
+    sup, spec = assignment.sup, assignment.spec
     n, m, n_sup = view.n_obs, view.n_vars, assignment.n_sup
-    blocks: list[np.ndarray] = []
+    counts, sizes = cluster_counts(assignment, view)
+    rows: list[int] = []
     index: list[tuple[int, int, int]] = []
     labels: list[str] = []
+    row = 0
     for h in range(n_sup):
-        counts = _cluster_category_counts(assignment, view, h)
-        sizes = assignment.cluster_sizes(h)
-        if np.any(sizes == 0):
-            raise EmptyClusterError(f"variable {h} has an empty cluster")
-        offsets = assignment.spec.offsets(h)
         for s in range(sup.r[h]):
-            k = assignment.spec.k_of(h, s)
+            k = spec.k_of(h, s)
             local = np.arange(k)
-            class_sizes = sizes[offsets[s] : offsets[s] + k]
-            by_size = local[np.lexsort((local, -class_sizes))]
+            by_size = local[np.lexsort((local, -sizes[row : row + k]))]
             rank_of = {int(c): r + 1 for r, c in enumerate(by_size)}
-            chosen = by_size if order == "size" else local
-            for c in chosen:
-                blocks.append(counts[offsets[s] + c])
+            for c in by_size if order == "size" else local:
+                rows.append(row + int(c))
                 index.append((h, s, int(c)))
                 base = sup.labels[h][s]
                 labels.append(base if k == 1 else f"{base}{rank_of[int(c)]}")
-    table = np.vstack(blocks) / (n * n_sup * m)
+            row += k
+    table = counts[rows] / (n * n_sup * m)
     return BiplotModel(
         table=table,
         row_masses=table.sum(axis=1),

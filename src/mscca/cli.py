@@ -38,6 +38,8 @@ from .biplot import (
 )
 from .data import ClusterSpec, read_csv_dataset, stacked_indicators
 from .errors import (
+    ConfigError,
+    ExportError,
     MissingValueError,
     MsccaError,
     ShapeError,
@@ -58,14 +60,6 @@ from .solver import (
     fit_mscca,
 )
 from .svg import render_scatter
-
-
-class ConfigError(Exception):
-    """Bad flags, unreadable input, malformed design files."""
-
-
-class ExportError(Exception):
-    """Requested export cannot be produced (for example SVG with p != 2)."""
 
 
 EXPORTS = ("solution-json", "coords-csv", "residuals-csv", "svg")
@@ -307,6 +301,26 @@ def _write_exports(out_dir: Path, archive: dict, exports: tuple[str, ...]) -> No
         (out_dir / "biplot.svg").write_text(svg, encoding="utf-8")
 
 
+def _clustering_archive(echo: dict, dataset, solution) -> dict:
+    """Biplot, residual comparison and archive of a clustering fit."""
+    sup = solution.assignment.sup
+    view = stacked_indicators(dataset, sup.n_sup)
+    model = rescale_spread(
+        biplot_coordinates(
+            standardized_residuals(contingency(solution.assignment, view, order="size")),
+            solution.centers,
+            solution.quantifications,
+        )
+    )
+    comparison = residual_comparison(dataset, sup, solution)
+    class_sizes = {
+        (h, s): int(sup.class_sizes(h)[s])
+        for h in range(sup.n_sup)
+        for s in range(sup.r[h])
+    }
+    return build_archive(echo, solution, model, comparison, class_sizes)
+
+
 def cmd_fit(args) -> int:
     if args.k_auto:
         if args.k is not None:
@@ -348,21 +362,7 @@ def cmd_fit(args) -> int:
             raise ConfigError(str(exc)) from exc
 
     solution = fit_mscca(dataset, sup, spec, options)
-    view = stacked_indicators(dataset, sup.n_sup)
-    model = rescale_spread(
-        biplot_coordinates(
-            standardized_residuals(contingency(solution.assignment, view, order="size")),
-            solution.centers,
-            solution.quantifications,
-        )
-    )
-    comparison = residual_comparison(dataset, sup, solution)
-    class_sizes = {
-        (h, s): int(sup.class_sizes(h)[s])
-        for h in range(sup.n_sup)
-        for s in range(sup.r[h])
-    }
-    archive = build_archive(echo, solution, model, comparison, class_sizes)
+    archive = _clustering_archive(echo, dataset, solution)
     _write_exports(Path(config.out), archive, config.exports)
     print(
         f"fit: objective {solution.objective:.6g}, "
@@ -389,27 +389,10 @@ def cmd_variants(args) -> int:
 
     if method in ("averaging", "cluster-ca"):
         if method == "averaging":
-            spec = ClusterSpec.uniform(sup, 1)
-            solution = fit_mscca(dataset, sup, spec, options)
-            view = stacked_indicators(dataset, sup.n_sup)
+            solution = fit_mscca(dataset, sup, ClusterSpec.uniform(sup, 1), options)
         else:
             solution = fit_cluster_ca(dataset, k, options)
-            sup = solution.assignment.sup
-            view = stacked_indicators(dataset, 1)
-        model = rescale_spread(
-            biplot_coordinates(
-                standardized_residuals(contingency(solution.assignment, view, order="size")),
-                solution.centers,
-                solution.quantifications,
-            )
-        )
-        comparison = residual_comparison(dataset, sup, solution)
-        class_sizes = {
-            (h, s): int(sup.class_sizes(h)[s])
-            for h in range(sup.n_sup)
-            for s in range(sup.r[h])
-        }
-        archive = build_archive(config.echo(), solution, model, comparison, class_sizes)
+        archive = _clustering_archive(config.echo(), dataset, solution)
         if method == "averaging":
             # Each row is a whole class; export them as class points only.
             archive["biplot"]["classes"] = [
@@ -560,9 +543,6 @@ def main(argv=None) -> int:
     except ExportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MsccaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

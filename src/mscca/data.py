@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     AssignmentError,
+    EmptyClusterError,
     MissingValueError,
     ShapeError,
     SpecError,
@@ -386,21 +387,42 @@ class HierarchicalAssignment:
             col += block.shape[1]
         return u
 
-    def row_index(self) -> list[tuple[int, int, int]]:
-        """(h, class, cluster) triple of every stacked-indicator column."""
-        out = []
-        for h in range(self.n_sup):
-            for s in range(self.sup.r[h]):
-                for k in range(self.spec.k_of(h, s)):
-                    out.append((h, s, k))
-        return out
-
     def with_clusters(self, clusters: np.ndarray) -> "HierarchicalAssignment":
         return HierarchicalAssignment(sup=self.sup, spec=self.spec, clusters=clusters)
 
-    def restrict(self, h: int, s: int) -> np.ndarray:
-        """Within-class cluster labels of the members of class (h, s)."""
-        return self.clusters[self.sup.members(h, s), h]
+
+def _center_offsets(spec: ClusterSpec) -> np.ndarray:
+    """Row offset of each variable's block inside the stacked G."""
+    k_h = np.array(spec.k_per_variable, dtype=np.int64)
+    return np.concatenate([[0], np.cumsum(k_h)[:-1]])
+
+
+def cluster_counts(
+    assignment: HierarchicalAssignment, view: IndicatorView
+) -> tuple[np.ndarray, np.ndarray]:
+    """The K x Q cluster-by-category count table U'Z and the K cluster
+    sizes, rows in the natural (h, class, cluster) order.
+
+    The quantification step, the centers, psi and the biplot table are
+    functions of these two arrays.  Both come from one ``bincount`` over
+    the (cluster row, category column) pairs of all observations,
+    variables and supplementary variables; the sizes are the row sums of
+    the first variable's block.  Raises ``EmptyClusterError`` when a
+    cluster has no members.
+    """
+    g_off = _center_offsets(assignment.spec)
+    rows = np.stack(
+        [g_off[h] + assignment.column_index(h) for h in range(assignment.n_sup)], axis=1
+    )
+    cols = view.dataset.codes + view.offsets
+    big_k, big_q = assignment.spec.k_total, view.total_categories
+    flat = (rows[:, :, None] * big_q + cols[:, None, :]).ravel()
+    table = np.bincount(flat, minlength=big_k * big_q).reshape(big_k, big_q)
+    sizes = table[:, : view.dataset.q[0]].sum(axis=1)
+    if np.any(sizes == 0):
+        row = int(np.flatnonzero(sizes == 0)[0])
+        raise EmptyClusterError(f"cluster row {row} (h, class, cluster order) is empty")
+    return table, sizes
 
 
 def build_assignment(
@@ -471,8 +493,8 @@ class IndicatorView:
     """Indicator matrices derived from a dataset, with the H-fold stacking
     used by the solver.
 
-    Provides Z_j, the concatenated Z, their vertically replicated versions,
-    and the diagonal masses D built from the stacked indicators (category
+    Provides the concatenated Z, its column-centered version, and the
+    diagonal masses D built from the stacked indicators (category
     frequency times H).  Arrays are cached and must not be mutated.
     """
 
@@ -523,13 +545,6 @@ class IndicatorView:
             for lab in self.dataset.labels[j]
         )
 
-    def z_var(self, j: int) -> np.ndarray:
-        """Z_j as a dense N x q_j 0/1 matrix."""
-        q = self.dataset.q[j]
-        z = np.zeros((self.n_obs, q))
-        z[np.arange(self.n_obs), self.dataset.codes[:, j]] = 1.0
-        return z
-
     @cached_property
     def z_full(self) -> np.ndarray:
         """The N x Q concatenation of all Z_j."""
@@ -537,15 +552,6 @@ class IndicatorView:
         for j in range(self.n_vars):
             z[np.arange(self.n_obs), self.offsets[j] + self.dataset.codes[:, j]] = 1.0
         return _freeze(z)
-
-    def z_var_stacked(self, j: int) -> np.ndarray:
-        """Z_j^H: H vertically stacked copies of Z_j."""
-        return np.tile(self.z_var(j), (self.n_stack, 1))
-
-    @cached_property
-    def z_full_stacked(self) -> np.ndarray:
-        """Z^H: the NH x Q stack of the concatenated indicator."""
-        return _freeze(np.tile(self.z_full, (self.n_stack, 1)))
 
     @cached_property
     def z_centered(self) -> np.ndarray:
@@ -566,14 +572,15 @@ def stacked_indicators(dataset: CategoricalDataset, n_stack: int) -> IndicatorVi
 def read_csv_dataset(
     path: str | Path, sup_columns: Sequence[str]
 ) -> tuple[CategoricalDataset, SupplementaryData]:
-    """Read a UTF-8 CSV with a mandatory header row.
+    """Read a UTF-8 CSV (with or without a byte-order mark) with a
+    mandatory header row.
 
     Columns named in ``sup_columns`` become supplementary variables; all
     remaining columns are analysis variables, in header order.  Missing
     values are not supported.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -39,3 +39,11 @@ class ProjectorError(MsccaError):
 
 class DegenerateGeometryError(MsccaError):
     """A configuration is identically zero where a direction is needed."""
+
+
+class ConfigError(MsccaError):
+    """Bad flags, unreadable input, malformed design files."""
+
+
+class ExportError(MsccaError):
+    """Requested export cannot be produced (for example SVG with p != 2)."""

@@ -1,8 +1,7 @@
 """Matrix primitives used by the solver: centering, symmetric
 eigendecomposition with a fixed sign convention, and mass scaling.
 
-All numerical tolerances live in one place (``TOL``) so tests and the
-solver agree on a single set of thresholds.
+The eigensolver's numerical tolerances live in one place (``TOL``).
 """
 
 from __future__ import annotations
@@ -16,17 +15,9 @@ from .errors import MassError, ShapeError, SymmetryError
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central record of every tolerance the package relies on."""
+    """Central record of the tolerances the package relies on."""
 
     symmetry: float = 1e-10          # max |S - S'| accepted by sym_eig_top
-    orthonormal: float = 1e-10       # eigenvector orthonormality
-    centering: float = 1e-12         # column means after centering
-    eig_residual: float = 1e-8       # |S v - lambda v| per returned pair
-    normalization: float = 1e-8      # quantification normalization constraint
-    monotone_slack: float = 1e-12    # allowed uphill jitter in objective traces
-    identity_gap: float = 1e-8       # objective identities (min/max forms)
-    principal_angle: float = 1e-6    # column-space agreement between routes
-    reconstruction: float = 1e-6     # rank-p residual optimality
     eig_tie_rel: float = 1e-10       # relative gap treated as an eigenvalue tie
 
 

@@ -5,6 +5,7 @@ for choosing cluster counts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import comb
 from typing import Hashable, Sequence
 
@@ -64,6 +65,16 @@ def goodness_of_fit(y: np.ndarray, h: np.ndarray) -> float:
     return yh * yh / (yy * hh)
 
 
+def _match_clusters(fitted: np.ndarray, true: np.ndarray, k: int) -> tuple[int, ...]:
+    """Fitted cluster paired with each true cluster of one class: the
+    permutation with the largest total member overlap, ties going to the
+    lexicographically lowest permutation."""
+    overlap = np.zeros((k, k), dtype=np.int64)
+    np.add.at(overlap, (true, fitted), 1)
+    rows = np.arange(k)
+    return max(permutations(range(k)), key=lambda perm: overlap[rows, perm].sum())
+
+
 def gf_against_truth(
     solution,
     true_assignment: HierarchicalAssignment,
@@ -74,16 +85,29 @@ def gf_against_truth(
 
     Both sides live in standardized-deviation units: the reconstruction
     G B' is scaled by the square-root masses of the true table, so an
-    exact-recovery full-rank fit scores 1.  Rows align by the natural
-    (h, class, cluster) order, which requires the fitted cluster counts to
-    match the true ones.
+    exact-recovery full-rank fit scores 1.  Fitted cluster labels inside
+    a class are arbitrary, so within each class the fitted clusters are
+    paired with the true ones by the largest total member overlap and the
+    center rows are permuted to the true order.  This requires the fitted
+    cluster counts to match the true ones.
     """
     from .biplot import contingency, standardized_residuals
 
-    if solution.assignment.spec.counts != true_assignment.spec.counts:
+    fitted = solution.assignment
+    if fitted.spec.counts != true_assignment.spec.counts:
         raise ShapeError("fitted and true cluster counts differ; rows cannot align")
+    sup, spec = true_assignment.sup, true_assignment.spec
+    order: list[int] = []
+    for h in range(sup.n_sup):
+        for s in range(sup.r[h]):
+            members = sup.members(h, s)
+            perm = _match_clusters(
+                fitted.clusters[members, h], true_assignment.clusters[members, h], spec.k_of(h, s)
+            )
+            base = len(order)
+            order.extend(base + c for c in perm)
     truth = standardized_residuals(contingency(true_assignment, view, order="natural"))
-    recon = solution.centers @ solution.quantifications.T
+    recon = solution.centers[order] @ solution.quantifications.T
     scaled = (
         np.sqrt(truth.row_masses)[:, None] * recon * np.sqrt(truth.col_masses)[None, :]
     )

@@ -26,10 +26,16 @@ from .data import (
     HierarchicalAssignment,
     IndicatorView,
     SupplementaryData,
+    _center_offsets,
+    cluster_counts,
     stacked_indicators,
 )
 from .errors import EmptyClusterError, ProjectorError, ShapeError, SpecError
 from .linalg import mass_scale, sym_eig_top
+
+# Final objectives this close (relative) to the best count as ties, which
+# go to the lowest start index.
+WINNER_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class MsccaSolution:
     """A converged fit: assignment, centers, quantifications, diagnostics.
 
     ``centers`` stacks the per-variable center blocks G_h in the natural
-    (h, class, cluster) order, matching ``assignment.row_index()``.
+    (h, class, cluster) order, matching the rows of ``cluster_counts``.
     ``objective_trace`` holds the winning start's objective after each
     centering update; ``start_traces`` keeps every start's trace so
     monotonicity can be audited across the whole multistart.
@@ -96,12 +102,6 @@ def object_scores(view: IndicatorView, quantifications: np.ndarray) -> np.ndarra
         scores += quantifications[view.offsets[j] + codes[:, j]]
     scores -= view.column_means @ quantifications
     return scores / view.n_vars
-
-
-def _center_offsets(spec: ClusterSpec) -> np.ndarray:
-    """Row offset of each variable's block inside the stacked G."""
-    k_h = np.array(spec.k_per_variable, dtype=np.int64)
-    return np.concatenate([[0], np.cumsum(k_h)[:-1]])
 
 
 def objective_phi(
@@ -137,28 +137,14 @@ def psi_value(
 ) -> float:
     """The maximization-form value tr B' Z^H' J U (U'U)^-1 U' J Z^H B.
 
-    Computed as the mass-weighted squared norms of the per-cluster means
-    of the centered scores Z_c B; raises ``EmptyClusterError`` when a
-    cluster has no members (singular U'U).
+    Computed from the count table as the size-weighted squared norms of
+    the per-cluster means of the centered scores Z_c B (m times the
+    centers); raises
+    ``EmptyClusterError`` when a cluster has no members (singular U'U).
     """
-    codes = view.dataset.codes
-    scores = np.zeros((view.n_obs, quantifications.shape[1]))
-    for j in range(view.n_vars):
-        scores += quantifications[view.offsets[j] + codes[:, j]]
-    scores -= view.column_means @ quantifications
-    total = 0.0
-    for h in range(assignment.n_sup):
-        col = assignment.column_index(h)
-        k_h = assignment.spec.k_per_variable[h]
-        sizes = np.bincount(col, minlength=k_h).astype(float)
-        if np.any(sizes == 0):
-            raise EmptyClusterError(f"variable {h} has an empty cluster")
-        sums = np.stack(
-            [np.bincount(col, weights=scores[:, d], minlength=k_h) for d in range(scores.shape[1])],
-            axis=1,
-        )
-        total += float((sums * sums / sizes[:, None]).sum())
-    return total
+    table, sizes = cluster_counts(assignment, view)
+    centers = _centroids(table, sizes, view, quantifications)
+    return float(view.n_vars**2 * (sizes[:, None] * centers * centers).sum())
 
 
 def init_random(
@@ -197,24 +183,23 @@ def update_B(
     constraint (1/(N H m)) sum_j B_j' Z_j^H' Z_j^H B_j = I_p holds for
     every H, not only the single-set case.
     """
-    codes = view.dataset.codes
+    return _quantify(*cluster_counts(assignment, view), assignment.spec, view, p)
+
+
+def _quantify(
+    table: np.ndarray, sizes: np.ndarray, spec: ClusterSpec, view: IndicatorView, p: int
+) -> np.ndarray:
+    """``update_B`` from the count table: Z^H' J P_U J Z^H is the sum over
+    the supplementary variables of the between-cluster cross-product of
+    that variable's block of rows."""
     n, m, big_q = view.n_obs, view.n_vars, view.total_categories
-    n_sup = assignment.n_sup
+    n_sup = len(spec.counts)
     mu = view.column_means
     target = np.zeros((big_q, big_q))
-    for h in range(n_sup):
-        col = assignment.column_index(h)
-        k_h = assignment.spec.k_per_variable[h]
-        sizes = np.bincount(col, minlength=k_h).astype(float)
-        if np.any(sizes == 0):
-            raise EmptyClusterError(f"variable {h} has an empty cluster")
-        crosstab = np.zeros((k_h, big_q))
-        for j in range(m):
-            q_j = view.dataset.q[j]
-            flat = np.bincount(col * q_j + codes[:, j], minlength=k_h * q_j)
-            crosstab[:, view.offsets[j] : view.offsets[j] + q_j] = flat.reshape(k_h, q_j)
-        centered = crosstab - sizes[:, None] * mu[None, :]
-        target += centered.T @ (centered / sizes[:, None])
+    bounds = np.cumsum((0, *spec.k_per_variable))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        centered = table[lo:hi] - sizes[lo:hi, None] * mu[None, :]
+        target += centered.T @ (centered / sizes[lo:hi, None])
     d = view.d_masses.astype(float)
     d_isqrt = 1.0 / np.sqrt(d)
     scaled = (target * d_isqrt[:, None] * d_isqrt[None, :]) / m
@@ -222,21 +207,13 @@ def update_B(
     return float(np.sqrt(n * n_sup * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
 
 
-def _centroids(assignment: HierarchicalAssignment, scores: np.ndarray) -> np.ndarray:
-    """Per-cluster means of the object scores, stacked over h."""
-    blocks = []
-    for h in range(assignment.n_sup):
-        col = assignment.column_index(h)
-        k_h = assignment.spec.k_per_variable[h]
-        sizes = np.bincount(col, minlength=k_h).astype(float)
-        if np.any(sizes == 0):
-            raise EmptyClusterError(f"variable {h} has an empty cluster")
-        sums = np.stack(
-            [np.bincount(col, weights=scores[:, d], minlength=k_h) for d in range(scores.shape[1])],
-            axis=1,
-        )
-        blocks.append(sums / sizes[:, None])
-    return np.vstack(blocks)
+def _centroids(
+    table: np.ndarray, sizes: np.ndarray, view: IndicatorView, quantifications: np.ndarray
+) -> np.ndarray:
+    """Per-cluster means of the object scores, stacked over h: the row
+    profiles of the count table, centered by the category means, times
+    B / m."""
+    return (table / sizes[:, None] - view.column_means) @ quantifications / view.n_vars
 
 
 def update_G(
@@ -244,7 +221,7 @@ def update_G(
 ) -> np.ndarray:
     """Recenter: each row of G becomes the mean object score of its
     cluster's members (the closed-form optimum for a fixed assignment)."""
-    return _centroids(assignment, object_scores(view, quantifications))
+    return _centroids(*cluster_counts(assignment, view), view, quantifications)
 
 
 def update_U(
@@ -333,13 +310,14 @@ def _run_start(
     increases beyond float jitter.
     """
     assignment = init_random(sup, spec, rng)
+    table, sizes = cluster_counts(assignment, view)
     trace: list[float] = []
     converged = False
     centers = quantifications = None
     for t in range(options.max_iter):
-        quantifications = update_B(assignment, view, options.p)
+        quantifications = _quantify(table, sizes, spec, view, options.p)
         scores = object_scores(view, quantifications)
-        centers = _centroids(assignment, scores)
+        centers = _centroids(table, sizes, view, quantifications)
         phi = objective_phi(assignment, centers, quantifications, view)
         trace.append(phi)
         if t > 0 and trace[-2] - trace[-1] < options.epsilon:
@@ -348,14 +326,14 @@ def _run_start(
         if t == options.max_iter - 1:
             break
         candidate = update_U(scores, centers, sup, spec)
-        repaired = candidate
-        if any(
-            (candidate.cluster_sizes(h) == 0).any() for h in range(candidate.n_sup)
-        ):
+        try:
+            table, sizes = cluster_counts(candidate, view)
+            assignment = candidate
+        except EmptyClusterError:
             repaired = repair_empty_clusters(candidate, scores, centers)
-            if objective_phi(repaired, centers, quantifications, view) > phi:
-                repaired = assignment
-        assignment = repaired
+            if objective_phi(repaired, centers, quantifications, view) <= phi:
+                assignment = repaired
+                table, sizes = cluster_counts(assignment, view)
     return _StartResult(
         assignment=assignment,
         centers=centers,
@@ -375,10 +353,11 @@ def fit_mscca(
 
     Runs ``options.n_starts`` independent initializations (each with its
     own random stream derived from ``options.seed`` and the start index)
-    and returns the solution with the smallest objective, ties broken by
-    start index.  The returned (U, G, B) triple is mutually consistent:
-    the centers and quantifications are the exact optimum for the
-    returned assignment.
+    and returns the lowest-indexed start whose objective is within
+    ``WINNER_RTOL`` (relative) of the smallest, so starts that reach the
+    same optimum up to rounding do not hand the win to float noise.  The
+    returned (U, G, B) triple is mutually consistent: the centers and
+    quantifications are the exact optimum for the returned assignment.
     """
     if dataset.n_obs != sup.n_obs:
         raise ShapeError("dataset and supplementary data disagree on N")
@@ -386,15 +365,17 @@ def fit_mscca(
     view = stacked_indicators(dataset, sup.n_sup)
     options.validate(view)
     seeds = np.random.SeedSequence(options.seed).spawn(options.n_starts)
-    best: _StartResult | None = None
-    best_index = -1
+    # Starts within WINNER_RTOL of the running minimum; objectives are
+    # nonnegative, so a start dropped here can never tie the final minimum.
+    tied: list[tuple[int, _StartResult]] = []
     traces: list[tuple[float, ...]] = []
     for index, seed in enumerate(seeds):
         result = _run_start(view, sup, spec, options, np.random.default_rng(seed))
         traces.append(result.trace)
-        if best is None or result.trace[-1] < best.trace[-1]:
-            best = result
-            best_index = index
+        tied.append((index, result))
+        low = min(r.trace[-1] for _, r in tied)
+        tied = [(i, r) for i, r in tied if r.trace[-1] <= low + WINNER_RTOL * abs(low)]
+    best_index, best = tied[0]
     return MsccaSolution(
         assignment=best.assignment,
         centers=best.centers,

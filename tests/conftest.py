@@ -9,6 +9,7 @@ from mscca import (
     CategoricalDataset,
     ClusterSpec,
     HierarchicalAssignment,
+    IndicatorView,
     SupplementaryData,
 )
 
@@ -56,6 +57,23 @@ def random_assignment(
             members = sup.members(h, s)
             clusters[members, h] = rng.integers(0, spec.k_of(h, s), size=members.size)
     return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
+
+
+def z_var(view: IndicatorView, j: int) -> np.ndarray:
+    """Z_j as a dense N x q_j 0/1 matrix."""
+    z = np.zeros((view.n_obs, view.dataset.q[j]))
+    z[np.arange(view.n_obs), view.dataset.codes[:, j]] = 1.0
+    return z
+
+
+def z_var_stacked(view: IndicatorView, j: int) -> np.ndarray:
+    """Z_j^H: H vertically stacked copies of Z_j."""
+    return np.tile(z_var(view, j), (view.n_stack, 1))
+
+
+def z_full_stacked(view: IndicatorView) -> np.ndarray:
+    """Z^H: the NH x Q stack of the concatenated indicator."""
+    return np.tile(view.z_full, (view.n_stack, 1))
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,14 +8,21 @@ from mscca import (
     HierarchicalAssignment,
     SupplementaryData,
     build_assignment,
+    cluster_counts,
     encode_dataset,
     encode_supplementary,
     read_csv_dataset,
     stacked_indicators,
     validate_assignment,
 )
-from mscca.errors import AssignmentError, MissingValueError, ShapeError, SpecError
-from conftest import random_problem
+from mscca.errors import (
+    AssignmentError,
+    EmptyClusterError,
+    MissingValueError,
+    ShapeError,
+    SpecError,
+)
+from conftest import random_assignment, random_problem, z_full_stacked, z_var, z_var_stacked
 
 
 class TestEncodeDataset:
@@ -132,6 +139,28 @@ class TestBuildAssignment:
         assert_allclose(gram, np.diag(sizes))
 
 
+class TestClusterCounts:
+    def test_matches_dense_indicator_products(self, rng):
+        # U'Z^H and diag(U'U) from the dense stacked indicators
+        for _ in range(10):
+            ds, sup, spec = random_problem(rng)
+            asg = random_assignment(rng, sup, spec)
+            view = stacked_indicators(ds, sup.n_sup)
+            u = asg.stacked_indicator()
+            table, sizes = cluster_counts(asg, view)
+            assert_allclose(table, u.T @ z_full_stacked(view))
+            assert_allclose(sizes, u.sum(axis=0))
+
+    def test_empty_cluster_rejected(self):
+        sup = encode_supplementary([["x"], ["x"], ["y"]])
+        ds = encode_dataset([["a"], ["b"], ["a"]])
+        asg = HierarchicalAssignment(
+            sup=sup, spec=ClusterSpec(counts=((2, 1),)), clusters=np.zeros((3, 1), dtype=np.int64)
+        )
+        with pytest.raises(EmptyClusterError):
+            cluster_counts(asg, stacked_indicators(ds, 1))
+
+
 class TestValidateAssignment:
     def test_worked_example_clean(self):
         sup, spec, asg = _gender_example()
@@ -185,7 +214,7 @@ class TestIndicatorView:
     def test_stacking_replicates(self):
         ds = encode_dataset([["a"], ["b"]])
         view = stacked_indicators(ds, 2)
-        assert view.z_var_stacked(0).tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
+        assert z_var_stacked(view, 0).tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
 
     def test_d_masses_counts_times_h(self):
         ds = encode_dataset([["a"], ["b"]])
@@ -194,13 +223,13 @@ class TestIndicatorView:
     def test_h_one_identity(self):
         ds = encode_dataset([["a", "x"], ["b", "y"]])
         view = stacked_indicators(ds, 1)
-        assert_allclose(view.z_full_stacked, view.z_full)
+        assert_allclose(z_full_stacked(view), view.z_full)
 
     def test_row_sums_and_positive_masses(self, rng):
         ds, sup, spec = random_problem(rng)
         view = stacked_indicators(ds, 3)
         for j in range(ds.n_vars):
-            assert_allclose(view.z_var(j).sum(axis=1), np.ones(ds.n_obs))
+            assert_allclose(z_var(view, j).sum(axis=1), np.ones(ds.n_obs))
         assert (view.d_masses > 0).all()
 
     def test_invalid_stack(self):
@@ -232,3 +261,14 @@ class TestCsvIngestion:
         path.write_text("a,b\n1,\n", encoding="utf-8")
         with pytest.raises(MissingValueError):
             read_csv_dataset(path, ["a"])
+
+    def test_byte_order_mark_stripped(self, tmp_path):
+        # spreadsheet exports often start with a BOM; the first header must
+        # still match when it names a supplementary column
+        path = tmp_path / "data.csv"
+        path.write_text("Meal,drink\nwest,tea\neast,juice\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        ds, sup = read_csv_dataset(path, ["Meal"])
+        assert sup.names == ("Meal",)
+        assert sup.labels == (("west", "east"),)
+        assert ds.names == ("drink",)

@@ -153,6 +153,25 @@ class TestGfAgainstTruth:
         solution = SimpleNamespace(assignment=truth, centers=g, quantifications=b)
         assert gf_against_truth(solution, truth, view) == pytest.approx(1.0, abs=1e-6)
 
+    def test_fitted_labels_permuted_within_class_score_one(self):
+        # fitted cluster labels inside a class are arbitrary: swapping them
+        # in one class describes the same fit and must score the same
+        raw = [["a", "x"], ["a", "y"], ["b", "x"], ["b", "z"], ["c", "y"], ["c", "z"]] * 4
+        ds = encode_dataset(raw)
+        sup = encode_supplementary([["g1"] if i % 2 else ["g2"] for i in range(len(raw))])
+        clusters = np.array([[0 if row[0] == "a" else 1] for row in raw], dtype=np.int64)
+        truth = HierarchicalAssignment(sup=sup, spec=ClusterSpec.uniform(sup, 2), clusters=clusters)
+        view = stacked_indicators(ds, sup.n_sup)
+        p = ds.total_categories - ds.n_vars
+        swap = truth.clusters.copy()
+        in_g1 = sup.codes[:, 0] == 0
+        swap[in_g1, 0] = 1 - swap[in_g1, 0]
+        fitted = truth.with_clusters(swap)
+        b = update_B(fitted, view, p)
+        g = update_G(fitted, view, b)
+        solution = SimpleNamespace(assignment=fitted, centers=g, quantifications=b)
+        assert gf_against_truth(solution, truth, view) == pytest.approx(1.0, abs=1e-6)
+
     def test_zero_centers_degenerate(self):
         ds, sup, truth = self._truth_setup()
         view = stacked_indicators(ds, sup.n_sup)

@@ -26,7 +26,13 @@ from mscca import (
 from mscca.errors import EmptyClusterError, ProjectorError, SpecError
 from mscca.simulation import GenSpec, generate_clustered
 
-from conftest import principal_angles, random_assignment, random_problem
+from conftest import (
+    principal_angles,
+    random_assignment,
+    random_problem,
+    z_full_stacked,
+    z_var_stacked,
+)
 
 
 def single_class_sup(n: int) -> SupplementaryData:
@@ -134,7 +140,7 @@ class TestIterateInvariants:
             b = update_B(asg, view, 2)
             total = np.zeros((2, 2))
             for j in range(ds.n_vars):
-                zj = view.z_var_stacked(j)
+                zj = z_var_stacked(view, j)
                 bj = b[view.offsets[j] : view.offsets[j] + ds.q[j]]
                 total += bj.T @ zj.T @ zj @ bj
             total /= ds.n_obs * sup.n_sup * ds.n_vars
@@ -185,7 +191,7 @@ class TestUpdateB:
             b = update_B(asg, view, 2)
             total = np.zeros((2, 2))
             for j in range(ds.n_vars):
-                zj = view.z_var_stacked(j)
+                zj = z_var_stacked(view, j)
                 bj = b[view.offsets[j] : view.offsets[j] + ds.q[j]]
                 total += bj.T @ zj.T @ zj @ bj
             total /= ds.n_obs * sup.n_sup * ds.n_vars
@@ -354,6 +360,31 @@ class TestFitMscca:
         assert a.quantifications.tobytes() == b.quantifications.tobytes()
         assert a.centers.tobytes() == b.centers.tobytes()
 
+    @pytest.mark.parametrize(
+        "finals, winner",
+        [
+            # three starts tie up to a few ulps: the lowest index wins
+            ([1.25 + 2 * 2.0**-52, 1.25, 1.25 + 2.0**-52, 1.25 + 1e-6], 0),
+            # a gap far above rounding still decides the winner
+            ([1.0 + 1e-9, 1.0, 1.0 + 1e-13], 1),
+        ],
+    )
+    def test_winner_ignores_float_noise_between_starts(self, rng, monkeypatch, finals, winner):
+        import mscca.solver as solver
+
+        ds, sup, spec = random_problem(rng)
+        finals = list(finals)
+        real = solver._run_start
+
+        def fake(view, sup, spec, options, rng):
+            result = real(view, sup, spec, options, rng)
+            return result._replace(trace=result.trace[:-1] + (finals.pop(0),))
+
+        monkeypatch.setattr(solver, "_run_start", fake)
+        sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=len(finals), seed=3))
+        assert sol.start_index == winner
+        assert sol.objective == sol.start_traces[winner][-1]
+
     def test_solution_invariants(self, rng):
         ds, sup, spec = random_problem(rng)
         sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=3, seed=2))
@@ -361,7 +392,7 @@ class TestFitMscca:
         # normalization of B
         total = np.zeros((2, 2))
         for j in range(ds.n_vars):
-            zj = view.z_var_stacked(j)
+            zj = z_var_stacked(view, j)
             bj = sol.quantifications[view.offsets[j] : view.offsets[j] + ds.q[j]]
             total += bj.T @ zj.T @ zj @ bj
         total /= ds.n_obs * sup.n_sup * ds.n_vars
@@ -394,7 +425,7 @@ class TestReplicateBlocks:
         ds, sup, spec = random_problem(rng, n_sup=3)
         view = stacked_indicators(ds, sup.n_sup)
         b = rng.normal(size=(ds.total_categories, 2))
-        zh = view.z_full_stacked
+        zh = z_full_stacked(view)
         centered = zh - zh.mean(axis=0, keepdims=True)
         stacked_scores = centered @ b
         n = ds.n_obs
