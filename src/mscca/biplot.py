@@ -16,7 +16,6 @@ import numpy as np
 
 from .data import (
     CategoricalDataset,
-    ClusterSpec,
     HierarchicalAssignment,
     IndicatorView,
     SupplementaryData,
@@ -186,12 +185,9 @@ def residual_comparison(
     if assignment.sup is not sup and not np.array_equal(assignment.sup.codes, sup.codes):
         raise ShapeError("assignment does not belong to the given supplementary data")
     view = stacked_indicators(dataset, sup.n_sup)
-    class_assignment = HierarchicalAssignment(
-        sup=sup,
-        spec=ClusterSpec.uniform(sup, 1),
-        clusters=np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64),
+    averaging = standardized_residuals(
+        contingency(HierarchicalAssignment.by_class(sup), view, order="size")
     )
-    averaging = standardized_residuals(contingency(class_assignment, view, order="size"))
     clustered = standardized_residuals(contingency(assignment, view, order="size"))
     records: list[dict] = []
     for name, model in (("averaging", averaging), ("mscca", clustered)):

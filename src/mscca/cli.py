@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .archive import (
+    _atomic_write,
     assignment_records,
     build_archive,
     coords_header,
@@ -297,8 +298,7 @@ def _write_exports(out_dir: Path, archive: dict, exports: tuple[str, ...]) -> No
             residual_rows(archive),
         )
     if "svg" in exports:
-        svg = render_scatter(_archive_points(archive), title="")
-        (out_dir / "biplot.svg").write_text(svg, encoding="utf-8")
+        _atomic_write(out_dir / "biplot.svg", render_scatter(_archive_points(archive), title=""))
 
 
 def _clustering_archive(echo: dict, dataset, solution) -> dict:
@@ -461,7 +461,10 @@ def cmd_simulate(args) -> int:
     rows = run_study(design)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["q", "K", "H", "r", "balance", "replicate", "h", "s", "ari", "gf", "phi", "runtime_ms"]
+    header = [
+        "q", "K", "H", "r", "balance", "replicate", "h", "s",
+        "ari", "gf", "phi", "error", "runtime_ms",
+    ]
     write_csv(
         out_dir / "results.csv",
         header,
@@ -495,7 +498,7 @@ def cmd_export_svg(args) -> int:
         raise ExportError(f"SVG export needs 2-dimensional coordinates, archive has p={p}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_scatter(_archive_points(archive)), encoding="utf-8")
+    _atomic_write(out, render_scatter(_archive_points(archive)))
     print(f"export-svg: wrote {args.out}")
     return 0
 

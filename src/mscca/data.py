@@ -376,19 +376,15 @@ class HierarchicalAssignment:
         u[np.arange(n), self.column_index(h)] = 1.0
         return u
 
-    def stacked_indicator(self) -> np.ndarray:
-        """The NH x K block-diagonal stacked indicator."""
-        blocks = [self.indicator(h) for h in range(self.n_sup)]
-        n, k = self.n_obs, self.spec.k_total
-        u = np.zeros((n * self.n_sup, k))
-        col = 0
-        for h, block in enumerate(blocks):
-            u[h * n : (h + 1) * n, col : col + block.shape[1]] = block
-            col += block.shape[1]
-        return u
-
     def with_clusters(self, clusters: np.ndarray) -> "HierarchicalAssignment":
         return HierarchicalAssignment(sup=self.sup, spec=self.spec, clusters=clusters)
+
+    @classmethod
+    def by_class(cls, sup: SupplementaryData) -> "HierarchicalAssignment":
+        """One cluster per class: the partition of the observations by the
+        classes of each supplementary variable."""
+        clusters = np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
+        return cls(sup=sup, spec=ClusterSpec.uniform(sup, 1), clusters=clusters)
 
 
 def _center_offsets(spec: ClusterSpec) -> np.ndarray:
@@ -493,9 +489,9 @@ class IndicatorView:
     """Indicator matrices derived from a dataset, with the H-fold stacking
     used by the solver.
 
-    Provides the concatenated Z, its column-centered version, and the
-    diagonal masses D built from the stacked indicators (category
-    frequency times H).  Arrays are cached and must not be mutated.
+    Provides the concatenated Z and the diagonal masses D built from the
+    stacked indicators (category frequency times H).  Arrays are cached
+    and must not be mutated.
     """
 
     def __init__(self, dataset: CategoricalDataset, n_stack: int = 1) -> None:
@@ -552,12 +548,6 @@ class IndicatorView:
         for j in range(self.n_vars):
             z[np.arange(self.n_obs), self.offsets[j] + self.dataset.codes[:, j]] = 1.0
         return _freeze(z)
-
-    @cached_property
-    def z_centered(self) -> np.ndarray:
-        """Column-centered Z (each replicate block of J Z^H equals this)."""
-        z = self.z_full
-        return _freeze(z - z.mean(axis=0, keepdims=True))
 
     @cached_property
     def column_means(self) -> np.ndarray:

@@ -25,7 +25,7 @@ from .data import (
     SupplementaryData,
     stacked_indicators,
 )
-from .errors import SpecError
+from .errors import ConfigError, MsccaError, SpecError
 from .metrics import adjusted_rand_index, gf_against_truth
 from .solver import SolverOptions, fit_mscca
 
@@ -366,7 +366,7 @@ def _study_task(design: StudyDesign, cell_index: int, replicate: int) -> list[di
                 seed=fit_seed,
             ),
         )
-    except Exception as exc:  # cell failures are recorded, not fatal
+    except MsccaError as exc:  # cell failures are recorded, not fatal
         elapsed = int(1000 * (time.perf_counter() - started))
         return [
             {**base, "h": h, "s": s, "ari": None, "gf": None, "phi": None,
@@ -400,15 +400,24 @@ def run_study(design: StudyDesign, workers: int | None = None) -> list[dict]:
     class) order regardless of execution order.
 
     ``workers`` defaults to the MSCCA_THREADS environment variable (1 if
-    unset); values above 1 run replicates in parallel processes.
+    unset; anything but a positive integer raises ``ConfigError``); values
+    above 1 run replicates in parallel processes, never more than the CPU
+    count or the number of (cell, replicate) tasks.
     """
     if workers is None:
-        workers = int(os.environ.get("MSCCA_THREADS", "1"))
+        raw = os.environ.get("MSCCA_THREADS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"MSCCA_THREADS must be a positive integer, got {raw!r}")
     tasks = [
         (cell_index, replicate)
         for cell_index in range(len(design.cells()))
         for replicate in range(design.replicates)
     ]
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(

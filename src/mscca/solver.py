@@ -183,28 +183,34 @@ def update_B(
     constraint (1/(N H m)) sum_j B_j' Z_j^H' Z_j^H B_j = I_p holds for
     every H, not only the single-set case.
     """
-    return _quantify(*cluster_counts(assignment, view), assignment.spec, view, p)
+    table, sizes = cluster_counts(assignment, view)
+    return _quantify(_between_target(table, sizes, assignment.spec, view), view, p)
 
 
-def _quantify(
-    table: np.ndarray, sizes: np.ndarray, spec: ClusterSpec, view: IndicatorView, p: int
+def _between_target(
+    table: np.ndarray, sizes: np.ndarray, spec: ClusterSpec, view: IndicatorView
 ) -> np.ndarray:
-    """``update_B`` from the count table: Z^H' J P_U J Z^H is the sum over
-    the supplementary variables of the between-cluster cross-product of
-    that variable's block of rows."""
-    n, m, big_q = view.n_obs, view.n_vars, view.total_categories
-    n_sup = len(spec.counts)
+    """Z^H' J P_U J Z^H from the count table: the sum over the
+    supplementary variables of the between-group cross-product of that
+    variable's block of rows."""
     mu = view.column_means
-    target = np.zeros((big_q, big_q))
+    target = np.zeros((view.total_categories, view.total_categories))
     bounds = np.cumsum((0, *spec.k_per_variable))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         centered = table[lo:hi] - sizes[lo:hi, None] * mu[None, :]
         target += centered.T @ (centered / sizes[lo:hi, None])
+    return target
+
+
+def _quantify(target: np.ndarray, view: IndicatorView, p: int) -> np.ndarray:
+    """sqrt(N H m) D^{-1/2} times the top-p eigenvectors of
+    (1/m) D^{-1/2} target D^{-1/2}, with H the view's stacking count."""
+    n, m = view.n_obs, view.n_vars
     d = view.d_masses.astype(float)
     d_isqrt = 1.0 / np.sqrt(d)
     scaled = (target * d_isqrt[:, None] * d_isqrt[None, :]) / m
     eig = sym_eig_top(scaled, p)
-    return float(np.sqrt(n * n_sup * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
+    return float(np.sqrt(n * view.n_stack * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
 
 
 def _centroids(
@@ -315,7 +321,7 @@ def _run_start(
     converged = False
     centers = quantifications = None
     for t in range(options.max_iter):
-        quantifications = _quantify(table, sizes, spec, view, options.p)
+        quantifications = _quantify(_between_target(table, sizes, spec, view), view, options.p)
         scores = object_scores(view, quantifications)
         centers = _centroids(table, sizes, view, quantifications)
         phi = objective_phi(assignment, centers, quantifications, view)
@@ -454,33 +460,6 @@ class ConstrainedFit(NamedTuple):
     objective: float
 
 
-def _constraint_basis(cspec: ConstraintSpec, n_obs: int) -> tuple[np.ndarray | None, int]:
-    """Dense column basis W of the projector (or None for identity), plus
-    the stacking count H implied by the source."""
-    if cspec.kind == "identity":
-        return None, 1
-    if cspec.kind == "membership-projector":
-        assignment = cspec.source
-        sizes = np.concatenate(
-            [assignment.cluster_sizes(h) for h in range(assignment.n_sup)]
-        )
-        if np.any(sizes == 0):
-            raise ProjectorError("assignment has empty clusters; projector is rank deficient")
-        return assignment.stacked_indicator(), assignment.n_sup
-    sup = cspec.source
-    if sup.n_obs != n_obs:
-        raise ShapeError("constraint source disagrees with the dataset on N")
-    n_sup = sup.n_sup
-    total = sum(sup.r)
-    w = np.zeros((n_obs * n_sup, total))
-    col = 0
-    for h in range(n_sup):
-        rows = h * n_obs + np.arange(n_obs)
-        w[rows, col + sup.codes[:, h]] = 1.0
-        col += sup.r[h]
-    return w, n_sup
-
-
 def fit_constrained_mca(
     dataset: CategoricalDataset, cspec: ConstraintSpec, p: int
 ) -> ConstrainedFit:
@@ -490,50 +469,63 @@ def fit_constrained_mca(
     normalization, with C the projector implied by ``cspec``.  The
     identity kind reproduces plain multiple correspondence analysis; the
     reported objective is evaluated directly from the residuals.
+
+    Every projector is onto the indicators of a partition (the source
+    assignment, or one group per class), so the eigenproblem target is the
+    partition's between-group cross-product from its count table, or the
+    centered Burt matrix minus it for ``projector-off``; the projected
+    scores are the group means of the object scores.
     """
-    if cspec.kind == "membership-projector" and cspec.source.n_obs != dataset.n_obs:
+    kind, source = cspec.kind, cspec.source
+    if source is not None and source.n_obs != dataset.n_obs:
         raise ShapeError("constraint source disagrees with the dataset on N")
-    basis, n_stack = _constraint_basis(cspec, dataset.n_obs)
+    partition = None
+    if kind == "membership-projector":
+        partition = source
+    elif kind != "identity":
+        partition = HierarchicalAssignment.by_class(source)
+    n_stack = 1 if partition is None else partition.n_sup
     view = stacked_indicators(dataset, n_stack)
+    if partition is not None:
+        try:
+            table, sizes = cluster_counts(partition, view)
+        except EmptyClusterError as exc:
+            raise ProjectorError(
+                "assignment has empty clusters; projector is rank deficient"
+            ) from exc
     bound = view.total_categories - view.n_vars
     if not 1 <= p <= bound:
         raise SpecError(f"p={p} outside [1, {bound}]")
-    n, m = view.n_obs, view.n_vars
-    zc = np.asarray(view.z_centered)
-    zc_stacked = np.tile(zc, (n_stack, 1))
+    n, m, big_q = view.n_obs, view.n_vars, view.total_categories
 
-    gram = zc.T @ zc * n_stack  # Z^H' J Z^H
-    if basis is None:
-        target = gram
-    else:
-        wtw = basis.T @ basis
-        t = basis.T @ zc_stacked
-        try:
-            solved = np.linalg.solve(wtw, t)
-        except np.linalg.LinAlgError as exc:
-            raise ProjectorError("projector source is rank deficient") from exc
-        projected = t.T @ solved
-        target = projected if cspec.kind != "projector-off" else gram - projected
+    if kind in ("identity", "projector-off"):
+        # Z^H' J Z^H = H (Z'Z - N mu mu'), with the Burt matrix Z'Z counted
+        # one variable's rows at a time.
+        cols = dataset.codes + view.offsets
+        burt = np.zeros(big_q * big_q, dtype=np.int64)
+        for j in range(m):
+            burt += np.bincount((cols[:, j, None] * big_q + cols).ravel(), minlength=big_q**2)
+        mu = view.column_means
+        target = n_stack * (burt.reshape(big_q, big_q) - n * np.outer(mu, mu))
+    if partition is not None:
+        between = _between_target(table, sizes, partition.spec, view)
+        target = target - between if kind == "projector-off" else between
+    quantifications = _quantify(target, view, p)
 
-    d = view.d_masses.astype(float)
-    d_isqrt = 1.0 / np.sqrt(d)
-    scaled = (target * d_isqrt[:, None] * d_isqrt[None, :]) / m
-    eig = sym_eig_top(scaled, p)
-    quantifications = float(np.sqrt(n * n_stack * m)) * (d_isqrt[:, None] * eig.vectors)
-
-    free = zc_stacked @ quantifications / m  # (1/m) J Z^H B
-    if basis is None:
-        scores = free
-    else:
-        projected_scores = basis @ np.linalg.solve(basis.T @ basis, basis.T @ free)
-        scores = projected_scores if cspec.kind != "projector-off" else free - projected_scores
+    scores = object_scores(view, quantifications)  # (1/m) J Z B, one block
+    if partition is not None:
+        means = _centroids(table, sizes, view, quantifications)
+        g_off = _center_offsets(partition.spec)
+        blocks = [means[g_off[h] + partition.column_index(h)] for h in range(n_stack)]
+        if kind == "projector-off":
+            blocks = [scores - block for block in blocks]
+        scores = np.concatenate(blocks)
 
     total = 0.0
-    codes = view.dataset.codes
+    stacked = scores.reshape(n_stack, n, -1)
     for j in range(m):
-        rows = quantifications[view.offsets[j] + codes[:, j]]
-        diff = scores - np.tile(rows, (n_stack, 1))
-        total += float(np.einsum("ij,ij->", diff, diff))
+        diff = stacked - quantifications[view.offsets[j] + dataset.codes[:, j]]
+        total += float(np.einsum("hij,hij->", diff, diff))
     return ConstrainedFit(
         scores=scores,
         quantifications=quantifications,

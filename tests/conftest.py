@@ -8,10 +8,15 @@ import pytest
 from mscca import (
     CategoricalDataset,
     ClusterSpec,
+    ConstraintSpec,
     HierarchicalAssignment,
     IndicatorView,
     SupplementaryData,
+    stacked_indicators,
 )
+from mscca.errors import ProjectorError, ShapeError, SpecError
+from mscca.linalg import sym_eig_top
+from mscca.solver import ConstrainedFit
 
 
 def random_dataset(rng: np.random.Generator, n: int, m: int, q: int) -> CategoricalDataset:
@@ -74,6 +79,109 @@ def z_var_stacked(view: IndicatorView, j: int) -> np.ndarray:
 def z_full_stacked(view: IndicatorView) -> np.ndarray:
     """Z^H: the NH x Q stack of the concatenated indicator."""
     return np.tile(view.z_full, (view.n_stack, 1))
+
+
+def z_centered(view: IndicatorView) -> np.ndarray:
+    """Column-centered Z (each replicate block of J Z^H equals this)."""
+    z = view.z_full
+    return z - z.mean(axis=0, keepdims=True)
+
+
+def stacked_indicator(assignment: HierarchicalAssignment) -> np.ndarray:
+    """The NH x K block-diagonal stacked indicator."""
+    blocks = [assignment.indicator(h) for h in range(assignment.n_sup)]
+    n, k = assignment.n_obs, assignment.spec.k_total
+    u = np.zeros((n * assignment.n_sup, k))
+    col = 0
+    for h, block in enumerate(blocks):
+        u[h * n : (h + 1) * n, col : col + block.shape[1]] = block
+        col += block.shape[1]
+    return u
+
+
+def _constraint_basis(cspec: ConstraintSpec, n_obs: int) -> tuple[np.ndarray | None, int]:
+    """Dense column basis W of the projector (or None for identity), plus
+    the stacking count H implied by the source."""
+    if cspec.kind == "identity":
+        return None, 1
+    if cspec.kind == "membership-projector":
+        assignment = cspec.source
+        sizes = np.concatenate(
+            [assignment.cluster_sizes(h) for h in range(assignment.n_sup)]
+        )
+        if np.any(sizes == 0):
+            raise ProjectorError("assignment has empty clusters; projector is rank deficient")
+        return stacked_indicator(assignment), assignment.n_sup
+    sup = cspec.source
+    if sup.n_obs != n_obs:
+        raise ShapeError("constraint source disagrees with the dataset on N")
+    n_sup = sup.n_sup
+    total = sum(sup.r)
+    w = np.zeros((n_obs * n_sup, total))
+    col = 0
+    for h in range(n_sup):
+        rows = h * n_obs + np.arange(n_obs)
+        w[rows, col + sup.codes[:, h]] = 1.0
+        col += sup.r[h]
+    return w, n_sup
+
+
+def dense_constrained_fit(
+    dataset: CategoricalDataset, cspec: ConstraintSpec, p: int
+) -> ConstrainedFit:
+    """Oracle for ``fit_constrained_mca``: the projector route on dense
+    NH-row matrices.  The constraint basis W, the H-fold tiled centered
+    indicator and two linear solves give the eigenproblem target
+    Z^H' J W (W'W)^-1 W' J Z^H (or the centered Gram minus it) and the
+    projected scores W (W'W)^-1 W' F."""
+    if cspec.kind == "membership-projector" and cspec.source.n_obs != dataset.n_obs:
+        raise ShapeError("constraint source disagrees with the dataset on N")
+    basis, n_stack = _constraint_basis(cspec, dataset.n_obs)
+    view = stacked_indicators(dataset, n_stack)
+    bound = view.total_categories - view.n_vars
+    if not 1 <= p <= bound:
+        raise SpecError(f"p={p} outside [1, {bound}]")
+    n, m = view.n_obs, view.n_vars
+    zc = z_centered(view)
+    zc_stacked = np.tile(zc, (n_stack, 1))
+
+    gram = zc.T @ zc * n_stack  # Z^H' J Z^H
+    if basis is None:
+        target = gram
+    else:
+        wtw = basis.T @ basis
+        t = basis.T @ zc_stacked
+        try:
+            solved = np.linalg.solve(wtw, t)
+        except np.linalg.LinAlgError as exc:
+            raise ProjectorError("projector source is rank deficient") from exc
+        projected = t.T @ solved
+        target = projected if cspec.kind != "projector-off" else gram - projected
+
+    d = view.d_masses.astype(float)
+    d_isqrt = 1.0 / np.sqrt(d)
+    scaled = (target * d_isqrt[:, None] * d_isqrt[None, :]) / m
+    eig = sym_eig_top(scaled, p)
+    quantifications = float(np.sqrt(n * n_stack * m)) * (d_isqrt[:, None] * eig.vectors)
+
+    free = zc_stacked @ quantifications / m  # (1/m) J Z^H B
+    if basis is None:
+        scores = free
+    else:
+        projected_scores = basis @ np.linalg.solve(basis.T @ basis, basis.T @ free)
+        scores = projected_scores if cspec.kind != "projector-off" else free - projected_scores
+
+    total = 0.0
+    codes = view.dataset.codes
+    for j in range(m):
+        rows = quantifications[view.offsets[j] + codes[:, j]]
+        diff = scores - np.tile(rows, (n_stack, 1))
+        total += float(np.einsum("ij,ij->", diff, diff))
+    return ConstrainedFit(
+        scores=scores,
+        quantifications=quantifications,
+        objective=total / (n * n_stack * m),
+    )
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -46,7 +46,13 @@ from mscca import (
 from mscca.cli import main
 from mscca.errors import DegenerateGeometryError
 
-from conftest import principal_angles, random_dataset, random_sup
+from conftest import (
+    dense_constrained_fit,
+    principal_angles,
+    random_dataset,
+    random_sup,
+    z_centered,
+)
 
 
 @contextmanager
@@ -104,7 +110,7 @@ def test_criterion_2_min_max_identity():
             n, n_sup, m = ds.n_obs, sup.n_sup, ds.n_vars
             for _ in range(6):
                 b = update_B(assignment, view, p)
-                scores = (view.z_centered @ b) / m
+                scores = (z_centered(view) @ b) / m
                 g = update_G(assignment, view, b)
                 phi = objective_phi(assignment, g, b, view)
                 psi = psi_value(assignment, b, view)
@@ -132,11 +138,15 @@ def test_criterion_3_frozen_assignment_equivalence():
                 )
             )
             sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=3, seed=int(rng.integers(1 << 31))))
-            fit = fit_constrained_mca(
-                ds, ConstraintSpec(kind="membership-projector", source=sol.assignment), 2
-            )
+            cspec = ConstraintSpec(kind="membership-projector", source=sol.assignment)
+            fit = fit_constrained_mca(ds, cspec, 2)
             assert abs(fit.objective - sol.objective) < 1e-8
             angles = principal_angles(fit.quantifications, sol.quantifications)
+            assert angles.max() < 1e-6
+            # the dense projector route does not go through the count table
+            dense = dense_constrained_fit(ds, cspec, 2)
+            assert abs(dense.objective - sol.objective) < 1e-8
+            angles = principal_angles(dense.quantifications, sol.quantifications)
             assert angles.max() < 1e-6
 
 

@@ -284,7 +284,7 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert rows[0] == [
             "q", "K", "H", "r", "balance", "replicate", "h", "s",
-            "ari", "gf", "phi", "runtime_ms",
+            "ari", "gf", "phi", "error", "runtime_ms",
         ]
         assert len(rows) == 1 + 2 * 3  # header + replicates x classes
         with (out / "summary.csv").open() as fh:
@@ -303,6 +303,13 @@ class TestSimulate:
             return [row[:-1] for row in rows]
 
         assert strip_runtime(out1 / "results.csv") == strip_runtime(out2 / "results.csv")
+
+    def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MSCCA_THREADS", "two")
+        design = self._design(tmp_path)
+        assert main(["simulate", "--design", str(design), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "MSCCA_THREADS" in err
 
     def test_default_design_has_full_grid(self, tmp_path):
         from mscca import StudyDesign

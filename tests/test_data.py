@@ -22,7 +22,14 @@ from mscca.errors import (
     ShapeError,
     SpecError,
 )
-from conftest import random_assignment, random_problem, z_full_stacked, z_var, z_var_stacked
+from conftest import (
+    random_assignment,
+    random_problem,
+    stacked_indicator,
+    z_full_stacked,
+    z_var,
+    z_var_stacked,
+)
 
 
 class TestEncodeDataset:
@@ -116,7 +123,7 @@ class TestBuildAssignment:
         from conftest import random_assignment
 
         asg = random_assignment(rng, sup, spec)
-        u = asg.stacked_indicator()
+        u = stacked_indicator(asg)
         n = sup.n_obs
         col = 0
         for h in range(sup.n_sup):
@@ -133,7 +140,7 @@ class TestBuildAssignment:
 
         ds, sup, spec = random_problem(rng)
         asg = random_assignment(rng, sup, spec)
-        u = asg.stacked_indicator()
+        u = stacked_indicator(asg)
         gram = u.T @ u
         sizes = np.concatenate([asg.cluster_sizes(h) for h in range(sup.n_sup)])
         assert_allclose(gram, np.diag(sizes))
@@ -146,7 +153,7 @@ class TestClusterCounts:
             ds, sup, spec = random_problem(rng)
             asg = random_assignment(rng, sup, spec)
             view = stacked_indicators(ds, sup.n_sup)
-            u = asg.stacked_indicator()
+            u = stacked_indicator(asg)
             table, sizes = cluster_counts(asg, view)
             assert_allclose(table, u.T @ z_full_stacked(view))
             assert_allclose(sizes, u.sum(axis=0))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +16,8 @@ from mscca import (
     run_study,
     summarize_study,
 )
-from mscca.errors import SpecError
+from mscca import simulation
+from mscca.errors import ConfigError, SpecError
 from mscca.simulation import class_probabilities, signal_distributions, _true_assignment
 
 
@@ -214,6 +217,46 @@ class TestRunStudy:
         assert rows, "failure rows must still be emitted"
         assert all(row["ari"] is None for row in rows)
         assert all(row["error"] == "SpecError" for row in rows)
+
+    def test_programming_errors_are_not_recorded_as_failures(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the fitter")
+
+        monkeypatch.setattr(simulation, "fit_mscca", broken)
+        with pytest.raises(TypeError):
+            run_study(self._smoke_design(), workers=1)
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
+    def test_bad_thread_count_is_a_config_error(self, monkeypatch, value):
+        monkeypatch.setenv("MSCCA_THREADS", value)
+        with pytest.raises(ConfigError, match="MSCCA_THREADS"):
+            run_study(self._smoke_design())
+
+    def test_worker_count_clamped_to_cpus_and_tasks(self, monkeypatch):
+        # a stand-in pool that records its size and runs tasks in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 8)
+        design = self._smoke_design()  # 2 tasks: one cell, two replicates
+        monkeypatch.setenv("MSCCA_THREADS", "1000")
+        assert len(run_study(design)) == 6
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+        run_study(replace(design, replicates=5), workers=64)
+        assert sizes == [2, 3]
 
     def test_parallel_workers_match_sequential(self):
         design = self._smoke_design()

@@ -27,9 +27,11 @@ from mscca.errors import EmptyClusterError, ProjectorError, SpecError
 from mscca.simulation import GenSpec, generate_clustered
 
 from conftest import (
+    dense_constrained_fit,
     principal_angles,
     random_assignment,
     random_problem,
+    stacked_indicator,
     z_full_stacked,
     z_var_stacked,
 )
@@ -146,7 +148,7 @@ class TestIterateInvariants:
             total /= ds.n_obs * sup.n_sup * ds.n_vars
             assert_allclose(total, np.eye(2), atol=1e-8)
             g = update_G(asg, view, b)
-            u = asg.stacked_indicator()
+            u = stacked_indicator(asg)
             assert np.abs((u @ g).mean(axis=0)).max() < 1e-10
             scores = object_scores(view, b)
             asg = update_U(scores, g, sup, spec)
@@ -398,7 +400,7 @@ class TestFitMscca:
         total /= ds.n_obs * sup.n_sup * ds.n_vars
         assert_allclose(total, np.eye(2), atol=1e-8)
         # centering of the stacked cluster scores
-        u = sol.assignment.stacked_indicator()
+        u = stacked_indicator(sol.assignment)
         assert np.abs((u @ sol.centers).mean(axis=0)).max() < 1e-10
         # reported objective matches a fresh evaluation
         assert sol.objective == pytest.approx(
@@ -511,6 +513,27 @@ class TestFitConstrainedMca:
         assert fit.objective == pytest.approx(sol.objective, abs=1e-8)
         angles = principal_angles(fit.quantifications, sol.quantifications)
         assert angles.max() < 1e-6
+
+    @pytest.mark.parametrize(
+        "kind", ["identity", "projector-on", "projector-off", "membership-projector"]
+    )
+    def test_matches_dense_projector_route(self, rng, kind):
+        for _ in range(5):
+            ds, sup, _ = random_problem(rng, n=40)
+            source = sup
+            if kind == "identity":
+                source = None
+            elif kind == "membership-projector":
+                # two clusters per class keep the top-2 eigenspace well separated
+                source = init_random(sup, ClusterSpec.uniform(sup, 2), rng)
+            cspec = ConstraintSpec(kind=kind, source=source)
+            fit = fit_constrained_mca(ds, cspec, 2)
+            dense = dense_constrained_fit(ds, cspec, 2)
+            assert fit.objective == pytest.approx(dense.objective, abs=1e-10)
+            angles = principal_angles(fit.quantifications, dense.quantifications)
+            assert angles.max() < 1e-6
+            assert fit.scores.shape == dense.scores.shape
+            assert np.abs(fit.scores - dense.scores).max() <= 1e-8
 
     def test_rank_deficient_projector(self):
         ds = encode_dataset([["a"], ["b"], ["a"]])
