@@ -171,14 +171,13 @@ def build_archive(
     """
     assignment = solution.assignment
     sup = assignment.sup
-    natural = {t: i for i, t in enumerate(sorted(model.row_index))}
-    centers_by_row = np.vstack(
-        [solution.centers[natural[t]] for t in model.row_index]
-    )
-    sizes = np.concatenate([assignment.cluster_sizes(h) for h in range(assignment.n_sup)])
+    first = assignment.spec.first_rows
+    g_rows = [first[h][s] + k for h, s, k in model.row_index]
+    centers_by_row = solution.centers[g_rows]
+    sizes = np.bincount(assignment.rows.ravel(), minlength=assignment.spec.k_total)
     rows = []
     for i, (h, s, k) in enumerate(model.row_index):
-        size = int(sizes[natural[h, s, k]])
+        size = int(sizes[g_rows[i]])
         rows.append(
             {
                 "label": model.row_labels[i],

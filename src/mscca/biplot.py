@@ -70,19 +70,17 @@ def contingency(
     rows: list[int] = []
     index: list[tuple[int, int, int]] = []
     labels: list[str] = []
-    row = 0
     for h in range(n_sup):
-        for s in range(sup.r[h]):
+        for s, first in enumerate(spec.first_rows[h]):
             k = spec.k_of(h, s)
             local = np.arange(k)
-            by_size = local[np.lexsort((local, -sizes[row : row + k]))]
+            by_size = local[np.lexsort((local, -sizes[first : first + k]))]
             rank_of = {int(c): r + 1 for r, c in enumerate(by_size)}
             for c in by_size if order == "size" else local:
-                rows.append(row + int(c))
+                rows.append(first + int(c))
                 index.append((h, s, int(c)))
                 base = sup.labels[h][s]
                 labels.append(base if k == 1 else f"{base}{rank_of[int(c)]}")
-            row += k
     table = counts[rows] / (n * n_sup * m)
     return BiplotModel(
         table=table,

@@ -451,9 +451,6 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"design {args.design} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("design file must hold a JSON object")
-    for key in ("qs", "ks", "hs", "rs", "balances"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
     try:
         design = StudyDesign(**raw)
     except (TypeError, SpecError) as exc:
@@ -490,15 +487,19 @@ def cmd_export_svg(args) -> int:
         raise ConfigError(f"cannot read archive {args.archive}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"archive {args.archive} is not valid JSON: {exc}") from exc
-    categories = archive.get("biplot", {}).get("categories", [])
-    if not categories:
+    biplot = archive.get("biplot") if isinstance(archive, dict) else None
+    if not isinstance(biplot, dict) or not biplot.get("categories"):
         raise ConfigError("archive holds no biplot coordinates")
-    p = len(categories[0]["coords"])
-    if p != 2:
-        raise ExportError(f"SVG export needs 2-dimensional coordinates, archive has p={p}")
+    try:
+        p = len(biplot["categories"][0]["coords"])
+        if p != 2:
+            raise ExportError(f"SVG export needs 2-dimensional coordinates, archive has p={p}")
+        points = _archive_points(archive)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ConfigError(f"archive biplot is malformed: {exc!r}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out, render_scatter(_archive_points(archive)))
+    _atomic_write(out, render_scatter(points))
     print(f"export-svg: wrote {args.out}")
     return 0
 

@@ -274,9 +274,15 @@ class ClusterSpec:
     def k_of(self, h: int, s: int) -> int:
         return self.counts[h][s]
 
-    def offsets(self, h: int) -> np.ndarray:
-        """Column offset of each class block inside U_h."""
-        return np.concatenate([[0], np.cumsum(self.counts[h])[:-1]]).astype(np.int64)
+    @cached_property
+    def first_rows(self) -> tuple[np.ndarray, ...]:
+        """Per supplementary variable, the row of the stacked center matrix
+        G (and column of the stacked U) of cluster 0 of each class: rows
+        run in the natural (h, class, cluster) order, so cluster ``k`` of
+        class ``s`` of variable ``h`` is row ``first_rows[h][s] + k``."""
+        starts = np.cumsum((0, *(k for row in self.counts for k in row)))
+        bounds = np.cumsum((0, *(len(row) for row in self.counts)))
+        return tuple(_freeze(starts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     @classmethod
     def uniform(cls, sup: SupplementaryData, k: int) -> "ClusterSpec":
@@ -361,10 +367,18 @@ class HierarchicalAssignment:
     def n_sup(self) -> int:
         return self.clusters.shape[1]
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """N x H: the row of the stacked center matrix G (equivalently the
+        column of the stacked U) of each observation's cluster under each
+        supplementary variable."""
+        first = self.spec.first_rows
+        offsets = np.stack([first[h][self.sup.codes[:, h]] for h in range(self.n_sup)], axis=1)
+        return _freeze(offsets + self.clusters)
+
     def column_index(self, h: int) -> np.ndarray:
         """Column of U_h indicated by each observation."""
-        offsets = self.spec.offsets(h)
-        return offsets[self.sup.codes[:, h]] + self.clusters[:, h]
+        return self.rows[:, h] - self.spec.first_rows[h][0]
 
     def cluster_sizes(self, h: int) -> np.ndarray:
         return np.bincount(self.column_index(h), minlength=self.spec.k_per_variable[h])
@@ -387,12 +401,6 @@ class HierarchicalAssignment:
         return cls(sup=sup, spec=ClusterSpec.uniform(sup, 1), clusters=clusters)
 
 
-def _center_offsets(spec: ClusterSpec) -> np.ndarray:
-    """Row offset of each variable's block inside the stacked G."""
-    k_h = np.array(spec.k_per_variable, dtype=np.int64)
-    return np.concatenate([[0], np.cumsum(k_h)[:-1]])
-
-
 def cluster_counts(
     assignment: HierarchicalAssignment, view: IndicatorView
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -406,13 +414,9 @@ def cluster_counts(
     the first variable's block.  Raises ``EmptyClusterError`` when a
     cluster has no members.
     """
-    g_off = _center_offsets(assignment.spec)
-    rows = np.stack(
-        [g_off[h] + assignment.column_index(h) for h in range(assignment.n_sup)], axis=1
-    )
     cols = view.dataset.codes + view.offsets
     big_k, big_q = assignment.spec.k_total, view.total_categories
-    flat = (rows[:, :, None] * big_q + cols[:, None, :]).ravel()
+    flat = (assignment.rows[:, :, None] * big_q + cols[:, None, :]).ravel()
     table = np.bincount(flat, minlength=big_k * big_q).reshape(big_k, big_q)
     sizes = table[:, : view.dataset.q[0]].sum(axis=1)
     if np.any(sizes == 0):
@@ -467,7 +471,7 @@ def validate_assignment(
         k_h = spec.k_per_variable[h]
         if u.shape != (sup.n_obs, k_h):
             raise ShapeError(f"U_{h} must be {sup.n_obs} x {k_h}, got {u.shape}")
-        offsets = spec.offsets(h)
+        offsets = spec.first_rows[h] - spec.first_rows[h][0]
         for i in range(sup.n_obs):
             row = u[i]
             if not np.isin(row, (0.0, 1.0)).all():
@@ -542,14 +546,6 @@ class IndicatorView:
         )
 
     @cached_property
-    def z_full(self) -> np.ndarray:
-        """The N x Q concatenation of all Z_j."""
-        z = np.zeros((self.n_obs, self.total_categories))
-        for j in range(self.n_vars):
-            z[np.arange(self.n_obs), self.offsets[j] + self.dataset.codes[:, j]] = 1.0
-        return _freeze(z)
-
-    @cached_property
     def column_means(self) -> np.ndarray:
         return _freeze(self.counts / self.n_obs)
 
@@ -570,6 +566,8 @@ def read_csv_dataset(
     values are not supported.
     """
     path = Path(path)
+    if len(set(sup_columns)) != len(sup_columns):
+        raise ShapeError(f"supplementary columns {list(sup_columns)} repeat a column")
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:

@@ -80,19 +80,13 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     vectors = vectors[:, ::-1]
     vectors, pivots = _sign_fix(vectors)
 
-    # Stable ordering inside tied groups by pivot index.
-    order = np.arange(n)
-    start = 0
-    for stop in range(1, n + 1):
-        is_break = stop == n or (
-            abs(values[stop - 1] - values[stop])
-            > TOL.eig_tie_rel * max(1.0, abs(values[stop - 1]), abs(values[stop]))
-        )
-        if is_break:
-            if stop - start > 1:
-                grp = order[start:stop]
-                order[start:stop] = grp[np.argsort(pivots[grp], kind="stable")]
-            start = stop
+    # Stable ordering inside tied groups by pivot index: a group starts
+    # wherever the relative gap to the previous eigenvalue exceeds the tie
+    # tolerance.
+    scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
+    breaks = np.abs(np.diff(values)) > TOL.eig_tie_rel * scale
+    group = np.concatenate(([0], np.cumsum(breaks)))
+    order = np.lexsort((pivots, group))
     values = values[order]
     vectors = vectors[:, order]
     return SymEigResult(values=values[:p].copy(), vectors=vectors[:, :p].copy())

@@ -287,6 +287,15 @@ class StudyDesign:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("qs", "ks", "hs", "rs", "balances"):
+            values = getattr(self, name)
+            kind = str if name == "balances" else (int, np.integer)
+            if not isinstance(values, (list, tuple)) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in values
+            ):
+                noun = "strings" if kind is str else "integers"
+                raise SpecError(f"{name} must be a list of {noun}, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
         if not (self.qs and self.ks and self.hs and self.rs and self.balances):
             raise SpecError("the factorial grid must not be empty")
         if self.replicates < 1 or self.starts < 1:

@@ -26,7 +26,6 @@ from .data import (
     HierarchicalAssignment,
     IndicatorView,
     SupplementaryData,
-    _center_offsets,
     cluster_counts,
     stacked_indicators,
 )
@@ -115,19 +114,23 @@ def objective_phi(
     Sums the squared residuals || U_h G_h - Z_j B_j ||^2 over every
     (variable, supplementary variable) pair and scales by 1/(N H m).
     """
+    blocks = [centers[assignment.rows[:, h]] for h in range(assignment.n_sup)]
+    return _direct_objective(blocks, quantifications, view)
+
+
+def _direct_objective(
+    blocks: list[np.ndarray], quantifications: np.ndarray, view: IndicatorView
+) -> float:
+    """(1/(N H m)) sum_j sum_h || blocks[h] - Z_j B_j ||^2 for H per-h
+    N x p score blocks, one variable's quantified rows at a time."""
     codes = view.dataset.codes
-    n, m, n_sup = view.n_obs, view.n_vars, assignment.n_sup
-    per_var = [
-        quantifications[view.offsets[j] + codes[:, j]] for j in range(m)
-    ]
-    g_off = _center_offsets(assignment.spec)
     total = 0.0
-    for h in range(n_sup):
-        rows = centers[g_off[h] + assignment.column_index(h)]
-        for j in range(m):
-            diff = rows - per_var[j]
+    for j in range(view.n_vars):
+        fitted = quantifications[view.offsets[j] + codes[:, j]]
+        for block in blocks:
+            diff = block - fitted
             total += float(np.einsum("ij,ij->", diff, diff))
-    return total / (n * n_sup * m)
+    return total / (view.n_obs * len(blocks) * view.n_vars)
 
 
 def psi_value(
@@ -239,17 +242,20 @@ def update_U(
     """Assign every observation to its nearest center inside its observed
     class; ties break toward the lowest cluster index.  Empty clusters may
     result and are repaired separately."""
-    g_off = _center_offsets(spec)
     clusters = np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
     for h in range(sup.n_sup):
-        offsets = spec.offsets(h)
-        for s in range(sup.r[h]):
-            members = sup.members(h, s)
-            k = spec.k_of(h, s)
-            block = centers[g_off[h] + offsets[s] : g_off[h] + offsets[s] + k]
-            diff = scores[members][:, None, :] - block[None, :, :]
-            d2 = np.einsum("ikd,ikd->ik", diff, diff)
-            clusters[members, h] = d2.argmin(axis=1)
+        counts = np.array(spec.counts[h])
+        slots = np.arange(counts.max())
+        # Row s holds class s's centers; slots past K_hs repeat its first
+        # center and are masked to +inf, so argmin ties still go to the
+        # lowest cluster.
+        padded = slots >= counts[:, None]
+        own = centers[spec.first_rows[h][:, None] + np.where(padded, 0, slots)]
+        codes = sup.codes[:, h]
+        diff = scores[:, None, :] - own[codes]
+        d2 = np.einsum("ikd,ikd->ik", diff, diff)
+        d2[padded[codes]] = np.inf
+        clusters[:, h] = d2.argmin(axis=1)
     return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
 
 
@@ -258,38 +264,31 @@ def repair_empty_clusters(
     scores: np.ndarray,
     centers: np.ndarray,
 ) -> HierarchicalAssignment:
-    """Fill each empty cluster with the class member farthest from its
-    current center, provided the donor cluster keeps at least one member;
-    repeats until no cluster is empty.  A donor always exists because
-    cluster counts never exceed class sizes."""
-    g_off = _center_offsets(assignment.spec)
-    clusters = np.array(assignment.clusters)
-    sup, spec = assignment.sup, assignment.spec
-    for h in range(sup.n_sup):
-        offsets = spec.offsets(h)
-        for s in range(sup.r[h]):
-            members = sup.members(h, s)
-            k = spec.k_of(h, s)
-            if k == 1:
-                continue
-            local = clusters[members, h]
-            sizes = np.bincount(local, minlength=k)
-            for empty in range(k):
-                while sizes[empty] == 0:
-                    center_rows = centers[g_off[h] + offsets[s] + local]
-                    gap = scores[members] - center_rows
-                    dist = np.einsum("id,id->i", gap, gap)
-                    dist[sizes[local] < 2] = -np.inf
-                    donor = int(dist.argmax())
-                    if not np.isfinite(dist[donor]):
-                        raise EmptyClusterError(
-                            f"class ({h}, {s}) cannot fill cluster {empty}"
-                        )
-                    sizes[local[donor]] -= 1
-                    local[donor] = empty
-                    sizes[empty] += 1
-            clusters[members, h] = local
-    return assignment.with_clusters(clusters)
+    """Fill each empty cluster, in natural (h, class, cluster) order, with
+    the class member farthest from its current center, provided the donor
+    cluster keeps at least one member (lowest observation index on ties).
+    A donor always exists because cluster counts never exceed class sizes,
+    and filling one cluster never empties another."""
+    rows = np.array(assignment.rows)
+    first = rows - assignment.clusters  # G row of cluster 0 of each class
+    class_starts = np.concatenate(assignment.spec.first_rows)
+    sizes = np.bincount(rows.ravel(), minlength=assignment.spec.k_total)
+    for empty in np.flatnonzero(sizes == 0):
+        start = class_starts[np.searchsorted(class_starts, empty, side="right") - 1]
+        # G rows of different variables differ, so every match is in one column h.
+        members, columns = np.nonzero(first == start)
+        h = columns[0]
+        local = rows[members, h]
+        gap = scores[members] - centers[local]
+        dist = np.einsum("id,id->i", gap, gap)
+        dist[sizes[local] < 2] = -np.inf
+        donor = int(dist.argmax())
+        if not np.isfinite(dist[donor]):
+            raise EmptyClusterError(f"no donor can fill cluster row {empty} of G")
+        sizes[local[donor]] -= 1
+        rows[members[donor], h] = empty
+        sizes[empty] += 1
+    return assignment.with_clusters(rows - first)
 
 
 class _StartResult(NamedTuple):
@@ -513,21 +512,14 @@ def fit_constrained_mca(
     quantifications = _quantify(target, view, p)
 
     scores = object_scores(view, quantifications)  # (1/m) J Z B, one block
+    blocks = [scores]
     if partition is not None:
         means = _centroids(table, sizes, view, quantifications)
-        g_off = _center_offsets(partition.spec)
-        blocks = [means[g_off[h] + partition.column_index(h)] for h in range(n_stack)]
+        blocks = [means[partition.rows[:, h]] for h in range(n_stack)]
         if kind == "projector-off":
             blocks = [scores - block for block in blocks]
-        scores = np.concatenate(blocks)
-
-    total = 0.0
-    stacked = scores.reshape(n_stack, n, -1)
-    for j in range(m):
-        diff = stacked - quantifications[view.offsets[j] + dataset.codes[:, j]]
-        total += float(np.einsum("hij,hij->", diff, diff))
     return ConstrainedFit(
-        scores=scores,
+        scores=np.concatenate(blocks),
         quantifications=quantifications,
-        objective=total / (n * n_stack * m),
+        objective=_direct_objective(blocks, quantifications, view),
     )

@@ -14,7 +14,7 @@ from mscca import (
     SupplementaryData,
     stacked_indicators,
 )
-from mscca.errors import ProjectorError, ShapeError, SpecError
+from mscca.errors import EmptyClusterError, ProjectorError, ShapeError, SpecError
 from mscca.linalg import sym_eig_top
 from mscca.solver import ConstrainedFit
 
@@ -76,14 +76,22 @@ def z_var_stacked(view: IndicatorView, j: int) -> np.ndarray:
     return np.tile(z_var(view, j), (view.n_stack, 1))
 
 
+def z_full(view: IndicatorView) -> np.ndarray:
+    """The N x Q concatenation of all Z_j."""
+    z = np.zeros((view.n_obs, view.total_categories))
+    for j in range(view.n_vars):
+        z[np.arange(view.n_obs), view.offsets[j] + view.dataset.codes[:, j]] = 1.0
+    return z
+
+
 def z_full_stacked(view: IndicatorView) -> np.ndarray:
     """Z^H: the NH x Q stack of the concatenated indicator."""
-    return np.tile(view.z_full, (view.n_stack, 1))
+    return np.tile(z_full(view), (view.n_stack, 1))
 
 
 def z_centered(view: IndicatorView) -> np.ndarray:
     """Column-centered Z (each replicate block of J Z^H equals this)."""
-    z = view.z_full
+    z = z_full(view)
     return z - z.mean(axis=0, keepdims=True)
 
 
@@ -97,6 +105,83 @@ def stacked_indicator(assignment: HierarchicalAssignment) -> np.ndarray:
         u[h * n : (h + 1) * n, col : col + block.shape[1]] = block
         col += block.shape[1]
     return u
+
+
+def _variable_offsets(spec: ClusterSpec) -> np.ndarray:
+    """Row offset of each variable's block inside the stacked G."""
+    k_h = np.array(spec.k_per_variable, dtype=np.int64)
+    return np.concatenate([[0], np.cumsum(k_h)[:-1]])
+
+
+def _class_offsets(spec: ClusterSpec, h: int) -> np.ndarray:
+    """Column offset of each class block inside U_h."""
+    return np.concatenate([[0], np.cumsum(spec.counts[h])[:-1]]).astype(np.int64)
+
+
+def update_U_by_class(
+    scores: np.ndarray,
+    centers: np.ndarray,
+    sup: SupplementaryData,
+    spec: ClusterSpec,
+) -> HierarchicalAssignment:
+    """Oracle for ``update_U``: one nearest-center search per class.
+
+    Assign every observation to its nearest center inside its observed
+    class; ties break toward the lowest cluster index.  Empty clusters may
+    result and are repaired separately."""
+    g_off = _variable_offsets(spec)
+    clusters = np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
+    for h in range(sup.n_sup):
+        offsets = _class_offsets(spec, h)
+        for s in range(sup.r[h]):
+            members = sup.members(h, s)
+            k = spec.k_of(h, s)
+            block = centers[g_off[h] + offsets[s] : g_off[h] + offsets[s] + k]
+            diff = scores[members][:, None, :] - block[None, :, :]
+            d2 = np.einsum("ikd,ikd->ik", diff, diff)
+            clusters[members, h] = d2.argmin(axis=1)
+    return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
+
+
+def repair_empty_clusters_by_class(
+    assignment: HierarchicalAssignment,
+    scores: np.ndarray,
+    centers: np.ndarray,
+) -> HierarchicalAssignment:
+    """Oracle for ``repair_empty_clusters``: one pass per class.
+
+    Fill each empty cluster with the class member farthest from its
+    current center, provided the donor cluster keeps at least one member;
+    repeats until no cluster is empty.  A donor always exists because
+    cluster counts never exceed class sizes."""
+    g_off = _variable_offsets(assignment.spec)
+    clusters = np.array(assignment.clusters)
+    sup, spec = assignment.sup, assignment.spec
+    for h in range(sup.n_sup):
+        offsets = _class_offsets(spec, h)
+        for s in range(sup.r[h]):
+            members = sup.members(h, s)
+            k = spec.k_of(h, s)
+            if k == 1:
+                continue
+            local = clusters[members, h]
+            sizes = np.bincount(local, minlength=k)
+            for empty in range(k):
+                while sizes[empty] == 0:
+                    center_rows = centers[g_off[h] + offsets[s] + local]
+                    gap = scores[members] - center_rows
+                    dist = np.einsum("id,id->i", gap, gap)
+                    dist[sizes[local] < 2] = -np.inf
+                    donor = int(dist.argmax())
+                    if not np.isfinite(dist[donor]):
+                        raise EmptyClusterError(
+                            f"class ({h}, {s}) cannot fill cluster {empty}"
+                        )
+                    sizes[local[donor]] -= 1
+                    local[donor] = empty
+                    sizes[empty] += 1
+            clusters[members, h] = local
+    return assignment.with_clusters(clusters)
 
 
 def _constraint_basis(cspec: ConstraintSpec, n_obs: int) -> tuple[np.ndarray | None, int]:

@@ -193,6 +193,7 @@ def _median(values):
     return float(np.median(np.array(values, dtype=float)))
 
 
+@pytest.mark.slow
 def test_criterion_6_simulation_trends():
     with criterion(6, "factorial trends: easier cells score at least as well"):
         started = time.perf_counter()

@@ -21,7 +21,7 @@ from mscca.biplot import BiplotModel
 from mscca.errors import DegenerateGeometryError, EmptyClusterError, MassError, ShapeError
 from mscca.solver import update_B, update_G, init_random
 
-from conftest import random_problem
+from conftest import random_problem, z_full
 
 
 def two_singleton_model():
@@ -56,7 +56,7 @@ class TestContingency:
         for h in range(n_sup):
             for s in range(sup.r[h]):
                 members = sup.members(h, s)
-                expected = view.z_full[members].sum(axis=0) / (n * n_sup * m)
+                expected = z_full(view)[members].sum(axis=0) / (n * n_sup * m)
                 assert_allclose(model.table[row], expected, atol=1e-12)
                 row += 1
 

@@ -117,6 +117,16 @@ class TestFit:
         ]
         assert main(args) == 3
 
+    def test_repeated_sup_column_exit_2(self, illustration_csv, tmp_path, capsys):
+        code = main(
+            ["fit", "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender,Gender",
+             *ILLUSTRATION_K, "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repeat" in err
+        assert not (tmp_path / "o").exists()
+
     def test_svg_needs_two_dims_exit_4(self, illustration_csv, tmp_path):
         code = run_fit(
             illustration_csv, tmp_path / "o", extra=["--dims", "3", "--export", "svg"]
@@ -192,6 +202,25 @@ class TestExportSvg:
              "--out", str(tmp_path / "x.svg")]
         )
         assert code == 4
+
+
+    @pytest.mark.parametrize(
+        "archive",
+        [
+            [1, 2],
+            {"biplot": ["categories"]},
+            {"biplot": {"categories": [{"label": "a"}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": [0.0, 1.0]}],
+                        "clusters": [{"label": "x"}]}},
+        ],
+    )
+    def test_malformed_archive_exit_2(self, tmp_path, capsys, archive):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(archive), encoding="utf-8")
+        code = main(["export-svg", "--archive", str(path), "--out", str(tmp_path / "x.svg")])
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestVariants:
@@ -315,6 +344,16 @@ class TestSimulate:
         from mscca import StudyDesign
 
         assert len(StudyDesign().cells()) == 32
+
+    @pytest.mark.parametrize(
+        "grid", [{"qs": "57"}, {"qs": [5.5]}, {"ks": [True]}, {"balances": [1]}]
+    )
+    def test_non_integer_grid_exit_2(self, tmp_path, capsys, grid):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"replicates": 1, "starts": 1, **grid}), encoding="utf-8")
+        assert main(["simulate", "--design", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and next(iter(grid)) in err
 
     def test_invalid_design_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -26,6 +26,7 @@ from conftest import (
     random_assignment,
     random_problem,
     stacked_indicator,
+    z_full,
     z_full_stacked,
     z_var,
     z_var_stacked,
@@ -135,6 +136,15 @@ class TestBuildAssignment:
             assert not rest.any()
             col += k_h
 
+    def test_rows_are_stacked_indicator_columns(self, rng):
+        for _ in range(10):
+            ds, sup, spec = random_problem(rng, n_sup=3, k_max=4)
+            asg = random_assignment(rng, sup, spec)
+            u = stacked_indicator(asg)
+            n = sup.n_obs
+            for h in range(sup.n_sup):
+                assert asg.rows[:, h].tolist() == u[h * n : (h + 1) * n].argmax(axis=1).tolist()
+
     def test_gram_is_diagonal_cluster_sizes(self, rng):
         from conftest import random_assignment
 
@@ -230,7 +240,7 @@ class TestIndicatorView:
     def test_h_one_identity(self):
         ds = encode_dataset([["a", "x"], ["b", "y"]])
         view = stacked_indicators(ds, 1)
-        assert_allclose(z_full_stacked(view), view.z_full)
+        assert_allclose(z_full_stacked(view), z_full(view))
 
     def test_row_sums_and_positive_masses(self, rng):
         ds, sup, spec = random_problem(rng)

@@ -79,6 +79,11 @@ class TestSymEigTop:
         assert_allclose(res.values, np.zeros(3))
         assert_allclose(res.vectors, np.eye(4)[:, :3], atol=1e-12)
 
+    def test_two_tie_groups_ordered_by_pivot_separately(self):
+        res = sym_eig_top(np.diag([2.0, 5.0, 2.0, 5.0, 1.0]), 5)
+        assert_allclose(res.values, [5.0, 5.0, 2.0, 2.0, 1.0])
+        assert_allclose(res.vectors, np.eye(5)[:, [1, 3, 0, 2, 4]], atol=1e-12)
+
     def test_reconstruction_bounded_by_next_eigenvalue(self, rng):
         a = rng.normal(size=(6, 6))
         s = a @ a.T  # positive semidefinite

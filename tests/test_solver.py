@@ -31,7 +31,11 @@ from conftest import (
     principal_angles,
     random_assignment,
     random_problem,
+    random_sup,
+    repair_empty_clusters_by_class,
     stacked_indicator,
+    update_U_by_class,
+    z_full,
     z_full_stacked,
     z_var_stacked,
 )
@@ -66,7 +70,7 @@ class TestObjectivePhi:
         # swap two clusters of one class and permute G rows to match
         h = 0
         s = next(s for s in range(sup.r[0]) if spec.k_of(0, s) >= 2)
-        offset = int(np.concatenate([[0], np.cumsum(spec.k_per_variable)])[h] + spec.offsets(h)[s])
+        offset = int(spec.first_rows[h][s])
         clusters = np.array(asg.clusters)
         members = sup.members(h, s)
         local = clusters[members, h]
@@ -325,6 +329,52 @@ class TestRepairEmptyClusters:
         assert (repaired.cluster_sizes(0) == 1).all()
 
 
+def assignment_step_case(rng, n_sup, p):
+    """Mixed per-class cluster counts (1-4), several emptied clusters, and
+    integer-valued scores and centers, so distance ties are common."""
+    n = int(rng.integers(20, 60))
+    sup = random_sup(rng, n, n_sup, int(rng.integers(2, 4)))
+    spec = ClusterSpec(
+        tuple(
+            tuple(int(rng.integers(1, min(4, size) + 1)) for size in sup.class_sizes(h))
+            for h in range(n_sup)
+        )
+    )
+    clusters = np.array(random_assignment(rng, sup, spec).clusters)
+    for h in range(n_sup):
+        for s in range(sup.r[h]):
+            k = spec.k_of(h, s)
+            if k > 1 and rng.random() < 0.7:
+                members = sup.members(h, s)
+                emptied = rng.choice(np.arange(1, k), size=int(rng.integers(1, k)), replace=False)
+                clusters[members[np.isin(clusters[members, h], emptied)], h] = 0
+    asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
+    scores = np.round(2 * rng.normal(size=(n, p)))
+    centers = np.round(2 * rng.normal(size=(spec.k_total, p)))
+    return asg, scores, centers
+
+
+class TestAssignmentStepMatchesPerClassLoops:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n_sup", [1, 2, 3])
+    def test_same_clusters(self, n_sup, p):
+        rng = np.random.default_rng(100 * n_sup + p)
+        emptied = 0
+        for _ in range(20):
+            asg, scores, centers = assignment_step_case(rng, n_sup, p)
+            sup, spec = asg.sup, asg.spec
+            assert np.array_equal(
+                update_U(scores, centers, sup, spec).clusters,
+                update_U_by_class(scores, centers, sup, spec).clusters,
+            )
+            emptied += int((np.bincount(asg.rows.ravel(), minlength=spec.k_total) == 0).sum())
+            assert np.array_equal(
+                repair_empty_clusters(asg, scores, centers).clusters,
+                repair_empty_clusters_by_class(asg, scores, centers).clusters,
+            )
+        assert emptied >= 10
+
+
 class TestFitMscca:
     def test_exact_recovery_noise_free(self, rng):
         from mscca import adjusted_rand_index
@@ -467,7 +517,7 @@ class TestFitConstrainedMca:
         ds, _, _ = random_problem(rng, n=40, m=3, q=3)
         view = stacked_indicators(ds, 1)
         fit = fit_constrained_mca(ds, ConstraintSpec(kind="identity"), 2)
-        z = view.z_full
+        z = z_full(view)
         n, m = ds.n_obs, ds.n_vars
         p_tab = z / (n * m)
         r = p_tab.sum(axis=1)
@@ -580,7 +630,7 @@ class TestLabelPermutationEquivariance:
         g2 = update_G(permuted, view, b2)
         assert objective_phi(permuted, g2, b2, view) == pytest.approx(phi, abs=1e-10)
         # center rows of the permuted class are the originals, permuted
-        offset = int(np.concatenate([[0], np.cumsum(spec.k_per_variable)])[h] + spec.offsets(h)[s])
+        offset = int(spec.first_rows[h][s])
         block = g[offset : offset + k]
         block2 = g2[offset : offset + k]
         assert_allclose(np.sort(block, axis=0), np.sort(block2, axis=0), atol=1e-8)
