@@ -1,9 +1,12 @@
 """Solution archives and tabular exports.
 
-Archives are JSON with sorted keys and floats rounded to 15 significant
-digits, written atomically, so identical (input, config, seed) runs
-produce byte-identical files.  Loading an archive plus the original
-input is enough to rebuild the assignment and re-evaluate the objective.
+Archives are compact JSON with sorted keys and floats rounded to 15
+significant digits, written atomically, so identical (input, config,
+seed) runs produce byte-identical files.  Loading an archive plus the
+original input is enough to rebuild the assignment and re-evaluate the
+objective.  The assignment is stored column by column: per supplementary
+variable its class labels once, then one class code and one cluster
+index per observation.
 """
 
 from __future__ import annotations
@@ -21,12 +24,16 @@ import numpy as np
 from . import __version__
 from .biplot import BiplotModel, ResidualComparison
 from .data import ClusterSpec, HierarchicalAssignment, SupplementaryData
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .solver import MsccaSolution
 
 
+ARCHIVE_FORMAT = "mscca-archive/2"
+
+
 def _round_floats(obj: Any) -> Any:
-    """Round every float to 15 significant digits, recursively."""
+    """Round every float to 15 significant digits, recursively; a float
+    array is rounded in one flat pass and returned as nested lists."""
     if isinstance(obj, float):
         return float(f"{obj:.15g}")
     if isinstance(obj, (np.floating,)):
@@ -34,6 +41,11 @@ def _round_floats(obj: Any) -> Any:
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            flat = [float(f"{x:.15g}") for x in obj.ravel().tolist()]
+            return np.array(flat, dtype=float).reshape(obj.shape).tolist()
+        if obj.dtype.kind in "biu":
+            return obj.tolist()
         return _round_floats(obj.tolist())
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
@@ -60,8 +72,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    """Serialize with sorted keys and atomic replace."""
-    text = json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    """Serialize as compact JSON with sorted keys and atomic replace."""
+    text = json.dumps(_round_floats(payload), sort_keys=True, separators=(",", ":")) + "\n"
     _atomic_write(Path(path), text)
 
 
@@ -88,32 +100,56 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence])
     _atomic_write(Path(path), buffer.getvalue())
 
 
-def assignment_records(assignment: HierarchicalAssignment) -> list[dict]:
-    """Per-observation (variable -> [class label, cluster index]) records."""
+def assignment_columns(assignment: HierarchicalAssignment) -> dict:
+    """The assignment in the archive layout: the cluster counts, and per
+    supplementary variable its name, its class labels, and the class code
+    and within-class cluster index of every observation."""
     sup = assignment.sup
-    out = []
-    for i in range(assignment.n_obs):
-        entry = {}
-        for h, name in enumerate(sup.names):
-            s = int(sup.codes[i, h])
-            entry[name] = [sup.labels[h][s], int(assignment.clusters[i, h])]
-        out.append(entry)
-    return out
+    return {
+        "cluster_counts": [list(row) for row in assignment.spec.counts],
+        "assignment": [
+            {
+                "variable": name,
+                "classes": list(sup.labels[h]),
+                "class_codes": sup.codes[:, h],
+                "clusters": assignment.clusters[:, h],
+            }
+            for h, name in enumerate(sup.names)
+        ],
+    }
 
 
-def assignment_from_records(
-    records: Sequence[dict], sup: SupplementaryData, spec: ClusterSpec
-) -> HierarchicalAssignment:
-    """Rebuild an assignment stored by ``assignment_records``."""
-    if len(records) != sup.n_obs:
-        raise ShapeError("record count does not match the supplementary data")
-    clusters = np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
-    for i, entry in enumerate(records):
-        for h, name in enumerate(sup.names):
-            label, k = entry[name]
-            if sup.labels[h][int(sup.codes[i, h])] != label:
-                raise ShapeError(f"observation {i}: archived class {label!r} does not match input")
-            clusters[i, h] = int(k)
+def assignment_from_archive(archive: dict, sup: SupplementaryData) -> HierarchicalAssignment:
+    """Rebuild the assignment stored in a ``solution.json`` (under its
+    ``solution`` key) or a ``truth.json`` (at the top level).
+
+    Raises ``ConfigError`` for an archive of another format, and
+    ``ShapeError`` when its variables or classes disagree with ``sup``.
+    """
+    found = archive.get("format") if isinstance(archive, dict) else None
+    if found != ARCHIVE_FORMAT:
+        raise ConfigError(f"archive format {found!r} is not {ARCHIVE_FORMAT!r}; refit to rebuild")
+    stored = archive.get("solution", archive)
+    names = tuple(col["variable"] for col in stored["assignment"])
+    if names != sup.names:
+        raise ShapeError(f"archived variables {list(names)} do not match input {list(sup.names)}")
+    clusters = np.empty((sup.n_obs, sup.n_sup), dtype=np.int64)
+    for h, col in enumerate(stored["assignment"]):
+        codes = np.asarray(col["class_codes"], dtype=np.int64)
+        classes = col["classes"]
+        if codes.shape != (sup.n_obs,) or len(col["clusters"]) != sup.n_obs:
+            raise ShapeError(f"variable {names[h]!r}: archive does not hold {sup.n_obs} rows")
+        if codes.min() < 0 or codes.max() >= len(classes):
+            raise ShapeError(f"variable {names[h]!r}: class codes outside [0, {len(classes)})")
+        position = {label: s for s, label in enumerate(sup.labels[h])}
+        to_input = np.array([position.get(label, -1) for label in classes], dtype=np.int64)
+        bad = to_input[codes] != sup.codes[:, h]
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            label = classes[codes[i]]
+            raise ShapeError(f"observation {i}: archived class {label!r} does not match input")
+        clusters[:, h] = col["clusters"]
+    spec = ClusterSpec(tuple(tuple(row) for row in stored["cluster_counts"]))
     return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
 
 
@@ -199,7 +235,7 @@ def build_archive(
         for j in range(len(model.col_labels))
     ]
     archive = {
-        "format": "mscca-archive",
+        "format": ARCHIVE_FORMAT,
         "version": __version__,
         "config": config,
         "solution": {
@@ -208,8 +244,7 @@ def build_archive(
             "converged": bool(solution.converged),
             "start_index": int(solution.start_index),
             "objective_trace": [float(v) for v in solution.objective_trace],
-            "cluster_counts": [list(row) for row in assignment.spec.counts],
-            "assignment": assignment_records(assignment),
+            **assignment_columns(assignment),
             "centers": solution.centers,
             "quantifications": solution.quantifications,
         },

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .archive import (
+    ARCHIVE_FORMAT,
     _atomic_write,
-    assignment_records,
+    assignment_columns,
     build_archive,
     coords_header,
     coords_rows,
@@ -238,11 +239,17 @@ def _config_from_args(args, method=None, k=None, k_max=None) -> RunConfig:
     return config
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> ConfigError:
+    return ConfigError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
 def _read_input(config: RunConfig) -> tuple:
     try:
         return read_csv_dataset(config.input, list(config.sup_cols))
     except OSError as exc:
         raise ConfigError(f"cannot read {config.input}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(config.input, exc) from exc
     except (ShapeError, MissingValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -442,13 +449,19 @@ def cmd_variants(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def _read_json(path: str, what: str):
     try:
-        raw = load_json(args.design)
+        return load_json(path)
     except OSError as exc:
-        raise ConfigError(f"cannot read design {args.design}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"design {args.design} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def cmd_simulate(args) -> int:
+    raw = _read_json(args.design, "design")
     if not isinstance(raw, dict):
         raise ConfigError("design file must hold a JSON object")
     try:
@@ -481,12 +494,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_export_svg(args) -> int:
-    try:
-        archive = load_json(args.archive)
-    except OSError as exc:
-        raise ConfigError(f"cannot read archive {args.archive}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"archive {args.archive} is not valid JSON: {exc}") from exc
+    archive = _read_json(args.archive, "archive")
     biplot = archive.get("biplot") if isinstance(archive, dict) else None
     if not isinstance(biplot, dict) or not biplot.get("categories"):
         raise ConfigError("archive holds no biplot coordinates")
@@ -521,10 +529,7 @@ def cmd_illustrate(args) -> int:
     )
     write_json(
         out_dir / "truth.json",
-        {
-            "cluster_counts": [list(row) for row in truth.spec.counts],
-            "assignment": assignment_records(truth),
-        },
+        {"format": ARCHIVE_FORMAT, **assignment_columns(truth)},
     )
     k_flags = " ".join(
         f"--k {sup.names[h]}:{lab}:{truth.spec.k_of(h, s)}"

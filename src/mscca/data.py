@@ -14,6 +14,7 @@ import csv
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -34,38 +35,63 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _encode_columns(
-    raw: Sequence[Sequence[str]],
-    names: Sequence[str] | None,
-    default_prefix: str,
-) -> tuple[np.ndarray, tuple[tuple[str, ...], ...], tuple[str, ...]]:
-    """First-appearance integer coding of a rectangular table of labels."""
+def _code_table(
+    raw: Sequence[Sequence],
+    row_name: Callable[[int], str] = lambda i: f"row {i}",
+    header: Sequence[str] | None = None,
+) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
+    """First-appearance integer coding of every column of a rectangular
+    table of labels.
+
+    Every distinct cell text gets one id across the whole table (cells
+    that are not strings are coded by ``str()``), so the whole table
+    becomes one integer array; each column is then renumbered by the
+    first appearance of its ids.  Rows must have the width of ``header``
+    when one is given, else of the first row.  ``row_name(i)`` and the
+    header name the offending row and column in error messages.
+    """
     if len(raw) == 0:
         raise ShapeError("table has no rows")
-    width = len(raw[0])
+    width = len(raw[0]) if header is None else len(header)
     if width == 0:
         raise ShapeError("table has no columns")
-    for i, row in enumerate(raw):
-        if len(row) != width:
-            raise ShapeError(f"row {i} has {len(row)} cells, expected {width}")
-    codes = np.empty((len(raw), width), dtype=np.int64)
-    labels: list[tuple[str, ...]] = []
+    if set(map(len, raw)) != {width}:
+        i = next(i for i, row in enumerate(raw) if len(row) != width)
+        raise ShapeError(f"{row_name(i)} has {len(raw[i])} cells, expected {width}")
+    cells = list(chain.from_iterable(raw))
+    ids = dict.fromkeys(cells)
+    if any(type(text) is not str for text in ids):
+        cells = [None if cell is None else str(cell) for cell in cells]
+        ids = dict.fromkeys(cells)
+    if None in ids or "" in ids:
+        i, j = divmod(next(k for k, cell in enumerate(cells) if not cell), width)
+        column = j if header is None else repr(header[j])
+        raise MissingValueError(f"{row_name(i)}: empty cell in column {column}")
+    texts = list(ids)
+    ids = dict(zip(texts, range(len(texts))))
+    table = np.fromiter(map(ids.__getitem__, cells), dtype=np.int64, count=len(cells))
+    table = table.reshape(len(raw), width)
+    codes = np.empty_like(table)
+    labels = []
     for j in range(width):
-        seen: dict[str, int] = {}
-        for i, row in enumerate(raw):
-            cell = row[j]
-            if cell is None or str(cell) == "":
-                raise MissingValueError(f"empty cell at row {i}, column {j}")
-            code = seen.setdefault(str(cell), len(seen))
-            codes[i, j] = code
-        labels.append(tuple(seen))
+        distinct, first, inverse = np.unique(table[:, j], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        codes[:, j] = rank[inverse]
+        labels.append(tuple(texts[k] for k in distinct[order]))
+    return codes, tuple(labels)
+
+
+def _column_names(
+    names: Sequence[str] | None, width: int, default_prefix: str
+) -> tuple[str, ...]:
     if names is None:
-        names = tuple(f"{default_prefix}{j + 1}" for j in range(width))
-    else:
-        names = tuple(str(n) for n in names)
-        if len(names) != width:
-            raise ShapeError("number of names does not match number of columns")
-    return codes, tuple(labels), names
+        return tuple(f"{default_prefix}{j + 1}" for j in range(width))
+    names = tuple(str(n) for n in names)
+    if len(names) != width:
+        raise ShapeError("number of names does not match number of columns")
+    return names
 
 
 def _compact_codes(
@@ -117,7 +143,7 @@ class CategoricalDataset:
             q = len(lab)
             if q == 0 or col.min() < 0 or col.max() >= q:
                 raise ShapeError(f"codes of variable {j} outside [0, {q})")
-            if len(np.unique(col)) != q:
+            if np.count_nonzero(np.bincount(col, minlength=q)) != q:
                 raise ShapeError(f"variable {j} has categories that never occur")
 
     @property
@@ -179,7 +205,8 @@ def encode_dataset(
     coding deterministic and locale independent.  Empty cells raise
     ``MissingValueError``; ragged input raises ``ShapeError``.
     """
-    codes, labels, names = _encode_columns(raw, names, "v")
+    codes, labels = _code_table(raw)
+    names = _column_names(names, codes.shape[1], "v")
     return CategoricalDataset(codes=codes, labels=labels, names=names)
 
 
@@ -206,7 +233,7 @@ class SupplementaryData:
             r = len(lab)
             if r == 0 or col.min() < 0 or col.max() >= r:
                 raise ShapeError(f"classes of variable {h} outside [0, {r})")
-            if len(np.unique(col)) != r:
+            if np.count_nonzero(np.bincount(col, minlength=r)) != r:
                 raise ShapeError(f"variable {h} has classes without members")
 
     @property
@@ -246,7 +273,8 @@ def encode_supplementary(
     raw: Sequence[Sequence[str]], names: Sequence[str] | None = None
 ) -> SupplementaryData:
     """First-appearance encoding of supplementary class labels."""
-    codes, labels, names = _encode_columns(raw, names, "s")
+    codes, labels = _code_table(raw)
+    names = _column_names(names, codes.shape[1], "s")
     return SupplementaryData(codes=codes, labels=labels, names=names)
 
 
@@ -555,6 +583,22 @@ def stacked_indicators(dataset: CategoricalDataset, n_stack: int) -> IndicatorVi
     return IndicatorView(dataset, n_stack)
 
 
+def _csv_line(path: Path, index: int) -> int:
+    """The line of ``path`` on which data row ``index`` starts (the header
+    is line 1; blank rows are skipped, as ``read_csv_dataset`` skips them)."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if index == 0:
+                    return start
+                index -= 1
+            start = reader.line_num + 1
+    raise ShapeError(f"{path} has no data row {index}")
+
+
 def read_csv_dataset(
     path: str | Path, sup_columns: Sequence[str]
 ) -> tuple[CategoricalDataset, SupplementaryData]:
@@ -563,7 +607,8 @@ def read_csv_dataset(
 
     Columns named in ``sup_columns`` become supplementary variables; all
     remaining columns are analysis variables, in header order.  Missing
-    values are not supported.
+    values are not supported.  The whole table is coded once and both
+    containers are column slices of it.
     """
     path = Path(path)
     if len(set(sup_columns)) != len(sup_columns):
@@ -584,15 +629,15 @@ def read_csv_dataset(
     var_idx = [j for j in range(len(header)) if j not in sup_idx]
     if not var_idx:
         raise ShapeError(f"{path}: no analysis variables left after removing {list(sup_columns)}")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ShapeError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-    ds = encode_dataset(
-        [[row[j] for j in var_idx] for row in rows],
-        names=[header[j] for j in var_idx],
+    codes, labels = _code_table(rows, lambda i: f"{path} line {_csv_line(path, i)}", header)
+    ds = CategoricalDataset(
+        codes=codes[:, var_idx],
+        labels=tuple(labels[j] for j in var_idx),
+        names=tuple(header[j] for j in var_idx),
     )
-    sup = encode_supplementary(
-        [[row[j] for j in sup_idx] for row in rows],
-        names=[header[j] for j in sup_idx],
+    sup = SupplementaryData(
+        codes=codes[:, sup_idx],
+        labels=tuple(labels[j] for j in sup_idx),
+        names=tuple(header[j] for j in sup_idx),
     )
     return ds, sup

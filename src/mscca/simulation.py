@@ -298,6 +298,13 @@ class StudyDesign:
             object.__setattr__(self, name, tuple(values))
         if not (self.qs and self.ks and self.hs and self.rs and self.balances):
             raise SpecError("the factorial grid must not be empty")
+        # The GenSpec / SupGenSpec ranges, checked before any cell runs.
+        for name, low in (("qs", 2), ("ks", 1), ("hs", 1), ("rs", 2)):
+            if min(getattr(self, name)) < low:
+                raise SpecError(f"{name} values must be >= {low}, got {list(getattr(self, name))}")
+        unknown = set(self.balances) - {"balanced", "unbalanced"}
+        if unknown:
+            raise SpecError(f"balances must be 'balanced' or 'unbalanced', got {sorted(unknown)}")
         if self.replicates < 1 or self.starts < 1:
             raise SpecError("replicates and starts must be >= 1")
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Any, Sequence
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mscca import (
     CategoricalDataset,
@@ -14,9 +17,73 @@ from mscca import (
     SupplementaryData,
     stacked_indicators,
 )
-from mscca.errors import EmptyClusterError, ProjectorError, ShapeError, SpecError
+from mscca.errors import (
+    EmptyClusterError,
+    MissingValueError,
+    ProjectorError,
+    ShapeError,
+    SpecError,
+)
 from mscca.linalg import sym_eig_top
 from mscca.solver import ConstrainedFit
+
+# Property tests draw the same examples on every run and write no example
+# database into the checkout.
+settings.register_profile("mscca", derandomize=True, max_examples=60, database=None, deadline=None)
+settings.load_profile("mscca")
+
+
+def encode_columns_by_cell(
+    raw: Sequence[Sequence[str]],
+    names: Sequence[str] | None,
+    default_prefix: str,
+) -> tuple[np.ndarray, tuple[tuple[str, ...], ...], tuple[str, ...]]:
+    """Oracle for the table encoder: first-appearance integer coding of a
+    rectangular table of labels, one column and one cell at a time."""
+    if len(raw) == 0:
+        raise ShapeError("table has no rows")
+    width = len(raw[0])
+    if width == 0:
+        raise ShapeError("table has no columns")
+    for i, row in enumerate(raw):
+        if len(row) != width:
+            raise ShapeError(f"row {i} has {len(row)} cells, expected {width}")
+    codes = np.empty((len(raw), width), dtype=np.int64)
+    labels: list[tuple[str, ...]] = []
+    for j in range(width):
+        seen: dict[str, int] = {}
+        for i, row in enumerate(raw):
+            cell = row[j]
+            if cell is None or str(cell) == "":
+                raise MissingValueError(f"empty cell at row {i}, column {j}")
+            code = seen.setdefault(str(cell), len(seen))
+            codes[i, j] = code
+        labels.append(tuple(seen))
+    if names is None:
+        names = tuple(f"{default_prefix}{j + 1}" for j in range(width))
+    else:
+        names = tuple(str(n) for n in names)
+        if len(names) != width:
+            raise ShapeError("number of names does not match number of columns")
+    return codes, tuple(labels), names
+
+
+def round_floats_recursive(obj: Any) -> Any:
+    """Oracle for the archive rounding: every float to 15 significant
+    digits, one element at a time."""
+    if isinstance(obj, float):
+        return float(f"{obj:.15g}")
+    if isinstance(obj, (np.floating,)):
+        return float(f"{float(obj):.15g}")
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return round_floats_recursive(obj.tolist())
+    if isinstance(obj, dict):
+        return {k: round_floats_recursive(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats_recursive(v) for v in obj]
+    return obj
 
 
 def random_dataset(rng: np.random.Generator, n: int, m: int, q: int) -> CategoricalDataset:

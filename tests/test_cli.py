@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from mscca import objective_phi, read_csv_dataset, stacked_indicators
-from mscca.archive import assignment_from_records, load_json
+from mscca.archive import assignment_from_archive, load_json
 from mscca.cli import main
-from mscca.data import ClusterSpec
 
 
 ILLUSTRATION_K = [
@@ -57,8 +56,8 @@ class TestFit:
         assert run_fit(illustration_csv, out) == 0
         archive = load_json(out / "solution.json")
         ds, sup = read_csv_dataset(illustration_csv, ["Nationality", "Gender"])
-        spec = ClusterSpec(tuple(tuple(row) for row in archive["solution"]["cluster_counts"]))
-        assignment = assignment_from_records(archive["solution"]["assignment"], sup, spec)
+        assignment = assignment_from_archive(archive, sup)
+        assert assignment.spec.counts == ((2, 2), (3, 2))
         view = stacked_indicators(ds, sup.n_sup)
         phi = objective_phi(
             assignment,
@@ -126,6 +125,17 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "repeat" in err
         assert not (tmp_path / "o").exists()
+
+    def test_latin1_input_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("Meal,Gender\nCaf\u00e9,M\nTea,F\n".encode("latin-1"))
+        code = main(
+            ["fit", "--input", str(path), "--sup-cols", "Gender",
+             "--k", "Gender:M:1", "--k", "Gender:F:1", "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "UTF-8" in err
 
     def test_svg_needs_two_dims_exit_4(self, illustration_csv, tmp_path):
         code = run_fit(
@@ -203,6 +213,33 @@ class TestExportSvg:
         )
         assert code == 4
 
+    def test_renders_format_1_archive(self, illustration_csv, tmp_path):
+        # the biplot section is the same in both formats; rewrite a fresh
+        # archive in the format-1 layout (indented, per-observation records)
+        out = tmp_path / "out"
+        assert run_fit(illustration_csv, out) == 0
+        archive = load_json(out / "solution.json")
+        columns = archive["solution"]["assignment"]
+        archive["format"] = "mscca-archive"
+        archive["solution"]["assignment"] = [
+            {c["variable"]: [c["classes"][c["class_codes"][i]], c["clusters"][i]] for c in columns}
+            for i in range(len(columns[0]["clusters"]))
+        ]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(archive, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        for archive_path, svg in ((out / "solution.json", "new.svg"), (old, "old.svg")):
+            argv = ["export-svg", "--archive", str(archive_path), "--out", str(tmp_path / svg)]
+            assert main(argv) == 0
+        assert (tmp_path / "old.svg").read_bytes() == (tmp_path / "new.svg").read_bytes()
+
+    def test_utf16_archive_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "archive.json"
+        path.write_bytes(json.dumps({"biplot": {}}).encode("utf-16"))
+        assert path.read_bytes().startswith(b"\xff\xfe")
+        code = main(["export-svg", "--archive", str(path), "--out", str(tmp_path / "x.svg")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "UTF-8" in err
 
     @pytest.mark.parametrize(
         "archive",
@@ -359,3 +396,31 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         path.write_text('{"unknown_field": 1}', encoding="utf-8")
         assert main(["simulate", "--design", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_non_utf8_design_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "design.json"
+        path.write_bytes(b'{"seed": 3, "note": "caf\xe9"}')
+        assert main(["simulate", "--design", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{"rs": [3, 1]}, {"qs": [1]}, {"ks": [2, 0]}, {"hs": [0]}, {"balances": ["skewed"]}],
+    )
+    def test_out_of_range_grid_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, grid):
+        calls = []
+
+        def recording_fit(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("no cell may run")
+
+        monkeypatch.setattr("mscca.simulation.fit_mscca", recording_fit)
+        path = tmp_path / "bad.json"
+        design = {"replicates": 1, "starts": 1, "n_obs": 60, "n_vars": 4, **grid}
+        path.write_text(json.dumps(design), encoding="utf-8")
+        assert main(["simulate", "--design", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and next(iter(grid)) in err
+        assert calls == []
+        assert not (tmp_path / "o").exists()

@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mscca import (
@@ -23,6 +27,7 @@ from mscca.errors import (
     SpecError,
 )
 from conftest import (
+    encode_columns_by_cell,
     random_assignment,
     random_problem,
     stacked_indicator,
@@ -82,6 +87,38 @@ class TestEncodeDataset:
         ds = encode_dataset([["a"], ["b"]])
         with pytest.raises(ValueError):
             ds.codes[0, 0] = 1
+
+    def test_non_string_cells_coded_by_str(self):
+        # 1, 1.0 and True are equal as dict keys but not as text
+        ds = encode_dataset([[1, "1"], [1.0, 2], [True, "2"], [1, "x"]])
+        assert ds.labels == (("1", "1.0", "True"), ("1", "2", "x"))
+        assert ds.codes.tolist() == [[0, 0], [1, 1], [2, 1], [0, 2]]
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(["a", "b", "1", "1.0", "é", "a,b"]),
+                        st.integers(-3, 3),
+                        st.floats(allow_nan=False, width=16),
+                        st.booleans(),
+                    ),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=1,
+                max_size=30,
+            )
+        )
+    )
+    def test_matches_per_cell_oracle(self, raw):
+        codes, labels, names = encode_columns_by_cell(raw, None, "v")
+        ds = encode_dataset(raw)
+        assert ds.codes.tolist() == codes.tolist()
+        assert ds.labels == labels and ds.names == names
+        sup = encode_supplementary(raw)
+        assert sup.codes.tolist() == codes.tolist() and sup.labels == labels
 
 
 # The five-observation gender layout used throughout: males 1, 3, 5 with two
@@ -289,3 +326,70 @@ class TestCsvIngestion:
         assert sup.names == ("Meal",)
         assert sup.labels == (("west", "east"),)
         assert ds.names == ("drink",)
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,g\n1,2,x\n\n1,x\n", encoding="utf-8")
+        with pytest.raises(ShapeError, match="line 4 has 2 cells, expected 3"):
+            read_csv_dataset(path, ["g"])
+
+    def test_duplicate_header_names(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,a\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(ShapeError, match="duplicate column names"):
+            read_csv_dataset(path, ["b"])
+
+    def test_missing_value_names_column_and_line(self, tmp_path):
+        # a blank line and a quoted two-line cell both shift the line count
+        path = tmp_path / "data.csv"
+        path.write_text('meal,drink,g\n\n"west\nside",tea,M\neast,,F\n', encoding="utf-8")
+        with pytest.raises(MissingValueError) as err:
+            read_csv_dataset(path, ["g"])
+        message = str(err.value)
+        assert "line 5" in message and "'drink'" in message
+        assert "\n" not in message
+
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(["1", "01", "1.0", "-2", "1e3", "nan", "a b"]),
+                        st.text(
+                            st.characters(
+                                blacklist_categories=("Cs",), blacklist_characters="\x00"
+                            ),
+                            min_size=1,
+                            max_size=3,
+                        ),
+                        st.sampled_from(['a,b', 'say "hi"', '"', ",", "x\ny", "\ufeff"]),
+                    ),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=1,
+                max_size=25,
+            )
+        ),
+        st.data(),
+    )
+    def test_matches_per_cell_oracle(self, tmp_path_factory, rows, data):
+        width = len(rows[0])
+        header = [f"col{j}" for j in range(width)]
+        sup_cols = data.draw(
+            st.lists(st.sampled_from(header), min_size=1, max_size=width - 1, unique=True)
+        )
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        ds, sup = read_csv_dataset(path, sup_cols)
+
+        codes, labels, _ = encode_columns_by_cell(rows, None, "v")
+        sup_idx = [header.index(c) for c in sup_cols]
+        var_idx = [j for j in range(width) if j not in sup_idx]
+        assert ds.codes.tolist() == codes[:, var_idx].tolist()
+        assert ds.labels == tuple(labels[j] for j in var_idx)
+        assert ds.names == tuple(header[j] for j in var_idx)
+        assert sup.codes.tolist() == codes[:, sup_idx].tolist()
+        assert sup.labels == tuple(labels[j] for j in sup_idx)
+        assert sup.names == tuple(sup_cols)
