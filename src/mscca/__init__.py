@@ -7,14 +7,12 @@ from .data import (
     CategoricalDataset,
     ClusterSpec,
     HierarchicalAssignment,
-    IndicatorView,
     SupplementaryData,
     build_assignment,
     cluster_counts,
     encode_dataset,
     encode_supplementary,
     read_csv_dataset,
-    stacked_indicators,
     validate_assignment,
 )
 from .linalg import TOL, SymEigResult, Tolerances, center_columns, mass_scale, sym_eig_top

@@ -17,10 +17,8 @@ import numpy as np
 from .data import (
     CategoricalDataset,
     HierarchicalAssignment,
-    IndicatorView,
     SupplementaryData,
     cluster_counts,
-    stacked_indicators,
 )
 from .errors import DegenerateGeometryError, MassError, ShapeError
 
@@ -50,7 +48,7 @@ class BiplotModel:
 
 def contingency(
     assignment: HierarchicalAssignment,
-    view: IndicatorView,
+    dataset: CategoricalDataset,
     order: str = "size",
 ) -> BiplotModel:
     """Scaled contingency table P = (N H m)^{-1} U' Z^H.
@@ -62,11 +60,9 @@ def contingency(
     """
     if order not in ("size", "natural"):
         raise ShapeError(f"order must be 'size' or 'natural', got {order!r}")
-    if view.n_stack != assignment.n_sup:
-        raise ShapeError("view stacking does not match the assignment's variable count")
     sup, spec = assignment.sup, assignment.spec
-    n, m, n_sup = view.n_obs, view.n_vars, assignment.n_sup
-    counts, sizes = cluster_counts(assignment, view)
+    n, m, n_sup = dataset.n_obs, dataset.n_vars, assignment.n_sup
+    counts, sizes = cluster_counts(assignment, dataset)
     rows: list[int] = []
     index: list[tuple[int, int, int]] = []
     labels: list[str] = []
@@ -87,7 +83,7 @@ def contingency(
         row_masses=table.sum(axis=1),
         col_masses=table.sum(axis=0),
         row_labels=tuple(labels),
-        col_labels=view.column_labels,
+        col_labels=dataset.column_labels,
         row_index=tuple(index),
     )
 
@@ -182,11 +178,10 @@ def residual_comparison(
     assignment: HierarchicalAssignment = getattr(solution, "assignment", solution)
     if assignment.sup is not sup and not np.array_equal(assignment.sup.codes, sup.codes):
         raise ShapeError("assignment does not belong to the given supplementary data")
-    view = stacked_indicators(dataset, sup.n_sup)
     averaging = standardized_residuals(
-        contingency(HierarchicalAssignment.by_class(sup), view, order="size")
+        contingency(HierarchicalAssignment.by_class(sup), dataset, order="size")
     )
-    clustered = standardized_residuals(contingency(assignment, view, order="size"))
+    clustered = standardized_residuals(contingency(assignment, dataset, order="size"))
     records: list[dict] = []
     for name, model in (("averaging", averaging), ("mscca", clustered)):
         for i, (h, s, _k) in enumerate(model.row_index):

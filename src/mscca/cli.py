@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .biplot import (
     residual_comparison,
     standardized_residuals,
 )
-from .data import ClusterSpec, read_csv_dataset, stacked_indicators
+from .data import ClusterSpec, read_csv_dataset
 from .errors import (
     ConfigError,
     ExportError,
@@ -311,10 +311,9 @@ def _write_exports(out_dir: Path, archive: dict, exports: tuple[str, ...]) -> No
 def _clustering_archive(echo: dict, dataset, solution) -> dict:
     """Biplot, residual comparison and archive of a clustering fit."""
     sup = solution.assignment.sup
-    view = stacked_indicators(dataset, sup.n_sup)
     model = rescale_spread(
         biplot_coordinates(
-            standardized_residuals(contingency(solution.assignment, view, order="size")),
+            standardized_residuals(contingency(solution.assignment, dataset, order="size")),
             solution.centers,
             solution.quantifications,
         )
@@ -396,7 +395,11 @@ def cmd_variants(args) -> int:
 
     if method in ("averaging", "cluster-ca"):
         if method == "averaging":
-            solution = fit_mscca(dataset, sup, ClusterSpec.uniform(sup, 1), options)
+            # One cluster per class leaves every start the same assignment,
+            # so one start gives the result of any number of them.
+            solution = fit_mscca(
+                dataset, sup, ClusterSpec.uniform(sup, 1), replace(options, n_starts=1)
+            )
         else:
             solution = fit_cluster_ca(dataset, k, options)
         archive = _clustering_archive(config.echo(), dataset, solution)
@@ -419,9 +422,7 @@ def cmd_variants(args) -> int:
     kind = "identity" if method == "mca" else "projector-off"
     source = None if method == "mca" else sup
     fit = fit_constrained_mca(dataset, ConstraintSpec(kind=kind, source=source), config.dims)
-    n_stack = 1 if method == "mca" else sup.n_sup
-    view = stacked_indicators(dataset, n_stack)
-    col_masses = view.d_masses / view.d_masses.sum()
+    col_masses = dataset.counts / dataset.counts.sum()
     col_coords = np.sqrt(col_masses)[:, None] * fit.quantifications
     archive = {
         "format": "mscca-variant",
@@ -436,11 +437,11 @@ def cmd_variants(args) -> int:
             "classes": [],
             "categories": [
                 {
-                    "label": view.column_labels[j],
+                    "label": dataset.column_labels[j],
                     "mass": float(col_masses[j]),
                     "coords": [float(v) for v in col_coords[j]],
                 }
-                for j in range(view.total_categories)
+                for j in range(dataset.total_categories)
             ],
         },
     }

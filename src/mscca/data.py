@@ -164,6 +164,29 @@ class CategoricalDataset:
         """Q, the total number of categories over all variables."""
         return sum(self.q)
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Column offset of each variable's block in the concatenated Z."""
+        return _freeze(np.cumsum((0, *self.q[:-1]), dtype=np.int64))
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Category frequencies over all Q categories, in Z's column order."""
+        columns = [np.bincount(self.codes[:, j], minlength=q) for j, q in enumerate(self.q)]
+        return _freeze(np.concatenate(columns))
+
+    @cached_property
+    def column_means(self) -> np.ndarray:
+        """Column means of Z, the category frequencies over N."""
+        return _freeze(self.counts / self.n_obs)
+
+    @cached_property
+    def column_labels(self) -> tuple[str, ...]:
+        """``variable:category`` for every column of Z."""
+        return tuple(
+            f"{name}:{lab}" for name, labels in zip(self.names, self.labels) for lab in labels
+        )
+
     @classmethod
     def from_codes(
         cls,
@@ -226,6 +249,8 @@ class SupplementaryData:
         object.__setattr__(self, "codes", _freeze(np.asarray(self.codes, dtype=np.int64)))
         if self.codes.ndim != 2:
             raise ShapeError("codes must be a 2-d array")
+        if self.codes.shape[1] == 0:
+            raise ShapeError("supplementary data needs at least one variable")
         if len(self.labels) != self.codes.shape[1] or len(self.names) != self.codes.shape[1]:
             raise ShapeError("labels/names do not match the number of variables")
         for h, lab in enumerate(self.labels):
@@ -430,7 +455,7 @@ class HierarchicalAssignment:
 
 
 def cluster_counts(
-    assignment: HierarchicalAssignment, view: IndicatorView
+    assignment: HierarchicalAssignment, dataset: CategoricalDataset
 ) -> tuple[np.ndarray, np.ndarray]:
     """The K x Q cluster-by-category count table U'Z and the K cluster
     sizes, rows in the natural (h, class, cluster) order.
@@ -442,11 +467,11 @@ def cluster_counts(
     the first variable's block.  Raises ``EmptyClusterError`` when a
     cluster has no members.
     """
-    cols = view.dataset.codes + view.offsets
-    big_k, big_q = assignment.spec.k_total, view.total_categories
+    cols = dataset.codes + dataset.offsets
+    big_k, big_q = assignment.spec.k_total, dataset.total_categories
     flat = (assignment.rows[:, :, None] * big_q + cols[:, None, :]).ravel()
     table = np.bincount(flat, minlength=big_k * big_q).reshape(big_k, big_q)
-    sizes = table[:, : view.dataset.q[0]].sum(axis=1)
+    sizes = table[:, : dataset.q[0]].sum(axis=1)
     if np.any(sizes == 0):
         row = int(np.flatnonzero(sizes == 0)[0])
         raise EmptyClusterError(f"cluster row {row} (h, class, cluster order) is empty")
@@ -515,72 +540,6 @@ def validate_assignment(
             if not lo <= ones[0] < hi:
                 violations.append((h, i, "cluster indicated outside the observed class"))
     return violations
-
-
-class IndicatorView:
-    """Indicator matrices derived from a dataset, with the H-fold stacking
-    used by the solver.
-
-    Provides the concatenated Z and the diagonal masses D built from the
-    stacked indicators (category frequency times H).  Arrays are cached
-    and must not be mutated.
-    """
-
-    def __init__(self, dataset: CategoricalDataset, n_stack: int = 1) -> None:
-        if n_stack < 1:
-            raise ShapeError("the stacking count H must be >= 1")
-        self.dataset = dataset
-        self.n_stack = int(n_stack)
-
-    @property
-    def n_obs(self) -> int:
-        return self.dataset.n_obs
-
-    @property
-    def n_vars(self) -> int:
-        return self.dataset.n_vars
-
-    @property
-    def total_categories(self) -> int:
-        return self.dataset.total_categories
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """Column offset of each variable's block in the concatenated Z."""
-        q = np.array(self.dataset.q, dtype=np.int64)
-        return np.concatenate([[0], np.cumsum(q)[:-1]])
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        """Category frequencies over all Q categories (one stack)."""
-        out = np.empty(self.total_categories, dtype=np.int64)
-        for j in range(self.n_vars):
-            o = self.offsets[j]
-            q = self.dataset.q[j]
-            out[o : o + q] = np.bincount(self.dataset.codes[:, j], minlength=q)
-        return _freeze(out)
-
-    @cached_property
-    def d_masses(self) -> np.ndarray:
-        """Diagonal of D = Z~' Z~ built from the stacked indicators."""
-        return _freeze(self.counts * self.n_stack)
-
-    @cached_property
-    def column_labels(self) -> tuple[str, ...]:
-        return tuple(
-            f"{self.dataset.names[j]}:{lab}"
-            for j in range(self.n_vars)
-            for lab in self.dataset.labels[j]
-        )
-
-    @cached_property
-    def column_means(self) -> np.ndarray:
-        return _freeze(self.counts / self.n_obs)
-
-
-def stacked_indicators(dataset: CategoricalDataset, n_stack: int) -> IndicatorView:
-    """Indicator view with H-fold vertical replication (H >= 1)."""
-    return IndicatorView(dataset, n_stack)
 
 
 def _csv_line(path: Path, index: int) -> int:

@@ -11,7 +11,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .data import CategoricalDataset, HierarchicalAssignment, IndicatorView, SupplementaryData
+from .data import CategoricalDataset, HierarchicalAssignment, SupplementaryData
 from .errors import DegenerateGeometryError, ShapeError, SpecError
 
 # A partition is any equal-length sequence of hashable cluster ids; the ids
@@ -78,7 +78,7 @@ def _match_clusters(fitted: np.ndarray, true: np.ndarray, k: int) -> tuple[int, 
 def gf_against_truth(
     solution,
     true_assignment: HierarchicalAssignment,
-    view: IndicatorView,
+    dataset: CategoricalDataset,
 ) -> float:
     """Congruence between the true standardized residual table and the
     fitted rank-p reconstruction.
@@ -106,7 +106,7 @@ def gf_against_truth(
             )
             base = len(order)
             order.extend(base + c for c in perm)
-    truth = standardized_residuals(contingency(true_assignment, view, order="natural"))
+    truth = standardized_residuals(contingency(true_assignment, dataset, order="natural"))
     recon = solution.centers[order] @ solution.quantifications.T
     scaled = (
         np.sqrt(truth.row_masses)[:, None] * recon * np.sqrt(truth.col_masses)[None, :]
@@ -185,7 +185,8 @@ def select_k_per_class(
     For every class of every supplementary variable, the class's rows are
     refit with K = 2..k_max clusters and the dispersion curve (including
     the exact K = 1 value, N_class * m * p, where the objective is p by
-    the normalization) feeds the Krzanowski-Lai rule.
+    the normalization) feeds the Krzanowski-Lai rule.  A ``k_max`` larger
+    than some class raises ``SpecError`` before any fit runs.
     """
     from .solver import SolverOptions, fit_cluster_ca
 
@@ -193,6 +194,13 @@ def select_k_per_class(
         options = SolverOptions()
     if k_max < 4:
         raise SpecError("k_max must be at least 4 for the selection rule")
+    for h in range(sup.n_sup):
+        for s, size in enumerate(sup.class_sizes(h)):
+            if k_max > size:
+                raise SpecError(
+                    f"k_max={k_max} exceeds the {size} members of class "
+                    f"{sup.labels[h][s]!r} of {sup.names[h]!r}"
+                )
     exponent = float(nu) if nu is not None else float(options.p)
     out: dict[tuple[int, int], ClassSelection] = {}
     for h in range(sup.n_sup):

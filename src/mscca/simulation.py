@@ -23,7 +23,6 @@ from .data import (
     ClusterSpec,
     HierarchicalAssignment,
     SupplementaryData,
-    stacked_indicators,
 )
 from .errors import ConfigError, MsccaError, SpecError
 from .metrics import adjusted_rand_index, gf_against_truth
@@ -394,8 +393,7 @@ def _study_task(design: StudyDesign, cell_index: int, replicate: int) -> list[di
     reference = _true_assignment(sup, truth, k)
     gf = None
     if reference is not None:
-        view = stacked_indicators(dataset, sup.n_sup)
-        gf = gf_against_truth(solution, reference, view)
+        gf = gf_against_truth(solution, reference, dataset)
     rows = []
     for h in range(sup.n_sup):
         for s in range(sup.r[h]):

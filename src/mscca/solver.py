@@ -24,10 +24,8 @@ from .data import (
     CategoricalDataset,
     ClusterSpec,
     HierarchicalAssignment,
-    IndicatorView,
     SupplementaryData,
     cluster_counts,
-    stacked_indicators,
 )
 from .errors import EmptyClusterError, ProjectorError, ShapeError, SpecError
 from .linalg import mass_scale, sym_eig_top
@@ -51,7 +49,7 @@ class SolverOptions:
     epsilon: float = 1e-8
     seed: int = 0
 
-    def validate(self, view: IndicatorView | None = None) -> None:
+    def validate(self, dataset: CategoricalDataset | None = None) -> None:
         if self.p < 1:
             raise SpecError("p must be >= 1")
         if self.n_starts < 1:
@@ -60,8 +58,8 @@ class SolverOptions:
             raise SpecError("max_iter must be >= 1")
         if not self.epsilon > 0:
             raise SpecError("epsilon must be positive")
-        if view is not None:
-            bound = view.total_categories - view.n_vars
+        if dataset is not None:
+            bound = dataset.total_categories - dataset.n_vars
             if self.p > bound:
                 raise SpecError(
                     f"p={self.p} exceeds the rank bound Q - m = {bound} of the centered indicators"
@@ -91,23 +89,23 @@ class MsccaSolution:
     options: SolverOptions
 
 
-def object_scores(view: IndicatorView, quantifications: np.ndarray) -> np.ndarray:
+def object_scores(dataset: CategoricalDataset, quantifications: np.ndarray) -> np.ndarray:
     """Mean object scores: one replicate block of J Z^H B divided by the
     variable count, i.e. (1/m) * centered(Z B).  Rows i and i + N of the
     stacked version are identical, so one block carries everything."""
-    codes = view.dataset.codes
-    scores = np.zeros((view.n_obs, quantifications.shape[1]))
-    for j in range(view.n_vars):
-        scores += quantifications[view.offsets[j] + codes[:, j]]
-    scores -= view.column_means @ quantifications
-    return scores / view.n_vars
+    codes = dataset.codes
+    scores = np.zeros((dataset.n_obs, quantifications.shape[1]))
+    for j in range(dataset.n_vars):
+        scores += quantifications[dataset.offsets[j] + codes[:, j]]
+    scores -= dataset.column_means @ quantifications
+    return scores / dataset.n_vars
 
 
 def objective_phi(
     assignment: HierarchicalAssignment,
     centers: np.ndarray,
     quantifications: np.ndarray,
-    view: IndicatorView,
+    dataset: CategoricalDataset,
 ) -> float:
     """Direct evaluation of the objective at (U, G, B).
 
@@ -115,28 +113,28 @@ def objective_phi(
     (variable, supplementary variable) pair and scales by 1/(N H m).
     """
     blocks = [centers[assignment.rows[:, h]] for h in range(assignment.n_sup)]
-    return _direct_objective(blocks, quantifications, view)
+    return _direct_objective(blocks, quantifications, dataset)
 
 
 def _direct_objective(
-    blocks: list[np.ndarray], quantifications: np.ndarray, view: IndicatorView
+    blocks: list[np.ndarray], quantifications: np.ndarray, dataset: CategoricalDataset
 ) -> float:
     """(1/(N H m)) sum_j sum_h || blocks[h] - Z_j B_j ||^2 for H per-h
     N x p score blocks, one variable's quantified rows at a time."""
-    codes = view.dataset.codes
+    codes = dataset.codes
     total = 0.0
-    for j in range(view.n_vars):
-        fitted = quantifications[view.offsets[j] + codes[:, j]]
+    for j in range(dataset.n_vars):
+        fitted = quantifications[dataset.offsets[j] + codes[:, j]]
         for block in blocks:
             diff = block - fitted
             total += float(np.einsum("ij,ij->", diff, diff))
-    return total / (view.n_obs * len(blocks) * view.n_vars)
+    return total / (dataset.n_obs * len(blocks) * dataset.n_vars)
 
 
 def psi_value(
     assignment: HierarchicalAssignment,
     quantifications: np.ndarray,
-    view: IndicatorView,
+    dataset: CategoricalDataset,
 ) -> float:
     """The maximization-form value tr B' Z^H' J U (U'U)^-1 U' J Z^H B.
 
@@ -145,9 +143,9 @@ def psi_value(
     centers); raises
     ``EmptyClusterError`` when a cluster has no members (singular U'U).
     """
-    table, sizes = cluster_counts(assignment, view)
-    centers = _centroids(table, sizes, view, quantifications)
-    return float(view.n_vars**2 * (sizes[:, None] * centers * centers).sum())
+    table, sizes = cluster_counts(assignment, dataset)
+    centers = _centroids(table, sizes, dataset, quantifications)
+    return float(dataset.n_vars**2 * (sizes[:, None] * centers * centers).sum())
 
 
 def init_random(
@@ -172,7 +170,7 @@ def init_random(
 
 
 def update_B(
-    assignment: HierarchicalAssignment, view: IndicatorView, p: int
+    assignment: HierarchicalAssignment, dataset: CategoricalDataset, p: int
 ) -> np.ndarray:
     """Refresh the category quantifications for a fixed assignment.
 
@@ -184,20 +182,22 @@ def update_B(
     which satisfies the normalization constraint by construction.  The
     scaling uses the stacked masses D (category counts times H), so the
     constraint (1/(N H m)) sum_j B_j' Z_j^H' Z_j^H B_j = I_p holds for
-    every H, not only the single-set case.
+    every H, not only the single-set case; H is the assignment's count of
+    supplementary variables.
     """
-    table, sizes = cluster_counts(assignment, view)
-    return _quantify(_between_target(table, sizes, assignment.spec, view), view, p)
+    table, sizes = cluster_counts(assignment, dataset)
+    target = _between_target(table, sizes, assignment.spec, dataset)
+    return _quantify(target, dataset, assignment.n_sup, p)
 
 
 def _between_target(
-    table: np.ndarray, sizes: np.ndarray, spec: ClusterSpec, view: IndicatorView
+    table: np.ndarray, sizes: np.ndarray, spec: ClusterSpec, dataset: CategoricalDataset
 ) -> np.ndarray:
     """Z^H' J P_U J Z^H from the count table: the sum over the
     supplementary variables of the between-group cross-product of that
     variable's block of rows."""
-    mu = view.column_means
-    target = np.zeros((view.total_categories, view.total_categories))
+    mu = dataset.column_means
+    target = np.zeros((dataset.total_categories, dataset.total_categories))
     bounds = np.cumsum((0, *spec.k_per_variable))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         centered = table[lo:hi] - sizes[lo:hi, None] * mu[None, :]
@@ -205,32 +205,41 @@ def _between_target(
     return target
 
 
-def _quantify(target: np.ndarray, view: IndicatorView, p: int) -> np.ndarray:
+def _quantify(
+    target: np.ndarray, dataset: CategoricalDataset, n_stack: int, p: int
+) -> np.ndarray:
     """sqrt(N H m) D^{-1/2} times the top-p eigenvectors of
-    (1/m) D^{-1/2} target D^{-1/2}, with H the view's stacking count."""
-    n, m = view.n_obs, view.n_vars
-    d = view.d_masses.astype(float)
+    (1/m) D^{-1/2} target D^{-1/2}, with H = ``n_stack`` and D the stacked
+    masses (category counts times H).  H cancels out of the result; it
+    only sets the scale of the eigenvalues."""
+    n, m = dataset.n_obs, dataset.n_vars
+    d = (dataset.counts * n_stack).astype(float)
     d_isqrt = 1.0 / np.sqrt(d)
     scaled = (target * d_isqrt[:, None] * d_isqrt[None, :]) / m
     eig = sym_eig_top(scaled, p)
-    return float(np.sqrt(n * view.n_stack * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
+    return float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
 
 
 def _centroids(
-    table: np.ndarray, sizes: np.ndarray, view: IndicatorView, quantifications: np.ndarray
+    table: np.ndarray,
+    sizes: np.ndarray,
+    dataset: CategoricalDataset,
+    quantifications: np.ndarray,
 ) -> np.ndarray:
     """Per-cluster means of the object scores, stacked over h: the row
     profiles of the count table, centered by the category means, times
     B / m."""
-    return (table / sizes[:, None] - view.column_means) @ quantifications / view.n_vars
+    return (table / sizes[:, None] - dataset.column_means) @ quantifications / dataset.n_vars
 
 
 def update_G(
-    assignment: HierarchicalAssignment, view: IndicatorView, quantifications: np.ndarray
+    assignment: HierarchicalAssignment,
+    dataset: CategoricalDataset,
+    quantifications: np.ndarray,
 ) -> np.ndarray:
     """Recenter: each row of G becomes the mean object score of its
     cluster's members (the closed-form optimum for a fixed assignment)."""
-    return _centroids(*cluster_counts(assignment, view), view, quantifications)
+    return _centroids(*cluster_counts(assignment, dataset), dataset, quantifications)
 
 
 def update_U(
@@ -300,7 +309,7 @@ class _StartResult(NamedTuple):
 
 
 def _run_start(
-    view: IndicatorView,
+    dataset: CategoricalDataset,
     sup: SupplementaryData,
     spec: ClusterSpec,
     options: SolverOptions,
@@ -315,15 +324,16 @@ def _run_start(
     increases beyond float jitter.
     """
     assignment = init_random(sup, spec, rng)
-    table, sizes = cluster_counts(assignment, view)
+    table, sizes = cluster_counts(assignment, dataset)
     trace: list[float] = []
     converged = False
     centers = quantifications = None
     for t in range(options.max_iter):
-        quantifications = _quantify(_between_target(table, sizes, spec, view), view, options.p)
-        scores = object_scores(view, quantifications)
-        centers = _centroids(table, sizes, view, quantifications)
-        phi = objective_phi(assignment, centers, quantifications, view)
+        target = _between_target(table, sizes, spec, dataset)
+        quantifications = _quantify(target, dataset, sup.n_sup, options.p)
+        scores = object_scores(dataset, quantifications)
+        centers = _centroids(table, sizes, dataset, quantifications)
+        phi = objective_phi(assignment, centers, quantifications, dataset)
         trace.append(phi)
         if t > 0 and trace[-2] - trace[-1] < options.epsilon:
             converged = True
@@ -332,13 +342,13 @@ def _run_start(
             break
         candidate = update_U(scores, centers, sup, spec)
         try:
-            table, sizes = cluster_counts(candidate, view)
+            table, sizes = cluster_counts(candidate, dataset)
             assignment = candidate
         except EmptyClusterError:
             repaired = repair_empty_clusters(candidate, scores, centers)
-            if objective_phi(repaired, centers, quantifications, view) <= phi:
+            if objective_phi(repaired, centers, quantifications, dataset) <= phi:
                 assignment = repaired
-                table, sizes = cluster_counts(assignment, view)
+                table, sizes = cluster_counts(assignment, dataset)
     return _StartResult(
         assignment=assignment,
         centers=centers,
@@ -367,15 +377,14 @@ def fit_mscca(
     if dataset.n_obs != sup.n_obs:
         raise ShapeError("dataset and supplementary data disagree on N")
     spec.validate(sup)
-    view = stacked_indicators(dataset, sup.n_sup)
-    options.validate(view)
+    options.validate(dataset)
     seeds = np.random.SeedSequence(options.seed).spawn(options.n_starts)
     # Starts within WINNER_RTOL of the running minimum; objectives are
     # nonnegative, so a start dropped here can never tie the final minimum.
     tied: list[tuple[int, _StartResult]] = []
     traces: list[tuple[float, ...]] = []
     for index, seed in enumerate(seeds):
-        result = _run_start(view, sup, spec, options, np.random.default_rng(seed))
+        result = _run_start(dataset, sup, spec, options, np.random.default_rng(seed))
         traces.append(result.trace)
         tied.append((index, result))
         low = min(r.trace[-1] for _, r in tied)
@@ -386,7 +395,7 @@ def fit_mscca(
         centers=best.centers,
         quantifications=best.quantifications,
         objective=best.trace[-1],
-        psi=psi_value(best.assignment, best.quantifications, view),
+        psi=psi_value(best.assignment, best.quantifications, dataset),
         objective_trace=best.trace,
         start_index=best_index,
         converged=best.converged,
@@ -484,42 +493,41 @@ def fit_constrained_mca(
     elif kind != "identity":
         partition = HierarchicalAssignment.by_class(source)
     n_stack = 1 if partition is None else partition.n_sup
-    view = stacked_indicators(dataset, n_stack)
     if partition is not None:
         try:
-            table, sizes = cluster_counts(partition, view)
+            table, sizes = cluster_counts(partition, dataset)
         except EmptyClusterError as exc:
             raise ProjectorError(
                 "assignment has empty clusters; projector is rank deficient"
             ) from exc
-    bound = view.total_categories - view.n_vars
+    bound = dataset.total_categories - dataset.n_vars
     if not 1 <= p <= bound:
         raise SpecError(f"p={p} outside [1, {bound}]")
-    n, m, big_q = view.n_obs, view.n_vars, view.total_categories
+    n, m, big_q = dataset.n_obs, dataset.n_vars, dataset.total_categories
 
     if kind in ("identity", "projector-off"):
         # Z^H' J Z^H = H (Z'Z - N mu mu'), with the Burt matrix Z'Z counted
         # one variable's rows at a time.
-        cols = dataset.codes + view.offsets
+        cols = dataset.codes + dataset.offsets
         burt = np.zeros(big_q * big_q, dtype=np.int64)
         for j in range(m):
             burt += np.bincount((cols[:, j, None] * big_q + cols).ravel(), minlength=big_q**2)
-        mu = view.column_means
+        mu = dataset.column_means
         target = n_stack * (burt.reshape(big_q, big_q) - n * np.outer(mu, mu))
     if partition is not None:
-        between = _between_target(table, sizes, partition.spec, view)
+        between = _between_target(table, sizes, partition.spec, dataset)
         target = target - between if kind == "projector-off" else between
-    quantifications = _quantify(target, view, p)
+    quantifications = _quantify(target, dataset, n_stack, p)
 
-    scores = object_scores(view, quantifications)  # (1/m) J Z B, one block
+    scores = object_scores(dataset, quantifications)  # (1/m) J Z B, one block
     blocks = [scores]
     if partition is not None:
-        means = _centroids(table, sizes, view, quantifications)
+        means = _centroids(table, sizes, dataset, quantifications)
         blocks = [means[partition.rows[:, h]] for h in range(n_stack)]
         if kind == "projector-off":
             blocks = [scores - block for block in blocks]
     return ConstrainedFit(
         scores=np.concatenate(blocks),
         quantifications=quantifications,
-        objective=_direct_objective(blocks, quantifications, view),
+        objective=_direct_objective(blocks, quantifications, dataset),
     )

@@ -13,9 +13,7 @@ from mscca import (
     ClusterSpec,
     ConstraintSpec,
     HierarchicalAssignment,
-    IndicatorView,
     SupplementaryData,
-    stacked_indicators,
 )
 from mscca.errors import (
     EmptyClusterError,
@@ -131,34 +129,34 @@ def random_assignment(
     return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
 
 
-def z_var(view: IndicatorView, j: int) -> np.ndarray:
+def z_var(dataset: CategoricalDataset, j: int) -> np.ndarray:
     """Z_j as a dense N x q_j 0/1 matrix."""
-    z = np.zeros((view.n_obs, view.dataset.q[j]))
-    z[np.arange(view.n_obs), view.dataset.codes[:, j]] = 1.0
+    z = np.zeros((dataset.n_obs, dataset.q[j]))
+    z[np.arange(dataset.n_obs), dataset.codes[:, j]] = 1.0
     return z
 
 
-def z_var_stacked(view: IndicatorView, j: int) -> np.ndarray:
-    """Z_j^H: H vertically stacked copies of Z_j."""
-    return np.tile(z_var(view, j), (view.n_stack, 1))
+def z_var_stacked(dataset: CategoricalDataset, n_stack: int, j: int) -> np.ndarray:
+    """Z_j^H: H = ``n_stack`` vertically stacked copies of Z_j."""
+    return np.tile(z_var(dataset, j), (n_stack, 1))
 
 
-def z_full(view: IndicatorView) -> np.ndarray:
+def z_full(dataset: CategoricalDataset) -> np.ndarray:
     """The N x Q concatenation of all Z_j."""
-    z = np.zeros((view.n_obs, view.total_categories))
-    for j in range(view.n_vars):
-        z[np.arange(view.n_obs), view.offsets[j] + view.dataset.codes[:, j]] = 1.0
+    z = np.zeros((dataset.n_obs, dataset.total_categories))
+    for j in range(dataset.n_vars):
+        z[np.arange(dataset.n_obs), dataset.offsets[j] + dataset.codes[:, j]] = 1.0
     return z
 
 
-def z_full_stacked(view: IndicatorView) -> np.ndarray:
-    """Z^H: the NH x Q stack of the concatenated indicator."""
-    return np.tile(z_full(view), (view.n_stack, 1))
+def z_full_stacked(dataset: CategoricalDataset, n_stack: int) -> np.ndarray:
+    """Z^H: the NH x Q stack of the concatenated indicator, H = ``n_stack``."""
+    return np.tile(z_full(dataset), (n_stack, 1))
 
 
-def z_centered(view: IndicatorView) -> np.ndarray:
+def z_centered(dataset: CategoricalDataset) -> np.ndarray:
     """Column-centered Z (each replicate block of J Z^H equals this)."""
-    z = z_full(view)
+    z = z_full(dataset)
     return z - z.mean(axis=0, keepdims=True)
 
 
@@ -289,12 +287,11 @@ def dense_constrained_fit(
     if cspec.kind == "membership-projector" and cspec.source.n_obs != dataset.n_obs:
         raise ShapeError("constraint source disagrees with the dataset on N")
     basis, n_stack = _constraint_basis(cspec, dataset.n_obs)
-    view = stacked_indicators(dataset, n_stack)
-    bound = view.total_categories - view.n_vars
+    bound = dataset.total_categories - dataset.n_vars
     if not 1 <= p <= bound:
         raise SpecError(f"p={p} outside [1, {bound}]")
-    n, m = view.n_obs, view.n_vars
-    zc = z_centered(view)
+    n, m = dataset.n_obs, dataset.n_vars
+    zc = z_centered(dataset)
     zc_stacked = np.tile(zc, (n_stack, 1))
 
     gram = zc.T @ zc * n_stack  # Z^H' J Z^H
@@ -310,7 +307,7 @@ def dense_constrained_fit(
         projected = t.T @ solved
         target = projected if cspec.kind != "projector-off" else gram - projected
 
-    d = view.d_masses.astype(float)
+    d = (dataset.counts * n_stack).astype(float)
     d_isqrt = 1.0 / np.sqrt(d)
     scaled = (target * d_isqrt[:, None] * d_isqrt[None, :]) / m
     eig = sym_eig_top(scaled, p)
@@ -324,9 +321,9 @@ def dense_constrained_fit(
         scores = projected_scores if cspec.kind != "projector-off" else free - projected_scores
 
     total = 0.0
-    codes = view.dataset.codes
+    codes = dataset.codes
     for j in range(m):
-        rows = quantifications[view.offsets[j] + codes[:, j]]
+        rows = quantifications[dataset.offsets[j] + codes[:, j]]
         diff = scores - np.tile(rows, (n_stack, 1))
         total += float(np.einsum("ij,ij->", diff, diff))
     return ConstrainedFit(

@@ -37,7 +37,6 @@ from mscca import (
     repair_empty_clusters,
     residual_comparison,
     run_study,
-    stacked_indicators,
     standardized_residuals,
     update_B,
     update_G,
@@ -104,16 +103,15 @@ def test_criterion_2_min_max_identity():
                 ds = random_dataset(rng, 80, 4, 3)
                 sup = random_sup(rng, 80, 1, 1)
                 spec = ClusterSpec(((int(rng.integers(2, 5)),),))
-            view = stacked_indicators(ds, sup.n_sup)
             p = 2
             assignment = init_random(sup, spec, rng)
             n, n_sup, m = ds.n_obs, sup.n_sup, ds.n_vars
             for _ in range(6):
-                b = update_B(assignment, view, p)
-                scores = (z_centered(view) @ b) / m
-                g = update_G(assignment, view, b)
-                phi = objective_phi(assignment, g, b, view)
-                psi = psi_value(assignment, b, view)
+                b = update_B(assignment, ds, p)
+                scores = (z_centered(ds) @ b) / m
+                g = update_G(assignment, ds, b)
+                phi = objective_phi(assignment, g, b, ds)
+                psi = psi_value(assignment, b, ds)
                 assert abs(phi - (p - psi / (n * n_sup * m * m))) < 1e-8
                 candidate = update_U(scores, g, sup, spec)
                 if any(
@@ -156,9 +154,8 @@ def test_criterion_4_rank_p_residual_optimality():
         for _ in range(20):
             ds, sup, spec = random_mixed_problem(rng, n=60, m=4, q=3)
             sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=3, seed=int(rng.integers(1 << 31))))
-            view = stacked_indicators(ds, sup.n_sup)
             model = biplot_coordinates(
-                standardized_residuals(contingency(sol.assignment, view)),
+                standardized_residuals(contingency(sol.assignment, ds)),
                 sol.centers,
                 sol.quantifications,
             )

@@ -14,7 +14,6 @@ from mscca import (
     generate_illustration,
     rescale_spread,
     residual_comparison,
-    stacked_indicators,
     standardized_residuals,
 )
 from mscca.biplot import BiplotModel
@@ -29,7 +28,7 @@ def two_singleton_model():
     sup = encode_supplementary([["x"], ["x"]])
     spec = ClusterSpec(counts=((2,),))
     asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=np.array([[0], [1]]))
-    return contingency(asg, stacked_indicators(ds, 1), order="natural")
+    return contingency(asg, ds, order="natural")
 
 
 class TestContingency:
@@ -40,7 +39,7 @@ class TestContingency:
     def test_total_mass_one(self, rng):
         ds, sup, spec = random_problem(rng, n_sup=3)
         asg = init_random(sup, spec, rng)
-        model = contingency(asg, stacked_indicators(ds, sup.n_sup))
+        model = contingency(asg, ds)
         assert model.table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_cluster_rows_are_class_frequencies(self, rng):
@@ -49,26 +48,25 @@ class TestContingency:
         asg = HierarchicalAssignment(
             sup=sup, spec=spec, clusters=np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
         )
-        view = stacked_indicators(ds, sup.n_sup)
-        model = contingency(asg, view)
+        model = contingency(asg, ds)
         n, m, n_sup = ds.n_obs, ds.n_vars, sup.n_sup
         row = 0
         for h in range(n_sup):
             for s in range(sup.r[h]):
                 members = sup.members(h, s)
-                expected = z_full(view)[members].sum(axis=0) / (n * n_sup * m)
+                expected = z_full(ds)[members].sum(axis=0) / (n * n_sup * m)
                 assert_allclose(model.table[row], expected, atol=1e-12)
                 row += 1
 
     def test_observation_permutation_invariant(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = init_random(sup, spec, rng)
-        model = contingency(asg, stacked_indicators(ds, sup.n_sup))
+        model = contingency(asg, ds)
         perm = rng.permutation(ds.n_obs)
         ds2 = type(ds)(codes=ds.codes[perm], labels=ds.labels, names=ds.names)
         sup2 = type(sup)(codes=sup.codes[perm], labels=sup.labels, names=sup.names)
         asg2 = HierarchicalAssignment(sup=sup2, spec=spec, clusters=asg.clusters[perm])
-        model2 = contingency(asg2, stacked_indicators(ds2, sup.n_sup))
+        model2 = contingency(asg2, ds2)
         assert_allclose(model.table, model2.table, atol=1e-15)
 
     def test_empty_cluster_rejected(self):
@@ -77,7 +75,7 @@ class TestContingency:
         spec = ClusterSpec(counts=((2,),))
         asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=np.zeros((2, 1), dtype=np.int64))
         with pytest.raises(EmptyClusterError):
-            contingency(asg, stacked_indicators(ds, 1))
+            contingency(asg, ds)
 
     def test_size_order_labels_largest_first(self):
         ds = encode_dataset([["a"], ["a"], ["b"], ["a"]])
@@ -86,7 +84,7 @@ class TestContingency:
         asg = HierarchicalAssignment(
             sup=sup, spec=spec, clusters=np.array([[1], [1], [0], [1]])
         )
-        model = contingency(asg, stacked_indicators(ds, 1), order="size")
+        model = contingency(asg, ds, order="size")
         # cluster 1 has three members: it is ranked 1 and listed first
         assert model.row_labels == ("x1", "x2")
         assert model.row_index == ((0, 0, 1), (0, 0, 0))
@@ -140,7 +138,7 @@ class TestStandardizedResiduals:
     def test_grand_total_property(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = init_random(sup, spec, rng)
-        model = standardized_residuals(contingency(asg, stacked_indicators(ds, sup.n_sup)))
+        model = standardized_residuals(contingency(asg, ds))
         back = (
             np.sqrt(model.row_masses)[:, None]
             * model.residuals
@@ -166,8 +164,7 @@ class TestBiplotCoordinates:
     def _fitted(self, rng, p=2):
         ds, sup, spec = random_problem(rng, n=40)
         sol = fit_mscca(ds, sup, spec, SolverOptions(p=p, n_starts=3, seed=1))
-        view = stacked_indicators(ds, sup.n_sup)
-        model = standardized_residuals(contingency(sol.assignment, view))
+        model = standardized_residuals(contingency(sol.assignment, ds))
         return sol, biplot_coordinates(model, sol.centers, sol.quantifications)
 
     def test_rank_p_optimality(self, rng):
@@ -183,9 +180,8 @@ class TestBiplotCoordinates:
         # p at the rank bound recovers the residual table exactly
         p = ds.total_categories - ds.n_vars
         sol = fit_mscca(ds, sup, spec, SolverOptions(p=p, n_starts=3, seed=5))
-        view = stacked_indicators(ds, sup.n_sup)
         model = biplot_coordinates(
-            standardized_residuals(contingency(sol.assignment, view)),
+            standardized_residuals(contingency(sol.assignment, ds)),
             sol.centers,
             sol.quantifications,
         )
@@ -199,14 +195,13 @@ class TestBiplotCoordinates:
     def test_display_and_natural_order_agree(self, rng):
         ds, sup, spec = random_problem(rng, n=40)
         sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=3, seed=1))
-        view = stacked_indicators(ds, sup.n_sup)
         display = biplot_coordinates(
-            standardized_residuals(contingency(sol.assignment, view, order="size")),
+            standardized_residuals(contingency(sol.assignment, ds, order="size")),
             sol.centers,
             sol.quantifications,
         )
         natural = biplot_coordinates(
-            standardized_residuals(contingency(sol.assignment, view, order="natural")),
+            standardized_residuals(contingency(sol.assignment, ds, order="natural")),
             sol.centers,
             sol.quantifications,
         )
@@ -302,10 +297,9 @@ class TestIllustrationBiplot:
     def test_alcohol_cluster_has_largest_alcohol_inner_product(self):
         ds, sup, truth = generate_illustration()
         sol = fit_mscca(ds, sup, truth.spec, SolverOptions(n_starts=50, seed=0))
-        view = stacked_indicators(ds, sup.n_sup)
         model = rescale_spread(
             biplot_coordinates(
-                standardized_residuals(contingency(sol.assignment, view)),
+                standardized_residuals(contingency(sol.assignment, ds)),
                 sol.centers,
                 sol.quantifications,
             )

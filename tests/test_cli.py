@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mscca import objective_phi, read_csv_dataset, stacked_indicators
+from mscca import objective_phi, read_csv_dataset
 from mscca.archive import assignment_from_archive, load_json
 from mscca.cli import main
 
@@ -58,12 +58,11 @@ class TestFit:
         ds, sup = read_csv_dataset(illustration_csv, ["Nationality", "Gender"])
         assignment = assignment_from_archive(archive, sup)
         assert assignment.spec.counts == ((2, 2), (3, 2))
-        view = stacked_indicators(ds, sup.n_sup)
         phi = objective_phi(
             assignment,
             np.array(archive["solution"]["centers"]),
             np.array(archive["solution"]["quantifications"]),
-            view,
+            ds,
         )
         assert abs(phi - archive["solution"]["objective"]) < 1e-10
 
@@ -115,6 +114,26 @@ class TestFit:
             "--out", str(tmp_path / "o"),
         ]
         assert main(args) == 3
+
+    def test_oversized_k_max_exit_3_before_any_fit(
+        self, illustration_csv, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def recording_fit(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("no fit may run")
+
+        monkeypatch.setattr("mscca.solver.fit_cluster_ca", recording_fit)
+        args = [
+            "fit", "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
+            "--k-auto", "--k-max", "500", "--starts", "1", "--out", str(tmp_path / "o"),
+        ]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "k_max=500 exceeds" in err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
 
     def test_repeated_sup_column_exit_2(self, illustration_csv, tmp_path, capsys):
         code = main(
@@ -275,6 +294,31 @@ class TestVariants:
         assert "cluster" not in kinds
         class_labels = sorted(row[1] for row in rows[1:] if row[0] == "class")
         assert class_labels == ["American", "Female", "Japanese", "Male"]
+
+    def test_averaging_runs_one_start_and_echoes_the_requested_count(
+        self, illustration_csv, tmp_path, monkeypatch
+    ):
+        import mscca.cli
+
+        starts = []
+        real = mscca.cli.fit_mscca
+
+        def recording_fit(dataset, sup, spec, options):
+            starts.append(options.n_starts)
+            return real(dataset, sup, spec, options)
+
+        monkeypatch.setattr(mscca.cli, "fit_mscca", recording_fit)
+        out = tmp_path / "ave"
+        code = main(
+            ["variants", "--input", str(illustration_csv),
+             "--sup-cols", "Nationality,Gender", "--method", "averaging",
+             "--starts", "7", "--out", str(out)]
+        )
+        assert code == 0
+        assert starts == [1]
+        archive = load_json(out / "solution.json")
+        assert archive["config"]["starts"] == 7
+        assert archive["solution"]["start_index"] == 0
 
     def test_removal_centers_classes(self, illustration_csv, tmp_path):
         out = tmp_path / "rem"

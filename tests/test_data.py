@@ -16,7 +16,6 @@ from mscca import (
     encode_dataset,
     encode_supplementary,
     read_csv_dataset,
-    stacked_indicators,
     validate_assignment,
 )
 from mscca.errors import (
@@ -199,10 +198,9 @@ class TestClusterCounts:
         for _ in range(10):
             ds, sup, spec = random_problem(rng)
             asg = random_assignment(rng, sup, spec)
-            view = stacked_indicators(ds, sup.n_sup)
             u = stacked_indicator(asg)
-            table, sizes = cluster_counts(asg, view)
-            assert_allclose(table, u.T @ z_full_stacked(view))
+            table, sizes = cluster_counts(asg, ds)
+            assert_allclose(table, u.T @ z_full_stacked(ds, sup.n_sup))
             assert_allclose(sizes, u.sum(axis=0))
 
     def test_empty_cluster_rejected(self):
@@ -212,7 +210,7 @@ class TestClusterCounts:
             sup=sup, spec=ClusterSpec(counts=((2, 1),)), clusters=np.zeros((3, 1), dtype=np.int64)
         )
         with pytest.raises(EmptyClusterError):
-            cluster_counts(asg, stacked_indicators(ds, 1))
+            cluster_counts(asg, ds)
 
 
 class TestValidateAssignment:
@@ -265,31 +263,54 @@ class TestClusterSpec:
 
 
 class TestIndicatorView:
+    """The dataset's description of the concatenated indicator Z: column
+    offsets, category counts, column means and column labels."""
+
     def test_stacking_replicates(self):
         ds = encode_dataset([["a"], ["b"]])
-        view = stacked_indicators(ds, 2)
-        assert z_var_stacked(view, 0).tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
+        assert z_var_stacked(ds, 2, 0).tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
 
     def test_d_masses_counts_times_h(self):
-        ds = encode_dataset([["a"], ["b"]])
-        assert stacked_indicators(ds, 2).d_masses.tolist() == [2, 2]
+        # the stacked masses diag(Z^H' Z^H) are the category counts times H
+        ds = encode_dataset([["a", "x"], ["b", "x"], ["a", "y"]])
+        z = z_full_stacked(ds, 2)
+        assert ds.counts.tolist() == [2, 1, 2, 1]
+        assert_allclose((z * z).sum(axis=0), ds.counts * 2)
 
     def test_h_one_identity(self):
         ds = encode_dataset([["a", "x"], ["b", "y"]])
-        view = stacked_indicators(ds, 1)
-        assert_allclose(z_full_stacked(view), z_full(view))
+        assert_allclose(z_full_stacked(ds, 1), z_full(ds))
 
     def test_row_sums_and_positive_masses(self, rng):
         ds, sup, spec = random_problem(rng)
-        view = stacked_indicators(ds, 3)
         for j in range(ds.n_vars):
-            assert_allclose(z_var(view, j).sum(axis=1), np.ones(ds.n_obs))
-        assert (view.d_masses > 0).all()
+            assert_allclose(z_var(ds, j).sum(axis=1), np.ones(ds.n_obs))
+        assert (ds.counts > 0).all()
 
-    def test_invalid_stack(self):
-        ds = encode_dataset([["a"], ["b"]])
-        with pytest.raises(ShapeError):
-            stacked_indicators(ds, 0)
+    def test_columns_match_dense_indicator(self, rng):
+        for _ in range(5):
+            ds, sup, spec = random_problem(rng)
+            z = np.hstack([z_var(ds, j) for j in range(ds.n_vars)])
+            assert ds.offsets.tolist() == [sum(ds.q[:j]) for j in range(ds.n_vars)]
+            assert ds.counts.tolist() == z.sum(axis=0).tolist()
+            assert_allclose(ds.column_means, z.mean(axis=0), rtol=0, atol=1e-15)
+
+    def test_column_labels(self):
+        ds = encode_dataset([["a", "x"], ["b", "x"]], names=["meal", "drink"])
+        assert ds.column_labels == ("meal:a", "meal:b", "drink:x")
+
+    def test_columns_cached_and_read_only(self):
+        ds = encode_dataset([["a", "x"], ["b", "y"]])
+        for name in ("offsets", "counts", "column_means"):
+            assert getattr(ds, name) is getattr(ds, name)
+            with pytest.raises(ValueError):
+                getattr(ds, name)[0] = 0
+
+
+class TestSupplementaryData:
+    def test_zero_variables_rejected(self):
+        with pytest.raises(ShapeError, match="at least one variable"):
+            SupplementaryData(codes=np.zeros((3, 0), dtype=np.int64), labels=(), names=())
 
 
 class TestCsvIngestion:

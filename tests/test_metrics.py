@@ -18,7 +18,6 @@ from mscca import (
     goodness_of_fit,
     kl_select,
     select_k_per_class,
-    stacked_indicators,
 )
 from mscca.errors import DegenerateGeometryError, ShapeError, SpecError
 from mscca.simulation import GenSpec, generate_clustered
@@ -146,12 +145,11 @@ class TestGfAgainstTruth:
 
     def test_full_rank_truth_scores_one(self):
         ds, sup, truth = self._truth_setup()
-        view = stacked_indicators(ds, sup.n_sup)
         p = ds.total_categories - ds.n_vars
-        b = update_B(truth, view, p)
-        g = update_G(truth, view, b)
+        b = update_B(truth, ds, p)
+        g = update_G(truth, ds, b)
         solution = SimpleNamespace(assignment=truth, centers=g, quantifications=b)
-        assert gf_against_truth(solution, truth, view) == pytest.approx(1.0, abs=1e-6)
+        assert gf_against_truth(solution, truth, ds) == pytest.approx(1.0, abs=1e-6)
 
     def test_fitted_labels_permuted_within_class_score_one(self):
         # fitted cluster labels inside a class are arbitrary: swapping them
@@ -161,27 +159,25 @@ class TestGfAgainstTruth:
         sup = encode_supplementary([["g1"] if i % 2 else ["g2"] for i in range(len(raw))])
         clusters = np.array([[0 if row[0] == "a" else 1] for row in raw], dtype=np.int64)
         truth = HierarchicalAssignment(sup=sup, spec=ClusterSpec.uniform(sup, 2), clusters=clusters)
-        view = stacked_indicators(ds, sup.n_sup)
         p = ds.total_categories - ds.n_vars
         swap = truth.clusters.copy()
         in_g1 = sup.codes[:, 0] == 0
         swap[in_g1, 0] = 1 - swap[in_g1, 0]
         fitted = truth.with_clusters(swap)
-        b = update_B(fitted, view, p)
-        g = update_G(fitted, view, b)
+        b = update_B(fitted, ds, p)
+        g = update_G(fitted, ds, b)
         solution = SimpleNamespace(assignment=fitted, centers=g, quantifications=b)
-        assert gf_against_truth(solution, truth, view) == pytest.approx(1.0, abs=1e-6)
+        assert gf_against_truth(solution, truth, ds) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_centers_degenerate(self):
         ds, sup, truth = self._truth_setup()
-        view = stacked_indicators(ds, sup.n_sup)
         solution = SimpleNamespace(
             assignment=truth,
             centers=np.zeros((truth.spec.k_total, 2)),
             quantifications=np.zeros((ds.total_categories, 2)),
         )
         with pytest.raises(DegenerateGeometryError):
-            gf_against_truth(solution, truth, view)
+            gf_against_truth(solution, truth, ds)
 
     def test_independent_truth_degenerate(self):
         # clusters carry no category information: residual table is zero
@@ -191,18 +187,16 @@ class TestGfAgainstTruth:
         truth = HierarchicalAssignment(
             sup=sup, spec=spec, clusters=np.array([[0], [0], [1], [1]])
         )
-        view = stacked_indicators(ds, 1)
         solution = SimpleNamespace(
             assignment=truth,
             centers=np.ones((2, 1)),
             quantifications=np.ones((2, 1)),
         )
         with pytest.raises(DegenerateGeometryError):
-            gf_against_truth(solution, truth, view)
+            gf_against_truth(solution, truth, ds)
 
     def test_mismatched_counts_rejected(self):
         ds, sup, truth = self._truth_setup()
-        view = stacked_indicators(ds, sup.n_sup)
         other = HierarchicalAssignment(
             sup=sup,
             spec=ClusterSpec.uniform(sup, 1),
@@ -214,7 +208,7 @@ class TestGfAgainstTruth:
             quantifications=np.ones((ds.total_categories, 2)),
         )
         with pytest.raises(ShapeError):
-            gf_against_truth(solution, truth, view)
+            gf_against_truth(solution, truth, ds)
 
 
 class TestKlSelect:
@@ -271,3 +265,20 @@ class TestSelectKPerClass:
         sup = encode_supplementary([["x"]] * 4)
         with pytest.raises(SpecError):
             select_k_per_class(ds, sup, k_max=3)
+
+    def test_oversized_k_max_rejected_before_any_fit(self, monkeypatch):
+        calls = []
+
+        def recording_fit(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("no fit may run")
+
+        monkeypatch.setattr("mscca.solver.fit_cluster_ca", recording_fit)
+        # the second class of the second variable is the only one too small
+        ds = encode_dataset([["a"], ["b"]] * 5)
+        sup = encode_supplementary(
+            [["x", "big"]] * 5 + [["y", "big"]] * 2 + [["y", "small"]] * 3, names=["v", "w"]
+        )
+        with pytest.raises(SpecError, match=r"k_max=4 exceeds the 3 members of class 'small' of 'w'"):
+            select_k_per_class(ds, sup, k_max=4)
+        assert calls == []

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mscca import (
+    CategoricalDataset,
     ClusterSpec,
     ConstraintSpec,
     HierarchicalAssignment,
@@ -18,7 +21,6 @@ from mscca import (
     objective_phi,
     psi_value,
     repair_empty_clusters,
-    stacked_indicators,
     update_B,
     update_G,
     update_U,
@@ -55,18 +57,16 @@ class TestObjectivePhi:
     def test_zero_parameters(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = nonempty_random_assignment(rng, sup, spec)
-        view = stacked_indicators(ds, sup.n_sup)
         g = np.zeros((spec.k_total, 2))
         b = np.zeros((ds.total_categories, 2))
-        assert objective_phi(asg, g, b, view) == 0.0
+        assert objective_phi(asg, g, b, ds) == 0.0
 
     def test_relabeling_invariance(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = nonempty_random_assignment(rng, sup, spec)
-        view = stacked_indicators(ds, sup.n_sup)
         g = rng.normal(size=(spec.k_total, 2))
         b = rng.normal(size=(ds.total_categories, 2))
-        base = objective_phi(asg, g, b, view)
+        base = objective_phi(asg, g, b, ds)
         # swap two clusters of one class and permute G rows to match
         h = 0
         s = next(s for s in range(sup.r[0]) if spec.k_of(0, s) >= 2)
@@ -80,7 +80,7 @@ class TestObjectivePhi:
         clusters[members, h] = swapped
         g2 = g.copy()
         g2[[offset, offset + 1]] = g2[[offset + 1, offset]]
-        assert objective_phi(asg.with_clusters(clusters), g2, b, view) == pytest.approx(
+        assert objective_phi(asg.with_clusters(clusters), g2, b, ds) == pytest.approx(
             base, abs=1e-12
         )
 
@@ -90,48 +90,43 @@ class TestObjectivePhi:
         sup = single_class_sup(6)
         spec = ClusterSpec(counts=((3,),))
         asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=ds.codes[:, :1].copy())
-        view = stacked_indicators(ds, 1)
-        b = update_B(asg, view, 2)
-        g = update_G(asg, view, b)
-        assert objective_phi(asg, g, b, view) == pytest.approx(0.0, abs=1e-12)
+        b = update_B(asg, ds, 2)
+        g = update_G(asg, ds, b)
+        assert objective_phi(asg, g, b, ds) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPsiValue:
     def test_zero_quantifications(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = nonempty_random_assignment(rng, sup, spec)
-        view = stacked_indicators(ds, sup.n_sup)
-        assert psi_value(asg, np.zeros((ds.total_categories, 2)), view) == 0.0
+        assert psi_value(asg, np.zeros((ds.total_categories, 2)), ds) == 0.0
 
     def test_single_cluster_annihilated(self, rng):
         ds = encode_dataset([["a"], ["b"], ["a"], ["b"]])
         sup = single_class_sup(4)
         spec = ClusterSpec(counts=((1,),))
         asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=np.zeros((4, 1), dtype=np.int64))
-        view = stacked_indicators(ds, 1)
         b = rng.normal(size=(2, 2))
-        assert psi_value(asg, b, view) == pytest.approx(0.0, abs=1e-12)
+        assert psi_value(asg, b, ds) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_cluster_raises(self):
         ds = encode_dataset([["a"], ["b"], ["a"]])
         sup = single_class_sup(3)
         spec = ClusterSpec(counts=((2,),))
         asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=np.zeros((3, 1), dtype=np.int64))
-        view = stacked_indicators(ds, 1)
         with pytest.raises(EmptyClusterError):
-            psi_value(asg, np.ones((2, 1)), view)
+            psi_value(asg, np.ones((2, 1)), ds)
 
     def test_min_max_identity_after_center_update(self, rng):
         # after refreshing B and G, phi equals p - psi / (N H m^2)
         for _ in range(10):
             ds, sup, spec = random_problem(rng)
             asg = nonempty_random_assignment(rng, sup, spec)
-            view = stacked_indicators(ds, sup.n_sup)
             p = 2
-            b = update_B(asg, view, p)
-            g = update_G(asg, view, b)
-            phi = objective_phi(asg, g, b, view)
-            psi = psi_value(asg, b, view)
+            b = update_B(asg, ds, p)
+            g = update_G(asg, ds, b)
+            phi = objective_phi(asg, g, b, ds)
+            psi = psi_value(asg, b, ds)
             n, n_sup, m = ds.n_obs, sup.n_sup, ds.n_vars
             assert phi == pytest.approx(p - psi / (n * n_sup * m * m), abs=1e-8)
 
@@ -140,21 +135,20 @@ class TestIterateInvariants:
     def test_normalization_and_centering_every_iterate(self, rng):
         # the constraints hold at every cycle, not only at convergence
         ds, sup, spec = random_problem(rng)
-        view = stacked_indicators(ds, sup.n_sup)
         asg = init_random(sup, spec, rng)
         for _ in range(5):
-            b = update_B(asg, view, 2)
+            b = update_B(asg, ds, 2)
             total = np.zeros((2, 2))
             for j in range(ds.n_vars):
-                zj = z_var_stacked(view, j)
-                bj = b[view.offsets[j] : view.offsets[j] + ds.q[j]]
+                zj = z_var_stacked(ds, sup.n_sup, j)
+                bj = b[ds.offsets[j] : ds.offsets[j] + ds.q[j]]
                 total += bj.T @ zj.T @ zj @ bj
             total /= ds.n_obs * sup.n_sup * ds.n_vars
             assert_allclose(total, np.eye(2), atol=1e-8)
-            g = update_G(asg, view, b)
+            g = update_G(asg, ds, b)
             u = stacked_indicator(asg)
             assert np.abs((u @ g).mean(axis=0)).max() < 1e-10
-            scores = object_scores(view, b)
+            scores = object_scores(ds, b)
             asg = update_U(scores, g, sup, spec)
             if any((asg.cluster_sizes(h) == 0).any() for h in range(asg.n_sup)):
                 asg = repair_empty_clusters(asg, scores, g)
@@ -193,12 +187,11 @@ class TestUpdateB:
         for _ in range(10):
             ds, sup, spec = random_problem(rng)
             asg = nonempty_random_assignment(rng, sup, spec)
-            view = stacked_indicators(ds, sup.n_sup)
-            b = update_B(asg, view, 2)
+            b = update_B(asg, ds, 2)
             total = np.zeros((2, 2))
             for j in range(ds.n_vars):
-                zj = z_var_stacked(view, j)
-                bj = b[view.offsets[j] : view.offsets[j] + ds.q[j]]
+                zj = z_var_stacked(ds, sup.n_sup, j)
+                bj = b[ds.offsets[j] : ds.offsets[j] + ds.q[j]]
                 total += bj.T @ zj.T @ zj @ bj
             total /= ds.n_obs * sup.n_sup * ds.n_vars
             assert_allclose(total, np.eye(2), atol=1e-8)
@@ -208,9 +201,8 @@ class TestUpdateB:
         sup = single_class_sup(4)
         spec = ClusterSpec(counts=((1,),))
         asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=np.zeros((4, 1), dtype=np.int64))
-        view = stacked_indicators(ds, 1)
-        b = update_B(asg, view, 1)
-        d = np.diag(view.d_masses.astype(float))
+        b = update_B(asg, ds, 1)
+        d = np.diag(ds.counts.astype(float))
         assert_allclose(b.T @ d @ b / (4 * 1 * 1), np.eye(1), atol=1e-10)
 
     def test_two_singleton_categories_match_diagonal_ca(self):
@@ -220,8 +212,7 @@ class TestUpdateB:
         sup = single_class_sup(4)
         spec = ClusterSpec(counts=((2,),))
         asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=ds.codes[:, :1].copy())
-        view = stacked_indicators(ds, 1)
-        b = update_B(asg, view, 1)
+        b = update_B(asg, ds, 1)
         assert_allclose(b[:, 0], [1.0, -1.0], atol=1e-10)
 
     def test_empty_cluster_propagates(self):
@@ -230,7 +221,7 @@ class TestUpdateB:
         spec = ClusterSpec(counts=((2,),))
         asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=np.zeros((3, 1), dtype=np.int64))
         with pytest.raises(EmptyClusterError):
-            update_B(asg, stacked_indicators(ds, 1), 1)
+            update_B(asg, ds, 1)
 
 
 class TestUpdateG:
@@ -241,18 +232,16 @@ class TestUpdateG:
         asg = HierarchicalAssignment(
             sup=sup, spec=spec, clusters=np.array([[0], [1], [2]])
         )
-        view = stacked_indicators(ds, 1)
         b = rng.normal(size=(ds.total_categories, 2))
-        g = update_G(asg, view, b)
-        assert_allclose(g, object_scores(view, b), atol=1e-12)
+        g = update_G(asg, ds, b)
+        assert_allclose(g, object_scores(ds, b), atol=1e-12)
 
     def test_single_cluster_row_is_zero(self, rng):
         ds = encode_dataset([["a"], ["b"], ["a"], ["b"]])
         sup = single_class_sup(4)
         spec = ClusterSpec(counts=((1,),))
         asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=np.zeros((4, 1), dtype=np.int64))
-        view = stacked_indicators(ds, 1)
-        g = update_G(asg, view, rng.normal(size=(2, 2)))
+        g = update_G(asg, ds, rng.normal(size=(2, 2)))
         assert_allclose(g, np.zeros((1, 2)), atol=1e-12)
 
     def test_three_member_mean(self, rng):
@@ -262,10 +251,9 @@ class TestUpdateG:
         asg = HierarchicalAssignment(
             sup=sup, spec=spec, clusters=np.array([[0], [0], [0], [1], [1]])
         )
-        view = stacked_indicators(ds, 1)
         b = rng.normal(size=(2, 2))
-        scores = object_scores(view, b)
-        g = update_G(asg, view, b)
+        scores = object_scores(ds, b)
+        g = update_G(asg, ds, b)
         assert_allclose(g[0], scores[:3].mean(axis=0), atol=1e-12)
 
 
@@ -428,8 +416,8 @@ class TestFitMscca:
         finals = list(finals)
         real = solver._run_start
 
-        def fake(view, sup, spec, options, rng):
-            result = real(view, sup, spec, options, rng)
+        def fake(dataset, sup, spec, options, rng):
+            result = real(dataset, sup, spec, options, rng)
             return result._replace(trace=result.trace[:-1] + (finals.pop(0),))
 
         monkeypatch.setattr(solver, "_run_start", fake)
@@ -440,12 +428,11 @@ class TestFitMscca:
     def test_solution_invariants(self, rng):
         ds, sup, spec = random_problem(rng)
         sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=3, seed=2))
-        view = stacked_indicators(ds, sup.n_sup)
         # normalization of B
         total = np.zeros((2, 2))
         for j in range(ds.n_vars):
-            zj = z_var_stacked(view, j)
-            bj = sol.quantifications[view.offsets[j] : view.offsets[j] + ds.q[j]]
+            zj = z_var_stacked(ds, sup.n_sup, j)
+            bj = sol.quantifications[ds.offsets[j] : ds.offsets[j] + ds.q[j]]
             total += bj.T @ zj.T @ zj @ bj
         total /= ds.n_obs * sup.n_sup * ds.n_vars
         assert_allclose(total, np.eye(2), atol=1e-8)
@@ -454,7 +441,7 @@ class TestFitMscca:
         assert np.abs((u @ sol.centers).mean(axis=0)).max() < 1e-10
         # reported objective matches a fresh evaluation
         assert sol.objective == pytest.approx(
-            objective_phi(sol.assignment, sol.centers, sol.quantifications, view), abs=1e-12
+            objective_phi(sol.assignment, sol.centers, sol.quantifications, ds), abs=1e-12
         )
 
     def test_all_single_clusters_match_projector_route(self, rng):
@@ -475,9 +462,8 @@ class TestFitMscca:
 class TestReplicateBlocks:
     def test_stacked_scores_repeat_per_block(self, rng):
         ds, sup, spec = random_problem(rng, n_sup=3)
-        view = stacked_indicators(ds, sup.n_sup)
         b = rng.normal(size=(ds.total_categories, 2))
-        zh = z_full_stacked(view)
+        zh = z_full_stacked(ds, sup.n_sup)
         centered = zh - zh.mean(axis=0, keepdims=True)
         stacked_scores = centered @ b
         n = ds.n_obs
@@ -515,16 +501,15 @@ class TestFitConstrainedMca:
         # oracle: singular value decomposition of the standardized residuals
         # of the flat indicator treated as one contingency table
         ds, _, _ = random_problem(rng, n=40, m=3, q=3)
-        view = stacked_indicators(ds, 1)
         fit = fit_constrained_mca(ds, ConstraintSpec(kind="identity"), 2)
-        z = z_full(view)
+        z = z_full(ds)
         n, m = ds.n_obs, ds.n_vars
         p_tab = z / (n * m)
         r = p_tab.sum(axis=1)
         c = p_tab.sum(axis=0)
         resid = (p_tab - np.outer(r, c)) / np.sqrt(np.outer(r, c))
         _u, s, vt = np.linalg.svd(resid)
-        oracle_b = np.sqrt(n * m) * vt[:2].T / np.sqrt(view.d_masses)[:, None]
+        oracle_b = np.sqrt(n * m) * vt[:2].T / np.sqrt(ds.counts)[:, None]
         angles = principal_angles(fit.quantifications, oracle_b)
         assert angles.max() < 1e-6
         assert fit.objective == pytest.approx(2 - (s[:2] ** 2).sum(), abs=1e-10)
@@ -610,11 +595,10 @@ class TestFitConstrainedMca:
 class TestLabelPermutationEquivariance:
     def test_permuted_labels_same_objective(self, rng):
         ds, sup, spec = random_problem(rng)
-        view = stacked_indicators(ds, sup.n_sup)
         asg = nonempty_random_assignment(rng, sup, spec)
-        b = update_B(asg, view, 2)
-        g = update_G(asg, view, b)
-        phi = objective_phi(asg, g, b, view)
+        b = update_B(asg, ds, 2)
+        g = update_G(asg, ds, b)
+        phi = objective_phi(asg, g, b, ds)
         # permute cluster labels inside the largest class of variable 0
         h = 0
         s = int(np.argmax([spec.k_of(h, s) for s in range(sup.r[h])]))
@@ -626,11 +610,53 @@ class TestLabelPermutationEquivariance:
         members = sup.members(h, s)
         clusters[members, h] = perm[clusters[members, h]]
         permuted = asg.with_clusters(clusters)
-        b2 = update_B(permuted, view, 2)
-        g2 = update_G(permuted, view, b2)
-        assert objective_phi(permuted, g2, b2, view) == pytest.approx(phi, abs=1e-10)
+        b2 = update_B(permuted, ds, 2)
+        g2 = update_G(permuted, ds, b2)
+        assert objective_phi(permuted, g2, b2, ds) == pytest.approx(phi, abs=1e-10)
         # center rows of the permuted class are the originals, permuted
         offset = int(spec.first_rows[h][s])
         block = g[offset : offset + k]
         block2 = g2[offset : offset + k]
         assert_allclose(np.sort(block, axis=0), np.sort(block2, axis=0), atol=1e-8)
+
+
+def _rows_taken(ds, sup, asg, rows):
+    """The same problem restricted to (or repeating) the given rows."""
+    ds2 = CategoricalDataset(codes=ds.codes[rows], labels=ds.labels, names=ds.names)
+    sup2 = SupplementaryData(codes=sup.codes[rows], labels=sup.labels, names=sup.names)
+    return ds2, HierarchicalAssignment(sup=sup2, spec=asg.spec, clusters=asg.clusters[rows])
+
+
+def _phi_psi(ds, asg, p):
+    b = update_B(asg, ds, p)
+    g = update_G(asg, ds, b)
+    return objective_phi(asg, g, b, ds), psi_value(asg, b, ds)
+
+
+class TestObservationOrderAndMultiplicity:
+    """At a fixed assignment, phi at the refreshed (B, G) depends on the
+    rows only through their distribution: permuting the observations
+    leaves phi and psi unchanged, and repeating every row c times leaves
+    phi unchanged and multiplies psi by c."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sup=st.integers(1, 3),
+        p=st.integers(1, 3),
+        copies=st.integers(2, 3),
+    )
+    def test_permuted_and_repeated_rows(self, seed, n_sup, p, copies):
+        rng = np.random.default_rng(seed)
+        ds, sup, spec = random_problem(rng, n=40, m=3, q=3, n_sup=n_sup, r=2)
+        asg = init_random(sup, spec, rng)
+        phi, psi = _phi_psi(ds, asg, p)
+
+        perm = rng.permutation(ds.n_obs)
+        phi_perm, psi_perm = _phi_psi(*_rows_taken(ds, sup, asg, perm), p)
+        assert abs(phi_perm - phi) <= 1e-10
+        assert abs(psi_perm - psi) <= 1e-10 * abs(psi)
+
+        repeated = np.tile(np.arange(ds.n_obs), copies)
+        phi_rep, psi_rep = _phi_psi(*_rows_taken(ds, sup, asg, repeated), p)
+        assert abs(phi_rep - phi) <= 1e-10
+        assert abs(psi_rep - copies * psi) <= 1e-10 * copies * abs(psi)
