@@ -153,7 +153,9 @@ def assignment_from_archive(archive: dict, sup: SupplementaryData) -> Hierarchic
     return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
 
 
-def _class_points(model: BiplotModel, centers_by_row: np.ndarray) -> list[dict]:
+def _class_points(
+    model: BiplotModel, centers_by_row: np.ndarray, sup: SupplementaryData
+) -> list[dict]:
     """Mass-weighted class centroids in display coordinates.
 
     A class's point is gamma * sqrt(class mass) times the mass-weighted
@@ -162,23 +164,18 @@ def _class_points(model: BiplotModel, centers_by_row: np.ndarray) -> list[dict]:
     """
     sup_classes: dict[tuple[int, int], dict] = {}
     for i, (h, s, _k) in enumerate(model.row_index):
-        slot = sup_classes.setdefault((h, s), {"mass": 0.0, "weighted": 0.0, "rows": []})
+        slot = sup_classes.setdefault((h, s), {"mass": 0.0, "weighted": 0.0})
         slot["mass"] += float(model.row_masses[i])
         slot["weighted"] = slot["weighted"] + model.row_masses[i] * centers_by_row[i]
-        slot["rows"].append(i)
     out = []
     for (h, s), slot in sorted(sup_classes.items()):
         mean_center = slot["weighted"] / slot["mass"]
         coords = model.gamma * np.sqrt(slot["mass"]) * mean_center
-        label = model.row_labels[slot["rows"][0]]
-        # Strip the rank suffix when the class was split into clusters.
-        if len(slot["rows"]) > 1:
-            label = _common_class_label(model, slot["rows"])
         out.append(
             {
                 "h": h,
                 "s": s,
-                "label": label,
+                "label": sup.labels[h][s],
                 "coords": [float(v) for v in coords],
                 "mass": float(slot["mass"]),
                 "size": None,
@@ -187,33 +184,24 @@ def _class_points(model: BiplotModel, centers_by_row: np.ndarray) -> list[dict]:
     return out
 
 
-def _common_class_label(model: BiplotModel, rows: list[int]) -> str:
-    labels = [model.row_labels[i] for i in rows]
-    prefix = os.path.commonprefix(labels)
-    return prefix if prefix else labels[0]
-
-
 def build_archive(
     config: dict,
     solution: MsccaSolution,
     model: BiplotModel,
-    comparison: ResidualComparison | None,
-    class_sizes: dict[tuple[int, int], int],
+    comparison: ResidualComparison,
 ) -> dict:
     """Assemble the JSON archive for a clustering fit.
 
-    ``model`` must carry residuals and coordinates (display order);
-    ``class_sizes`` maps (h, s) to member counts for label sizing.
+    ``model`` must carry residuals and coordinates (display order).
     """
     assignment = solution.assignment
     sup = assignment.sup
-    first = assignment.spec.first_rows
-    g_rows = [first[h][s] + k for h, s, k in model.row_index]
-    centers_by_row = solution.centers[g_rows]
+    centers_by_row = solution.centers[model.rows]
     sizes = np.bincount(assignment.rows.ravel(), minlength=assignment.spec.k_total)
+    class_sizes = [sup.class_sizes(h) for h in range(sup.n_sup)]
     rows = []
     for i, (h, s, k) in enumerate(model.row_index):
-        size = int(sizes[g_rows[i]])
+        size = int(sizes[model.rows[i]])
         rows.append(
             {
                 "label": model.row_labels[i],
@@ -221,7 +209,7 @@ def build_archive(
                 "class": sup.labels[h][s],
                 "cluster": int(k),
                 "size": size,
-                "share": size / class_sizes[(h, s)],
+                "share": size / int(class_sizes[h][s]),
                 "mass": float(model.row_masses[i]),
                 "coords": [float(v) for v in model.row_coords[i]],
             }
@@ -234,7 +222,7 @@ def build_archive(
         }
         for j in range(len(model.col_labels))
     ]
-    archive = {
+    return {
         "format": ARCHIVE_FORMAT,
         "version": __version__,
         "config": config,
@@ -252,12 +240,10 @@ def build_archive(
             "gamma": float(model.gamma),
             "clusters": rows,
             "categories": categories,
-            "classes": _class_points(model, centers_by_row),
+            "classes": _class_points(model, centers_by_row, sup),
         },
+        "residuals": list(comparison.records),
     }
-    if comparison is not None:
-        archive["residuals"] = list(comparison.records)
-    return archive
 
 
 def coords_rows(archive: dict) -> list[list]:

@@ -23,15 +23,16 @@ from .data import (
 from .errors import DegenerateGeometryError, MassError, ShapeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiplotModel:
     """Scaled cluster-by-category table with masses, residuals, and
     (once attached) display coordinates.
 
-    ``row_index`` records the (h, class, cluster) triple behind each row;
-    rows may be ordered naturally or by descending cluster size within
-    class (the display convention: label "X1" is the largest cluster of
-    class X).  ``gamma`` is the accumulated spread-rescaling factor.
+    ``row_index`` records the (h, class, cluster) triple behind each row
+    and ``rows`` its row of the solver's stacked center matrix G; rows may
+    be ordered naturally or by descending cluster size within class (the
+    display convention: label "X1" is the largest cluster of class X).
+    ``gamma`` is the accumulated spread-rescaling factor.
     """
 
     table: np.ndarray
@@ -40,6 +41,7 @@ class BiplotModel:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     row_index: tuple[tuple[int, int, int], ...]
+    rows: np.ndarray
     residuals: np.ndarray | None = None
     row_coords: np.ndarray | None = None
     col_coords: np.ndarray | None = None
@@ -85,6 +87,7 @@ def contingency(
         row_labels=tuple(labels),
         col_labels=dataset.column_labels,
         row_index=tuple(index),
+        rows=np.array(rows, dtype=np.int64),
     )
 
 
@@ -105,8 +108,8 @@ def biplot_coordinates(
 ) -> BiplotModel:
     """Attach row coordinates D_r^{1/2} G and column coordinates D_c^{1/2} B.
 
-    ``centers`` is the solver's stacked center matrix in natural
-    (h, class, cluster) order; rows are permuted to the model's ordering.
+    ``centers`` is the solver's stacked center matrix G; ``model.rows``
+    picks each display row's center.
     Their inner products are the best rank-p approximation of the
     standardized residuals for the model's assignment.
     """
@@ -121,12 +124,8 @@ def biplot_coordinates(
         )
     if centers.shape[1] != quantifications.shape[1]:
         raise ShapeError("centers and quantifications disagree on p")
-    # Natural position of each (h, s, cluster) triple, i.e. its row in the
-    # solver's stacked center matrix.
-    natural = {t: i for i, t in enumerate(sorted(model.row_index))}
-    perm = np.array([natural[t] for t in model.row_index], dtype=np.int64)
     work = model if model.residuals is not None else standardized_residuals(model)
-    row_coords = np.sqrt(work.row_masses)[:, None] * centers[perm]
+    row_coords = np.sqrt(work.row_masses)[:, None] * centers[model.rows]
     col_coords = np.sqrt(work.col_masses)[:, None] * quantifications
     return replace(work, row_coords=row_coords, col_coords=col_coords, gamma=1.0)
 
@@ -153,35 +152,35 @@ def rescale_spread(model: BiplotModel) -> BiplotModel:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualComparison:
-    """Standardized residuals of the class-level (averaged) table next to
-    the cluster-level table, with long-format records for rendering."""
+    """Standardized residuals of the class-level (averaged) table, with
+    long-format records of it and of the fit's cluster-level table."""
 
     averaging: BiplotModel
-    clustered: BiplotModel
     records: tuple[dict, ...]
 
 
 def residual_comparison(
     dataset: CategoricalDataset,
     sup: SupplementaryData,
-    solution,
+    clustered: BiplotModel,
 ) -> ResidualComparison:
     """Residual tables of the averaging table (one row per class) and the
     cluster table (one row per cluster), both on the 1/(N H m) scaling.
 
-    ``solution`` is a converged fit (or a bare assignment).  Each record
-    carries its class label so an averaging row can be mapped to the
-    cluster rows that partition it.
+    ``clustered`` is the fit's standardized cluster model; only the
+    averaging table is counted here.  Each record carries its class label
+    so an averaging row can be mapped to the cluster rows that partition
+    it.  Raises ``ShapeError`` when the model's classes are not those of
+    ``sup``.
     """
-    assignment: HierarchicalAssignment = getattr(solution, "assignment", solution)
-    if assignment.sup is not sup and not np.array_equal(assignment.sup.codes, sup.codes):
-        raise ShapeError("assignment does not belong to the given supplementary data")
+    classes = {(h, s) for h in range(sup.n_sup) for s in range(sup.r[h])}
+    if {(h, s) for h, s, _k in clustered.row_index} != classes:
+        raise ShapeError("cluster model does not cover the classes of the supplementary data")
     averaging = standardized_residuals(
         contingency(HierarchicalAssignment.by_class(sup), dataset, order="size")
     )
-    clustered = standardized_residuals(contingency(assignment, dataset, order="size"))
     records: list[dict] = []
     for name, model in (("averaging", averaging), ("mscca", clustered)):
         for i, (h, s, _k) in enumerate(model.row_index):
@@ -195,6 +194,4 @@ def residual_comparison(
                         "value": float(model.residuals[i, j]),
                     }
                 )
-    return ResidualComparison(
-        averaging=averaging, clustered=clustered, records=tuple(records)
-    )
+    return ResidualComparison(averaging=averaging, records=tuple(records))

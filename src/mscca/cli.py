@@ -305,26 +305,18 @@ def _write_exports(out_dir: Path, archive: dict, exports: tuple[str, ...]) -> No
             residual_rows(archive),
         )
     if "svg" in exports:
-        _atomic_write(out_dir / "biplot.svg", render_scatter(_archive_points(archive), title=""))
+        _atomic_write(out_dir / "biplot.svg", render_scatter(_archive_points(archive)))
 
 
 def _clustering_archive(echo: dict, dataset, solution) -> dict:
-    """Biplot, residual comparison and archive of a clustering fit."""
-    sup = solution.assignment.sup
+    """Biplot, residual comparison and archive of a clustering fit, all
+    read from one count of the fit's cluster table."""
+    clustered = standardized_residuals(contingency(solution.assignment, dataset))
     model = rescale_spread(
-        biplot_coordinates(
-            standardized_residuals(contingency(solution.assignment, dataset, order="size")),
-            solution.centers,
-            solution.quantifications,
-        )
+        biplot_coordinates(clustered, solution.centers, solution.quantifications)
     )
-    comparison = residual_comparison(dataset, sup, solution)
-    class_sizes = {
-        (h, s): int(sup.class_sizes(h)[s])
-        for h in range(sup.n_sup)
-        for s in range(sup.r[h])
-    }
-    return build_archive(echo, solution, model, comparison, class_sizes)
+    comparison = residual_comparison(dataset, solution.assignment.sup, clustered)
+    return build_archive(echo, solution, model, comparison)
 
 
 def cmd_fit(args) -> int:

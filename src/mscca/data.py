@@ -119,7 +119,7 @@ def _compact_codes(
     return out, tuple(kept)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoricalDataset:
     """N observations of m categorical variables, integer coded.
 
@@ -233,7 +233,7 @@ def encode_dataset(
     return CategoricalDataset(codes=codes, labels=labels, names=names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupplementaryData:
     """Class memberships for H supplementary variables, integer coded.
 
@@ -381,7 +381,7 @@ class ClusterSpec:
                     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierarchicalAssignment:
     """Per-variable cluster membership obeying the two-level constraint:
     each observation sits in exactly one cluster inside its observed class.

@@ -24,7 +24,7 @@ class Tolerances:
 TOL = Tolerances()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymEigResult:
     """Top eigenpairs of a symmetric matrix.
 

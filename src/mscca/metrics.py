@@ -121,8 +121,8 @@ class KlCurve:
     ``w_values[i]`` is the dispersion at ``k_values[i]`` (for these fits,
     N * H * m times the objective at the multistart optimum).  ``nu`` is
     the effective dimensionality in the index exponent; distances live in
-    the p-dimensional quantified space, so ``nu = p`` is the default, with
-    the raw variable count available as an alternative.
+    the p-dimensional quantified space, so ``select_k_per_class`` uses
+    ``nu = p``.
     """
 
     k_values: tuple[int, ...]
@@ -178,7 +178,6 @@ def select_k_per_class(
     sup: SupplementaryData,
     k_max: int,
     options=None,
-    nu: float | None = None,
 ) -> dict[tuple[int, int], ClassSelection]:
     """Per-class cluster counts via flat cluster fits on class-restricted data.
 
@@ -201,7 +200,6 @@ def select_k_per_class(
                     f"k_max={k_max} exceeds the {size} members of class "
                     f"{sup.labels[h][s]!r} of {sup.names[h]!r}"
                 )
-    exponent = float(nu) if nu is not None else float(options.p)
     out: dict[tuple[int, int], ClassSelection] = {}
     for h in range(sup.n_sup):
         for s in range(sup.r[h]):
@@ -212,6 +210,8 @@ def select_k_per_class(
             for k in range(2, k_max + 1):
                 fit = fit_cluster_ca(sub, k, options)
                 w.append(n_c * m * fit.objective)
-            curve = KlCurve(k_values=tuple(range(1, k_max + 1)), w_values=tuple(w), nu=exponent)
+            curve = KlCurve(
+                k_values=tuple(range(1, k_max + 1)), w_values=tuple(w), nu=float(options.p)
+            )
             out[(h, s)] = ClassSelection(chosen=kl_select(curve), curve=curve)
     return out

@@ -66,7 +66,7 @@ class SolverOptions:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MsccaSolution:
     """A converged fit: assignment, centers, quantifications, diagnostics.
 
@@ -427,7 +427,7 @@ def fit_cluster_ca(
     return fit_mscca(dataset, sup, spec, options)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSpec:
     """Which linear row constraint to impose on the object scores.
 

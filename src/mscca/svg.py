@@ -24,7 +24,7 @@ def _font_size(kind: str, share: float | None) -> float:
     return 11.0
 
 
-def render_scatter(points: Sequence[dict], title: str = "") -> str:
+def render_scatter(points: Sequence[dict]) -> str:
     """Render points with keys kind, label, x, y and optional share.
 
     The viewport covers all points plus the origin with an 8% pad; y grows
@@ -54,11 +54,6 @@ def render_scatter(points: Sequence[dict], title: str = "") -> str:
         f'<line x1="{sx(0):.2f}" y1="{sy(y_lo):.2f}" x2="{sx(0):.2f}" y2="{sy(y_hi):.2f}" '
         'stroke="#999" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-size="14" fill="#222">{_escape(title)}</text>'
-        )
     for p in points:
         size = _font_size(p["kind"], p.get("share"))
         parts.append(

@@ -89,6 +89,15 @@ class TestContingency:
         assert model.row_labels == ("x1", "x2")
         assert model.row_index == ((0, 0, 1), (0, 0, 0))
 
+    @pytest.mark.parametrize("order", ["size", "natural"])
+    def test_rows_are_rows_of_g(self, rng, order):
+        ds, sup, spec = random_problem(rng, n_sup=3)
+        asg = init_random(sup, spec, rng)
+        model = contingency(asg, ds, order=order)
+        assert model.rows.shape == (spec.k_total,)
+        for i, (h, s, k) in enumerate(model.row_index):
+            assert model.rows[i] == spec.first_rows[h][s] + k
+
 
 class TestStandardizedResiduals:
     def test_independent_table_zero(self):
@@ -101,6 +110,7 @@ class TestStandardizedResiduals:
             row_labels=("r1", "r2"),
             col_labels=("c1", "c2"),
             row_index=((0, 0, 0), (0, 1, 0)),
+            rows=np.arange(2),
         )
         out = standardized_residuals(model)
         assert_allclose(out.residuals, np.zeros((2, 2)), atol=1e-14)
@@ -116,6 +126,7 @@ class TestStandardizedResiduals:
             row_labels=("r1", "r2"),
             col_labels=("c1", "c2"),
             row_index=((0, 0, 0), (0, 0, 1)),
+            rows=np.arange(2),
         )
         out = standardized_residuals(model)
         assert_allclose(out.residuals, [[0.3, -0.3], [-0.3, 0.3]], atol=1e-12)
@@ -131,6 +142,7 @@ class TestStandardizedResiduals:
                     row_labels=("a", "b"),
                     col_labels=("c", "d"),
                     row_index=((0, 0, 0), (0, 0, 1)),
+                    rows=np.arange(2),
                 )
             )
         assert_allclose(build(table).residuals, build(table[::-1]).residuals[::-1])
@@ -155,6 +167,7 @@ class TestStandardizedResiduals:
             row_labels=("a", "b"),
             col_labels=("c", "d"),
             row_index=((0, 0, 0), (0, 0, 1)),
+            rows=np.arange(2),
         )
         with pytest.raises(MassError):
             standardized_residuals(model)
@@ -220,6 +233,7 @@ class TestRescaleSpread:
             row_labels=tuple(f"r{i}" for i in range(k)),
             col_labels=tuple(f"c{j}" for j in range(q)),
             row_index=tuple((0, 0, i) for i in range(k)),
+            rows=np.arange(k),
             residuals=np.zeros((k, q)),
             row_coords=rows,
             col_coords=cols,
@@ -261,22 +275,25 @@ class TestResidualComparison:
         asg = HierarchicalAssignment(
             sup=sup, spec=spec, clusters=np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
         )
-        comp = residual_comparison(ds, sup, asg)
-        assert_allclose(comp.averaging.residuals, comp.clustered.residuals, atol=1e-12)
+        clustered = standardized_residuals(contingency(asg, ds))
+        comp = residual_comparison(ds, sup, clustered)
+        assert_allclose(comp.averaging.residuals, clustered.residuals, atol=1e-12)
 
     def test_splitting_concentrates_deviations(self):
         ds, sup, truth = generate_illustration()
-        comp = residual_comparison(ds, sup, truth)
-        assert np.abs(comp.clustered.residuals).max() >= np.abs(comp.averaging.residuals).max()
+        clustered = standardized_residuals(contingency(truth, ds))
+        comp = residual_comparison(ds, sup, clustered)
+        assert np.abs(clustered.residuals).max() >= np.abs(comp.averaging.residuals).max()
 
     def test_class_mass_additivity(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = init_random(sup, spec, rng)
-        comp = residual_comparison(ds, sup, asg)
+        clustered = standardized_residuals(contingency(asg, ds))
+        comp = residual_comparison(ds, sup, clustered)
         for i, (h, s, _k) in enumerate(comp.averaging.row_index):
             cluster_mass = sum(
-                comp.clustered.row_masses[j]
-                for j, (h2, s2, _k2) in enumerate(comp.clustered.row_index)
+                clustered.row_masses[j]
+                for j, (h2, s2, _k2) in enumerate(clustered.row_index)
                 if (h2, s2) == (h, s)
             )
             assert comp.averaging.row_masses[i] == pytest.approx(cluster_mass, abs=1e-12)
@@ -284,13 +301,26 @@ class TestResidualComparison:
     def test_records_cover_both_methods(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = init_random(sup, spec, rng)
-        comp = residual_comparison(ds, sup, asg)
+        clustered = standardized_residuals(contingency(asg, ds))
+        comp = residual_comparison(ds, sup, clustered)
         methods = {rec["method"] for rec in comp.records}
         assert methods == {"averaging", "mscca"}
-        expected = (len(comp.averaging.row_labels) + len(comp.clustered.row_labels)) * len(
+        expected = (len(comp.averaging.row_labels) + len(clustered.row_labels)) * len(
             comp.averaging.col_labels
         )
         assert len(comp.records) == expected
+
+    def test_model_of_other_classes_rejected(self, rng):
+        ds, sup, spec = random_problem(rng, n_sup=2, r=3)
+        first = type(sup)(codes=sup.codes[:, :1], labels=sup.labels[:1], names=sup.names[:1])
+        fewer = standardized_residuals(
+            contingency(init_random(first, ClusterSpec(spec.counts[:1]), rng), ds)
+        )
+        full = standardized_residuals(contingency(init_random(sup, spec, rng), ds))
+        with pytest.raises(ShapeError):
+            residual_comparison(ds, sup, fewer)
+        with pytest.raises(ShapeError):
+            residual_comparison(ds, first, full)
 
 
 class TestIllustrationBiplot:

@@ -66,6 +66,24 @@ class TestFit:
         )
         assert abs(phi - archive["solution"]["objective"]) < 1e-10
 
+    def test_cluster_table_counted_once_for_the_archive(
+        self, illustration_csv, tmp_path, monkeypatch
+    ):
+        import mscca.biplot
+
+        real = mscca.biplot.cluster_counts
+        rows = []
+
+        def recording_counts(assignment, dataset):
+            counts, sizes = real(assignment, dataset)
+            rows.append(counts.shape[0])
+            return counts, sizes
+
+        monkeypatch.setattr(mscca.biplot, "cluster_counts", recording_counts)
+        assert run_fit(illustration_csv, tmp_path / "out") == 0
+        # the fit's 9 cluster rows once, then the 4-class averaging table
+        assert rows == [9, 4]
+
     def test_byte_identical_reruns(self, illustration_csv, tmp_path):
         assert run_fit(illustration_csv, tmp_path / "a") == 0
         assert run_fit(illustration_csv, tmp_path / "b") == 0

@@ -313,6 +313,22 @@ class TestSupplementaryData:
             SupplementaryData(codes=np.zeros((3, 0), dtype=np.int64), labels=(), names=())
 
 
+class TestIdentityEquality:
+    def test_equal_content_copies_are_distinct_keys(self, rng):
+        ds, sup, spec = random_problem(rng)
+        asg = random_assignment(rng, sup, spec)
+        copies = [
+            (ds, CategoricalDataset(codes=ds.codes.copy(), labels=ds.labels, names=ds.names)),
+            (sup, SupplementaryData(codes=sup.codes.copy(), labels=sup.labels, names=sup.names)),
+            (asg, HierarchicalAssignment(sup=sup, spec=spec, clusters=asg.clusters.copy())),
+        ]
+        for item, copy in copies:
+            assert item == item
+            assert item != copy
+            table = {item: 1, copy: 2}
+            assert table[item] == 1 and table[copy] == 2
+
+
 class TestCsvIngestion:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
