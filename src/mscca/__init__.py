@@ -13,9 +13,8 @@ from .data import (
     encode_dataset,
     encode_supplementary,
     read_csv_dataset,
-    validate_assignment,
 )
-from .linalg import TOL, SymEigResult, Tolerances, center_columns, mass_scale, sym_eig_top
+from .linalg import TOL, SymEigResult, Tolerances, mass_scale, sym_eig_top
 from .solver import (
     ConstrainedFit,
     ConstraintSpec,

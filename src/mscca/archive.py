@@ -197,11 +197,10 @@ def build_archive(
     assignment = solution.assignment
     sup = assignment.sup
     centers_by_row = solution.centers[model.rows]
-    sizes = np.bincount(assignment.rows.ravel(), minlength=assignment.spec.k_total)
     class_sizes = [sup.class_sizes(h) for h in range(sup.n_sup)]
     rows = []
     for i, (h, s, k) in enumerate(model.row_index):
-        size = int(sizes[model.rows[i]])
+        size = int(model.sizes[i])
         rows.append(
             {
                 "label": model.row_labels[i],

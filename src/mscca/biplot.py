@@ -28,10 +28,11 @@ class BiplotModel:
     """Scaled cluster-by-category table with masses, residuals, and
     (once attached) display coordinates.
 
-    ``row_index`` records the (h, class, cluster) triple behind each row
-    and ``rows`` its row of the solver's stacked center matrix G; rows may
-    be ordered naturally or by descending cluster size within class (the
-    display convention: label "X1" is the largest cluster of class X).
+    ``row_index`` records the (h, class, cluster) triple behind each row,
+    ``rows`` its row of the solver's stacked center matrix G and ``sizes``
+    its cluster's member count; rows may be ordered naturally or by
+    descending cluster size within class (the display convention: label
+    "X1" is the largest cluster of class X).
     ``gamma`` is the accumulated spread-rescaling factor.
     """
 
@@ -42,6 +43,7 @@ class BiplotModel:
     col_labels: tuple[str, ...]
     row_index: tuple[tuple[int, int, int], ...]
     rows: np.ndarray
+    sizes: np.ndarray
     residuals: np.ndarray | None = None
     row_coords: np.ndarray | None = None
     col_coords: np.ndarray | None = None
@@ -80,6 +82,7 @@ def contingency(
                 base = sup.labels[h][s]
                 labels.append(base if k == 1 else f"{base}{rank_of[int(c)]}")
     table = counts[rows] / (n * n_sup * m)
+    rows = np.array(rows, dtype=np.int64)
     return BiplotModel(
         table=table,
         row_masses=table.sum(axis=1),
@@ -87,7 +90,8 @@ def contingency(
         row_labels=tuple(labels),
         col_labels=dataset.column_labels,
         row_index=tuple(index),
-        rows=np.array(rows, dtype=np.int64),
+        rows=rows,
+        sizes=sizes[rows],
     )
 
 

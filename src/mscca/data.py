@@ -387,11 +387,10 @@ class HierarchicalAssignment:
     each observation sits in exactly one cluster inside its observed class.
 
     ``clusters[i, h]`` is the within-class cluster index of observation
-    ``i`` under supplementary variable ``h``.  Indicator matrices are
-    materialized on demand; columns of U_h are ordered by class, then by
-    cluster index, and the stacked U is block diagonal over h in the same
-    order (this "natural" row order is also the order of the solver's
-    center matrix G).
+    ``i`` under supplementary variable ``h``.  Columns of the indicator
+    U_h are ordered by class, then by cluster index, and the stacked U is
+    block diagonal over h in the same order (this "natural" row order is
+    also the order of the solver's center matrix G).
     """
 
     sup: SupplementaryData
@@ -428,20 +427,6 @@ class HierarchicalAssignment:
         first = self.spec.first_rows
         offsets = np.stack([first[h][self.sup.codes[:, h]] for h in range(self.n_sup)], axis=1)
         return _freeze(offsets + self.clusters)
-
-    def column_index(self, h: int) -> np.ndarray:
-        """Column of U_h indicated by each observation."""
-        return self.rows[:, h] - self.spec.first_rows[h][0]
-
-    def cluster_sizes(self, h: int) -> np.ndarray:
-        return np.bincount(self.column_index(h), minlength=self.spec.k_per_variable[h])
-
-    def indicator(self, h: int) -> np.ndarray:
-        """U_h as a dense N x K_h 0/1 matrix."""
-        n, k_h = self.n_obs, self.spec.k_per_variable[h]
-        u = np.zeros((n, k_h))
-        u[np.arange(n), self.column_index(h)] = 1.0
-        return u
 
     def with_clusters(self, clusters: np.ndarray) -> "HierarchicalAssignment":
         return HierarchicalAssignment(sup=self.sup, spec=self.spec, clusters=clusters)
@@ -500,46 +485,6 @@ def build_assignment(
                 )
             clusters[i, h] = k
     return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
-
-
-def validate_assignment(
-    matrices: "HierarchicalAssignment | Sequence[np.ndarray]",
-    sup: SupplementaryData,
-    spec: ClusterSpec | None = None,
-) -> list[tuple[int, int, str]]:
-    """Report violations of the hierarchical indicator constraint.
-
-    Accepts either an assignment object or raw per-variable indicator
-    matrices.  Returns one ``(h, i, message)`` entry per offending row;
-    an empty list means the constraint holds everywhere.
-    """
-    if isinstance(matrices, HierarchicalAssignment):
-        spec = matrices.spec
-        matrices = [matrices.indicator(h) for h in range(matrices.n_sup)]
-    if spec is None:
-        raise ShapeError("a ClusterSpec is required with raw indicator matrices")
-    violations: list[tuple[int, int, str]] = []
-    for h, u in enumerate(matrices):
-        u = np.asarray(u)
-        k_h = spec.k_per_variable[h]
-        if u.shape != (sup.n_obs, k_h):
-            raise ShapeError(f"U_{h} must be {sup.n_obs} x {k_h}, got {u.shape}")
-        offsets = spec.first_rows[h] - spec.first_rows[h][0]
-        for i in range(sup.n_obs):
-            row = u[i]
-            if not np.isin(row, (0.0, 1.0)).all():
-                violations.append((h, i, "entries must be 0 or 1"))
-                continue
-            ones = np.flatnonzero(row == 1.0)
-            if ones.size != 1:
-                violations.append((h, i, f"row indicates {ones.size} clusters, expected 1"))
-                continue
-            s = int(sup.codes[i, h])
-            lo = offsets[s]
-            hi = lo + spec.k_of(h, s)
-            if not lo <= ones[0] < hi:
-                violations.append((h, i, "cluster indicated outside the observed class"))
-    return violations
 
 
 def _csv_line(path: Path, index: int) -> int:

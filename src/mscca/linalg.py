@@ -1,5 +1,6 @@
-"""Matrix primitives used by the solver: centering, symmetric
-eigendecomposition with a fixed sign convention, and mass scaling.
+"""Matrix primitives used by the solver: symmetric eigendecomposition
+with a fixed sign convention (directly, or through the smaller Gram
+matrix of a factor), and mass scaling.
 
 The eigensolver's numerical tolerances live in one place (``TOL``).
 """
@@ -37,15 +38,6 @@ class SymEigResult:
     vectors: np.ndarray
 
 
-def center_columns(matrix: np.ndarray) -> np.ndarray:
-    """Remove the column means: returns ``J @ matrix`` for the usual
-    centering projector J.  Idempotent; constant columns map to zero."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
-        raise ShapeError(f"expected a non-empty 2-d matrix, got shape {matrix.shape}")
-    return matrix - matrix.mean(axis=0, keepdims=True)
-
-
 def _sign_fix(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flip columns so the largest-magnitude entry is positive; return the
     flipped matrix and the pivot row index of each column."""
@@ -76,13 +68,42 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     S = 0.5 * (S + S.T)
 
     values, vectors = np.linalg.eigh(S)
-    values = values[::-1]
-    vectors = vectors[:, ::-1]
-    vectors, pivots = _sign_fix(vectors)
+    return _ordered_top(values[::-1], vectors[:, ::-1], p)
 
-    # Stable ordering inside tied groups by pivot index: a group starts
-    # wherever the relative gap to the previous eigenvalue exceeds the tie
-    # tolerance.
+
+def gram_eig_top(factor: np.ndarray, p: int) -> SymEigResult | None:
+    """Top-``p`` eigenpairs of F'F from the eigendecomposition of F F'.
+
+    For a K x Q factor F with K < Q the K x K problem is the cheap one:
+    every eigenvector u of F F' with eigenvalue lambda > 0 maps to the unit
+    eigenvector F'u / sqrt(lambda) of F'F with the same eigenvalue.  The
+    eigenvalues positive beyond the tie tolerance are mapped back (each
+    column scaled to unit length) and get the sign convention and tie
+    order of ``sym_eig_top``.  Returns ``None`` when fewer than ``p`` are;
+    the rest of the spectrum of F'F is zero, and its vectors only the
+    Q x Q problem defines.
+    """
+    F = np.asarray(factor, dtype=float)
+    values, u = np.linalg.eigh(F @ F.T)
+    values = values[::-1]
+    # Descending, so the eigenvalues clear of the zero group form a prefix.
+    kept = int(np.count_nonzero(values > TOL.eig_tie_rel * np.maximum(1.0, values)))
+    if kept < p:
+        return None
+    vectors = F.T @ u[:, ::-1][:, :kept]
+    vectors /= np.linalg.norm(vectors, axis=0)
+    return _ordered_top(values[:kept], vectors, p)
+
+
+def _ordered_top(values: np.ndarray, vectors: np.ndarray, p: int) -> SymEigResult:
+    """The first ``p`` of descending eigenpairs, each vector sign-fixed.
+
+    Within a group of numerically tied eigenvalues (relative gap below
+    ``TOL.eig_tie_rel``) the vectors are ordered by their sign-convention
+    pivot index: a group starts wherever the relative gap to the previous
+    eigenvalue exceeds the tie tolerance.
+    """
+    vectors, pivots = _sign_fix(vectors)
     scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
     breaks = np.abs(np.diff(values)) > TOL.eig_tie_rel * scale
     group = np.concatenate(([0], np.cumsum(breaks)))

@@ -9,8 +9,9 @@ variables h,
 subject to the quantification normalization
 (1/(N H m)) sum_j B_j' Z_j^H' Z_j^H B_j = I_p and centered cluster scores.
 Each cycle refreshes the quantifications B (an eigenproblem on the
-mass-scaled between-cluster cross-product), recenters G, and reassigns
-observations to their nearest center inside their own class.
+mass-scaled between-cluster cross-product, solved through its K x K
+cluster Gram matrix), recenters G, and reassigns observations to their
+nearest center inside their own class.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .data import (
     cluster_counts,
 )
 from .errors import EmptyClusterError, ProjectorError, ShapeError, SpecError
-from .linalg import mass_scale, sym_eig_top
+from .linalg import gram_eig_top, mass_scale, sym_eig_top
 
 # Final objectives this close (relative) to the best count as ties, which
 # go to the lowest start index.
@@ -183,11 +184,37 @@ def update_B(
     scaling uses the stacked masses D (category counts times H), so the
     constraint (1/(N H m)) sum_j B_j' Z_j^H' Z_j^H B_j = I_p holds for
     every H, not only the single-set case; H is the assignment's count of
-    supplementary variables.
+    supplementary variables.  This is the B-step every fit cycle runs.
     """
     table, sizes = cluster_counts(assignment, dataset)
-    target = _between_target(table, sizes, assignment.spec, dataset)
-    return _quantify(target, dataset, assignment.n_sup, p)
+    return _between_quantify(table, sizes, assignment.spec, dataset, assignment.n_sup, p)
+
+
+def _between_quantify(
+    table: np.ndarray,
+    sizes: np.ndarray,
+    spec: ClusterSpec,
+    dataset: CategoricalDataset,
+    n_stack: int,
+    p: int,
+) -> np.ndarray:
+    """The B-step from the count table.
+
+    The mass-scaled target is F'F for the K x Q factor F whose row k is
+    (table_k - n_k mu) / sqrt(n_k), columns scaled by D^{-1/2} / sqrt(m).
+    Its rank is at most K - H, so the eigenproblem is solved on the K x K
+    matrix F F' (``gram_eig_top``).  When fewer than p of its eigenvalues
+    are clearly positive (a flat K = 2 fit at p = 2, say) the remaining
+    columns lie in the null space, which only the Q x Q problem defines:
+    that case falls back to ``_quantify`` on ``_between_target``.
+    """
+    n, m = dataset.n_obs, dataset.n_vars
+    d = (dataset.counts * n_stack).astype(float)
+    centered = (table - sizes[:, None] * dataset.column_means) / np.sqrt(sizes)[:, None]
+    eig = gram_eig_top(centered / np.sqrt(d * m), p)
+    if eig is None:
+        return _quantify(_between_target(table, sizes, spec, dataset), dataset, n_stack, p)
+    return float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
 
 
 def _between_target(
@@ -318,10 +345,12 @@ def _run_start(
     """One initialization driven to convergence.
 
     The trace records the objective after each centering update, where
-    the centers are exact for the current assignment; the assignment step
-    keeps the previous (feasible) assignment whenever an empty-cluster
-    repair would have pushed the objective up, so the trace never
-    increases beyond float jitter.
+    the centers are exact for the current assignment, so it reads
+    phi = p - psi / (N H m^2) from the cluster sizes and centers; the
+    final entry is replaced by the direct residual sum ``objective_phi``.
+    The assignment step keeps the previous (feasible) assignment whenever
+    an empty-cluster repair would have pushed the objective up, so the
+    trace never increases beyond float jitter.
     """
     assignment = init_random(sup, spec, rng)
     table, sizes = cluster_counts(assignment, dataset)
@@ -329,12 +358,11 @@ def _run_start(
     converged = False
     centers = quantifications = None
     for t in range(options.max_iter):
-        target = _between_target(table, sizes, spec, dataset)
-        quantifications = _quantify(target, dataset, sup.n_sup, options.p)
+        quantifications = _between_quantify(table, sizes, spec, dataset, sup.n_sup, options.p)
         scores = object_scores(dataset, quantifications)
         centers = _centroids(table, sizes, dataset, quantifications)
-        phi = objective_phi(assignment, centers, quantifications, dataset)
-        trace.append(phi)
+        spread = float((sizes[:, None] * centers * centers).sum())
+        trace.append(options.p - spread / (dataset.n_obs * sup.n_sup))
         if t > 0 and trace[-2] - trace[-1] < options.epsilon:
             converged = True
             break
@@ -346,9 +374,12 @@ def _run_start(
             assignment = candidate
         except EmptyClusterError:
             repaired = repair_empty_clusters(candidate, scores, centers)
-            if objective_phi(repaired, centers, quantifications, dataset) <= phi:
+            if objective_phi(repaired, centers, quantifications, dataset) <= objective_phi(
+                assignment, centers, quantifications, dataset
+            ):
                 assignment = repaired
                 table, sizes = cluster_counts(assignment, dataset)
+    trace[-1] = objective_phi(assignment, centers, quantifications, dataset)
     return _StartResult(
         assignment=assignment,
         centers=centers,

@@ -14,6 +14,7 @@ from mscca import (
     ConstraintSpec,
     HierarchicalAssignment,
     SupplementaryData,
+    cluster_counts,
 )
 from mscca.errors import (
     EmptyClusterError,
@@ -23,7 +24,7 @@ from mscca.errors import (
     SpecError,
 )
 from mscca.linalg import sym_eig_top
-from mscca.solver import ConstrainedFit
+from mscca.solver import ConstrainedFit, _between_target, _quantify
 
 # Property tests draw the same examples on every run and write no example
 # database into the checkout.
@@ -156,13 +157,79 @@ def z_full_stacked(dataset: CategoricalDataset, n_stack: int) -> np.ndarray:
 
 def z_centered(dataset: CategoricalDataset) -> np.ndarray:
     """Column-centered Z (each replicate block of J Z^H equals this)."""
-    z = z_full(dataset)
-    return z - z.mean(axis=0, keepdims=True)
+    return center_columns(z_full(dataset))
+
+
+def center_columns(matrix: np.ndarray) -> np.ndarray:
+    """Remove the column means: returns ``J @ matrix`` for the usual
+    centering projector J.  Idempotent; constant columns map to zero."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] < 1:
+        raise ShapeError(f"expected a non-empty 2-d matrix, got shape {matrix.shape}")
+    return matrix - matrix.mean(axis=0, keepdims=True)
+
+
+def column_index(assignment: HierarchicalAssignment, h: int) -> np.ndarray:
+    """Column of U_h indicated by each observation."""
+    return assignment.rows[:, h] - assignment.spec.first_rows[h][0]
+
+
+def cluster_sizes(assignment: HierarchicalAssignment, h: int) -> np.ndarray:
+    """Member count of each column of U_h."""
+    return np.bincount(column_index(assignment, h), minlength=assignment.spec.k_per_variable[h])
+
+
+def indicator(assignment: HierarchicalAssignment, h: int) -> np.ndarray:
+    """U_h as a dense N x K_h 0/1 matrix."""
+    n, k_h = assignment.n_obs, assignment.spec.k_per_variable[h]
+    u = np.zeros((n, k_h))
+    u[np.arange(n), column_index(assignment, h)] = 1.0
+    return u
+
+
+def validate_assignment(
+    matrices: HierarchicalAssignment | Sequence[np.ndarray],
+    sup: SupplementaryData,
+    spec: ClusterSpec | None = None,
+) -> list[tuple[int, int, str]]:
+    """Report violations of the hierarchical indicator constraint.
+
+    Accepts either an assignment object or raw per-variable indicator
+    matrices.  Returns one ``(h, i, message)`` entry per offending row;
+    an empty list means the constraint holds everywhere.
+    """
+    if isinstance(matrices, HierarchicalAssignment):
+        spec = matrices.spec
+        matrices = [indicator(matrices, h) for h in range(matrices.n_sup)]
+    if spec is None:
+        raise ShapeError("a ClusterSpec is required with raw indicator matrices")
+    violations: list[tuple[int, int, str]] = []
+    for h, u in enumerate(matrices):
+        u = np.asarray(u)
+        k_h = spec.k_per_variable[h]
+        if u.shape != (sup.n_obs, k_h):
+            raise ShapeError(f"U_{h} must be {sup.n_obs} x {k_h}, got {u.shape}")
+        offsets = spec.first_rows[h] - spec.first_rows[h][0]
+        for i in range(sup.n_obs):
+            row = u[i]
+            if not np.isin(row, (0.0, 1.0)).all():
+                violations.append((h, i, "entries must be 0 or 1"))
+                continue
+            ones = np.flatnonzero(row == 1.0)
+            if ones.size != 1:
+                violations.append((h, i, f"row indicates {ones.size} clusters, expected 1"))
+                continue
+            s = int(sup.codes[i, h])
+            lo = offsets[s]
+            hi = lo + spec.k_of(h, s)
+            if not lo <= ones[0] < hi:
+                violations.append((h, i, "cluster indicated outside the observed class"))
+    return violations
 
 
 def stacked_indicator(assignment: HierarchicalAssignment) -> np.ndarray:
     """The NH x K block-diagonal stacked indicator."""
-    blocks = [assignment.indicator(h) for h in range(assignment.n_sup)]
+    blocks = [indicator(assignment, h) for h in range(assignment.n_sup)]
     n, k = assignment.n_obs, assignment.spec.k_total
     u = np.zeros((n * assignment.n_sup, k))
     col = 0
@@ -170,6 +237,29 @@ def stacked_indicator(assignment: HierarchicalAssignment) -> np.ndarray:
         u[h * n : (h + 1) * n, col : col + block.shape[1]] = block
         col += block.shape[1]
     return u
+
+
+def update_B_qxq(
+    assignment: HierarchicalAssignment, dataset: CategoricalDataset, p: int
+) -> np.ndarray:
+    """Oracle for ``update_B``: the Q x Q route, ``sym_eig_top`` on the
+    mass-scaled between-cluster target Z^H' J P_U J Z^H summed from the
+    count table (the B-step of every fit before the K x K route, and the
+    fallback of the K x K route)."""
+    table, sizes = cluster_counts(assignment, dataset)
+    target = _between_target(table, sizes, assignment.spec, dataset)
+    return _quantify(target, dataset, assignment.n_sup, p)
+
+
+def between_spectrum(assignment: HierarchicalAssignment, dataset: CategoricalDataset) -> np.ndarray:
+    """All Q eigenvalues, descending, of the mass-scaled between-cluster
+    target (1/m) D^-1/2 Z^H' J P_U J Z^H D^-1/2, from dense matrices."""
+    u = stacked_indicator(assignment)
+    zc = np.tile(z_centered(dataset), (assignment.n_sup, 1))
+    between = zc.T @ u @ np.linalg.solve(u.T @ u, u.T @ zc)
+    d_isqrt = 1.0 / np.sqrt(dataset.counts * assignment.n_sup)
+    scaled = between * d_isqrt[:, None] * d_isqrt[None, :] / dataset.n_vars
+    return np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[::-1]
 
 
 def _variable_offsets(spec: ClusterSpec) -> np.ndarray:
@@ -257,7 +347,7 @@ def _constraint_basis(cspec: ConstraintSpec, n_obs: int) -> tuple[np.ndarray | N
     if cspec.kind == "membership-projector":
         assignment = cspec.source
         sizes = np.concatenate(
-            [assignment.cluster_sizes(h) for h in range(assignment.n_sup)]
+            [cluster_sizes(assignment, h) for h in range(assignment.n_sup)]
         )
         if np.any(sizes == 0):
             raise ProjectorError("assignment has empty clusters; projector is rank deficient")

@@ -98,6 +98,16 @@ class TestContingency:
         for i, (h, s, k) in enumerate(model.row_index):
             assert model.rows[i] == spec.first_rows[h][s] + k
 
+    @pytest.mark.parametrize("order", ["size", "natural"])
+    def test_sizes_are_member_counts(self, rng, order):
+        ds, sup, spec = random_problem(rng, n_sup=3)
+        asg = init_random(sup, spec, rng)
+        model = contingency(asg, ds, order=order)
+        for i, (h, s, k) in enumerate(model.row_index):
+            members = (sup.codes[:, h] == s) & (asg.clusters[:, h] == k)
+            assert model.sizes[i] == members.sum()
+        assert model.sizes.dtype.kind == "i"
+
 
 class TestStandardizedResiduals:
     def test_independent_table_zero(self):
@@ -111,6 +121,7 @@ class TestStandardizedResiduals:
             col_labels=("c1", "c2"),
             row_index=((0, 0, 0), (0, 1, 0)),
             rows=np.arange(2),
+            sizes=np.array([3, 7]),
         )
         out = standardized_residuals(model)
         assert_allclose(out.residuals, np.zeros((2, 2)), atol=1e-14)
@@ -127,6 +138,7 @@ class TestStandardizedResiduals:
             col_labels=("c1", "c2"),
             row_index=((0, 0, 0), (0, 0, 1)),
             rows=np.arange(2),
+            sizes=np.array([5, 5]),
         )
         out = standardized_residuals(model)
         assert_allclose(out.residuals, [[0.3, -0.3], [-0.3, 0.3]], atol=1e-12)
@@ -143,6 +155,7 @@ class TestStandardizedResiduals:
                     col_labels=("c", "d"),
                     row_index=((0, 0, 0), (0, 0, 1)),
                     rows=np.arange(2),
+                    sizes=np.array([5, 5]),
                 )
             )
         assert_allclose(build(table).residuals, build(table[::-1]).residuals[::-1])
@@ -168,6 +181,7 @@ class TestStandardizedResiduals:
             col_labels=("c", "d"),
             row_index=((0, 0, 0), (0, 0, 1)),
             rows=np.arange(2),
+            sizes=np.array([1, 0]),
         )
         with pytest.raises(MassError):
             standardized_residuals(model)
@@ -234,6 +248,7 @@ class TestRescaleSpread:
             col_labels=tuple(f"c{j}" for j in range(q)),
             row_index=tuple((0, 0, i) for i in range(k)),
             rows=np.arange(k),
+            sizes=np.ones(k, dtype=np.int64),
             residuals=np.zeros((k, q)),
             row_coords=rows,
             col_coords=cols,

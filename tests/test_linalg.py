@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mscca import center_columns, mass_scale, sym_eig_top
+from mscca import mass_scale, sym_eig_top
+from mscca.linalg import gram_eig_top
 from mscca.errors import MassError, ShapeError, SymmetryError
+
+from conftest import center_columns
 
 
 class TestCenterColumns:
@@ -92,6 +95,45 @@ class TestSymEigTop:
         full = sym_eig_top(s, 6)
         gap = np.linalg.norm(s - recon, ord=2)
         assert gap <= full.values[3] + 1e-8
+
+
+class TestGramEigTop:
+    def test_matches_direct_route(self, rng):
+        for _ in range(20):
+            k, q = int(rng.integers(2, 6)), int(rng.integers(6, 12))
+            f = rng.normal(size=(k, q))
+            p = int(rng.integers(1, k + 1))
+            reduced = gram_eig_top(f, p)
+            direct = sym_eig_top(f.T @ f, p)
+            assert_allclose(reduced.values, direct.values, rtol=1e-12)
+            assert_allclose(reduced.vectors, direct.vectors, atol=1e-10)
+
+    def test_unit_orthogonal_vectors(self, rng):
+        f = rng.normal(size=(4, 30))
+        res = gram_eig_top(f, 4)
+        assert_allclose(res.vectors.T @ res.vectors, np.eye(4), atol=1e-12)
+        assert_allclose(f.T @ f @ res.vectors, res.vectors * res.values, atol=1e-10)
+
+    def test_tie_groups_ordered_by_pivot_as_direct_route(self):
+        # F'F = diag(2, 5, 2, 5, 0): the order of sym_eig_top's tie test
+        f = np.zeros((4, 5))
+        f[0, 1] = f[1, 3] = np.sqrt(5.0)
+        f[2, 0] = f[3, 2] = np.sqrt(2.0)
+        res = gram_eig_top(f, 4)
+        assert_allclose(res.values, [5.0, 5.0, 2.0, 2.0])
+        assert_allclose(res.vectors, np.eye(5)[:, [1, 3, 0, 2]], atol=1e-12)
+
+    def test_sign_convention_in_q_space(self, rng):
+        res = gram_eig_top(rng.normal(size=(3, 9)), 3)
+        pivots = np.abs(res.vectors).argmax(axis=0)
+        assert (res.vectors[pivots, np.arange(3)] > 0).all()
+
+    def test_none_when_rank_below_p(self):
+        # rank 1: the second column would come from the null space
+        f = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+        assert gram_eig_top(f, 2) is None
+        assert gram_eig_top(np.zeros((3, 4)), 1) is None
+        assert_allclose(gram_eig_top(f, 1).values, [25.0])
 
 
 class TestMassScale:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import mscca.solver
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -26,9 +28,12 @@ from mscca import (
     update_U,
 )
 from mscca.errors import EmptyClusterError, ProjectorError, SpecError
+from mscca.linalg import TOL
 from mscca.simulation import GenSpec, generate_clustered
 
 from conftest import (
+    between_spectrum,
+    cluster_sizes,
     dense_constrained_fit,
     principal_angles,
     random_assignment,
@@ -36,6 +41,7 @@ from conftest import (
     random_sup,
     repair_empty_clusters_by_class,
     stacked_indicator,
+    update_B_qxq,
     update_U_by_class,
     z_full,
     z_full_stacked,
@@ -150,7 +156,7 @@ class TestIterateInvariants:
             assert np.abs((u @ g).mean(axis=0)).max() < 1e-10
             scores = object_scores(ds, b)
             asg = update_U(scores, g, sup, spec)
-            if any((asg.cluster_sizes(h) == 0).any() for h in range(asg.n_sup)):
+            if any((cluster_sizes(asg, h) == 0).any() for h in range(asg.n_sup)):
                 asg = repair_empty_clusters(asg, scores, g)
 
 
@@ -178,7 +184,7 @@ class TestInitRandom:
             ds, sup, spec = random_problem(rng)
             asg = init_random(sup, spec, rng)
             for h in range(sup.n_sup):
-                assert (asg.cluster_sizes(h) > 0).all()
+                assert (cluster_sizes(asg, h) > 0).all()
 
 
 class TestUpdateB:
@@ -314,7 +320,7 @@ class TestRepairEmptyClusters:
         g = np.zeros((3, 2))
         repaired = repair_empty_clusters(asg, scores, g)
         assert sorted(repaired.clusters[:, 0].tolist()) == [0, 1, 2]
-        assert (repaired.cluster_sizes(0) == 1).all()
+        assert (cluster_sizes(repaired, 0) == 1).all()
 
 
 def assignment_step_case(rng, n_sup, p):
@@ -443,6 +449,36 @@ class TestFitMscca:
         assert sol.objective == pytest.approx(
             objective_phi(sol.assignment, sol.centers, sol.quantifications, ds), abs=1e-12
         )
+
+    def test_trace_replays_with_direct_objectives(self, rng):
+        # Each trace entry is phi at that cycle's exact (B, G); the final
+        # one is the direct residual sum itself, which is what the
+        # multistart compares and reports.
+        ds, sup, spec = random_problem(rng, n=60, n_sup=2, r=3, k_max=3)
+        options = SolverOptions(p=2, n_starts=4, seed=7)
+        sol = fit_mscca(ds, sup, spec, options)
+        seeds = np.random.SeedSequence(options.seed).spawn(options.n_starts)
+        for seed, trace in zip(seeds, sol.start_traces):
+            asg = init_random(sup, spec, np.random.default_rng(seed))
+            for t, value in enumerate(trace):
+                b = update_B(asg, ds, options.p)
+                g = update_G(asg, ds, b)
+                phi = objective_phi(asg, g, b, ds)
+                assert abs(value - phi) <= 1e-12
+                if t == len(trace) - 1:
+                    assert value == phi
+                    break
+                scores = object_scores(ds, b)
+                candidate = update_U(scores, g, sup, spec)
+                if any((cluster_sizes(candidate, h) == 0).any() for h in range(sup.n_sup)):
+                    repaired = repair_empty_clusters(candidate, scores, g)
+                    if objective_phi(repaired, g, b, ds) <= phi:
+                        candidate = repaired
+                    else:
+                        candidate = asg
+                asg = candidate
+        winner = sol.start_traces[sol.start_index]
+        assert sol.objective == winner[-1]
 
     def test_all_single_clusters_match_projector_route(self, rng):
         ds, sup, _ = random_problem(rng, n=40)
@@ -660,3 +696,182 @@ class TestObservationOrderAndMultiplicity:
         phi_rep, psi_rep = _phi_psi(*_rows_taken(ds, sup, asg, repeated), p)
         assert abs(phi_rep - phi) <= 1e-10
         assert abs(psi_rep - copies * psi) <= 1e-10 * copies * abs(psi)
+
+
+def _tied_problem(rng, n_sup, copies):
+    """A balanced full factorial of three 3-category variables, repeated:
+    every supplementary variable either has one class or classes given by
+    variable 1, and clusters are variable 0's categories inside each
+    class.  Variable 2 is independent of the clusters, so the between
+    spectrum is 1/m on variable 0's two dimensions, a multiple of 1/(H m)
+    on variable 1's, and zero elsewhere: exact ties from integer counts."""
+    grid = np.array(np.meshgrid(*[np.arange(3)] * 3, indexing="ij")).reshape(3, -1).T
+    codes = np.tile(grid, (copies, 1))
+    labels = tuple(tuple(f"c{x}" for x in range(3)) for _ in range(3))
+    ds = CategoricalDataset(codes=codes, labels=labels, names=("v0", "v1", "v2"))
+    by_v1 = rng.integers(0, 2, size=n_sup).astype(bool)
+    sup_codes = np.where(by_v1, codes[:, [1]], 0)
+    sup = SupplementaryData(
+        codes=sup_codes,
+        labels=tuple(labels[1] if b else ("all",) for b in by_v1),
+        names=tuple(f"s{h}" for h in range(n_sup)),
+    )
+    spec = ClusterSpec(tuple((3,) * sup.r[h] for h in range(n_sup)))
+    clusters = np.repeat(codes[:, [0]], n_sup, axis=1)
+    return ds, HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
+
+
+def _span_gap(a, b):
+    """Sine of the largest angle between span(a) and its nearest subspace
+    of span(b): zero when span(a) lies inside span(b)."""
+    qa, _ = np.linalg.qr(a)
+    qb, _ = np.linalg.qr(b)
+    return float(np.linalg.norm(qa - qb @ (qb.T @ qa), ord=2))
+
+
+class TestReducedBStep:
+    """The B-step solved on the K x K cluster Gram matrix agrees with the
+    Q x Q eigenproblem it replaces: the same eigenvalues, the same column
+    for every eigenvalue outside a tie (signs follow one convention), the
+    same span for every tied group inside the top p, and columns inside
+    the group's span where a tie straddles p."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sup=st.integers(1, 3),
+        p=st.integers(1, 3),
+        tied=st.booleans(),
+    )
+    def test_agrees_with_q_by_q_route(self, seed, n_sup, p, tied):
+        rng = np.random.default_rng(seed)
+        if tied:
+            ds, asg = _tied_problem(rng, n_sup, copies=int(rng.integers(1, 3)))
+        else:
+            ds, sup, spec = random_problem(rng, n=50, m=4, q=4, n_sup=n_sup, r=2)
+            asg = init_random(sup, spec, rng)
+        reduced = update_B(asg, ds, p)
+        values = between_spectrum(asg, ds)
+        scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
+        starts = np.flatnonzero(np.abs(np.diff(values)) > TOL.eig_tie_rel * scale) + 1
+        bounds = [0, *starts.tolist(), values.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if lo >= p:
+                break
+            direct = update_B_qxq(asg, ds, hi)
+            gap = min(
+                values[lo - 1] - values[lo] if lo > 0 else np.inf,
+                values[hi - 1] - values[hi] if hi < values.size else np.inf,
+            )
+            assert _span_gap(reduced[:, lo : min(hi, p)], direct[:, lo:hi]) <= 1e-12 / gap
+        expected = update_B_qxq(asg, ds, p)
+        assert psi_value(asg, reduced, ds) == pytest.approx(
+            psi_value(asg, expected, ds), rel=1e-12, abs=1e-12
+        )
+
+    def test_tied_spectrum_is_tied(self, rng):
+        ds, asg = _tied_problem(rng, 2, copies=1)
+        values = between_spectrum(asg, ds)
+        assert (np.abs(values[:2] - 1.0 / 3.0) < 1e-12).all()
+        assert (np.abs(values[4:]) < 1e-12).all()
+
+    def test_flat_two_cluster_fit_takes_q_by_q_fallback(self, monkeypatch):
+        # K = 2, H = 1: the between target has rank 1 < p = 2
+        ds, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=60, n_vars=5, seed=3))
+        reduced_results, direct_orders = [], []
+        gram, direct = mscca.solver.gram_eig_top, mscca.solver.sym_eig_top
+
+        def gram_recorded(factor, p):
+            reduced_results.append(gram(factor, p))
+            return reduced_results[-1]
+
+        def direct_recorded(matrix, p):
+            direct_orders.append(len(matrix))
+            return direct(matrix, p)
+
+        monkeypatch.setattr(mscca.solver, "gram_eig_top", gram_recorded)
+        monkeypatch.setattr(mscca.solver, "sym_eig_top", direct_recorded)
+        sol = fit_cluster_ca(ds, 2, SolverOptions(p=2, n_starts=3, seed=5))
+        assert reduced_results and all(r is None for r in reduced_results)
+        assert direct_orders == [ds.total_categories] * len(reduced_results)
+        expected = update_B_qxq(sol.assignment, ds, 2)
+        assert sol.quantifications.tobytes() == expected.tobytes()
+        assert update_B(sol.assignment, ds, 2).tobytes() == expected.tobytes()
+
+    def test_fit_above_the_rank_bound_never_solves_q_by_q(self, rng, monkeypatch):
+        ds, sup, spec = random_problem(rng, n_sup=2, r=2, k_max=3)
+        spec = ClusterSpec.uniform(sup, 2)  # K - H = 6 >= p
+        orders = []
+        direct = mscca.solver.sym_eig_top
+
+        def recorded(matrix, p):
+            orders.append(len(matrix))
+            return direct(matrix, p)
+
+        monkeypatch.setattr(mscca.solver, "sym_eig_top", recorded)
+        sol = fit_mscca(ds, sup, spec, SolverOptions(p=2, n_starts=4, seed=1))
+        assert orders == []
+        assert_allclose(
+            sol.quantifications, update_B_qxq(sol.assignment, ds, 2), atol=1e-10
+        )
+
+
+def _column_signs(a, b):
+    """Per column, the sign s with a[:, j] ~ s * b[:, j]."""
+    return np.where((a * b).sum(axis=0) < 0, -1.0, 1.0)
+
+
+class TestRelabeling:
+    """At a fixed assignment, renaming the categories of a variable or the
+    classes of a supplementary variable is a relabeling of the same
+    problem: phi is unchanged, B's rows move with the categories and G's
+    rows with the classes (columns up to sign)."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sup=st.integers(1, 3),
+        p=st.integers(1, 3),
+    )
+    def test_relabeled_categories_and_classes(self, seed, n_sup, p):
+        rng = np.random.default_rng(seed)
+        ds, sup, spec = random_problem(rng, n=40, m=3, q=4, n_sup=n_sup, r=3, k_max=3)
+        asg = init_random(sup, spec, rng)
+        b = update_B(asg, ds, p)
+        g = update_G(asg, ds, b)
+        phi = objective_phi(asg, g, b, ds)
+
+        j, h = int(rng.integers(ds.n_vars)), int(rng.integers(sup.n_sup))
+        cat = rng.permutation(ds.q[j])  # category c of variable j becomes cat[c]
+        cls = rng.permutation(sup.r[h])  # class s of variable h becomes cls[s]
+        codes = np.array(ds.codes)
+        codes[:, j] = cat[codes[:, j]]
+        labels = list(ds.labels)
+        labels[j] = tuple(np.array(ds.labels[j])[np.argsort(cat)])
+        ds2 = CategoricalDataset(codes=codes, labels=tuple(labels), names=ds.names)
+        sup_codes = np.array(sup.codes)
+        sup_codes[:, h] = cls[sup_codes[:, h]]
+        sup_labels = list(sup.labels)
+        sup_labels[h] = tuple(np.array(sup.labels[h])[np.argsort(cls)])
+        sup2 = SupplementaryData(codes=sup_codes, labels=tuple(sup_labels), names=sup.names)
+        counts = list(spec.counts)
+        counts[h] = tuple(np.array(spec.counts[h])[np.argsort(cls)])
+        spec2 = ClusterSpec(tuple(counts))
+        asg2 = HierarchicalAssignment(sup=sup2, spec=spec2, clusters=asg.clusters)
+
+        b2 = update_B(asg2, ds2, p)
+        g2 = update_G(asg2, ds2, b2)
+        assert abs(objective_phi(asg2, g2, b2, ds2) - phi) <= 1e-10
+
+        if spec.k_total - sup.n_sup < p:
+            return  # columns past the rank come from the null space: not unique
+        b_rows = np.arange(ds.total_categories)
+        b_rows[ds.offsets[j] : ds.offsets[j] + ds.q[j]] = ds.offsets[j] + cat
+        g_rows = np.concatenate(
+            [
+                spec2.first_rows[v][cls[s] if v == h else s] + np.arange(spec.k_of(v, s))
+                for v in range(sup.n_sup)
+                for s in range(sup.r[v])
+            ]
+        )
+        signs = _column_signs(b2[b_rows], b)
+        assert_allclose(b2[b_rows] * signs, b, atol=1e-8)
+        assert_allclose(g2[g_rows] * signs, g, atol=1e-8)
