@@ -287,8 +287,16 @@ class SupplementaryData:
         return cls(codes=codes, labels=kept, names=tuple(names))
 
     def members(self, h: int, s: int) -> np.ndarray:
-        """Indices of the observations in class ``s`` of variable ``h``."""
-        return np.flatnonzero(self.codes[:, h] == s)
+        """Indices of the observations in class ``s`` of variable ``h``
+        (read-only)."""
+        return self._members[h][s]
+
+    @cached_property
+    def _members(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        return tuple(
+            tuple(_freeze(np.flatnonzero(self.codes[:, h] == s)) for s in range(r))
+            for h, r in enumerate(self.r)
+        )
 
     def class_sizes(self, h: int) -> np.ndarray:
         return np.bincount(self.codes[:, h], minlength=self.r[h])
@@ -446,21 +454,38 @@ def cluster_counts(
     sizes, rows in the natural (h, class, cluster) order.
 
     The quantification step, the centers, psi and the biplot table are
-    functions of these two arrays.  Both come from one ``bincount`` over
-    the (cluster row, category column) pairs of all observations,
-    variables and supplementary variables; the sizes are the row sums of
-    the first variable's block.  Raises ``EmptyClusterError`` when a
-    cluster has no members.
+    functions of these two arrays (``stacked_counts`` of the assignment's
+    rows).  Raises ``EmptyClusterError`` when a cluster has no members.
+    """
+    table, sizes = stacked_counts(assignment.rows[None], assignment.spec, dataset)
+    if np.any(sizes == 0):
+        row = int(np.flatnonzero(sizes[0] == 0)[0])
+        raise EmptyClusterError(f"cluster row {row} (h, class, cluster order) is empty")
+    return table[0], sizes[0]
+
+
+def stacked_counts(
+    rows: np.ndarray, spec: ClusterSpec, dataset: CategoricalDataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Count tables of a stack of S assignments, each given by its N x H
+    rows of G (``HierarchicalAssignment.rows``): S x K x Q tables U'Z and
+    S x K cluster sizes.  An empty cluster is a zero row.
+
+    Each supplementary variable's block of rows comes from one
+    ``bincount`` of the (start, cluster, category column) cells of all
+    observations and variables; the sizes are the row sums of the first
+    variable's block.
     """
     cols = dataset.codes + dataset.offsets
-    big_k, big_q = assignment.spec.k_total, dataset.total_categories
-    flat = (assignment.rows[:, :, None] * big_q + cols[:, None, :]).ravel()
-    table = np.bincount(flat, minlength=big_k * big_q).reshape(big_k, big_q)
-    sizes = table[:, : dataset.q[0]].sum(axis=1)
-    if np.any(sizes == 0):
-        row = int(np.flatnonzero(sizes == 0)[0])
-        raise EmptyClusterError(f"cluster row {row} (h, class, cluster order) is empty")
-    return table, sizes
+    n_stack, big_q = len(rows), dataset.total_categories
+    table = np.empty((n_stack, spec.k_total, big_q), dtype=np.int64)
+    bounds = np.cumsum((0, *spec.k_per_variable))
+    for h, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        local = rows[..., h] + ((hi - lo) * np.arange(n_stack) - lo)[:, None]
+        cells = (local[..., None] * big_q + cols).ravel()
+        counts = np.bincount(cells, minlength=n_stack * (hi - lo) * big_q)
+        table[:, lo:hi] = counts.reshape(n_stack, hi - lo, big_q)
+    return table, table[..., : dataset.q[0]].sum(axis=-1)
 
 
 def build_assignment(

@@ -1,6 +1,6 @@
 """Matrix primitives used by the solver: symmetric eigendecomposition
 with a fixed sign convention (directly, or through the smaller Gram
-matrix of a factor), and mass scaling.
+matrices of a stack of factors), and mass scaling.
 
 The eigensolver's numerical tolerances live in one place (``TOL``).
 """
@@ -27,7 +27,8 @@ TOL = Tolerances()
 
 @dataclass(frozen=True, eq=False)
 class SymEigResult:
-    """Top eigenpairs of a symmetric matrix.
+    """Top eigenpairs of a symmetric matrix, or of each matrix of a stack
+    (``gram_eig_top``: S x p values and S x Q x p vectors).
 
     ``values`` are sorted descending.  ``vectors`` has the matching
     eigenvectors as columns, each sign-fixed so that its entry of largest
@@ -36,16 +37,6 @@ class SymEigResult:
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-def _sign_fix(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip columns so the largest-magnitude entry is positive; return the
-    flipped matrix and the pivot row index of each column."""
-    pivots = np.abs(vectors).argmax(axis=0)
-    flips = vectors[pivots, np.arange(vectors.shape[1])] < 0
-    fixed = vectors.copy()
-    fixed[:, flips] *= -1.0
-    return fixed, pivots
 
 
 def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
@@ -68,49 +59,73 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     S = 0.5 * (S + S.T)
 
     values, vectors = np.linalg.eigh(S)
-    return _ordered_top(values[::-1], vectors[:, ::-1], p)
+    values, vectors = _ordered_top(values[None, ::-1], vectors[None, :, ::-1], p)
+    return SymEigResult(values=values[0], vectors=vectors[0])
 
 
-def gram_eig_top(factor: np.ndarray, p: int) -> SymEigResult | None:
-    """Top-``p`` eigenpairs of F'F from the eigendecomposition of F F'.
+def gram_eig_top(factors: np.ndarray, p: int) -> tuple[SymEigResult, np.ndarray]:
+    """Top-``p`` eigenpairs of F'F for each K x Q factor F of an S x K x Q
+    stack, from the eigendecompositions of the K x K matrices F F'.
 
-    For a K x Q factor F with K < Q the K x K problem is the cheap one:
-    every eigenvector u of F F' with eigenvalue lambda > 0 maps to the unit
-    eigenvector F'u / sqrt(lambda) of F'F with the same eigenvalue.  The
-    eigenvalues positive beyond the tie tolerance are mapped back (each
-    column scaled to unit length) and get the sign convention and tie
-    order of ``sym_eig_top``.  Returns ``None`` when fewer than ``p`` are;
+    For K < Q the K x K problem is the cheap one: every eigenvector u of
+    F F' with eigenvalue lambda > 0 maps to the unit eigenvector
+    F'u / sqrt(lambda) of F'F with the same eigenvalue.  The eigenvalues
+    positive beyond the tie tolerance are mapped back (each column scaled
+    to unit length) and get the sign convention and tie order of
+    ``sym_eig_top``.  Returns the stacked result (S x p values, S x Q x p
+    vectors) and the length-S mask of the factors solved.  A factor is not
+    solved when fewer than ``p`` of its eigenvalues are clearly positive:
     the rest of the spectrum of F'F is zero, and its vectors only the
-    Q x Q problem defines.
+    Q x Q problem defines.  Its entries are NaN.
+
+    Every factor gets the numpy calls, shapes and memory layouts a lone
+    factor would, so its result does not depend on the rest of the stack.
     """
-    F = np.asarray(factor, dtype=float)
-    values, u = np.linalg.eigh(F @ F.T)
-    values = values[::-1]
+    F = np.asarray(factors, dtype=float)
+    values, u = np.linalg.eigh(F @ np.swapaxes(F, 1, 2))
+    values = values[:, ::-1]
     # Descending, so the eigenvalues clear of the zero group form a prefix.
-    kept = int(np.count_nonzero(values > TOL.eig_tie_rel * np.maximum(1.0, values)))
-    if kept < p:
-        return None
-    vectors = F.T @ u[:, ::-1][:, :kept]
-    vectors /= np.linalg.norm(vectors, axis=0)
-    return _ordered_top(values[:kept], vectors, p)
+    kept = np.count_nonzero(values > TOL.eig_tie_rel * np.maximum(1.0, values), axis=1)
+    solved = kept >= p
+    top = np.full((len(F), p), np.nan)
+    top_vectors = np.full((len(F), F.shape[2], p), np.nan)
+    for k in np.unique(kept[solved]):
+        group = np.flatnonzero(kept == k)
+        if group.size == len(F):
+            group = slice(None)
+        vectors = np.swapaxes(F[group], 1, 2) @ u[group][:, :, ::-1][:, :, :k]
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        top[group], top_vectors[group] = _ordered_top(values[group][:, :k], vectors, p)
+    return SymEigResult(values=top, vectors=top_vectors), solved
 
 
-def _ordered_top(values: np.ndarray, vectors: np.ndarray, p: int) -> SymEigResult:
-    """The first ``p`` of descending eigenpairs, each vector sign-fixed.
+def _ordered_top(
+    values: np.ndarray, vectors: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``p`` of each S x k row of descending eigenvalues and of
+    the matching S x Q x k vectors, each vector sign-fixed so that its
+    entry of largest absolute value is positive (first such entry on
+    ties).
 
     Within a group of numerically tied eigenvalues (relative gap below
     ``TOL.eig_tie_rel``) the vectors are ordered by their sign-convention
     pivot index: a group starts wherever the relative gap to the previous
     eigenvalue exceeds the tie tolerance.
     """
-    vectors, pivots = _sign_fix(vectors)
-    scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
-    breaks = np.abs(np.diff(values)) > TOL.eig_tie_rel * scale
-    group = np.concatenate(([0], np.cumsum(breaks)))
-    order = np.lexsort((pivots, group))
-    values = values[order]
-    vectors = vectors[:, order]
-    return SymEigResult(values=values[:p].copy(), vectors=vectors[:, :p].copy())
+    scale = np.maximum(1.0, np.maximum(np.abs(values[:, :-1]), np.abs(values[:, 1:])))
+    breaks = np.abs(np.diff(values, axis=1)) > TOL.eig_tie_rel * scale
+    if not breaks.all():
+        pivots = np.abs(vectors).argmax(axis=1)
+        starts = np.concatenate((np.zeros((len(values), 1), dtype=bool), breaks), axis=1)
+        group = np.cumsum(starts, axis=1)
+        # Sort by (group, pivot); a pivot is a row index, below Q.
+        order = np.argsort(group * vectors.shape[1] + pivots, axis=1, kind="stable")
+        values = np.take_along_axis(values, order, axis=1)
+        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    values, vectors = values[:, :p], vectors[:, :, :p]
+    pivots = np.abs(vectors).argmax(axis=1)
+    flips = np.take_along_axis(vectors, pivots[:, None, :], axis=1) < 0
+    return values.copy(), vectors * np.where(flips, -1.0, 1.0)
 
 
 def mass_scale(
@@ -120,7 +135,8 @@ def mass_scale(
     side: str = "left",
 ) -> np.ndarray:
     """Scale rows (``side='left'``) or columns (``side='right'``) of
-    ``matrix`` by ``masses ** exponent``.  Masses must be strictly positive."""
+    ``matrix``, or of each matrix of a stack, by ``masses ** exponent``.
+    Masses must be strictly positive."""
     matrix = np.asarray(matrix, dtype=float)
     masses = np.asarray(masses, dtype=float).ravel()
     if np.any(masses <= 0.0):
@@ -129,9 +145,9 @@ def mass_scale(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     scale = masses**exponent
     if side == "left":
-        if matrix.shape[0] != scale.size:
+        if matrix.shape[-2] != scale.size:
             raise ShapeError("mass vector does not match row count")
         return matrix * scale[:, None]
-    if matrix.shape[1] != scale.size:
+    if matrix.shape[-1] != scale.size:
         raise ShapeError("mass vector does not match column count")
     return matrix * scale[None, :]

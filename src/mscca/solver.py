@@ -16,6 +16,7 @@ nearest center inside their own class.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +28,7 @@ from .data import (
     HierarchicalAssignment,
     SupplementaryData,
     cluster_counts,
+    stacked_counts,
 )
 from .errors import EmptyClusterError, ProjectorError, ShapeError, SpecError
 from .linalg import gram_eig_top, mass_scale, sym_eig_top
@@ -93,12 +95,14 @@ class MsccaSolution:
 def object_scores(dataset: CategoricalDataset, quantifications: np.ndarray) -> np.ndarray:
     """Mean object scores: one replicate block of J Z^H B divided by the
     variable count, i.e. (1/m) * centered(Z B).  Rows i and i + N of the
-    stacked version are identical, so one block carries everything."""
+    stacked version are identical, so one block carries everything.
+
+    A stack of S quantifications (S x Q x p) gives S x N x p scores."""
     codes = dataset.codes
-    scores = np.zeros((dataset.n_obs, quantifications.shape[1]))
+    scores = np.zeros((*quantifications.shape[:-2], dataset.n_obs, quantifications.shape[-1]))
     for j in range(dataset.n_vars):
-        scores += quantifications[dataset.offsets[j] + codes[:, j]]
-    scores -= dataset.column_means @ quantifications
+        scores += np.take(quantifications, dataset.offsets[j] + codes[:, j], axis=-2)
+    scores -= (dataset.column_means @ quantifications)[..., None, :]
     return scores / dataset.n_vars
 
 
@@ -114,21 +118,22 @@ def objective_phi(
     (variable, supplementary variable) pair and scales by 1/(N H m).
     """
     blocks = [centers[assignment.rows[:, h]] for h in range(assignment.n_sup)]
-    return _direct_objective(blocks, quantifications, dataset)
+    return float(_direct_objective(blocks, quantifications, dataset))
 
 
 def _direct_objective(
     blocks: list[np.ndarray], quantifications: np.ndarray, dataset: CategoricalDataset
-) -> float:
+) -> np.ndarray | float:
     """(1/(N H m)) sum_j sum_h || blocks[h] - Z_j B_j ||^2 for H per-h
-    N x p score blocks, one variable's quantified rows at a time."""
+    N x p score blocks, one variable's quantified rows at a time; for S x
+    N x p blocks and S x Q x p quantifications, one value per start."""
     codes = dataset.codes
     total = 0.0
     for j in range(dataset.n_vars):
-        fitted = quantifications[dataset.offsets[j] + codes[:, j]]
+        fitted = np.take(quantifications, dataset.offsets[j] + codes[:, j], axis=-2)
         for block in blocks:
             diff = block - fitted
-            total += float(np.einsum("ij,ij->", diff, diff))
+            total = total + np.einsum("...ij,...ij->...", diff, diff)
     return total / (dataset.n_obs * len(blocks) * dataset.n_vars)
 
 
@@ -198,7 +203,8 @@ def _between_quantify(
     n_stack: int,
     p: int,
 ) -> np.ndarray:
-    """The B-step from the count table.
+    """The B-step from a K x Q count table and its K sizes, or from a
+    stack of S of each (giving S x Q x p).
 
     The mass-scaled target is F'F for the K x Q factor F whose row k is
     (table_k - n_k mu) / sqrt(n_k), columns scaled by D^{-1/2} / sqrt(m).
@@ -206,15 +212,22 @@ def _between_quantify(
     matrix F F' (``gram_eig_top``).  When fewer than p of its eigenvalues
     are clearly positive (a flat K = 2 fit at p = 2, say) the remaining
     columns lie in the null space, which only the Q x Q problem defines:
-    that case falls back to ``_quantify`` on ``_between_target``.
+    that table falls back to ``_quantify`` on ``_between_target``.
     """
     n, m = dataset.n_obs, dataset.n_vars
     d = (dataset.counts * n_stack).astype(float)
-    centered = (table - sizes[:, None] * dataset.column_means) / np.sqrt(sizes)[:, None]
-    eig = gram_eig_top(centered / np.sqrt(d * m), p)
-    if eig is None:
-        return _quantify(_between_target(table, sizes, spec, dataset), dataset, n_stack, p)
-    return float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
+    factors = sizes[..., None] * dataset.column_means
+    np.subtract(table, factors, out=factors)
+    factors /= np.sqrt(sizes)[..., None]
+    factors /= np.sqrt(d * m)
+    factors = factors.reshape(-1, *table.shape[-2:])
+    eig, solved = gram_eig_top(factors, p)
+    out = float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
+    tables, all_sizes = table.reshape(factors.shape), sizes.reshape(len(factors), -1)
+    for s in np.flatnonzero(~solved):
+        target = _between_target(tables[s], all_sizes[s], spec, dataset)
+        out[s] = _quantify(target, dataset, n_stack, p)
+    return out.reshape(*table.shape[:-2], *out.shape[1:])
 
 
 def _between_target(
@@ -255,8 +268,10 @@ def _centroids(
 ) -> np.ndarray:
     """Per-cluster means of the object scores, stacked over h: the row
     profiles of the count table, centered by the category means, times
-    B / m."""
-    return (table / sizes[:, None] - dataset.column_means) @ quantifications / dataset.n_vars
+    B / m.  Stacks of S tables, sizes and quantifications give S x K x p."""
+    profiles = table / sizes[..., None]
+    profiles -= dataset.column_means
+    return profiles @ quantifications / dataset.n_vars
 
 
 def update_G(
@@ -278,21 +293,37 @@ def update_U(
     """Assign every observation to its nearest center inside its observed
     class; ties break toward the lowest cluster index.  Empty clusters may
     result and are repaired separately."""
-    clusters = np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
+    clusters = _nearest_clusters(scores, centers, sup, spec)
+    return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
+
+
+def _nearest_clusters(
+    scores: np.ndarray, centers: np.ndarray, sup: SupplementaryData, spec: ClusterSpec
+) -> np.ndarray:
+    """The assignment step on N x p scores and K x p centers, or on stacks
+    of S of each (giving S x N x H): per supplementary variable, the
+    within-class index of each observation's nearest center of its own
+    class, the lowest index on ties.  One pass per cluster slot measures
+    every observation's distance to its class's center in that slot, so
+    no observation-by-cluster array of score vectors is built."""
+    clusters = np.empty((*scores.shape[:-1], sup.n_sup), dtype=np.int64)
     for h in range(sup.n_sup):
         counts = np.array(spec.counts[h])
         slots = np.arange(counts.max())
-        # Row s holds class s's centers; slots past K_hs repeat its first
-        # center and are masked to +inf, so argmin ties still go to the
+        # Row s holds class s's rows of G; slots past K_hs repeat its first
+        # row and are masked to +inf, so argmin ties still go to the
         # lowest cluster.
         padded = slots >= counts[:, None]
-        own = centers[spec.first_rows[h][:, None] + np.where(padded, 0, slots)]
+        own = spec.first_rows[h][:, None] + np.where(padded, 0, slots)
         codes = sup.codes[:, h]
-        diff = scores[:, None, :] - own[codes]
-        d2 = np.einsum("ikd,ikd->ik", diff, diff)
-        d2[padded[codes]] = np.inf
-        clusters[:, h] = d2.argmin(axis=1)
-    return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
+        d2 = np.empty((slots.size, *scores.shape[:-1]))
+        for k in slots:
+            gap = scores - np.take(centers, own[codes, k], axis=-2)
+            np.einsum("...d,...d->...", gap, gap, out=d2[k])
+            if padded[:, k].any():
+                d2[k][..., padded[codes, k]] = np.inf
+        clusters[..., h] = d2.argmin(axis=0)
+    return clusters
 
 
 def repair_empty_clusters(
@@ -327,12 +358,33 @@ def repair_empty_clusters(
     return assignment.with_clusters(rows - first)
 
 
-class _StartResult(NamedTuple):
-    assignment: HierarchicalAssignment
+# Bytes of working arrays one chunk of starts may hold (``_chunk_size``).
+_CHUNK_BYTES = 3 << 19
+
+
+def _start_bytes(dataset: CategoricalDataset, spec: ClusterSpec, p: int) -> int:
+    """One start's share of the engine's largest arrays: N x m count
+    cells, N x H rows (ends, current and candidate), N x p scores and
+    distances, and K x Q count tables, factors and back-mapped vectors."""
+    n, m, n_sup = dataset.n_obs, dataset.n_vars, len(spec.counts)
+    big_k, big_q = spec.k_total, dataset.total_categories
+    return 8 * (n * (m + 4 * n_sup + 4 * p) + 6 * big_k * big_q)
+
+
+def _chunk_size(dataset: CategoricalDataset, spec: ClusterSpec, p: int) -> int:
+    """Starts per chunk: as many as ``_CHUNK_BYTES`` holds, at least one."""
+    return max(1, _CHUNK_BYTES // _start_bytes(dataset, spec, p))
+
+
+class _ChunkResult(NamedTuple):
+    """Where each start of a chunk ended: S x N x H clusters, S x K x p
+    centers, S x Q x p quantifications, S traces and S converged flags."""
+
+    clusters: np.ndarray
     centers: np.ndarray
     quantifications: np.ndarray
-    trace: tuple[float, ...]
-    converged: bool
+    traces: list[tuple[float, ...]]
+    converged: np.ndarray
 
 
 def _run_start(
@@ -340,53 +392,108 @@ def _run_start(
     sup: SupplementaryData,
     spec: ClusterSpec,
     options: SolverOptions,
-    rng: np.random.Generator,
-) -> _StartResult:
-    """One initialization driven to convergence.
+    seeds: list[np.random.SeedSequence],
+) -> _ChunkResult:
+    """A chunk of starts, one per seed, driven to convergence together as
+    one array program over stacked count tables, quantifications, scores
+    and centers.
+
+    Every start draws its initial clusters from its own seed and then
+    runs exactly the cycle it would run alone: each array operation gives
+    a start the numpy call, shape and memory layout of a lone start, so
+    its trace and result do not depend on the other starts of the chunk.
+    A start leaves the stack when it converges or reaches ``max_iter``.
 
     The trace records the objective after each centering update, where
     the centers are exact for the current assignment, so it reads
     phi = p - psi / (N H m^2) from the cluster sizes and centers; the
-    final entry is replaced by the direct residual sum ``objective_phi``.
-    The assignment step keeps the previous (feasible) assignment whenever
-    an empty-cluster repair would have pushed the objective up, so the
-    trace never increases beyond float jitter.
+    final entry is replaced by the direct residual sum.  A start whose
+    assignment step empties a cluster is repaired alone, and keeps its
+    previous (feasible) assignment whenever the repair would have pushed
+    the objective up, so the trace never increases beyond float jitter.
     """
-    assignment = init_random(sup, spec, rng)
-    table, sizes = cluster_counts(assignment, dataset)
-    trace: list[float] = []
-    converged = False
-    centers = quantifications = None
-    for t in range(options.max_iter):
-        quantifications = _between_quantify(table, sizes, spec, dataset, sup.n_sup, options.p)
+    n_sup, p, max_iter = sup.n_sup, options.p, options.max_iter
+    clusters = np.stack(
+        [init_random(sup, spec, np.random.default_rng(seed)).clusters for seed in seeds]
+    )
+    template = HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters[0].copy())
+    first = template.rows - clusters[0]  # G row of cluster 0 of each class
+    table, sizes = stacked_counts(first + clusters, spec, dataset)
+    n_chunk = len(seeds)
+    end_clusters = np.empty_like(clusters)
+    end_centers = np.empty((n_chunk, spec.k_total, p))
+    end_quantifications = np.empty((n_chunk, dataset.total_categories, p))
+    converged = np.zeros(n_chunk, dtype=bool)
+    trace = np.empty((n_chunk, max_iter))
+    lengths = np.zeros(n_chunk, dtype=np.int64)
+    live = np.arange(n_chunk)  # chunk position of each start still running
+    for t in range(max_iter):
+        quantifications = _between_quantify(table, sizes, spec, dataset, n_sup, p)
         scores = object_scores(dataset, quantifications)
         centers = _centroids(table, sizes, dataset, quantifications)
-        spread = float((sizes[:, None] * centers * centers).sum())
-        trace.append(options.p - spread / (dataset.n_obs * sup.n_sup))
-        if t > 0 and trace[-2] - trace[-1] < options.epsilon:
-            converged = True
-            break
-        if t == options.max_iter - 1:
-            break
-        candidate = update_U(scores, centers, sup, spec)
-        try:
-            table, sizes = cluster_counts(candidate, dataset)
-            assignment = candidate
-        except EmptyClusterError:
-            repaired = repair_empty_clusters(candidate, scores, centers)
-            if objective_phi(repaired, centers, quantifications, dataset) <= objective_phi(
-                assignment, centers, quantifications, dataset
+        spread = (sizes[..., None] * centers * centers).sum(axis=(1, 2))
+        trace[live, t] = p - spread / (dataset.n_obs * n_sup)
+        settled = np.zeros(live.size, dtype=bool)
+        if t > 0:
+            settled = trace[live, t - 1] - trace[live, t] < options.epsilon
+        stop = settled | (t == max_iter - 1)
+        if stop.any():
+            done = live[stop]
+            end_clusters[done], end_centers[done] = clusters[stop], centers[stop]
+            end_quantifications[done] = quantifications[stop]
+            converged[done], lengths[done] = settled[stop], t + 1
+            go = ~stop
+            if not go.any():
+                break
+            live, clusters, table, sizes = live[go], clusters[go], table[go], sizes[go]
+            scores, centers, quantifications = scores[go], centers[go], quantifications[go]
+        candidate = _nearest_clusters(scores, centers, sup, spec)
+        new_table, new_sizes = stacked_counts(first + candidate, spec, dataset)
+        full = (new_sizes > 0).all(axis=1)
+        if full.all():
+            clusters, table, sizes = candidate, new_table, new_sizes
+            continue
+        clusters[full], table[full] = candidate[full], new_table[full]
+        sizes[full] = new_sizes[full]
+        for s in np.flatnonzero(~full):
+            current = template.with_clusters(clusters[s])
+            repaired = repair_empty_clusters(
+                current.with_clusters(candidate[s]), scores[s], centers[s]
+            )
+            if objective_phi(repaired, centers[s], quantifications[s], dataset) <= objective_phi(
+                current, centers[s], quantifications[s], dataset
             ):
-                assignment = repaired
-                table, sizes = cluster_counts(assignment, dataset)
-    trace[-1] = objective_phi(assignment, centers, quantifications, dataset)
-    return _StartResult(
-        assignment=assignment,
-        centers=centers,
-        quantifications=quantifications,
-        trace=tuple(trace),
+                clusters[s] = repaired.clusters
+                table[s], sizes[s] = cluster_counts(repaired, dataset)
+    blocks = [
+        np.take_along_axis(end_centers, (first[:, h] + end_clusters[..., h])[..., None], axis=1)
+        for h in range(n_sup)
+    ]
+    trace[np.arange(n_chunk), lengths - 1] = _direct_objective(
+        blocks, end_quantifications, dataset
+    )
+    return _ChunkResult(
+        clusters=end_clusters,
+        centers=end_centers,
+        quantifications=end_quantifications,
+        traces=[tuple(row[:length].tolist()) for row, length in zip(trace, lengths)],
         converged=converged,
     )
+
+
+def _ties(finals: Sequence[float]) -> np.ndarray:
+    """Which starts' final objectives lie within ``WINNER_RTOL`` (relative)
+    of the smallest."""
+    finals = np.asarray(finals)
+    low = finals.min()
+    return finals <= low + WINNER_RTOL * abs(low)
+
+
+def _winner(finals: Sequence[float]) -> int:
+    """The lowest start index among the ties for the smallest final
+    objective, so starts that reach the same optimum up to rounding do not
+    hand the win to float noise."""
+    return int(np.argmax(_ties(finals)))
 
 
 def fit_mscca(
@@ -402,7 +509,9 @@ def fit_mscca(
     and returns the lowest-indexed start whose objective is within
     ``WINNER_RTOL`` (relative) of the smallest, so starts that reach the
     same optimum up to rounding do not hand the win to float noise.  The
-    returned (U, G, B) triple is mutually consistent: the centers and
+    starts run in chunks (``_run_start``) whose size is set by a fixed
+    memory budget; the result does not depend on it.  The returned
+    (U, G, B) triple is mutually consistent: the centers and
     quantifications are the exact optimum for the returned assignment.
     """
     if dataset.n_obs != sup.n_obs:
@@ -410,26 +519,36 @@ def fit_mscca(
     spec.validate(sup)
     options.validate(dataset)
     seeds = np.random.SeedSequence(options.seed).spawn(options.n_starts)
-    # Starts within WINNER_RTOL of the running minimum; objectives are
-    # nonnegative, so a start dropped here can never tie the final minimum.
-    tied: list[tuple[int, _StartResult]] = []
+    chunk = _chunk_size(dataset, spec, options.p)
     traces: list[tuple[float, ...]] = []
-    for index, seed in enumerate(seeds):
-        result = _run_start(dataset, sup, spec, options, np.random.default_rng(seed))
-        traces.append(result.trace)
-        tied.append((index, result))
-        low = min(r.trace[-1] for _, r in tied)
-        tied = [(i, r) for i, r in tied if r.trace[-1] <= low + WINNER_RTOL * abs(low)]
-    best_index, best = tied[0]
+    # Ends (clusters, centers, quantifications, converged) of the starts
+    # tied for the lowest objective so far; a start dropped here can never
+    # tie the final minimum.
+    tied: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, bool]] = {}
+    for lo in range(0, options.n_starts, chunk):
+        ends = _run_start(dataset, sup, spec, options, seeds[lo : lo + chunk])
+        traces.extend(ends.traces)
+        ties = _ties([trace[-1] for trace in traces])
+        tied = {index: end for index, end in tied.items() if ties[index]}
+        for s in np.flatnonzero(ties[lo:]):
+            tied[lo + int(s)] = (
+                ends.clusters[s].copy(),
+                ends.centers[s].copy(),
+                ends.quantifications[s].copy(),
+                bool(ends.converged[s]),
+            )
+    best_index = _winner([trace[-1] for trace in traces])
+    clusters, centers, quantifications, converged = tied[best_index]
+    assignment = HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
     return MsccaSolution(
-        assignment=best.assignment,
-        centers=best.centers,
-        quantifications=best.quantifications,
-        objective=best.trace[-1],
-        psi=psi_value(best.assignment, best.quantifications, dataset),
-        objective_trace=best.trace,
+        assignment=assignment,
+        centers=centers,
+        quantifications=quantifications,
+        objective=traces[best_index][-1],
+        psi=psi_value(assignment, quantifications, dataset),
+        objective_trace=traces[best_index],
         start_index=best_index,
-        converged=best.converged,
+        converged=converged,
         start_traces=tuple(traces),
         options=options,
     )
@@ -560,5 +679,5 @@ def fit_constrained_mca(
     return ConstrainedFit(
         scores=np.concatenate(blocks),
         quantifications=quantifications,
-        objective=_direct_objective(blocks, quantifications, dataset),
+        objective=float(_direct_objective(blocks, quantifications, dataset)),
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -13,8 +13,16 @@ from mscca import (
     ClusterSpec,
     ConstraintSpec,
     HierarchicalAssignment,
+    MsccaSolution,
+    SolverOptions,
     SupplementaryData,
     cluster_counts,
+    init_random,
+    object_scores,
+    objective_phi,
+    psi_value,
+    repair_empty_clusters,
+    update_U,
 )
 from mscca.errors import (
     EmptyClusterError,
@@ -24,7 +32,14 @@ from mscca.errors import (
     SpecError,
 )
 from mscca.linalg import sym_eig_top
-from mscca.solver import ConstrainedFit, _between_target, _quantify
+from mscca.solver import (
+    WINNER_RTOL,
+    ConstrainedFit,
+    _between_quantify,
+    _between_target,
+    _centroids,
+    _quantify,
+)
 
 # Property tests draw the same examples on every run and write no example
 # database into the checkout.
@@ -116,6 +131,20 @@ def random_problem(
             tuple(int(rng.integers(1, min(k_max, sizes[s]) + 1)) for s in range(sup.r[h]))
         )
     return ds, sup, ClusterSpec(tuple(counts))
+
+
+def random_mixed_problem(rng, n=120, m=6, q=4, n_sup=None):
+    """Dataset plus supplementary data with mixed per-class cluster counts
+    (1-3); ``n_sup`` supplementary variables, or 1-2 drawn from ``rng``."""
+    ds = random_dataset(rng, n, m, q)
+    if n_sup is None:
+        n_sup = int(rng.integers(1, 3))
+    r = int(rng.integers(2, 4))
+    sup = random_sup(rng, n, n_sup, r)
+    counts = tuple(
+        tuple(int(rng.integers(1, 4)) for _ in range(sup.r[h])) for h in range(sup.n_sup)
+    )
+    return ds, sup, ClusterSpec(counts)
 
 
 def random_assignment(
@@ -420,6 +449,117 @@ def dense_constrained_fit(
         scores=scores,
         quantifications=quantifications,
         objective=total / (n * n_stack * m),
+    )
+
+
+class SequentialStart(NamedTuple):
+    assignment: HierarchicalAssignment
+    centers: np.ndarray
+    quantifications: np.ndarray
+    trace: tuple[float, ...]
+    converged: bool
+
+
+def run_start_sequential(
+    dataset: CategoricalDataset,
+    sup: SupplementaryData,
+    spec: ClusterSpec,
+    options: SolverOptions,
+    rng: np.random.Generator,
+) -> SequentialStart:
+    """Oracle for the chunked engine ``mscca.solver._run_start``: one
+    initialization driven to convergence on its own.
+
+    The trace records the objective after each centering update, where
+    the centers are exact for the current assignment, so it reads
+    phi = p - psi / (N H m^2) from the cluster sizes and centers; the
+    final entry is replaced by the direct residual sum ``objective_phi``.
+    The assignment step keeps the previous (feasible) assignment whenever
+    an empty-cluster repair would have pushed the objective up, so the
+    trace never increases beyond float jitter.
+    """
+    assignment = init_random(sup, spec, rng)
+    table, sizes = cluster_counts(assignment, dataset)
+    trace: list[float] = []
+    converged = False
+    centers = quantifications = None
+    for t in range(options.max_iter):
+        quantifications = _between_quantify(table, sizes, spec, dataset, sup.n_sup, options.p)
+        scores = object_scores(dataset, quantifications)
+        centers = _centroids(table, sizes, dataset, quantifications)
+        spread = float((sizes[:, None] * centers * centers).sum())
+        trace.append(options.p - spread / (dataset.n_obs * sup.n_sup))
+        if t > 0 and trace[-2] - trace[-1] < options.epsilon:
+            converged = True
+            break
+        if t == options.max_iter - 1:
+            break
+        candidate = update_U(scores, centers, sup, spec)
+        try:
+            table, sizes = cluster_counts(candidate, dataset)
+            assignment = candidate
+        except EmptyClusterError:
+            repaired = repair_empty_clusters(candidate, scores, centers)
+            if objective_phi(repaired, centers, quantifications, dataset) <= objective_phi(
+                assignment, centers, quantifications, dataset
+            ):
+                assignment = repaired
+                table, sizes = cluster_counts(assignment, dataset)
+    trace[-1] = objective_phi(assignment, centers, quantifications, dataset)
+    return SequentialStart(
+        assignment=assignment,
+        centers=centers,
+        quantifications=quantifications,
+        trace=tuple(trace),
+        converged=converged,
+    )
+
+
+def fit_mscca_sequential(
+    dataset: CategoricalDataset,
+    sup: SupplementaryData,
+    spec: ClusterSpec,
+    options: SolverOptions = SolverOptions(),
+) -> MsccaSolution:
+    """Oracle for ``fit_mscca``: the starts run one at a time, and the
+    winner is picked by a running tie filter.
+
+    Runs ``options.n_starts`` independent initializations (each with its
+    own random stream derived from ``options.seed`` and the start index)
+    and returns the lowest-indexed start whose objective is within
+    ``WINNER_RTOL`` (relative) of the smallest, so starts that reach the
+    same optimum up to rounding do not hand the win to float noise.  The
+    returned (U, G, B) triple is mutually consistent: the centers and
+    quantifications are the exact optimum for the returned assignment.
+    """
+    if dataset.n_obs != sup.n_obs:
+        raise ShapeError("dataset and supplementary data disagree on N")
+    spec.validate(sup)
+    options.validate(dataset)
+    seeds = np.random.SeedSequence(options.seed).spawn(options.n_starts)
+    # Starts within WINNER_RTOL of the running minimum; objectives are
+    # nonnegative, so a start dropped here can never tie the final minimum.
+    tied: list[tuple[int, SequentialStart]] = []
+    traces: list[tuple[float, ...]] = []
+    for index, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        result = run_start_sequential(dataset, sup, spec, options, rng)
+        traces.append(result.trace)
+        tied.append((index, result))
+        low = min(r.trace[-1] for _, r in tied)
+        tied = [(i, r) for i, r in tied if r.trace[-1] <= low + WINNER_RTOL * abs(low)]
+    best_index, best = tied[0]
+    return MsccaSolution(
+        assignment=best.assignment,
+        centers=best.centers,
+        quantifications=best.quantifications,
+        objective=best.trace[-1],
+        psi=psi_value(best.assignment, best.quantifications, dataset),
+        objective_trace=best.trace,
+        start_index=best_index,
+        converged=best.converged,
+        start_traces=tuple(traces),
+        options=options,
     )
 
 

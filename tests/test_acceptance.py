@@ -54,6 +54,7 @@ from conftest import (
     dense_constrained_fit,
     principal_angles,
     random_dataset,
+    random_mixed_problem,
     random_sup,
     z_centered,
 )
@@ -70,18 +71,6 @@ def criterion(number: int, title: str):
     else:
         elapsed = time.perf_counter() - started
         print(f"[PASS] criterion {number}: {title} ({elapsed:.1f}s)")
-
-
-def random_mixed_problem(rng, n=120, m=6, q=4):
-    """Dataset plus supplementary data with mixed per-class cluster counts."""
-    ds = random_dataset(rng, n, m, q)
-    n_sup = int(rng.integers(1, 3))
-    r = int(rng.integers(2, 4))
-    sup = random_sup(rng, n, n_sup, r)
-    counts = tuple(
-        tuple(int(rng.integers(1, 4)) for _ in range(sup.r[h])) for h in range(sup.n_sup)
-    )
-    return ds, sup, ClusterSpec(counts)
 
 
 def test_criterion_1_monotonicity():

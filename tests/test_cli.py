@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mscca import objective_phi, read_csv_dataset
+from mscca import ClusterSpec, objective_phi, read_csv_dataset
 from mscca.archive import assignment_from_archive, load_json
 from mscca.cli import main
 
@@ -89,6 +89,24 @@ class TestFit:
         assert run_fit(illustration_csv, tmp_path / "b") == 0
         for name in ("solution.json", "coords.csv", "residuals.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("budget", [1, 3, 10**12], ids=["one", "three", "all"])
+    def test_solution_independent_of_chunk_size(
+        self, illustration_csv, tmp_path, monkeypatch, budget
+    ):
+        # Chunks of 1 start, 3 starts and all 20 starts write the bytes of
+        # the default chunking.
+        import mscca.solver
+
+        assert run_fit(illustration_csv, tmp_path / "default") == 0
+        ds, _ = read_csv_dataset(illustration_csv, ["Nationality", "Gender"])
+        spec = ClusterSpec(((2, 2), (3, 2)))
+        per_start = mscca.solver._start_bytes(ds, spec, 2)
+        monkeypatch.setattr(mscca.solver, "_CHUNK_BYTES", budget * per_start)
+        assert mscca.solver._chunk_size(ds, spec, 2) == budget
+        assert run_fit(illustration_csv, tmp_path / "chunked") == 0
+        chunked = (tmp_path / "chunked" / "solution.json").read_bytes()
+        assert chunked == (tmp_path / "default" / "solution.json").read_bytes()
 
     def test_auto_selection_report(self, illustration_csv, tmp_path):
         argv = [

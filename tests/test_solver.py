@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,14 +31,16 @@ from mscca import (
 )
 from mscca.errors import EmptyClusterError, ProjectorError, SpecError
 from mscca.linalg import TOL
-from mscca.simulation import GenSpec, generate_clustered
+from mscca.simulation import GenSpec, SupGenSpec, generate_clustered, generate_supplementary
 
 from conftest import (
     between_spectrum,
     cluster_sizes,
     dense_constrained_fit,
+    fit_mscca_sequential,
     principal_angles,
     random_assignment,
+    random_mixed_problem,
     random_problem,
     random_sup,
     repair_empty_clusters_by_class,
@@ -415,21 +419,12 @@ class TestFitMscca:
             ([1.0 + 1e-9, 1.0, 1.0 + 1e-13], 1),
         ],
     )
-    def test_winner_ignores_float_noise_between_starts(self, rng, monkeypatch, finals, winner):
-        import mscca.solver as solver
-
+    def test_winner_ignores_float_noise_between_starts(self, rng, finals, winner):
+        assert mscca.solver._winner(finals) == winner
         ds, sup, spec = random_problem(rng)
-        finals = list(finals)
-        real = solver._run_start
-
-        def fake(dataset, sup, spec, options, rng):
-            result = real(dataset, sup, spec, options, rng)
-            return result._replace(trace=result.trace[:-1] + (finals.pop(0),))
-
-        monkeypatch.setattr(solver, "_run_start", fake)
         sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=len(finals), seed=3))
-        assert sol.start_index == winner
-        assert sol.objective == sol.start_traces[winner][-1]
+        assert sol.start_index == mscca.solver._winner([t[-1] for t in sol.start_traces])
+        assert sol.objective == sol.start_traces[sol.start_index][-1]
 
     def test_solution_invariants(self, rng):
         ds, sup, spec = random_problem(rng)
@@ -777,12 +772,13 @@ class TestReducedBStep:
     def test_flat_two_cluster_fit_takes_q_by_q_fallback(self, monkeypatch):
         # K = 2, H = 1: the between target has rank 1 < p = 2
         ds, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=60, n_vars=5, seed=3))
-        reduced_results, direct_orders = [], []
+        solved_flags, direct_orders = [], []
         gram, direct = mscca.solver.gram_eig_top, mscca.solver.sym_eig_top
 
-        def gram_recorded(factor, p):
-            reduced_results.append(gram(factor, p))
-            return reduced_results[-1]
+        def gram_recorded(factors, p):
+            eig, solved = gram(factors, p)
+            solved_flags.extend(solved.tolist())
+            return eig, solved
 
         def direct_recorded(matrix, p):
             direct_orders.append(len(matrix))
@@ -791,8 +787,8 @@ class TestReducedBStep:
         monkeypatch.setattr(mscca.solver, "gram_eig_top", gram_recorded)
         monkeypatch.setattr(mscca.solver, "sym_eig_top", direct_recorded)
         sol = fit_cluster_ca(ds, 2, SolverOptions(p=2, n_starts=3, seed=5))
-        assert reduced_results and all(r is None for r in reduced_results)
-        assert direct_orders == [ds.total_categories] * len(reduced_results)
+        assert solved_flags and not any(solved_flags)
+        assert direct_orders == [ds.total_categories] * len(solved_flags)
         expected = update_B_qxq(sol.assignment, ds, 2)
         assert sol.quantifications.tobytes() == expected.tobytes()
         assert update_B(sol.assignment, ds, 2).tobytes() == expected.tobytes()
@@ -875,3 +871,147 @@ class TestRelabeling:
         signs = _column_signs(b2[b_rows], b)
         assert_allclose(b2[b_rows] * signs, b, atol=1e-8)
         assert_allclose(g2[g_rows] * signs, g, atol=1e-8)
+
+
+def tiny_problem(rng):
+    """A few dozen observations of 1-3 variables with 2-3 categories, 1-3
+    supplementary variables of 1-3 classes with 1-4 clusters each, and a
+    random p, start count and cycle cap.  Coincident cluster profiles
+    (a B-step of too low rank), emptied clusters, capped starts and
+    starts settling at different cycles are all common."""
+    n, m, q = int(rng.integers(8, 40)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
+    codes = rng.integers(0, q, size=(n, m))
+    codes[:q] = np.arange(q)[:, None]  # every category occurs
+    labels = tuple(tuple(f"c{x}" for x in range(q)) for _ in range(m))
+    ds = CategoricalDataset(codes=codes, labels=labels, names=tuple(f"v{j}" for j in range(m)))
+    n_sup, r = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    sup_codes = rng.integers(0, r, size=(n, n_sup))
+    sup_codes[:r] = np.arange(r)[:, None]
+    sup = SupplementaryData(
+        codes=sup_codes,
+        labels=tuple(tuple(f"g{x}" for x in range(r)) for _ in range(n_sup)),
+        names=tuple(f"s{h}" for h in range(n_sup)),
+    )
+    spec = ClusterSpec(
+        tuple(
+            tuple(int(rng.integers(1, min(4, size) + 1)) for size in sup.class_sizes(h))
+            for h in range(n_sup)
+        )
+    )
+    options = SolverOptions(
+        p=int(rng.integers(1, min(3, ds.total_categories - m) + 1)),
+        n_starts=int(rng.integers(2, 9)),
+        max_iter=int(rng.integers(2, 15)),
+        seed=int(rng.integers(2**31)),
+    )
+    return ds, sup, spec, options
+
+
+def assert_identical_fits(batched, sequential):
+    assert batched.start_index == sequential.start_index
+    assert batched.assignment.clusters.tobytes() == sequential.assignment.clusters.tobytes()
+    assert batched.centers.tobytes() == sequential.centers.tobytes()
+    assert batched.quantifications.tobytes() == sequential.quantifications.tobytes()
+    assert batched.objective.hex() == sequential.objective.hex()
+    assert batched.psi.hex() == sequential.psi.hex()
+    assert batched.converged == sequential.converged
+    assert [[x.hex() for x in t] for t in batched.start_traces] == [
+        [x.hex() for x in t] for t in sequential.start_traces
+    ]
+    assert batched.objective_trace == batched.start_traces[batched.start_index]
+
+
+class TestBatchedEngine:
+    """``fit_mscca`` runs its starts in chunks, as one array program per
+    chunk; every start must come out bit for bit as it does alone (the
+    sequential oracle ``conftest.fit_mscca_sequential``), whatever the
+    chunk size."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_sup=st.integers(1, 3), p=st.integers(1, 3))
+    def test_matches_sequential_oracle(self, seed, n_sup, p):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 80))
+        ds, sup, spec = random_mixed_problem(rng, n=n, m=4, q=3, n_sup=n_sup)
+        options = SolverOptions(
+            p=p,
+            n_starts=int(rng.integers(1, 9)),
+            max_iter=int(rng.integers(1, 15)),
+            seed=int(rng.integers(2**31)),
+        )
+        assert_identical_fits(
+            fit_mscca(ds, sup, spec, options), fit_mscca_sequential(ds, sup, spec, options)
+        )
+
+    def test_mixed_chunks_repairs_caps_and_settling_match_oracle(self, monkeypatch):
+        # Tiny problems 0-29 cover, between them, a B-step whose chunk mixes
+        # K x K starts with Q x Q-fallback starts, accepted and rejected
+        # repairs, starts capped by max_iter and starts settling at
+        # different cycles; a flat K = 2, p = 2 fit falls back every step.
+        flat, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=60, n_vars=5, seed=3))
+        cases = [tiny_problem(np.random.default_rng(seed)) for seed in range(30)]
+        flat_spec = ClusterSpec(((2,),))
+        cases.append((flat, single_class_sup(60), flat_spec, SolverOptions(n_starts=5, seed=5)))
+        events = dict.fromkeys(("mixed", "fallback", "accepted", "rejected", "capped", "settled"), 0)
+        gram, phi = mscca.solver.gram_eig_top, mscca.solver.objective_phi
+        compared = []
+
+        def gram_recorded(factors, p):
+            eig, solved = gram(factors, p)
+            events["mixed"] += bool(solved.any() and not solved.all())
+            events["fallback"] += int((~solved).sum())
+            return eig, solved
+
+        def phi_recorded(*args):
+            compared.append(phi(*args))
+            return compared[-1]
+
+        fits = []
+        with monkeypatch.context() as patch:
+            patch.setattr(mscca.solver, "gram_eig_top", gram_recorded)
+            patch.setattr(mscca.solver, "objective_phi", phi_recorded)
+            for ds, sup, spec, options in cases:
+                fits.append(fit_mscca(ds, sup, spec, options))
+        # The engine evaluates phi directly only to judge a repair:
+        # repaired first, current second.
+        for repaired, current in zip(compared[::2], compared[1::2]):
+            events["accepted" if repaired <= current else "rejected"] += 1
+        for (ds, sup, spec, options), sol in zip(cases, fits):
+            lengths = [len(t) for t in sol.start_traces]
+            events["capped"] += lengths.count(options.max_iter)
+            events["settled"] += len({n for n in lengths if n < options.max_iter}) > 1
+            assert_identical_fits(sol, fit_mscca_sequential(ds, sup, spec, options))
+        assert all(events.values()), events
+
+    def test_result_independent_of_chunk_size(self, rng, monkeypatch):
+        ds, sup, spec = random_mixed_problem(rng, n=60, m=4, q=3, n_sup=2)
+        options = SolverOptions(n_starts=7, max_iter=8, seed=4)
+        per_start = mscca.solver._start_bytes(ds, spec, options.p)
+        real_run = mscca.solver._run_start
+        fits = []
+        for budget, chunk in ((1, 1), (3 * per_start, 3), (10**12, 7)):
+            chunks = []
+
+            def recorded(dataset, sup, spec, options, seeds):
+                chunks.append(len(seeds))
+                return real_run(dataset, sup, spec, options, seeds)
+
+            monkeypatch.setattr(mscca.solver, "_CHUNK_BYTES", budget)
+            monkeypatch.setattr(mscca.solver, "_run_start", recorded)
+            fits.append(fit_mscca(ds, sup, spec, options))
+            assert chunks == [chunk] * (7 // chunk) + ([7 % chunk] if 7 % chunk else [])
+        for sol in fits[1:]:
+            assert_identical_fits(sol, fits[0])
+
+    def test_memory_bounded_at_criterion_10_size(self):
+        ds, truth = generate_clustered(GenSpec(q=7, k=3, n_obs=300, n_vars=10, seed=10))
+        sup = generate_supplementary(SupGenSpec(n_sup=3, r=3, seed=11), 300)
+        spec = ClusterSpec.uniform(sup, 3)
+        assert (ds.total_categories, spec.k_total) == (70, 27)
+        fit_mscca(ds, sup, spec, SolverOptions(n_starts=1, seed=0))  # lazy set-up
+        tracemalloc.start()
+        try:
+            fit_mscca(ds, sup, spec, SolverOptions(n_starts=100, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
