@@ -31,19 +31,86 @@ from .solver import MsccaSolution
 ARCHIVE_FORMAT = "mscca-archive/2"
 
 
+# Exact powers of ten (10**22 is the largest a double holds exactly), the
+# Veltkamp splitter 2**27 + 1, and the block length of the vectorized
+# rounding, which bounds its working memory.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLIT = 134217729.0
+_ROUND_BLOCK = 1 << 16
+
+
+def _round_one(x: float) -> float:
+    """One float rounded to 15 significant digits: the archive's
+    definition of the rounding."""
+    return float(f"{x:.15g}")
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split of each element into two 26-bit halves, hi + lo = a."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _round_block(x: np.ndarray) -> np.ndarray:
+    """``_round_one`` of every element of a float64 block, bit for bit.
+
+    |x| is scaled by the exact power 10**(14 - e), e = floor(log10|x|),
+    so its 15 significant digits become the integer part of the product.
+    The product's rounding error comes exactly from a Dekker two-product;
+    ``rint`` is then off by one only when the rounded product sits on a
+    half, and the sign of (p - rint(p)) + err tells which way (an exact
+    half in that sum is a decimal tie, left to ``_round_one``).  One IEEE
+    division of the 15-digit integer by the exact power is the correctly
+    rounded value of the decimal string.  Zeros, subnormals, non-finite
+    values, |x| outside [1e-8, 1e15) and products whose exact value falls
+    outside [1e14, 1e15) (``log10`` rounded across a power of ten) go to
+    ``_round_one``.
+    """
+    a = np.abs(x)
+    ok = (a >= 1e-8) & (a < 1e15)
+    a = np.where(ok, a, 1.0)
+    k = 14 - np.floor(np.log10(a)).astype(np.int64)
+    ok &= (k >= 0) & (k <= 22)
+    scale = _POW10[np.clip(k, 0, 22)]
+    p = a * scale
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _split(scale)
+    err = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    r = np.rint(p)
+    d = (p - r) + err
+    ok &= (p >= 1e14) & (p < 1e15) & ((p > 1e14) | (err >= 0)) & (np.abs(d) != 0.5)
+    out = np.copysign((r + (d > 0.5) - (d < -0.5)) / scale, x)
+    for i in np.flatnonzero(~ok).tolist():
+        out[i] = _round_one(float(x[i]))
+    return out
+
+
+def _round_array(obj: np.ndarray) -> np.ndarray:
+    """``_round_one`` of every element of a float array, as float64,
+    rounded in blocks of ``_ROUND_BLOCK`` elements."""
+    if obj.dtype.itemsize > 8:
+        flat = [_round_one(x) for x in obj.ravel().tolist()]
+        return np.array(flat, dtype=float).reshape(obj.shape)
+    flat = obj.astype(np.float64).ravel()
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _ROUND_BLOCK):
+        out[lo : lo + _ROUND_BLOCK] = _round_block(flat[lo : lo + _ROUND_BLOCK])
+    return out.reshape(obj.shape)
+
+
 def _round_floats(obj: Any) -> Any:
     """Round every float to 15 significant digits, recursively; a float
-    array is rounded in one flat pass and returned as nested lists."""
+    array is rounded in one vectorized pass and returned as nested lists."""
     if isinstance(obj, float):
-        return float(f"{obj:.15g}")
+        return _round_one(obj)
     if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.15g}")
+        return _round_one(float(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
-            flat = [float(f"{x:.15g}") for x in obj.ravel().tolist()]
-            return np.array(flat, dtype=float).reshape(obj.shape).tolist()
+            return _round_array(obj).tolist()
         if obj.dtype.kind in "biu":
             return obj.tolist()
         return _round_floats(obj.tolist())

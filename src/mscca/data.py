@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -58,29 +59,35 @@ def _code_table(
     if set(map(len, raw)) != {width}:
         i = next(i for i, row in enumerate(raw) if len(row) != width)
         raise ShapeError(f"{row_name(i)} has {len(raw[i])} cells, expected {width}")
-    cells = list(chain.from_iterable(raw))
-    ids = dict.fromkeys(cells)
+    ids = defaultdict(count().__next__)
+    size = len(raw) * width
+    table = np.fromiter(map(ids.__getitem__, chain.from_iterable(raw)), np.int64, size)
     if any(type(text) is not str for text in ids):
-        cells = [None if cell is None else str(cell) for cell in cells]
-        ids = dict.fromkeys(cells)
+        cells = (None if cell is None else str(cell) for cell in chain.from_iterable(raw))
+        ids = defaultdict(count().__next__)
+        table = np.fromiter(map(ids.__getitem__, cells), np.int64, size)
     if None in ids or "" in ids:
-        i, j = divmod(next(k for k, cell in enumerate(cells) if not cell), width)
+        empty = [ids[text] for text in (None, "") if text in ids]
+        i, j = divmod(int(np.flatnonzero(np.isin(table, empty))[0]), width)
         column = j if header is None else repr(header[j])
         raise MissingValueError(f"{row_name(i)}: empty cell in column {column}")
     texts = list(ids)
-    ids = dict(zip(texts, range(len(texts))))
-    table = np.fromiter(map(ids.__getitem__, cells), dtype=np.int64, count=len(cells))
-    table = table.reshape(len(raw), width)
-    codes = np.empty_like(table)
+    columns = np.ascontiguousarray(table.reshape(len(raw), width).T)
+    codes = np.empty_like(columns)
     labels = []
-    for j in range(width):
-        distinct, first, inverse = np.unique(table[:, j], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
+    # Per column, the first row of each id (a deterministic minimum over
+    # repeated ids) marks the rows where a label first appears, in order.
+    first = np.empty(len(texts), dtype=np.int64)
+    rank = np.empty(len(texts), dtype=np.int64)
+    rows = np.arange(len(raw))
+    for col, out in zip(columns, codes):
+        first[col] = len(raw)
+        np.minimum.at(first, col, rows)
+        order = col[np.take(first, col) == rows]
         rank[order] = np.arange(order.size)
-        codes[:, j] = rank[inverse]
-        labels.append(tuple(texts[k] for k in distinct[order]))
-    return codes, tuple(labels)
+        np.take(rank, col, out=out)
+        labels.append(tuple(map(texts.__getitem__, order.tolist())))
+    return codes.T, tuple(labels)
 
 
 def _column_names(
@@ -546,11 +553,13 @@ def read_csv_dataset(
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if len(set(header)) != len(header):
+                raise ShapeError(f"{path}: duplicate column names in header")
+            rows = list(filter(None, reader))
         except StopIteration:
             raise ShapeError(f"{path}: empty file, a header row is mandatory") from None
-        if len(set(header)) != len(header):
-            raise ShapeError(f"{path}: duplicate column names in header")
-        rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise ShapeError(f"{path} line {reader.line_num}: {exc}") from None
     missing = [c for c in sup_columns if c not in header]
     if missing:
         raise ShapeError(f"{path}: supplementary columns {missing} not in header {header}")

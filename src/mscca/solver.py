@@ -164,6 +164,15 @@ def init_random(
     """
     spec.validate(sup)
     clusters = np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
+    _draw_clusters(sup, spec, rng, clusters)
+    return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
+
+
+def _draw_clusters(
+    sup: SupplementaryData, spec: ClusterSpec, rng: np.random.Generator, clusters: np.ndarray
+) -> None:
+    """``init_random``'s draw into the N x H array ``clusters``, for a
+    spec already validated against ``sup``."""
     for h in range(sup.n_sup):
         for s in range(sup.r[h]):
             members = sup.members(h, s)
@@ -172,7 +181,6 @@ def init_random(
             clusters[perm[:k], h] = np.arange(k)
             if perm.size > k:
                 clusters[perm[k:], h] = rng.integers(0, k, size=perm.size - k)
-    return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
 
 
 def update_B(
@@ -398,8 +406,9 @@ def _run_start(
     one array program over stacked count tables, quantifications, scores
     and centers.
 
-    Every start draws its initial clusters from its own seed and then
-    runs exactly the cycle it would run alone: each array operation gives
+    Every start draws its initial clusters from its own seed (``spec``
+    is already validated against ``sup``, once per fit) and then runs
+    exactly the cycle it would run alone: each array operation gives
     a start the numpy call, shape and memory layout of a lone start, so
     its trace and result do not depend on the other starts of the chunk.
     A start leaves the stack when it converges or reaches ``max_iter``.
@@ -413,9 +422,9 @@ def _run_start(
     the objective up, so the trace never increases beyond float jitter.
     """
     n_sup, p, max_iter = sup.n_sup, options.p, options.max_iter
-    clusters = np.stack(
-        [init_random(sup, spec, np.random.default_rng(seed)).clusters for seed in seeds]
-    )
+    clusters = np.zeros((len(seeds), sup.n_obs, n_sup), dtype=np.int64)
+    for seed, drawn in zip(seeds, clusters):
+        _draw_clusters(sup, spec, np.random.default_rng(seed), drawn)
     template = HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters[0].copy())
     first = template.rows - clusters[0]  # G row of cluster 0 of each class
     table, sizes = stacked_counts(first + clusters, spec, dataset)

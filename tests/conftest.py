@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Sequence
+from itertools import chain
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -80,6 +81,47 @@ def encode_columns_by_cell(
         if len(names) != width:
             raise ShapeError("number of names does not match number of columns")
     return codes, tuple(labels), names
+
+
+def code_table_by_sort(
+    raw: Sequence[Sequence],
+    row_name: Callable[[int], str] = lambda i: f"row {i}",
+    header: Sequence[str] | None = None,
+) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
+    """Oracle for ``mscca.data._code_table``: one dict of the distinct
+    cell texts, then each column renumbered by the first appearance of its
+    ids through ``np.unique`` and an ``argsort``."""
+    if len(raw) == 0:
+        raise ShapeError("table has no rows")
+    width = len(raw[0]) if header is None else len(header)
+    if width == 0:
+        raise ShapeError("table has no columns")
+    if set(map(len, raw)) != {width}:
+        i = next(i for i, row in enumerate(raw) if len(row) != width)
+        raise ShapeError(f"{row_name(i)} has {len(raw[i])} cells, expected {width}")
+    cells = list(chain.from_iterable(raw))
+    ids = dict.fromkeys(cells)
+    if any(type(text) is not str for text in ids):
+        cells = [None if cell is None else str(cell) for cell in cells]
+        ids = dict.fromkeys(cells)
+    if None in ids or "" in ids:
+        i, j = divmod(next(k for k, cell in enumerate(cells) if not cell), width)
+        column = j if header is None else repr(header[j])
+        raise MissingValueError(f"{row_name(i)}: empty cell in column {column}")
+    texts = list(ids)
+    ids = dict(zip(texts, range(len(texts))))
+    table = np.fromiter(map(ids.__getitem__, cells), dtype=np.int64, count=len(cells))
+    table = table.reshape(len(raw), width)
+    codes = np.empty_like(table)
+    labels = []
+    for j in range(width):
+        distinct, first, inverse = np.unique(table[:, j], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        codes[:, j] = rank[inverse]
+        labels.append(tuple(texts[k] for k in distinct[order]))
+    return codes, tuple(labels)
 
 
 def round_floats_recursive(obj: Any) -> Any:

@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from mscca import generate_illustration, read_csv_dataset
+from mscca import archive, generate_illustration, read_csv_dataset
 from mscca.archive import (
     ARCHIVE_FORMAT,
+    _round_floats,
     assignment_from_archive,
     load_json,
     write_csv,
@@ -133,3 +134,96 @@ class TestArchiveFormat:
         column["classes"] = column["classes"][::-1]
         with pytest.raises(ShapeError, match="observation 0"):
             assignment_from_archive(truth_json, sup)
+
+
+def _bits(values):
+    """The float64 bit patterns of a flat list or a nested list of floats."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestVectorizedRounding:
+    """``_round_floats`` on float arrays against the per-element oracle
+    ``round_floats_recursive``, compared bit for bit (sign of zero and NaN
+    included)."""
+
+    EDGES = [
+        9.99999999999999e-09,  # log10 rounds up to -8; rint of the product is 1e14
+        9.999999999999995e-05,
+        9.99999999999999e10,  # log10 rounds up to 11: the product is below 1e14
+        99999999999999.9,
+        123456789012345.5,  # exact ties: a final 5 as the 16th digit
+        123456789012346.5,
+        999999999999999.5,
+        1e15,
+        1e14,
+        1e-08,
+        0.0,
+        -0.0,
+        5e-324,
+        1e-310,
+        1.7976931348623157e308,
+        -1.7976931348623157e308,
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        0.1,
+        -2.5e-05,
+        0.30000000000000004,
+    ]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["bits", "normal", "scaled"]),
+        st.integers(10_000, 30_000),
+    )
+    def test_large_arrays_match_oracle(self, seed, kind, size):
+        rng = np.random.default_rng(seed)
+        if kind == "bits":
+            values = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+        elif kind == "normal":
+            values = rng.standard_normal(size)
+        else:
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 18, size)
+        assert _bits(_round_floats(values)) == _bits(round_floats_recursive(values))
+
+    @pytest.mark.parametrize("value", EDGES, ids=repr)
+    def test_edge_values_match_oracle(self, value):
+        values = np.array([value, -value, 0.5, value])
+        assert _bits(_round_floats(values)) == _bits(round_floats_recursive(values))
+
+    def test_edge_values_in_blocks_and_shapes(self, monkeypatch):
+        # blocks of 7 split the edges across block borders
+        monkeypatch.setattr(archive, "_ROUND_BLOCK", 7)
+        rng = np.random.default_rng(5)
+        values = np.concatenate([self.EDGES, rng.standard_normal(60 - len(self.EDGES))])
+        values = values.reshape(4, 3, 5)
+        rounded = _round_floats(values)
+        assert np.shape(rounded) == (4, 3, 5)
+        assert _bits(rounded) == _bits(round_floats_recursive(values))
+        assert _bits(_round_floats(values[:, 0])) == _bits(round_floats_recursive(values[:, 0]))
+        assert _round_floats(np.float64(-0.0)) == 0.0
+        assert np.signbit(_round_floats(np.array(-0.0)))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+    def test_other_float_dtypes_match_oracle(self, dtype):
+        rng = np.random.default_rng(6)
+        finite = [v for v in self.EDGES if np.isfinite(v) and abs(v) < 6e4]
+        values = np.concatenate([finite, rng.standard_normal(200) * 100]).astype(dtype)
+        rounded = _round_floats(values)
+        assert all(type(v) is float for v in rounded)
+        assert _bits(rounded) == _bits(round_floats_recursive(values))
+
+    def test_normal_scores_take_the_fast_path(self, monkeypatch):
+        fallbacks = []
+
+        def round_one(x):
+            fallbacks.append(x)
+            return float(f"{x:.15g}")
+
+        monkeypatch.setattr(archive, "_round_one", round_one)
+        values = np.random.default_rng(7).standard_normal((100_000, 2))
+        rounded = _round_floats(values)
+        assert fallbacks == []
+        assert _bits(rounded) == _bits(round_floats_recursive(values))
+        _round_floats(np.array(self.EDGES))
+        assert len(fallbacks) >= 10  # zeros, subnormals, non-finite, ties, range ends

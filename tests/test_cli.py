@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mscca
 from mscca import ClusterSpec, objective_phi, read_csv_dataset
 from mscca.archive import assignment_from_archive, load_json
 from mscca.cli import main
@@ -23,6 +28,21 @@ def illustration_csv(tmp_path_factory):
     out = tmp_path_factory.mktemp("illu")
     assert main(["illustrate", "--out", str(out)]) == 0
     return out / "data.csv"
+
+
+def run_module(*args, cwd):
+    """``python -m mscca ARGS`` in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(mscca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mscca", *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 def run_fit(illustration_csv, out_dir, extra=None):
@@ -406,6 +426,44 @@ class TestVariants:
         )
         assert code == 2
 
+
+
+class TestCsvFieldLimit:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fit", "--k", "s:c1:1", "--k", "s:c2:1"],
+            ["variants", "--method", "removal"],
+        ],
+        ids=["fit", "variants"],
+    )
+    def test_oversized_field_exit_2_in_one_line(self, tmp_path, command):
+        # a cell longer than csv.field_size_limit() (131,072 characters)
+        path = tmp_path / "big.csv"
+        path.write_text(f"a,b,s\nx,y,c1\nx,{'z' * 200_000},c2\n", encoding="utf-8")
+        argv = [*command[:1], "--input", str(path), "--sup-cols", "s", *command[1:]]
+        result = run_module(*argv, "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert str(path) in result.stderr and "line 3" in result.stderr
+        assert "field larger than field limit" in result.stderr
+        assert not (tmp_path / "o").exists()
+
+
+class TestModuleEntry:
+    def test_missing_flags_exit_non_zero(self, tmp_path):
+        result = run_module("fit", cwd=tmp_path)
+        assert result.returncode != 0
+        assert "--input" in result.stderr
+
+    def test_illustrate_writes_its_files(self, tmp_path):
+        result = run_module("illustrate", "--out", str(tmp_path / "ill"), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert sorted(p.name for p in (tmp_path / "ill").iterdir()) == ["data.csv", "truth.json"]
+        assert main(["illustrate", "--out", str(tmp_path / "direct")]) == 0
+        for name in ("data.csv", "truth.json"):
+            assert (tmp_path / "ill" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
 
 class TestSimulate:
     def _design(self, tmp_path):

@@ -17,15 +17,18 @@ from mscca import (
     encode_supplementary,
     read_csv_dataset,
 )
+from mscca.data import _code_table
 from mscca.errors import (
     AssignmentError,
     EmptyClusterError,
     MissingValueError,
+    MsccaError,
     ShapeError,
     SpecError,
 )
 from conftest import (
     cluster_sizes,
+    code_table_by_sort,
     encode_columns_by_cell,
     indicator,
     random_assignment,
@@ -120,6 +123,84 @@ class TestEncodeDataset:
         assert ds.labels == labels and ds.names == names
         sup = encode_supplementary(raw)
         assert sup.codes.tolist() == codes.tolist() and sup.labels == labels
+
+
+@st.composite
+def label_tables(draw):
+    """A table of cells with its optional header: per column, labels from a
+    small pool shared by every column, a mixed pool with cells that are not
+    strings, or one label per row (the same texts in every such column);
+    sometimes with empty cells or a ragged row."""
+    width = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(1, 60))
+    shared = st.sampled_from(["a", "b", "c", "1", "1.0", "é", "a,b"])
+    pools = {
+        "shared": shared,
+        "mixed": st.one_of(
+            shared, st.integers(-3, 3), st.floats(allow_nan=False, width=16), st.booleans()
+        ),
+        "many": st.integers(0, 10**6).map(str),
+    }
+    kinds = draw(st.lists(st.sampled_from([*pools, "unique"]), min_size=width, max_size=width))
+    raw = [
+        [f"u{i}" if kind == "unique" else draw(pools[kind]) for kind in kinds]
+        for i in range(n_rows)
+    ]
+    for _ in range(draw(st.integers(0, 3)) // 2):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
+        raw[i][j] = draw(st.sampled_from([None, ""]))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, n_rows - 1))
+        raw[i] = raw[i][:-1] if draw(st.booleans()) else [*raw[i], "extra"]
+    header = [f"h{j}" for j in range(width)] if draw(st.booleans()) else None
+    return raw, header
+
+
+class TestCodeTable:
+    """``_code_table`` against the sort-based oracle ``code_table_by_sort``."""
+
+    @staticmethod
+    def assert_matches_oracle(raw, header):
+        try:
+            codes, labels = code_table_by_sort(raw, header=header)
+        except MsccaError as exc:
+            with pytest.raises(type(exc)) as err:
+                _code_table(raw, header=header)
+            assert str(err.value) == str(exc)
+        else:
+            got_codes, got_labels = _code_table(raw, header=header)
+            assert got_codes.dtype == np.int64
+            assert got_codes.tolist() == codes.tolist() and got_labels == labels
+
+    @given(label_tables())
+    def test_matches_sort_based_oracle(self, table):
+        self.assert_matches_oracle(*table)
+
+    def test_high_cardinality_table_matches_oracle(self, rng):
+        # 3000 rows: a 2000-level column, a column of distinct labels that
+        # reuse the other columns' texts, and two small shared columns
+        n = 3000
+        raw = [
+            [f"x{rng.integers(2000)}", f"x{i}", f"x{rng.integers(3)}", f"x{rng.integers(5)}"]
+            for i in range(n)
+        ]
+        self.assert_matches_oracle(raw, None)
+        self.assert_matches_oracle(raw, ["a", "b", "c", "d"])
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [["a", "b"], ["a", ""]],
+            [["a", None], [1, "b"]],
+            [["a", "b"], ["c"]],
+            [["a"], ["b", "c"]],
+            [],
+            [[]],
+        ],
+        ids=["empty-text", "none-with-non-strings", "short-row", "long-row", "no-rows", "no-columns"],
+    )
+    def test_errors_match_oracle(self, raw):
+        self.assert_matches_oracle(raw, None)
 
 
 # The five-observation gender layout used throughout: males 1, 3, 5 with two
