@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -289,23 +290,35 @@ def _archive_points(archive: dict) -> list[dict]:
     return points
 
 
+@contextmanager
+def _writing(out: Path):
+    """Report an ``OSError`` from creating or writing the output ``out``
+    (a path under a regular file, an unwritable directory) as an
+    ``ExportError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ExportError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
 def _write_exports(out_dir: Path, archive: dict, exports: tuple[str, ...]) -> None:
     p = len(archive["biplot"]["categories"][0]["coords"]) if archive["biplot"]["categories"] else 2
     if "svg" in exports and p != 2:
         raise ExportError(f"SVG export needs 2-dimensional coordinates, archive has p={p}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if "solution-json" in exports:
-        write_json(out_dir / "solution.json", archive)
-    if "coords-csv" in exports:
-        write_csv(out_dir / "coords.csv", coords_header(p), coords_rows(archive))
-    if "residuals-csv" in exports and "residuals" in archive:
-        write_csv(
-            out_dir / "residuals.csv",
-            ["method", "row", "class", "column", "value"],
-            residual_rows(archive),
-        )
-    if "svg" in exports:
-        _atomic_write(out_dir / "biplot.svg", render_scatter(_archive_points(archive)))
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if "solution-json" in exports:
+            write_json(out_dir / "solution.json", archive)
+        if "coords-csv" in exports:
+            write_csv(out_dir / "coords.csv", coords_header(p), coords_rows(archive))
+        if "residuals-csv" in exports and "residuals" in archive:
+            write_csv(
+                out_dir / "residuals.csv",
+                ["method", "row", "class", "column", "value"],
+                residual_rows(archive),
+            )
+        if "svg" in exports:
+            _atomic_write(out_dir / "biplot.svg", render_scatter(_archive_points(archive)))
 
 
 def _clustering_archive(echo: dict, dataset, solution) -> dict:
@@ -463,25 +476,26 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"invalid design: {exc}") from exc
     rows = run_study(design)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = [
         "q", "K", "H", "r", "balance", "replicate", "h", "s",
         "ari", "gf", "phi", "error", "runtime_ms",
     ]
-    write_csv(
-        out_dir / "results.csv",
-        header,
-        [[row[c] for c in header] for row in rows],
-    )
     summary = summarize_study(rows)
-    write_csv(
-        out_dir / "summary.csv",
-        ["q", "K", "H", "cond", "median_ari", "median_gf", "n_rows", "failures"],
-        [
-            [s["q"], s["K"], s["H"], s["cond"], s["median_ari"], s["median_gf"], s["n_rows"], s["failures"]]
-            for s in summary
-        ],
-    )
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(
+            out_dir / "results.csv",
+            header,
+            [[row[c] for c in header] for row in rows],
+        )
+        write_csv(
+            out_dir / "summary.csv",
+            ["q", "K", "H", "cond", "median_ari", "median_gf", "n_rows", "failures"],
+            [
+                [s["q"], s["K"], s["H"], s["cond"], s["median_ari"], s["median_gf"], s["n_rows"], s["failures"]]
+                for s in summary
+            ],
+        )
     print(f"simulate: {len(rows)} rows over {len(design.cells())} cells, outputs in {args.out}")
     return 0
 
@@ -499,8 +513,9 @@ def cmd_export_svg(args) -> int:
     except (KeyError, IndexError, TypeError) as exc:
         raise ConfigError(f"archive biplot is malformed: {exc!r}") from exc
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out, render_scatter(points))
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write(out, render_scatter(points))
     print(f"export-svg: wrote {args.out}")
     return 0
 
@@ -508,22 +523,23 @@ def cmd_export_svg(args) -> int:
 def cmd_illustrate(args) -> int:
     dataset, sup, truth = generate_illustration(seed=args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = list(dataset.names) + list(sup.names)
     data_rows = dataset.decode()
     sup_rows = [
         [sup.labels[h][sup.codes[i, h]] for h in range(sup.n_sup)]
         for i in range(sup.n_obs)
     ]
-    write_csv(
-        out_dir / "data.csv",
-        header,
-        [data_rows[i] + sup_rows[i] for i in range(dataset.n_obs)],
-    )
-    write_json(
-        out_dir / "truth.json",
-        {"format": ARCHIVE_FORMAT, **assignment_columns(truth)},
-    )
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(
+            out_dir / "data.csv",
+            header,
+            [data_rows[i] + sup_rows[i] for i in range(dataset.n_obs)],
+        )
+        write_json(
+            out_dir / "truth.json",
+            {"format": ARCHIVE_FORMAT, **assignment_columns(truth)},
+        )
     k_flags = " ".join(
         f"--k {sup.names[h]}:{lab}:{truth.spec.k_of(h, s)}"
         for h in range(sup.n_sup)
@@ -552,3 +568,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -304,8 +304,33 @@ class StudyDesign:
         unknown = set(self.balances) - {"balanced", "unbalanced"}
         if unknown:
             raise SpecError(f"balances must be 'balanced' or 'unbalanced', got {sorted(unknown)}")
-        if self.replicates < 1 or self.starts < 1:
-            raise SpecError("replicates and starts must be >= 1")
+        for name in ("replicates", "starts", "n_obs", "n_vars", "p", "max_iter", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
+        real = (int, float, np.integer, np.floating)
+        for name in ("high_prob", "active_ratio", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, real):
+                raise SpecError(f"{name} must be a number, got {value!r}")
+        for name in ("replicates", "n_obs", "n_vars"):
+            if getattr(self, name) < 1:
+                raise SpecError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Every cell's generator and solver settings share these fields.
+        GenSpec(
+            q=min(self.qs), k=min(self.ks), high_prob=self.high_prob, active_ratio=self.active_ratio
+        )
+        self.options(seed=self.seed).validate()
+
+    def options(self, seed: int) -> SolverOptions:
+        """The solver settings of every cell, with the given fit seed."""
+        return SolverOptions(
+            p=self.p,
+            n_starts=self.starts,
+            max_iter=self.max_iter,
+            epsilon=self.epsilon,
+            seed=seed,
+        )
 
     def cells(self) -> list[tuple[int, int, int, int, str]]:
         return [
@@ -369,18 +394,7 @@ def _study_task(design: StudyDesign, cell_index: int, replicate: int) -> list[di
     try:
         spec = ClusterSpec.uniform(sup, k)
         spec.validate(sup)
-        solution = fit_mscca(
-            dataset,
-            sup,
-            spec,
-            SolverOptions(
-                p=design.p,
-                n_starts=design.starts,
-                max_iter=design.max_iter,
-                epsilon=design.epsilon,
-                seed=fit_seed,
-            ),
-        )
+        solution = fit_mscca(dataset, sup, spec, design.options(fit_seed))
     except MsccaError as exc:  # cell failures are recorded, not fatal
         elapsed = int(1000 * (time.perf_counter() - started))
         return [

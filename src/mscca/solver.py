@@ -28,6 +28,7 @@ from .data import (
     HierarchicalAssignment,
     SupplementaryData,
     cluster_counts,
+    moved_counts,
     stacked_counts,
 )
 from .errors import EmptyClusterError, ProjectorError, ShapeError, SpecError
@@ -61,6 +62,8 @@ class SolverOptions:
             raise SpecError("max_iter must be >= 1")
         if not self.epsilon > 0:
             raise SpecError("epsilon must be positive")
+        if self.seed < 0:
+            raise SpecError("seed must be >= 0")
         if dataset is not None:
             bound = dataset.total_categories - dataset.n_vars
             if self.p > bound:
@@ -98,10 +101,9 @@ def object_scores(dataset: CategoricalDataset, quantifications: np.ndarray) -> n
     stacked version are identical, so one block carries everything.
 
     A stack of S quantifications (S x Q x p) gives S x N x p scores."""
-    codes = dataset.codes
     scores = np.zeros((*quantifications.shape[:-2], dataset.n_obs, quantifications.shape[-1]))
-    for j in range(dataset.n_vars):
-        scores += np.take(quantifications, dataset.offsets[j] + codes[:, j], axis=-2)
+    for cols in dataset.cell_columns:
+        scores += np.take(quantifications, cols, axis=-2)
     scores -= (dataset.column_means @ quantifications)[..., None, :]
     return scores / dataset.n_vars
 
@@ -127,10 +129,9 @@ def _direct_objective(
     """(1/(N H m)) sum_j sum_h || blocks[h] - Z_j B_j ||^2 for H per-h
     N x p score blocks, one variable's quantified rows at a time; for S x
     N x p blocks and S x Q x p quantifications, one value per start."""
-    codes = dataset.codes
     total = 0.0
-    for j in range(dataset.n_vars):
-        fitted = np.take(quantifications, dataset.offsets[j] + codes[:, j], axis=-2)
+    for cols in dataset.cell_columns:
+        fitted = np.take(quantifications, cols, axis=-2)
         for block in blocks:
             diff = block - fitted
             total = total + np.einsum("...ij,...ij->...", diff, diff)
@@ -457,7 +458,9 @@ def _run_start(
             live, clusters, table, sizes = live[go], clusters[go], table[go], sizes[go]
             scores, centers, quantifications = scores[go], centers[go], quantifications[go]
         candidate = _nearest_clusters(scores, centers, sup, spec)
-        new_table, new_sizes = stacked_counts(first + candidate, spec, dataset)
+        new_table, new_sizes = moved_counts(
+            table, first + clusters, first + candidate, spec, dataset
+        )
         full = (new_sizes > 0).all(axis=1)
         if full.all():
             clusters, table, sizes = candidate, new_table, new_sizes
@@ -662,15 +665,15 @@ def fit_constrained_mca(
     bound = dataset.total_categories - dataset.n_vars
     if not 1 <= p <= bound:
         raise SpecError(f"p={p} outside [1, {bound}]")
-    n, m, big_q = dataset.n_obs, dataset.n_vars, dataset.total_categories
+    n, big_q = dataset.n_obs, dataset.total_categories
 
     if kind in ("identity", "projector-off"):
         # Z^H' J Z^H = H (Z'Z - N mu mu'), with the Burt matrix Z'Z counted
         # one variable's rows at a time.
-        cols = dataset.codes + dataset.offsets
+        cols = dataset.cell_columns
         burt = np.zeros(big_q * big_q, dtype=np.int64)
-        for j in range(m):
-            burt += np.bincount((cols[:, j, None] * big_q + cols).ravel(), minlength=big_q**2)
+        for row in cols:
+            burt += np.bincount((row * big_q + cols).ravel(), minlength=big_q**2)
         mu = dataset.column_means
         target = n_stack * (burt.reshape(big_q, big_q) - n * np.outer(mu, mu))
     if partition is not None:

@@ -30,13 +30,13 @@ def illustration_csv(tmp_path_factory):
     return out / "data.csv"
 
 
-def run_module(*args, cwd):
-    """``python -m mscca ARGS`` in a fresh interpreter that imports this
+def run_module(*args, cwd, module="mscca"):
+    """``python -m MODULE ARGS`` in a fresh interpreter that imports this
     checkout's package."""
     src = str(Path(mscca.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "mscca", *args],
+        [sys.executable, "-m", module, *args],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
@@ -211,6 +211,21 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "UTF-8" in err
+
+    @pytest.mark.parametrize("method", [None, "averaging"], ids=["fit", "variants"])
+    def test_negative_seed_exit_3_in_one_line(self, illustration_csv, tmp_path, capsys, method):
+        if method is None:
+            argv = ["fit", *ILLUSTRATION_K]
+        else:
+            argv = ["variants", "--method", method]
+        argv += [
+            "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
+            "--seed", "-1", "--out", str(tmp_path / "o"),
+        ]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: seed must be >= 0\n"
+        assert not (tmp_path / "o").exists()
 
     def test_svg_needs_two_dims_exit_4(self, illustration_csv, tmp_path):
         code = run_fit(
@@ -451,6 +466,54 @@ class TestCsvFieldLimit:
         assert not (tmp_path / "o").exists()
 
 
+class TestOutputUnderRegularFile:
+    """An output path below a regular file cannot be created: exit 4 with
+    one line, whichever command writes it."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "afile"
+        path.write_text("not a directory\n", encoding="utf-8")
+        return path
+
+    def _check(self, code, capsys, out):
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}")
+
+    @pytest.mark.parametrize(
+        "command",
+        [[*ILLUSTRATION_K], ["--method", "mca"], ["--method", "averaging"]],
+        ids=["fit", "variants-mca", "variants-averaging"],
+    )
+    def test_fit_and_variants(self, illustration_csv, blocker, capsys, command):
+        name = "fit" if command[0] == "--k" else "variants"
+        out = blocker / "sub"
+        argv = [name, "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender"]
+        self._check(main([*argv, *command, "--starts", "2", "--out", str(out)]), capsys, out)
+
+    def test_illustrate(self, blocker, capsys):
+        out = blocker / "sub"
+        self._check(main(["illustrate", "--out", str(out)]), capsys, out)
+
+    def test_export_svg(self, illustration_csv, blocker, tmp_path, capsys):
+        assert run_fit(illustration_csv, tmp_path / "fit") == 0
+        capsys.readouterr()
+        out = blocker / "sub" / "biplot.svg"
+        archive = str(tmp_path / "fit" / "solution.json")
+        self._check(main(["export-svg", "--archive", archive, "--out", str(out)]), capsys, out)
+
+    def test_simulate(self, blocker, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(
+            json.dumps({"qs": [3], "ks": [2], "hs": [1], "rs": [2], "balances": ["balanced"],
+                        "replicates": 1, "starts": 1, "n_obs": 40, "n_vars": 3}),
+            encoding="utf-8",
+        )
+        out = blocker / "sub"
+        self._check(main(["simulate", "--design", str(design), "--out", str(out)]), capsys, out)
+
+
 class TestModuleEntry:
     def test_missing_flags_exit_non_zero(self, tmp_path):
         result = run_module("fit", cwd=tmp_path)
@@ -464,6 +527,20 @@ class TestModuleEntry:
         assert main(["illustrate", "--out", str(tmp_path / "direct")]) == 0
         for name in ("data.csv", "truth.json"):
             assert (tmp_path / "ill" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+    def test_cli_module_runs_the_cli(self, tmp_path):
+        result = run_module("fit", cwd=tmp_path, module="mscca.cli")
+        assert result.returncode == 2
+        assert "--input" in result.stderr
+        result = run_module(
+            "illustrate", "--out", str(tmp_path / "ill"), cwd=tmp_path, module="mscca.cli"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert main(["illustrate", "--out", str(tmp_path / "direct")]) == 0
+        for name in ("data.csv", "truth.json"):
+            direct = (tmp_path / "direct" / name).read_bytes()
+            assert (tmp_path / "ill" / name).read_bytes() == direct
 
 class TestSimulate:
     def _design(self, tmp_path):
@@ -544,7 +621,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "grid",
-        [{"rs": [3, 1]}, {"qs": [1]}, {"ks": [2, 0]}, {"hs": [0]}, {"balances": ["skewed"]}],
+        [
+            {"rs": [3, 1]}, {"qs": [1]}, {"ks": [2, 0]}, {"hs": [0]}, {"balances": ["skewed"]},
+            {"p": 0}, {"max_iter": 0}, {"epsilon": 0}, {"epsilon": "small"}, {"n_obs": 0},
+            {"n_vars": 0}, {"high_prob": 1.5}, {"active_ratio": -0.5}, {"seed": -1},
+            {"starts": 0}, {"replicates": 0}, {"replicates": 1.5}, {"starts": 2.0},
+            {"p": True}, {"seed": None},
+        ],
     )
     def test_out_of_range_grid_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch, grid):
         calls = []

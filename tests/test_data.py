@@ -17,7 +17,8 @@ from mscca import (
     encode_supplementary,
     read_csv_dataset,
 )
-from mscca.data import _code_table
+import mscca.data
+from mscca.data import _code_table, moved_counts, stacked_counts
 from mscca.errors import (
     AssignmentError,
     EmptyClusterError,
@@ -32,6 +33,8 @@ from conftest import (
     encode_columns_by_cell,
     indicator,
     random_assignment,
+    random_dataset,
+    random_mixed_problem,
     random_problem,
     stacked_indicator,
     validate_assignment,
@@ -286,6 +289,66 @@ class TestClusterCounts:
             assert_allclose(table, u.T @ z_full_stacked(ds, sup.n_sup))
             assert_allclose(sizes, u.sum(axis=0))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sup=st.integers(1, 3),
+        n_stack=st.integers(1, 4),
+        share=st.sampled_from([0.0, 0.02, 0.2, 0.45, 0.55, 0.8, 1.0]),
+        empty=st.booleans(),
+    )
+    def test_moved_counts_match_a_recount(self, seed, n_sup, n_stack, share, empty):
+        # Tables updated from the moved entries equal a fresh count, on
+        # both sides of the half rule, also where a move empties a cluster.
+        rng = np.random.default_rng(seed)
+        ds, sup, spec = random_mixed_problem(rng, n=int(rng.integers(20, 80)), n_sup=n_sup)
+        first = np.stack([spec.first_rows[h][sup.codes[:, h]] for h in range(n_sup)], axis=1)
+        limit = np.stack([np.array(spec.counts[h])[sup.codes[:, h]] for h in range(n_sup)], axis=1)
+        rows = first + (rng.random((n_stack, *first.shape)) * limit).astype(np.int64)
+        # a moved entry goes to another cluster of its class, if it has one
+        step = 1 + (rng.random(rows.shape) * (limit - 1)).astype(np.int64)
+        moves = rng.random(rows.shape) < share
+        new_rows = np.where(moves, first + (rows - first + step) % limit, rows)
+        if empty:
+            # every member of one start's cluster leaves it for the next
+            # cluster of its class, if it has one
+            s, i, h = (int(rng.integers(n)) for n in rows.shape)
+            row = new_rows[s, i, h]
+            new_rows[s, :, h][new_rows[s, :, h] == row] = (
+                first[i, h] + (row - first[i, h] + 1) % limit[i, h]
+            )
+        table, _ = stacked_counts(rows, spec, ds)
+        got_table, got_sizes = moved_counts(table, rows, new_rows, spec, ds)
+        want_table, want_sizes = stacked_counts(new_rows, spec, ds)
+        assert got_table.dtype == want_table.dtype
+        assert np.array_equal(got_table, want_table)
+        assert np.array_equal(got_sizes, want_sizes)
+        assert np.array_equal(table, stacked_counts(rows, spec, ds)[0])  # input untouched
+
+    def test_moved_counts_recount_only_when_half_moved(self, rng, monkeypatch):
+        # 40 observations, 2 variables of one class with 2 clusters each:
+        # 80 entries, so 39 moves take the update and 40 a recount.
+        ds = random_dataset(rng, 40, 4, 3)
+        sup = SupplementaryData(
+            codes=np.zeros((40, 2), dtype=np.int64), labels=(("all",), ("all",)), names=("a", "b")
+        )
+        spec = ClusterSpec(((2,), (2,)))
+        rows = np.tile([0, 2], (1, 40, 1))
+        table, _ = stacked_counts(rows, spec, ds)
+        recounts = []
+
+        def recording(*args):
+            recounts.append(args)
+            return stacked_counts(*args)
+
+        monkeypatch.setattr(mscca.data, "stacked_counts", recording)
+        for moved, calls in ((39, 0), (40, 1), (80, 2)):
+            new_rows = rows.copy()
+            new_rows.reshape(-1)[:moved] += 1
+            got = moved_counts(table, rows, new_rows, spec, ds)
+            assert len(recounts) == calls
+            want = stacked_counts(new_rows, spec, ds)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_empty_cluster_rejected(self):
         sup = encode_supplementary([["x"], ["x"], ["y"]])
         ds = encode_dataset([["a"], ["b"], ["a"]])
@@ -384,10 +447,21 @@ class TestIndicatorView:
 
     def test_columns_cached_and_read_only(self):
         ds = encode_dataset([["a", "x"], ["b", "y"]])
-        for name in ("offsets", "counts", "column_means"):
+        for name in ("offsets", "counts", "column_means", "cell_columns"):
             assert getattr(ds, name) is getattr(ds, name)
             with pytest.raises(ValueError):
                 getattr(ds, name)[0] = 0
+
+    def test_cell_columns_index_the_indicator(self, rng):
+        for _ in range(5):
+            ds, sup, spec = random_problem(rng)
+            cols = ds.cell_columns
+            assert cols.shape == (ds.n_vars, ds.n_obs) and cols.flags.c_contiguous
+            assert cols.dtype == np.int64
+            assert np.array_equal(cols, (ds.codes + ds.offsets).T)
+            z = z_full(ds)
+            for j in range(ds.n_vars):
+                assert (z[np.arange(ds.n_obs), cols[j]] == 1).all()
 
 
 class TestSupplementaryData:
