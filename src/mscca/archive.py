@@ -7,6 +7,9 @@ original input is enough to rebuild the assignment and re-evaluate the
 objective.  The assignment is stored column by column: per supplementary
 variable its class labels once, then one class code and one cluster
 index per observation.
+
+This is the only module that builds or reads archive dicts; every export
+reads the biplot section's points through ``biplot_points``.
 """
 
 from __future__ import annotations
@@ -17,18 +20,20 @@ import json
 import os
 import secrets
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
 from .biplot import BiplotModel, ResidualComparison
-from .data import ClusterSpec, HierarchicalAssignment, SupplementaryData
-from .errors import ConfigError, ShapeError
-from .solver import MsccaSolution
+from .data import CategoricalDataset, ClusterSpec, HierarchicalAssignment, SupplementaryData
+from .errors import ConfigError, ExportError, ShapeError
+from .solver import ConstrainedFit, MsccaSolution
+from .svg import render_scatter
 
 
 ARCHIVE_FORMAT = "mscca-archive/2"
+RESIDUALS_HEADER = ["method", "row", "class", "column", "value"]
 
 
 # Exact powers of ten (10**22 is the largest a double holds exactly), the
@@ -121,7 +126,7 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def write_text(path: Path, text: str) -> None:
     """Write ``text`` through a temporary sibling and an atomic replace.
 
     The temporary file is created like a plain ``open`` would create it
@@ -141,7 +146,7 @@ def _atomic_write(path: Path, text: str) -> None:
 def write_json(path: str | Path, payload: dict) -> None:
     """Serialize as compact JSON with sorted keys and atomic replace."""
     text = json.dumps(_round_floats(payload), sort_keys=True, separators=(",", ":")) + "\n"
-    _atomic_write(Path(path), text)
+    write_text(Path(path), text)
 
 
 def load_json(path: str | Path) -> dict:
@@ -164,7 +169,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence])
     writer.writerow(header)
     for row in rows:
         writer.writerow([cell(v) for v in row])
-    _atomic_write(Path(path), buffer.getvalue())
+    write_text(Path(path), buffer.getvalue())
 
 
 def assignment_columns(assignment: HierarchicalAssignment) -> dict:
@@ -220,6 +225,20 @@ def assignment_from_archive(archive: dict, sup: SupplementaryData) -> Hierarchic
     return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
 
 
+def truth_archive(truth: HierarchicalAssignment) -> dict:
+    """The ``truth.json`` of a generated dataset: its true assignment in
+    the archive layout, readable by ``assignment_from_archive``."""
+    return {"format": ARCHIVE_FORMAT, **assignment_columns(truth)}
+
+
+def category_points(labels: Sequence[str], masses: np.ndarray, coords: np.ndarray) -> list[dict]:
+    """The biplot's category points: label, mass and coordinates."""
+    return [
+        {"label": label, "mass": float(mass), "coords": [float(v) for v in row]}
+        for label, mass, row in zip(labels, masses, coords)
+    ]
+
+
 def _class_points(
     model: BiplotModel, centers_by_row: np.ndarray, sup: SupplementaryData
 ) -> list[dict]:
@@ -227,28 +246,21 @@ def _class_points(
 
     A class's point is gamma * sqrt(class mass) times the mass-weighted
     mean of its clusters' centers, the direct analogue of the class rows
-    of the averaged table.
+    of the averaged table.  Classes are numbered in (h, s) order.
     """
-    sup_classes: dict[tuple[int, int], dict] = {}
-    for i, (h, s, _k) in enumerate(model.row_index):
-        slot = sup_classes.setdefault((h, s), {"mass": 0.0, "weighted": 0.0})
-        slot["mass"] += float(model.row_masses[i])
-        slot["weighted"] = slot["weighted"] + model.row_masses[i] * centers_by_row[i]
-    out = []
-    for (h, s), slot in sorted(sup_classes.items()):
-        mean_center = slot["weighted"] / slot["mass"]
-        coords = model.gamma * np.sqrt(slot["mass"]) * mean_center
-        out.append(
-            {
-                "h": h,
-                "s": s,
-                "label": sup.labels[h][s],
-                "coords": [float(v) for v in coords],
-                "mass": float(slot["mass"]),
-                "size": None,
-            }
-        )
-    return out
+    classes = [(h, s) for h in range(sup.n_sup) for s in range(sup.r[h])]
+    offsets = np.cumsum((0, *sup.r))
+    index = [offsets[h] + s for h, s, _k in model.row_index]
+    mass = np.zeros(len(classes))
+    weighted = np.zeros((len(classes), centers_by_row.shape[1]))
+    np.add.at(mass, index, model.row_masses)
+    np.add.at(weighted, index, model.row_masses[:, None] * centers_by_row)
+    coords = model.gamma * np.sqrt(mass)[:, None] * (weighted / mass[:, None])
+    return [
+        {"h": h, "s": s, "label": sup.labels[h][s], "coords": [float(v) for v in coords[c]],
+         "mass": float(mass[c]), "size": None}
+        for c, (h, s) in enumerate(classes)
+    ]
 
 
 def build_archive(
@@ -280,14 +292,6 @@ def build_archive(
                 "coords": [float(v) for v in model.row_coords[i]],
             }
         )
-    categories = [
-        {
-            "label": model.col_labels[j],
-            "mass": float(model.col_masses[j]),
-            "coords": [float(v) for v in model.col_coords[j]],
-        }
-        for j in range(len(model.col_labels))
-    ]
     return {
         "format": ARCHIVE_FORMAT,
         "version": __version__,
@@ -305,33 +309,99 @@ def build_archive(
         "biplot": {
             "gamma": float(model.gamma),
             "clusters": rows,
-            "categories": categories,
+            "categories": category_points(model.col_labels, model.col_masses, model.col_coords),
             "classes": _class_points(model, centers_by_row, sup),
         },
         "residuals": list(comparison.records),
     }
 
 
-def coords_rows(archive: dict) -> list[list]:
-    """Flatten an archive's points to the coordinate export schema:
-    (point_kind, label, dim1..dimp, mass, size)."""
-    out: list[list] = []
+def class_points_only(archive: dict) -> None:
+    """Rewrite an averaging fit's archive in place: its rows are whole
+    classes (one cluster per class), exported as class points only."""
     biplot = archive["biplot"]
-    for rec in biplot["clusters"]:
-        out.append(["cluster", rec["label"], *rec["coords"], rec["mass"], rec["size"]])
-    for rec in biplot["classes"]:
-        out.append(["class", rec["label"], *rec["coords"], rec["mass"], rec["size"]])
-    for rec in biplot["categories"]:
-        out.append(["category", rec["label"], *rec["coords"], rec["mass"], None])
-    return out
+    keep = ("label", "coords", "mass", "size")
+    biplot["classes"] = [{key: rec[key] for key in keep} for rec in biplot["clusters"]]
+    biplot["clusters"] = []
 
 
-def coords_header(p: int) -> list[str]:
+def variant_archive(
+    config: dict, method: str, dataset: CategoricalDataset, fit: ConstrainedFit
+) -> dict:
+    """The ``mscca-variant`` archive of a constrained quantification
+    (``variants --method removal|mca``): its objective, quantifications
+    and scores, and a biplot of category points only."""
+    col_masses = dataset.counts / dataset.counts.sum()
+    col_coords = np.sqrt(col_masses)[:, None] * fit.quantifications
+    return {
+        "format": "mscca-variant",
+        "method": method,
+        "config": config,
+        "objective": float(fit.objective),
+        "quantifications": fit.quantifications,
+        "scores": fit.scores,
+        "biplot": {
+            "gamma": 1.0,
+            "clusters": [],
+            "classes": [],
+            "categories": category_points(dataset.column_labels, col_masses, col_coords),
+        },
+    }
+
+
+def biplot_points(archive: dict) -> Iterator[tuple[str, dict]]:
+    """(kind, record) for every point of an archive's biplot section:
+    clusters, then classes, then categories; a missing list is empty."""
+    biplot = archive["biplot"]
+    for kind, key in (("cluster", "clusters"), ("class", "classes"), ("category", "categories")):
+        for rec in biplot.get(key, ()):
+            yield kind, rec
+
+
+def coords_header(archive: dict) -> list[str]:
+    categories = archive["biplot"]["categories"]
+    p = len(categories[0]["coords"]) if categories else 2
     return ["point_kind", "label", *[f"dim{i + 1}" for i in range(p)], "mass", "size"]
 
 
+def coords_rows(archive: dict) -> list[list]:
+    """Flatten an archive's points to the coordinate export schema:
+    (point_kind, label, dim1..dimp, mass, size)."""
+    return [
+        [kind, rec["label"], *rec["coords"], rec["mass"], rec.get("size")]
+        for kind, rec in biplot_points(archive)
+    ]
+
+
 def residual_rows(archive: dict) -> list[list]:
+    """The residual export rows (``RESIDUALS_HEADER``); none for an archive
+    without a residual section."""
     return [
         [rec["method"], rec["row"], rec["class"], rec["column"], rec["value"]]
         for rec in archive.get("residuals", [])
     ]
+
+
+def biplot_svg(archive: Any) -> str:
+    """The SVG scatter of an archive's biplot points.  Cluster labels are
+    sized by share, class labels by mass.
+
+    Raises ``ConfigError`` when the archive holds no category points or a
+    point is malformed, and ``ExportError`` unless the points are
+    2-dimensional.
+    """
+    biplot = archive.get("biplot") if isinstance(archive, dict) else None
+    if not isinstance(biplot, dict) or not biplot.get("categories"):
+        raise ConfigError("archive holds no biplot coordinates")
+    try:
+        p = len(biplot["categories"][0]["coords"])
+        if p != 2:
+            raise ExportError(f"SVG export needs 2-dimensional coordinates, archive has p={p}")
+        points = [
+            (kind, rec["label"], rec["coords"][0], rec["coords"][1],
+             rec.get("mass" if kind == "class" else "share"))
+            for kind, rec in biplot_points(archive)
+        ]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ConfigError(f"archive biplot is malformed: {exc!r}") from exc
+    return render_scatter(points)

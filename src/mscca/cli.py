@@ -18,19 +18,20 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .archive import (
-    ARCHIVE_FORMAT,
-    _atomic_write,
-    assignment_columns,
+    RESIDUALS_HEADER,
+    biplot_svg,
     build_archive,
+    class_points_only,
     coords_header,
     coords_rows,
     load_json,
     residual_rows,
+    truth_archive,
+    variant_archive,
     write_csv,
     write_json,
+    write_text,
 )
 from .biplot import (
     biplot_coordinates,
@@ -62,7 +63,6 @@ from .solver import (
     fit_constrained_mca,
     fit_mscca,
 )
-from .svg import render_scatter
 
 
 EXPORTS = ("solution-json", "coords-csv", "residuals-csv", "svg")
@@ -99,6 +99,7 @@ class RunConfig:
         unknown = set(self.exports) - set(EXPORTS)
         if unknown:
             raise ConfigError(f"unknown exports: {sorted(unknown)}")
+        self.options().validate()
 
     def options(self) -> SolverOptions:
         return SolverOptions(
@@ -129,8 +130,15 @@ class RunConfig:
         return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line (exit 2), like every other error."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mscca",
         description="Class-specific clustering and category quantification for categorical data.",
     )
@@ -255,41 +263,6 @@ def _read_input(config: RunConfig) -> tuple:
         raise ConfigError(str(exc)) from exc
 
 
-def _archive_points(archive: dict) -> list[dict]:
-    points = []
-    biplot = archive["biplot"]
-    for rec in biplot.get("clusters", ()):
-        points.append(
-            {
-                "kind": "cluster",
-                "label": rec["label"],
-                "x": rec["coords"][0],
-                "y": rec["coords"][1],
-                "share": rec.get("share"),
-            }
-        )
-    for rec in biplot.get("classes", ()):
-        points.append(
-            {
-                "kind": "class",
-                "label": rec["label"],
-                "x": rec["coords"][0],
-                "y": rec["coords"][1],
-                "share": rec.get("mass"),
-            }
-        )
-    for rec in biplot.get("categories", ()):
-        points.append(
-            {
-                "kind": "category",
-                "label": rec["label"],
-                "x": rec["coords"][0],
-                "y": rec["coords"][1],
-            }
-        )
-    return points
-
-
 @contextmanager
 def _writing(out: Path):
     """Report an ``OSError`` from creating or writing the output ``out``
@@ -302,23 +275,17 @@ def _writing(out: Path):
 
 
 def _write_exports(out_dir: Path, archive: dict, exports: tuple[str, ...]) -> None:
-    p = len(archive["biplot"]["categories"][0]["coords"]) if archive["biplot"]["categories"] else 2
-    if "svg" in exports and p != 2:
-        raise ExportError(f"SVG export needs 2-dimensional coordinates, archive has p={p}")
+    svg = biplot_svg(archive) if "svg" in exports else None
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         if "solution-json" in exports:
             write_json(out_dir / "solution.json", archive)
         if "coords-csv" in exports:
-            write_csv(out_dir / "coords.csv", coords_header(p), coords_rows(archive))
-        if "residuals-csv" in exports and "residuals" in archive:
-            write_csv(
-                out_dir / "residuals.csv",
-                ["method", "row", "class", "column", "value"],
-                residual_rows(archive),
-            )
-        if "svg" in exports:
-            _atomic_write(out_dir / "biplot.svg", render_scatter(_archive_points(archive)))
+            write_csv(out_dir / "coords.csv", coords_header(archive), coords_rows(archive))
+        if "residuals-csv" in exports and (rows := residual_rows(archive)):
+            write_csv(out_dir / "residuals.csv", RESIDUALS_HEADER, rows)
+        if svg is not None:
+            write_text(out_dir / "biplot.svg", svg)
 
 
 def _clustering_archive(echo: dict, dataset, solution) -> dict:
@@ -409,17 +376,7 @@ def cmd_variants(args) -> int:
             solution = fit_cluster_ca(dataset, k, options)
         archive = _clustering_archive(config.echo(), dataset, solution)
         if method == "averaging":
-            # Each row is a whole class; export them as class points only.
-            archive["biplot"]["classes"] = [
-                {
-                    "label": rec["label"],
-                    "coords": rec["coords"],
-                    "mass": rec["mass"],
-                    "size": rec["size"],
-                }
-                for rec in archive["biplot"]["clusters"]
-            ]
-            archive["biplot"]["clusters"] = []
+            class_points_only(archive)
         _write_exports(out_dir, archive, exports)
         print(f"variants {method}: objective {solution.objective:.6g}, outputs in {config.out}")
         return 0
@@ -427,29 +384,7 @@ def cmd_variants(args) -> int:
     kind = "identity" if method == "mca" else "projector-off"
     source = None if method == "mca" else sup
     fit = fit_constrained_mca(dataset, ConstraintSpec(kind=kind, source=source), config.dims)
-    col_masses = dataset.counts / dataset.counts.sum()
-    col_coords = np.sqrt(col_masses)[:, None] * fit.quantifications
-    archive = {
-        "format": "mscca-variant",
-        "method": method,
-        "config": config.echo(),
-        "objective": float(fit.objective),
-        "quantifications": fit.quantifications,
-        "scores": fit.scores,
-        "biplot": {
-            "gamma": 1.0,
-            "clusters": [],
-            "classes": [],
-            "categories": [
-                {
-                    "label": dataset.column_labels[j],
-                    "mass": float(col_masses[j]),
-                    "coords": [float(v) for v in col_coords[j]],
-                }
-                for j in range(dataset.total_categories)
-            ],
-        },
-    }
+    archive = variant_archive(config.echo(), method, dataset, fit)
     _write_exports(out_dir, archive, exports)
     print(f"variants {method}: objective {fit.objective:.6g}, outputs in {config.out}")
     return 0
@@ -474,15 +409,16 @@ def cmd_simulate(args) -> int:
         design = StudyDesign(**raw)
     except (TypeError, SpecError) as exc:
         raise ConfigError(f"invalid design: {exc}") from exc
-    rows = run_study(design)
     out_dir = Path(args.out)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    rows = run_study(design)
     header = [
         "q", "K", "H", "r", "balance", "replicate", "h", "s",
         "ari", "gf", "phi", "error", "runtime_ms",
     ]
     summary = summarize_study(rows)
     with _writing(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(
             out_dir / "results.csv",
             header,
@@ -501,21 +437,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_export_svg(args) -> int:
-    archive = _read_json(args.archive, "archive")
-    biplot = archive.get("biplot") if isinstance(archive, dict) else None
-    if not isinstance(biplot, dict) or not biplot.get("categories"):
-        raise ConfigError("archive holds no biplot coordinates")
-    try:
-        p = len(biplot["categories"][0]["coords"])
-        if p != 2:
-            raise ExportError(f"SVG export needs 2-dimensional coordinates, archive has p={p}")
-        points = _archive_points(archive)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ConfigError(f"archive biplot is malformed: {exc!r}") from exc
+    svg = biplot_svg(_read_json(args.archive, "archive"))
     out = Path(args.out)
     with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out, render_scatter(points))
+        write_text(out, svg)
     print(f"export-svg: wrote {args.out}")
     return 0
 
@@ -536,10 +462,7 @@ def cmd_illustrate(args) -> int:
             header,
             [data_rows[i] + sup_rows[i] for i in range(dataset.n_obs)],
         )
-        write_json(
-            out_dir / "truth.json",
-            {"format": ARCHIVE_FORMAT, **assignment_columns(truth)},
-        )
+        write_json(out_dir / "truth.json", truth_archive(truth))
     k_flags = " ".join(
         f"--k {sup.names[h]}:{lab}:{truth.spec.k_of(h, s)}"
         for h in range(sup.n_sup)

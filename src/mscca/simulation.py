@@ -56,6 +56,8 @@ class GenSpec:
             raise SpecError("K must be at least 1")
         if not 0.0 <= self.active_ratio <= 1.0:
             raise SpecError("active_ratio must lie in [0, 1]")
+        if self.n_active > 0 and self.q < self.k:
+            raise SpecError(f"q={self.q} < K={self.k}: distinct signal categories are impossible")
 
     @property
     def n_active(self) -> int:
@@ -101,8 +103,6 @@ def generate_clustered(spec: GenSpec) -> tuple[CategoricalDataset, np.ndarray]:
     """
     rng = np.random.default_rng(spec.seed)
     n, m, q, k = spec.n_obs, spec.n_vars, spec.q, spec.k
-    if spec.n_active > 0 and q < k:
-        raise SpecError(f"q={q} < K={k}: distinct signal categories are impossible")
     truth = rng.integers(0, k, size=n)
     codes = np.empty((n, m), dtype=np.int64)
     for j in range(spec.n_active):
@@ -316,9 +316,11 @@ class StudyDesign:
         for name in ("replicates", "n_obs", "n_vars"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # Every cell's generator and solver settings share these fields.
+        # Every cell's generator and solver settings share these fields; the
+        # fewest categories against the most clusters is the hardest cell.
         GenSpec(
-            q=min(self.qs), k=min(self.ks), high_prob=self.high_prob, active_ratio=self.active_ratio
+            q=min(self.qs), k=max(self.ks), n_vars=self.n_vars,
+            high_prob=self.high_prob, active_ratio=self.active_ratio,
         )
         self.options(seed=self.seed).validate()
 
@@ -395,7 +397,24 @@ def _study_task(design: StudyDesign, cell_index: int, replicate: int) -> list[di
         spec = ClusterSpec.uniform(sup, k)
         spec.validate(sup)
         solution = fit_mscca(dataset, sup, spec, design.options(fit_seed))
-    except MsccaError as exc:  # cell failures are recorded, not fatal
+        elapsed = int(1000 * (time.perf_counter() - started))
+        reference = _true_assignment(sup, truth, k)
+        gf = None
+        if reference is not None:
+            gf = gf_against_truth(solution, reference, dataset)
+        rows = []
+        for h in range(sup.n_sup):
+            for s in range(sup.r[h]):
+                members = sup.members(h, s)
+                ari = adjusted_rand_index(
+                    solution.assignment.clusters[members, h].tolist(),
+                    truth[members].tolist(),
+                )
+                rows.append(
+                    {**base, "h": h, "s": s, "ari": ari, "gf": gf,
+                     "phi": solution.objective, "runtime_ms": elapsed, "error": ""}
+                )
+    except MsccaError as exc:  # a cell that cannot be fitted or scored is recorded, not fatal
         elapsed = int(1000 * (time.perf_counter() - started))
         return [
             {**base, "h": h, "s": s, "ari": None, "gf": None, "phi": None,
@@ -403,23 +422,6 @@ def _study_task(design: StudyDesign, cell_index: int, replicate: int) -> list[di
             for h in range(sup.n_sup)
             for s in range(sup.r[h])
         ]
-    elapsed = int(1000 * (time.perf_counter() - started))
-    reference = _true_assignment(sup, truth, k)
-    gf = None
-    if reference is not None:
-        gf = gf_against_truth(solution, reference, dataset)
-    rows = []
-    for h in range(sup.n_sup):
-        for s in range(sup.r[h]):
-            members = sup.members(h, s)
-            ari = adjusted_rand_index(
-                solution.assignment.clusters[members, h].tolist(),
-                truth[members].tolist(),
-            )
-            rows.append(
-                {**base, "h": h, "s": s, "ari": ari, "gf": gf,
-                 "phi": solution.objective, "runtime_ms": elapsed, "error": ""}
-            )
     return rows
 
 

@@ -434,7 +434,7 @@ def _run_start(
     end_centers = np.empty((n_chunk, spec.k_total, p))
     end_quantifications = np.empty((n_chunk, dataset.total_categories, p))
     converged = np.zeros(n_chunk, dtype=bool)
-    trace = np.empty((n_chunk, max_iter))
+    cycles: list[np.ndarray] = []  # per cycle, the objective of each start still running
     lengths = np.zeros(n_chunk, dtype=np.int64)
     live = np.arange(n_chunk)  # chunk position of each start still running
     for t in range(max_iter):
@@ -442,10 +442,11 @@ def _run_start(
         scores = object_scores(dataset, quantifications)
         centers = _centroids(table, sizes, dataset, quantifications)
         spread = (sizes[..., None] * centers * centers).sum(axis=(1, 2))
-        trace[live, t] = p - spread / (dataset.n_obs * n_sup)
+        cycles.append(np.empty(n_chunk))
+        cycles[t][live] = p - spread / (dataset.n_obs * n_sup)
         settled = np.zeros(live.size, dtype=bool)
         if t > 0:
-            settled = trace[live, t - 1] - trace[live, t] < options.epsilon
+            settled = cycles[t - 1][live] - cycles[t][live] < options.epsilon
         stop = settled | (t == max_iter - 1)
         if stop.any():
             done = live[stop]
@@ -481,6 +482,7 @@ def _run_start(
         np.take_along_axis(end_centers, (first[:, h] + end_clusters[..., h])[..., None], axis=1)
         for h in range(n_sup)
     ]
+    trace = np.column_stack(cycles)
     trace[np.arange(n_chunk), lengths - 1] = _direct_objective(
         blocks, end_quantifications, dataset
     )

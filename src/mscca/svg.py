@@ -24,14 +24,14 @@ def _font_size(kind: str, share: float | None) -> float:
     return 11.0
 
 
-def render_scatter(points: Sequence[dict]) -> str:
-    """Render points with keys kind, label, x, y and optional share.
+def render_scatter(points: Sequence[tuple]) -> str:
+    """Render (kind, label, x, y, share) points; share may be None.
 
     The viewport covers all points plus the origin with an 8% pad; y grows
     upward as in the underlying coordinates.
     """
-    xs = [0.0] + [float(p["x"]) for p in points]
-    ys = [0.0] + [float(p["y"]) for p in points]
+    xs = [0.0] + [float(x) for _kind, _label, x, _y, _share in points]
+    ys = [0.0] + [float(y) for _kind, _label, _x, y, _share in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_pad = 0.08 * max(x_hi - x_lo, 1e-9)
@@ -54,12 +54,11 @@ def render_scatter(points: Sequence[dict]) -> str:
         f'<line x1="{sx(0):.2f}" y1="{sy(y_lo):.2f}" x2="{sx(0):.2f}" y2="{sy(y_hi):.2f}" '
         'stroke="#999" stroke-width="1"/>',
     ]
-    for p in points:
-        size = _font_size(p["kind"], p.get("share"))
+    for kind, label, x, y, share in points:
         parts.append(
-            f'<text x="{sx(float(p["x"])):.2f}" y="{sy(float(p["y"])):.2f}" '
-            f'text-anchor="middle" font-size="{size:.2f}" '
-            f'fill="{_FILL.get(p["kind"], "#333")}">{_escape(str(p["label"]))}</text>'
+            f'<text x="{sx(float(x)):.2f}" y="{sy(float(y)):.2f}" '
+            f'text-anchor="middle" font-size="{_font_size(kind, share):.2f}" '
+            f'fill="{_FILL.get(kind, "#333")}">{_escape(str(label))}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import mscca
 from mscca import ClusterSpec, objective_phi, read_csv_dataset
@@ -212,12 +218,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "UTF-8" in err
 
-    @pytest.mark.parametrize("method", [None, "averaging"], ids=["fit", "variants"])
+    @pytest.mark.parametrize(
+        "method",
+        [None, "averaging", "removal", "mca", "cluster-ca"],
+        ids=["fit", "variants", "variants-removal", "variants-mca", "variants-cluster-ca"],
+    )
     def test_negative_seed_exit_3_in_one_line(self, illustration_csv, tmp_path, capsys, method):
         if method is None:
             argv = ["fit", *ILLUSTRATION_K]
         else:
-            argv = ["variants", "--method", method]
+            argv = ["variants", "--method", method, *(["--k", "3"] if method == "cluster-ca" else [])]
         argv += [
             "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
             "--seed", "-1", "--out", str(tmp_path / "o"),
@@ -226,6 +236,17 @@ class TestFit:
         err = capsys.readouterr().err
         assert err == "error: seed must be >= 0\n"
         assert not (tmp_path / "o").exists()
+
+    def test_huge_max_iter_runs_like_a_small_one(self, illustration_csv, tmp_path):
+        # The cap bounds the cycles run, not memory set aside up front.
+        archives = []
+        for max_iter in (1000, 10**15):
+            out = tmp_path / str(max_iter)
+            assert run_fit(illustration_csv, out, extra=["--max-iter", str(max_iter)]) == 0
+            archives.append(load_json(out / "solution.json"))
+        small, huge = archives
+        assert huge["solution"] == small["solution"]
+        assert huge["biplot"] == small["biplot"]
 
     def test_svg_needs_two_dims_exit_4(self, illustration_csv, tmp_path):
         code = run_fit(
@@ -503,7 +524,14 @@ class TestOutputUnderRegularFile:
         archive = str(tmp_path / "fit" / "solution.json")
         self._check(main(["export-svg", "--archive", archive, "--out", str(out)]), capsys, out)
 
-    def test_simulate(self, blocker, tmp_path, capsys):
+    def test_simulate(self, blocker, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recording_fit(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("no cell may run")
+
+        monkeypatch.setattr("mscca.simulation.fit_mscca", recording_fit)
         design = tmp_path / "design.json"
         design.write_text(
             json.dumps({"qs": [3], "ks": [2], "hs": [1], "rs": [2], "balances": ["balanced"],
@@ -512,6 +540,7 @@ class TestOutputUnderRegularFile:
         )
         out = blocker / "sub"
         self._check(main(["simulate", "--design", str(design), "--out", str(out)]), capsys, out)
+        assert calls == []
 
 
 class TestModuleEntry:
@@ -645,3 +674,155 @@ class TestSimulate:
         assert err.count("\n") == 1 and next(iter(grid)) in err
         assert calls == []
         assert not (tmp_path / "o").exists()
+
+
+# Flags that take a number, and the ones that also get huge values (the
+# others would turn a huge value into a long run, not into an error).
+_NUMBER_FLAGS = ("--dims", "--starts", "--seed", "--epsilon", "--max-iter", "--k-max", "--k")
+_HUGE_FLAGS = ("--dims", "--k-max", "--seed", "--max-iter")
+_CSV_MUTATIONS = (
+    "ragged-short", "ragged-long", "empty-cell", "bom", "nul", "quoted-newline",
+    "header-only", "huge-field",
+)
+_DESIGN_FIELDS = (
+    "qs", "ks", "hs", "rs", "balances", "replicates", "starts", "n_obs", "n_vars",
+    "high_prob", "active_ratio", "p", "max_iter", "epsilon", "seed",
+)
+_COMMANDS = {
+    "fit": ["fit", *ILLUSTRATION_K],
+    "fit-auto": ["fit", "--k-auto", "--k-max", "4"],
+    "averaging": ["variants", "--method", "averaging"],
+    "removal": ["variants", "--method", "removal"],
+    "cluster-ca": ["variants", "--method", "cluster-ca", "--k", "3"],
+    "mca": ["variants", "--method", "mca"],
+}
+
+
+def _number(flag):
+    values = st.one_of(
+        st.integers(-3, 0).map(str),
+        st.sampled_from(["0.5", "-0.5", "1.5", "nan", "NaN", "-nan", "1e-3"]),
+    )
+    if flag in _HUGE_FLAGS:
+        values |= st.sampled_from([str(10**15), str(2**63), "9" * 40])
+    return values
+
+
+@st.composite
+def _flag_case(draw):
+    """A fit or variants run on the illustration CSV with mutated numbers."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = list(_COMMANDS[command]) + ["--starts", "2"]
+    flags = [f for f in _NUMBER_FLAGS if f != "--k-max" or argv[0] == "fit"]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=2)):
+        value = draw(_number(flag))
+        if flag == "--k" and command.startswith("fit"):
+            argv += ["--k", f"Gender:Male:{value}"]  # a repeated class, or an extra --k
+        else:
+            argv += [flag, value]
+    return {"argv": argv, "csv": [], "blocked": draw(st.booleans())}
+
+
+@st.composite
+def _csv_case(draw):
+    """A run on the illustration CSV with broken rows or cells."""
+    command = draw(st.sampled_from(["fit", "averaging", "removal", "mca"]))
+    mutations = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_CSV_MUTATIONS), st.integers(0, 400), st.integers(0, 3)),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    argv = list(_COMMANDS[command]) + ["--starts", "2"]
+    return {"argv": argv, "csv": mutations, "blocked": False}
+
+
+_BAD_VALUES = st.sampled_from(
+    [-1, 0, 1.5, "x", None, True, [], {}, [0], [1], [-2], ["x"], [2.5], [None], float("nan"),
+     float("inf")]
+)
+
+
+@st.composite
+def _design_case(draw):
+    """A tiny simulation design with one or two fields out of range or of
+    the wrong type."""
+    design = {
+        "qs": [draw(st.integers(2, 3))], "ks": [draw(st.integers(1, 3))],
+        "hs": [draw(st.integers(1, 3))], "rs": [draw(st.integers(2, 3))],
+        "balances": [draw(st.sampled_from(["balanced", "unbalanced"]))],
+        "replicates": 1, "starts": 1, "n_obs": draw(st.integers(1, 40)),
+        "n_vars": draw(st.integers(1, 3)), "max_iter": 20,
+    }
+    for field in draw(st.lists(st.sampled_from(_DESIGN_FIELDS), max_size=2)):
+        design[field] = draw(_BAD_VALUES)
+    return {"design": design, "blocked": draw(st.booleans())}
+
+
+def _mutate_csv(text, mutations):
+    lines = text.rstrip("\n").split("\n")
+    for name, row, col in mutations:
+        i = 1 + row % (len(lines) - 1) if len(lines) > 1 else 0
+        cells = lines[i].split(",")
+        j = col % len(cells)
+        if name == "ragged-short":
+            cells = cells[:-1]
+        elif name == "ragged-long":
+            cells.append(cells[-1])
+        elif name == "empty-cell":
+            cells[j] = ""
+        elif name == "nul":
+            cells[j] += "\x00"
+        elif name == "quoted-newline":
+            cells[j] = f'"{cells[j][:2]}\n{cells[j][2:]}"'
+        elif name == "huge-field":
+            cells[j] = "z" * (csv.field_size_limit() + 1)
+        elif name == "header-only":
+            lines = lines[:1]
+            continue
+        lines[i] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    return "\ufeff" + text if any(m[0] == "bom" for m in mutations) else text
+
+
+class TestMutatedInvocations:
+    """Whatever the flags, input CSV or design, a command ends with a
+    documented exit code, and a failure prints one line."""
+
+    @pytest.fixture(scope="class")
+    def workspace(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutated")
+
+    @settings(max_examples=150)
+    @given(case=st.one_of(_flag_case(), _csv_case(), _design_case()))
+    def test_documented_exit_and_one_line(self, illustration_csv, workspace, case):
+        work = Path(tempfile.mkdtemp(dir=workspace))
+        out = work / "out"
+        if case["blocked"]:
+            (work / "afile").write_text("not a directory\n", encoding="utf-8")
+            out = work / "afile" / "out"
+        if "design" in case:
+            (work / "design.json").write_text(json.dumps(case["design"]), encoding="utf-8")
+            argv = ["simulate", "--design", str(work / "design.json")]
+        else:
+            data = illustration_csv
+            if case["csv"]:
+                data = work / "data.csv"
+                text = _mutate_csv(illustration_csv.read_text(encoding="utf-8"), case["csv"])
+                data.write_text(text, encoding="utf-8")
+            argv = [*case["argv"][:1], "--input", str(data), "--sup-cols", "Nationality,Gender",
+                    *case["argv"][1:]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:  # argparse rejects a command line this way
+                code = exc.code
+        err = err.getvalue()
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        if code != 0:
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        shutil.rmtree(work)

@@ -218,6 +218,23 @@ class TestRunStudy:
         assert all(row["ari"] is None for row in rows)
         assert all(row["error"] == "SpecError" for row in rows)
 
+    def test_unscorable_cells_recorded_not_fatal(self):
+        # three observations over three classes: a class of one member has
+        # no pair for the adjusted Rand index
+        design = StudyDesign(
+            qs=(3,), ks=(1,), hs=(1,), rs=(3,), balances=("balanced",),
+            replicates=1, starts=1, n_obs=3, n_vars=3, max_iter=20,
+        )
+        rows = run_study(design)
+        assert rows, "failure rows must still be emitted"
+        assert all(row["ari"] is None and row["error"] == "ShapeError" for row in rows)
+
+    def test_every_cell_has_distinct_signal_categories(self):
+        # the cell (q=3, K=4) is impossible, so the design is rejected whole
+        with pytest.raises(SpecError, match="q=3 < K=4"):
+            StudyDesign(qs=(3, 5), ks=(2, 4))
+        StudyDesign(qs=(3, 5), ks=(2, 4), active_ratio=0.0)  # noise only: any q will do
+
     def test_programming_errors_are_not_recorded_as_failures(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bug in the fitter")
