@@ -54,6 +54,7 @@ from .simulation import (
     StudyDesign,
     generate_illustration,
     run_study,
+    study_workers,
     summarize_study,
 )
 from .solver import (
@@ -409,10 +410,11 @@ def cmd_simulate(args) -> int:
         design = StudyDesign(**raw)
     except (TypeError, SpecError) as exc:
         raise ConfigError(f"invalid design: {exc}") from exc
+    workers = study_workers()
     out_dir = Path(args.out)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    rows = run_study(design)
+    rows = run_study(design, workers)
     header = [
         "q", "K", "H", "r", "balance", "replicate", "h", "s",
         "ari", "gf", "phi", "error", "runtime_ms",

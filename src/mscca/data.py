@@ -592,8 +592,8 @@ def read_csv_dataset(
 
     Columns named in ``sup_columns`` become supplementary variables; all
     remaining columns are analysis variables, in header order.  Missing
-    values are not supported.  The whole table is coded once and both
-    containers are column slices of it.
+    values and NUL bytes are not supported.  The whole table is coded once
+    and both containers are column slices of it.
     """
     path = Path(path)
     if len(set(sup_columns)) != len(sup_columns):
@@ -604,6 +604,9 @@ def read_csv_dataset(
             header = next(reader)
             if len(set(header)) != len(header):
                 raise ShapeError(f"{path}: duplicate column names in header")
+            if "\0" in "".join(header):
+                name = next(name for name in header if "\0" in name)
+                raise ShapeError(f"{path} line 1: NUL byte in header column {name!r}")
             rows = list(filter(None, reader))
         except StopIteration:
             raise ShapeError(f"{path}: empty file, a header row is mandatory") from None
@@ -617,6 +620,13 @@ def read_csv_dataset(
     if not var_idx:
         raise ShapeError(f"{path}: no analysis variables left after removing {list(sup_columns)}")
     codes, labels = _code_table(rows, lambda i: f"{path} line {_csv_line(path, i)}", header)
+    # Every distinct cell text is some column's label, so checking the
+    # labels checks every cell.
+    if "\0" in "".join(chain.from_iterable(labels)):
+        i, j = next(
+            (i, j) for i, row in enumerate(rows) for j, cell in enumerate(row) if "\0" in cell
+        )
+        raise ShapeError(f"{path} line {_csv_line(path, i)}: NUL byte in column {header[j]!r}")
     ds = CategoricalDataset(
         codes=codes[:, var_idx],
         labels=tuple(labels[j] for j in var_idx),

@@ -73,10 +73,10 @@ def gram_eig_top(factors: np.ndarray, p: int) -> tuple[SymEigResult, np.ndarray]
     positive beyond the tie tolerance are mapped back (each column scaled
     to unit length) and get the sign convention and tie order of
     ``sym_eig_top``.  Returns the stacked result (S x p values, S x Q x p
-    vectors) and the length-S mask of the factors solved.  A factor is not
-    solved when fewer than ``p`` of its eigenvalues are clearly positive:
-    the rest of the spectrum of F'F is zero, and its vectors only the
-    Q x Q problem defines.  Its entries are NaN.
+    vectors) and each factor's count ``kept`` of clearly positive
+    eigenvalues.  The rest of the spectrum of F'F is zero, and the K x K
+    problem defines no vectors for it: past its first min(kept, p)
+    columns, a factor's values and vectors are zero.
 
     Every factor gets the numpy calls, shapes and memory layouts a lone
     factor would, so its result does not depend on the rest of the stack.
@@ -86,26 +86,25 @@ def gram_eig_top(factors: np.ndarray, p: int) -> tuple[SymEigResult, np.ndarray]
     values = values[:, ::-1]
     # Descending, so the eigenvalues clear of the zero group form a prefix.
     kept = np.count_nonzero(values > TOL.eig_tie_rel * np.maximum(1.0, values), axis=1)
-    solved = kept >= p
-    top = np.full((len(F), p), np.nan)
-    top_vectors = np.full((len(F), F.shape[2], p), np.nan)
-    for k in np.unique(kept[solved]):
+    top = np.zeros((len(F), p))
+    top_vectors = np.zeros((len(F), F.shape[2], p))
+    for k in np.unique(kept[kept > 0]):
         group = np.flatnonzero(kept == k)
         if group.size == len(F):
             group = slice(None)
         vectors = np.swapaxes(F[group], 1, 2) @ u[group][:, :, ::-1][:, :, :k]
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        top[group], top_vectors[group] = _ordered_top(values[group][:, :k], vectors, p)
-    return SymEigResult(values=top, vectors=top_vectors), solved
+        r = min(k, p)
+        top[group, :r], top_vectors[group, :, :r] = _ordered_top(values[group][:, :k], vectors, p)
+    return SymEigResult(values=top, vectors=top_vectors), kept
 
 
 def _ordered_top(
     values: np.ndarray, vectors: np.ndarray, p: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The first ``p`` of each S x k row of descending eigenvalues and of
-    the matching S x Q x k vectors, each vector sign-fixed so that its
-    entry of largest absolute value is positive (first such entry on
-    ties).
+    the matching S x Q x k vectors, each vector sign-fixed by
+    ``sign_fixed``.
 
     Within a group of numerically tied eigenvalues (relative gap below
     ``TOL.eig_tie_rel``) the vectors are ordered by their sign-convention
@@ -122,10 +121,16 @@ def _ordered_top(
         order = np.argsort(group * vectors.shape[1] + pivots, axis=1, kind="stable")
         values = np.take_along_axis(values, order, axis=1)
         vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
-    values, vectors = values[:, :p], vectors[:, :, :p]
+    return values[:, :p].copy(), sign_fixed(vectors[:, :, :p])
+
+
+def sign_fixed(vectors: np.ndarray) -> np.ndarray:
+    """Each column of an S x Q x k stack of vectors, negated where needed so
+    that its entry of largest absolute value is positive (the first such
+    entry on ties)."""
     pivots = np.abs(vectors).argmax(axis=1)
     flips = np.take_along_axis(vectors, pivots[:, None, :], axis=1) < 0
-    return values.copy(), vectors * np.where(flips, -1.0, 1.0)
+    return vectors * np.where(flips, -1.0, 1.0)
 
 
 def mass_scale(

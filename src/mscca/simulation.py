@@ -425,23 +425,29 @@ def _study_task(design: StudyDesign, cell_index: int, replicate: int) -> list[di
     return rows
 
 
+def study_workers() -> int:
+    """The worker count set by the MSCCA_THREADS environment variable (1
+    if unset); anything but a positive integer raises ``ConfigError``."""
+    raw = os.environ.get("MSCCA_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"MSCCA_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def run_study(design: StudyDesign, workers: int | None = None) -> list[dict]:
     """Run the whole grid; rows come back in canonical (cell, replicate,
     class) order regardless of execution order.
 
-    ``workers`` defaults to the MSCCA_THREADS environment variable (1 if
-    unset; anything but a positive integer raises ``ConfigError``); values
-    above 1 run replicates in parallel processes, never more than the CPU
-    count or the number of (cell, replicate) tasks.
+    ``workers`` defaults to ``study_workers()``; values above 1 run
+    replicates in parallel processes, never more than the CPU count or
+    the number of (cell, replicate) tasks.
     """
     if workers is None:
-        raw = os.environ.get("MSCCA_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(f"MSCCA_THREADS must be a positive integer, got {raw!r}")
+        workers = study_workers()
     tasks = [
         (cell_index, replicate)
         for cell_index in range(len(design.cells()))

@@ -32,7 +32,7 @@ from .data import (
     stacked_counts,
 )
 from .errors import EmptyClusterError, ProjectorError, ShapeError, SpecError
-from .linalg import gram_eig_top, mass_scale, sym_eig_top
+from .linalg import TOL, gram_eig_top, mass_scale, sign_fixed, sym_eig_top
 
 # Final objectives this close (relative) to the best count as ties, which
 # go to the lowest start index.
@@ -200,14 +200,14 @@ def update_B(
     every H, not only the single-set case; H is the assignment's count of
     supplementary variables.  This is the B-step every fit cycle runs.
     """
+    SolverOptions(p=p).validate(dataset)
     table, sizes = cluster_counts(assignment, dataset)
-    return _between_quantify(table, sizes, assignment.spec, dataset, assignment.n_sup, p)
+    return _between_quantify(table, sizes, dataset, assignment.n_sup, p)
 
 
 def _between_quantify(
     table: np.ndarray,
     sizes: np.ndarray,
-    spec: ClusterSpec,
     dataset: CategoricalDataset,
     n_stack: int,
     p: int,
@@ -220,8 +220,8 @@ def _between_quantify(
     Its rank is at most K - H, so the eigenproblem is solved on the K x K
     matrix F F' (``gram_eig_top``).  When fewer than p of its eigenvalues
     are clearly positive (a flat K = 2 fit at p = 2, say) the remaining
-    columns lie in the null space, which only the Q x Q problem defines:
-    that table falls back to ``_quantify`` on ``_between_target``.
+    columns span part of the zero eigenspace, and ``_centered_completion``
+    fills them by a fixed rule.
     """
     n, m = dataset.n_obs, dataset.n_vars
     d = (dataset.counts * n_stack).astype(float)
@@ -230,13 +230,57 @@ def _between_quantify(
     factors /= np.sqrt(sizes)[..., None]
     factors /= np.sqrt(d * m)
     factors = factors.reshape(-1, *table.shape[-2:])
-    eig, solved = gram_eig_top(factors, p)
-    out = float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
-    tables, all_sizes = table.reshape(factors.shape), sizes.reshape(len(factors), -1)
-    for s in np.flatnonzero(~solved):
-        target = _between_target(tables[s], all_sizes[s], spec, dataset)
-        out[s] = _quantify(target, dataset, n_stack, p)
+    eig, kept = gram_eig_top(factors, p)
+    vectors = _centered_completion(eig.vectors, kept, dataset)
+    out = float(np.sqrt(n * n_stack * m)) * mass_scale(vectors, d, -0.5, side="left")
     return out.reshape(*table.shape[:-2], *out.shape[1:])
+
+
+def _centered_completion(
+    vectors: np.ndarray, kept: np.ndarray, dataset: CategoricalDataset
+) -> np.ndarray:
+    """Fill columns kept..p-1 of each S x Q x p stack entry of orthonormal
+    mass-scaled quantifications, whose first ``kept`` columns are set.
+
+    Gram-Schmidt, run twice, over the category axes in column order, each
+    first centered per variable (less its component along sqrt(d_j) on
+    its variable's block): a candidate is accepted when its squared
+    residual exceeds the threshold ``gram_eig_top`` applies to
+    eigenvalues, then scaled to unit length and sign-fixed like an
+    eigenvector.  The kept columns span the factor's row space, which is
+    centered per variable, so every column comes out centered and the
+    completed ones lie in the factor's null space.  The candidates span
+    the centered space, of dimension Q - m >= p, so every column is
+    filled.  Each entry sees only elementwise operations and sums along
+    its own rows, so its result does not depend on the rest of the stack.
+    """
+    p = vectors.shape[2]
+    need = np.flatnonzero(kept < p)
+    if need.size == 0:
+        return vectors
+    root = np.sqrt(dataset.column_means)
+    fill = kept[need]  # the next column to set, per entry
+    basis = np.ascontiguousarray(np.swapaxes(vectors[need], 1, 2))  # columns as rows
+    lows = np.repeat(dataset.offsets, dataset.q)  # each category's variable block
+    highs = lows + np.repeat(dataset.q, dataset.q)
+    for c, (lo, hi) in enumerate(zip(lows, highs)):
+        open_ = fill < p
+        if not open_.any():
+            break
+        residual = np.zeros((need.size, dataset.total_categories))
+        residual[:, lo:hi] = -root[c] * root[lo:hi]
+        residual[:, c] += 1.0
+        for _ in range(2):
+            for k in range(p):  # unset columns are zero and change nothing
+                residual -= (basis[:, k] * residual).sum(axis=1)[:, None] * basis[:, k]
+        norm2 = (residual * residual).sum(axis=1)
+        accept = np.flatnonzero(open_ & (norm2 > TOL.eig_tie_rel))
+        unit = residual[accept] / np.sqrt(norm2[accept])[:, None]
+        basis[accept, fill[accept]] = sign_fixed(unit[:, :, None])[:, :, 0]
+        fill[accept] += 1
+    out = vectors.copy()
+    out[need] = np.swapaxes(basis, 1, 2)
+    return out
 
 
 def _between_target(
@@ -438,7 +482,7 @@ def _run_start(
     lengths = np.zeros(n_chunk, dtype=np.int64)
     live = np.arange(n_chunk)  # chunk position of each start still running
     for t in range(max_iter):
-        quantifications = _between_quantify(table, sizes, spec, dataset, n_sup, p)
+        quantifications = _between_quantify(table, sizes, dataset, n_sup, p)
         scores = object_scores(dataset, quantifications)
         centers = _centroids(table, sizes, dataset, quantifications)
         spread = (sizes[..., None] * centers * centers).sum(axis=(1, 2))

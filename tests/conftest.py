@@ -316,7 +316,7 @@ def update_B_qxq(
     """Oracle for ``update_B``: the Q x Q route, ``sym_eig_top`` on the
     mass-scaled between-cluster target Z^H' J P_U J Z^H summed from the
     count table (the B-step of every fit before the K x K route, and the
-    fallback of the K x K route)."""
+    oracle for the K x K route's kept columns)."""
     table, sizes = cluster_counts(assignment, dataset)
     target = _between_target(table, sizes, assignment.spec, dataset)
     return _quantify(target, dataset, assignment.n_sup, p)
@@ -526,7 +526,7 @@ def run_start_sequential(
     converged = False
     centers = quantifications = None
     for t in range(options.max_iter):
-        quantifications = _between_quantify(table, sizes, spec, dataset, sup.n_sup, options.p)
+        quantifications = _between_quantify(table, sizes, dataset, sup.n_sup, options.p)
         scores = object_scores(dataset, quantifications)
         centers = _centroids(table, sizes, dataset, quantifications)
         spread = float((sizes[:, None] * centers * centers).sum())

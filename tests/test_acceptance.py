@@ -330,7 +330,9 @@ def test_criterion_9_byte_identical_archives(tmp_path):
 def test_criterion_9_archive_independent_of_blas_threads(tmp_path):
     with criterion(9, "the archive does not depend on the BLAS thread count"):
         # Q = 300 and 2 clusters in each of 2 x 3 classes: the B-step's
-        # eigenproblem is solved on the 12 x 12 cluster Gram matrix.
+        # eigenproblem is solved on the 12 x 12 cluster Gram matrix.  The
+        # --k-auto curves start with flat K = 2 fits, and cluster-ca --k 2
+        # is one: their B-steps complete a column past the one kept.
         ds, _truth = generate_clustered(GenSpec(q=12, k=3, n_obs=800, n_vars=25, seed=3))
         sup = generate_supplementary(SupGenSpec(n_sup=2, r=3, seed=4), 800)
         columns = [np.asarray(ds.labels[j])[ds.codes[:, j]] for j in range(ds.n_vars)]
@@ -339,24 +341,31 @@ def test_criterion_9_archive_independent_of_blas_threads(tmp_path):
         lines += [",".join(row) for row in zip(*(c.tolist() for c in columns))]
         csv_path = tmp_path / "data.csv"
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        argv = ["fit", "--input", str(csv_path), "--sup-cols", ",".join(sup.names)]
+        common = ["--input", str(csv_path), "--sup-cols", ",".join(sup.names), "--seed", "1"]
+        k_map = []
         for h, name in enumerate(sup.names):
             for label in sup.labels[h]:
-                argv += ["--k", f"{name}:{label}:2"]
-        argv += ["--starts", "10", "--seed", "1"]
+                k_map += ["--k", f"{name}:{label}:2"]
+        runs = {
+            "fit": ["fit", *common, *k_map, "--starts", "10"],
+            "k-auto": ["fit", *common, "--k-auto", "--k-max", "4", "--starts", "2"],
+            "cluster-ca": ["variants", *common, "--method", "cluster-ca", "--k", "2",
+                           "--starts", "10"],
+        }
         src = str(Path(mscca.__file__).resolve().parents[1])
-        archives = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-            done = subprocess.run(
-                [sys.executable, "-c", "from mscca.cli import entry_point; entry_point()",
-                 *argv, "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert done.returncode == 0, done.stderr
-            archives.append((out / "solution.json").read_bytes())
-        assert archives[0] == archives[1]
+        for name, argv in runs.items():
+            archives = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}-threads{threads}"
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+                done = subprocess.run(
+                    [sys.executable, "-c", "from mscca.cli import entry_point; entry_point()",
+                     *argv, "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=300,
+                )
+                assert done.returncode == 0, done.stderr
+                archives.append((out / "solution.json").read_bytes())
+            assert archives[0] == archives[1], f"{name} differs between thread counts"
 
 
 def test_criterion_10_performance_envelope():

@@ -620,6 +620,7 @@ class TestSimulate:
         assert main(["simulate", "--design", str(design), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "MSCCA_THREADS" in err
+        assert not (tmp_path / "o").exists()
 
     def test_default_design_has_full_grid(self, tmp_path):
         from mscca import StudyDesign

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -522,10 +523,18 @@ class TestCsvIngestion:
         assert ds.names == ("drink",)
 
     def test_ragged_row_names_its_line(self, tmp_path):
+        # a NUL byte, in a cell or in the header, names its line too
         path = tmp_path / "data.csv"
-        path.write_text("a,b,g\n1,2,x\n\n1,x\n", encoding="utf-8")
-        with pytest.raises(ShapeError, match="line 4 has 2 cells, expected 3"):
-            read_csv_dataset(path, ["g"])
+        cases = [
+            ("a,b,g\n1,2,x\n\n1,x\n", "line 4 has 2 cells, expected 3"),
+            ("a,b,g\n1,2,x\n\n1,x\x00,y\n", "line 4: NUL byte in column 'b'"),
+            ("a,b\x00,g\n1,2,x\n", "line 1: NUL byte in header column 'b\\x00'"),
+        ]
+        for text, message in cases:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ShapeError, match=re.escape(message)) as err:
+                read_csv_dataset(path, ["g"])
+            assert "\n" not in str(err.value)
 
     def test_duplicate_header_names(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -98,10 +98,10 @@ class TestSymEigTop:
 
 
 def gram_one(factor, p):
-    """``gram_eig_top`` on a stack of one factor: its result, or None when
-    it is not solved."""
-    eig, solved = gram_eig_top(np.asarray(factor, dtype=float)[None], p)
-    return SymEigResult(values=eig.values[0], vectors=eig.vectors[0]) if solved[0] else None
+    """``gram_eig_top`` on a stack of one factor: its result and its count
+    of kept eigenvalues."""
+    eig, kept = gram_eig_top(np.asarray(factor, dtype=float)[None], p)
+    return SymEigResult(values=eig.values[0], vectors=eig.vectors[0]), int(kept[0])
 
 
 class TestGramEigTop:
@@ -110,14 +110,14 @@ class TestGramEigTop:
             k, q = int(rng.integers(2, 6)), int(rng.integers(6, 12))
             f = rng.normal(size=(k, q))
             p = int(rng.integers(1, k + 1))
-            reduced = gram_one(f, p)
+            reduced, _ = gram_one(f, p)
             direct = sym_eig_top(f.T @ f, p)
             assert_allclose(reduced.values, direct.values, rtol=1e-12)
             assert_allclose(reduced.vectors, direct.vectors, atol=1e-10)
 
     def test_unit_orthogonal_vectors(self, rng):
         f = rng.normal(size=(4, 30))
-        res = gram_one(f, 4)
+        res, _ = gram_one(f, 4)
         assert_allclose(res.vectors.T @ res.vectors, np.eye(4), atol=1e-12)
         assert_allclose(f.T @ f @ res.vectors, res.vectors * res.values, atol=1e-10)
 
@@ -126,42 +126,51 @@ class TestGramEigTop:
         f = np.zeros((4, 5))
         f[0, 1] = f[1, 3] = np.sqrt(5.0)
         f[2, 0] = f[3, 2] = np.sqrt(2.0)
-        res = gram_one(f, 4)
+        res, _ = gram_one(f, 4)
         assert_allclose(res.values, [5.0, 5.0, 2.0, 2.0])
         assert_allclose(res.vectors, np.eye(5)[:, [1, 3, 0, 2]], atol=1e-12)
 
     def test_sign_convention_in_q_space(self, rng):
-        res = gram_one(rng.normal(size=(3, 9)), 3)
+        res, _ = gram_one(rng.normal(size=(3, 9)), 3)
         pivots = np.abs(res.vectors).argmax(axis=0)
         assert (res.vectors[pivots, np.arange(3)] > 0).all()
 
     def test_none_when_rank_below_p(self):
-        # rank 1: the second column would come from the null space
+        # rank 1: the second column would come from the null space, which
+        # the K x K problem does not define; it is left zero
         f = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
-        assert gram_one(f, 2) is None
-        assert gram_one(np.zeros((3, 4)), 1) is None
-        assert_allclose(gram_one(f, 1).values, [25.0])
+        res, kept = gram_one(f, 2)
+        top, _ = gram_one(f, 1)
+        assert kept == 1
+        assert res.values.tolist() == [top.values[0], 0.0]
+        assert_allclose(top.values, [25.0])
+        assert res.vectors[:, :1].tobytes() == top.vectors.tobytes()
+        assert res.vectors[:, 1].tolist() == [0.0, 0.0, 0.0]
+        res, kept = gram_one(np.zeros((3, 4)), 1)
+        assert kept == 0
+        assert res.values.tolist() == [0.0] and not res.vectors.any()
 
     def test_stack_entries_match_lone_factors(self, rng):
-        # Mixed ranks (so mixed counts of kept eigenvalues), an unsolved
-        # entry and a tied spectrum: each entry of the stack is the lone
-        # factor's result bit for bit.
+        # Mixed ranks (so mixed counts of kept eigenvalues), entries with
+        # fewer than p kept (one with none) and a tied spectrum: each entry
+        # of the stack is the lone factor's result bit for bit, zero past
+        # its kept columns.
         tied = np.zeros((4, 9))
         tied[0, 1] = tied[1, 3] = np.sqrt(5.0)
         tied[2, 0] = tied[3, 2] = np.sqrt(2.0)
         factors = [rng.normal(size=(4, 9)) for _ in range(3)]
         factors[1][3] = factors[1][0] + factors[1][2]  # rank 3
         factors += [tied, np.outer([1.0, 2.0, 0.0, 1.0], rng.normal(size=9))]  # rank 1
-        for p in (1, 2, 3):
-            eig, solved = gram_eig_top(np.stack(factors), p)
-            assert solved.tolist() == [True, True, True, True, p == 1]
+        factors.append(np.zeros((4, 9)))
+        for p in (1, 2, 3, 4):
+            eig, kept = gram_eig_top(np.stack(factors), p)
+            assert kept.tolist() == [4, 3, 4, 4, 1, 0]
             for s, factor in enumerate(factors):
-                alone = gram_one(factor, p)
-                if alone is None:
-                    assert np.isnan(eig.values[s]).all() and np.isnan(eig.vectors[s]).all()
-                    continue
+                alone, alone_kept = gram_one(factor, p)
+                assert alone_kept == kept[s]
                 assert eig.values[s].tobytes() == alone.values.tobytes()
                 assert eig.vectors[s].tobytes() == alone.vectors.tobytes()
+                assert not eig.values[s, kept[s]:].any() and not eig.vectors[s, :, kept[s]:].any()
 
 
 class TestMassScale:

@@ -35,11 +35,13 @@ from mscca.simulation import GenSpec, SupGenSpec, generate_clustered, generate_s
 
 from conftest import (
     between_spectrum,
+    center_columns,
     cluster_sizes,
     dense_constrained_fit,
     fit_mscca_sequential,
     principal_angles,
     random_assignment,
+    random_dataset,
     random_mixed_problem,
     random_problem,
     random_sup,
@@ -488,6 +490,8 @@ class TestFitMscca:
         ds, sup, spec = random_problem(rng, m=2, q=2)  # Q - m = 2
         with pytest.raises(SpecError):
             fit_mscca(ds, sup, spec, SolverOptions(p=3, n_starts=1))
+        with pytest.raises(SpecError):
+            update_B(init_random(sup, spec, rng), ds, 3)
 
 
 class TestReplicateBlocks:
@@ -769,33 +773,16 @@ class TestReducedBStep:
         assert (np.abs(values[:2] - 1.0 / 3.0) < 1e-12).all()
         assert (np.abs(values[4:]) < 1e-12).all()
 
-    def test_flat_two_cluster_fit_takes_q_by_q_fallback(self, monkeypatch):
-        # K = 2, H = 1: the between target has rank 1 < p = 2
-        ds, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=60, n_vars=5, seed=3))
-        solved_flags, direct_orders = [], []
-        gram, direct = mscca.solver.gram_eig_top, mscca.solver.sym_eig_top
-
-        def gram_recorded(factors, p):
-            eig, solved = gram(factors, p)
-            solved_flags.extend(solved.tolist())
-            return eig, solved
-
-        def direct_recorded(matrix, p):
-            direct_orders.append(len(matrix))
-            return direct(matrix, p)
-
-        monkeypatch.setattr(mscca.solver, "gram_eig_top", gram_recorded)
-        monkeypatch.setattr(mscca.solver, "sym_eig_top", direct_recorded)
-        sol = fit_cluster_ca(ds, 2, SolverOptions(p=2, n_starts=3, seed=5))
-        assert solved_flags and not any(solved_flags)
-        assert direct_orders == [ds.total_categories] * len(solved_flags)
-        expected = update_B_qxq(sol.assignment, ds, 2)
-        assert sol.quantifications.tobytes() == expected.tobytes()
-        assert update_B(sol.assignment, ds, 2).tobytes() == expected.tobytes()
-
     def test_fit_above_the_rank_bound_never_solves_q_by_q(self, rng, monkeypatch):
-        ds, sup, spec = random_problem(rng, n_sup=2, r=2, k_max=3)
-        spec = ClusterSpec.uniform(sup, 2)  # K - H = 6 >= p
+        # Above the rank bound every column comes from the K x K problem; a
+        # flat K = 2 fit (K - H = 1 < p) completes its second column, and
+        # solves no Q x Q problem either.
+        ds, sup, _ = random_problem(rng, n_sup=2, r=2, k_max=3)
+        flat, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=60, n_vars=5, seed=3))
+        cases = [
+            (ds, sup, ClusterSpec.uniform(sup, 2), 2),  # K - H = 6 >= p
+            (flat, single_class_sup(60), ClusterSpec(((2,),)), 1),  # one kept column
+        ]
         orders = []
         direct = mscca.solver.sym_eig_top
 
@@ -804,11 +791,73 @@ class TestReducedBStep:
             return direct(matrix, p)
 
         monkeypatch.setattr(mscca.solver, "sym_eig_top", recorded)
-        sol = fit_mscca(ds, sup, spec, SolverOptions(p=2, n_starts=4, seed=1))
-        assert orders == []
-        assert_allclose(
-            sol.quantifications, update_B_qxq(sol.assignment, ds, 2), atol=1e-10
-        )
+        for ds, sup, spec, kept in cases:
+            orders.clear()  # the oracle below solves one
+            sol = fit_mscca(ds, sup, spec, SolverOptions(p=2, n_starts=4, seed=1))
+            assert orders == []
+            assert_allclose(
+                sol.quantifications[:, :kept],
+                update_B_qxq(sol.assignment, ds, 2)[:, :kept],
+                atol=1e-10,
+            )
+            assert update_B(sol.assignment, ds, 2).tobytes() == sol.quantifications.tobytes()
+
+
+def _duplicated_rows_problem(rng):
+    """A dataset of two identical blocks of rows, one flat cluster per
+    block: both clusters have the overall profile, so the between target
+    is zero (no kept column)."""
+    base = random_dataset(rng, 20, 4, 3)
+    codes = np.tile(base.codes, (2, 1))
+    ds = CategoricalDataset(codes=codes, labels=base.labels, names=base.names)
+    clusters = np.repeat([0, 1], base.n_obs)[:, None]
+    return ds, HierarchicalAssignment(
+        sup=single_class_sup(ds.n_obs), spec=ClusterSpec(((2,),)), clusters=clusters
+    )
+
+
+class TestCenteredCompletion:
+    """Where F F' has fewer than p clearly positive eigenvalues, the B-step
+    completes the columns past them by a fixed rule.  Every column of B is
+    centered per variable, the centered normalization
+    (1/(N H m)) sum_j B_j' Z_j^H' J Z_j^H B_j is I_p, and the kept columns
+    are the Q x Q route's by span and by psi."""
+
+    @staticmethod
+    def _cases(rng):
+        flat, _ = generate_clustered(GenSpec(q=5, k=2, n_obs=300, n_vars=10, seed=0))
+        sol = fit_cluster_ca(flat, 2, SolverOptions(p=2, n_starts=3))
+        yield flat, sol.assignment, 2, sol.quantifications
+        ds, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=120, n_vars=5, seed=1))
+        sup = generate_supplementary(SupGenSpec(n_sup=2, r=2, seed=2), 120)
+        spec = ClusterSpec(((2, 1), (1, 1)))  # K - H = 3 < p
+        sol = fit_mscca(ds, sup, spec, SolverOptions(p=4, n_starts=3, seed=4))
+        yield ds, sol.assignment, 4, sol.quantifications
+        ds, asg = _duplicated_rows_problem(rng)
+        yield ds, asg, 2, update_B(asg, ds, 2)
+
+    def test_centered_normalized_and_kept_columns_match(self, rng):
+        kept_counts = []
+        for ds, asg, p, b in self._cases(rng):
+            n_sup = asg.n_sup
+            total = np.zeros((p, p))
+            for j in range(ds.n_vars):
+                block = slice(ds.offsets[j], ds.offsets[j] + ds.q[j])
+                assert np.abs(ds.column_means[block] @ b[block]).max() <= 1e-12
+                zj = center_columns(z_var_stacked(ds, n_sup, j))
+                total += b[block].T @ zj.T @ zj @ b[block]
+            total /= ds.n_obs * n_sup * ds.n_vars
+            assert np.abs(total - np.eye(p)).max() <= 1e-12
+            values = between_spectrum(asg, ds)
+            kept = int(np.count_nonzero(values > TOL.eig_tie_rel * np.maximum(1.0, values)))
+            kept_counts.append(kept)
+            direct = update_B_qxq(asg, ds, p)
+            if kept:
+                assert _span_gap(b[:, :kept], direct[:, :kept]) <= 1e-10
+            assert psi_value(asg, b, ds) == pytest.approx(
+                psi_value(asg, direct, ds), rel=1e-12, abs=1e-12
+            )
+        assert kept_counts == [1, 3, 0]
 
 
 def _column_signs(a, b):
@@ -858,7 +907,7 @@ class TestRelabeling:
         assert abs(objective_phi(asg2, g2, b2, ds2) - phi) <= 1e-10
 
         if spec.k_total - sup.n_sup < p:
-            return  # columns past the rank come from the null space: not unique
+            return  # completed columns follow the category order: not equivariant
         b_rows = np.arange(ds.total_categories)
         b_rows[ds.offsets[j] : ds.offsets[j] + ds.q[j]] = ds.offsets[j] + cat
         g_rows = np.concatenate(
@@ -944,22 +993,25 @@ class TestBatchedEngine:
 
     def test_mixed_chunks_repairs_caps_and_settling_match_oracle(self, monkeypatch):
         # Tiny problems 0-29 cover, between them, a B-step whose chunk mixes
-        # K x K starts with Q x Q-fallback starts, accepted and rejected
-        # repairs, starts capped by max_iter and starts settling at
-        # different cycles; a flat K = 2, p = 2 fit falls back every step.
+        # starts with p kept columns and completed starts (kept < p),
+        # accepted and rejected repairs, starts capped by max_iter and
+        # starts settling at different cycles; a flat K = 2, p = 2 fit
+        # completes every step.
         flat, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=60, n_vars=5, seed=3))
         cases = [tiny_problem(np.random.default_rng(seed)) for seed in range(30)]
         flat_spec = ClusterSpec(((2,),))
         cases.append((flat, single_class_sup(60), flat_spec, SolverOptions(n_starts=5, seed=5)))
-        events = dict.fromkeys(("mixed", "fallback", "accepted", "rejected", "capped", "settled"), 0)
+        names = ("mixed", "completed", "accepted", "rejected", "capped", "settled")
+        events = dict.fromkeys(names, 0)
         gram, phi = mscca.solver.gram_eig_top, mscca.solver.objective_phi
         compared = []
 
         def gram_recorded(factors, p):
-            eig, solved = gram(factors, p)
-            events["mixed"] += bool(solved.any() and not solved.all())
-            events["fallback"] += int((~solved).sum())
-            return eig, solved
+            eig, kept = gram(factors, p)
+            completed = kept < p
+            events["mixed"] += bool(completed.any() and not completed.all())
+            events["completed"] += int(completed.sum())
+            return eig, kept
 
         def phi_recorded(*args):
             compared.append(phi(*args))
