@@ -774,15 +774,8 @@ class TestReducedBStep:
         assert (np.abs(values[4:]) < 1e-12).all()
 
     def test_fit_above_the_rank_bound_never_solves_q_by_q(self, rng, monkeypatch):
-        # Above the rank bound every column comes from the K x K problem; a
-        # flat K = 2 fit (K - H = 1 < p) completes its second column, and
-        # solves no Q x Q problem either.
-        ds, sup, _ = random_problem(rng, n_sup=2, r=2, k_max=3)
-        flat, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=60, n_vars=5, seed=3))
-        cases = [
-            (ds, sup, ClusterSpec.uniform(sup, 2), 2),  # K - H = 6 >= p
-            (flat, single_class_sup(60), ClusterSpec(((2,),)), 1),  # one kept column
-        ]
+        ds, sup, spec = random_problem(rng, n_sup=2, r=2, k_max=3)
+        spec = ClusterSpec.uniform(sup, 2)  # K - H = 6 >= p
         orders = []
         direct = mscca.solver.sym_eig_top
 
@@ -791,17 +784,38 @@ class TestReducedBStep:
             return direct(matrix, p)
 
         monkeypatch.setattr(mscca.solver, "sym_eig_top", recorded)
-        for ds, sup, spec, kept in cases:
-            orders.clear()  # the oracle below solves one
-            sol = fit_mscca(ds, sup, spec, SolverOptions(p=2, n_starts=4, seed=1))
-            assert orders == []
-            assert_allclose(
-                sol.quantifications[:, :kept],
-                update_B_qxq(sol.assignment, ds, 2)[:, :kept],
-                atol=1e-10,
-            )
-            assert update_B(sol.assignment, ds, 2).tobytes() == sol.quantifications.tobytes()
+        sol = fit_mscca(ds, sup, spec, SolverOptions(p=2, n_starts=4, seed=1))
+        assert orders == []
+        assert_allclose(
+            sol.quantifications, update_B_qxq(sol.assignment, ds, 2), atol=1e-10
+        )
 
+    def test_flat_two_cluster_fit_completes_without_q_by_q(self, monkeypatch):
+        # K = 2, H = 1: the between target has rank 1 < p = 2, so every
+        # B-step keeps one column from the K x K problem and completes the
+        # second by the centered rule, solving no Q x Q problem.
+        ds, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=60, n_vars=5, seed=3))
+        kept_counts, direct_orders = [], []
+        gram, direct = mscca.solver.gram_eig_top, mscca.solver.sym_eig_top
+
+        def gram_recorded(factors, p):
+            eig, kept = gram(factors, p)
+            kept_counts.extend(kept.tolist())
+            return eig, kept
+
+        def direct_recorded(matrix, p):
+            direct_orders.append(len(matrix))
+            return direct(matrix, p)
+
+        monkeypatch.setattr(mscca.solver, "gram_eig_top", gram_recorded)
+        monkeypatch.setattr(mscca.solver, "sym_eig_top", direct_recorded)
+        sol = fit_cluster_ca(ds, 2, SolverOptions(p=2, n_starts=3, seed=5))
+        assert kept_counts and set(kept_counts) == {1}
+        assert direct_orders == []
+        assert update_B(sol.assignment, ds, 2).tobytes() == sol.quantifications.tobytes()
+        assert_allclose(
+            sol.quantifications[:, :1], update_B_qxq(sol.assignment, ds, 2)[:, :1], atol=1e-10
+        )
 
 def _duplicated_rows_problem(rng):
     """A dataset of two identical blocks of rows, one flat cluster per
