@@ -11,13 +11,14 @@ share across concurrent solver runs.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, count, islice
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,29 +60,64 @@ def _code_table(
     if set(map(len, raw)) != {width}:
         i = next(i for i, row in enumerate(raw) if len(row) != width)
         raise ShapeError(f"{row_name(i)} has {len(raw[i])} cells, expected {width}")
-    ids = defaultdict(count().__next__)
-    size = len(raw) * width
-    table = np.fromiter(map(ids.__getitem__, chain.from_iterable(raw)), np.int64, size)
+    cells = list(chain.from_iterable(raw))
+    table, ids = _code_blocks([cells], len(cells))
     if any(type(text) is not str for text in ids):
-        cells = (None if cell is None else str(cell) for cell in chain.from_iterable(raw))
-        ids = defaultdict(count().__next__)
-        table = np.fromiter(map(ids.__getitem__, cells), np.int64, size)
+        cells = [None if cell is None else str(cell) for cell in cells]
+        table, ids = _code_blocks([cells], len(cells))
+    return _renumbered(table, ids, width, row_name, header)
+
+
+def _code_blocks(blocks: Iterable[list], size: int) -> tuple[np.ndarray, dict]:
+    """Code blocks of cells, in order, through one id per distinct cell
+    text (ids in order of first appearance).
+
+    Returns the cells' ids as a flat int64 array, a view of the first
+    cells of a preallocated array of ``size``, and the ids by text.
+    """
+    ids = defaultdict(count().__next__)
+    table = np.empty(size, dtype=np.int64)
+    end = 0
+    for cells in blocks:
+        n = len(cells)
+        table[end : end + n] = np.fromiter(map(ids.__getitem__, cells), np.int64, n)
+        end += n
+    return table[:end], ids
+
+
+def _first_cell(table: np.ndarray, keys: Sequence[int], width: int) -> tuple[int, int]:
+    """Row and column of the first cell of a flat table coded as one of
+    ``keys``."""
+    return divmod(int(np.flatnonzero(np.isin(table, keys))[0]), width)
+
+
+def _renumbered(
+    table: np.ndarray,
+    ids: dict,
+    width: int,
+    row_name: Callable[[int], str],
+    header: Sequence[str] | None,
+) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
+    """Codes and labels of a flat table of cell ids, ``width`` cells a row:
+    each column renumbered by the first appearance of its ids.  An empty
+    cell (``None`` or ``""``) raises ``MissingValueError`` naming its row
+    and column."""
     if None in ids or "" in ids:
-        empty = [ids[text] for text in (None, "") if text in ids]
-        i, j = divmod(int(np.flatnonzero(np.isin(table, empty))[0]), width)
+        i, j = _first_cell(table, [ids[text] for text in (None, "") if text in ids], width)
         column = j if header is None else repr(header[j])
         raise MissingValueError(f"{row_name(i)}: empty cell in column {column}")
     texts = list(ids)
-    columns = np.ascontiguousarray(table.reshape(len(raw), width).T)
+    n_rows = table.size // width
+    columns = np.ascontiguousarray(table.reshape(n_rows, width).T)
     codes = np.empty_like(columns)
     labels = []
     # Per column, the first row of each id (a deterministic minimum over
     # repeated ids) marks the rows where a label first appears, in order.
     first = np.empty(len(texts), dtype=np.int64)
     rank = np.empty(len(texts), dtype=np.int64)
-    rows = np.arange(len(raw))
+    rows = np.arange(n_rows)
     for col, out in zip(columns, codes):
-        first[col] = len(raw)
+        first[col] = n_rows
         np.minimum.at(first, col, rows)
         order = col[np.take(first, col) == rows]
         rank[order] = np.arange(order.size)
@@ -568,20 +604,95 @@ def build_assignment(
     return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
 
 
-def _csv_line(path: Path, index: int) -> int:
-    """The line of ``path`` on which data row ``index`` starts (the header
+# Data rows coded per block when reading a CSV: only one block's cell
+# strings are alive at a time.
+_BLOCK_ROWS = 4096
+
+
+def _read_text(path: Path) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark.  The
+    whole file is decoded at once, so a ``UnicodeDecodeError``'s ``start``
+    is the offending byte's offset in the file."""
+    text = path.read_bytes().decode("utf-8")
+    return text[1:] if text.startswith("\ufeff") else text
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of ``text`` when splitting them on commas reads it exactly
+    as ``csv.reader`` does, else None.
+
+    That holds for a text with no quote, carriage return or NUL (so lines
+    end only at ``\\n`` and no field is quoted) and no line longer than
+    ``csv.field_size_limit()`` (a longer field is a ``csv.Error``).
+    """
+    if not text or any(map(text.__contains__, '"\r\0')):
+        return None
+    lines = text.split("\n")
+    return lines if max(map(len, lines)) <= csv.field_size_limit() else None
+
+
+def _reader_rows(path: Path, text: str) -> Iterator[list[str]]:
+    """``csv.reader`` rows of ``text``; a ``csv.Error`` is raised as a
+    ``ShapeError`` naming its file line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ShapeError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+def _csv_rows(path: Path, text: str) -> tuple[list[str], Iterator, bool]:
+    """The header of the CSV text of ``path``, an iterator over the rows
+    after it (blank ones included, as empty), and whether those rows are
+    plain lines (``_plain_lines``) rather than ``csv.reader`` rows."""
+    lines = _plain_lines(text)
+    if lines is None:
+        rows = _reader_rows(path, text)
+        try:
+            return next(rows), rows, False
+        except StopIteration:
+            raise ShapeError(f"{path}: empty file, a header row is mandatory") from None
+    rows = iter(lines)
+    header = next(rows)
+    return header.split(",") if header else [], rows, True
+
+
+def _cell_blocks(
+    rows: Iterator, width: int, plain: bool, ragged: list[tuple[int, int]]
+) -> Iterator[list[str]]:
+    """The flat cell lists of successive blocks of ``_BLOCK_ROWS`` data rows.
+
+    ``rows`` yields plain lines (``plain``), split here on commas, or
+    ``csv.reader`` rows.  At the first row that is not ``width`` cells
+    wide, its index and width are appended to ``ragged`` and no more
+    blocks are made; the remaining rows are still read, so that a
+    ``csv.Error`` in a later row is still the error reported.
+    """
+    done = 0
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        sizes = [line.count(",") + 1 for line in block] if plain else list(map(len, block))
+        if sizes.count(width) != len(block):
+            i = next(i for i, size in enumerate(sizes) if size != width)
+            ragged.append((done + i, sizes[i]))
+            deque(rows, maxlen=0)
+            return
+        yield ",".join(block).split(",") if plain else list(chain.from_iterable(block))
+        done += len(block)
+
+
+def _csv_line(text: str, index: int) -> int:
+    """The line of a CSV text on which data row ``index`` starts (the header
     is line 1; blank rows are skipped, as ``read_csv_dataset`` skips them)."""
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            if index == 0:
+                return start
+            index -= 1
         start = reader.line_num + 1
-        for row in reader:
-            if row:
-                if index == 0:
-                    return start
-                index -= 1
-            start = reader.line_num + 1
-    raise ShapeError(f"{path} has no data row {index}")
+    raise ShapeError(f"CSV text has no data row {index}")
 
 
 def read_csv_dataset(
@@ -592,41 +703,47 @@ def read_csv_dataset(
 
     Columns named in ``sup_columns`` become supplementary variables; all
     remaining columns are analysis variables, in header order.  Missing
-    values and NUL bytes are not supported.  The whole table is coded once
-    and both containers are column slices of it.
+    values and NUL bytes are not supported.  The file is decoded once; a
+    text with no quote, carriage return or NUL is split on newlines and
+    commas, any other goes through ``csv.reader``, and both give the same
+    rows.  The whole table is coded once, block by block, and both
+    containers are column slices of it.
     """
     path = Path(path)
     if len(set(sup_columns)) != len(sup_columns):
         raise ShapeError(f"supplementary columns {list(sup_columns)} repeat a column")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            if len(set(header)) != len(header):
-                raise ShapeError(f"{path}: duplicate column names in header")
-            if "\0" in "".join(header):
-                name = next(name for name in header if "\0" in name)
-                raise ShapeError(f"{path} line 1: NUL byte in header column {name!r}")
-            rows = list(filter(None, reader))
-        except StopIteration:
-            raise ShapeError(f"{path}: empty file, a header row is mandatory") from None
-        except csv.Error as exc:
-            raise ShapeError(f"{path} line {reader.line_num}: {exc}") from None
+    text = _read_text(path)
+    header, rows, plain = _csv_rows(path, text)
+    if len(set(header)) != len(header):
+        raise ShapeError(f"{path}: duplicate column names in header")
+    if "\0" in "".join(header):
+        name = next(name for name in header if "\0" in name)
+        raise ShapeError(f"{path} line 1: NUL byte in header column {name!r}")
+    width, ragged = len(header), []
+    blocks = _cell_blocks(filter(None, rows), width, plain, ragged)
+    bound = text.count("\n") + text.count("\r") + 1  # lines, so at least the rows
+    table, ids = _code_blocks(blocks, bound * width)
     missing = [c for c in sup_columns if c not in header]
     if missing:
         raise ShapeError(f"{path}: supplementary columns {missing} not in header {header}")
     sup_idx = [header.index(c) for c in sup_columns]
-    var_idx = [j for j in range(len(header)) if j not in sup_idx]
+    var_idx = [j for j in range(width) if j not in sup_idx]
     if not var_idx:
         raise ShapeError(f"{path}: no analysis variables left after removing {list(sup_columns)}")
-    codes, labels = _code_table(rows, lambda i: f"{path} line {_csv_line(path, i)}", header)
-    # Every distinct cell text is some column's label, so checking the
-    # labels checks every cell.
-    if "\0" in "".join(chain.from_iterable(labels)):
-        i, j = next(
-            (i, j) for i, row in enumerate(rows) for j, cell in enumerate(row) if "\0" in cell
-        )
-        raise ShapeError(f"{path} line {_csv_line(path, i)}: NUL byte in column {header[j]!r}")
+
+    def row_name(i: int) -> str:
+        return f"{path} line {_csv_line(text, i)}"
+
+    if ragged:
+        i, cells = ragged[0]
+        raise ShapeError(f"{row_name(i)} has {cells} cells, expected {width}")
+    if table.size == 0:
+        raise ShapeError(f"{path}: no data rows after the header")
+    codes, labels = _renumbered(table, ids, width, row_name, header)
+    nul = [k for cell, k in ids.items() if "\0" in cell]
+    if nul:
+        i, j = _first_cell(table, nul, width)
+        raise ShapeError(f"{row_name(i)}: NUL byte in column {header[j]!r}")
     ds = CategoricalDataset(
         codes=codes[:, var_idx],
         labels=tuple(labels[j] for j in var_idx),

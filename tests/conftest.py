@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 from itertools import chain
+from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -122,6 +124,78 @@ def code_table_by_sort(
         codes[:, j] = rank[inverse]
         labels.append(tuple(texts[k] for k in distinct[order]))
     return codes, tuple(labels)
+
+
+def csv_line_by_reader(path: Path, index: int) -> int:
+    """The line of ``path`` on which data row ``index`` starts (the header
+    is line 1; blank rows are skipped, as ``read_csv_dataset`` skips them)."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if index == 0:
+                    return start
+                index -= 1
+            start = reader.line_num + 1
+    raise ShapeError(f"{path} has no data row {index}")
+
+
+def read_csv_by_reader(
+    path: str | Path, sup_columns: Sequence[str]
+) -> tuple[CategoricalDataset, SupplementaryData]:
+    """Oracle for ``mscca.read_csv_dataset``: every file through
+    ``csv.reader`` streaming from the open file, every row held as a list,
+    then coded by ``code_table_by_sort``.  A file with a header and no data
+    rows is reported as such."""
+    path = Path(path)
+    if len(set(sup_columns)) != len(sup_columns):
+        raise ShapeError(f"supplementary columns {list(sup_columns)} repeat a column")
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+            if len(set(header)) != len(header):
+                raise ShapeError(f"{path}: duplicate column names in header")
+            if "\0" in "".join(header):
+                name = next(name for name in header if "\0" in name)
+                raise ShapeError(f"{path} line 1: NUL byte in header column {name!r}")
+            rows = list(filter(None, reader))
+        except StopIteration:
+            raise ShapeError(f"{path}: empty file, a header row is mandatory") from None
+        except csv.Error as exc:
+            raise ShapeError(f"{path} line {reader.line_num}: {exc}") from None
+    missing = [c for c in sup_columns if c not in header]
+    if missing:
+        raise ShapeError(f"{path}: supplementary columns {missing} not in header {header}")
+    sup_idx = [header.index(c) for c in sup_columns]
+    var_idx = [j for j in range(len(header)) if j not in sup_idx]
+    if not var_idx:
+        raise ShapeError(f"{path}: no analysis variables left after removing {list(sup_columns)}")
+    if not rows:
+        raise ShapeError(f"{path}: no data rows after the header")
+    codes, labels = code_table_by_sort(
+        rows, lambda i: f"{path} line {csv_line_by_reader(path, i)}", header
+    )
+    if "\0" in "".join(chain.from_iterable(labels)):
+        i, j = next(
+            (i, j) for i, row in enumerate(rows) for j, cell in enumerate(row) if "\0" in cell
+        )
+        raise ShapeError(
+            f"{path} line {csv_line_by_reader(path, i)}: NUL byte in column {header[j]!r}"
+        )
+    ds = CategoricalDataset(
+        codes=codes[:, var_idx],
+        labels=tuple(labels[j] for j in var_idx),
+        names=tuple(header[j] for j in var_idx),
+    )
+    sup = SupplementaryData(
+        codes=codes[:, sup_idx],
+        labels=tuple(labels[j] for j in sup_idx),
+        names=tuple(header[j] for j in sup_idx),
+    )
+    return ds, sup
 
 
 def round_floats_recursive(obj: Any) -> Any:

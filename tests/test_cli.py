@@ -218,6 +218,22 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "UTF-8" in err
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_bad_byte_named_by_its_file_offset(self, tmp_path, capsys, bom):
+        # past the first 8 KiB, where a streaming decoder counts from its
+        # current chunk
+        body = b"Meal,Gender\n" + b"tea,M\ncoffee,F\n" * 2000
+        path = tmp_path / "bad.csv"
+        path.write_bytes(bom + body + b"caf\xff,M\n")
+        offset = len(bom + body) + 3
+        code = main(
+            ["fit", "--input", str(path), "--sup-cols", "Gender",
+             "--k", "Gender:M:1", "--k", "Gender:F:1", "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path} is not UTF-8 text (invalid start byte at byte {offset})\n"
+
     @pytest.mark.parametrize(
         "method",
         [None, "averaging", "removal", "mca", "cluster-ca"],

@@ -1,9 +1,10 @@
 import csv
+import io
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -19,6 +20,7 @@ from mscca import (
     read_csv_dataset,
 )
 import mscca.data
+from mscca.cli import main
 from mscca.data import _code_table, moved_counts, stacked_counts
 from mscca.errors import (
     AssignmentError,
@@ -37,6 +39,7 @@ from conftest import (
     random_dataset,
     random_mixed_problem,
     random_problem,
+    read_csv_by_reader,
     stacked_indicator,
     validate_assignment,
     z_full,
@@ -487,6 +490,76 @@ class TestIdentityEquality:
             assert table[item] == 1 and table[copy] == 2
 
 
+# Cells that leave a CSV text plain, among them characters that
+# str.splitlines would take for line ends and csv.reader does not.
+_PLAIN_CELLS = st.sampled_from(
+    ["1", "01", "1.0", "-2", "1e3", "nan", "a b", " ", "\ufeff", "\x0b", "\x1c", "\x85", "\u2028"]
+    + ["a label of 20 chars."]
+)
+_ANY_CELLS = st.one_of(
+    _PLAIN_CELLS,
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+    st.sampled_from(["a,b", 'say "hi"', '"', ",", "x\ny", "x\ry", "\r\n"]),
+)
+
+
+_RARELY = st.sampled_from([False] * 7 + [True])
+
+
+def _record(row, terminator):
+    out = io.StringIO()
+    csv.writer(out, lineterminator=terminator).writerow(row)
+    return out.getvalue()
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV text with its supplementary columns, a field size limit and a
+    block size (None: the defaults).  The text has plain or quoted cells,
+    ragged rows, empty and NUL cells, a \\n or \\r\\n line end, blank lines
+    (also a blank first line), a header and no rows, no final line end, a
+    byte-order mark."""
+    width = draw(st.integers(2, 4))
+    cells = _PLAIN_CELLS if draw(st.booleans()) else _ANY_CELLS
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=1, max_size=25))
+    faults = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    kinds = st.sampled_from(["ragged", "empty", "nul"])
+    for fault in draw(st.lists(kinds, min_size=faults, max_size=faults)):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+        if fault == "ragged":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else [*rows[i], "extra"]
+        else:
+            rows[i] = [*rows[i][:j], "" if fault == "empty" else "x\x00", *rows[i][j + 1 :]]
+    header = [f"col{j}" for j in range(width)]
+    terminator = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    if draw(_RARELY):
+        rows = []
+    records = [_record(row, terminator) for row in [header, *rows]]
+    for _ in range(draw(st.integers(0, 3))):
+        records.insert(draw(st.integers(1, len(records))), terminator)
+    if draw(_RARELY):
+        records.insert(0, terminator)
+    text = "".join(records)
+    if draw(st.booleans()):
+        text = text.removesuffix(terminator)
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    sup_cols = draw(st.lists(st.sampled_from(header), min_size=1, max_size=width - 1, unique=True))
+    limit = draw(st.sampled_from([None, None, None, 4, 12]))
+    return text, sup_cols, limit, draw(st.sampled_from([None, 1, 3]))
+
+
+def _read_outcome(read, path, sup_cols):
+    """What a CSV reader gives: codes, labels and names, or an error's type
+    and message."""
+    try:
+        ds, sup = read(path, sup_cols)
+    except MsccaError as exc:
+        return type(exc), str(exc)
+    assert ds.codes.dtype == sup.codes.dtype == np.int64
+    return [(data.codes.tolist(), data.labels, data.names) for data in (ds, sup)]
+
+
 class TestCsvIngestion:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -523,12 +596,20 @@ class TestCsvIngestion:
         assert ds.names == ("drink",)
 
     def test_ragged_row_names_its_line(self, tmp_path):
-        # a NUL byte, in a cell or in the header, names its line too
+        # a NUL byte, in a cell or in the header, names its line too; an
+        # oversized field in a block after a ragged row is still the error
+        # reported
         path = tmp_path / "data.csv"
+        limit, block = csv.field_size_limit(), mscca.data._BLOCK_ROWS
+        filler = "1,2,x\n" * block
         cases = [
             ("a,b,g\n1,2,x\n\n1,x\n", "line 4 has 2 cells, expected 3"),
             ("a,b,g\n1,2,x\n\n1,x\x00,y\n", "line 4: NUL byte in column 'b'"),
             ("a,b\x00,g\n1,2,x\n", "line 1: NUL byte in header column 'b\\x00'"),
+            (
+                f"a,b,g\n1,x\n{filler}2,{'z' * (limit + 1)},y\n",
+                f"line {3 + block}: field larger than field limit ({limit})",
+            ),
         ]
         for text, message in cases:
             path.write_text(text, encoding="utf-8")
@@ -552,47 +633,46 @@ class TestCsvIngestion:
         assert "line 5" in message and "'drink'" in message
         assert "\n" not in message
 
-    @given(
-        st.integers(2, 4).flatmap(
-            lambda width: st.lists(
-                st.lists(
-                    st.one_of(
-                        st.sampled_from(["1", "01", "1.0", "-2", "1e3", "nan", "a b"]),
-                        st.text(
-                            st.characters(
-                                blacklist_categories=("Cs",), blacklist_characters="\x00"
-                            ),
-                            min_size=1,
-                            max_size=3,
-                        ),
-                        st.sampled_from(['a,b', 'say "hi"', '"', ",", "x\ny", "\ufeff"]),
-                    ),
-                    min_size=width,
-                    max_size=width,
-                ),
-                min_size=1,
-                max_size=25,
-            )
-        ),
-        st.data(),
-    )
-    def test_matches_per_cell_oracle(self, tmp_path_factory, rows, data):
-        width = len(rows[0])
-        header = [f"col{j}" for j in range(width)]
-        sup_cols = data.draw(
-            st.lists(st.sampled_from(header), min_size=1, max_size=width - 1, unique=True)
-        )
-        path = tmp_path_factory.mktemp("csv") / "data.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([header, *rows])
-        ds, sup = read_csv_dataset(path, sup_cols)
+    def test_header_only_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n", encoding="utf-8")
+        with pytest.raises(ShapeError) as err:
+            read_csv_dataset(path, ["a"])
+        assert str(err.value) == f"{path}: no data rows after the header"
+        argv = ["fit", "--input", str(path), "--sup-cols", "a", "--k", "a:x:1"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: no data rows after the header\n"
 
-        codes, labels, _ = encode_columns_by_cell(rows, None, "v")
-        sup_idx = [header.index(c) for c in sup_cols]
-        var_idx = [j for j in range(width) if j not in sup_idx]
-        assert ds.codes.tolist() == codes[:, var_idx].tolist()
-        assert ds.labels == tuple(labels[j] for j in var_idx)
-        assert ds.names == tuple(header[j] for j in var_idx)
-        assert sup.codes.tolist() == codes[:, sup_idx].tolist()
-        assert sup.labels == tuple(labels[j] for j in sup_idx)
-        assert sup.names == tuple(sup_cols)
+    def test_plain_text_skips_the_csv_reader(self, tmp_path, monkeypatch):
+        made = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *a, **kw: made.append(1) or reader(*a, **kw))
+        path = tmp_path / "data.csv"
+        path.write_text("meal,drink,g\nwest,tea,M\n\neast,tea,F\n", encoding="utf-8")
+        ds, sup = read_csv_dataset(path, ["g"])
+        assert made == []
+        assert ds.labels == (("west", "east"), ("tea",)) and sup.labels == (("M", "F"),)
+        path.write_text('meal,drink,g\nwest,"tea",M\n\neast,tea,F\n', encoding="utf-8")
+        ds, sup = read_csv_dataset(path, ["g"])
+        assert made
+        assert ds.labels == (("west", "east"), ("tea",)) and sup.labels == (("M", "F"),)
+
+    @settings(max_examples=200)
+    @given(csv_files())
+    def test_matches_per_cell_oracle(self, tmp_path_factory, case):
+        # Both ingest paths against the csv.reader oracle: a plain text (no
+        # quote, CR or NUL, no line over the field size limit) is split on
+        # newlines and commas, any other goes through csv.reader.
+        text, sup_cols, limit, block = case
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        previous, block_rows = csv.field_size_limit(), mscca.data._BLOCK_ROWS
+        csv.field_size_limit(limit or previous)
+        mscca.data._BLOCK_ROWS = block or block_rows
+        try:
+            expected = _read_outcome(read_csv_by_reader, path, sup_cols)
+            got = _read_outcome(read_csv_dataset, path, sup_cols)
+        finally:
+            csv.field_size_limit(previous)
+            mscca.data._BLOCK_ROWS = block_rows
+        assert got == expected
