@@ -2,7 +2,9 @@
 
 Archives are compact JSON with sorted keys and floats rounded to 15
 significant digits, written atomically, so identical (input, config,
-seed) runs produce byte-identical files.  Loading an archive plus the
+seed) runs produce byte-identical files.  Float arrays are written
+straight from their 15-digit mantissas, in the bytes ``json.dumps`` gives
+their rounded values.  Loading an archive plus the
 original input is enough to rebuild the assignment and re-evaluate the
 objective.  The assignment is stored column by column: per supplementary
 variable its class labels once, then one class code and one cluster
@@ -17,10 +19,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import secrets
+from functools import lru_cache
+from itertools import islice
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,10 +43,10 @@ RESIDUALS_HEADER = ["method", "row", "class", "column", "value"]
 
 # Exact powers of ten (10**22 is the largest a double holds exactly), the
 # Veltkamp splitter 2**27 + 1, and the block length of the vectorized
-# rounding, which bounds its working memory.
+# rounding and encoding, which bounds their working memory.
 _POW10 = np.array([float(10**k) for k in range(23)])
 _SPLIT = 134217729.0
-_ROUND_BLOCK = 1 << 16
+_ROUND_BLOCK = 1 << 15
 
 
 def _round_one(x: float) -> float:
@@ -57,11 +62,13 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _round_block(x: np.ndarray) -> np.ndarray:
-    """``_round_one`` of every element of a float64 block, bit for bit.
+def _mantissas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 15 significant digits of ``_round_one`` of every element of a
+    float64 block: (m, k, ok), with m an exact integer in [1e14, 1e15] and
+    ``_round_one(x) == copysign(m / 10**k, x)`` wherever ``ok``.
 
-    |x| is scaled by the exact power 10**(14 - e), e = floor(log10|x|),
-    so its 15 significant digits become the integer part of the product.
+    |x| is scaled by the exact power 10**k, k = 14 - floor(log10|x|), so
+    its 15 significant digits become the integer part of the product.
     The product's rounding error comes exactly from a Dekker two-product;
     ``rint`` is then off by one only when the rounded product sits on a
     half, and the sign of (p - rint(p)) + err tells which way (an exact
@@ -69,8 +76,8 @@ def _round_block(x: np.ndarray) -> np.ndarray:
     division of the 15-digit integer by the exact power is the correctly
     rounded value of the decimal string.  Zeros, subnormals, non-finite
     values, |x| outside [1e-8, 1e15) and products whose exact value falls
-    outside [1e14, 1e15) (``log10`` rounded across a power of ten) go to
-    ``_round_one``.
+    outside [1e14, 1e15) (``log10`` rounded across a power of ten) are
+    not ``ok``.
     """
     a = np.abs(x)
     ok = (a >= 1e-8) & (a < 1e15)
@@ -85,7 +92,13 @@ def _round_block(x: np.ndarray) -> np.ndarray:
     r = np.rint(p)
     d = (p - r) + err
     ok &= (p >= 1e14) & (p < 1e15) & ((p > 1e14) | (err >= 0)) & (np.abs(d) != 0.5)
-    out = np.copysign((r + (d > 0.5) - (d < -0.5)) / scale, x)
+    return r + (d > 0.5) - (d < -0.5), k, ok
+
+
+def _round_block(x: np.ndarray) -> np.ndarray:
+    """``_round_one`` of every element of a float64 block, bit for bit."""
+    m, k, ok = _mantissas(x)
+    out = np.copysign(m / _POW10[np.clip(k, 0, 22)], x)
     for i in np.flatnonzero(~ok).tolist():
         out[i] = _round_one(float(x[i]))
     return out
@@ -104,26 +117,219 @@ def _round_array(obj: np.ndarray) -> np.ndarray:
     return out.reshape(obj.shape)
 
 
-def _round_floats(obj: Any) -> Any:
-    """Round every float to 15 significant digits, recursively; a float
-    array is rounded in one vectorized pass and returned as nested lists."""
-    if isinstance(obj, float):
-        return _round_one(obj)
-    if isinstance(obj, (np.floating,)):
+def _rounded_lists(obj: np.ndarray) -> list:
+    """``_round_array(obj)`` as nested lists of floats."""
+    return _round_array(obj).tolist()
+
+
+class _Json:
+    """JSON text that a container's text takes as it stands."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def _dumps(obj: Any) -> str:
+    """Compact sorted-key JSON of a rounded value."""
+    if type(obj) is _Json:
+        return obj.text
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _joined(obj: dict | list) -> dict | list | _Json:
+    """A rounded container, or its JSON text when it holds JSON text."""
+    if isinstance(obj, dict):
+        if _Json not in map(type, obj.values()):
+            return obj
+        # a key that is not a string is written as json.dumps writes it
+        return _Json("{" + ",".join(
+            f"{json.dumps(key if isinstance(key, str) else json.dumps(key))}:{_dumps(value)}"
+            for key, value in sorted(obj.items())
+        ) + "}")
+    if _Json not in map(type, obj):
+        return obj
+    return _Json("[" + ",".join(map(_dumps, obj)) + "]")
+
+
+_ATOMS = {str, int, bool, type(None)}
+
+
+def _round_items(items: list, arrays: Callable[[np.ndarray], Any]) -> list:
+    """``_round_floats`` of every item of a list.  Floats, records that
+    share their keys, and lists are rounded together: floats in one
+    vectorized pass, records field by field, lists as one flat list."""
+    kinds = set(map(type, items))
+    if kinds <= _ATOMS:
+        return items
+    if all(issubclass(kind, (float, np.floating)) for kind in kinds):
+        return _round_array(np.array(items, dtype=np.float64)).tolist()
+    if kinds == {dict}:
+        keys = list(items[0])
+        if all(list(item) == keys for item in items):
+            fields = [_round_items([item[key] for item in items], arrays) for key in keys]
+            records = [dict(zip(keys, values)) for values in zip(*fields)]
+            if any(_Json in map(type, field) for field in fields):
+                records = list(map(_joined, records))
+            return records
+    if kinds <= {list, tuple}:
+        flat = _round_items([value for item in items for value in item], arrays)
+        values = iter(flat)
+        lists = [list(islice(values, len(item))) for item in items]
+        return list(map(_joined, lists)) if _Json in map(type, flat) else lists
+    return [_round_floats(item, arrays) for item in items]
+
+
+def _round_floats(obj: Any, arrays: Callable[[np.ndarray], Any] = _rounded_lists) -> Any:
+    """Round every float to 15 significant digits, recursively, as
+    ``_round_one`` does; the floats of a list are rounded together
+    (``_round_items``).  A float array becomes ``arrays(obj)``: by default
+    its rounded values as nested lists.  The writer passes ``_array_json``,
+    and every container that then holds JSON text becomes JSON text."""
+    if isinstance(obj, (float, np.floating)):
         return _round_one(float(obj))
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
-            return _round_array(obj).tolist()
+            return arrays(obj)
         if obj.dtype.kind in "biu":
             return obj.tolist()
-        return _round_floats(obj.tolist())
+        return _round_floats(obj.tolist(), arrays)
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return _joined(dict(zip(obj, _round_items(list(obj.values()), arrays))))
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return _joined(_round_items(list(obj), arrays))
     return obj
+
+
+# The text of a float array is built from fixed-width rows of candidate
+# bytes, one row per element, of which a keep mask selects the element's
+# ``repr`` and the separator after it.  The columns:
+#   0            '-'
+#   1..5         "0.000"                 (fixed notation below 1)
+#   6 + 2i       digit i of the mantissa, i = 0..14
+#   7 + 2i       '.' after digit i
+#   36           '0'                     (the ".0" of e = 14)
+#   37..40       "e-0" and the exponent digit (e = -8..-5)
+#   41...        ']' * (ndim - 1), ',', '[' * (ndim - 1)
+_TEMPLATE = b"-0.000" + b"0." * 15 + b"0e-00"
+# The four ASCII digits of 0..9999, each group as one 4-byte word; built
+# from arrays, as 10,000 Python strings would raise the peak RSS.
+_DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_DIGITS = _DIGITS.view(np.uint32).ravel()
+_E_MIN, _E_MAX = -8, 14
+_FALLBACK = (_E_MAX - _E_MIN + 1) * 15  # the empty body, after the 15 (e, n) pairs per e
+
+
+def _repr_keep(e: int, n: int) -> np.ndarray:
+    """The template columns 1..40 kept by ``repr`` of a positive value with
+    decimal exponent ``e`` and ``n`` significant digits: fixed notation for
+    e in [-4, 14] (with ".0" on integral values), d.ddde-0X below."""
+    keep = np.zeros(len(_TEMPLATE), dtype=bool)
+    if e >= 0:
+        last = min(max(n - 1, e + 1), 14)  # a trailing '0' digit stands for ".0"
+        keep[6 : 7 + 2 * last : 2] = True
+        keep[7 + 2 * e] = True
+        keep[36] = e == 14
+    elif e >= -4:
+        keep[1 : 2 - e] = True  # "0." and -e - 1 zeros
+        keep[6 : 6 + 2 * n : 2] = True
+    else:
+        keep[6 : 6 + 2 * n : 2] = True
+        keep[7] = n > 1
+        keep[37:41] = True
+    return keep[1:]
+
+
+@lru_cache(maxsize=None)
+def _layout(ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate bytes of one element of an ``ndim``-dimensional array
+    and the keep masks, one row per code (body, sign, c).  The bodies are
+    the (e, n) pairs in order, then an empty one for the elements written
+    by a fallback token; c counts the brackets the element's separator
+    closes, and c = ndim is the last element, which has no separator."""
+    inner = max(ndim - 1, 0)
+    sep = b"]" * inner + b"," + b"[" * inner if ndim else b""
+    seps = np.zeros((ndim + 1, len(sep)), dtype=bool)
+    for c in range(ndim):
+        seps[c, inner - c : inner + c + 1] = True
+    bodies = [_repr_keep(e, n) for e in range(_E_MIN, _E_MAX + 1) for n in range(1, 16)]
+    bodies.append(np.zeros_like(bodies[0]))
+    shape = (len(bodies), 2, ndim + 1)
+    keep = np.concatenate(
+        [
+            np.broadcast_to(np.array([False, True])[None, :, None, None], (*shape, 1)),
+            np.broadcast_to(np.array(bodies)[:, None, None, :], (*shape, len(bodies[0]))),
+            np.broadcast_to(seps[None, None], (*shape, len(sep))),
+        ],
+        axis=-1,
+    )
+    keep = keep.reshape(-1, keep.shape[-1])
+    keep.flags.writeable = False  # shared by every call through the cache
+    return np.frombuffer(_TEMPLATE + sep, dtype=np.uint8), keep
+
+
+def _encode_block(x: np.ndarray, lo: int, shape: tuple[int, ...]) -> str:
+    """The JSON text of the elements ``lo, lo + 1, ...`` (``x``, float64) of
+    a C-ordered array of ``shape``, each followed by its separator.
+
+    Each element is written from the mantissa of ``_mantissas``: its
+    digits are looked up four at a time, and the keep mask of its code
+    (exponent, significant-digit count, sign, separator) selects the
+    bytes of ``json.dumps(_round_one(x))``.  Elements that are not ``ok``
+    get that expression itself, spliced in before their separator.
+    """
+    candidates, keeps = _layout(len(shape))
+    m, k, ok = _mantissas(x)
+    ok &= m < 1e15  # a carry to 16 digits
+    m = np.where(ok, m, 1e14).astype(np.int64)
+    groups = np.empty((x.size, 4), dtype=np.uint32)
+    for g in range(3, -1, -1):
+        m, groups[:, g] = np.divmod(m, 10_000)
+    digits = _DIGITS[groups].view(np.uint8).reshape(x.size, 16)[:, 1:]
+    n = 15 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    e = 14 - k
+    index = np.arange(lo + 1, lo + 1 + x.size)
+    closed = np.zeros(x.size, dtype=np.int64)
+    for width in np.cumprod(shape[:0:-1], dtype=np.int64).tolist():
+        closed += index % width == 0
+    if index[-1] == math.prod(shape):
+        closed[-1] = len(shape)
+    body = np.where(ok, (e - _E_MIN) * 15 + n - 1, _FALLBACK)
+    code = ((body * 2 + (np.signbit(x) & ok)) * (len(shape) + 1)) + closed
+    rows = np.empty((x.size, candidates.size), dtype=np.uint8)
+    rows[:] = candidates
+    rows[:, 6:36:2] = digits
+    rows[:, 40] = ord("0") - np.minimum(e, 0)
+    keep = np.take(keeps, code, axis=0)
+    text = np.compress(keep.ravel(), rows.ravel()).tobytes().decode("ascii")
+    bad = np.flatnonzero(~ok).tolist()
+    if not bad:
+        return text
+    lengths = keep.sum(axis=1)
+    starts = (np.cumsum(lengths) - lengths)[bad].tolist()
+    pieces, done = [], 0
+    for i, start in zip(bad, starts):
+        pieces += [text[done:start], json.dumps(_round_one(float(x[i])))]
+        done = start
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
+def _array_json(obj: np.ndarray) -> _Json:
+    """The JSON text of the nested lists of ``_round_array(obj)``, encoded
+    in blocks of ``_ROUND_BLOCK`` elements."""
+    if obj.dtype.itemsize > 8 or obj.size == 0:
+        return _Json(_dumps(_rounded_lists(obj)))
+    flat = obj.reshape(-1)
+    pieces = ["[" * obj.ndim]
+    for lo in range(0, flat.size, _ROUND_BLOCK):
+        block = flat[lo : lo + _ROUND_BLOCK].astype(np.float64)
+        pieces.append(_encode_block(block, lo, obj.shape))
+    pieces.append("]" * obj.ndim)
+    return _Json("".join(pieces))
 
 
 def write_text(path: Path, text: str) -> None:
@@ -144,9 +350,10 @@ def write_text(path: Path, text: str) -> None:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    """Serialize as compact JSON with sorted keys and atomic replace."""
-    text = json.dumps(_round_floats(payload), sort_keys=True, separators=(",", ":")) + "\n"
-    write_text(Path(path), text)
+    """Serialize as compact JSON with sorted keys and atomic replace: the
+    text of ``json.dumps(_round_floats(payload), sort_keys=True)``, with
+    every float array written straight from its mantissas."""
+    write_text(Path(path), _dumps(_round_floats(payload, _array_json)) + "\n")
 
 
 def load_json(path: str | Path) -> dict:

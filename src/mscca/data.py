@@ -65,7 +65,8 @@ def _code_table(
     if any(type(text) is not str for text in ids):
         cells = [None if cell is None else str(cell) for cell in cells]
         table, ids = _code_blocks([cells], len(cells))
-    return _renumbered(table, ids, width, row_name, header)
+    _check_filled(table, ids, width, row_name, header)
+    return _renumbered(table, ids, width)
 
 
 def _code_blocks(blocks: Iterable[list], size: int) -> tuple[np.ndarray, dict]:
@@ -91,39 +92,45 @@ def _first_cell(table: np.ndarray, keys: Sequence[int], width: int) -> tuple[int
     return divmod(int(np.flatnonzero(np.isin(table, keys))[0]), width)
 
 
-def _renumbered(
+def _check_filled(
     table: np.ndarray,
     ids: dict,
     width: int,
     row_name: Callable[[int], str],
     header: Sequence[str] | None,
-) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
-    """Codes and labels of a flat table of cell ids, ``width`` cells a row:
-    each column renumbered by the first appearance of its ids.  An empty
-    cell (``None`` or ``""``) raises ``MissingValueError`` naming its row
-    and column."""
+) -> None:
+    """Raise ``MissingValueError`` naming the row and column of the first
+    empty cell (``None`` or ``""``) of a flat table of cell ids."""
     if None in ids or "" in ids:
         i, j = _first_cell(table, [ids[text] for text in (None, "") if text in ids], width)
         column = j if header is None else repr(header[j])
         raise MissingValueError(f"{row_name(i)}: empty cell in column {column}")
+
+
+def _renumbered(
+    table: np.ndarray, ids: dict, width: int
+) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
+    """Codes and labels of a flat table of cell ids, ``width`` cells a row:
+    each column renumbered by the first appearance of its ids.  The table
+    is renumbered in place and returned as its n x width view."""
     texts = list(ids)
-    n_rows = table.size // width
-    columns = np.ascontiguousarray(table.reshape(n_rows, width).T)
-    codes = np.empty_like(columns)
+    codes = table.reshape(-1, width)
+    n_rows = codes.shape[0]
     labels = []
     # Per column, the first row of each id (a deterministic minimum over
     # repeated ids) marks the rows where a label first appears, in order.
     first = np.empty(len(texts), dtype=np.int64)
     rank = np.empty(len(texts), dtype=np.int64)
     rows = np.arange(n_rows)
-    for col, out in zip(columns, codes):
+    for j in range(width):
+        col = codes[:, j].copy()
         first[col] = n_rows
         np.minimum.at(first, col, rows)
         order = col[np.take(first, col) == rows]
         rank[order] = np.arange(order.size)
-        np.take(rank, col, out=out)
+        codes[:, j] = np.take(rank, col)
         labels.append(tuple(map(texts.__getitem__, order.tolist())))
-    return codes.T, tuple(labels)
+    return codes, tuple(labels)
 
 
 def _column_names(
@@ -706,8 +713,8 @@ def read_csv_dataset(
     values and NUL bytes are not supported.  The file is decoded once; a
     text with no quote, carriage return or NUL is split on newlines and
     commas, any other goes through ``csv.reader``, and both give the same
-    rows.  The whole table is coded once, block by block, and both
-    containers are column slices of it.
+    rows.  The whole table is coded once, block by block, renumbered in
+    place, and both containers copy their columns out of it once.
     """
     path = Path(path)
     if len(set(sup_columns)) != len(sup_columns):
@@ -739,18 +746,19 @@ def read_csv_dataset(
         raise ShapeError(f"{row_name(i)} has {cells} cells, expected {width}")
     if table.size == 0:
         raise ShapeError(f"{path}: no data rows after the header")
-    codes, labels = _renumbered(table, ids, width, row_name, header)
+    _check_filled(table, ids, width, row_name, header)
     nul = [k for cell, k in ids.items() if "\0" in cell]
     if nul:
         i, j = _first_cell(table, nul, width)
         raise ShapeError(f"{row_name(i)}: NUL byte in column {header[j]!r}")
+    codes, labels = _renumbered(table, ids, width)
     ds = CategoricalDataset(
-        codes=codes[:, var_idx],
+        codes=codes.take(var_idx, axis=1),
         labels=tuple(labels[j] for j in var_idx),
         names=tuple(header[j] for j in var_idx),
     )
     sup = SupplementaryData(
-        codes=codes[:, sup_idx],
+        codes=codes.take(sup_idx, axis=1),
         labels=tuple(labels[j] for j in sup_idx),
         names=tuple(header[j] for j in sup_idx),
     )

@@ -715,13 +715,17 @@ def fit_constrained_mca(
 
     if kind in ("identity", "projector-off"):
         # Z^H' J Z^H = H (Z'Z - N mu mu'), with the Burt matrix Z'Z counted
-        # one variable's rows at a time.
+        # over the variable pairs j < j' only: those cells lie above the
+        # diagonal, which holds the category counts.
         cols = dataset.cell_columns
         burt = np.zeros(big_q * big_q, dtype=np.int64)
-        for row in cols:
-            burt += np.bincount((row * big_q + cols).ravel(), minlength=big_q**2)
+        for j in range(len(cols) - 1):
+            burt += np.bincount((cols[j] * big_q + cols[j + 1 :]).ravel(), minlength=big_q**2)
+        burt = burt.reshape(big_q, big_q)
+        burt += burt.T  # numpy buffers the overlapping transpose
+        np.fill_diagonal(burt, dataset.counts)
         mu = dataset.column_means
-        target = n_stack * (burt.reshape(big_q, big_q) - n * np.outer(mu, mu))
+        target = n_stack * (burt - n * np.outer(mu, mu))
     if partition is not None:
         between = _between_target(table, sizes, partition.spec, dataset)
         target = target - between if kind == "projector-off" else between

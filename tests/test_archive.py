@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from mscca import archive, generate_illustration, read_csv_dataset
+from mscca import archive, cli, generate_illustration, read_csv_dataset
 from mscca.archive import (
     ARCHIVE_FORMAT,
     _round_floats,
@@ -227,3 +228,140 @@ class TestVectorizedRounding:
         assert _bits(rounded) == _bits(round_floats_recursive(values))
         _round_floats(np.array(self.EDGES))
         assert len(fallbacks) >= 10  # zeros, subnormals, non-finite, ties, range ends
+
+
+def _oracle_text(payload):
+    """The archive text of ``payload`` by rounding every float on its own."""
+    rounded = round_floats_recursive(payload)
+    return json.dumps(rounded, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _written(directory, payload):
+    path = directory / "a.json"
+    write_json(path, payload)
+    return path.read_text(encoding="utf-8")
+
+
+# 0.9999999999999999 and 9.999999999999998 round up to a 16th digit
+_SPECIALS = [
+    *TestVectorizedRounding.EDGES,
+    0.9999999999999999,
+    9.999999999999998,
+    999999999999999.7,
+    1e-05,
+    1.5e-05,
+    1e-04,
+    1234.0,
+]
+
+# Floats over exponents -10..16, integral values and the edge values.
+_ELEMENTS = st.one_of(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-10, 16)),
+    st.integers(-(10**16), 10**16).map(float),
+    st.sampled_from(_SPECIALS),
+)
+_SHAPES = st.one_of(
+    array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+    st.integers(0, 40).map(lambda n: (n, 1)),
+)
+
+
+class TestArrayEncoder:
+    """``write_json`` writes float arrays straight from their mantissas;
+    the text must be that of rounding every element on its own."""
+
+    def _check(self, tmp_path_factory, array):
+        payload = {
+            "array": array,
+            "rows": [array, {"x": array, "y": 1.5}],
+            "records": [{"v": float(v), "c": [float(v), 2]} for v in array.ravel()[:5]],
+            "array_records": [{"a": array, "b": 1.0}, {"a": array[:1], "b": 2}],
+            "ragged_records": [{"a": 0.1, "c": (2.0,)}, {"a": -2.5}],
+        }
+        directory = tmp_path_factory.mktemp("json")
+        assert _written(directory, payload) == _oracle_text(payload)
+
+    @given(arrays(np.float64, _SHAPES, elements=_ELEMENTS))
+    def test_arrays_match_oracle(self, tmp_path_factory, array):
+        self._check(tmp_path_factory, array)
+
+    @given(arrays(np.float64, _SHAPES, elements=_ELEMENTS))
+    def test_arrays_match_oracle_across_blocks(self, tmp_path_factory, array):
+        # blocks of 7 elements split rows and edge values across block borders
+        with mock.patch.object(archive, "_ROUND_BLOCK", 7):
+            self._check(tmp_path_factory, array)
+
+    @pytest.mark.parametrize("block", [7, archive._ROUND_BLOCK])
+    def test_edge_values(self, tmp_path_factory, block):
+        values = np.array(_SPECIALS)
+        with mock.patch.object(archive, "_ROUND_BLOCK", block):
+            for array in (values, -values, values[:, None], np.stack([values, -values], 1)):
+                self._check(tmp_path_factory, array)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.longdouble])
+    @pytest.mark.parametrize("shape", [(70,), (35, 2), (5, 7, 2)])
+    def test_other_float_dtypes(self, tmp_path, dtype, shape):
+        rng = np.random.default_rng(8)
+        finite = [v for v in _SPECIALS if not np.isfinite(v) or abs(v) < 1e30]
+        values = np.concatenate([finite, rng.standard_normal(70 - len(finite)) * 1e3])
+        array = values.astype(dtype).reshape(shape)
+        assert _written(tmp_path, {"a": array}) == _oracle_text({"a": array})
+
+    def test_keys_other_than_strings(self, tmp_path):
+        payload = {3: np.array([1.5, -0.0]), 1: [np.array([[0.1]]), 2.0], 2.5: None}
+        assert _written(tmp_path, payload) == '{"1":[[[0.1]],2.0],"2.5":null,"3":[1.5,-0.0]}\n'
+        assert _written(tmp_path, payload) == _oracle_text(payload)
+
+
+@pytest.fixture(scope="module")
+def tall_csv(tmp_path_factory):
+    """A generated CSV of 20,000 rows: eight analysis variables and two
+    supplementary ones of three classes each."""
+    rng = np.random.default_rng(9)
+    codes = rng.integers(0, 4, size=(20_000, 10))
+    codes[:, 8:] %= 3
+    names = [f"v{j + 1}" for j in range(8)] + ["s1", "s2"]
+    lines = [",".join(names)] + [",".join(f"c{c}" for c in row) for row in codes.tolist()]
+    path = tmp_path_factory.mktemp("tall") / "data.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestCliArchivesMatchOracle:
+    """The archives the CLI writes are the oracle serialization of the
+    payloads it hands to ``write_json``."""
+
+    def _run(self, tall_csv, out, argv, monkeypatch):
+        payloads = []
+
+        def spy(path, payload):
+            payloads.append(payload)
+            write_json(path, payload)
+
+        monkeypatch.setattr(cli, "write_json", spy)
+        common = ["--input", str(tall_csv), "--sup-cols", "s1,s2", "--out", str(out)]
+        assert main([*argv, *common]) == 0
+        (payload,) = payloads
+        text = (out / "solution.json").read_text(encoding="utf-8")
+        assert text == _oracle_text(payload)
+        return payload
+
+    def test_removal_archive(self, tmp_path, tall_csv, monkeypatch):
+        payload = self._run(tall_csv, tmp_path, ["variants", "--method", "removal"], monkeypatch)
+        assert payload["scores"].shape == (40_000, 2)
+
+    def test_fit_archive(self, tmp_path, tall_csv, monkeypatch):
+        calls = []
+        real = archive._round_floats
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(archive, "_round_floats", counted)
+        k = [x for s in ("s1", "s2") for c in ("c0", "c1", "c2") for x in ("--k", f"{s}:{c}:2")]
+        argv = ["fit", *k, "--starts", "1", "--max-iter", "3"]
+        payload = self._run(tall_csv, tmp_path, argv, monkeypatch)
+        assert len(payload["residuals"]) == (6 + 12) * 32
+        # records, their float fields and lists are rounded together, not leaf by leaf
+        assert 0 < len(calls) < 100
