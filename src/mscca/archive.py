@@ -181,12 +181,13 @@ def _round_items(items: list, arrays: Callable[[np.ndarray], Any]) -> list:
     return [_round_floats(item, arrays) for item in items]
 
 
-def _round_floats(obj: Any, arrays: Callable[[np.ndarray], Any] = _rounded_lists) -> Any:
+def _round_floats(obj: Any, arrays: Callable[[np.ndarray], Any]) -> Any:
     """Round every float to 15 significant digits, recursively, as
     ``_round_one`` does; the floats of a list are rounded together
-    (``_round_items``).  A float array becomes ``arrays(obj)``: by default
-    its rounded values as nested lists.  The writer passes ``_array_json``,
-    and every container that then holds JSON text becomes JSON text."""
+    (``_round_items``).  A float array becomes ``arrays(obj)``: the writer
+    passes ``_array_json``, the tests ``_rounded_lists``.  An integer
+    array becomes its JSON text (``_int_json``), and every container that
+    holds JSON text becomes JSON text."""
     if isinstance(obj, (float, np.floating)):
         return _round_one(float(obj))
     if isinstance(obj, np.integer):
@@ -194,7 +195,9 @@ def _round_floats(obj: Any, arrays: Callable[[np.ndarray], Any] = _rounded_lists
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
             return arrays(obj)
-        if obj.dtype.kind in "biu":
+        if obj.dtype.kind in "iu":
+            return _int_json(obj)
+        if obj.dtype.kind == "b":
             return obj.tolist()
         return _round_floats(obj.tolist(), arrays)
     if isinstance(obj, dict):
@@ -243,18 +246,38 @@ def _repr_keep(e: int, n: int) -> np.ndarray:
     return keep[1:]
 
 
-@lru_cache(maxsize=None)
-def _layout(ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate bytes of one element of an ``ndim``-dimensional array
-    and the keep masks, one row per code (body, sign, c).  The bodies are
-    the (e, n) pairs in order, then an empty one for the elements written
-    by a fallback token; c counts the brackets the element's separator
-    closes, and c = ndim is the last element, which has no separator."""
+def _separators(ndim: int) -> tuple[bytes, np.ndarray]:
+    """The candidate bytes of the separator after an element of an
+    ``ndim``-dimensional array, and its keep masks, one row per c: c
+    counts the brackets the separator closes, and c = ndim is the last
+    element, which has no separator."""
     inner = max(ndim - 1, 0)
     sep = b"]" * inner + b"," + b"[" * inner if ndim else b""
     seps = np.zeros((ndim + 1, len(sep)), dtype=bool)
     for c in range(ndim):
         seps[c, inner - c : inner + c + 1] = True
+    return sep, seps
+
+
+def _closed(lo: int, size: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The c of ``_separators`` of the elements ``lo, ..., lo + size - 1``
+    of a C-ordered array of ``shape``."""
+    index = np.arange(lo + 1, lo + 1 + size)
+    closed = np.zeros(size, dtype=np.int64)
+    for width in np.cumprod(shape[:0:-1], dtype=np.int64).tolist():
+        closed += index % width == 0
+    if index[-1] == math.prod(shape):
+        closed[-1] = len(shape)
+    return closed
+
+
+@lru_cache(maxsize=None)
+def _layout(ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate bytes of one element of an ``ndim``-dimensional array
+    and the keep masks, one row per code (body, sign, c).  The bodies are
+    the (e, n) pairs in order, then an empty one for the elements written
+    by a fallback token; c is that of ``_separators``."""
+    sep, seps = _separators(ndim)
     bodies = [_repr_keep(e, n) for e in range(_E_MIN, _E_MAX + 1) for n in range(1, 16)]
     bodies.append(np.zeros_like(bodies[0]))
     shape = (len(bodies), 2, ndim + 1)
@@ -291,14 +314,8 @@ def _encode_block(x: np.ndarray, lo: int, shape: tuple[int, ...]) -> str:
     digits = _DIGITS[groups].view(np.uint8).reshape(x.size, 16)[:, 1:]
     n = 15 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
     e = 14 - k
-    index = np.arange(lo + 1, lo + 1 + x.size)
-    closed = np.zeros(x.size, dtype=np.int64)
-    for width in np.cumprod(shape[:0:-1], dtype=np.int64).tolist():
-        closed += index % width == 0
-    if index[-1] == math.prod(shape):
-        closed[-1] = len(shape)
     body = np.where(ok, (e - _E_MIN) * 15 + n - 1, _FALLBACK)
-    code = ((body * 2 + (np.signbit(x) & ok)) * (len(shape) + 1)) + closed
+    code = ((body * 2 + (np.signbit(x) & ok)) * (len(shape) + 1)) + _closed(lo, x.size, shape)
     rows = np.empty((x.size, candidates.size), dtype=np.uint8)
     rows[:] = candidates
     rows[:, 6:36:2] = digits
@@ -323,13 +340,57 @@ def _array_json(obj: np.ndarray) -> _Json:
     in blocks of ``_ROUND_BLOCK`` elements."""
     if obj.dtype.itemsize > 8 or obj.size == 0:
         return _Json(_dumps(_rounded_lists(obj)))
+    return _blocks_json(obj, np.float64, _encode_block)
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _int_json(obj: np.ndarray) -> _Json:
+    """The JSON text of ``obj.tolist()`` for an integer array, encoded in
+    blocks of ``_ROUND_BLOCK`` elements (``_encode_ints``).  An empty
+    array, or one with a value outside (int64 min, int64 max], is dumped
+    from its list."""
+    flat = obj.reshape(-1)
+    if not obj.size or not _INT64.min < int(flat.min()) <= int(flat.max()) <= _INT64.max:
+        return _Json(_dumps(obj.tolist()))
+    return _blocks_json(obj, np.int64, _encode_ints)
+
+
+def _blocks_json(obj: np.ndarray, dtype: type, encode: Callable[..., str]) -> _Json:
+    """The JSON text of an array whose elements, as ``dtype``, ``encode``
+    writes with their separators, ``_ROUND_BLOCK`` elements at a time."""
     flat = obj.reshape(-1)
     pieces = ["[" * obj.ndim]
     for lo in range(0, flat.size, _ROUND_BLOCK):
-        block = flat[lo : lo + _ROUND_BLOCK].astype(np.float64)
-        pieces.append(_encode_block(block, lo, obj.shape))
+        pieces.append(encode(flat[lo : lo + _ROUND_BLOCK].astype(dtype), lo, obj.shape))
     pieces.append("]" * obj.ndim)
     return _Json("".join(pieces))
+
+
+def _encode_ints(x: np.ndarray, lo: int, shape: tuple[int, ...]) -> str:
+    """The JSON text of the elements ``lo, lo + 1, ...`` (``x``, int64 above
+    its minimum) of a C-ordered array of ``shape``, each followed by its
+    separator: a row of candidate bytes per element ('-', the digits of
+    |x| padded to the widest, the separator), of which a keep mask
+    selects the sign, the digits from the first nonzero one (the last one
+    always) and the separator."""
+    sep, seps = _separators(len(shape))
+    magnitude = np.abs(x)
+    width = len(str(int(magnitude.max())))
+    rows = np.empty((x.size, 1 + width + len(sep)), dtype=np.uint8)
+    keep = np.empty(rows.shape, dtype=bool)
+    rows[:, 0], keep[:, 0] = ord("-"), x < 0
+    # a digit is kept where |x| reaches its place value; the units always
+    places = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    places[-1] = 0
+    keep[:, 1 : width + 1] = magnitude[:, None] >= places
+    for j in range(width, 0, -1):
+        magnitude, rows[:, j] = np.divmod(magnitude, 10)
+    rows[:, 1 : width + 1] += ord("0")
+    rows[:, width + 1 :] = np.frombuffer(sep, dtype=np.uint8)
+    keep[:, width + 1 :] = seps[_closed(lo, x.size, shape)]
+    return np.compress(keep.ravel(), rows.ravel()).tobytes().decode("ascii")
 
 
 def write_text(path: Path, text: str) -> None:
@@ -351,8 +412,9 @@ def write_text(path: Path, text: str) -> None:
 
 def write_json(path: str | Path, payload: dict) -> None:
     """Serialize as compact JSON with sorted keys and atomic replace: the
-    text of ``json.dumps(_round_floats(payload), sort_keys=True)``, with
-    every float array written straight from its mantissas."""
+    text ``json.dumps(sort_keys=True)`` gives the payload with every float
+    rounded by ``_round_one``, with every float array written straight
+    from its mantissas and every integer array from its digits."""
     write_text(Path(path), _dumps(_round_floats(payload, _array_json)) + "\n")
 
 

@@ -611,31 +611,121 @@ def build_assignment(
     return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
 
 
-# Data rows coded per block when reading a CSV: only one block's cell
-# strings are alive at a time.
+# Lines coded per block when reading a CSV: only one block's cells are
+# alive at a time.
 _BLOCK_ROWS = 4096
 
-
-def _read_text(path: Path) -> str:
-    """The text of a UTF-8 file, without a leading byte-order mark.  The
-    whole file is decoded at once, so a ``UnicodeDecodeError``'s ``start``
-    is the offending byte's offset in the file."""
-    text = path.read_bytes().decode("utf-8")
-    return text[1:] if text.startswith("\ufeff") else text
+# The low L bytes of a uint64, L = 0..8.
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
-def _plain_lines(text: str) -> list[str] | None:
-    """The lines of ``text`` when splitting them on commas reads it exactly
-    as ``csv.reader`` does, else None.
+def _read_file(path: Path) -> tuple[np.ndarray, str]:
+    """The bytes and the text of a UTF-8 file, both without a leading
+    byte-order mark.  The whole file is decoded at once, so a
+    ``UnicodeDecodeError``'s ``start`` is the offending byte's offset in
+    the file."""
+    data = path.read_bytes()
+    text = data.decode("utf-8")
+    bom = text.startswith("\ufeff")
+    return np.frombuffer(data, dtype=np.uint8)[3 * bom :], text[bom:]
 
-    That holds for a text with no quote, carriage return or NUL (so lines
-    end only at ``\\n`` and no field is quoted) and no line longer than
-    ``csv.field_size_limit()`` (a longer field is a ``csv.Error``).
+
+def _plain_coded(buf: np.ndarray, text: str) -> tuple[list[str], np.ndarray, dict, list] | None:
+    """Header, flat cell-id table, ids by label and (no) ragged row of a
+    CSV file of bytes ``buf`` and text ``text``, coded straight from the
+    bytes; None when the bytes cannot be read so exactly as ``csv.reader``
+    reads the text.
+
+    They can when the file has a non-empty header of distinct names, no
+    quote, carriage return or NUL byte (so lines end only at ``\\n`` and
+    no field is quoted), no line longer than ``csv.field_size_limit()``
+    bytes, and every line that is not blank has the header's width and no
+    empty cell.  Lines are coded ``_BLOCK_ROWS`` at a time by
+    ``_block_ids``.
     """
     if not text or any(map(text.__contains__, '"\r\0')):
         return None
-    lines = text.split("\n")
-    return lines if max(map(len, lines)) <= csv.field_size_limit() else None
+    ends = np.flatnonzero(buf == ord("\n"))
+    if buf[-1] != ord("\n"):
+        ends = np.append(ends, buf.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if ends[0] == 0 or (ends - starts).max() > csv.field_size_limit():
+        return None
+    header = buf[: ends[0]].tobytes().decode("utf-8").split(",")
+    if len(set(header)) != len(header):
+        return None
+    width = len(header)
+    ids = defaultdict(count().__next__)
+    table = np.empty((len(ends) - 1) * width, dtype=np.int64)
+    end = 0
+    for lo in range(1, len(ends), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(ends))
+        block = _block_ids(buf[starts[lo] : ends[hi - 1]], width, ids)
+        if block is None:
+            return None
+        table[end : end + block.size] = block
+        end += block.size
+    return header, table[:end], ids, []
+
+
+def _block_ids(chunk: np.ndarray, width: int, ids: dict) -> np.ndarray | None:
+    """The ids (from ``ids``, by label) of the cells of ``chunk``, the bytes
+    of whole lines less the last line end; None when a line that is not
+    blank has other than ``width`` cells, or an empty cell.
+
+    A cell of L bytes is read as ceil(L / 8) little-endian uint64 words,
+    the last one masked to its bytes.  No cell holds a NUL byte, so equal
+    words are equal cells: an exact key, not a hash.  The cells of each
+    word count get their ids from ``_cell_ids``.
+    """
+    seps = np.flatnonzero((chunk == ord(",")) | (chunk == ord("\n")))
+    line_end = np.append(chunk[seps] == ord("\n"), True)
+    seps = np.append(seps, chunk.size)
+    starts = np.concatenate(([0], seps[:-1] + 1))
+    lengths = seps - starts
+    if not lengths.all():
+        # a blank line is an empty cell that is a whole line
+        line_start = np.append(True, line_end[:-1])
+        kept = (lengths > 0) | ~(line_start & line_end)
+        starts, lengths, line_end = starts[kept], lengths[kept], line_end[kept]
+        if not lengths.all():
+            return None
+    if starts.size != np.count_nonzero(line_end) * width or not line_end[width - 1 :: width].all():
+        return None
+    padded = np.zeros(chunk.size + 8, dtype=np.uint8)
+    padded[: chunk.size] = chunk
+    # the 8 bytes from each offset, one unaligned little-endian word
+    window = np.ndarray((chunk.size + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    counts = (lengths + 7) // 8
+    groups = np.flatnonzero(np.bincount(counts)).tolist()
+    block = np.empty(starts.size, dtype=np.int64)
+    for w in groups:
+        cells = slice(None) if len(groups) == 1 else np.flatnonzero(counts == w)
+        block[cells] = _cell_ids(window, starts[cells], lengths[cells], w, ids)
+    return block
+
+
+def _cell_ids(
+    window: np.ndarray, starts: np.ndarray, lengths: np.ndarray, w: int, ids: dict
+) -> np.ndarray:
+    """The ids (from ``ids``, by label) of the cells of ``w`` words that
+    start at ``starts`` of ``window``.
+
+    The cells are numbered by their first word, then each next word
+    refines the numbering: the pairs (number, word number) are numbered
+    again by one ``np.unique``.  Only one cell of each number is decoded.
+    """
+    words = [window.take(starts + 8 * k) for k in range(w)]
+    words[-1] &= _MASKS[lengths - 8 * (w - 1)]
+    distinct, numbers = np.unique(words[0], return_inverse=True)
+    for word in words[1:]:
+        values, word_numbers = np.unique(word, return_inverse=True)
+        distinct, numbers = np.unique(numbers * len(values) + word_numbers, return_inverse=True)
+    first = np.empty(len(distinct), dtype=np.intp)
+    first[numbers] = np.arange(len(numbers))
+    raw, size = np.stack([word[first] for word in words], axis=1).tobytes(), 8 * len(words)
+    labels = [raw[i : i + size].rstrip(b"\0").decode("utf-8") for i in range(0, len(raw), size)]
+    return np.fromiter(map(ids.__getitem__, labels), np.int64, len(labels))[numbers]
 
 
 def _reader_rows(path: Path, text: str) -> Iterator[list[str]]:
@@ -648,42 +738,44 @@ def _reader_rows(path: Path, text: str) -> Iterator[list[str]]:
         raise ShapeError(f"{path} line {reader.line_num}: {exc}") from None
 
 
-def _csv_rows(path: Path, text: str) -> tuple[list[str], Iterator, bool]:
-    """The header of the CSV text of ``path``, an iterator over the rows
-    after it (blank ones included, as empty), and whether those rows are
-    plain lines (``_plain_lines``) rather than ``csv.reader`` rows."""
-    lines = _plain_lines(text)
-    if lines is None:
-        rows = _reader_rows(path, text)
-        try:
-            return next(rows), rows, False
-        except StopIteration:
-            raise ShapeError(f"{path}: empty file, a header row is mandatory") from None
-    rows = iter(lines)
-    header = next(rows)
-    return header.split(",") if header else [], rows, True
+def _reader_coded(path: Path, text: str) -> tuple[list[str], np.ndarray, dict, list]:
+    """Header, flat cell-id table, ids by label and ragged row (as
+    ``_cell_blocks`` gives it) of the CSV text of ``path``, read by
+    ``csv.reader`` and coded block by block."""
+    rows = _reader_rows(path, text)
+    header = next(rows, None)
+    if header is None:
+        raise ShapeError(f"{path}: empty file, a header row is mandatory")
+    if len(set(header)) != len(header):
+        raise ShapeError(f"{path}: duplicate column names in header")
+    if "\0" in "".join(header):
+        name = next(name for name in header if "\0" in name)
+        raise ShapeError(f"{path} line 1: NUL byte in header column {name!r}")
+    width, ragged = len(header), []
+    blocks = _cell_blocks(filter(None, rows), width, ragged)
+    bound = text.count("\n") + text.count("\r") + 1  # lines, so at least the rows
+    return header, *_code_blocks(blocks, bound * width), ragged
 
 
 def _cell_blocks(
-    rows: Iterator, width: int, plain: bool, ragged: list[tuple[int, int]]
+    rows: Iterator[list[str]], width: int, ragged: list[tuple[int, int]]
 ) -> Iterator[list[str]]:
-    """The flat cell lists of successive blocks of ``_BLOCK_ROWS`` data rows.
+    """The flat cell lists of successive blocks of ``_BLOCK_ROWS`` rows.
 
-    ``rows`` yields plain lines (``plain``), split here on commas, or
-    ``csv.reader`` rows.  At the first row that is not ``width`` cells
-    wide, its index and width are appended to ``ragged`` and no more
-    blocks are made; the remaining rows are still read, so that a
-    ``csv.Error`` in a later row is still the error reported.
+    At the first row that is not ``width`` cells wide, its index and width
+    are appended to ``ragged`` and no more blocks are made; the remaining
+    rows are still read, so that a ``csv.Error`` in a later row is still
+    the error reported.
     """
     done = 0
     while block := list(islice(rows, _BLOCK_ROWS)):
-        sizes = [line.count(",") + 1 for line in block] if plain else list(map(len, block))
+        sizes = list(map(len, block))
         if sizes.count(width) != len(block):
             i = next(i for i, size in enumerate(sizes) if size != width)
             ragged.append((done + i, sizes[i]))
             deque(rows, maxlen=0)
             return
-        yield ",".join(block).split(",") if plain else list(chain.from_iterable(block))
+        yield list(chain.from_iterable(block))
         done += len(block)
 
 
@@ -710,26 +802,24 @@ def read_csv_dataset(
 
     Columns named in ``sup_columns`` become supplementary variables; all
     remaining columns are analysis variables, in header order.  Missing
-    values and NUL bytes are not supported.  The file is decoded once; a
-    text with no quote, carriage return or NUL is split on newlines and
-    commas, any other goes through ``csv.reader``, and both give the same
-    rows.  The whole table is coded once, block by block, renumbered in
+    values and NUL bytes are not supported.
+
+    The file is read once and decoded once as a whole.  A plain file is
+    coded straight from its bytes (``_plain_coded``): one with no quote,
+    carriage return or NUL, no line longer than the field size limit, a
+    header of distinct names on its first line, and every other line
+    blank or of the header's width with no empty cell.  Any other file
+    goes through ``csv.reader`` (``_reader_coded``), which reports every
+    error with its file line.  Both give the same codes, labels and
+    errors.  The whole table is coded once, block by block, renumbered in
     place, and both containers copy their columns out of it once.
     """
     path = Path(path)
     if len(set(sup_columns)) != len(sup_columns):
         raise ShapeError(f"supplementary columns {list(sup_columns)} repeat a column")
-    text = _read_text(path)
-    header, rows, plain = _csv_rows(path, text)
-    if len(set(header)) != len(header):
-        raise ShapeError(f"{path}: duplicate column names in header")
-    if "\0" in "".join(header):
-        name = next(name for name in header if "\0" in name)
-        raise ShapeError(f"{path} line 1: NUL byte in header column {name!r}")
-    width, ragged = len(header), []
-    blocks = _cell_blocks(filter(None, rows), width, plain, ragged)
-    bound = text.count("\n") + text.count("\r") + 1  # lines, so at least the rows
-    table, ids = _code_blocks(blocks, bound * width)
+    buf, text = _read_file(path)
+    header, table, ids, ragged = _plain_coded(buf, text) or _reader_coded(path, text)
+    width = len(header)
     missing = [c for c in sup_columns if c not in header]
     if missing:
         raise ShapeError(f"{path}: supplementary columns {missing} not in header {header}")

@@ -7,7 +7,12 @@ The eigensolver's numerical tolerances live in one place (``TOL``).
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,9 +63,63 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
         raise SymmetryError(f"matrix is asymmetric: max |S - S'| = {gap:.3e}")
     S = 0.5 * (S + S.T)
 
-    values, vectors = np.linalg.eigh(S)
+    with _one_blas_thread():
+        values, vectors = np.linalg.eigh(S)
     values, vectors = _ordered_top(values[None, ::-1], vectors[None, :, ::-1], p)
     return SymEigResult(values=values[0], vectors=vectors[0])
+
+
+# Thread-count getters and setters of numpy's bundled OpenBLAS, by the
+# names of current and of older wheels.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+@lru_cache(maxsize=None)
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS bundled with
+    numpy (``numpy.libs`` beside the package, or its ``.dylibs``), or None
+    where no such library exports them."""
+    package = Path(np.__file__).parent
+    paths = [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(library, get_name) and hasattr(library, set_name):
+                get, set_ = getattr(library, get_name), getattr(library, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with numpy's bundled OpenBLAS on one thread, so that a
+    LAPACK result does not depend on the thread count, and restore the
+    previous count after it, also when the body raises.  Does nothing
+    where no such OpenBLAS is found (an MKL or Accelerate build, say).
+
+    The count is process-wide.  That is safe here: the library and the
+    CLI call BLAS from one thread, and ``simulate`` runs its workers in
+    processes.
+    """
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def gram_eig_top(factors: np.ndarray, p: int) -> tuple[SymEigResult, np.ndarray]:

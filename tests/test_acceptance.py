@@ -327,6 +327,34 @@ def test_criterion_9_byte_identical_archives(tmp_path):
             assert a == b, f"{name} differs between reruns"
 
 
+def _generated_csv(path, ds, sup):
+    """Write a generated dataset and its supplementary classes as a CSV."""
+    columns = [np.asarray(ds.labels[j])[ds.codes[:, j]] for j in range(ds.n_vars)]
+    columns += [np.asarray(sup.labels[h])[sup.codes[:, h]] for h in range(sup.n_sup)]
+    lines = [",".join(ds.names + sup.names)]
+    lines += [",".join(row) for row in zip(*(c.tolist() for c in columns))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _assert_same_archive_by_threads(tmp_path, runs):
+    """Run each CLI command of ``runs`` in a subprocess under one and two
+    OpenBLAS threads; the two ``solution.json`` files must be identical."""
+    src = str(Path(mscca.__file__).resolve().parents[1])
+    for name, argv in runs.items():
+        archives = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", "from mscca.cli import entry_point; entry_point()",
+                 *argv, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            archives.append((out / "solution.json").read_bytes())
+        assert archives[0] == archives[1], f"{name} differs between thread counts"
+
+
 def test_criterion_9_archive_independent_of_blas_threads(tmp_path):
     with criterion(9, "the archive does not depend on the BLAS thread count"):
         # Q = 300 and 2 clusters in each of 2 x 3 classes: the B-step's
@@ -335,12 +363,8 @@ def test_criterion_9_archive_independent_of_blas_threads(tmp_path):
         # is one: their B-steps complete a column past the one kept.
         ds, _truth = generate_clustered(GenSpec(q=12, k=3, n_obs=800, n_vars=25, seed=3))
         sup = generate_supplementary(SupGenSpec(n_sup=2, r=3, seed=4), 800)
-        columns = [np.asarray(ds.labels[j])[ds.codes[:, j]] for j in range(ds.n_vars)]
-        columns += [np.asarray(sup.labels[h])[sup.codes[:, h]] for h in range(sup.n_sup)]
-        lines = [",".join(ds.names + sup.names)]
-        lines += [",".join(row) for row in zip(*(c.tolist() for c in columns))]
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _generated_csv(csv_path, ds, sup)
         common = ["--input", str(csv_path), "--sup-cols", ",".join(sup.names), "--seed", "1"]
         k_map = []
         for h, name in enumerate(sup.names):
@@ -352,20 +376,21 @@ def test_criterion_9_archive_independent_of_blas_threads(tmp_path):
             "cluster-ca": ["variants", *common, "--method", "cluster-ca", "--k", "2",
                            "--starts", "10"],
         }
-        src = str(Path(mscca.__file__).resolve().parents[1])
-        for name, argv in runs.items():
-            archives = []
-            for threads in ("1", "2"):
-                out = tmp_path / f"{name}-threads{threads}"
-                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-                done = subprocess.run(
-                    [sys.executable, "-c", "from mscca.cli import entry_point; entry_point()",
-                     *argv, "--out", str(out)],
-                    env=env, capture_output=True, text=True, timeout=300,
-                )
-                assert done.returncode == 0, done.stderr
-                archives.append((out / "solution.json").read_bytes())
-            assert archives[0] == archives[1], f"{name} differs between thread counts"
+        _assert_same_archive_by_threads(tmp_path, runs)
+
+
+def test_criterion_9_variants_independent_of_blas_threads(tmp_path):
+    with criterion(9, "removal and mca archives do not depend on the BLAS thread count"):
+        # Q = 778: removal and mca solve a Q x Q eigenproblem, whose LAPACK
+        # sums round differently on one thread and on two
+        ds, _truth = generate_clustered(GenSpec(q=40, k=3, n_obs=800, n_vars=20, seed=5))
+        sup = generate_supplementary(SupGenSpec(n_sup=2, r=3, seed=6), 800)
+        assert ds.total_categories == 778
+        csv_path = tmp_path / "data.csv"
+        _generated_csv(csv_path, ds, sup)
+        common = ["variants", "--input", str(csv_path), "--sup-cols", ",".join(sup.names)]
+        runs = {method: [*common, "--method", method] for method in ("removal", "mca")}
+        _assert_same_archive_by_threads(tmp_path, runs)
 
 
 def test_criterion_10_performance_envelope():

@@ -13,6 +13,7 @@ from mscca import archive, cli, generate_illustration, read_csv_dataset
 from mscca.archive import (
     ARCHIVE_FORMAT,
     _round_floats,
+    _rounded_lists,
     assignment_from_archive,
     load_json,
     write_csv,
@@ -185,12 +186,12 @@ class TestVectorizedRounding:
             values = rng.standard_normal(size)
         else:
             values = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 18, size)
-        assert _bits(_round_floats(values)) == _bits(round_floats_recursive(values))
+        assert _bits(_round_floats(values, _rounded_lists)) == _bits(round_floats_recursive(values))
 
     @pytest.mark.parametrize("value", EDGES, ids=repr)
     def test_edge_values_match_oracle(self, value):
         values = np.array([value, -value, 0.5, value])
-        assert _bits(_round_floats(values)) == _bits(round_floats_recursive(values))
+        assert _bits(_round_floats(values, _rounded_lists)) == _bits(round_floats_recursive(values))
 
     def test_edge_values_in_blocks_and_shapes(self, monkeypatch):
         # blocks of 7 split the edges across block borders
@@ -198,19 +199,20 @@ class TestVectorizedRounding:
         rng = np.random.default_rng(5)
         values = np.concatenate([self.EDGES, rng.standard_normal(60 - len(self.EDGES))])
         values = values.reshape(4, 3, 5)
-        rounded = _round_floats(values)
+        rounded = _round_floats(values, _rounded_lists)
         assert np.shape(rounded) == (4, 3, 5)
         assert _bits(rounded) == _bits(round_floats_recursive(values))
-        assert _bits(_round_floats(values[:, 0])) == _bits(round_floats_recursive(values[:, 0]))
-        assert _round_floats(np.float64(-0.0)) == 0.0
-        assert np.signbit(_round_floats(np.array(-0.0)))
+        column = values[:, 0]
+        assert _bits(_round_floats(column, _rounded_lists)) == _bits(round_floats_recursive(column))
+        assert _round_floats(np.float64(-0.0), _rounded_lists) == 0.0
+        assert np.signbit(_round_floats(np.array(-0.0), _rounded_lists))
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
     def test_other_float_dtypes_match_oracle(self, dtype):
         rng = np.random.default_rng(6)
         finite = [v for v in self.EDGES if np.isfinite(v) and abs(v) < 6e4]
         values = np.concatenate([finite, rng.standard_normal(200) * 100]).astype(dtype)
-        rounded = _round_floats(values)
+        rounded = _round_floats(values, _rounded_lists)
         assert all(type(v) is float for v in rounded)
         assert _bits(rounded) == _bits(round_floats_recursive(values))
 
@@ -223,10 +225,10 @@ class TestVectorizedRounding:
 
         monkeypatch.setattr(archive, "_round_one", round_one)
         values = np.random.default_rng(7).standard_normal((100_000, 2))
-        rounded = _round_floats(values)
+        rounded = _round_floats(values, _rounded_lists)
         assert fallbacks == []
         assert _bits(rounded) == _bits(round_floats_recursive(values))
-        _round_floats(np.array(self.EDGES))
+        _round_floats(np.array(self.EDGES), _rounded_lists)
         assert len(fallbacks) >= 10  # zeros, subnormals, non-finite, ties, range ends
 
 
@@ -311,6 +313,40 @@ class TestArrayEncoder:
         payload = {3: np.array([1.5, -0.0]), 1: [np.array([[0.1]]), 2.0], 2.5: None}
         assert _written(tmp_path, payload) == '{"1":[[[0.1]],2.0],"2.5":null,"3":[1.5,-0.0]}\n'
         assert _written(tmp_path, payload) == _oracle_text(payload)
+
+
+_INT_DTYPES = st.sampled_from([np.int64, np.int32, np.int16, np.int8, np.uint8, np.uint64])
+
+
+class TestIntegerArrays:
+    """``write_json`` writes integer arrays from their digits; the text must
+    be that of ``json.dumps(array.tolist())``."""
+
+    def _check(self, tmp_path_factory, array):
+        payload = {"a": array, "rows": [array, {"x": array, "y": 1.5}]}
+        expected = json.dumps(array.tolist(), separators=(",", ":"))
+        text = _written(tmp_path_factory.mktemp("json"), payload)
+        assert text == f'{{"a":{expected},"rows":[{expected},{{"x":{expected},"y":1.5}}]}}\n'
+
+    @given(st.data())
+    def test_arrays_match_json(self, tmp_path_factory, data):
+        dtype = data.draw(_INT_DTYPES)
+        shape = data.draw(st.one_of(array_shapes(min_dims=0, max_dims=3, min_side=0), _SHAPES))
+        info = np.iinfo(dtype)
+        edges = st.sampled_from([info.min, info.min + 1, info.max, info.max - 1, 0, 9, 10])
+        small = st.integers(max(info.min, -1000), min(info.max, 1000))
+        elements = st.one_of(st.integers(info.min, info.max), edges, small)
+        array = data.draw(arrays(dtype, shape, elements=elements))
+        self._check(tmp_path_factory, array)
+        with mock.patch.object(archive, "_ROUND_BLOCK", 7):
+            self._check(tmp_path_factory, array)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 3), (40,), (8, 5), (2, 4, 5)])
+    def test_shapes(self, tmp_path_factory, dtype, shape):
+        values = np.arange(-20, 20) * 997 if np.iinfo(dtype).min < 0 else np.arange(40) * 6
+        array = values[: int(np.prod(shape))].astype(dtype).reshape(shape)
+        self._check(tmp_path_factory, array)
 
 
 @pytest.fixture(scope="module")

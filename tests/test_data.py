@@ -491,10 +491,14 @@ class TestIdentityEquality:
 
 
 # Cells that leave a CSV text plain, among them characters that
-# str.splitlines would take for line ends and csv.reader does not.
+# str.splitlines would take for line ends and csv.reader does not, and
+# labels whose UTF-8 bytes fill one 8-byte word, spill into a second or
+# third one, or share their first 8 (or 16) bytes.
 _PLAIN_CELLS = st.sampled_from(
     ["1", "01", "1.0", "-2", "1e3", "nan", "a b", " ", "\ufeff", "\x0b", "\x1c", "\x85", "\u2028"]
-    + ["a label of 20 chars."]
+    + ["a label of 20 chars.", "abcdefgh", "abcdefghi", "abcdefgh1", "abcdefghij", "abcdefg"]
+    + ["0123456789abcdef", "0123456789abcdefg", "0123456789abcdefh"]
+    + ["é", "日本語", "1234567é", "1234567è", "ñandú", "€", "€€€", "🙂🙂"]
 )
 _ANY_CELLS = st.one_of(
     _PLAIN_CELLS,
@@ -513,31 +517,33 @@ def _record(row, terminator):
 
 
 @st.composite
-def csv_files(draw):
+def csv_files(draw, plain=False):
     """A CSV text with its supplementary columns, a field size limit and a
     block size (None: the defaults).  The text has plain or quoted cells,
     ragged rows, empty and NUL cells, a \\n or \\r\\n line end, blank lines
     (also a blank first line), a header and no rows, no final line end, a
-    byte-order mark."""
+    byte-order mark.  A ``plain`` text has plain cells and \\n line ends
+    only, no faults, and a header on its first line."""
     width = draw(st.integers(2, 4))
-    cells = _PLAIN_CELLS if draw(st.booleans()) else _ANY_CELLS
+    cells = _PLAIN_CELLS if plain or draw(st.booleans()) else _ANY_CELLS
     rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), min_size=1, max_size=25))
-    faults = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    faults = 0 if plain else draw(st.sampled_from([0, 0, 0, 1, 2]))
     kinds = st.sampled_from(["ragged", "empty", "nul"])
     for fault in draw(st.lists(kinds, min_size=faults, max_size=faults)):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
         if fault == "ragged":
-            rows[i] = rows[i][:-1] if draw(st.booleans()) else [*rows[i], "extra"]
+            # one cell short, one over, or a trailing comma
+            rows[i] = draw(st.sampled_from([rows[i][:-1], [*rows[i], "extra"], [*rows[i], ""]]))
         else:
             rows[i] = [*rows[i][:j], "" if fault == "empty" else "x\x00", *rows[i][j + 1 :]]
     header = [f"col{j}" for j in range(width)]
-    terminator = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    terminator = "\n" if plain else draw(st.sampled_from(["\n", "\n", "\r\n"]))
     if draw(_RARELY):
         rows = []
     records = [_record(row, terminator) for row in [header, *rows]]
     for _ in range(draw(st.integers(0, 3))):
         records.insert(draw(st.integers(1, len(records))), terminator)
-    if draw(_RARELY):
+    if not plain and draw(_RARELY):
         records.insert(0, terminator)
     text = "".join(records)
     if draw(st.booleans()):
@@ -598,12 +604,14 @@ class TestCsvIngestion:
     def test_ragged_row_names_its_line(self, tmp_path):
         # a NUL byte, in a cell or in the header, names its line too; an
         # oversized field in a block after a ragged row is still the error
-        # reported
+        # reported; a row short by a trailing empty cell is ragged even
+        # where the next row would make up the count
         path = tmp_path / "data.csv"
         limit, block = csv.field_size_limit(), mscca.data._BLOCK_ROWS
         filler = "1,2,x\n" * block
         cases = [
             ("a,b,g\n1,2,x\n\n1,x\n", "line 4 has 2 cells, expected 3"),
+            ("a,b,g\n1,\n2,x\n", "line 2 has 2 cells, expected 3"),
             ("a,b,g\n1,2,x\n\n1,x\x00,y\n", "line 4: NUL byte in column 'b'"),
             ("a,b\x00,g\n1,2,x\n", "line 1: NUL byte in header column 'b\\x00'"),
             (
@@ -660,9 +668,10 @@ class TestCsvIngestion:
     @settings(max_examples=200)
     @given(csv_files())
     def test_matches_per_cell_oracle(self, tmp_path_factory, case):
-        # Both ingest paths against the csv.reader oracle: a plain text (no
-        # quote, CR or NUL, no line over the field size limit) is split on
-        # newlines and commas, any other goes through csv.reader.
+        # Both ingest paths against the csv.reader oracle: a plain file (no
+        # quote, CR or NUL, no line over the field size limit, no ragged
+        # row or empty cell) is coded from its bytes, any other goes
+        # through csv.reader.
         text, sup_cols, limit, block = case
         path = tmp_path_factory.mktemp("csv") / "data.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -675,4 +684,19 @@ class TestCsvIngestion:
         finally:
             csv.field_size_limit(previous)
             mscca.data._BLOCK_ROWS = block_rows
+        assert got == expected
+
+    @given(csv_files(plain=True))
+    def test_plain_files_are_coded_from_their_bytes(self, tmp_path_factory, case):
+        text, sup_cols, _, block = case
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _read_outcome(read_csv_by_reader, path, sup_cols)
+        made = []
+        reader = csv.reader
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csv, "reader", lambda *a, **kw: made.append(1) or reader(*a, **kw))
+            patch.setattr(mscca.data, "_BLOCK_ROWS", block or mscca.data._BLOCK_ROWS)
+            got = _read_outcome(read_csv_dataset, path, sup_cols)
+        assert made == []
         assert got == expected

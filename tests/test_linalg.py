@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mscca import mass_scale, sym_eig_top
+import mscca.linalg
 from mscca.linalg import SymEigResult, gram_eig_top
 from mscca.errors import MassError, ShapeError, SymmetryError
 
@@ -86,6 +87,52 @@ class TestSymEigTop:
         res = sym_eig_top(np.diag([2.0, 5.0, 2.0, 5.0, 1.0]), 5)
         assert_allclose(res.values, [5.0, 5.0, 2.0, 2.0, 1.0])
         assert_allclose(res.vectors, np.eye(5)[:, [1, 3, 0, 2, 4]], atol=1e-12)
+
+    def test_one_blas_thread_around_eigh(self, monkeypatch):
+        # the eigh runs on one BLAS thread; the previous count comes back
+        # after it, also when it raises, and without an OpenBLAS to pin
+        # nothing is set
+        threads = [3]
+        monkeypatch.setattr(
+            mscca.linalg, "_blas_threads", lambda: (lambda: threads[-1], threads.append)
+        )
+        eigh = np.linalg.eigh
+        inside = []
+
+        def recorded(matrix):
+            inside.append(threads[-1])
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        sym_eig_top(np.eye(3), 2)
+        assert inside == [1] and threads == [3, 1, 3]
+
+        def failing(matrix):
+            inside.append(threads[-1])
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            sym_eig_top(np.eye(3), 2)
+        assert inside == [1, 1] and threads == [3, 1, 3, 1, 3]
+        monkeypatch.setattr(mscca.linalg, "_blas_threads", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        assert_allclose(sym_eig_top(np.eye(3), 2).values, [1.0, 1.0])
+        assert inside == [1, 1, 3] and threads == [3, 1, 3, 1, 3]
+
+    def test_bundled_openblas_count_restored(self):
+        blas = mscca.linalg._blas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+        get, set_ = blas
+        previous = get()
+        try:
+            set_(2)
+            with mscca.linalg._one_blas_thread():
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(previous)
 
     def test_reconstruction_bounded_by_next_eigenvalue(self, rng):
         a = rng.normal(size=(6, 6))
