@@ -21,7 +21,6 @@ import io
 import json
 import math
 import os
-import secrets
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
@@ -399,7 +398,7 @@ def write_text(path: Path, text: str) -> None:
     The temporary file is created like a plain ``open`` would create it
     (mode 0666 less the umask), so the final file has the usual mode.
     """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:

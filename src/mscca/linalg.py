@@ -51,6 +51,12 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     eigenvalues (relative gap below ``TOL.eig_tie_rel``) the vectors are
     ordered by their sign-convention pivot index, which keeps the output
     byte-stable for degenerate spectra.
+
+    The decomposed matrix is the symmetric part 0.5 (S + S') (``symmetrized``:
+    S itself where it is mirrored bit for bit, else a new array), so
+    ``matrix`` is never modified.  Only the columns up to the end of the
+    tie group holding column p - 1 are tie-ordered: the groups after it
+    cannot move a column into the top p.
     """
     S = np.asarray(matrix, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -58,15 +64,68 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     n = S.shape[0]
     if not 1 <= p <= n:
         raise ShapeError(f"p={p} outside [1, {n}]")
-    gap = np.abs(S - S.T).max() if n else 0.0
-    if gap > TOL.symmetry:
-        raise SymmetryError(f"matrix is asymmetric: max |S - S'| = {gap:.3e}")
-    S = 0.5 * (S + S.T)
+    S = symmetrized(S)
 
     with _one_blas_thread():
         values, vectors = np.linalg.eigh(S)
-    values, vectors = _ordered_top(values[None, ::-1], vectors[None, :, ::-1], p)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    tail = _breaks(values[p - 1 :])
+    end = p + int(tail.argmax()) if tail.any() else n
+    values, vectors = _ordered_top(values[None, :end], vectors[None, :, :end], p)
     return SymEigResult(values=values[0], vectors=vectors[0])
+
+
+ROW_BLOCK = 64  # rows per block in the passes over a Q x Q matrix
+
+
+def _mirror_blocks(S: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """``(lo, hi, a, b)`` per block of ``ROW_BLOCK`` rows of a square
+    matrix: ``a`` is rows lo:hi from column lo on, ``b`` the matching
+    block of S'.  Every pair S_ij, S_ji meets in exactly one block."""
+    for lo in range(0, len(S), ROW_BLOCK):
+        hi = lo + ROW_BLOCK
+        yield lo, hi, S[lo:hi, lo:], S[lo:, lo:hi].T
+
+
+def _symmetry_gap(S: np.ndarray) -> float:
+    """max |S - S'| of a square float matrix, from blocks of rows.
+
+    Raises ``SymmetryError`` where an entry is not finite (naming the
+    first, row by row) or where the gap exceeds ``TOL.symmetry``.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = float(np.max([np.abs(a - b).max() for _, _, a, b in _mirror_blocks(S)]))
+    if not np.isfinite(gap):
+        bad = np.argwhere(~np.isfinite(S))
+        if bad.size:  # else a finite difference overflowed
+            i, j = bad[0]
+            raise SymmetryError(f"matrix has a non-finite entry {S[i, j]} at ({i}, {j})")
+    if gap > TOL.symmetry:
+        raise SymmetryError(f"matrix is asymmetric: max |S - S'| = {gap:.3e}")
+    return gap
+
+
+def symmetrized(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The symmetric part 0.5 (S + S') of a square float matrix, after
+    ``_symmetry_gap``'s checks, computed one block of rows at a time.
+
+    It is written into ``out``, which may be ``matrix`` itself (the
+    matrix is then consumed).  Without ``out``, a matrix that is
+    mirrored bit for bit is returned as it is, and any other gets a new
+    array.  No temporary is larger than a block of rows.
+    """
+    gap = _symmetry_gap(matrix)
+    if out is None:
+        bits = _mirror_blocks(matrix.view(np.int64))
+        if gap == 0.0 and all(np.array_equal(a, b) for _, _, a, b in bits):
+            return matrix
+        out = np.empty_like(matrix)
+    for lo, hi, a, b in _mirror_blocks(matrix):
+        part = a + b  # read before this block writes; earlier blocks wrote neither
+        part *= 0.5
+        out[lo:hi, lo:] = part
+        out[lo:, lo:hi] = part.T
+    return out
 
 
 # Thread-count getters and setters of numpy's bundled OpenBLAS, by the
@@ -170,8 +229,7 @@ def _ordered_top(
     pivot index: a group starts wherever the relative gap to the previous
     eigenvalue exceeds the tie tolerance.
     """
-    scale = np.maximum(1.0, np.maximum(np.abs(values[:, :-1]), np.abs(values[:, 1:])))
-    breaks = np.abs(np.diff(values, axis=1)) > TOL.eig_tie_rel * scale
+    breaks = _breaks(values)
     if not breaks.all():
         pivots = np.abs(vectors).argmax(axis=1)
         starts = np.concatenate((np.zeros((len(values), 1), dtype=bool), breaks), axis=1)
@@ -181,6 +239,14 @@ def _ordered_top(
         values = np.take_along_axis(values, order, axis=1)
         vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
     return values[:, :p].copy(), sign_fixed(vectors[:, :, :p])
+
+
+def _breaks(values: np.ndarray) -> np.ndarray:
+    """Where rows of descending eigenvalues start a new tie group: entry i
+    is True where the relative gap between values i and i + 1 exceeds
+    the tie tolerance."""
+    scale = np.maximum(1.0, np.maximum(np.abs(values[..., :-1]), np.abs(values[..., 1:])))
+    return np.abs(np.diff(values, axis=-1)) > TOL.eig_tie_rel * scale
 
 
 def sign_fixed(vectors: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ nearest center inside their own class.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,7 +32,15 @@ from .data import (
     stacked_counts,
 )
 from .errors import EmptyClusterError, ProjectorError, ShapeError, SpecError
-from .linalg import TOL, gram_eig_top, mass_scale, sign_fixed, sym_eig_top
+from .linalg import (
+    ROW_BLOCK,
+    TOL,
+    gram_eig_top,
+    mass_scale,
+    sign_fixed,
+    sym_eig_top,
+    symmetrized,
+)
 
 # Final objectives this close (relative) to the best count as ties, which
 # go to the lowest start index.
@@ -304,13 +312,69 @@ def _quantify(
     """sqrt(N H m) D^{-1/2} times the top-p eigenvectors of
     (1/m) D^{-1/2} target D^{-1/2}, with H = ``n_stack`` and D the stacked
     masses (category counts times H).  H cancels out of the result; it
-    only sets the scale of the eigenvalues."""
+    only sets the scale of the eigenvalues.
+
+    ``target`` is consumed: it is scaled and symmetrized in place, so the
+    solve holds no Q x Q array but it and ``eigh``'s own.
+    """
     n, m = dataset.n_obs, dataset.n_vars
     d = (dataset.counts * n_stack).astype(float)
     d_isqrt = 1.0 / np.sqrt(d)
-    scaled = (target * d_isqrt[:, None] * d_isqrt[None, :]) / m
-    eig = sym_eig_top(scaled, p)
+    target *= d_isqrt[:, None]
+    target *= d_isqrt[None, :]
+    target /= m
+    eig = sym_eig_top(symmetrized(target, out=target), p)
     return float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
+
+
+def _centered_burt(dataset: CategoricalDataset, n_stack: int) -> np.ndarray:
+    """Z^H' J Z^H = H (Z'Z - N mu mu'), built in one Q x Q float array.
+
+    The Burt matrix Z'Z is counted over the variable pairs j < j' only:
+    those cells lie above the diagonal, which holds the category counts.
+    Consecutive variables share one ``bincount`` while their pair cells
+    stay below Q^2, so the cells held at once stay below Q^2 unless one
+    variable has more, which is then counted alone.  The lower
+    triangle is then mirrored in, the diagonal set and the independence
+    term subtracted, one block of rows at a time.  The counts are exact
+    integers, so every entry gets the same float operations as on whole
+    arrays.
+    """
+    cols, n, m = dataset.cell_columns, dataset.n_obs, dataset.n_vars
+    big_q = dataset.total_categories
+    target = np.zeros((big_q, big_q))
+    flat = target.reshape(-1)
+    for start, stop, size in _pair_runs(n, m, big_q * big_q):
+        cells, used = np.empty(size, dtype=np.int64), 0
+        for j in range(start, stop):
+            part = cells[used : used + n * (m - 1 - j)].reshape(m - 1 - j, n)
+            np.add(cols[j] * big_q, cols[j + 1 :], out=part)
+            used += part.size
+        flat += np.bincount(cells, minlength=big_q * big_q)
+    mu = dataset.column_means
+    for lo in range(0, big_q, ROW_BLOCK):
+        hi = lo + ROW_BLOCK
+        target[lo:, lo:hi] += target[lo:hi, lo:].T  # rows lo:hi are now complete
+        rows = target[lo:hi]
+        np.fill_diagonal(rows[:, lo:], dataset.counts[lo:hi])
+        rows -= n * np.outer(mu[lo:hi], mu)
+        rows *= n_stack
+    return target
+
+
+def _pair_runs(n: int, m: int, limit: int) -> Iterator[tuple[int, int, int]]:
+    """Runs ``(start, stop, cells)`` of the variables 0..m-2, in order,
+    whose pair cells j < j' (n per pair) number fewer than ``limit``; a
+    variable with ``limit`` or more forms a run of its own."""
+    start, cells = 0, 0
+    for j in range(m - 1):
+        size = n * (m - 1 - j)
+        if cells and cells + size >= limit:
+            yield start, j, cells
+            start, cells = j, 0
+        cells += size
+    if m > 1:
+        yield start, m - 1, cells
 
 
 def _centroids(
@@ -711,24 +775,13 @@ def fit_constrained_mca(
     bound = dataset.total_categories - dataset.n_vars
     if not 1 <= p <= bound:
         raise SpecError(f"p={p} outside [1, {bound}]")
-    n, big_q = dataset.n_obs, dataset.total_categories
 
     if kind in ("identity", "projector-off"):
-        # Z^H' J Z^H = H (Z'Z - N mu mu'), with the Burt matrix Z'Z counted
-        # over the variable pairs j < j' only: those cells lie above the
-        # diagonal, which holds the category counts.
-        cols = dataset.cell_columns
-        burt = np.zeros(big_q * big_q, dtype=np.int64)
-        for j in range(len(cols) - 1):
-            burt += np.bincount((cols[j] * big_q + cols[j + 1 :]).ravel(), minlength=big_q**2)
-        burt = burt.reshape(big_q, big_q)
-        burt += burt.T  # numpy buffers the overlapping transpose
-        np.fill_diagonal(burt, dataset.counts)
-        mu = dataset.column_means
-        target = n_stack * (burt - n * np.outer(mu, mu))
-    if partition is not None:
-        between = _between_target(table, sizes, partition.spec, dataset)
-        target = target - between if kind == "projector-off" else between
+        target = _centered_burt(dataset, n_stack)
+    if kind == "projector-off":
+        target -= _between_target(table, sizes, partition.spec, dataset)
+    elif partition is not None:
+        target = _between_target(table, sizes, partition.spec, dataset)
     quantifications = _quantify(target, dataset, n_stack, p)
 
     scores = object_scores(dataset, quantifications)  # (1/m) J Z B, one block

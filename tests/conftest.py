@@ -34,7 +34,7 @@ from mscca.errors import (
     ShapeError,
     SpecError,
 )
-from mscca.linalg import sym_eig_top
+from mscca.linalg import SymEigResult, _one_blas_thread, _ordered_top, sym_eig_top
 from mscca.solver import (
     WINNER_RTOL,
     ConstrainedFit,
@@ -394,6 +394,19 @@ def update_B_qxq(
     table, sizes = cluster_counts(assignment, dataset)
     target = _between_target(table, sizes, assignment.spec, dataset)
     return _quantify(target, dataset, assignment.n_sup, p)
+
+
+def sym_eig_top_full_spectrum(matrix: np.ndarray, p: int) -> SymEigResult:
+    """Oracle for ``sym_eig_top``'s ordering: the symmetric part formed on
+    whole arrays, and every column of ``eigh``'s output, not only those
+    near the top p, tie-ordered and sign-fixed before the top p are
+    kept."""
+    s = np.asarray(matrix, dtype=float)
+    s = 0.5 * (s + s.T)
+    with _one_blas_thread():
+        values, vectors = np.linalg.eigh(s)
+    values, vectors = _ordered_top(values[None, ::-1], vectors[None, :, ::-1], p)
+    return SymEigResult(values=values[0], vectors=vectors[0])
 
 
 def between_spectrum(assignment: HierarchicalAssignment, dataset: CategoricalDataset) -> np.ndarray:

@@ -4,10 +4,10 @@ from numpy.testing import assert_allclose
 
 from mscca import mass_scale, sym_eig_top
 import mscca.linalg
-from mscca.linalg import SymEigResult, gram_eig_top
+from mscca.linalg import ROW_BLOCK, SymEigResult, _symmetry_gap, gram_eig_top
 from mscca.errors import MassError, ShapeError, SymmetryError
 
-from conftest import center_columns
+from conftest import center_columns, sym_eig_top_full_spectrum
 
 
 class TestCenterColumns:
@@ -142,6 +142,121 @@ class TestSymEigTop:
         full = sym_eig_top(s, 6)
         gap = np.linalg.norm(s - recon, ord=2)
         assert gap <= full.values[3] + 1e-8
+
+
+def with_spectrum(rng, values):
+    """V diag(values) V' for a random orthogonal V: symmetric up to
+    rounding, not bit for bit."""
+    v, _ = np.linalg.qr(rng.normal(size=(len(values), len(values))))
+    return (v * np.asarray(values, dtype=float)) @ v.T
+
+
+# Descending spectra with tie groups, and zero eigenspaces like the
+# m-dimensional one of a centered Burt matrix; the second is larger than
+# two row blocks and not a multiple of one.
+SMALL_SPECTRUM = [4.0, 3.0, 3.0, 2.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+BLOCKED_SPECTRUM = [7.0] * 3 + list(np.linspace(6.0, 1.0, 117)) + [0.5] * 10 + [0.0] * 20
+
+
+class TestSymEigTopNearTheTop:
+    """Only the tie group holding column p - 1 is ordered past column p;
+    the full-spectrum ordering is the oracle."""
+
+    @pytest.mark.parametrize(
+        "spectrum, ps",
+        [
+            (SMALL_SPECTRUM, range(1, 11)),
+            # ties below, at and across p, in the 7-, 0.5- and zero groups
+            (BLOCKED_SPECTRUM, [1, 2, 3, 4, 60, 120, 121, 125, 130, 131, 140, 150]),
+        ],
+    )
+    def test_matches_full_spectrum_byte_for_byte(self, rng, spectrum, ps):
+        s = with_spectrum(rng, spectrum)
+        assert np.abs(s - s.T).max() > 0.0
+        for matrix in (s, 0.5 * (s + s.T)):  # rounded, and mirrored bit for bit
+            before = matrix.copy()
+            for p in ps:
+                res = sym_eig_top(matrix, p)
+                oracle = sym_eig_top_full_spectrum(matrix, p)
+                assert res.values.tobytes() == oracle.values.tobytes()
+                assert res.vectors.tobytes() == oracle.vectors.tobytes()
+            assert matrix.tobytes() == before.tobytes()
+
+    def test_zeros_of_either_sign(self, rng):
+        # S == S' holds with 0.0 above the diagonal and -0.0 below it, but
+        # eigh reads one triangle, so such a matrix is not used as it is
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            a = rng.normal(size=(n, n))
+            s = np.triu(np.where(rng.random((n, n)) < 0.5, 0.0, a + a.T))
+            s = s + s.T
+            s[np.tril(s == 0.0, -1)] = -0.0
+            res, oracle = sym_eig_top(s, n), sym_eig_top_full_spectrum(s, n)
+            assert res.values.tobytes() == oracle.values.tobytes()
+            assert res.vectors.tobytes() == oracle.vectors.tobytes()
+
+    def test_zero_matrix_larger_than_a_block(self):
+        # one tie group across every column
+        n = 2 * ROW_BLOCK + 5
+        for p in (1, ROW_BLOCK, n):
+            res = sym_eig_top(np.zeros((n, n)), p)
+            assert res.vectors.tobytes() == np.eye(n)[:, :p].tobytes()
+
+    def test_argument_unchanged(self, rng):
+        s = with_spectrum(rng, BLOCKED_SPECTRUM)
+        s[3, 140] += 1e-12  # asymmetric within TOL.symmetry
+        before = s.copy()
+        res = sym_eig_top(s, 5)
+        assert s.tobytes() == before.tobytes()
+        assert not np.shares_memory(res.vectors, s)
+
+
+class TestSymmetryCheck:
+    def test_blocked_gap_matches_whole_array(self, rng):
+        n = 2 * ROW_BLOCK + 13
+        assert n % ROW_BLOCK
+        a = rng.normal(size=(n, n))
+        s = a + a.T
+        s[5, 100] += 1e-12
+        last = 2 * ROW_BLOCK
+        s[last + 3, last + 10] += 4e-11  # both in the last, partial block
+        gap = _symmetry_gap(s)
+        assert gap == np.abs(s - s.T).max()
+        assert gap == abs(s[last + 3, last + 10] - s[last + 10, last + 3])
+
+    def test_gap_beyond_tolerance_rejected(self, rng):
+        n = ROW_BLOCK + 7
+        s = np.eye(n)
+        s[n - 1, n - 2] = 2e-10
+        with pytest.raises(SymmetryError, match=r"max \|S - S'\| = 2\.000e-10"):
+            sym_eig_top(s, 2)
+
+    @pytest.mark.parametrize(
+        "entry, value, named",
+        [
+            ((2, 1), np.nan, "nan at (2, 1)"),
+            ((3, 3), np.inf, "inf at (3, 3)"),
+            ((0, 3), -np.inf, "-inf at (0, 3)"),
+        ],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_entry_rejected(self, entry, value, named):
+        s = np.eye(4)
+        s[entry] = value
+        with pytest.raises(SymmetryError) as info:
+            sym_eig_top(s, 2)
+        message = str(info.value)
+        assert named in message and "\n" not in message
+
+    def test_first_non_finite_entry_named(self):
+        # row by row, the first of two, though the other has the lower
+        # column and meets its mirror in the same block
+        n = 2 * ROW_BLOCK + 13
+        s = np.eye(n)
+        s[n - 1, 2] = np.nan
+        s[5, n - 3] = np.inf
+        with pytest.raises(SymmetryError, match=rf"inf at \(5, {n - 3}\)"):
+            sym_eig_top(s, 2)
 
 
 def gram_one(factor, p):

@@ -31,6 +31,7 @@ from mscca import (
 )
 from mscca.errors import EmptyClusterError, ProjectorError, SpecError
 from mscca.linalg import TOL
+from mscca.solver import _centered_burt, _pair_runs
 from mscca.simulation import GenSpec, SupGenSpec, generate_clustered, generate_supplementary
 
 from conftest import (
@@ -1081,3 +1082,54 @@ class TestBatchedEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+class TestConstrainedSolveMemory:
+    """The Q x Q solve of ``fit_constrained_mca`` holds one Q x Q array of
+    its own next to ``eigh``'s output (whose workspace ``tracemalloc`` does
+    not see); removal briefly adds the between part and one of its terms."""
+
+    @pytest.mark.parametrize(
+        "kind, bound", [("projector-off", 3.25), ("identity", 2.5), ("projector-on", 2.5)]
+    )
+    def test_peak_bounded_by_a_few_q_by_q_arrays(self, kind, bound):
+        ds, _ = generate_clustered(GenSpec(q=40, k=3, n_obs=1000, n_vars=12, seed=12))
+        sup = generate_supplementary(SupGenSpec(n_sup=3, r=3, seed=13), 1000)
+        big_q = ds.total_categories
+        assert 400 <= big_q <= 800
+        cspec = ConstraintSpec(kind=kind, source=None if kind == "identity" else sup)
+        fit_constrained_mca(ds, cspec, 2)  # lazy set-up
+        tracemalloc.start()
+        try:
+            fit_constrained_mca(ds, cspec, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * big_q * big_q * 8
+
+
+class TestCenteredBurt:
+    @pytest.mark.parametrize(
+        "n, m, q, runs",
+        [
+            # Q^2 = 144 pair cells: variables 0-2 (200, 160 and 120 cells)
+            # are counted alone, 3 and 4 (80 and 40) together
+            (40, 6, 2, [(0, 1), (1, 2), (2, 3), (3, 5)]),
+            # one run over more than two row blocks, not a multiple of one
+            (50, 5, 30, [(0, 4)]),
+            (7, 3, 4, [(0, 2)]),
+        ],
+    )
+    def test_matches_dense_indicator(self, rng, n, m, q, runs):
+        codes = np.stack([rng.permutation(np.arange(n) % q) for _ in range(m)], axis=1)
+        ds = CategoricalDataset.from_codes(codes, [[f"c{c}" for c in range(q)]] * m)
+        big_q = ds.total_categories
+        assert big_q == m * q
+        assert [(a, b) for a, b, _ in _pair_runs(n, m, big_q * big_q)] == runs
+        for a, b, cells in _pair_runs(n, m, big_q * big_q):
+            assert cells == n * sum(m - 1 - j for j in range(a, b))
+        z = z_full(ds)
+        mu = ds.column_means
+        for n_stack in (1, 3):
+            oracle = n_stack * (z.T @ z - n * np.outer(mu, mu))
+            assert _centered_burt(ds, n_stack).tobytes() == oracle.tobytes()
