@@ -52,11 +52,10 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     ordered by their sign-convention pivot index, which keeps the output
     byte-stable for degenerate spectra.
 
-    The decomposed matrix is the symmetric part 0.5 (S + S') (``symmetrized``:
-    S itself where it is mirrored bit for bit, else a new array), so
-    ``matrix`` is never modified.  Only the columns up to the end of the
-    tie group holding column p - 1 are tie-ordered: the groups after it
-    cannot move a column into the top p.
+    The decomposed matrix is the symmetric part 0.5 (S + S') in a new
+    array (``_symmetrized``), so ``matrix`` is never modified.  Only the
+    columns up to the end of the tie group holding column p - 1 are
+    tie-ordered: the groups after it cannot move a column into the top p.
     """
     S = np.asarray(matrix, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -64,7 +63,7 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     n = S.shape[0]
     if not 1 <= p <= n:
         raise ShapeError(f"p={p} outside [1, {n}]")
-    S = symmetrized(S)
+    S = _symmetrized(S)
 
     with _one_blas_thread():
         values, vectors = np.linalg.eigh(S)
@@ -105,23 +104,14 @@ def _symmetry_gap(S: np.ndarray) -> float:
     return gap
 
 
-def symmetrized(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _symmetrized(S: np.ndarray) -> np.ndarray:
     """The symmetric part 0.5 (S + S') of a square float matrix, after
-    ``_symmetry_gap``'s checks, computed one block of rows at a time.
-
-    It is written into ``out``, which may be ``matrix`` itself (the
-    matrix is then consumed).  Without ``out``, a matrix that is
-    mirrored bit for bit is returned as it is, and any other gets a new
-    array.  No temporary is larger than a block of rows.
-    """
-    gap = _symmetry_gap(matrix)
-    if out is None:
-        bits = _mirror_blocks(matrix.view(np.int64))
-        if gap == 0.0 and all(np.array_equal(a, b) for _, _, a, b in bits):
-            return matrix
-        out = np.empty_like(matrix)
-    for lo, hi, a, b in _mirror_blocks(matrix):
-        part = a + b  # read before this block writes; earlier blocks wrote neither
+    ``_symmetry_gap``'s checks, as a new array written one block of rows
+    at a time: no temporary is larger than a block of rows."""
+    _symmetry_gap(S)
+    out = np.empty(S.shape)
+    for lo, hi, a, b in _mirror_blocks(S):
+        part = a + b
         part *= 0.5
         out[lo:hi, lo:] = part
         out[lo:, lo:hi] = part.T

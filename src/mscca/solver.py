@@ -16,7 +16,7 @@ nearest center inside their own class.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,15 +32,7 @@ from .data import (
     stacked_counts,
 )
 from .errors import EmptyClusterError, ProjectorError, ShapeError, SpecError
-from .linalg import (
-    ROW_BLOCK,
-    TOL,
-    gram_eig_top,
-    mass_scale,
-    sign_fixed,
-    sym_eig_top,
-    symmetrized,
-)
+from .linalg import ROW_BLOCK, TOL, gram_eig_top, mass_scale, sign_fixed, sym_eig_top
 
 # Final objectives this close (relative) to the best count as ties, which
 # go to the lowest start index.
@@ -314,8 +306,9 @@ def _quantify(
     masses (category counts times H).  H cancels out of the result; it
     only sets the scale of the eigenvalues.
 
-    ``target`` is consumed: it is scaled and symmetrized in place, so the
-    solve holds no Q x Q array but it and ``eigh``'s own.
+    ``target`` is consumed: it is scaled in place, so the solve holds no
+    Q x Q array but it, ``sym_eig_top``'s symmetric part of it and
+    ``eigh``'s own.
     """
     n, m = dataset.n_obs, dataset.n_vars
     d = (dataset.counts * n_stack).astype(float)
@@ -323,7 +316,7 @@ def _quantify(
     target *= d_isqrt[:, None]
     target *= d_isqrt[None, :]
     target /= m
-    eig = sym_eig_top(symmetrized(target, out=target), p)
+    eig = sym_eig_top(target, p)
     return float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
 
 
@@ -332,25 +325,19 @@ def _centered_burt(dataset: CategoricalDataset, n_stack: int) -> np.ndarray:
 
     The Burt matrix Z'Z is counted over the variable pairs j < j' only:
     those cells lie above the diagonal, which holds the category counts.
-    Consecutive variables share one ``bincount`` while their pair cells
-    stay below Q^2, so the cells held at once stay below Q^2 unless one
-    variable has more, which is then counted alone.  The lower
+    Variable j's pairs fill only its own q_j rows, so one ``bincount`` of
+    q_j x Q cells per variable is added into those rows.  The lower
     triangle is then mirrored in, the diagonal set and the independence
     term subtracted, one block of rows at a time.  The counts are exact
     integers, so every entry gets the same float operations as on whole
     arrays.
     """
-    cols, n, m = dataset.cell_columns, dataset.n_obs, dataset.n_vars
-    big_q = dataset.total_categories
+    cols, n, big_q = dataset.cell_columns, dataset.n_obs, dataset.total_categories
     target = np.zeros((big_q, big_q))
-    flat = target.reshape(-1)
-    for start, stop, size in _pair_runs(n, m, big_q * big_q):
-        cells, used = np.empty(size, dtype=np.int64), 0
-        for j in range(start, stop):
-            part = cells[used : used + n * (m - 1 - j)].reshape(m - 1 - j, n)
-            np.add(cols[j] * big_q, cols[j + 1 :], out=part)
-            used += part.size
-        flat += np.bincount(cells, minlength=big_q * big_q)
+    for j in range(dataset.n_vars - 1):
+        lo, q = dataset.offsets[j], dataset.q[j]
+        pairs = np.bincount(((cols[j] - lo) * big_q + cols[j + 1 :]).ravel(), minlength=q * big_q)
+        target[lo : lo + q] += pairs.reshape(q, big_q)
     mu = dataset.column_means
     for lo in range(0, big_q, ROW_BLOCK):
         hi = lo + ROW_BLOCK
@@ -360,21 +347,6 @@ def _centered_burt(dataset: CategoricalDataset, n_stack: int) -> np.ndarray:
         rows -= n * np.outer(mu[lo:hi], mu)
         rows *= n_stack
     return target
-
-
-def _pair_runs(n: int, m: int, limit: int) -> Iterator[tuple[int, int, int]]:
-    """Runs ``(start, stop, cells)`` of the variables 0..m-2, in order,
-    whose pair cells j < j' (n per pair) number fewer than ``limit``; a
-    variable with ``limit`` or more forms a run of its own."""
-    start, cells = 0, 0
-    for j in range(m - 1):
-        size = n * (m - 1 - j)
-        if cells and cells + size >= limit:
-            yield start, j, cells
-            start, cells = j, 0
-        cells += size
-    if m > 1:
-        yield start, m - 1, cells
 
 
 def _centroids(

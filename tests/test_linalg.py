@@ -182,19 +182,6 @@ class TestSymEigTopNearTheTop:
                 assert res.vectors.tobytes() == oracle.vectors.tobytes()
             assert matrix.tobytes() == before.tobytes()
 
-    def test_zeros_of_either_sign(self, rng):
-        # S == S' holds with 0.0 above the diagonal and -0.0 below it, but
-        # eigh reads one triangle, so such a matrix is not used as it is
-        for _ in range(20):
-            n = int(rng.integers(2, 30))
-            a = rng.normal(size=(n, n))
-            s = np.triu(np.where(rng.random((n, n)) < 0.5, 0.0, a + a.T))
-            s = s + s.T
-            s[np.tril(s == 0.0, -1)] = -0.0
-            res, oracle = sym_eig_top(s, n), sym_eig_top_full_spectrum(s, n)
-            assert res.values.tobytes() == oracle.values.tobytes()
-            assert res.vectors.tobytes() == oracle.vectors.tobytes()
-
     def test_zero_matrix_larger_than_a_block(self):
         # one tie group across every column
         n = 2 * ROW_BLOCK + 5

@@ -31,7 +31,7 @@ from mscca import (
 )
 from mscca.errors import EmptyClusterError, ProjectorError, SpecError
 from mscca.linalg import TOL
-from mscca.solver import _centered_burt, _pair_runs
+from mscca.solver import _centered_burt
 from mscca.simulation import GenSpec, SupGenSpec, generate_clustered, generate_supplementary
 
 from conftest import (
@@ -1085,14 +1085,14 @@ class TestBatchedEngine:
 
 
 class TestConstrainedSolveMemory:
-    """The Q x Q solve of ``fit_constrained_mca`` holds one Q x Q array of
-    its own next to ``eigh``'s output (whose workspace ``tracemalloc`` does
-    not see); removal briefly adds the between part and one of its terms."""
+    """The Q x Q solve of ``fit_constrained_mca`` holds its target and the
+    symmetric part of it next to ``eigh``'s output (whose workspace
+    ``tracemalloc`` does not see).  Counting the Burt matrix briefly adds
+    one variable's pair cells; removal briefly adds the between part and
+    one of its terms."""
 
-    @pytest.mark.parametrize(
-        "kind, bound", [("projector-off", 3.25), ("identity", 2.5), ("projector-on", 2.5)]
-    )
-    def test_peak_bounded_by_a_few_q_by_q_arrays(self, kind, bound):
+    @pytest.mark.parametrize("kind", ["projector-off", "identity", "projector-on"])
+    def test_peak_bounded_by_a_few_q_by_q_arrays(self, kind):
         ds, _ = generate_clustered(GenSpec(q=40, k=3, n_obs=1000, n_vars=12, seed=12))
         sup = generate_supplementary(SupGenSpec(n_sup=3, r=3, seed=13), 1000)
         big_q = ds.total_categories
@@ -1105,29 +1105,40 @@ class TestConstrainedSolveMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= bound * big_q * big_q * 8
+        assert peak <= 3.25 * big_q * big_q * 8
+
+    def test_burt_count_bounded_with_near_q_squared_pair_cells(self):
+        # variable 0 has 9 N = 153,000 pair cells, near Q^2 = 160,000: the
+        # float target, one variable's cells and their q_j x Q bincount are
+        # held together, never two variables' cells
+        ds, _ = generate_clustered(GenSpec(q=40, k=3, n_obs=17_000, n_vars=10, seed=12))
+        big_q = ds.total_categories
+        assert 0.9 * big_q * big_q <= 17_000 * 9 <= big_q * big_q
+        _centered_burt(ds, 3)  # lazy set-up
+        tracemalloc.start()
+        try:
+            _centered_burt(ds, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * big_q * big_q * 8
 
 
 class TestCenteredBurt:
     @pytest.mark.parametrize(
-        "n, m, q, runs",
+        "n, q",
         [
-            # Q^2 = 144 pair cells: variables 0-2 (200, 160 and 120 cells)
-            # are counted alone, 3 and 4 (80 and 40) together
-            (40, 6, 2, [(0, 1), (1, 2), (2, 3), (3, 5)]),
-            # one run over more than two row blocks, not a multiple of one
-            (50, 5, 30, [(0, 4)]),
-            (7, 3, 4, [(0, 2)]),
+            (40, [2] * 6),
+            # more than two row blocks, not a multiple of one
+            (50, [30] * 5),
+            (7, [4] * 3),
+            (60, [3, 7, 2, 11, 5]),
         ],
     )
-    def test_matches_dense_indicator(self, rng, n, m, q, runs):
-        codes = np.stack([rng.permutation(np.arange(n) % q) for _ in range(m)], axis=1)
-        ds = CategoricalDataset.from_codes(codes, [[f"c{c}" for c in range(q)]] * m)
-        big_q = ds.total_categories
-        assert big_q == m * q
-        assert [(a, b) for a, b, _ in _pair_runs(n, m, big_q * big_q)] == runs
-        for a, b, cells in _pair_runs(n, m, big_q * big_q):
-            assert cells == n * sum(m - 1 - j for j in range(a, b))
+    def test_matches_dense_indicator(self, rng, n, q):
+        codes = np.stack([rng.permutation(np.arange(n) % k) for k in q], axis=1)
+        ds = CategoricalDataset.from_codes(codes, [[f"c{c}" for c in range(k)] for k in q])
+        assert ds.total_categories == sum(q)
         z = z_full(ds)
         mu = ds.column_means
         for n_stack in (1, 3):
