@@ -525,22 +525,38 @@ def stacked_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Count tables of a stack of S assignments, each given by its N x H
     rows of G (``HierarchicalAssignment.rows``): S x K x Q tables U'Z and
-    S x K cluster sizes.  An empty cluster is a zero row.
+    S x K cluster sizes.  An empty cluster is a zero row."""
+    table = np.empty((len(rows), spec.k_total, dataset.total_categories), dtype=np.int64)
+    return table, _count_into(table, rows, spec, dataset)
+
+
+# Count cells one ``bincount`` takes at most, unless one start has more.
+_CELL_BLOCK = 1 << 16
+
+
+def _count_into(
+    table: np.ndarray, rows: np.ndarray, spec: ClusterSpec, dataset: CategoricalDataset
+) -> np.ndarray:
+    """Count the S x N x H rows into the S x K x Q ``table``, overwriting
+    it, and return the S x K cluster sizes.
 
     Each supplementary variable's block of rows comes from one
     ``bincount`` of the (start, cluster, category column) cells of all
-    observations and variables; the sizes are the row sums of the first
-    variable's block.
+    observations and variables of a group of starts, which holds at most
+    ``_CELL_BLOCK`` cells or one start's; the sizes are the row sums of
+    the first variable's block.
     """
-    n_stack, big_q = len(rows), dataset.total_categories
-    table = np.empty((n_stack, spec.k_total, big_q), dtype=np.int64)
+    big_q = dataset.total_categories
+    group = max(1, _CELL_BLOCK // dataset.cell_columns.size)
     bounds = np.cumsum((0, *spec.k_per_variable))
     for h, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        local = rows[..., h] + ((hi - lo) * np.arange(n_stack) - lo)[:, None]
-        cells = (local[:, None, :] * big_q + dataset.cell_columns).ravel()
-        counts = np.bincount(cells, minlength=n_stack * (hi - lo) * big_q)
-        table[:, lo:hi] = counts.reshape(n_stack, hi - lo, big_q)
-    return table, _sizes(table, dataset)
+        for a in range(0, len(rows), group):
+            part = rows[a : a + group, :, h]
+            local = part + ((hi - lo) * np.arange(len(part)) - lo)[:, None]
+            cells = (local[:, None, :] * big_q + dataset.cell_columns).ravel()
+            counts = np.bincount(cells, minlength=len(part) * (hi - lo) * big_q)
+            table[a : a + group, lo:hi] = counts.reshape(len(part), hi - lo, big_q)
+    return _sizes(table, dataset)
 
 
 def moved_counts(
@@ -549,36 +565,37 @@ def moved_counts(
     new_rows: np.ndarray,
     spec: ClusterSpec,
     dataset: CategoricalDataset,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``stacked_counts(new_rows, spec, dataset)``, given the S x K x Q
-    tables ``table`` of the S x N x H rows ``rows``.
+) -> np.ndarray:
+    """Update the S x K x Q tables ``table`` of the S x N x H rows
+    ``rows``, in place, to those of ``new_rows``, and return the new S x K
+    cluster sizes.
 
     While fewer than half of the (start, observation, variable) entries
-    moved, the new tables are ``table`` plus, per supplementary variable,
-    one ``bincount`` of the moved entries' new cells minus one of their
-    old cells: that touches 2 cells per moved entry where a recount
-    touches one per entry.  Otherwise the tables are counted afresh.
-    Counts are integers, so either way gives the same tables.
+    moved, ``table`` gets, per supplementary variable, one ``bincount`` of
+    the moved entries' new cells minus one of their old cells, for every
+    ``_CELL_BLOCK`` cells: that touches 2 cells per moved entry where a
+    recount touches one per entry.  Otherwise the tables are counted
+    afresh.  Counts are integers, so either way gives the same tables.
     """
     moved = rows != new_rows
     if 2 * np.count_nonzero(moved) >= moved.size:
-        return stacked_counts(new_rows, spec, dataset)
+        return _count_into(table, new_rows, spec, dataset)
     n_stack, big_q = len(rows), dataset.total_categories
-    table = table.copy()
+    group = max(1, _CELL_BLOCK // dataset.n_vars)
     bounds = np.cumsum((0, *spec.k_per_variable))
     for h, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        starts, obs = np.nonzero(moved[..., h])
-        if starts.size == 0:
-            continue
         size = n_stack * (hi - lo) * big_q
-        new, old = new_rows[starts, obs, h], rows[starts, obs, h]
-        cells = dataset.cell_columns[:, obs]
-        cells += ((hi - lo) * starts - lo + new) * big_q
-        counts = np.bincount(cells.ravel(), minlength=size)
-        cells += (old - new) * big_q
-        counts -= np.bincount(cells.ravel(), minlength=size)
-        table[:, lo:hi] += counts.reshape(n_stack, hi - lo, big_q)
-    return table, _sizes(table, dataset)
+        entries = np.nonzero(moved[..., h])
+        for a in range(0, entries[0].size, group):
+            starts, obs = (index[a : a + group] for index in entries)
+            new, old = new_rows[starts, obs, h], rows[starts, obs, h]
+            cells = dataset.cell_columns[:, obs]
+            cells += ((hi - lo) * starts - lo + new) * big_q
+            counts = np.bincount(cells.ravel(), minlength=size)
+            cells += (old - new) * big_q
+            counts -= np.bincount(cells.ravel(), minlength=size)
+            table[:, lo:hi] += counts.reshape(n_stack, hi - lo, big_q)
+    return _sizes(table, dataset)
 
 
 def _sizes(table: np.ndarray, dataset: CategoricalDataset) -> np.ndarray:

@@ -178,13 +178,14 @@ def gram_eig_top(factors: np.ndarray, p: int) -> tuple[SymEigResult, np.ndarray]
     For K < Q the K x K problem is the cheap one: every eigenvector u of
     F F' with eigenvalue lambda > 0 maps to the unit eigenvector
     F'u / sqrt(lambda) of F'F with the same eigenvalue.  The eigenvalues
-    positive beyond the tie tolerance are mapped back (each column scaled
-    to unit length) and get the sign convention and tie order of
-    ``sym_eig_top``.  Returns the stacked result (S x p values, S x Q x p
-    vectors) and each factor's count ``kept`` of clearly positive
-    eigenvalues.  The rest of the spectrum of F'F is zero, and the K x K
-    problem defines no vectors for it: past its first min(kept, p)
-    columns, a factor's values and vectors are zero.
+    positive beyond the tie tolerance can be mapped back (each column
+    scaled to unit length) and get the sign convention and tie order of
+    ``sym_eig_top``; as there, a factor maps back only its columns up to
+    the end of the tie group that holds column p - 1.  Returns the stacked
+    result (S x p values, S x Q x p vectors) and each factor's count
+    ``kept`` of clearly positive eigenvalues.  The rest of the spectrum of
+    F'F is zero, and the K x K problem defines no vectors for it: past its
+    first min(kept, p) columns, a factor's values and vectors are zero.
 
     Every factor gets the numpy calls, shapes and memory layouts a lone
     factor would, so its result does not depend on the rest of the stack.
@@ -194,16 +195,25 @@ def gram_eig_top(factors: np.ndarray, p: int) -> tuple[SymEigResult, np.ndarray]
     values = values[:, ::-1]
     # Descending, so the eigenvalues clear of the zero group form a prefix.
     kept = np.count_nonzero(values > TOL.eig_tie_rel * np.maximum(1.0, values), axis=1)
+    # The first break from column p - 1 on, or one past the last column.
+    tail = np.column_stack((_breaks(values[:, p - 1 :]), np.ones(len(F), dtype=bool)))
+    ends = np.minimum(p + tail.argmax(axis=1), kept)
+    # At least two columns where there are two: matmul takes another
+    # kernel for a lone column, and that could change the bits.
+    ends = np.maximum(ends, np.minimum(kept, 2))
     top = np.zeros((len(F), p))
     top_vectors = np.zeros((len(F), F.shape[2], p))
-    for k in np.unique(kept[kept > 0]):
-        group = np.flatnonzero(kept == k)
+    # A factor's result reads only its first ``end`` columns (end < p
+    # only where kept = end < p), so factors that share ``end`` share
+    # every call.
+    for end in np.unique(ends[ends > 0]):
+        group = np.flatnonzero(ends == end)
         if group.size == len(F):
             group = slice(None)
-        vectors = np.swapaxes(F[group], 1, 2) @ u[group][:, :, ::-1][:, :, :k]
+        vectors = np.swapaxes(F[group], 1, 2) @ u[group][:, :, ::-1][:, :, :end]
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        r = min(k, p)
-        top[group, :r], top_vectors[group, :, :r] = _ordered_top(values[group][:, :k], vectors, p)
+        r = min(end, p)
+        top[group, :r], top_vectors[group, :, :r] = _ordered_top(values[group][:, :end], vectors, p)
     return SymEigResult(values=top, vectors=top_vectors), kept
 
 

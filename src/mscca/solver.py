@@ -128,13 +128,21 @@ def _direct_objective(
 ) -> np.ndarray | float:
     """(1/(N H m)) sum_j sum_h || blocks[h] - Z_j B_j ||^2 for H per-h
     N x p score blocks, one variable's quantified rows at a time; for S x
-    N x p blocks and S x Q x p quantifications, one value per start."""
-    total = 0.0
+    N x p blocks and S x Q x p quantifications, one value per start.
+
+    The differences are formed for the whole stack, but each start's
+    N x p slice is reduced by its own ``einsum``: a stacked reduction of
+    more than 8192 entries per start rounds otherwise than the lone one,
+    so the value would depend on the stack.
+    """
+    total = np.zeros(quantifications.shape[:-2])
+    per_start = total.reshape(-1)
     for cols in dataset.cell_columns:
         fitted = np.take(quantifications, cols, axis=-2)
         for block in blocks:
             diff = block - fitted
-            total = total + np.einsum("...ij,...ij->...", diff, diff)
+            for s, part in enumerate(diff.reshape(-1, *diff.shape[-2:])):
+                per_start[s] += np.einsum("ij,ij->", part, part)
     return total / (dataset.n_obs * len(blocks) * dataset.n_vars)
 
 
@@ -393,25 +401,25 @@ def _nearest_clusters(
     of S of each (giving S x N x H): per supplementary variable, the
     within-class index of each observation's nearest center of its own
     class, the lowest index on ties.  One pass per cluster slot measures
-    every observation's distance to its class's center in that slot, so
-    no observation-by-cluster array of score vectors is built."""
-    clusters = np.empty((*scores.shape[:-1], sup.n_sup), dtype=np.int64)
+    every observation's distance to its class's center in that slot and
+    keeps a running minimum, so no observation-by-cluster array is built."""
+    clusters = np.zeros((*scores.shape[:-1], sup.n_sup), dtype=np.int64)
+    best, dist = np.empty(scores.shape[:-1]), np.empty(scores.shape[:-1])
     for h in range(sup.n_sup):
         counts = np.array(spec.counts[h])
         slots = np.arange(counts.max())
         # Row s holds class s's rows of G; slots past K_hs repeat its first
-        # row and are masked to +inf, so argmin ties still go to the
-        # lowest cluster.
-        padded = slots >= counts[:, None]
-        own = spec.first_rows[h][:, None] + np.where(padded, 0, slots)
+        # row, so they tie slot 0 and never win.
+        own = spec.first_rows[h][:, None] + np.where(slots < counts[:, None], slots, 0)
         codes = sup.codes[:, h]
-        d2 = np.empty((slots.size, *scores.shape[:-1]))
+        nearest = clusters[..., h]
         for k in slots:
             gap = scores - np.take(centers, own[codes, k], axis=-2)
-            np.einsum("...d,...d->...", gap, gap, out=d2[k])
-            if padded[:, k].any():
-                d2[k][..., padded[codes, k]] = np.inf
-        clusters[..., h] = d2.argmin(axis=0)
+            np.einsum("...d,...d->...", gap, gap, out=dist if k else best)
+            if k:
+                # strict, so ties stay with the lower slot
+                np.copyto(nearest, k, where=dist < best)
+                np.minimum(best, dist, out=best)
     return clusters
 
 
@@ -447,17 +455,19 @@ def repair_empty_clusters(
     return assignment.with_clusters(rows - first)
 
 
-# Bytes of working arrays one chunk of starts may hold (``_chunk_size``).
-_CHUNK_BYTES = 3 << 19
+# Bytes of working arrays one chunk of starts may hold (``_chunk_size``):
+# 34 starts at the size of acceptance criterion 10, one at N = 20 000.
+_CHUNK_BYTES = int(3.6 * 2**20)
 
 
 def _start_bytes(dataset: CategoricalDataset, spec: ClusterSpec, p: int) -> int:
     """One start's share of the engine's largest arrays: N x m count
-    cells, N x H rows (ends, current and candidate), N x p scores and
-    distances, and K x Q count tables, factors and back-mapped vectors."""
+    cells, three N x H arrays of rows (current, candidate and end), N x p
+    scores and differences and N distances, and three K x Q arrays (the
+    count table, the factors, and a fresh count or copy of a block)."""
     n, m, n_sup = dataset.n_obs, dataset.n_vars, len(spec.counts)
     big_k, big_q = spec.k_total, dataset.total_categories
-    return 8 * (n * (m + 4 * n_sup + 4 * p) + 6 * big_k * big_q)
+    return 8 * (n * (m + 3 * n_sup + 3 * p + 2) + 3 * big_k * big_q)
 
 
 def _chunk_size(dataset: CategoricalDataset, spec: ClusterSpec, p: int) -> int:
@@ -503,14 +513,18 @@ def _run_start(
     the objective up, so the trace never increases beyond float jitter.
     """
     n_sup, p, max_iter = sup.n_sup, options.p, options.max_iter
-    clusters = np.zeros((len(seeds), sup.n_obs, n_sup), dtype=np.int64)
-    for seed, drawn in zip(seeds, clusters):
-        _draw_clusters(sup, spec, np.random.default_rng(seed), drawn)
-    template = HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters[0].copy())
-    first = template.rows - clusters[0]  # G row of cluster 0 of each class
-    table, sizes = stacked_counts(first + clusters, spec, dataset)
     n_chunk = len(seeds)
-    end_clusters = np.empty_like(clusters)
+    template = HierarchicalAssignment(
+        sup=sup, spec=spec, clusters=np.zeros((sup.n_obs, n_sup), dtype=np.int64)
+    )
+    first = template.rows  # G row of cluster 0 of each observation's class
+    # Each start's assignment is held as its N x H rows of G, first + clusters.
+    rows = np.zeros((n_chunk, sup.n_obs, n_sup), dtype=np.int64)
+    for seed, drawn in zip(seeds, rows):
+        _draw_clusters(sup, spec, np.random.default_rng(seed), drawn)
+    rows += first
+    table, sizes = stacked_counts(rows, spec, dataset)
+    end_rows = np.empty_like(rows)
     end_centers = np.empty((n_chunk, spec.k_total, p))
     end_quantifications = np.empty((n_chunk, dataset.total_categories, p))
     converged = np.zeros(n_chunk, dtype=bool)
@@ -530,44 +544,40 @@ def _run_start(
         stop = settled | (t == max_iter - 1)
         if stop.any():
             done = live[stop]
-            end_clusters[done], end_centers[done] = clusters[stop], centers[stop]
+            end_rows[done], end_centers[done] = rows[stop], centers[stop]
             end_quantifications[done] = quantifications[stop]
             converged[done], lengths[done] = settled[stop], t + 1
             go = ~stop
             if not go.any():
                 break
-            live, clusters, table, sizes = live[go], clusters[go], table[go], sizes[go]
+            live, rows, table = live[go], rows[go], table[go]
             scores, centers, quantifications = scores[go], centers[go], quantifications[go]
         candidate = _nearest_clusters(scores, centers, sup, spec)
-        new_table, new_sizes = moved_counts(
-            table, first + clusters, first + candidate, spec, dataset
-        )
-        full = (new_sizes > 0).all(axis=1)
-        if full.all():
-            clusters, table, sizes = candidate, new_table, new_sizes
-            continue
-        clusters[full], table[full] = candidate[full], new_table[full]
-        sizes[full] = new_sizes[full]
-        for s in np.flatnonzero(~full):
-            current = template.with_clusters(clusters[s])
+        candidate += first
+        sizes = moved_counts(table, rows, candidate, spec, dataset)
+        for s in np.flatnonzero((sizes == 0).any(axis=1)):
+            kept = template.with_clusters(rows[s] - first)
             repaired = repair_empty_clusters(
-                current.with_clusters(candidate[s]), scores[s], centers[s]
+                template.with_clusters(candidate[s] - first), scores[s], centers[s]
             )
             if objective_phi(repaired, centers[s], quantifications[s], dataset) <= objective_phi(
-                current, centers[s], quantifications[s], dataset
+                kept, centers[s], quantifications[s], dataset
             ):
-                clusters[s] = repaired.clusters
-                table[s], sizes[s] = cluster_counts(repaired, dataset)
-    blocks = [
-        np.take_along_axis(end_centers, (first[:, h] + end_clusters[..., h])[..., None], axis=1)
-        for h in range(n_sup)
-    ]
+                kept = repaired
+            # The table counts the candidate; move it to the rows kept.
+            sizes[s] = moved_counts(
+                table[s : s + 1], candidate[s : s + 1], kept.rows[None], spec, dataset
+            )[0]
+            candidate[s] = kept.rows
+        rows = candidate
+    blocks = [np.take_along_axis(end_centers, end_rows[..., h, None], axis=1) for h in range(n_sup)]
     trace = np.column_stack(cycles)
     trace[np.arange(n_chunk), lengths - 1] = _direct_objective(
         blocks, end_quantifications, dataset
     )
+    end_rows -= first
     return _ChunkResult(
-        clusters=end_clusters,
+        clusters=end_rows,
         centers=end_centers,
         quantifications=end_quantifications,
         traces=[tuple(row[:length].tolist()) for row, length in zip(trace, lengths)],
@@ -581,6 +591,22 @@ def _ties(finals: Sequence[float]) -> np.ndarray:
     finals = np.asarray(finals)
     low = finals.min()
     return finals <= low + WINNER_RTOL * abs(low)
+
+
+def _contenders(finals: Sequence[float]) -> np.ndarray:
+    """Which starts can still win once more starts have ended: those tied
+    for the smallest final objective (``_ties``) whose objective is below
+    that of every lower-indexed tie.
+
+    The tie threshold only falls as starts are added, so a start outside
+    the ties now stays outside, and a start with a lower-indexed tie at
+    or below its objective is in no later tie without it, and loses to it.
+    """
+    finals = np.asarray(finals)
+    ties = _ties(finals)
+    lower = np.minimum.accumulate(np.where(ties, finals, np.inf))
+    ties[1:] &= finals[1:] < lower[:-1]
+    return ties
 
 
 def _winner(finals: Sequence[float]) -> int:
@@ -616,23 +642,22 @@ def fit_mscca(
     chunk = _chunk_size(dataset, spec, options.p)
     traces: list[tuple[float, ...]] = []
     # Ends (clusters, centers, quantifications, converged) of the starts
-    # tied for the lowest objective so far; a start dropped here can never
-    # tie the final minimum.
-    tied: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, bool]] = {}
+    # that can still win; a start dropped here never can.
+    contenders: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, bool]] = {}
     for lo in range(0, options.n_starts, chunk):
         ends = _run_start(dataset, sup, spec, options, seeds[lo : lo + chunk])
         traces.extend(ends.traces)
-        ties = _ties([trace[-1] for trace in traces])
-        tied = {index: end for index, end in tied.items() if ties[index]}
-        for s in np.flatnonzero(ties[lo:]):
-            tied[lo + int(s)] = (
+        can_win = _contenders([trace[-1] for trace in traces])
+        contenders = {index: end for index, end in contenders.items() if can_win[index]}
+        for s in np.flatnonzero(can_win[lo:]):
+            contenders[lo + int(s)] = (
                 ends.clusters[s].copy(),
                 ends.centers[s].copy(),
                 ends.quantifications[s].copy(),
                 bool(ends.converged[s]),
             )
     best_index = _winner([trace[-1] for trace in traces])
-    clusters, centers, quantifications, converged = tied[best_index]
+    clusters, centers, quantifications, converged = contenders[best_index]
     assignment = HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
     return MsccaSolution(
         assignment=assignment,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -34,7 +35,7 @@ from mscca.errors import (
     ShapeError,
     SpecError,
 )
-from mscca.linalg import SymEigResult, _one_blas_thread, _ordered_top, sym_eig_top
+from mscca.linalg import TOL, SymEigResult, _one_blas_thread, _ordered_top, sym_eig_top
 from mscca.solver import (
     WINNER_RTOL,
     ConstrainedFit,
@@ -690,6 +691,37 @@ def fit_mscca_sequential(
         start_traces=tuple(traces),
         options=options,
     )
+
+
+def traced_peak(call: Callable[[], object]) -> int:
+    """The ``tracemalloc`` peak, in bytes, of ``call()``.  Lazy set-up
+    (cached dataset views, imports) is the caller's to do first."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def gram_eig_top_every_kept_column(factors: np.ndarray, p: int) -> tuple[SymEigResult, np.ndarray]:
+    """Oracle for ``gram_eig_top``: every clearly positive eigenvalue of
+    each factor, one stack entry at a time, mapped back and tie-ordered
+    (the route before the mapping stopped at the tie group of column
+    p - 1)."""
+    F = np.asarray(factors, dtype=float)
+    values, u = np.linalg.eigh(F @ np.swapaxes(F, 1, 2))
+    values = values[:, ::-1]
+    kept = np.count_nonzero(values > TOL.eig_tie_rel * np.maximum(1.0, values), axis=1)
+    top = np.zeros((len(F), p))
+    top_vectors = np.zeros((len(F), F.shape[2], p))
+    for s in np.flatnonzero(kept):
+        k, one = kept[s], slice(s, s + 1)
+        vectors = np.swapaxes(F[one], 1, 2) @ u[one][:, :, ::-1][:, :, :k]
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        r = min(k, p)
+        top[one, :r], top_vectors[one, :, :r] = _ordered_top(values[one, :k], vectors, p)
+    return SymEigResult(values=top, vectors=top_vectors), kept
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -299,10 +299,13 @@ class TestClusterCounts:
         n_stack=st.integers(1, 4),
         share=st.sampled_from([0.0, 0.02, 0.2, 0.45, 0.55, 0.8, 1.0]),
         empty=st.booleans(),
+        block=st.sampled_from([1, 50, 1 << 16]),
     )
-    def test_moved_counts_match_a_recount(self, seed, n_sup, n_stack, share, empty):
-        # Tables updated from the moved entries equal a fresh count, on
-        # both sides of the half rule, also where a move empties a cluster.
+    def test_moved_counts_match_a_recount(self, seed, n_sup, n_stack, share, empty, block):
+        # Tables updated in place from the moved entries equal a fresh
+        # count, on both sides of the half rule, also where a move empties
+        # a cluster, whether each bincount takes one entry or start
+        # (block 1), a few (50 cells) or all of them.
         rng = np.random.default_rng(seed)
         ds, sup, spec = random_mixed_problem(rng, n=int(rng.integers(20, 80)), n_sup=n_sup)
         first = np.stack([spec.first_rows[h][sup.codes[:, h]] for h in range(n_sup)], axis=1)
@@ -320,13 +323,16 @@ class TestClusterCounts:
             new_rows[s, :, h][new_rows[s, :, h] == row] = (
                 first[i, h] + (row - first[i, h] + 1) % limit[i, h]
             )
-        table, _ = stacked_counts(rows, spec, ds)
-        got_table, got_sizes = moved_counts(table, rows, new_rows, spec, ds)
+        old_table, _ = stacked_counts(rows, spec, ds)
         want_table, want_sizes = stacked_counts(new_rows, spec, ds)
-        assert got_table.dtype == want_table.dtype
-        assert np.array_equal(got_table, want_table)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mscca.data, "_CELL_BLOCK", block)
+            table, _ = stacked_counts(rows, spec, ds)
+            assert np.array_equal(table, old_table)
+            got_sizes = moved_counts(table, rows, new_rows, spec, ds)
+        assert table.dtype == want_table.dtype
+        assert np.array_equal(table, want_table)
         assert np.array_equal(got_sizes, want_sizes)
-        assert np.array_equal(table, stacked_counts(rows, spec, ds)[0])  # input untouched
 
     def test_moved_counts_recount_only_when_half_moved(self, rng, monkeypatch):
         # 40 observations, 2 variables of one class with 2 clusters each:
@@ -338,20 +344,25 @@ class TestClusterCounts:
         spec = ClusterSpec(((2,), (2,)))
         rows = np.tile([0, 2], (1, 40, 1))
         table, _ = stacked_counts(rows, spec, ds)
+        count_into = mscca.data._count_into
         recounts = []
 
         def recording(*args):
             recounts.append(args)
-            return stacked_counts(*args)
+            return count_into(*args)
 
-        monkeypatch.setattr(mscca.data, "stacked_counts", recording)
-        for moved, calls in ((39, 0), (40, 1), (80, 2)):
+        for moved, calls in ((39, 0), (40, 1), (80, 1)):
             new_rows = rows.copy()
             new_rows.reshape(-1)[:moved] += 1
-            got = moved_counts(table, rows, new_rows, spec, ds)
+            want_table, want_sizes = stacked_counts(new_rows, spec, ds)
+            got_table = table.copy()
+            recounts.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(mscca.data, "_count_into", recording)
+                got_sizes = moved_counts(got_table, rows, new_rows, spec, ds)
             assert len(recounts) == calls
-            want = stacked_counts(new_rows, spec, ds)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert np.array_equal(got_table, want_table)
+            assert np.array_equal(got_sizes, want_sizes)
 
     def test_empty_cluster_rejected(self):
         sup = encode_supplementary([["x"], ["x"], ["y"]])

@@ -7,7 +7,7 @@ import mscca.linalg
 from mscca.linalg import ROW_BLOCK, SymEigResult, _symmetry_gap, gram_eig_top
 from mscca.errors import MassError, ShapeError, SymmetryError
 
-from conftest import center_columns, sym_eig_top_full_spectrum
+from conftest import center_columns, gram_eig_top_every_kept_column, sym_eig_top_full_spectrum
 
 
 class TestCenterColumns:
@@ -320,6 +320,30 @@ class TestGramEigTop:
                 assert eig.values[s].tobytes() == alone.values.tobytes()
                 assert eig.vectors[s].tobytes() == alone.vectors.tobytes()
                 assert not eig.values[s, kept[s]:].any() and not eig.vectors[s, :, kept[s]:].any()
+
+    def test_same_bits_as_mapping_every_kept_column(self, rng):
+        # Full and deficient ranks, ties below, at and across column p - 1,
+        # and p = 1, where a lone mapped column would take another matmul
+        # kernel than the oracle's two or more.
+        tied = np.zeros((6, 9))
+        tied[0, 1] = tied[1, 3] = tied[2, 5] = np.sqrt(5.0)
+        tied[3, 0] = tied[4, 2] = np.sqrt(2.0)
+        for _ in range(20):
+            k, q = int(rng.integers(2, 7)), int(rng.integers(7, 15))
+            factors = [rng.normal(size=(k, q)) for _ in range(4)]
+            factors[1][-1] = factors[1][0] - factors[1][1]  # rank k - 1
+            factors[2] = np.outer(rng.normal(size=k), rng.normal(size=q))  # rank 1
+            factors.append(np.zeros((k, q)))
+            for p in range(1, k + 1):
+                eig, kept = gram_eig_top(np.stack(factors), p)
+                want, want_kept = gram_eig_top_every_kept_column(np.stack(factors), p)
+                assert kept.tolist() == want_kept.tolist()
+                assert eig.values.tobytes() == want.values.tobytes()
+                assert eig.vectors.tobytes() == want.vectors.tobytes()
+        for p in range(1, 7):
+            eig, _ = gram_eig_top(tied[None], p)
+            want, _ = gram_eig_top_every_kept_column(tied[None], p)
+            assert eig.vectors.tobytes() == want.vectors.tobytes()
 
 
 class TestMassScale:

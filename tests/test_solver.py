@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -48,6 +46,7 @@ from conftest import (
     random_sup,
     repair_empty_clusters_by_class,
     stacked_indicator,
+    traced_peak,
     update_B_qxq,
     update_U_by_class,
     z_full,
@@ -1075,13 +1074,89 @@ class TestBatchedEngine:
         spec = ClusterSpec.uniform(sup, 3)
         assert (ds.total_categories, spec.k_total) == (70, 27)
         fit_mscca(ds, sup, spec, SolverOptions(n_starts=1, seed=0))  # lazy set-up
-        tracemalloc.start()
-        try:
-            fit_mscca(ds, sup, spec, SolverOptions(n_starts=100, seed=0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: fit_mscca(ds, sup, spec, SolverOptions(n_starts=100, seed=0)))
         assert peak <= 4 * 2**20
+
+
+def criterion_10_problem():
+    ds, _ = generate_clustered(GenSpec(q=7, k=3, n_obs=300, n_vars=10, seed=10))
+    sup = generate_supplementary(SupGenSpec(n_sup=3, r=3, seed=11), 300)
+    return ds, sup, ClusterSpec.uniform(sup, 3)
+
+
+class TestChunkSizing:
+    """The one memory budget ``_CHUNK_BYTES`` runs paper-sized fits many
+    starts at a time and fits of tens of thousands of rows one at a time,
+    and ``_start_bytes`` bounds what one more start adds to the peak."""
+
+    def test_criterion_10_size_runs_32_starts_or_more(self):
+        ds, _, spec = criterion_10_problem()
+        assert mscca.solver._chunk_size(ds, spec, 2) >= 32
+
+    @pytest.mark.parametrize("n_obs, n_sup", [(20_000, 3), (50_000, 2)])
+    def test_tens_of_thousands_of_rows_run_one_start(self, n_obs, n_sup):
+        # the perfbench tall and cli sizes
+        ds, _ = generate_clustered(GenSpec(q=5, k=3, n_obs=n_obs, n_vars=20, seed=1))
+        sup = generate_supplementary(SupGenSpec(n_sup=n_sup, r=3, seed=2), n_obs)
+        assert mscca.solver._chunk_size(ds, ClusterSpec.uniform(sup, 3), 2) == 1
+
+    def test_start_bytes_bound_the_growth_per_start(self, monkeypatch):
+        ds, sup, spec = criterion_10_problem()
+        per_start = mscca.solver._start_bytes(ds, spec, 2)
+        fit_mscca(ds, sup, spec, SolverOptions(n_starts=1, seed=0))  # lazy set-up
+        peaks = []
+        for chunk in (17, 34):
+            monkeypatch.setattr(mscca.solver, "_CHUNK_BYTES", chunk * per_start)
+            assert mscca.solver._chunk_size(ds, spec, 2) == chunk
+            options = SolverOptions(n_starts=34, seed=0)
+            peaks.append(traced_peak(lambda: fit_mscca(ds, sup, spec, options)))
+        assert peaks[1] - peaks[0] <= 17 * per_start
+
+    def test_criterion_10_peak_within_budget(self):
+        ds, sup, spec = criterion_10_problem()
+        fit_mscca(ds, sup, spec, SolverOptions(n_starts=1, seed=0))  # lazy set-up
+        peak = traced_peak(lambda: fit_mscca(ds, sup, spec, SolverOptions(n_starts=100, seed=0)))
+        assert peak <= mscca.solver._CHUNK_BYTES <= 3.6 * 2**20
+
+
+class TestChunkedObjective:
+    def test_large_blocks_match_sequential_oracle(self):
+        # N p = 10 000: a stacked einsum over the chunk's N x p blocks
+        # rounds otherwise than each start's own, so every start's final
+        # trace entry, and the objective, came out of the chunk different.
+        ds, _ = generate_clustered(GenSpec(q=3, k=2, n_obs=5000, n_vars=2, seed=1))
+        sup = generate_supplementary(SupGenSpec(n_sup=1, r=2, seed=2), 5000)
+        spec = ClusterSpec.uniform(sup, 2)
+        options = SolverOptions(n_starts=4, max_iter=10, seed=3)
+        assert mscca.solver._chunk_size(ds, spec, options.p) > 1
+        assert_identical_fits(
+            fit_mscca(ds, sup, spec, options), fit_mscca_sequential(ds, sup, spec, options)
+        )
+
+
+class TestNearestClusters:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sup=st.integers(1, 3),
+        p=st.integers(1, 3),
+        n_stack=st.integers(0, 3),
+    )
+    def test_running_minimum_matches_argmin(self, seed, n_sup, p, n_stack):
+        # Scores and centers drawn from {-1, 0, 1} give exact distance ties,
+        # and per-class cluster counts of 1-4 leave padded slots in the
+        # smaller classes: the nearest center is argmin's, the lowest
+        # cluster on ties, for a lone start (n_stack 0) and for stacks.
+        rng = np.random.default_rng(seed)
+        asg, _, _ = assignment_step_case(rng, n_sup, p)
+        sup, spec = asg.sup, asg.spec
+        stack = (n_stack,) if n_stack else ()
+        scores = rng.integers(-1, 2, size=(*stack, sup.n_obs, p)).astype(float)
+        centers = rng.integers(-1, 2, size=(*stack, spec.k_total, p)).astype(float)
+        got = mscca.solver._nearest_clusters(scores, centers, sup, spec)
+        assert got.shape == (*stack, sup.n_obs, n_sup)
+        for s in np.ndindex(stack):
+            want = update_U_by_class(scores[s], centers[s], sup, spec).clusters
+            assert np.array_equal(got[s], want)
 
 
 class TestConstrainedSolveMemory:
@@ -1099,12 +1174,7 @@ class TestConstrainedSolveMemory:
         assert 400 <= big_q <= 800
         cspec = ConstraintSpec(kind=kind, source=None if kind == "identity" else sup)
         fit_constrained_mca(ds, cspec, 2)  # lazy set-up
-        tracemalloc.start()
-        try:
-            fit_constrained_mca(ds, cspec, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: fit_constrained_mca(ds, cspec, 2))
         assert peak <= 3.25 * big_q * big_q * 8
 
     def test_burt_count_bounded_with_near_q_squared_pair_cells(self):
@@ -1115,12 +1185,7 @@ class TestConstrainedSolveMemory:
         big_q = ds.total_categories
         assert 0.9 * big_q * big_q <= 17_000 * 9 <= big_q * big_q
         _centered_burt(ds, 3)  # lazy set-up
-        tracemalloc.start()
-        try:
-            _centered_burt(ds, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: _centered_burt(ds, 3))
         assert peak <= 2.25 * big_q * big_q * 8
 
 
