@@ -14,7 +14,7 @@ import csv
 import io
 import warnings
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, islice
 from pathlib import Path
@@ -43,14 +43,11 @@ def _code_table(
     header: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
     """First-appearance integer coding of every column of a rectangular
-    table of labels.
-
-    Every distinct cell text gets one id across the whole table (cells
-    that are not strings are coded by ``str()``), so the whole table
-    becomes one integer array; each column is then renumbered by the
-    first appearance of its ids.  Rows must have the width of ``header``
-    when one is given, else of the first row.  ``row_name(i)`` and the
-    header name the offending row and column in error messages.
+    table of labels, each column by its own dict (of ``str()`` of its
+    cells, if one is not a string), as the N x width view of width x N
+    rows.  Rows must have the width of ``header`` when one is given, else
+    of the first row.  ``row_name(i)`` and the header name the offending
+    row and column in error messages.
     """
     if len(raw) == 0:
         raise ShapeError("table has no rows")
@@ -60,82 +57,53 @@ def _code_table(
     if set(map(len, raw)) != {width}:
         i = next(i for i, row in enumerate(raw) if len(row) != width)
         raise ShapeError(f"{row_name(i)} has {len(raw[i])} cells, expected {width}")
-    cells = list(chain.from_iterable(raw))
-    table, ids = _code_blocks([cells], len(cells))
-    if any(type(text) is not str for text in ids):
-        cells = [None if cell is None else str(cell) for cell in cells]
-        table, ids = _code_blocks([cells], len(cells))
-    _check_filled(table, ids, width, row_name, header)
-    return _renumbered(table, ids, width)
+    columns = [
+        cells if set(map(type, cells)) == {str} else [None if c is None else str(c) for c in cells]
+        for cells in zip(*raw)
+    ]
+    rows, labels = _dict_coded([columns], width)
+    _check_filled(rows, labels, range(width), row_name, header)
+    return rows.T, tuple(map(tuple, labels))
 
 
-def _code_blocks(blocks: Iterable[list], size: int) -> tuple[np.ndarray, dict]:
-    """Code blocks of cells, in order, through one id per distinct cell
-    text (ids in order of first appearance).
-
-    Returns the cells' ids as a flat int64 array, a view of the first
-    cells of a preallocated array of ``size``, and the ids by text.
-    """
-    ids = defaultdict(count().__next__)
-    table = np.empty(size, dtype=np.int64)
-    end = 0
-    for cells in blocks:
-        n = len(cells)
-        table[end : end + n] = np.fromiter(map(ids.__getitem__, cells), np.int64, n)
-        end += n
-    return table[:end], ids
+def _dict_coded(blocks: Iterable[Sequence[Sequence]], width: int) -> tuple[np.ndarray, list]:
+    """Codes (width x N) and labels of blocks of ``width`` columns of
+    cells, each column coded by its own dict, in order of first
+    appearance."""
+    columns = [defaultdict(count().__next__) for _ in range(width)]
+    parts = [np.empty((width, 0), dtype=np.int64)]
+    for block in blocks:
+        parts.append(np.empty((width, len(block[0])), dtype=np.int64))
+        for cells, ids, row in zip(block, columns, parts[-1]):
+            row[:] = np.fromiter(map(ids.__getitem__, cells), np.int64, len(cells))
+    return np.concatenate(parts, axis=1), [list(ids) for ids in columns]
 
 
-def _first_cell(table: np.ndarray, keys: Sequence[int], width: int) -> tuple[int, int]:
-    """Row and column of the first cell of a flat table coded as one of
-    ``keys``."""
-    return divmod(int(np.flatnonzero(np.isin(table, keys))[0]), width)
+def _first_cell(rows: np.ndarray, columns: Sequence[int], keys: Sequence) -> tuple[int, int]:
+    """Row and column of the row-major first cell of a table, given as
+    rows of codes (row r holds column ``columns[r]``), whose code is one
+    of ``keys[r]``."""
+    return min(
+        (int(np.flatnonzero(np.isin(row, codes))[0]), j)
+        for row, j, codes in zip(rows, columns, keys)
+        if codes
+    )
 
 
 def _check_filled(
-    table: np.ndarray,
-    ids: dict,
-    width: int,
-    row_name: Callable[[int], str],
-    header: Sequence[str] | None,
+    rows: np.ndarray, labels: Sequence, columns: Sequence[int], row_name: Callable, header
 ) -> None:
-    """Raise ``MissingValueError`` naming the row and column of the first
-    empty cell (``None`` or ``""``) of a flat table of cell ids."""
-    if None in ids or "" in ids:
-        i, j = _first_cell(table, [ids[text] for text in (None, "") if text in ids], width)
+    """Raise ``MissingValueError`` naming the row and column of the
+    row-major first empty cell (``None`` or ``""``) of a table given as in
+    ``_first_cell``, with the labels of each row."""
+    empty = [[lab.index(text) for text in (None, "") if text in lab] for lab in labels]
+    if any(empty):
+        i, j = _first_cell(rows, columns, empty)
         column = j if header is None else repr(header[j])
         raise MissingValueError(f"{row_name(i)}: empty cell in column {column}")
 
 
-def _renumbered(
-    table: np.ndarray, ids: dict, width: int
-) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
-    """Codes and labels of a flat table of cell ids, ``width`` cells a row:
-    each column renumbered by the first appearance of its ids.  The table
-    is renumbered in place and returned as its n x width view."""
-    texts = list(ids)
-    codes = table.reshape(-1, width)
-    n_rows = codes.shape[0]
-    labels = []
-    # Per column, the first row of each id (a deterministic minimum over
-    # repeated ids) marks the rows where a label first appears, in order.
-    first = np.empty(len(texts), dtype=np.int64)
-    rank = np.empty(len(texts), dtype=np.int64)
-    rows = np.arange(n_rows)
-    for j in range(width):
-        col = codes[:, j].copy()
-        first[col] = n_rows
-        np.minimum.at(first, col, rows)
-        order = col[np.take(first, col) == rows]
-        rank[order] = np.arange(order.size)
-        codes[:, j] = np.take(rank, col)
-        labels.append(tuple(map(texts.__getitem__, order.tolist())))
-    return codes, tuple(labels)
-
-
-def _column_names(
-    names: Sequence[str] | None, width: int, default_prefix: str
-) -> tuple[str, ...]:
+def _column_names(names: Sequence[str] | None, width: int, default_prefix: str) -> tuple[str, ...]:
     if names is None:
         return tuple(f"{default_prefix}{j + 1}" for j in range(width))
     names = tuple(str(n) for n in names)
@@ -144,29 +112,48 @@ def _column_names(
     return names
 
 
-def _compact_codes(
-    codes: np.ndarray, labels: Sequence[Sequence[str]]
-) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
-    """Drop categories that never occur, preserving the given label order."""
+def _compact_codes(codes: np.ndarray, labels: Sequence) -> tuple[np.ndarray, tuple]:
+    """Drop categories that never occur, preserving the given label order.
+    The N x m codes are returned as the transposed view of m x N rows."""
     codes = np.asarray(codes, dtype=np.int64)
-    out = np.empty_like(codes)
+    out = np.empty(codes.shape[::-1], dtype=np.int64)
     kept: list[tuple[str, ...]] = []
-    for j, lab in enumerate(labels):
-        col = codes[:, j]
+    for j, (col, lab) in enumerate(zip(codes.T, labels)):
         if col.min(initial=0) < 0 or col.max(initial=0) >= len(lab):
             raise ShapeError(f"column {j} holds codes outside [0, {len(lab)})")
         used = np.zeros(len(lab), dtype=bool)
         used[col] = True
         if not used.all():
             dropped = [lab[k] for k in np.flatnonzero(~used)]
-            warnings.warn(
-                f"dropping unused categories {dropped} in column {j}",
-                stacklevel=3,
-            )
+            warnings.warn(f"dropping unused categories {dropped} in column {j}", stacklevel=3)
         remap = np.cumsum(used) - 1
-        out[:, j] = remap[col]
+        out[j] = remap[col]
         kept.append(tuple(lab[k] for k in np.flatnonzero(used)))
-    return out, tuple(kept)
+    return out.T, tuple(kept)
+
+
+def _code_rows(
+    codes: np.ndarray, labels: Sequence, names: Sequence[str], outside: str, unused: str
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The N x m ``codes`` of a container as read-only m x N rows (no copy
+    when ``codes`` is the transpose of such rows), and the count of each
+    label of each row.  Raises ``ShapeError`` unless there is one label
+    list and name per row, and the codes of row j index its labels (else
+    ``outside`` names j), each at least once (else ``unused`` does)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 2:
+        raise ShapeError("codes must be a 2-d array")
+    rows = _freeze(codes.T)
+    if len(labels) != len(rows) or len(names) != len(rows):
+        raise ShapeError("labels/names do not match the number of variables")
+    counts, low, high = [], rows.min(axis=1, initial=0), rows.max(axis=1, initial=-1)
+    for j, (row, lab) in enumerate(zip(rows, labels)):
+        if not lab or low[j] < 0 or high[j] >= len(lab):
+            raise ShapeError(f"{outside} of variable {j} outside [0, {len(lab)})")
+        counts.append(_freeze(np.bincount(row, minlength=len(lab))))
+        if not counts[-1].all():
+            raise ShapeError(f"variable {j} {unused}")
+    return rows, counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,25 +163,23 @@ class CategoricalDataset:
     ``codes[i, j]`` is the category index of observation ``i`` on variable
     ``j`` and always lies in ``[0, q[j])``; every category occurs at least
     once.  ``labels[j]`` maps codes back to the original category labels.
+    The codes are stored once, one contiguous row per variable (m x N);
+    ``codes`` is their transposed view, so ``codes[:, j]`` is contiguous.
     """
 
     codes: np.ndarray
     labels: tuple[tuple[str, ...], ...]
     names: tuple[str, ...]
+    # Category frequencies over all Q categories, in Z's column order.
+    counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", _freeze(np.asarray(self.codes, dtype=np.int64)))
-        if self.codes.ndim != 2:
-            raise ShapeError("codes must be a 2-d array")
-        if len(self.labels) != self.codes.shape[1] or len(self.names) != self.codes.shape[1]:
-            raise ShapeError("labels/names do not match the number of variables")
-        for j, lab in enumerate(self.labels):
-            col = self.codes[:, j]
-            q = len(lab)
-            if q == 0 or col.min() < 0 or col.max() >= q:
-                raise ShapeError(f"codes of variable {j} outside [0, {q})")
-            if np.count_nonzero(np.bincount(col, minlength=q)) != q:
-                raise ShapeError(f"variable {j} has categories that never occur")
+        rows, counts = _code_rows(
+            self.codes, self.labels, self.names, "codes", "has categories that never occur"
+        )
+        object.__setattr__(self, "codes", rows.T)
+        counts = np.concatenate([np.zeros(0, dtype=np.int64), *counts])
+        object.__setattr__(self, "counts", _freeze(counts))
 
     @property
     def n_obs(self) -> int:
@@ -223,13 +208,7 @@ class CategoricalDataset:
     def cell_columns(self) -> np.ndarray:
         """m x N: the column of Z that each cell of the table is coded in,
         ``codes + offsets`` with one contiguous row per variable."""
-        return _freeze((self.codes + self.offsets).T)
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        """Category frequencies over all Q categories, in Z's column order."""
-        columns = [np.bincount(self.codes[:, j], minlength=q) for j, q in enumerate(self.q)]
-        return _freeze(np.concatenate(columns))
+        return _freeze(self.codes.T + self.offsets[:, None])
 
     @cached_property
     def column_means(self) -> np.ndarray:
@@ -293,29 +272,24 @@ def encode_dataset(
 class SupplementaryData:
     """Class memberships for H supplementary variables, integer coded.
 
-    Same storage contract as ``CategoricalDataset``; every class has at
-    least one member.
+    Same storage contract as ``CategoricalDataset`` (``codes`` views H x N
+    rows); every class has at least one member.
     """
 
     codes: np.ndarray
     labels: tuple[tuple[str, ...], ...]
     names: tuple[str, ...]
+    # Per variable, the member count of each class.
+    _sizes: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", _freeze(np.asarray(self.codes, dtype=np.int64)))
-        if self.codes.ndim != 2:
-            raise ShapeError("codes must be a 2-d array")
-        if self.codes.shape[1] == 0:
+        rows, sizes = _code_rows(
+            self.codes, self.labels, self.names, "classes", "has classes without members"
+        )
+        object.__setattr__(self, "codes", rows.T)
+        object.__setattr__(self, "_sizes", tuple(sizes))
+        if not sizes:
             raise ShapeError("supplementary data needs at least one variable")
-        if len(self.labels) != self.codes.shape[1] or len(self.names) != self.codes.shape[1]:
-            raise ShapeError("labels/names do not match the number of variables")
-        for h, lab in enumerate(self.labels):
-            col = self.codes[:, h]
-            r = len(lab)
-            if r == 0 or col.min() < 0 or col.max() >= r:
-                raise ShapeError(f"classes of variable {h} outside [0, {r})")
-            if np.count_nonzero(np.bincount(col, minlength=r)) != r:
-                raise ShapeError(f"variable {h} has classes without members")
 
     @property
     def n_obs(self) -> int:
@@ -350,12 +324,13 @@ class SupplementaryData:
     @cached_property
     def _members(self) -> tuple[tuple[np.ndarray, ...], ...]:
         return tuple(
-            tuple(_freeze(np.flatnonzero(self.codes[:, h] == s)) for s in range(r))
-            for h, r in enumerate(self.r)
+            tuple(_freeze(np.flatnonzero(row == s)) for s in range(r))
+            for row, r in zip(self.codes.T, self.r)
         )
 
     def class_sizes(self, h: int) -> np.ndarray:
-        return np.bincount(self.codes[:, h], minlength=self.r[h])
+        """Member count of each class of variable ``h`` (read-only)."""
+        return self._sizes[h]
 
 
 def encode_supplementary(
@@ -435,14 +410,12 @@ class ClusterSpec:
         for h in range(sup.n_sup):
             if len(self.counts[h]) != sup.r[h]:
                 raise SpecError(f"variable {h}: expected {sup.r[h]} class entries")
-            sizes = sup.class_sizes(h)
-            for s, k in enumerate(self.counts[h]):
+            for k, size, label in zip(self.counts[h], sup.class_sizes(h), sup.labels[h]):
+                name = f"{sup.names[h]}:{label}"  # as --k names it
                 if k < 1:
-                    raise SpecError(f"K must be >= 1 for class ({h}, {s})")
-                if k > sizes[s]:
-                    raise SpecError(
-                        f"class ({h}, {s}) has {sizes[s]} members, cannot host {k} clusters"
-                    )
+                    raise SpecError(f"K must be >= 1 for class {name}")
+                if k > size:
+                    raise SpecError(f"class {name} has {size} members, cannot host {k} clusters")
 
 
 @dataclass(frozen=True, eq=False)
@@ -636,29 +609,91 @@ _BLOCK_ROWS = 4096
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
-def _read_file(path: Path) -> tuple[np.ndarray, str]:
-    """The bytes and the text of a UTF-8 file, both without a leading
-    byte-order mark.  The whole file is decoded at once, so a
-    ``UnicodeDecodeError``'s ``start`` is the offending byte's offset in
-    the file."""
-    data = path.read_bytes()
-    text = data.decode("utf-8")
-    bom = text.startswith("\ufeff")
-    return np.frombuffer(data, dtype=np.uint8)[3 * bom :], text[bom:]
+def _storage_order(header: Sequence[str], sup_columns: Sequence[str]) -> list[int]:
+    """The header columns in the order their codes are stored: the
+    analysis variables in header order, then the supplementary columns
+    found in the header, in ``sup_columns`` order."""
+    sup = [header.index(c) for c in sup_columns if c in header]
+    return [j for j in range(len(header)) if j not in sup] + sup
 
 
-def _plain_coded(buf: np.ndarray, text: str) -> tuple[list[str], np.ndarray, dict, list] | None:
-    """Header, flat cell-id table, ids by label and (no) ragged row of a
-    CSV file of bytes ``buf`` and text ``text``, coded straight from the
-    bytes; None when the bytes cannot be read so exactly as ``csv.reader``
-    reads the text.
+class _ColumnCoder:
+    """One CSV column's vocabulary: its distinct cells as exact keys in
+    order of first appearance (``by_code[c]`` is the key of code c), and
+    the same keys sorted, with the code of each.  A key is a cell's words
+    (``_block_cells``) up to the key width: one uint64 while every cell
+    seen fits 8 bytes, else one raw value.  No cell holds a NUL byte, so
+    equal keys are equal cells: an exact key, not a hash.
+    """
 
-    They can when the file has a non-empty header of distinct names, no
-    quote, carriage return or NUL byte (so lines end only at ``\\n`` and
-    no field is quoted), no line longer than ``csv.field_size_limit()``
-    bytes, and every line that is not blank has the header's width and no
-    empty cell.  Lines are coded ``_BLOCK_ROWS`` at a time by
-    ``_block_ids``.
+    def __init__(self) -> None:
+        self.by_code = self.keys = np.empty(0, dtype=np.uint64)
+        self.codes = np.empty(0, dtype=np.intp)
+
+    def _sort(self) -> None:
+        self.codes = self.by_code.argsort()
+        self.keys = self.by_code[self.codes]
+
+    def code(self, words: np.ndarray, out: np.ndarray) -> None:
+        """Write the codes of the cells given by their n x w words into
+        ``out``.  Each cell is looked up by ``searchsorted`` and an
+        equality check; the cells missing from the vocabulary get the
+        next codes, in order of first appearance."""
+        if not len(words):
+            return
+        keys = self._keys(words)
+        missed = np.arange(len(keys))
+        if self.keys.size:
+            at = np.searchsorted(self.keys, keys)
+            self.codes.take(at, out=out, mode="clip")
+            missed = np.flatnonzero(self.keys.take(at, mode="clip") != keys)
+            if not missed.size:
+                return
+            keys = keys[missed]
+        order = keys.argsort()
+        ranked = keys[order]
+        new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+        runs = new.nonzero()[0]
+        first = np.minimum.reduceat(order, runs).argsort()  # the new keys by first appearance
+        codes = first.argsort() + self.by_code.size
+        out[missed[order]] = codes.take(np.cumsum(new) - 1)
+        self.by_code = np.concatenate((self.by_code, ranked[runs[first]]))
+        self._sort()
+
+    def _keys(self, words: np.ndarray) -> np.ndarray:
+        """The keys of n x w words at the wider of w and the vocabulary's
+        width, to which the vocabulary is widened first."""
+        width = self.by_code.itemsize // 8
+        if words.shape[1] > width:
+            self.by_code = _raw_keys(self.by_code.view("<u8").reshape(-1, width), words.shape[1])
+            self._sort()
+            width = words.shape[1]
+        return words[:, 0] if width == 1 else _raw_keys(words, width)
+
+    @property
+    def labels(self) -> list[str]:
+        """The label of each code."""
+        raw = self.by_code.view(f"S{self.by_code.itemsize}").tolist()
+        return [cell.decode("utf-8") for cell in raw]
+
+
+def _raw_keys(words: np.ndarray, width: int) -> np.ndarray:
+    """n x w words as n raw values of ``width`` >= w words, zero-padded."""
+    padded = np.zeros((len(words), width), dtype="<u8")
+    padded[:, : words.shape[1]] = words
+    return padded.view(f"V{8 * width}").reshape(-1)
+
+
+def _plain_coded(buf: np.ndarray, text: str, sup_columns: Sequence[str]) -> tuple | None:
+    """What ``_reader_coded`` gives for a CSV file of bytes ``buf`` and
+    text ``text``, coded straight from the bytes: each column of each
+    block of ``_BLOCK_ROWS`` lines by its ``_ColumnCoder``, into its row
+    of the table.  None when the bytes cannot be read so exactly as
+    ``csv.reader`` reads the text: unless the file has a non-empty header
+    of distinct names, no quote, carriage return or NUL byte (so lines
+    end only at ``\\n`` and no field is quoted), no line longer than
+    ``csv.field_size_limit()`` bytes, and every line that is not blank has
+    the header's width and no empty cell.
     """
     if not text or any(map(text.__contains__, '"\r\0')):
         return None
@@ -666,83 +701,59 @@ def _plain_coded(buf: np.ndarray, text: str) -> tuple[list[str], np.ndarray, dic
     if buf[-1] != ord("\n"):
         ends = np.append(ends, buf.size)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    if ends[0] == 0 or (ends - starts).max() > csv.field_size_limit():
-        return None
     header = buf[: ends[0]].tobytes().decode("utf-8").split(",")
-    if len(set(header)) != len(header):
+    limit = csv.field_size_limit()
+    if ends[0] == 0 or (ends - starts).max() > limit or len(set(header)) != len(header):
         return None
-    width = len(header)
-    ids = defaultdict(count().__next__)
-    table = np.empty((len(ends) - 1) * width, dtype=np.int64)
-    end = 0
+    order = _storage_order(header, sup_columns)
+    coders = [_ColumnCoder() for _ in order]
+    table = np.empty((len(order), np.count_nonzero(ends[1:] > starts[1:])), dtype=np.int64)
+    done = 0
     for lo in range(1, len(ends), _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(ends))
-        block = _block_ids(buf[starts[lo] : ends[hi - 1]], width, ids)
-        if block is None:
+        hi, base = min(lo + _BLOCK_ROWS, len(ends)), starts[lo]
+        cells = _block_cells(
+            buf[base : ends[hi - 1]], starts[lo:hi] - base, ends[lo:hi] - base, len(header)
+        )
+        if cells is None:
             return None
-        table[end : end + block.size] = block
-        end += block.size
-    return header, table[:end], ids, []
+        k = len(cells[0])
+        for j, coder, row in zip(order, coders, table):
+            coder.code(cells[j], row[done : done + k])
+        done += k
+    return header, order, table, [coder.labels for coder in coders], []
 
 
-def _block_ids(chunk: np.ndarray, width: int, ids: dict) -> np.ndarray | None:
-    """The ids (from ``ids``, by label) of the cells of ``chunk``, the bytes
-    of whole lines less the last line end; None when a line that is not
-    blank has other than ``width`` cells, or an empty cell.
-
-    A cell of L bytes is read as ceil(L / 8) little-endian uint64 words,
-    the last one masked to its bytes.  No cell holds a NUL byte, so equal
-    words are equal cells: an exact key, not a hash.  The cells of each
-    word count get their ids from ``_cell_ids``.
+def _block_cells(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> list | None:
+    """Per column, the n x w words of the cells of ``raw``, the bytes of
+    the lines that start at ``starts`` and end at ``ends``; blank lines
+    are skipped.  A cell of L bytes is ceil(L / 8) little-endian uint64
+    words, the last one masked to its bytes, then zero words up to the
+    most words of a cell of its column.  None when another line has other
+    than ``width`` cells, or an empty cell.
     """
-    seps = np.flatnonzero((chunk == ord(",")) | (chunk == ord("\n")))
-    line_end = np.append(chunk[seps] == ord("\n"), True)
-    seps = np.append(seps, chunk.size)
-    starts = np.concatenate(([0], seps[:-1] + 1))
-    lengths = seps - starts
-    if not lengths.all():
-        # a blank line is an empty cell that is a whole line
-        line_start = np.append(True, line_end[:-1])
-        kept = (lengths > 0) | ~(line_start & line_end)
-        starts, lengths, line_end = starts[kept], lengths[kept], line_end[kept]
-        if not lengths.all():
-            return None
-    if starts.size != np.count_nonzero(line_end) * width or not line_end[width - 1 :: width].all():
+    filled = ends > starts
+    commas = np.flatnonzero(raw == ord(","))
+    per_line = np.searchsorted(commas, ends) - np.searchsorted(commas, starts)
+    if not (per_line[filled] == width - 1).all():
         return None
-    padded = np.zeros(chunk.size + 8, dtype=np.uint8)
-    padded[: chunk.size] = chunk
+    cuts = commas.reshape(np.count_nonzero(filled), width - 1).T
+    lo = np.vstack((starts[filled], cuts + 1))
+    lengths = np.vstack((cuts, ends[filled])) - lo
+    if not lengths.all():
+        return None
+    padded = np.zeros(raw.size + 8, dtype=np.uint8)
+    padded[: raw.size] = raw
     # the 8 bytes from each offset, one unaligned little-endian word
-    window = np.ndarray((chunk.size + 1,), dtype="<u8", buffer=padded, strides=(1,))
-    counts = (lengths + 7) // 8
-    groups = np.flatnonzero(np.bincount(counts)).tolist()
-    block = np.empty(starts.size, dtype=np.int64)
-    for w in groups:
-        cells = slice(None) if len(groups) == 1 else np.flatnonzero(counts == w)
-        block[cells] = _cell_ids(window, starts[cells], lengths[cells], w, ids)
-    return block
-
-
-def _cell_ids(
-    window: np.ndarray, starts: np.ndarray, lengths: np.ndarray, w: int, ids: dict
-) -> np.ndarray:
-    """The ids (from ``ids``, by label) of the cells of ``w`` words that
-    start at ``starts`` of ``window``.
-
-    The cells are numbered by their first word, then each next word
-    refines the numbering: the pairs (number, word number) are numbered
-    again by one ``np.unique``.  Only one cell of each number is decoded.
-    """
-    words = [window.take(starts + 8 * k) for k in range(w)]
-    words[-1] &= _MASKS[lengths - 8 * (w - 1)]
-    distinct, numbers = np.unique(words[0], return_inverse=True)
-    for word in words[1:]:
-        values, word_numbers = np.unique(word, return_inverse=True)
-        distinct, numbers = np.unique(numbers * len(values) + word_numbers, return_inverse=True)
-    first = np.empty(len(distinct), dtype=np.intp)
-    first[numbers] = np.arange(len(numbers))
-    raw, size = np.stack([word[first] for word in words], axis=1).tobytes(), 8 * len(words)
-    labels = [raw[i : i + size].rstrip(b"\0").decode("utf-8") for i in range(0, len(raw), size)]
-    return np.fromiter(map(ids.__getitem__, labels), np.int64, len(labels))[numbers]
+    window = np.ndarray((raw.size + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    words = window.take(lo)
+    words &= _MASKS.take(lengths, mode="clip")
+    columns = [row[:, None] for row in words]
+    for j in np.flatnonzero(lengths.max(axis=1, initial=0) > 8):
+        columns[j] = np.column_stack([
+            window.take(lo[j] + k, mode="clip") & _MASKS.take(lengths[j] - k, mode="clip")
+            for k in range(0, int(lengths[j].max()), 8)
+        ])
+    return columns
 
 
 def _reader_rows(path: Path, text: str) -> Iterator[list[str]]:
@@ -755,10 +766,11 @@ def _reader_rows(path: Path, text: str) -> Iterator[list[str]]:
         raise ShapeError(f"{path} line {reader.line_num}: {exc}") from None
 
 
-def _reader_coded(path: Path, text: str) -> tuple[list[str], np.ndarray, dict, list]:
-    """Header, flat cell-id table, ids by label and ragged row (as
-    ``_cell_blocks`` gives it) of the CSV text of ``path``, read by
-    ``csv.reader`` and coded block by block."""
+def _reader_coded(path: Path, text: str, sup_columns: Sequence[str]) -> tuple:
+    """Header, storage order (``_storage_order``), table (row r holds the
+    codes of header column ``order[r]``), labels of each row and ragged
+    row (``_column_blocks``) of the CSV text of ``path``, read by
+    ``csv.reader`` and coded by ``_dict_coded``."""
     rows = _reader_rows(path, text)
     header = next(rows, None)
     if header is None:
@@ -768,21 +780,17 @@ def _reader_coded(path: Path, text: str) -> tuple[list[str], np.ndarray, dict, l
     if "\0" in "".join(header):
         name = next(name for name in header if "\0" in name)
         raise ShapeError(f"{path} line 1: NUL byte in header column {name!r}")
-    width, ragged = len(header), []
-    blocks = _cell_blocks(filter(None, rows), width, ragged)
-    bound = text.count("\n") + text.count("\r") + 1  # lines, so at least the rows
-    return header, *_code_blocks(blocks, bound * width), ragged
+    order, ragged = _storage_order(header, sup_columns), []
+    blocks = _column_blocks(filter(None, rows), len(header), ragged)
+    table, labels = _dict_coded(([cells[j] for j in order] for cells in blocks), len(order))
+    return header, order, table, labels, ragged
 
 
-def _cell_blocks(
-    rows: Iterator[list[str]], width: int, ragged: list[tuple[int, int]]
-) -> Iterator[list[str]]:
-    """The flat cell lists of successive blocks of ``_BLOCK_ROWS`` rows.
-
-    At the first row that is not ``width`` cells wide, its index and width
-    are appended to ``ragged`` and no more blocks are made; the remaining
-    rows are still read, so that a ``csv.Error`` in a later row is still
-    the error reported.
+def _column_blocks(rows: Iterator[list[str]], width: int, ragged: list) -> Iterator[list]:
+    """The columns of successive blocks of ``_BLOCK_ROWS`` rows.  At the
+    first row that is not ``width`` cells wide, its index and width are
+    appended to ``ragged`` and no more blocks are made; the remaining rows
+    are still read, so that a ``csv.Error`` in a later row is reported.
     """
     done = 0
     while block := list(islice(rows, _BLOCK_ROWS)):
@@ -792,7 +800,7 @@ def _cell_blocks(
             ragged.append((done + i, sizes[i]))
             deque(rows, maxlen=0)
             return
-        yield list(chain.from_iterable(block))
+        yield list(zip(*block))
         done += len(block)
 
 
@@ -821,28 +829,27 @@ def read_csv_dataset(
     remaining columns are analysis variables, in header order.  Missing
     values and NUL bytes are not supported.
 
-    The file is read once and decoded once as a whole.  A plain file is
-    coded straight from its bytes (``_plain_coded``): one with no quote,
-    carriage return or NUL, no line longer than the field size limit, a
-    header of distinct names on its first line, and every other line
-    blank or of the header's width with no empty cell.  Any other file
-    goes through ``csv.reader`` (``_reader_coded``), which reports every
-    error with its file line.  Both give the same codes, labels and
-    errors.  The whole table is coded once, block by block, renumbered in
-    place, and both containers copy their columns out of it once.
+    The file is read and decoded once, as a whole.  A plain file is coded
+    straight from its bytes (``_plain_coded``), any other through
+    ``csv.reader`` (``_reader_coded``); both give the same codes, labels
+    and errors.  Each column is coded by first appearance into its row of
+    one width x N table, analysis variables first, and the containers
+    keep their rows of it as they are.
     """
     path = Path(path)
     if len(set(sup_columns)) != len(sup_columns):
         raise ShapeError(f"supplementary columns {list(sup_columns)} repeat a column")
-    buf, text = _read_file(path)
-    header, table, ids, ragged = _plain_coded(buf, text) or _reader_coded(path, text)
-    width = len(header)
+    data = path.read_bytes()
+    text = data.decode("utf-8")  # at once, so an error's start is the byte's file offset
+    bom = text.startswith("\ufeff")
+    buf, text = np.frombuffer(data, dtype=np.uint8)[3 * bom :], text[bom:]
+    coded = _plain_coded(buf, text, sup_columns) or _reader_coded(path, text, sup_columns)
+    header, order, table, labels, ragged = coded
     missing = [c for c in sup_columns if c not in header]
     if missing:
         raise ShapeError(f"{path}: supplementary columns {missing} not in header {header}")
-    sup_idx = [header.index(c) for c in sup_columns]
-    var_idx = [j for j in range(width) if j not in sup_idx]
-    if not var_idx:
+    m = len(header) - len(sup_columns)
+    if not m:
         raise ShapeError(f"{path}: no analysis variables left after removing {list(sup_columns)}")
 
     def row_name(i: int) -> str:
@@ -850,23 +857,15 @@ def read_csv_dataset(
 
     if ragged:
         i, cells = ragged[0]
-        raise ShapeError(f"{row_name(i)} has {cells} cells, expected {width}")
-    if table.size == 0:
+        raise ShapeError(f"{row_name(i)} has {cells} cells, expected {len(header)}")
+    if table.shape[1] == 0:
         raise ShapeError(f"{path}: no data rows after the header")
-    _check_filled(table, ids, width, row_name, header)
-    nul = [k for cell, k in ids.items() if "\0" in cell]
-    if nul:
-        i, j = _first_cell(table, nul, width)
+    _check_filled(table, labels, order, row_name, header)
+    nul = [[k for k, cell in enumerate(lab) if "\0" in cell] for lab in labels]
+    if any(nul):
+        i, j = _first_cell(table, order, nul)
         raise ShapeError(f"{row_name(i)}: NUL byte in column {header[j]!r}")
-    codes, labels = _renumbered(table, ids, width)
-    ds = CategoricalDataset(
-        codes=codes.take(var_idx, axis=1),
-        labels=tuple(labels[j] for j in var_idx),
-        names=tuple(header[j] for j in var_idx),
-    )
-    sup = SupplementaryData(
-        codes=codes.take(sup_idx, axis=1),
-        labels=tuple(labels[j] for j in sup_idx),
-        names=tuple(header[j] for j in sup_idx),
-    )
+    labels, names = tuple(map(tuple, labels)), tuple(header[j] for j in order)
+    ds = CategoricalDataset(codes=table[:m].T, labels=labels[:m], names=names[:m])
+    sup = SupplementaryData(codes=table[m:].T, labels=labels[m:], names=names[m:])
     return ds, sup

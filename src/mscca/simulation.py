@@ -104,19 +104,19 @@ def generate_clustered(spec: GenSpec) -> tuple[CategoricalDataset, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     n, m, q, k = spec.n_obs, spec.n_vars, spec.q, spec.k
     truth = rng.integers(0, k, size=n)
-    codes = np.empty((n, m), dtype=np.int64)
+    codes = np.empty((m, n), dtype=np.int64)  # the containers' layout, a row per variable
     for j in range(spec.n_active):
         _signal, probs = signal_distributions(rng, q, k, spec.high_prob)
         cumulative = probs.cumsum(axis=1)
         u = rng.random(n)
-        codes[:, j] = (u[:, None] > cumulative[truth]).sum(axis=1)
+        codes[j] = (u[:, None] > cumulative[truth]).sum(axis=1)
     for j in range(spec.n_active, m):
-        codes[:, j] = rng.integers(0, q, size=n)
+        codes[j] = rng.integers(0, q, size=n)
     labels = tuple(tuple(f"c{x + 1}" for x in range(q)) for _ in range(m))
     names = tuple(f"v{j + 1}" for j in range(m))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # synthetic labels, drops are routine
-        dataset = CategoricalDataset.from_codes(codes, labels, names)
+        dataset = CategoricalDataset.from_codes(codes.T, labels, names)
     return dataset, truth
 
 
@@ -156,15 +156,15 @@ def generate_supplementary(spec: SupGenSpec, n_obs: int) -> SupplementaryData:
     rng = np.random.default_rng(spec.seed)
     r = spec.r
     cumulative = class_probabilities(r, spec.balance).cumsum()
-    codes = np.empty((n_obs, spec.n_sup), dtype=np.int64)
+    codes = np.empty((spec.n_sup, n_obs), dtype=np.int64)  # a row per variable, as stored
     for h in range(spec.n_sup):
         u = rng.random(n_obs)
-        codes[:, h] = (u[:, None] > cumulative[None, :]).sum(axis=1)
+        codes[h] = (u[:, None] > cumulative[None, :]).sum(axis=1)
     labels = tuple(tuple(f"c{s + 1}" for s in range(r)) for _ in range(spec.n_sup))
     names = tuple(f"s{h + 1}" for h in range(spec.n_sup))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # synthetic labels, drops are routine
-        return SupplementaryData.from_codes(codes, labels, names)
+        return SupplementaryData.from_codes(codes.T, labels, names)
 
 
 # Illustration composition: (cluster, nationality, gender, member count).

@@ -477,13 +477,15 @@ def _chunk_size(dataset: CategoricalDataset, spec: ClusterSpec, p: int) -> int:
 
 class _ChunkResult(NamedTuple):
     """Where each start of a chunk ended: S x N x H clusters, S x K x p
-    centers, S x Q x p quantifications, S traces and S converged flags."""
+    centers, S x Q x p quantifications, S traces, S converged flags and S
+    values of psi."""
 
     clusters: np.ndarray
     centers: np.ndarray
     quantifications: np.ndarray
     traces: list[tuple[float, ...]]
     converged: np.ndarray
+    psi: np.ndarray
 
 
 def _run_start(
@@ -507,7 +509,9 @@ def _run_start(
     The trace records the objective after each centering update, where
     the centers are exact for the current assignment, so it reads
     phi = p - psi / (N H m^2) from the cluster sizes and centers; the
-    final entry is replaced by the direct residual sum.  A start whose
+    final entry is replaced by the direct residual sum.  Each start's psi
+    at its end, read from its count table, sizes and centers, is kept: a
+    lone start's sums have the bits of ``psi_value``'s.  A start whose
     assignment step empties a cluster is repaired alone, and keeps its
     previous (feasible) assignment whenever the repair would have pushed
     the objective up, so the trace never increases beyond float jitter.
@@ -528,6 +532,7 @@ def _run_start(
     end_centers = np.empty((n_chunk, spec.k_total, p))
     end_quantifications = np.empty((n_chunk, dataset.total_categories, p))
     converged = np.zeros(n_chunk, dtype=bool)
+    end_psi = np.empty(n_chunk)
     cycles: list[np.ndarray] = []  # per cycle, the objective of each start still running
     lengths = np.zeros(n_chunk, dtype=np.int64)
     live = np.arange(n_chunk)  # chunk position of each start still running
@@ -547,6 +552,7 @@ def _run_start(
             end_rows[done], end_centers[done] = rows[stop], centers[stop]
             end_quantifications[done] = quantifications[stop]
             converged[done], lengths[done] = settled[stop], t + 1
+            end_psi[done] = dataset.n_vars**2 * spread[stop]
             go = ~stop
             if not go.any():
                 break
@@ -582,6 +588,7 @@ def _run_start(
         quantifications=end_quantifications,
         traces=[tuple(row[:length].tolist()) for row, length in zip(trace, lengths)],
         converged=converged,
+        psi=end_psi,
     )
 
 
@@ -641,9 +648,9 @@ def fit_mscca(
     seeds = np.random.SeedSequence(options.seed).spawn(options.n_starts)
     chunk = _chunk_size(dataset, spec, options.p)
     traces: list[tuple[float, ...]] = []
-    # Ends (clusters, centers, quantifications, converged) of the starts
-    # that can still win; a start dropped here never can.
-    contenders: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, bool]] = {}
+    # Ends (clusters, centers, quantifications, converged, psi) of the
+    # starts that can still win; a start dropped here never can.
+    contenders: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, bool, float]] = {}
     for lo in range(0, options.n_starts, chunk):
         ends = _run_start(dataset, sup, spec, options, seeds[lo : lo + chunk])
         traces.extend(ends.traces)
@@ -655,16 +662,16 @@ def fit_mscca(
                 ends.centers[s].copy(),
                 ends.quantifications[s].copy(),
                 bool(ends.converged[s]),
+                float(ends.psi[s]),
             )
     best_index = _winner([trace[-1] for trace in traces])
-    clusters, centers, quantifications, converged = contenders[best_index]
-    assignment = HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
+    clusters, centers, quantifications, converged, psi = contenders[best_index]
     return MsccaSolution(
-        assignment=assignment,
+        assignment=HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters),
         centers=centers,
         quantifications=quantifications,
         objective=traces[best_index][-1],
-        psi=psi_value(assignment, quantifications, dataset),
+        psi=psi,
         objective_trace=traces[best_index],
         start_index=best_index,
         converged=converged,

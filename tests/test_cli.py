@@ -177,6 +177,22 @@ class TestFit:
         ]
         assert main(args) == 3
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("2", "class g:M has 1 members, cannot host 2 clusters"),
+            ("0", "K must be >= 1 for class g:M"),
+        ],
+    )
+    def test_spec_error_names_the_class_as_k_does(self, tmp_path, capsys, k, message):
+        # one member in class M: the message names it as --k does
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,g\nx,y,M\ny,x,F\nx,x,F\ny,y,F\n", encoding="utf-8")
+        argv = ["fit", "--input", str(path), "--sup-cols", "g", "--k", f"g:M:{k}"]
+        argv += ["--k", "g:F:1", "--starts", "1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_oversized_k_max_exit_3_before_any_fit(
         self, illustration_csv, tmp_path, capsys, monkeypatch
     ):

@@ -1119,6 +1119,30 @@ class TestChunkSizing:
         assert peak <= mscca.solver._CHUNK_BYTES <= 3.6 * 2**20
 
 
+class TestPsiFromEndCounts:
+    """``fit_mscca`` reads psi from the count table the engine kept for the
+    winning start; it has the bytes of the recount ``psi_value``."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_sup=st.integers(1, 3), p=st.integers(1, 3))
+    def test_random_designs(self, seed, n_sup, p):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 80))
+        ds, sup, spec = random_mixed_problem(rng, n=n, m=4, q=3, n_sup=n_sup)
+        options = SolverOptions(
+            p=p,
+            n_starts=int(rng.integers(1, 9)),
+            max_iter=int(rng.integers(1, 15)),
+            seed=int(rng.integers(2**31)),
+        )
+        sol = fit_mscca(ds, sup, spec, options)
+        assert sol.psi.hex() == psi_value(sol.assignment, sol.quantifications, ds).hex()
+
+    def test_criterion_10_fit(self):
+        ds, sup, spec = criterion_10_problem()
+        sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=100, seed=0))
+        assert sol.psi.hex() == psi_value(sol.assignment, sol.quantifications, ds).hex()
+
+
 class TestChunkedObjective:
     def test_large_blocks_match_sequential_oracle(self):
         # N p = 10 000: a stacked einsum over the chunk's N x p blocks
