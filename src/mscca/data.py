@@ -16,7 +16,7 @@ import warnings
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -91,7 +91,11 @@ def _first_cell(rows: np.ndarray, columns: Sequence[int], keys: Sequence) -> tup
 
 
 def _check_filled(
-    rows: np.ndarray, labels: Sequence, columns: Sequence[int], row_name: Callable, header
+    rows: np.ndarray,
+    labels: Sequence[Sequence[str]],
+    columns: Sequence[int],
+    row_name: Callable[[int], str],
+    header: Sequence[str] | None,
 ) -> None:
     """Raise ``MissingValueError`` naming the row and column of the
     row-major first empty cell (``None`` or ``""``) of a table given as in
@@ -103,7 +107,9 @@ def _check_filled(
         raise MissingValueError(f"{row_name(i)}: empty cell in column {column}")
 
 
-def _column_names(names: Sequence[str] | None, width: int, default_prefix: str) -> tuple[str, ...]:
+def _column_names(
+    names: Sequence[str] | None, width: int, default_prefix: str
+) -> tuple[str, ...]:
     if names is None:
         return tuple(f"{default_prefix}{j + 1}" for j in range(width))
     names = tuple(str(n) for n in names)
@@ -112,7 +118,9 @@ def _column_names(names: Sequence[str] | None, width: int, default_prefix: str) 
     return names
 
 
-def _compact_codes(codes: np.ndarray, labels: Sequence) -> tuple[np.ndarray, tuple]:
+def _compact_codes(
+    codes: np.ndarray, labels: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, tuple[tuple[str, ...], ...]]:
     """Drop categories that never occur, preserving the given label order.
     The N x m codes are returned as the transposed view of m x N rows."""
     codes = np.asarray(codes, dtype=np.int64)
@@ -125,7 +133,10 @@ def _compact_codes(codes: np.ndarray, labels: Sequence) -> tuple[np.ndarray, tup
         used[col] = True
         if not used.all():
             dropped = [lab[k] for k in np.flatnonzero(~used)]
-            warnings.warn(f"dropping unused categories {dropped} in column {j}", stacklevel=3)
+            warnings.warn(
+                f"dropping unused categories {dropped} in column {j}",
+                stacklevel=3,
+            )
         remap = np.cumsum(used) - 1
         out[j] = remap[col]
         kept.append(tuple(lab[k] for k in np.flatnonzero(used)))
@@ -618,31 +629,37 @@ def _storage_order(header: Sequence[str], sup_columns: Sequence[str]) -> list[in
 
 
 class _ColumnCoder:
-    """One CSV column's vocabulary: its distinct cells as exact keys in
-    order of first appearance (``by_code[c]`` is the key of code c), and
-    the same keys sorted, with the code of each.  A key is a cell's words
-    (``_block_cells``) up to the key width: one uint64 while every cell
-    seen fits 8 bytes, else one raw value.  No cell holds a NUL byte, so
-    equal keys are equal cells: an exact key, not a hash.
+    """One CSV column's vocabulary, in order of first appearance.
+
+    While every cell seen fits 8 bytes, a cell's key is its masked
+    little-endian word (``_block_cells``): ``by_code[c]`` is the key of
+    code c, and ``keys`` holds the same keys sorted, with the code of each
+    in ``codes``.  No cell holds a NUL byte, so equal keys are equal
+    cells: an exact key, not a hash.  From the first longer cell on, the
+    column is coded by a dict of its labels (``ids``), as ``_dict_coded``
+    codes a column.
     """
 
     def __init__(self) -> None:
         self.by_code = self.keys = np.empty(0, dtype=np.uint64)
         self.codes = np.empty(0, dtype=np.intp)
+        self.ids: dict | None = None
 
-    def _sort(self) -> None:
-        self.codes = self.by_code.argsort()
-        self.keys = self.by_code[self.codes]
-
-    def code(self, words: np.ndarray, out: np.ndarray) -> None:
-        """Write the codes of the cells given by their n x w words into
-        ``out``.  Each cell is looked up by ``searchsorted`` and an
-        equality check; the cells missing from the vocabulary get the
-        next codes, in order of first appearance."""
-        if not len(words):
+    def code(self, cells: np.ndarray | list[str], out: np.ndarray) -> None:
+        """Write the codes of a block's cells into ``out``.  Cells given by
+        their keys are looked up by ``searchsorted`` and an equality check;
+        the cells missing from the vocabulary get the next codes, in order
+        of first appearance.  Cells given as texts are coded by the dict
+        of labels, which starts from the keys' labels."""
+        if isinstance(cells, list):
+            if self.ids is None:
+                labels = self.labels
+                self.ids = defaultdict(count(len(labels)).__next__, zip(labels, count()))
+            out[:] = np.fromiter(map(self.ids.__getitem__, cells), np.int64, len(cells))
             return
-        keys = self._keys(words)
-        missed = np.arange(len(keys))
+        keys, missed = cells, np.arange(len(cells))
+        if not len(keys):
+            return
         if self.keys.size:
             at = np.searchsorted(self.keys, keys)
             self.codes.take(at, out=out, mode="clip")
@@ -658,42 +675,29 @@ class _ColumnCoder:
         codes = first.argsort() + self.by_code.size
         out[missed[order]] = codes.take(np.cumsum(new) - 1)
         self.by_code = np.concatenate((self.by_code, ranked[runs[first]]))
-        self._sort()
-
-    def _keys(self, words: np.ndarray) -> np.ndarray:
-        """The keys of n x w words at the wider of w and the vocabulary's
-        width, to which the vocabulary is widened first."""
-        width = self.by_code.itemsize // 8
-        if words.shape[1] > width:
-            self.by_code = _raw_keys(self.by_code.view("<u8").reshape(-1, width), words.shape[1])
-            self._sort()
-            width = words.shape[1]
-        return words[:, 0] if width == 1 else _raw_keys(words, width)
+        self.codes = self.by_code.argsort()
+        self.keys = self.by_code[self.codes]
 
     @property
     def labels(self) -> list[str]:
         """The label of each code."""
-        raw = self.by_code.view(f"S{self.by_code.itemsize}").tolist()
-        return [cell.decode("utf-8") for cell in raw]
-
-
-def _raw_keys(words: np.ndarray, width: int) -> np.ndarray:
-    """n x w words as n raw values of ``width`` >= w words, zero-padded."""
-    padded = np.zeros((len(words), width), dtype="<u8")
-    padded[:, : words.shape[1]] = words
-    return padded.view(f"V{8 * width}").reshape(-1)
+        if self.ids is not None:
+            return list(self.ids)
+        return [cell.decode("utf-8") for cell in self.by_code.view("S8").tolist()]
 
 
 def _plain_coded(buf: np.ndarray, text: str, sup_columns: Sequence[str]) -> tuple | None:
     """What ``_reader_coded`` gives for a CSV file of bytes ``buf`` and
-    text ``text``, coded straight from the bytes: each column of each
-    block of ``_BLOCK_ROWS`` lines by its ``_ColumnCoder``, into its row
-    of the table.  None when the bytes cannot be read so exactly as
-    ``csv.reader`` reads the text: unless the file has a non-empty header
-    of distinct names, no quote, carriage return or NUL byte (so lines
-    end only at ``\\n`` and no field is quoted), no line longer than
-    ``csv.field_size_limit()`` bytes, and every line that is not blank has
-    the header's width and no empty cell.
+    text ``text``, coded straight from the bytes; None when the bytes
+    cannot be read so exactly as ``csv.reader`` reads the text.
+
+    They can when the file has a non-empty header of distinct names, no
+    quote, carriage return or NUL byte (so lines end only at ``\\n`` and
+    no field is quoted), no line longer than ``csv.field_size_limit()``
+    bytes, and every line that is not blank has the header's width and no
+    empty cell.  Each column of each block of ``_BLOCK_ROWS`` lines
+    (``_block_cells``) is coded by its ``_ColumnCoder`` into its row of
+    the table.
     """
     if not text or any(map(text.__contains__, '"\r\0')):
         return None
@@ -701,58 +705,66 @@ def _plain_coded(buf: np.ndarray, text: str, sup_columns: Sequence[str]) -> tupl
     if buf[-1] != ord("\n"):
         ends = np.append(ends, buf.size)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    header = buf[: ends[0]].tobytes().decode("utf-8").split(",")
-    limit = csv.field_size_limit()
-    if ends[0] == 0 or (ends - starts).max() > limit or len(set(header)) != len(header):
+    if ends[0] == 0 or (ends - starts).max() > csv.field_size_limit():
         return None
-    order = _storage_order(header, sup_columns)
-    coders = [_ColumnCoder() for _ in order]
-    table = np.empty((len(order), np.count_nonzero(ends[1:] > starts[1:])), dtype=np.int64)
+    header = buf[: ends[0]].tobytes().decode("utf-8").split(",")
+    if len(set(header)) != len(header):
+        return None
+    starts, ends = starts[ends > starts], ends[ends > starts]  # blank lines are skipped
+    order, coders = _storage_order(header, sup_columns), [_ColumnCoder() for _ in header]
+    table = np.empty((len(order), len(ends) - 1), dtype=np.int64)
     done = 0
     for lo in range(1, len(ends), _BLOCK_ROWS):
         hi, base = min(lo + _BLOCK_ROWS, len(ends)), starts[lo]
-        cells = _block_cells(
-            buf[base : ends[hi - 1]], starts[lo:hi] - base, ends[lo:hi] - base, len(header)
-        )
+        decoded = [coder.ids is not None for coder in coders]
+        raw = buf[base : ends[hi - 1]]
+        cells = _block_cells(raw, starts[lo:hi] - base, ends[lo:hi] - base, decoded)
         if cells is None:
             return None
         k = len(cells[0])
-        for j, coder, row in zip(order, coders, table):
-            coder.code(cells[j], row[done : done + k])
+        for j, row in zip(order, table):
+            coders[j].code(cells[j], row[done : done + k])
         done += k
-    return header, order, table, [coder.labels for coder in coders], []
+    return header, order, table, [coders[j].labels for j in order], []
 
 
-def _block_cells(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> list | None:
-    """Per column, the n x w words of the cells of ``raw``, the bytes of
-    the lines that start at ``starts`` and end at ``ends``; blank lines
-    are skipped.  A cell of L bytes is ceil(L / 8) little-endian uint64
-    words, the last one masked to its bytes, then zero words up to the
-    most words of a cell of its column.  None when another line has other
-    than ``width`` cells, or an empty cell.
+def _block_cells(
+    raw: np.ndarray, starts: np.ndarray, ends: np.ndarray, decoded: Sequence[bool]
+) -> list | None:
+    """Per column, the cells of ``raw``, the bytes of the lines that start
+    at ``starts`` and end at ``ends`` (and of blank lines between them).
+    None when a line has other than ``len(decoded)`` cells, or an empty
+    cell.
+
+    A column's cells are given by their keys, each cell's bytes as one
+    little-endian uint64 masked to its length, unless the column is
+    ``decoded`` or has a cell longer than 8 bytes: then they are given as
+    their texts.
     """
-    filled = ends > starts
+    width = len(decoded)
     commas = np.flatnonzero(raw == ord(","))
     per_line = np.searchsorted(commas, ends) - np.searchsorted(commas, starts)
-    if not (per_line[filled] == width - 1).all():
+    if not (per_line == width - 1).all():
         return None
-    cuts = commas.reshape(np.count_nonzero(filled), width - 1).T
-    lo = np.vstack((starts[filled], cuts + 1))
-    lengths = np.vstack((cuts, ends[filled])) - lo
+    cuts = commas.reshape(len(starts), width - 1).T
+    at = np.vstack((starts, cuts + 1))
+    lengths = np.vstack((cuts, ends)) - at
     if not lengths.all():
         return None
     padded = np.zeros(raw.size + 8, dtype=np.uint8)
     padded[: raw.size] = raw
     # the 8 bytes from each offset, one unaligned little-endian word
     window = np.ndarray((raw.size + 1,), dtype="<u8", buffer=padded, strides=(1,))
-    words = window.take(lo)
+    words = window.take(at)
     words &= _MASKS.take(lengths, mode="clip")
-    columns = [row[:, None] for row in words]
-    for j in np.flatnonzero(lengths.max(axis=1, initial=0) > 8):
-        columns[j] = np.column_stack([
-            window.take(lo[j] + k, mode="clip") & _MASKS.take(lengths[j] - k, mode="clip")
-            for k in range(0, int(lengths[j].max()), 8)
-        ])
+    columns = list(words)
+    for j in np.flatnonzero(np.logical_or(decoded, lengths.max(axis=1, initial=0) > 8)):
+        # the column's cells and the byte after each, made a line end
+        size = lengths[j] + 1
+        stops = np.cumsum(size)
+        joined = padded[np.arange(stops[-1]) - np.repeat(stops - size - at[j], size)]
+        joined[stops - 1] = ord("\n")
+        columns[j] = joined[:-1].tobytes().decode("utf-8").split("\n")
     return columns
 
 
@@ -786,11 +798,15 @@ def _reader_coded(path: Path, text: str, sup_columns: Sequence[str]) -> tuple:
     return header, order, table, labels, ragged
 
 
-def _column_blocks(rows: Iterator[list[str]], width: int, ragged: list) -> Iterator[list]:
-    """The columns of successive blocks of ``_BLOCK_ROWS`` rows.  At the
-    first row that is not ``width`` cells wide, its index and width are
-    appended to ``ragged`` and no more blocks are made; the remaining rows
-    are still read, so that a ``csv.Error`` in a later row is reported.
+def _column_blocks(
+    rows: Iterator[list[str]], width: int, ragged: list[tuple[int, int]]
+) -> Iterator[list[tuple[str, ...]]]:
+    """The columns of successive blocks of ``_BLOCK_ROWS`` rows.
+
+    At the first row that is not ``width`` cells wide, its index and width
+    are appended to ``ragged`` and no more blocks are made; the remaining
+    rows are still read, so that a ``csv.Error`` in a later row is still
+    the error reported.
     """
     done = 0
     while block := list(islice(rows, _BLOCK_ROWS)):
@@ -829,12 +845,16 @@ def read_csv_dataset(
     remaining columns are analysis variables, in header order.  Missing
     values and NUL bytes are not supported.
 
-    The file is read and decoded once, as a whole.  A plain file is coded
-    straight from its bytes (``_plain_coded``), any other through
-    ``csv.reader`` (``_reader_coded``); both give the same codes, labels
-    and errors.  Each column is coded by first appearance into its row of
-    one width x N table, analysis variables first, and the containers
-    keep their rows of it as they are.
+    The file is read once and decoded once as a whole.  A plain file is
+    coded straight from its bytes (``_plain_coded``): one with no quote,
+    carriage return or NUL, no line longer than the field size limit, a
+    header of distinct names on its first line, and every other line
+    blank or of the header's width with no empty cell.  Any other file
+    goes through ``csv.reader`` (``_reader_coded``), which reports every
+    error with its file line.  Both give the same codes, labels and
+    errors.  Each column is coded by the first appearance of its labels
+    into its row of one width x N table, analysis variables first, and
+    both containers keep their rows of that table without a copy.
     """
     path = Path(path)
     if len(set(sup_columns)) != len(sup_columns):

@@ -744,8 +744,9 @@ class TestColumnCoder:
 
     @pytest.mark.parametrize("block", [1, 2, 4])
     def test_long_labels_sharing_their_first_words(self, tmp_path, block):
-        # one column goes from one-word keys to two words, then three; the
-        # labels share their first 8 (or 16) bytes
+        # one column goes from one-word keys to its dict of labels at its
+        # first cell over 8 bytes; the labels share their first 8 (or 16)
+        # bytes
         cells = ["short", "abcdefgh-one", "abcdefgh-two", "short", "abcdefgh12345678-x"]
         cells += ["abcdefgh12345678-y", "abcdefgh-one", "abcdefgh", "abcdefgh12345678-x"]
         text = "a,g\n" + "".join(f"{cell},M\n" for cell in cells)
@@ -764,11 +765,20 @@ class TestColumnCoder:
 
     @pytest.mark.parametrize("block", [1, 2])
     def test_blank_line_that_starts_a_block(self, tmp_path, block):
-        # with two lines a block, the second block starts at the blank line
+        # with two lines a block, a blank line comes first after each block
         text = "a,g\nx,M\ny,F\n\nz,M\n\n\ny,F\n"
         got, expected = self.outcomes(tmp_path, text, ["g"], block, plain=True)
         assert got == expected
         assert got[0][0] == [[0], [1], [2], [1]]
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_blank_lines_after_a_long_label(self, tmp_path, block):
+        # the column is coded by its dict of labels from line 2 on, and
+        # no block is left without a line to code
+        text = "a,g\nabcdefgh-one,M\n\n\nx,F\n\nabcdefgh-one,F\n\n"
+        got, expected = self.outcomes(tmp_path, text, ["g"], block, plain=True)
+        assert got == expected
+        assert got[0][0] == [[0], [1], [0]] and got[0][1] == (("abcdefgh-one", "x"),)
 
     @pytest.mark.parametrize("block", [1, 2])
     def test_first_empty_cell_in_row_major_order(self, tmp_path, block):
@@ -790,6 +800,19 @@ class TestColumnCoder:
         # no comma at all; either container is left without a variable
         got, expected = self.outcomes(tmp_path, "a\nx\ny\n\nx\n", sup_cols, 2, plain=True)
         assert got == expected and got[0] is ShapeError
+
+    def test_cell_of_tens_of_kilobytes(self, tmp_path):
+        # One 30,000-byte cell among 2,000 lines of short cells.  The read
+        # peaks at 1.07 MB (grouping a block's cells by their word count
+        # peaked at 2.1 MB); keys padded to the longest cell of the column
+        # would take 2,000 x 30,000 bytes for each array of them.
+        lines = [f"x{i % 7},y{i % 5},{'MF'[i % 2]}" for i in range(2000)]
+        lines[500] = "z" * 30_000 + ",y,M"
+        got, expected = self.outcomes(tmp_path, "a,b,g\n" + "\n".join(lines), ["g"], 4096, True)
+        assert got == expected and got[0][1][0][-1] == "z" * 30_000
+        path = tmp_path / "data.csv"
+        peak = traced_peak(lambda: read_csv_dataset(path, ["g"]))
+        assert peak <= 1.5 * 2**20
 
     def test_first_nul_byte_in_row_major_order(self, tmp_path):
         text = "a,b,g\nx,y,M\nx,y\x00,M\nx\x00,y,F\n"
