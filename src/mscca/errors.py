@@ -25,6 +25,10 @@ class SymmetryError(MsccaError):
     """A matrix expected to be symmetric is not."""
 
 
+class EigenSolverError(MsccaError):
+    """LAPACK failed on an eigenproblem (no convergence, say)."""
+
+
 class MassError(MsccaError):
     """A mass (frequency weight) that must be positive is zero or negative."""
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import MassError, ShapeError, SymmetryError
+from .errors import EigenSolverError, MassError, ShapeError, SymmetryError
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,10 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     array (``_symmetrized``), so ``matrix`` is never modified.  Only the
     columns up to the end of the tie group holding column p - 1 are
     tie-ordered: the groups after it cannot move a column into the top p.
+    Where numpy's bundled OpenBLAS exports LAPACKE's ``dsyevr``, only the
+    top k = p + 1 pairs are computed, k doubling until that tie group ends
+    inside them (or k = n); elsewhere ``np.linalg.eigh`` solves the whole
+    spectrum.  A solver failure raises ``EigenSolverError``.
     """
     S = np.asarray(matrix, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -63,15 +67,56 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     n = S.shape[0]
     if not 1 <= p <= n:
         raise ShapeError(f"p={p} outside [1, {n}]")
-    S = _symmetrized(S)
 
-    with _one_blas_thread():
-        values, vectors = np.linalg.eigh(S)
-    values, vectors = values[::-1], vectors[:, ::-1]
+    dsyevr = _dsyevr()
+    if dsyevr is None:
+        values, vectors = _eigh_all(_symmetrized(S))
+    else:
+        k = min(n, p + 1)
+        values, vectors = _dsyevr_top(dsyevr, _symmetrized(S), k)
+        while k < n and not _breaks(values[p - 1 :]).any():
+            k = min(n, 2 * k)
+            values, vectors = _dsyevr_top(dsyevr, _symmetrized(S), k)
     tail = _breaks(values[p - 1 :])
-    end = p + int(tail.argmax()) if tail.any() else n
+    end = p + int(tail.argmax()) if tail.any() else len(values)
     values, vectors = _ordered_top(values[None, :end], vectors[None, :, :end], p)
     return SymEigResult(values=values[0], vectors=vectors[0])
+
+
+def _eigh_all(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of symmetric ``S`` from ``np.linalg.eigh``,
+    descending."""
+    with _one_blas_thread():
+        try:
+            values, vectors = np.linalg.eigh(S)
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverError(f"eigh failed on a {len(S)} x {len(S)} matrix: {exc}") from exc
+    return values[::-1], vectors[:, ::-1]
+
+
+_LAPACK_COL_MAJOR = 102
+
+
+def _dsyevr_top(dsyevr: Callable[..., int], S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top ``k`` eigenpairs of symmetric ``S``, descending, from
+    LAPACKE's ``dsyevr`` (``range='I'``).  ``S`` is consumed: a C-ordered
+    symmetric array is its own column-major form, so LAPACK works in its
+    buffer and writes only the n x k block of vectors."""
+    n = len(S)
+    values = np.empty(n)
+    vectors = np.empty((k, n))  # column-major n x k
+    found = np.zeros(1, dtype=np.int64)
+    support = np.empty(2 * k, dtype=np.int64)
+    with _one_blas_thread():
+        info = dsyevr(
+            _LAPACK_COL_MAJOR, b"V", b"I", b"L", n, S, n,
+            0.0, 0.0, n - k + 1, n, 0.0, found, values, vectors, n, support,
+        )  # fmt: skip
+    if info != 0 or found[0] != k:
+        raise EigenSolverError(
+            f"LAPACK dsyevr failed on a {n} x {n} matrix (info {info}, {found[0]} of {k} pairs)"
+        )
+    return values[k - 1 :: -1], vectors[::-1].T
 
 
 ROW_BLOCK = 64  # rows per block in the passes over a Q x Q matrix
@@ -119,18 +164,21 @@ def _symmetrized(S: np.ndarray) -> np.ndarray:
 
 
 # Thread-count getters and setters of numpy's bundled OpenBLAS, by the
-# names of current and of older wheels.
+# names of current and of older wheels, and its LAPACKE dsyevr (64-bit
+# integers, ``64_``) by the same two namings.
 _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
 )
+_DSYEVR_SYMBOLS = ("scipy_LAPACKE_dsyevr64_", "LAPACKE_dsyevr64_")
 
 
 @lru_cache(maxsize=None)
-def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+def _bundled_openblas() -> tuple[Callable[[], int], Callable[[int], None], Callable | None] | None:
     """The thread-count getter and setter of the OpenBLAS bundled with
-    numpy (``numpy.libs`` beside the package, or its ``.dylibs``), or None
-    where no such library exports them."""
+    numpy (``numpy.libs`` beside the package, or its ``.dylibs``) and the
+    same library's LAPACKE ``dsyevr`` (None where it is not exported), or
+    None where no such library exports the thread functions."""
     package = Path(np.__file__).parent
     paths = [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]
     for path in sorted(paths):
@@ -143,8 +191,38 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
                 get, set_ = getattr(library, get_name), getattr(library, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+                return get, set_, _dsyevr_from(library)
     return None
+
+
+def _dsyevr_from(library: ctypes.CDLL) -> Callable | None:
+    """``library``'s LAPACKE_dsyevr with 64-bit integers, typed, or None."""
+    name = next((name for name in _DSYEVR_SYMBOLS if hasattr(library, name)), None)
+    if name is None:
+        return None
+    dsyevr = getattr(library, name)
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    i64, char, double = ctypes.c_int64, ctypes.c_char, ctypes.c_double
+    dsyevr.argtypes = [
+        ctypes.c_int, char, char, char, i64, doubles, i64,  # layout, jobz, range, uplo, n, a, lda
+        double, double, i64, i64, double,  # vl, vu, il, iu, abstol
+        ints, doubles, doubles, i64, ints,  # m, w, z, ldz, isuppz
+    ]
+    dsyevr.restype = i64
+    return dsyevr
+
+
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The bundled OpenBLAS's thread-count getter and setter, or None."""
+    blas = _bundled_openblas()
+    return None if blas is None else blas[:2]
+
+
+def _dsyevr() -> Callable | None:
+    """The bundled OpenBLAS's LAPACKE dsyevr, or None."""
+    blas = _bundled_openblas()
+    return None if blas is None else blas[2]
 
 
 @contextmanager

@@ -223,8 +223,8 @@ def _between_quantify(
     """The B-step from a K x Q count table and its K sizes, or from a
     stack of S of each (giving S x Q x p).
 
-    The mass-scaled target is F'F for the K x Q factor F whose row k is
-    (table_k - n_k mu) / sqrt(n_k), columns scaled by D^{-1/2} / sqrt(m).
+    The mass-scaled target is F'F for the K x Q factor F of
+    ``_between_factor``, columns scaled by D^{-1/2} / sqrt(m).
     Its rank is at most K - H, so the eigenproblem is solved on the K x K
     matrix F F' (``gram_eig_top``).  When fewer than p of its eigenvalues
     are clearly positive (a flat K = 2 fit at p = 2, say) the remaining
@@ -233,9 +233,7 @@ def _between_quantify(
     """
     n, m = dataset.n_obs, dataset.n_vars
     d = (dataset.counts * n_stack).astype(float)
-    factors = sizes[..., None] * dataset.column_means
-    np.subtract(table, factors, out=factors)
-    factors /= np.sqrt(sizes)[..., None]
+    factors = _between_factor(table, sizes, dataset)
     factors /= np.sqrt(d * m)
     factors = factors.reshape(-1, *table.shape[-2:])
     eig, kept = gram_eig_top(factors, p)
@@ -291,19 +289,37 @@ def _centered_completion(
     return out
 
 
-def _between_target(
-    table: np.ndarray, sizes: np.ndarray, spec: ClusterSpec, dataset: CategoricalDataset
+def _between_factor(
+    table: np.ndarray, sizes: np.ndarray, dataset: CategoricalDataset
 ) -> np.ndarray:
-    """Z^H' J P_U J Z^H from the count table: the sum over the
-    supplementary variables of the between-group cross-product of that
-    variable's block of rows."""
-    mu = dataset.column_means
-    target = np.zeros((dataset.total_categories, dataset.total_categories))
-    bounds = np.cumsum((0, *spec.k_per_variable))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        centered = table[lo:hi] - sizes[lo:hi, None] * mu[None, :]
-        target += centered.T @ (centered / sizes[lo:hi, None])
-    return target
+    """The K x Q factor F whose row k is (table_k - n_k mu) / sqrt(n_k),
+    from a count table and its sizes (or a stack of each), so that F'F is
+    Z^H' J P_U J Z^H: the sum over the supplementary variables of the
+    between-group cross-product of that variable's block of rows."""
+    factor = sizes[..., None] * dataset.column_means
+    np.subtract(table, factor, out=factor)
+    factor /= np.sqrt(sizes)[..., None]
+    return factor
+
+
+def _between_target(
+    table: np.ndarray, sizes: np.ndarray, dataset: CategoricalDataset
+) -> np.ndarray:
+    """Z^H' J P_U J Z^H = F'F from the count table (``_between_factor``)."""
+    factor = _between_factor(table, sizes, dataset)
+    return factor.T @ factor
+
+
+def _subtract_between(
+    target: np.ndarray, table: np.ndarray, sizes: np.ndarray, dataset: CategoricalDataset
+) -> None:
+    """Subtract Z^H' J P_U J Z^H = F'F from a Q x Q ``target`` in place,
+    one block of ``ROW_BLOCK`` rows at a time, so no Q x Q temporary is
+    formed."""
+    factor = _between_factor(table, sizes, dataset)
+    for lo in range(0, len(target), ROW_BLOCK):
+        hi = lo + ROW_BLOCK
+        target[lo:hi] -= factor[:, lo:hi].T @ factor
 
 
 def _quantify(
@@ -314,9 +330,12 @@ def _quantify(
     masses (category counts times H).  H cancels out of the result; it
     only sets the scale of the eigenvalues.
 
-    ``target`` is consumed: it is scaled in place, so the solve holds no
-    Q x Q array but it, ``sym_eig_top``'s symmetric part of it and
-    ``eigh``'s own.
+    ``target`` is consumed: it is scaled in place, so the solve holds two
+    Q x Q arrays, it and ``sym_eig_top``'s symmetric part of it.  LAPACK's
+    ``dsyevr`` reduces that part in its own buffer and returns only the
+    vectors of the top p + 1 or so eigenvalues, a Q x k block; only where
+    numpy's BLAS exports no ``dsyevr`` does ``eigh`` add its full Q x Q
+    output and workspace.
     """
     n, m = dataset.n_obs, dataset.n_vars
     d = (dataset.counts * n_stack).astype(float)
@@ -783,9 +802,9 @@ def fit_constrained_mca(
     if kind in ("identity", "projector-off"):
         target = _centered_burt(dataset, n_stack)
     if kind == "projector-off":
-        target -= _between_target(table, sizes, partition.spec, dataset)
+        _subtract_between(target, table, sizes, dataset)
     elif partition is not None:
-        target = _between_target(table, sizes, partition.spec, dataset)
+        target = _between_target(table, sizes, dataset)
     quantifications = _quantify(target, dataset, n_stack, p)
 
     scores = object_scores(dataset, quantifications)  # (1/m) J Z B, one block

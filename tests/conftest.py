@@ -393,7 +393,7 @@ def update_B_qxq(
     count table (the B-step of every fit before the K x K route, and the
     oracle for the K x K route's kept columns)."""
     table, sizes = cluster_counts(assignment, dataset)
-    target = _between_target(table, sizes, assignment.spec, dataset)
+    target = _between_target(table, sizes, dataset)
     return _quantify(target, dataset, assignment.n_sup, p)
 
 

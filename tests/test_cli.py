@@ -486,6 +486,30 @@ class TestVariants:
         assert archive["method"] == "mca"
         assert len(archive["biplot"]["categories"]) == 5
 
+    @pytest.mark.parametrize("method", ["removal", "mca"])
+    def test_eigensolver_failure_exit_3_in_one_line(
+        self, illustration_csv, tmp_path, capsys, monkeypatch, method
+    ):
+        # dsyevr reporting info 1, then the fallback eigh raising
+        argv = [
+            "variants", "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
+            "--method", method, "--out", str(tmp_path / "o"),
+        ]
+        monkeypatch.setattr(mscca.linalg, "_dsyevr", lambda: lambda *args: 1)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: LAPACK dsyevr failed on a 5 x 5 matrix (info 1, 0 of 3 pairs)\n"
+
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(mscca.linalg, "_dsyevr", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: eigh failed on a 5 x 5 matrix: Eigenvalues did not converge\n"
+        assert not (tmp_path / "o").exists()
+
     def test_cluster_ca_without_k_exit_2(self, illustration_csv, tmp_path):
         code = main(
             ["variants", "--input", str(illustration_csv),

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from mscca import mass_scale, sym_eig_top
 import mscca.linalg
 from mscca.linalg import ROW_BLOCK, SymEigResult, _symmetry_gap, gram_eig_top
-from mscca.errors import MassError, ShapeError, SymmetryError
+from mscca.errors import EigenSolverError, MassError, ShapeError, SymmetryError
 
 from conftest import center_columns, gram_eig_top_every_kept_column, sym_eig_top_full_spectrum
 
@@ -89,36 +89,58 @@ class TestSymEigTop:
         assert_allclose(res.vectors, np.eye(5)[:, [1, 3, 0, 2, 4]], atol=1e-12)
 
     def test_one_blas_thread_around_eigh(self, monkeypatch):
-        # the eigh runs on one BLAS thread; the previous count comes back
-        # after it, also when it raises, and without an OpenBLAS to pin
-        # nothing is set
+        # the LAPACK call (dsyevr, or the fallback eigh where numpy's BLAS
+        # exports no dsyevr) runs on one BLAS thread; the previous count
+        # comes back after it, also when it fails, and without an OpenBLAS
+        # to pin nothing is set
         threads = [3]
         monkeypatch.setattr(
             mscca.linalg, "_blas_threads", lambda: (lambda: threads[-1], threads.append)
         )
-        eigh = np.linalg.eigh
         inside = []
 
-        def recorded(matrix):
-            inside.append(threads[-1])
-            return eigh(matrix)
+        def recording(solve):
+            def recorded(*args):
+                inside.append(threads[-1])
+                return solve(*args)
 
-        monkeypatch.setattr(np.linalg, "eigh", recorded)
-        sym_eig_top(np.eye(3), 2)
-        assert inside == [1] and threads == [3, 1, 3]
+            return recorded
+
+        def raising(*args):
+            raise RuntimeError("interrupted")
+
+        matrix = np.diag([3.0, 2.0, 1.0])  # p = 2: one solve of all 3 pairs
+        dsyevr = mscca.linalg._dsyevr()
+        if dsyevr is not None:
+            monkeypatch.setattr(mscca.linalg, "_dsyevr", lambda: recording(dsyevr))
+            assert_allclose(sym_eig_top(matrix, 2).values, [3.0, 2.0])
+            assert inside == [1] and threads == [3, 1, 3]
+        inside.clear()
+        threads[:] = [3]
+
+        for solve, error in ((lambda *args: 2, EigenSolverError), (raising, RuntimeError)):
+            monkeypatch.setattr(mscca.linalg, "_dsyevr", lambda: recording(solve))
+            with pytest.raises(error):
+                sym_eig_top(matrix, 2)
+        assert inside == [1, 1] and threads == [3, 1, 3, 1, 3]
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(mscca.linalg, "_dsyevr", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", recording(eigh))
+        assert_allclose(sym_eig_top(matrix, 2).values, [3.0, 2.0])
+        assert inside == [1, 1, 1] and threads == [3, 1, 3, 1, 3, 1, 3]
 
         def failing(matrix):
-            inside.append(threads[-1])
             raise np.linalg.LinAlgError("no convergence")
 
-        monkeypatch.setattr(np.linalg, "eigh", failing)
-        with pytest.raises(np.linalg.LinAlgError):
-            sym_eig_top(np.eye(3), 2)
-        assert inside == [1, 1] and threads == [3, 1, 3, 1, 3]
+        monkeypatch.setattr(np.linalg, "eigh", recording(failing))
+        with pytest.raises(EigenSolverError, match="no convergence"):
+            sym_eig_top(matrix, 2)
+        assert inside == [1, 1, 1, 1] and threads == [3, 1, 3, 1, 3, 1, 3, 1, 3]
         monkeypatch.setattr(mscca.linalg, "_blas_threads", lambda: None)
-        monkeypatch.setattr(np.linalg, "eigh", recorded)
-        assert_allclose(sym_eig_top(np.eye(3), 2).values, [1.0, 1.0])
-        assert inside == [1, 1, 3] and threads == [3, 1, 3, 1, 3]
+        monkeypatch.setattr(np.linalg, "eigh", recording(eigh))
+        assert_allclose(sym_eig_top(matrix, 2).values, [3.0, 2.0])
+        assert inside == [1, 1, 1, 1, 3] and threads == [3, 1, 3, 1, 3, 1, 3, 1, 3]
 
     def test_bundled_openblas_count_restored(self):
         blas = mscca.linalg._blas_threads()
@@ -158,19 +180,26 @@ SMALL_SPECTRUM = [4.0, 3.0, 3.0, 2.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
 BLOCKED_SPECTRUM = [7.0] * 3 + list(np.linspace(6.0, 1.0, 117)) + [0.5] * 10 + [0.0] * 20
 
 
+NEAR_THE_TOP = [
+    (SMALL_SPECTRUM, range(1, 11)),
+    # ties below, at and across p, in the 7-, 0.5- and zero groups
+    (BLOCKED_SPECTRUM, [1, 2, 3, 4, 60, 120, 121, 125, 130, 131, 140, 150]),
+]
+
+
+def needs_dsyevr():
+    if mscca.linalg._dsyevr() is None:
+        pytest.skip("numpy's BLAS exports no LAPACKE dsyevr")
+
+
 class TestSymEigTopNearTheTop:
     """Only the tie group holding column p - 1 is ordered past column p;
     the full-spectrum ordering is the oracle."""
 
-    @pytest.mark.parametrize(
-        "spectrum, ps",
-        [
-            (SMALL_SPECTRUM, range(1, 11)),
-            # ties below, at and across p, in the 7-, 0.5- and zero groups
-            (BLOCKED_SPECTRUM, [1, 2, 3, 4, 60, 120, 121, 125, 130, 131, 140, 150]),
-        ],
-    )
-    def test_matches_full_spectrum_byte_for_byte(self, rng, spectrum, ps):
+    @pytest.mark.parametrize("spectrum, ps", NEAR_THE_TOP)
+    def test_matches_full_spectrum_byte_for_byte(self, rng, monkeypatch, spectrum, ps):
+        # on the fallback path, which solves the whole spectrum with eigh
+        monkeypatch.setattr(mscca.linalg, "_dsyevr", lambda: None)
         s = with_spectrum(rng, spectrum)
         assert np.abs(s - s.T).max() > 0.0
         for matrix in (s, 0.5 * (s + s.T)):  # rounded, and mirrored bit for bit
@@ -181,6 +210,56 @@ class TestSymEigTopNearTheTop:
                 assert res.values.tobytes() == oracle.values.tobytes()
                 assert res.vectors.tobytes() == oracle.vectors.tobytes()
             assert matrix.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("spectrum, ps", NEAR_THE_TOP)
+    def test_dsyevr_matches_full_spectrum(self, rng, spectrum, ps):
+        # dsyevr's top pairs against the full eigh: the same values and
+        # eigenspaces, each tie group in pivot order with positive pivots
+        needs_dsyevr()
+        s = with_spectrum(rng, spectrum)
+        scale = max(np.abs(spectrum))
+        for matrix in (s, 0.5 * (s + s.T)):
+            before = matrix.copy()
+            full = sym_eig_top_full_spectrum(matrix, len(matrix)).values
+            group = np.cumsum(np.concatenate(([0], mscca.linalg._breaks(full))))
+            for p in ps:
+                res = sym_eig_top(matrix, p)
+                oracle = sym_eig_top_full_spectrum(matrix, p)
+                assert np.abs(res.values - oracle.values).max() <= 1e-12 * scale
+                pivots = np.abs(res.vectors).argmax(axis=0)
+                assert (res.vectors[pivots, np.arange(p)] > 0).all()
+                for g in np.unique(group[:p]):
+                    cols = np.flatnonzero(group == g)
+                    assert (np.diff(pivots[cols[cols < p]]) >= 0).all()
+                    if cols[-1] < p:  # the whole group is inside the top p
+                        got, want = res.vectors[:, cols], oracle.vectors[:, cols]
+                        assert np.abs(got @ got.T - want @ want.T).max() <= 1e-10
+                again = sym_eig_top(matrix, p)
+                assert again.values.tobytes() == res.values.tobytes()
+                assert again.vectors.tobytes() == res.vectors.tobytes()
+            assert matrix.tobytes() == before.tobytes()
+
+    def test_dsyevr_retries_until_the_tie_group_ends(self, rng, monkeypatch):
+        # p + 1 pairs first; twice as many while the tie group holding
+        # column p - 1 runs past them: the 7-group of three at p = 1, 2
+        needs_dsyevr()
+        solve, sizes = mscca.linalg._dsyevr_top, []
+
+        def recorded(dsyevr, matrix, k):
+            sizes.append(k)
+            return solve(dsyevr, matrix, k)
+
+        monkeypatch.setattr(mscca.linalg, "_dsyevr_top", recorded)
+        s = with_spectrum(rng, BLOCKED_SPECTRUM)
+        expected = {1: [2, 4], 2: [3, 6], 3: [4], 4: [5]}
+        for p, ks in expected.items():
+            sizes.clear()
+            res = sym_eig_top(s, p)
+            assert sizes == ks
+            assert_allclose(res.values, BLOCKED_SPECTRUM[:p], rtol=1e-12)
+        sizes.clear()
+        sym_eig_top(np.zeros((40, 40)), 1)  # one group: up to every column
+        assert sizes == [2, 4, 8, 16, 32, 40]
 
     def test_zero_matrix_larger_than_a_block(self):
         # one tie group across every column

@@ -588,8 +588,10 @@ class TestFitConstrainedMca:
         "kind", ["identity", "projector-on", "projector-off", "membership-projector"]
     )
     def test_matches_dense_projector_route(self, rng, kind):
-        for _ in range(5):
-            ds, sup, _ = random_problem(rng, n=40)
+        # the last problem has Q = 150 categories: more than two row
+        # blocks, not a multiple of one
+        for size in [dict(n=40)] * 5 + [dict(n=400, m=5, q=30)]:
+            ds, sup, _ = random_problem(rng, **size)
             source = sup
             if kind == "identity":
                 source = None
@@ -1185,10 +1187,11 @@ class TestNearestClusters:
 
 class TestConstrainedSolveMemory:
     """The Q x Q solve of ``fit_constrained_mca`` holds its target and the
-    symmetric part of it next to ``eigh``'s output (whose workspace
-    ``tracemalloc`` does not see).  Counting the Burt matrix briefly adds
-    one variable's pair cells; removal briefly adds the between part and
-    one of its terms."""
+    symmetric part of it, in which LAPACK's ``dsyevr`` works, next to a
+    Q x k block of vectors (LAPACK's workspace ``tracemalloc`` does not
+    see).  Counting the Burt matrix briefly adds one variable's pair
+    cells; removal subtracts the between part one block of rows at a
+    time."""
 
     @pytest.mark.parametrize("kind", ["projector-off", "identity", "projector-on"])
     def test_peak_bounded_by_a_few_q_by_q_arrays(self, kind):
@@ -1199,7 +1202,9 @@ class TestConstrainedSolveMemory:
         cspec = ConstraintSpec(kind=kind, source=None if kind == "identity" else sup)
         fit_constrained_mca(ds, cspec, 2)  # lazy set-up
         peak = traced_peak(lambda: fit_constrained_mca(ds, cspec, 2))
-        assert peak <= 3.25 * big_q * big_q * 8
+        # eigh's full Q x Q output where numpy's BLAS exports no dsyevr
+        bound = 2.5 if mscca.linalg._dsyevr() is not None else 3.25
+        assert peak <= bound * big_q * big_q * 8
 
     def test_burt_count_bounded_with_near_q_squared_pair_cells(self):
         # variable 0 has 9 N = 153,000 pair cells, near Q^2 = 160,000: the
