@@ -216,12 +216,6 @@ class CategoricalDataset:
         return _freeze(np.cumsum((0, *self.q[:-1]), dtype=np.int64))
 
     @cached_property
-    def cell_columns(self) -> np.ndarray:
-        """m x N: the column of Z that each cell of the table is coded in,
-        ``codes + offsets`` with one contiguous row per variable."""
-        return _freeze(self.codes.T + self.offsets[:, None])
-
-    @cached_property
     def column_means(self) -> np.ndarray:
         """Column means of Z, the category frequencies over N."""
         return _freeze(self.counts / self.n_obs)
@@ -530,15 +524,18 @@ def _count_into(
     ``_CELL_BLOCK`` cells or one start's; the sizes are the row sums of
     the first variable's block.
     """
-    big_q = dataset.total_categories
-    group = max(1, _CELL_BLOCK // dataset.cell_columns.size)
+    code_rows, big_q = dataset.codes.T, dataset.total_categories
+    group = max(1, _CELL_BLOCK // code_rows.size)
     bounds = np.cumsum((0, *spec.k_per_variable))
     for h, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         for a in range(0, len(rows), group):
             part = rows[a : a + group, :, h]
             local = part + ((hi - lo) * np.arange(len(part)) - lo)[:, None]
-            cells = (local[:, None, :] * big_q + dataset.cell_columns).ravel()
-            counts = np.bincount(cells, minlength=len(part) * (hi - lo) * big_q)
+            cells = np.empty((len(part), *code_rows.shape), dtype=np.int64)
+            np.add(local[:, None, :] * big_q, code_rows, out=cells)
+            cells += dataset.offsets[:, None]
+            counts = np.bincount(cells.ravel(), minlength=len(part) * (hi - lo) * big_q)
+            del cells  # one group's cells at a time
             table[a : a + group, lo:hi] = counts.reshape(len(part), hi - lo, big_q)
     return _sizes(table, dataset)
 
@@ -573,7 +570,8 @@ def moved_counts(
         for a in range(0, entries[0].size, group):
             starts, obs = (index[a : a + group] for index in entries)
             new, old = new_rows[starts, obs, h], rows[starts, obs, h]
-            cells = dataset.cell_columns[:, obs]
+            cells = dataset.codes.T[:, obs]
+            cells += dataset.offsets[:, None]
             cells += ((hi - lo) * starts - lo + new) * big_q
             counts = np.bincount(cells.ravel(), minlength=size)
             cells += (old - new) * big_q

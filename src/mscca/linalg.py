@@ -57,9 +57,9 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     columns up to the end of the tie group holding column p - 1 are
     tie-ordered: the groups after it cannot move a column into the top p.
     Where numpy's bundled OpenBLAS exports LAPACKE's ``dsyevr``, only the
-    top k = p + 1 pairs are computed, k doubling until that tie group ends
-    inside them (or k = n); elsewhere ``np.linalg.eigh`` solves the whole
-    spectrum.  A solver failure raises ``EigenSolverError``.
+    top k = p + 1 pairs are computed, or all n if that tie group runs past
+    them; elsewhere ``np.linalg.eigh`` solves the whole spectrum.  A
+    solver failure raises ``EigenSolverError``.
     """
     S = np.asarray(matrix, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -72,11 +72,9 @@ def sym_eig_top(matrix: np.ndarray, p: int) -> SymEigResult:
     if dsyevr is None:
         values, vectors = _eigh_all(_symmetrized(S))
     else:
-        k = min(n, p + 1)
-        values, vectors = _dsyevr_top(dsyevr, _symmetrized(S), k)
-        while k < n and not _breaks(values[p - 1 :]).any():
-            k = min(n, 2 * k)
-            values, vectors = _dsyevr_top(dsyevr, _symmetrized(S), k)
+        values, vectors = _dsyevr_top(dsyevr, _symmetrized(S), min(n, p + 1))
+        if len(values) < n and not _breaks(values[p - 1 :]).any():
+            values, vectors = _dsyevr_top(dsyevr, _symmetrized(S), n)
     tail = _breaks(values[p - 1 :])
     end = p + int(tail.argmax()) if tail.any() else len(values)
     values, vectors = _ordered_top(values[None, :end], vectors[None, :, :end], p)

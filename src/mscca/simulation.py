@@ -416,9 +416,10 @@ def _study_task(design: StudyDesign, cell_index: int, replicate: int) -> list[di
                 )
     except MsccaError as exc:  # a cell that cannot be fitted or scored is recorded, not fatal
         elapsed = int(1000 * (time.perf_counter() - started))
+        error = type(exc).__name__ + ": " + str(exc).partition("\n")[0]
         return [
             {**base, "h": h, "s": s, "ari": None, "gf": None, "phi": None,
-             "runtime_ms": elapsed, "error": type(exc).__name__}
+             "runtime_ms": elapsed, "error": error}
             for h in range(sup.n_sup)
             for s in range(sup.r[h])
         ]

@@ -102,8 +102,8 @@ def object_scores(dataset: CategoricalDataset, quantifications: np.ndarray) -> n
 
     A stack of S quantifications (S x Q x p) gives S x N x p scores."""
     scores = np.zeros((*quantifications.shape[:-2], dataset.n_obs, quantifications.shape[-1]))
-    for cols in dataset.cell_columns:
-        scores += np.take(quantifications, cols, axis=-2)
+    for row, lo, q in zip(dataset.codes.T, dataset.offsets, dataset.q):
+        scores += np.take(quantifications[..., lo : lo + q, :], row, axis=-2)
     scores -= (dataset.column_means @ quantifications)[..., None, :]
     return scores / dataset.n_vars
 
@@ -137,8 +137,8 @@ def _direct_objective(
     """
     total = np.zeros(quantifications.shape[:-2])
     per_start = total.reshape(-1)
-    for cols in dataset.cell_columns:
-        fitted = np.take(quantifications, cols, axis=-2)
+    for row, lo, q in zip(dataset.codes.T, dataset.offsets, dataset.q):
+        fitted = np.take(quantifications[..., lo : lo + q, :], row, axis=-2)
         for block in blocks:
             diff = block - fitted
             for s, part in enumerate(diff.reshape(-1, *diff.shape[-2:])):
@@ -359,11 +359,14 @@ def _centered_burt(dataset: CategoricalDataset, n_stack: int) -> np.ndarray:
     integers, so every entry gets the same float operations as on whole
     arrays.
     """
-    cols, n, big_q = dataset.cell_columns, dataset.n_obs, dataset.total_categories
+    code_rows, n, big_q = dataset.codes.T, dataset.n_obs, dataset.total_categories
     target = np.zeros((big_q, big_q))
     for j in range(dataset.n_vars - 1):
         lo, q = dataset.offsets[j], dataset.q[j]
-        pairs = np.bincount(((cols[j] - lo) * big_q + cols[j + 1 :]).ravel(), minlength=q * big_q)
+        cells = code_rows[j + 1 :] + dataset.offsets[j + 1 :, None]
+        cells += code_rows[j] * big_q
+        pairs = np.bincount(cells.ravel(), minlength=q * big_q)
+        del cells  # one variable's cells at a time
         target[lo : lo + q] += pairs.reshape(q, big_q)
     mu = dataset.column_means
     for lo in range(0, big_q, ROW_BLOCK):

@@ -12,16 +12,22 @@ from mscca import (
     CategoricalDataset,
     ClusterSpec,
     HierarchicalAssignment,
+    SolverOptions,
     SupplementaryData,
     build_assignment,
     cluster_counts,
     encode_dataset,
     encode_supplementary,
+    fit_mscca,
+    init_random,
+    object_scores,
+    objective_phi,
     read_csv_dataset,
 )
 import mscca.data
 from mscca.cli import main
 from mscca.data import _code_table, moved_counts, stacked_counts
+from mscca.solver import _centered_burt, _direct_objective
 from mscca.simulation import GenSpec, SupGenSpec, generate_clustered, generate_supplementary
 from mscca.errors import (
     AssignmentError,
@@ -287,8 +293,8 @@ class TestBuildAssignment:
 class TestClusterCounts:
     def test_matches_dense_indicator_products(self, rng):
         # U'Z^H and diag(U'U) from the dense stacked indicators
-        for _ in range(10):
-            ds, sup, spec = random_problem(rng)
+        problems = [unequal_blocks_problem(rng)] + [random_problem(rng) for _ in range(10)]
+        for ds, sup, spec in problems:
             asg = random_assignment(rng, sup, spec)
             u = stacked_indicator(asg)
             table, sizes = cluster_counts(asg, ds)
@@ -464,21 +470,72 @@ class TestIndicatorView:
 
     def test_columns_cached_and_read_only(self):
         ds = encode_dataset([["a", "x"], ["b", "y"]])
-        for name in ("offsets", "counts", "column_means", "cell_columns"):
+        for name in ("offsets", "counts", "column_means"):
             assert getattr(ds, name) is getattr(ds, name)
             with pytest.raises(ValueError):
                 getattr(ds, name)[0] = 0
 
-    def test_cell_columns_index_the_indicator(self, rng):
-        for _ in range(5):
-            ds, sup, spec = random_problem(rng)
-            cols = ds.cell_columns
-            assert cols.shape == (ds.n_vars, ds.n_obs) and cols.flags.c_contiguous
-            assert cols.dtype == np.int64
-            assert np.array_equal(cols, (ds.codes + ds.offsets).T)
-            z = z_full(ds)
-            for j in range(ds.n_vars):
-                assert (z[np.arange(ds.n_obs), cols[j]] == 1).all()
+
+def unequal_blocks_problem(rng, n=50, q=(2, 5, 3, 7)):
+    """A dataset whose variables have unequal category counts, so a
+    lookup into the wrong variable's block of Z's columns shows, with
+    supplementary data and a feasible random cluster spec."""
+    codes = np.stack([rng.permutation(np.arange(n) % k) for k in q], axis=1)
+    ds = CategoricalDataset.from_codes(codes, [[f"c{c}" for c in range(k)] for k in q])
+    _, sup, spec = random_problem(rng, n=n)
+    return ds, sup, spec
+
+
+class TestCellReadersMatchDenseIndicator:
+    """The readers of the cells against the dense indicator Z, on unequal
+    blocks (the Burt count is checked by ``TestCenteredBurt``)."""
+
+    def test_object_scores(self, rng):
+        ds, _, _ = unequal_blocks_problem(rng)
+        centered = z_full(ds) - ds.column_means
+        b = rng.normal(size=(3, ds.total_categories, 2))
+        for got, bs in ((object_scores(ds, b[0]), b[0]), (object_scores(ds, b), b)):
+            assert_allclose(got, centered @ bs / ds.n_vars, rtol=1e-12, atol=1e-14)
+
+    def test_direct_objective(self, rng):
+        ds, sup, spec = unequal_blocks_problem(rng)
+        block = [slice(lo, lo + q) for lo, q in zip(ds.offsets, ds.q)]
+        b = rng.normal(size=(3, ds.total_categories, 2))
+        scores = [rng.normal(size=(3, ds.n_obs, 2)) for _ in range(sup.n_sup)]
+        want = np.zeros(3)
+        for j in range(ds.n_vars):
+            fitted = z_var(ds, j) @ b[:, block[j]]
+            want += sum(((g - fitted) ** 2).sum(axis=(1, 2)) for g in scores)
+        want /= ds.n_obs * sup.n_sup * ds.n_vars
+        assert_allclose(_direct_objective(scores, b, ds), want, rtol=1e-12)
+        # one start, through objective_phi: || U G - Z_j^H B_j ||^2
+        asg = random_assignment(rng, sup, spec)
+        g = rng.normal(size=(spec.k_total, 2))
+        ug = stacked_indicator(asg) @ g
+        want = sum(
+            ((ug - z_var_stacked(ds, sup.n_sup, j) @ b[0, block[j]]) ** 2).sum()
+            for j in range(ds.n_vars)
+        )
+        want /= ds.n_obs * sup.n_sup * ds.n_vars
+        assert objective_phi(asg, g, b[0], ds) == pytest.approx(want, rel=1e-12)
+
+    def test_moved_counts(self, rng):
+        # stacked_counts is checked on this dataset by TestClusterCounts
+        ds, sup, spec = unequal_blocks_problem(rng)
+        old = [random_assignment(rng, sup, spec) for _ in range(3)]
+        # about a fifth of the entries move, so the tables are updated, not recounted
+        new = [
+            a.with_clusters(np.where(rng.random(a.clusters.shape) < 0.2, b.clusters, a.clusters))
+            for a, b in zip(old, (random_assignment(rng, sup, spec) for _ in old))
+        ]
+        rows, new_rows = (np.stack([a.rows for a in asg]) for asg in (old, new))
+        assert 0 < 2 * np.count_nonzero(rows != new_rows) < rows.size
+        table, _ = stacked_counts(rows, spec, ds)
+        sizes = moved_counts(table, rows, new_rows, spec, ds)
+        z = z_full_stacked(ds, sup.n_sup)
+        for s, a in enumerate(new):
+            u = stacked_indicator(a)
+            assert np.array_equal(table[s], u.T @ z) and np.array_equal(sizes[s], u.sum(axis=0))
 
 
 class TestSupplementaryData:
@@ -840,14 +897,29 @@ class TestOneCellLayout:
         path = tmp_path / "data.csv"
         path.write_text("a,g,b\nx,M,u\ny,F,u\nx,F,v\n", encoding="utf-8")
         ds, sup = read_csv_dataset(path, ["g"])
-        ds.cell_columns, ds.column_means, sup.members(0, 0)
+        ds.column_means, sup.members(0, 0)
         for data in (ds, sup):
             self.assert_one_layout(data)
         # both containers keep their rows of the table the file was coded into
         assert ds.codes.base is sup.codes.base
         assert ds.codes.tolist() == [[0, 0], [1, 0], [0, 1]]
         assert sup.codes.tolist() == [[0], [1], [1]]
-        assert np.array_equal(ds.cell_columns, ds.codes.T + ds.offsets[:, None])
+
+    def test_cell_readers_keep_no_second_copy(self, rng):
+        # the readers of the cells use the code rows and each variable's
+        # block of Z's columns: the dataset holds no other array of N m cells
+        ds, sup, spec = unequal_blocks_problem(rng)
+        asg = init_random(sup, spec, rng)
+        b = rng.normal(size=(ds.total_categories, 2))
+        object_scores(ds, b)
+        table, _ = stacked_counts(asg.rows[None], spec, ds)
+        moved_counts(table, asg.rows[None], init_random(sup, spec, rng).rows[None], spec, ds)
+        _centered_burt(ds, sup.n_sup)
+        fit_mscca(ds, sup, spec, SolverOptions(n_starts=1))
+        self.assert_one_layout(ds)
+        rows = ds.codes.T
+        held = [a for a in vars(ds).values() if isinstance(a, np.ndarray)]
+        assert all(np.shares_memory(a, rows) for a in held if a.size == rows.size)
 
     def test_containers_built_from_codes(self, rng):
         codes = rng.integers(0, 3, size=(40, 4))

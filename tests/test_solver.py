@@ -1227,6 +1227,7 @@ class TestCenteredBurt:
             (50, [30] * 5),
             (7, [4] * 3),
             (60, [3, 7, 2, 11, 5]),
+            (50, [2, 5, 3, 7]),
         ],
     )
     def test_matches_dense_indicator(self, rng, n, q):
