@@ -219,10 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_k_map(values: list[str]) -> dict[tuple[str, str], int]:
     mapping: dict[tuple[str, str], int] = {}
     for item in values:
-        parts = item.split(":")
-        if len(parts) != 3:
+        # VAR ends at the first colon and K follows the last: CLASS may hold colons
+        var, first, rest = item.partition(":")
+        cls, last, k = rest.rpartition(":")
+        if not (first and last):
             raise ConfigError(f"--k expects VAR:CLASS:K, got {item!r}")
-        var, cls, k = parts
         try:
             mapping[(var, cls)] = int(k)
         except ValueError:

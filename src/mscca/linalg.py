@@ -334,26 +334,14 @@ def sign_fixed(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(flips, -1.0, 1.0)
 
 
-def mass_scale(
-    matrix: np.ndarray,
-    masses: np.ndarray,
-    exponent: float,
-    side: str = "left",
-) -> np.ndarray:
-    """Scale rows (``side='left'``) or columns (``side='right'``) of
-    ``matrix``, or of each matrix of a stack, by ``masses ** exponent``.
-    Masses must be strictly positive."""
+def mass_scale(matrix: np.ndarray, masses: np.ndarray, exponent: float) -> np.ndarray:
+    """Scale the rows of ``matrix``, or of each matrix of a stack, by
+    ``masses ** exponent``.  Masses must be strictly positive."""
     matrix = np.asarray(matrix, dtype=float)
     masses = np.asarray(masses, dtype=float).ravel()
     if np.any(masses <= 0.0):
         raise MassError("all masses must be strictly positive")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     scale = masses**exponent
-    if side == "left":
-        if matrix.shape[-2] != scale.size:
-            raise ShapeError("mass vector does not match row count")
-        return matrix * scale[:, None]
-    if matrix.shape[-1] != scale.size:
-        raise ShapeError("mass vector does not match column count")
-    return matrix * scale[None, :]
+    if matrix.shape[-2] != scale.size:
+        raise ShapeError("mass vector does not match row count")
+    return matrix * scale[:, None]

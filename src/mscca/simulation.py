@@ -466,7 +466,8 @@ def run_study(design: StudyDesign, workers: int | None = None) -> list[dict]:
 
 
 def summarize_study(rows: Iterable[dict]) -> list[dict]:
-    """Per-cell medians over all class rows with recorded values."""
+    """Per-cell medians over all class rows with recorded values, cells in
+    the order they first appear (``run_study``'s canonical order)."""
     cells: dict[tuple, dict] = {}
     for row in rows:
         key = (row["q"], row["K"], row["H"], row["r"], row["balance"])
@@ -478,7 +479,7 @@ def summarize_study(rows: Iterable[dict]) -> list[dict]:
         if row["gf"] is not None:
             cell["gf"].append(row["gf"])
     out = []
-    for (q, k, n_sup, r, balance), cell in sorted(cells.items(), key=lambda kv: str(kv[0])):
+    for (q, k, n_sup, r, balance), cell in cells.items():
         out.append(
             {
                 "q": q,

@@ -238,7 +238,7 @@ def _between_quantify(
     factors = factors.reshape(-1, *table.shape[-2:])
     eig, kept = gram_eig_top(factors, p)
     vectors = _centered_completion(eig.vectors, kept, dataset)
-    out = float(np.sqrt(n * n_stack * m)) * mass_scale(vectors, d, -0.5, side="left")
+    out = float(np.sqrt(n * n_stack * m)) * mass_scale(vectors, d, -0.5)
     return out.reshape(*table.shape[:-2], *out.shape[1:])
 
 
@@ -302,14 +302,6 @@ def _between_factor(
     return factor
 
 
-def _between_target(
-    table: np.ndarray, sizes: np.ndarray, dataset: CategoricalDataset
-) -> np.ndarray:
-    """Z^H' J P_U J Z^H = F'F from the count table (``_between_factor``)."""
-    factor = _between_factor(table, sizes, dataset)
-    return factor.T @ factor
-
-
 def _subtract_between(
     target: np.ndarray, table: np.ndarray, sizes: np.ndarray, dataset: CategoricalDataset
 ) -> None:
@@ -328,7 +320,9 @@ def _quantify(
     """sqrt(N H m) D^{-1/2} times the top-p eigenvectors of
     (1/m) D^{-1/2} target D^{-1/2}, with H = ``n_stack`` and D the stacked
     masses (category counts times H).  H cancels out of the result; it
-    only sets the scale of the eigenvalues.
+    only sets the scale of the eigenvalues.  This is the Q x Q solve of
+    the ``identity`` and ``projector-off`` constraints, whose centered
+    Burt target has no low-rank factor.
 
     ``target`` is consumed: it is scaled in place, so the solve holds two
     Q x Q arrays, it and ``sym_eig_top``'s symmetric part of it.  LAPACK's
@@ -344,7 +338,7 @@ def _quantify(
     target *= d_isqrt[None, :]
     target /= m
     eig = sym_eig_top(target, p)
-    return float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5, side="left")
+    return float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5)
 
 
 def _centered_burt(dataset: CategoricalDataset, n_stack: int) -> np.ndarray:
@@ -777,10 +771,13 @@ def fit_constrained_mca(
     reported objective is evaluated directly from the residuals.
 
     Every projector is onto the indicators of a partition (the source
-    assignment, or one group per class), so the eigenproblem target is the
-    partition's between-group cross-product from its count table, or the
-    centered Burt matrix minus it for ``projector-off``; the projected
-    scores are the group means of the object scores.
+    assignment, or one group per class), so the projected scores are the
+    group means of the object scores.  ``projector-on`` and
+    ``membership-projector`` solve the clustering fit's B-step on the
+    partition's count table (``_between_quantify``: a K x K problem, with
+    its centered completion when K - H < p).  ``identity`` and
+    ``projector-off`` solve the Q x Q problem on the centered Burt matrix,
+    less the partition's between-group cross-product for removal.
     """
     kind, source = cspec.kind, cspec.source
     if source is not None and source.n_obs != dataset.n_obs:
@@ -804,11 +801,11 @@ def fit_constrained_mca(
 
     if kind in ("identity", "projector-off"):
         target = _centered_burt(dataset, n_stack)
-    if kind == "projector-off":
-        _subtract_between(target, table, sizes, dataset)
-    elif partition is not None:
-        target = _between_target(table, sizes, dataset)
-    quantifications = _quantify(target, dataset, n_stack, p)
+        if kind == "projector-off":
+            _subtract_between(target, table, sizes, dataset)
+        quantifications = _quantify(target, dataset, n_stack, p)
+    else:
+        quantifications = _between_quantify(table, sizes, dataset, n_stack, p)
 
     scores = object_scores(dataset, quantifications)  # (1/m) J Z B, one block
     blocks = [scores]

@@ -39,8 +39,8 @@ from mscca.linalg import TOL, SymEigResult, _one_blas_thread, _ordered_top, sym_
 from mscca.solver import (
     WINNER_RTOL,
     ConstrainedFit,
+    _between_factor,
     _between_quantify,
-    _between_target,
     _centroids,
     _quantify,
 )
@@ -389,12 +389,12 @@ def update_B_qxq(
     assignment: HierarchicalAssignment, dataset: CategoricalDataset, p: int
 ) -> np.ndarray:
     """Oracle for ``update_B``: the Q x Q route, ``sym_eig_top`` on the
-    mass-scaled between-cluster target Z^H' J P_U J Z^H summed from the
-    count table (the B-step of every fit before the K x K route, and the
-    oracle for the K x K route's kept columns)."""
+    mass-scaled between-cluster target Z^H' J P_U J Z^H = F'F formed from
+    the count table's factor F (the B-step of every fit before the K x K
+    route, and the oracle for the K x K route's kept columns)."""
     table, sizes = cluster_counts(assignment, dataset)
-    target = _between_target(table, sizes, dataset)
-    return _quantify(target, dataset, assignment.n_sup, p)
+    factor = _between_factor(table, sizes, dataset)
+    return _quantify(factor.T @ factor, dataset, assignment.n_sup, p)
 
 
 def sym_eig_top_full_spectrum(matrix: np.ndarray, p: int) -> SymEigResult:

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import stat
@@ -136,6 +137,36 @@ class TestArchiveFormat:
         column["classes"] = column["classes"][::-1]
         with pytest.raises(ShapeError, match="observation 0"):
             assignment_from_archive(truth_json, sup)
+        column["classes"] = column["classes"][::-1]
+        n = sup.n_obs
+
+        def renamed(col):
+            col["variable"] = "Age"
+
+        def short_codes(col):
+            col["class_codes"] = col["class_codes"][:-1]
+
+        def short_clusters(col):
+            col["clusters"] = col["clusters"][:-1]
+
+        def code_past_classes(col):
+            col["class_codes"][3] = len(col["classes"])
+
+        def negative_code(col):
+            col["class_codes"][3] = -1
+
+        for edit, message in [
+            (renamed, r"archived variables \['Nationality', 'Age'\] do not match input"),
+            (short_codes, f"'Gender': archive does not hold {n} rows"),
+            (short_clusters, f"'Gender': archive does not hold {n} rows"),
+            (code_past_classes, r"'Gender': class codes outside \[0, 2\)"),
+            (negative_code, r"'Gender': class codes outside \[0, 2\)"),
+        ]:
+            edited = copy.deepcopy(truth_json)
+            edit(edited["assignment"][1])
+            with pytest.raises(ShapeError, match=message):
+                assignment_from_archive(edited, sup)
+        assignment_from_archive(truth_json, sup)  # the unedited archive loads
 
 
 def _bits(values):

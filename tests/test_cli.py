@@ -166,6 +166,24 @@ class TestFit:
         )
         assert code == 2
 
+    def test_k_class_label_may_hold_colons(self, tmp_path, capsys):
+        # the variable ends at the first colon and the count follows the last
+        path = tmp_path / "data.csv"
+        light = ["Day: lit", "Darkness: lights lit", "Dark"]
+        rows = [f"{'xy'[i % 2]},{'xyz'[i % 3]},{light[i % 3]}" for i in range(18)]
+        path.write_text("\n".join(["a,b,s", *rows]) + "\n", encoding="utf-8")
+        argv = ["fit", "--input", str(path), "--sup-cols", "s", "--starts", "2"]
+        argv += ["--k", "s:Day: lit:2", "--k", "s:Darkness: lights lit:3", "--k", "s:Dark:1"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        archive = load_json(tmp_path / "o" / "solution.json")
+        assert archive["solution"]["cluster_counts"] == [[2, 3, 1]]
+        assert archive["config"]["k"] == {
+            "s:Dark": 1, "s:Darkness: lights lit": 3, "s:Day: lit": 2
+        }
+        for bad in ("s:2", "s"):
+            assert main([*argv[:-2], "--k", bad, "--out", str(tmp_path / "bad")]) == 2
+            assert capsys.readouterr().err == f"error: --k expects VAR:CLASS:K, got {bad!r}\n"
+
     def test_oversized_k_exit_3(self, illustration_csv, tmp_path):
         args = [
             "fit", "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
@@ -669,6 +687,23 @@ class TestSimulate:
             return [row[:-1] for row in rows]
 
         assert strip_runtime(out1 / "results.csv") == strip_runtime(out2 / "results.csv")
+
+    def test_summary_cells_follow_the_design_order(self, tmp_path):
+        # q = 10 sorts before q = 5 as a string; the summary keeps the
+        # order of results.csv
+        path = tmp_path / "design.json"
+        design = {
+            "qs": [5, 10], "ks": [2], "hs": [1], "rs": [3], "balances": ["balanced"],
+            "replicates": 1, "starts": 2, "n_obs": 120, "n_vars": 4, "seed": 3,
+        }
+        path.write_text(json.dumps(design), encoding="utf-8")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--design", str(path), "--out", str(out)]) == 0
+        with (out / "results.csv").open() as fh:
+            results = [row["q"] for row in csv.DictReader(fh)]
+        with (out / "summary.csv").open() as fh:
+            summary = [row["q"] for row in csv.DictReader(fh)]
+        assert summary == ["5", "10"] == list(dict.fromkeys(results))
 
     def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MSCCA_THREADS", "two")

@@ -436,11 +436,6 @@ class TestMassScale:
         back = mass_scale(mass_scale(m, d, 0.5), d, -0.5)
         assert_allclose(back, m, atol=1e-12)
 
-    def test_column_side(self):
-        # direct arithmetic: 1/sqrt(2) and 1/sqrt(8)
-        out = mass_scale([[1.0, 1.0]], [2.0, 8.0], -0.5, side="right")
-        assert_allclose(out, [[0.7071, 0.3536]], atol=1e-4)
-
     def test_nonpositive_mass(self):
         with pytest.raises(MassError):
             mass_scale([[1.0]], [0.0], -0.5)
@@ -449,4 +444,4 @@ class TestMassScale:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mass_scale(np.eye(3), [1.0, 2.0], -1.0, side="left")
+            mass_scale(np.eye(3), [1.0, 2.0], -1.0)

@@ -485,6 +485,9 @@ class TestFitMscca:
         assert sol.objective == pytest.approx(fit.objective, abs=1e-8)
         angles = principal_angles(sol.quantifications, fit.quantifications)
         assert angles.max() < 1e-6
+        # class averaging runs the fit's own B-step on the same count table
+        assert fit.quantifications.tobytes() == sol.quantifications.tobytes()
+        assert fit.objective == sol.objective
 
     def test_rank_bound_enforced(self, rng):
         ds, sup, spec = random_problem(rng, m=2, q=2)  # Q - m = 2
@@ -583,6 +586,8 @@ class TestFitConstrainedMca:
         assert fit.objective == pytest.approx(sol.objective, abs=1e-8)
         angles = principal_angles(fit.quantifications, sol.quantifications)
         assert angles.max() < 1e-6
+        asg = sol.assignment
+        assert fit.quantifications.tobytes() == update_B(asg, ds, 2).tobytes()
 
     @pytest.mark.parametrize(
         "kind", ["identity", "projector-on", "projector-off", "membership-projector"]
@@ -851,6 +856,17 @@ class TestCenteredCompletion:
         yield ds, sol.assignment, 4, sol.quantifications
         ds, asg = _duplicated_rows_problem(rng)
         yield ds, asg, 2, update_B(asg, ds, 2)
+        # the partition kinds of fit_constrained_mca: one variable of two
+        # classes averaged at p = 2 (K - H = 1), and a frozen assignment
+        # with K - H = 3 < p = 4
+        ds, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=120, n_vars=5, seed=5))
+        sup = generate_supplementary(SupGenSpec(n_sup=1, r=2, seed=6), 120)
+        fit = fit_constrained_mca(ds, ConstraintSpec(kind="projector-on", source=sup), 2)
+        yield ds, HierarchicalAssignment.by_class(sup), 2, fit.quantifications
+        sup = generate_supplementary(SupGenSpec(n_sup=2, r=2, seed=7), 120)
+        asg = init_random(sup, ClusterSpec(((1, 1), (2, 1))), rng)
+        cspec = ConstraintSpec(kind="membership-projector", source=asg)
+        yield ds, asg, 4, fit_constrained_mca(ds, cspec, 4).quantifications
 
     def test_centered_normalized_and_kept_columns_match(self, rng):
         kept_counts = []
@@ -873,7 +889,7 @@ class TestCenteredCompletion:
             assert psi_value(asg, b, ds) == pytest.approx(
                 psi_value(asg, direct, ds), rel=1e-12, abs=1e-12
             )
-        assert kept_counts == [1, 3, 0]
+        assert kept_counts == [1, 3, 0, 1, 3]
 
 
 def _column_signs(a, b):
@@ -1186,22 +1202,37 @@ class TestNearestClusters:
 
 
 class TestConstrainedSolveMemory:
-    """The Q x Q solve of ``fit_constrained_mca`` holds its target and the
-    symmetric part of it, in which LAPACK's ``dsyevr`` works, next to a
-    Q x k block of vectors (LAPACK's workspace ``tracemalloc`` does not
-    see).  Counting the Burt matrix briefly adds one variable's pair
-    cells; removal subtracts the between part one block of rows at a
-    time."""
+    """The Q x Q solve of ``fit_constrained_mca``'s ``identity`` and
+    ``projector-off`` kinds holds its target and the symmetric part of
+    it, in which LAPACK's ``dsyevr`` works, next to a Q x k block of
+    vectors (LAPACK's workspace ``tracemalloc`` does not see).  Counting
+    the Burt matrix briefly adds one variable's pair cells; removal
+    subtracts the between part one block of rows at a time.
+    ``projector-on`` runs the fit's K x K B-step and forms no Q x Q
+    array."""
 
     @pytest.mark.parametrize("kind", ["projector-off", "identity", "projector-on"])
-    def test_peak_bounded_by_a_few_q_by_q_arrays(self, kind):
+    def test_peak_bounded_by_a_few_q_by_q_arrays(self, kind, monkeypatch):
         ds, _ = generate_clustered(GenSpec(q=40, k=3, n_obs=1000, n_vars=12, seed=12))
         sup = generate_supplementary(SupGenSpec(n_sup=3, r=3, seed=13), 1000)
         big_q = ds.total_categories
         assert 400 <= big_q <= 800
+        orders = []
+        direct = mscca.solver.sym_eig_top
+
+        def recorded(matrix, p):
+            orders.append(len(matrix))
+            return direct(matrix, p)
+
+        monkeypatch.setattr(mscca.solver, "sym_eig_top", recorded)
         cspec = ConstraintSpec(kind=kind, source=None if kind == "identity" else sup)
         fit_constrained_mca(ds, cspec, 2)  # lazy set-up
         peak = traced_peak(lambda: fit_constrained_mca(ds, cspec, 2))
+        if kind == "projector-on":
+            assert orders == []
+            assert peak <= 0.5 * big_q * big_q * 8
+            return
+        assert orders == [big_q, big_q]
         # eigh's full Q x Q output where numpy's BLAS exports no dsyevr
         bound = 2.5 if mscca.linalg._dsyevr() is not None else 3.25
         assert peak <= bound * big_q * big_q * 8
