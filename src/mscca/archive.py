@@ -655,8 +655,9 @@ def biplot_svg(archive: Any) -> str:
     sized by share, class labels by mass.
 
     Raises ``ConfigError`` when the archive holds no category points or a
-    point is malformed, and ``ExportError`` unless the points are
-    2-dimensional.
+    point is malformed (its coords not two finite numbers, or its share or
+    mass neither null nor a finite number), and ``ExportError`` unless the
+    first category point is 2-dimensional.
     """
     biplot = archive.get("biplot") if isinstance(archive, dict) else None
     if not isinstance(biplot, dict) or not biplot.get("categories"):
@@ -665,11 +666,15 @@ def biplot_svg(archive: Any) -> str:
         p = len(biplot["categories"][0]["coords"])
         if p != 2:
             raise ExportError(f"SVG export needs 2-dimensional coordinates, archive has p={p}")
-        points = [
-            (kind, rec["label"], rec["coords"][0], rec["coords"][1],
-             rec.get("mass" if kind == "class" else "share"))
-            for kind, rec in biplot_points(archive)
-        ]
-    except (KeyError, IndexError, TypeError) as exc:
+        points = []
+        for kind, rec in biplot_points(archive):
+            x, y = rec["coords"]
+            size = rec.get("mass" if kind == "class" else "share")
+            values = (x, y) if size is None else (x, y, size)
+            # math.isfinite raises TypeError on a string or null, and accepts a bool
+            if any(isinstance(v, bool) or not math.isfinite(v) for v in values):
+                raise ValueError(f"{kind} {rec['label']!r} needs finite coords and size")
+            points.append((kind, rec["label"], x, y, size))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"archive biplot is malformed: {exc!r}") from exc
     return render_scatter(points)

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .archive import (
@@ -68,67 +68,6 @@ from .solver import (
 
 EXPORTS = ("solution-json", "coords-csv", "residuals-csv", "svg")
 DEFAULT_EXPORTS = ("solution-json", "coords-csv", "residuals-csv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved command invocation, echoed verbatim into archives.
-
-    ``k`` is either a mapping keyed by "variable:class" strings or the
-    literal "auto" (``k_max`` then needs at least four points for the
-    selection rule to have interior candidates).
-    """
-
-    input: str
-    sup_cols: tuple[str, ...]
-    k: dict | str | int | None
-    k_max: int | None
-    dims: int
-    starts: int
-    seed: int
-    epsilon: float
-    max_iter: int
-    out: str
-    exports: tuple[str, ...]
-    method: str | None = None
-
-    def validate(self) -> None:
-        if not self.sup_cols:
-            raise ConfigError("--sup-cols must name at least one column")
-        if self.k == "auto" and (self.k_max is None or self.k_max < 4):
-            raise ConfigError("--k-max must be at least 4 for auto selection")
-        unknown = set(self.exports) - set(EXPORTS)
-        if unknown:
-            raise ConfigError(f"unknown exports: {sorted(unknown)}")
-        self.options().validate()
-
-    def options(self) -> SolverOptions:
-        return SolverOptions(
-            p=self.dims,
-            n_starts=self.starts,
-            max_iter=self.max_iter,
-            epsilon=self.epsilon,
-            seed=self.seed,
-        )
-
-    def echo(self) -> dict:
-        out = {
-            "input": self.input,
-            "sup_cols": ",".join(self.sup_cols),
-            "dims": self.dims,
-            "starts": self.starts,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "max_iter": self.max_iter,
-            "exports": list(self.exports),
-        }
-        if self.k is not None:
-            out["k"] = self.k
-        if self.k == "auto":
-            out["k_max"] = self.k_max
-        if self.method is not None:
-            out["method"] = self.method
-        return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,6 +163,8 @@ def _parse_k_map(values: list[str]) -> dict[tuple[str, str], int]:
         cls, last, k = rest.rpartition(":")
         if not (first and last):
             raise ConfigError(f"--k expects VAR:CLASS:K, got {item!r}")
+        if (var, cls) in mapping:
+            raise ConfigError(f"--k names class {var}:{cls} twice")
         try:
             mapping[(var, cls)] = int(k)
         except ValueError:
@@ -231,36 +172,53 @@ def _parse_k_map(values: list[str]) -> dict[tuple[str, str], int]:
     return mapping
 
 
-def _config_from_args(args, method=None, k=None, k_max=None) -> RunConfig:
-    config = RunConfig(
-        input=str(args.input),
-        sup_cols=tuple(c for c in args.sup_cols.split(",") if c),
-        k=k,
-        k_max=k_max,
-        dims=args.dims,
-        starts=args.starts,
-        seed=args.seed,
-        epsilon=args.epsilon,
+def _resolve(args, k, method=None) -> tuple[SolverOptions, dict]:
+    """The solver options and the archive's ``config`` echo of a ``fit`` or
+    ``variants`` command, checked before the CSV is read.  ``k="auto"``
+    needs ``--k-max`` >= 4 for the selection rule to have interior candidates."""
+    sup_cols = [c for c in args.sup_cols.split(",") if c]
+    if not sup_cols:
+        raise ConfigError("--sup-cols must name at least one column")
+    if k == "auto" and args.k_max < 4:
+        raise ConfigError("--k-max must be at least 4 for auto selection")
+    options = SolverOptions(
+        p=args.dims,
+        n_starts=args.starts,
         max_iter=args.max_iter,
-        out=str(args.out),
-        exports=tuple(args.export) if args.export else DEFAULT_EXPORTS,
-        method=method,
+        epsilon=args.epsilon,
+        seed=args.seed,
     )
-    config.validate()
-    return config
+    options.validate()
+    config = {
+        "input": args.input,
+        "sup_cols": ",".join(sup_cols),
+        "dims": args.dims,
+        "starts": args.starts,
+        "seed": args.seed,
+        "epsilon": args.epsilon,
+        "max_iter": args.max_iter,
+        "exports": args.export or list(DEFAULT_EXPORTS),
+    }
+    if k is not None:
+        config["k"] = k
+    if k == "auto":
+        config["k_max"] = args.k_max
+    if method is not None:
+        config["method"] = method
+    return options, config
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> ConfigError:
     return ConfigError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
-def _read_input(config: RunConfig) -> tuple:
+def _read_input(path: str, sup_cols: list[str]) -> tuple:
     try:
-        return read_csv_dataset(config.input, list(config.sup_cols))
+        return read_csv_dataset(path, sup_cols)
     except OSError as exc:
-        raise ConfigError(f"cannot read {config.input}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _not_utf8(config.input, exc) from exc
+        raise _not_utf8(path, exc) from exc
     except (ShapeError, MissingValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -276,7 +234,7 @@ def _writing(out: Path):
         raise ExportError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _write_exports(out_dir: Path, archive: dict, exports: tuple[str, ...]) -> None:
+def _write_exports(out_dir: Path, archive: dict, exports: list[str]) -> None:
     svg = biplot_svg(archive) if "svg" in exports else None
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -305,19 +263,16 @@ def cmd_fit(args) -> int:
     if args.k_auto:
         if args.k is not None:
             raise ConfigError("--k and --k-auto are mutually exclusive")
-        config = _config_from_args(args, k="auto", k_max=args.k_max)
+        k = "auto"
     else:
         if not args.k:
             raise ConfigError("either --k entries or --k-auto is required")
         mapping = _parse_k_map(args.k)
-        config = _config_from_args(
-            args, k={f"{var}:{cls}": k for (var, cls), k in sorted(mapping.items())}
-        )
-    dataset, sup = _read_input(config)
-    options = config.options()
-    echo = config.echo()
-    if config.k == "auto":
-        selection = select_k_per_class(dataset, sup, config.k_max, options)
+        k = {f"{var}:{cls}": count for (var, cls), count in sorted(mapping.items())}
+    options, echo = _resolve(args, k)
+    dataset, sup = _read_input(args.input, echo["sup_cols"].split(","))
+    if args.k_auto:
+        selection = select_k_per_class(dataset, sup, args.k_max, options)
         spec = ClusterSpec(
             tuple(
                 tuple(selection[(h, s)].chosen for s in range(sup.r[h]))
@@ -343,10 +298,10 @@ def cmd_fit(args) -> int:
 
     solution = fit_mscca(dataset, sup, spec, options)
     archive = _clustering_archive(echo, dataset, solution)
-    _write_exports(Path(config.out), archive, config.exports)
+    _write_exports(Path(args.out), archive, echo["exports"])
     print(
         f"fit: objective {solution.objective:.6g}, "
-        f"converged {solution.converged}, outputs in {config.out}"
+        f"converged {solution.converged}, outputs in {args.out}"
     )
     return 0
 
@@ -361,11 +316,11 @@ def cmd_variants(args) -> int:
             k = int(args.k)
         except ValueError:
             raise ConfigError(f"--k must be an integer for cluster-ca, got {args.k!r}") from None
-    config = _config_from_args(args, method=method, k=k)
-    dataset, sup = _read_input(config)
-    options = config.options()
-    exports = config.exports
-    out_dir = Path(config.out)
+    elif args.k is not None:
+        raise ConfigError("--k applies only to --method cluster-ca")
+    options, echo = _resolve(args, k, method)
+    dataset, sup = _read_input(args.input, echo["sup_cols"].split(","))
+    out_dir = Path(args.out)
 
     if method in ("averaging", "cluster-ca"):
         if method == "averaging":
@@ -376,19 +331,19 @@ def cmd_variants(args) -> int:
             )
         else:
             solution = fit_cluster_ca(dataset, k, options)
-        archive = _clustering_archive(config.echo(), dataset, solution)
+        archive = _clustering_archive(echo, dataset, solution)
         if method == "averaging":
             class_points_only(archive)
-        _write_exports(out_dir, archive, exports)
-        print(f"variants {method}: objective {solution.objective:.6g}, outputs in {config.out}")
+        _write_exports(out_dir, archive, echo["exports"])
+        print(f"variants {method}: objective {solution.objective:.6g}, outputs in {args.out}")
         return 0
 
     kind = "identity" if method == "mca" else "projector-off"
     source = None if method == "mca" else sup
-    fit = fit_constrained_mca(dataset, ConstraintSpec(kind=kind, source=source), config.dims)
-    archive = variant_archive(config.echo(), method, dataset, fit)
-    _write_exports(out_dir, archive, exports)
-    print(f"variants {method}: objective {fit.objective:.6g}, outputs in {config.out}")
+    fit = fit_constrained_mca(dataset, ConstraintSpec(kind=kind, source=source), args.dims)
+    archive = variant_archive(echo, method, dataset, fit)
+    _write_exports(out_dir, archive, echo["exports"])
+    print(f"variants {method}: objective {fit.objective:.6g}, outputs in {args.out}")
     return 0
 
 

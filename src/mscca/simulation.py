@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -456,6 +455,9 @@ def run_study(design: StudyDesign, workers: int | None = None) -> list[dict]:
     ]
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # imported here so that importing mscca does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(
                 pool.map(_study_task, [design] * len(tasks), *zip(*tasks))

@@ -36,19 +36,23 @@ def illustration_csv(tmp_path_factory):
     return out / "data.csv"
 
 
-def run_module(*args, cwd, module="mscca"):
-    """``python -m MODULE ARGS`` in a fresh interpreter that imports this
-    checkout's package."""
+def run_python(*args, cwd):
+    """``python ARGS`` in a fresh interpreter that imports this checkout's
+    package."""
     src = str(Path(mscca.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", module, *args],
+        [sys.executable, *args],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def run_module(*args, cwd, module="mscca"):
+    return run_python("-m", module, *args, cwd=cwd)
 
 
 def run_fit(illustration_csv, out_dir, extra=None):
@@ -165,6 +169,40 @@ class TestFit:
              "--k", "Nationality:American:2", "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_repeated_k_class_exit_2(self, illustration_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(
+            ["fit", "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
+             *ILLUSTRATION_K, "--k", "Nationality:American:3", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --k names class Nationality:American twice\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", *ILLUSTRATION_K, "--sup-cols", ",", "--seed", "-1"],
+             "--sup-cols must name at least one column"),
+            (["fit", "--k-auto", "--k-max", "3", "--sup-cols", "Nationality", "--seed", "-1"],
+             "--k-max must be at least 4 for auto selection"),
+            (["fit", *ILLUSTRATION_K, "--k-auto", "--sup-cols", "Nationality,Gender"],
+             "--k and --k-auto are mutually exclusive"),
+            (["fit", "--sup-cols", "Nationality,Gender"],
+             "either --k entries or --k-auto is required"),
+            (["variants", "--method", "removal", "--sup-cols", ","],
+             "--sup-cols must name at least one column"),
+        ],
+        ids=["empty-sup-cols", "small-k-max", "k-and-k-auto", "no-k", "variants-empty-sup-cols"],
+    )
+    def test_pre_read_checks_keep_message_code_and_order(self, tmp_path, capsys, argv, message):
+        # the input does not exist, so each check runs before the CSV is read;
+        # --seed -1 (exit 3) pins that it also runs before the solver checks
+        out = tmp_path / "o"
+        assert main([*argv, "--input", str(tmp_path / "absent.csv"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_k_class_label_may_hold_colons(self, tmp_path, capsys):
         # the variable ends at the first colon and the count follows the last
@@ -410,6 +448,14 @@ class TestExportSvg:
             {"biplot": {"categories": [{"label": "a"}]}},
             {"biplot": {"categories": [{"label": "a", "coords": [0.0, 1.0]}],
                         "clusters": [{"label": "x"}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": [float("nan"), 1.0]}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": ["a", "b"]}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": [None, 1]}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": [True, 1.0]}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": [0.0, 1.0]}],
+                        "clusters": [{"label": "x", "coords": [1.0, 0.0], "share": "big"}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": [0.0, 1.0]}],
+                        "classes": [{"label": "c", "coords": [1.0, 0.0], "mass": "heavy"}]}},
         ],
     )
     def test_malformed_archive_exit_2(self, tmp_path, capsys, archive):
@@ -528,6 +574,17 @@ class TestVariants:
         assert err == "error: eigh failed on a 5 x 5 matrix: Eigenvalues did not converge\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("method", ["averaging", "removal", "mca"])
+    def test_k_with_other_methods_exit_2(self, illustration_csv, tmp_path, capsys, method):
+        out = tmp_path / "o"
+        code = main(
+            ["variants", "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
+             "--method", method, "--k", "7", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --k applies only to --method cluster-ca\n"
+        assert not out.exists()
+
     def test_cluster_ca_without_k_exit_2(self, illustration_csv, tmp_path):
         code = main(
             ["variants", "--input", str(illustration_csv),
@@ -536,6 +593,46 @@ class TestVariants:
         )
         assert code == 2
 
+
+
+class TestConfigEcho:
+    SOLVER_FLAGS = ["--dims", "2", "--starts", "3", "--seed", "5", "--epsilon", "1e-06",
+                    "--max-iter", "50"]
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["fit", *ILLUSTRATION_K],
+             {"k": {"Gender:Female": 2, "Gender:Male": 3, "Nationality:American": 2,
+                    "Nationality:Japanese": 2}}),
+            (["fit", "--k-auto", "--k-max", "4", "--export", "solution-json", "--export", "svg"],
+             {"k": "auto", "k_max": 4, "exports": ["solution-json", "svg"]}),
+            (["variants", "--method", "cluster-ca", "--k", "3"],
+             {"k": 3, "method": "cluster-ca"}),
+            (["variants", "--method", "removal"], {"method": "removal"}),
+        ],
+        ids=["fit", "fit-auto", "cluster-ca", "removal"],
+    )
+    def test_archive_echoes_the_command(self, illustration_csv, tmp_path, argv, extra):
+        out = tmp_path / "o"
+        argv = [*argv, "--input", str(illustration_csv), "--sup-cols", "Nationality,,Gender",
+                *self.SOLVER_FLAGS, "--out", str(out)]
+        assert main(argv) == 0
+        config = load_json(out / "solution.json")["config"]
+        assert set(config.pop("k_selection", {})) == (
+            {"Nationality", "Gender"} if extra.get("k") == "auto" else set()
+        )
+        assert config == {
+            "input": str(illustration_csv),
+            "sup_cols": "Nationality,Gender",
+            "dims": 2,
+            "starts": 3,
+            "seed": 5,
+            "epsilon": 1e-06,
+            "max_iter": 50,
+            "exports": ["solution-json", "coords-csv", "residuals-csv"],
+            **extra,
+        }
 
 
 class TestCsvFieldLimit:
@@ -630,6 +727,12 @@ class TestModuleEntry:
         assert main(["illustrate", "--out", str(tmp_path / "direct")]) == 0
         for name in ("data.csv", "truth.json"):
             assert (tmp_path / "ill" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+    def test_import_does_not_load_multiprocessing(self, tmp_path):
+        # simulate imports its process pool only when it runs one
+        code = "import sys, mscca.cli; sys.exit('multiprocessing' in sys.modules)"
+        result = run_python("-c", code, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
 
     def test_cli_module_runs_the_cli(self, tmp_path):
         result = run_module("fit", cwd=tmp_path, module="mscca.cli")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import re
 from dataclasses import replace
 
@@ -270,7 +271,7 @@ class TestRunStudy:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulation.os, "cpu_count", lambda: 8)
         design = self._smoke_design()  # 2 tasks: one cell, two replicates
         monkeypatch.setenv("MSCCA_THREADS", "1000")
