@@ -656,7 +656,8 @@ def biplot_svg(archive: Any) -> str:
 
     Raises ``ConfigError`` when the archive holds no category points or a
     point is malformed (its coords not two finite numbers, or its share or
-    mass neither null nor a finite number), and ``ExportError`` unless the
+    mass neither null nor a finite number) or the padded viewport of the
+    points and the origin is not finite, and ``ExportError`` unless the
     first category point is 2-dimensional.
     """
     biplot = archive.get("biplot") if isinstance(archive, dict) else None
@@ -675,6 +676,6 @@ def biplot_svg(archive: Any) -> str:
             if any(isinstance(v, bool) or not math.isfinite(v) for v in values):
                 raise ValueError(f"{kind} {rec['label']!r} needs finite coords and size")
             points.append((kind, rec["label"], x, y, size))
+        return render_scatter(points)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"archive biplot is malformed: {exc!r}") from exc
-    return render_scatter(points)

@@ -175,7 +175,8 @@ def _parse_k_map(values: list[str]) -> dict[tuple[str, str], int]:
 def _resolve(args, k, method=None) -> tuple[SolverOptions, dict]:
     """The solver options and the archive's ``config`` echo of a ``fit`` or
     ``variants`` command, checked before the CSV is read.  ``k="auto"``
-    needs ``--k-max`` >= 4 for the selection rule to have interior candidates."""
+    needs ``--k-max`` >= 4 for the selection rule to have interior
+    candidates, and an ``svg`` export needs ``--dims 2``."""
     sup_cols = [c for c in args.sup_cols.split(",") if c]
     if not sup_cols:
         raise ConfigError("--sup-cols must name at least one column")
@@ -189,6 +190,9 @@ def _resolve(args, k, method=None) -> tuple[SolverOptions, dict]:
         seed=args.seed,
     )
     options.validate()
+    exports = args.export or list(DEFAULT_EXPORTS)
+    if "svg" in exports and args.dims != 2:
+        raise ExportError(f"--export svg needs --dims 2, got --dims {args.dims}")
     config = {
         "input": args.input,
         "sup_cols": ",".join(sup_cols),
@@ -197,7 +201,7 @@ def _resolve(args, k, method=None) -> tuple[SolverOptions, dict]:
         "seed": args.seed,
         "epsilon": args.epsilon,
         "max_iter": args.max_iter,
-        "exports": args.export or list(DEFAULT_EXPORTS),
+        "exports": exports,
     }
     if k is not None:
         config["k"] = k

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -167,34 +167,65 @@ def _code_rows(
     return rows, counts
 
 
+_Coded = TypeVar("_Coded", bound="_CodedColumns")
+
+
 @dataclass(frozen=True, eq=False)
-class CategoricalDataset:
+class _CodedColumns:
+    """Integer-coded columns of N observations, every label used, stored
+    once as contiguous read-only rows that ``codes`` views transposed, so
+    ``codes[:, j]`` is contiguous.  A subclass sets its default name
+    ``_prefix`` and the ``_outside`` and ``_unused`` wording of ``_code_rows``."""
+
+    codes: np.ndarray
+    labels: tuple[tuple[str, ...], ...]
+    names: tuple[str, ...]
+    # Per column, the count of each label.
+    _label_counts: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows, counts = _code_rows(self.codes, self.labels, self.names, self._outside, self._unused)
+        object.__setattr__(self, "codes", rows.T)
+        object.__setattr__(self, "_label_counts", tuple(counts))
+
+    @property
+    def n_obs(self) -> int:
+        return self.codes.shape[0]
+
+    @classmethod
+    def from_codes(
+        cls: type[_Coded],
+        codes: np.ndarray,
+        labels: Sequence[Sequence[str]],
+        names: Sequence[str] | None = None,
+    ) -> _Coded:
+        """Build from integer codes, dropping unused labels (a warning is
+        emitted for each drop so silent label lists do not linger)."""
+        codes, kept = _compact_codes(codes, labels)
+        if names is None:
+            names = tuple(f"{cls._prefix}{j + 1}" for j in range(codes.shape[1]))
+        return cls(codes=codes, labels=kept, names=tuple(names))
+
+    @classmethod
+    def _encode(
+        cls: type[_Coded], raw: Sequence[Sequence[str]], names: Sequence[str] | None
+    ) -> _Coded:
+        """First-appearance coding of a rectangular table of labels."""
+        codes, labels = _code_table(raw)
+        return cls(codes, labels, _column_names(names, codes.shape[1], cls._prefix))
+
+
+@dataclass(frozen=True, eq=False)
+class CategoricalDataset(_CodedColumns):
     """N observations of m categorical variables, integer coded.
 
     ``codes[i, j]`` is the category index of observation ``i`` on variable
     ``j`` and always lies in ``[0, q[j])``; every category occurs at least
     once.  ``labels[j]`` maps codes back to the original category labels.
-    The codes are stored once, one contiguous row per variable (m x N);
-    ``codes`` is their transposed view, so ``codes[:, j]`` is contiguous.
+    The codes are stored as m x N rows (``_CodedColumns``).
     """
 
-    codes: np.ndarray
-    labels: tuple[tuple[str, ...], ...]
-    names: tuple[str, ...]
-    # Category frequencies over all Q categories, in Z's column order.
-    counts: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        rows, counts = _code_rows(
-            self.codes, self.labels, self.names, "codes", "has categories that never occur"
-        )
-        object.__setattr__(self, "codes", rows.T)
-        counts = np.concatenate([np.zeros(0, dtype=np.int64), *counts])
-        object.__setattr__(self, "counts", _freeze(counts))
-
-    @property
-    def n_obs(self) -> int:
-        return self.codes.shape[0]
+    _prefix, _outside, _unused = "v", "codes", "has categories that never occur"
 
     @property
     def n_vars(self) -> int:
@@ -209,6 +240,11 @@ class CategoricalDataset:
     def total_categories(self) -> int:
         """Q, the total number of categories over all variables."""
         return sum(self.q)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Category frequencies over all Q categories, in Z's column order."""
+        return _freeze(np.concatenate([np.zeros(0, dtype=np.int64), *self._label_counts]))
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -226,20 +262,6 @@ class CategoricalDataset:
         return tuple(
             f"{name}:{lab}" for name, labels in zip(self.names, self.labels) for lab in labels
         )
-
-    @classmethod
-    def from_codes(
-        cls,
-        codes: np.ndarray,
-        labels: Sequence[Sequence[str]],
-        names: Sequence[str] | None = None,
-    ) -> "CategoricalDataset":
-        """Build from integer codes, dropping unused categories (a warning
-        is emitted for each drop so silent label lists do not linger)."""
-        codes, kept = _compact_codes(codes, labels)
-        if names is None:
-            names = tuple(f"v{j + 1}" for j in range(codes.shape[1]))
-        return cls(codes=codes, labels=kept, names=tuple(names))
 
     def decode(self) -> list[list[str]]:
         """Recover the original table of labels, cell for cell."""
@@ -268,37 +290,20 @@ def encode_dataset(
     coding deterministic and locale independent.  Empty cells raise
     ``MissingValueError``; ragged input raises ``ShapeError``.
     """
-    codes, labels = _code_table(raw)
-    names = _column_names(names, codes.shape[1], "v")
-    return CategoricalDataset(codes=codes, labels=labels, names=names)
+    return CategoricalDataset._encode(raw, names)
 
 
 @dataclass(frozen=True, eq=False)
-class SupplementaryData:
-    """Class memberships for H supplementary variables, integer coded.
+class SupplementaryData(_CodedColumns):
+    """Class memberships for H supplementary variables, integer coded and
+    stored as H x N rows (``_CodedColumns``); every class has a member."""
 
-    Same storage contract as ``CategoricalDataset`` (``codes`` views H x N
-    rows); every class has at least one member.
-    """
-
-    codes: np.ndarray
-    labels: tuple[tuple[str, ...], ...]
-    names: tuple[str, ...]
-    # Per variable, the member count of each class.
-    _sizes: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _prefix, _outside, _unused = "s", "classes", "has classes without members"
 
     def __post_init__(self) -> None:
-        rows, sizes = _code_rows(
-            self.codes, self.labels, self.names, "classes", "has classes without members"
-        )
-        object.__setattr__(self, "codes", rows.T)
-        object.__setattr__(self, "_sizes", tuple(sizes))
-        if not sizes:
+        super().__post_init__()
+        if not self._label_counts:
             raise ShapeError("supplementary data needs at least one variable")
-
-    @property
-    def n_obs(self) -> int:
-        return self.codes.shape[0]
 
     @property
     def n_sup(self) -> int:
@@ -308,18 +313,6 @@ class SupplementaryData:
     def r(self) -> tuple[int, ...]:
         """Per-variable class counts."""
         return tuple(len(lab) for lab in self.labels)
-
-    @classmethod
-    def from_codes(
-        cls,
-        codes: np.ndarray,
-        labels: Sequence[Sequence[str]],
-        names: Sequence[str] | None = None,
-    ) -> "SupplementaryData":
-        codes, kept = _compact_codes(codes, labels)
-        if names is None:
-            names = tuple(f"s{j + 1}" for j in range(codes.shape[1]))
-        return cls(codes=codes, labels=kept, names=tuple(names))
 
     def members(self, h: int, s: int) -> np.ndarray:
         """Indices of the observations in class ``s`` of variable ``h``
@@ -335,16 +328,14 @@ class SupplementaryData:
 
     def class_sizes(self, h: int) -> np.ndarray:
         """Member count of each class of variable ``h`` (read-only)."""
-        return self._sizes[h]
+        return self._label_counts[h]
 
 
 def encode_supplementary(
     raw: Sequence[Sequence[str]], names: Sequence[str] | None = None
 ) -> SupplementaryData:
     """First-appearance encoding of supplementary class labels."""
-    codes, labels = _code_table(raw)
-    names = _column_names(names, codes.shape[1], "s")
-    return SupplementaryData(codes=codes, labels=labels, names=names)
+    return SupplementaryData._encode(raw, names)
 
 
 @dataclass(frozen=True)

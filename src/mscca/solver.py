@@ -491,17 +491,17 @@ def _chunk_size(dataset: CategoricalDataset, spec: ClusterSpec, p: int) -> int:
     return max(1, _CHUNK_BYTES // _start_bytes(dataset, spec, p))
 
 
-class _ChunkResult(NamedTuple):
-    """Where each start of a chunk ended: S x N x H clusters, S x K x p
-    centers, S x Q x p quantifications, S traces, S converged flags and S
-    values of psi."""
+class _StartEnd(NamedTuple):
+    """Where one start ended: its N x H clusters, K x p centers and Q x p
+    quantifications (each its own copy), its objective trace, whether it
+    converged, and its psi."""
 
     clusters: np.ndarray
     centers: np.ndarray
     quantifications: np.ndarray
-    traces: list[tuple[float, ...]]
-    converged: np.ndarray
-    psi: np.ndarray
+    trace: tuple[float, ...]
+    converged: bool
+    psi: float
 
 
 def _run_start(
@@ -510,10 +510,10 @@ def _run_start(
     spec: ClusterSpec,
     options: SolverOptions,
     seeds: list[np.random.SeedSequence],
-) -> _ChunkResult:
+) -> list[_StartEnd]:
     """A chunk of starts, one per seed, driven to convergence together as
     one array program over stacked count tables, quantifications, scores
-    and centers.
+    and centers; one ``_StartEnd`` per seed, in seed order.
 
     Every start draws its initial clusters from its own seed (``spec``
     is already validated against ``sup``, once per fit) and then runs
@@ -533,47 +533,42 @@ def _run_start(
     the objective up, so the trace never increases beyond float jitter.
     """
     n_sup, p, max_iter = sup.n_sup, options.p, options.max_iter
-    n_chunk = len(seeds)
     template = HierarchicalAssignment(
         sup=sup, spec=spec, clusters=np.zeros((sup.n_obs, n_sup), dtype=np.int64)
     )
     first = template.rows  # G row of cluster 0 of each observation's class
     # Each start's assignment is held as its N x H rows of G, first + clusters.
-    rows = np.zeros((n_chunk, sup.n_obs, n_sup), dtype=np.int64)
+    rows = np.zeros((len(seeds), sup.n_obs, n_sup), dtype=np.int64)
     for seed, drawn in zip(seeds, rows):
         _draw_clusters(sup, spec, np.random.default_rng(seed), drawn)
     rows += first
     table, sizes = stacked_counts(rows, spec, dataset)
-    end_rows = np.empty_like(rows)
-    end_centers = np.empty((n_chunk, spec.k_total, p))
-    end_quantifications = np.empty((n_chunk, dataset.total_categories, p))
-    converged = np.zeros(n_chunk, dtype=bool)
-    end_psi = np.empty(n_chunk)
-    cycles: list[np.ndarray] = []  # per cycle, the objective of each start still running
-    lengths = np.zeros(n_chunk, dtype=np.int64)
-    live = np.arange(n_chunk)  # chunk position of each start still running
+    traces: list[list[float]] = [[] for _ in seeds]
+    ends: list[_StartEnd] = [None] * len(seeds)
+    live = np.arange(len(seeds))  # chunk position of each start still running
+    previous = np.full(len(seeds), np.inf)  # no start settles on its first cycle
     for t in range(max_iter):
         quantifications = _between_quantify(table, sizes, dataset, n_sup, p)
         scores = object_scores(dataset, quantifications)
         centers = _centroids(table, sizes, dataset, quantifications)
         spread = (sizes[..., None] * centers * centers).sum(axis=(1, 2))
-        cycles.append(np.empty(n_chunk))
-        cycles[t][live] = p - spread / (dataset.n_obs * n_sup)
-        settled = np.zeros(live.size, dtype=bool)
-        if t > 0:
-            settled = cycles[t - 1][live] - cycles[t][live] < options.epsilon
+        objective = p - spread / (dataset.n_obs * n_sup)
+        for s, value in zip(live, objective.tolist()):
+            traces[s].append(value)
+        settled = previous - objective < options.epsilon
         stop = settled | (t == max_iter - 1)
+        for i in np.flatnonzero(stop):
+            ends[live[i]] = _StartEnd(
+                rows[i] - first, centers[i].copy(), quantifications[i].copy(),
+                traces[live[i]], bool(settled[i]), float(dataset.n_vars**2 * spread[i]),
+            )
         if stop.any():
-            done = live[stop]
-            end_rows[done], end_centers[done] = rows[stop], centers[stop]
-            end_quantifications[done] = quantifications[stop]
-            converged[done], lengths[done] = settled[stop], t + 1
-            end_psi[done] = dataset.n_vars**2 * spread[stop]
             go = ~stop
-            if not go.any():
-                break
-            live, rows, table = live[go], rows[go], table[go]
+            live, rows, table, objective = live[go], rows[go], table[go], objective[go]
             scores, centers, quantifications = scores[go], centers[go], quantifications[go]
+            if not live.size:  # filtered first, so the chunk's arrays are freed
+                break
+        previous = objective
         candidate = _nearest_clusters(scores, centers, sup, spec)
         candidate += first
         sizes = moved_counts(table, rows, candidate, spec, dataset)
@@ -592,20 +587,11 @@ def _run_start(
             )[0]
             candidate[s] = kept.rows
         rows = candidate
-    blocks = [np.take_along_axis(end_centers, end_rows[..., h, None], axis=1) for h in range(n_sup)]
-    trace = np.column_stack(cycles)
-    trace[np.arange(n_chunk), lengths - 1] = _direct_objective(
-        blocks, end_quantifications, dataset
-    )
-    end_rows -= first
-    return _ChunkResult(
-        clusters=end_rows,
-        centers=end_centers,
-        quantifications=end_quantifications,
-        traces=[tuple(row[:length].tolist()) for row, length in zip(trace, lengths)],
-        converged=converged,
-        psi=end_psi,
-    )
+    centers = np.stack([end.centers for end in ends])
+    rows = np.stack([end.clusters for end in ends]) + first
+    blocks = [np.take_along_axis(centers, rows[..., h, None], axis=1) for h in range(n_sup)]
+    finals = _direct_objective(blocks, np.stack([end.quantifications for end in ends]), dataset)
+    return [end._replace(trace=(*end.trace[:-1], f)) for end, f in zip(ends, finals.tolist())]
 
 
 def _ties(finals: Sequence[float]) -> np.ndarray:
@@ -664,33 +650,24 @@ def fit_mscca(
     seeds = np.random.SeedSequence(options.seed).spawn(options.n_starts)
     chunk = _chunk_size(dataset, spec, options.p)
     traces: list[tuple[float, ...]] = []
-    # Ends (clusters, centers, quantifications, converged, psi) of the
-    # starts that can still win; a start dropped here never can.
-    contenders: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, bool, float]] = {}
+    contenders: dict[int, _StartEnd] = {}  # a start dropped here can never win
     for lo in range(0, options.n_starts, chunk):
         ends = _run_start(dataset, sup, spec, options, seeds[lo : lo + chunk])
-        traces.extend(ends.traces)
+        traces.extend(end.trace for end in ends)
         can_win = _contenders([trace[-1] for trace in traces])
         contenders = {index: end for index, end in contenders.items() if can_win[index]}
-        for s in np.flatnonzero(can_win[lo:]):
-            contenders[lo + int(s)] = (
-                ends.clusters[s].copy(),
-                ends.centers[s].copy(),
-                ends.quantifications[s].copy(),
-                bool(ends.converged[s]),
-                float(ends.psi[s]),
-            )
+        contenders.update((lo + int(s), ends[s]) for s in np.flatnonzero(can_win[lo:]))
     best_index = _winner([trace[-1] for trace in traces])
-    clusters, centers, quantifications, converged, psi = contenders[best_index]
+    best = contenders[best_index]
     return MsccaSolution(
-        assignment=HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters),
-        centers=centers,
-        quantifications=quantifications,
-        objective=traces[best_index][-1],
-        psi=psi,
-        objective_trace=traces[best_index],
+        assignment=HierarchicalAssignment(sup=sup, spec=spec, clusters=best.clusters),
+        centers=best.centers,
+        quantifications=best.quantifications,
+        objective=best.trace[-1],
+        psi=best.psi,
+        objective_trace=best.trace,
         start_index=best_index,
-        converged=converged,
+        converged=best.converged,
         start_traces=tuple(traces),
         options=options,
     )
@@ -795,9 +772,7 @@ def fit_constrained_mca(
             raise ProjectorError(
                 "assignment has empty clusters; projector is rank deficient"
             ) from exc
-    bound = dataset.total_categories - dataset.n_vars
-    if not 1 <= p <= bound:
-        raise SpecError(f"p={p} outside [1, {bound}]")
+    SolverOptions(p=p).validate(dataset)
 
     if kind in ("identity", "projector-off"):
         target = _centered_burt(dataset, n_stack)

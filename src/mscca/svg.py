@@ -7,6 +7,7 @@ labels at a fixed size.  Origin axes are always drawn.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 _FILL = {"cluster": "#1f4e9c", "class": "#b02a2a", "category": "#1d7a35"}
@@ -28,7 +29,8 @@ def render_scatter(points: Sequence[tuple]) -> str:
     """Render (kind, label, x, y, share) points; share may be None.
 
     The viewport covers all points plus the origin with an 8% pad; y grows
-    upward as in the underlying coordinates.
+    upward as in the underlying coordinates.  Raises ``ValueError`` when
+    its width or height overflows a float.
     """
     xs = [0.0] + [float(x) for _kind, _label, x, _y, _share in points]
     ys = [0.0] + [float(y) for _kind, _label, _x, y, _share in points]
@@ -38,6 +40,8 @@ def render_scatter(points: Sequence[tuple]) -> str:
     y_pad = 0.08 * max(y_hi - y_lo, 1e-9)
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise ValueError("the padded viewport of the points and the origin is not finite")
 
     def sx(x: float) -> float:
         return MARGIN + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)

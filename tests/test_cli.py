@@ -342,6 +342,27 @@ class TestFit:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "command", [["fit", *ILLUSTRATION_K], ["variants", "--method", "mca"]], ids=["fit", "mca"]
+    )
+    @pytest.mark.parametrize(
+        "dims, code, err",
+        [
+            ("3", 4, "error: --export svg needs --dims 2, got --dims 3\n"),
+            ("0", 3, "error: p must be >= 1\n"),
+        ],
+        ids=["dims-3", "dims-0"],
+    )
+    def test_svg_dims_checked_before_the_read(self, tmp_path, capsys, command, dims, code, err):
+        # The input does not exist: the check must run before the CSV is read.
+        argv = [
+            *command, "--input", str(tmp_path / "missing.csv"), "--sup-cols", "Nationality,Gender",
+            "--dims", dims, "--export", "svg", "--out", str(tmp_path / "o"),
+        ]
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "o").exists()
+
     def test_coords_schema(self, illustration_csv, tmp_path):
         out = tmp_path / "out"
         assert run_fit(illustration_csv, out, extra=["--export", "coords-csv"]) == 0
@@ -456,6 +477,13 @@ class TestExportSvg:
                         "clusters": [{"label": "x", "coords": [1.0, 0.0], "share": "big"}]}},
             {"biplot": {"categories": [{"label": "a", "coords": [0.0, 1.0]}],
                         "classes": [{"label": "c", "coords": [1.0, 0.0], "mass": "heavy"}]}},
+            # finite coordinates whose padded viewport overflows a float
+            {"biplot": {"categories": [{"label": "a", "coords": [1e308, 1.0]},
+                                       {"label": "b", "coords": [-1e308, 1.0]}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": [1.7e308, 1.0]},
+                                       {"label": "b", "coords": [0.5, 1.0]}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": [1.0, 1.7e308]},
+                                       {"label": "b", "coords": [0.5, -1.0]}]}},
         ],
     )
     def test_malformed_archive_exit_2(self, tmp_path, capsys, archive):
@@ -584,6 +612,22 @@ class TestVariants:
         assert code == 2
         assert capsys.readouterr().err == "error: --k applies only to --method cluster-ca\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["removal", "mca"])
+    def test_p_above_rank_bound_exit_3_with_the_fit_line(
+        self, illustration_csv, tmp_path, capsys, method
+    ):
+        # The illustration has Q - m = 3.
+        tail = ["--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
+                "--dims", "4", "--out", str(tmp_path / "o")]
+        assert main(["fit", *ILLUSTRATION_K, *tail]) == 3
+        fit_err = capsys.readouterr().err
+        assert fit_err == (
+            "error: p=4 exceeds the rank bound Q - m = 3 of the centered indicators\n"
+        )
+        assert main(["variants", "--method", method, *tail]) == 3
+        assert capsys.readouterr().err == fit_err
+        assert not (tmp_path / "o").exists()
 
     def test_cluster_ca_without_k_exit_2(self, illustration_csv, tmp_path):
         code = main(

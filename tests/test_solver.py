@@ -1086,6 +1086,18 @@ class TestBatchedEngine:
         for sol in fits[1:]:
             assert_identical_fits(sol, fits[0])
 
+    def test_winner_owns_its_arrays(self, rng, monkeypatch):
+        # The winner's arrays are its own, not views that keep a whole
+        # chunk's end arrays alive.
+        ds, sup, spec = random_mixed_problem(rng, n=60, m=4, q=3, n_sup=2)
+        options = SolverOptions(n_starts=7, max_iter=8, seed=4)
+        per_start = mscca.solver._start_bytes(ds, spec, options.p)
+        monkeypatch.setattr(mscca.solver, "_CHUNK_BYTES", 2 * per_start)
+        assert mscca.solver._chunk_size(ds, spec, options.p) == 2  # four chunks
+        sol = fit_mscca(ds, sup, spec, options)
+        for array in (sol.centers, sol.quantifications, sol.assignment.clusters):
+            assert array.base is None
+
     def test_memory_bounded_at_criterion_10_size(self):
         ds, truth = generate_clustered(GenSpec(q=7, k=3, n_obs=300, n_vars=10, seed=10))
         sup = generate_supplementary(SupGenSpec(n_sup=3, r=3, seed=11), 300)

@@ -1,0 +1,132 @@
+"""Hash the outputs of a fixed list of ``mscca`` commands, so that two
+checkouts can be compared file for file.
+
+    PYTHONPATH=<checkout>/src python tools/parity.py INPUTS OUT
+
+Missing inputs are written into INPUTS first: the illustration CSV
+(``mscca illustrate``), the four perfbench CSVs (``perfbench/workloads.py``
+at workload seed 0) and a one-cell simulation design.  Every command then
+runs in process through ``mscca.cli.main`` and must exit 0; its outputs go
+under OUT.  One ``sha256  relative/path`` line is printed per file under
+OUT, sorted by path; ``runtime_ms`` in ``results.csv`` is emptied before
+hashing.  Archives echo ``--input``, so compare runs made from the same
+INPUTS.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+# The winning start of the wide workload depends on the BLAS thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from mscca import read_csv_dataset  # noqa: E402
+from mscca.cli import main as cli_main  # noqa: E402
+from workloads import K, WORKLOADS, make_inputs  # noqa: E402
+
+ILLUSTRATION_K = [
+    "--k", "Nationality:American:2",
+    "--k", "Nationality:Japanese:2",
+    "--k", "Gender:Male:3",
+    "--k", "Gender:Female:2",
+]
+ALL_EXPORTS = [
+    "--export", "solution-json", "--export", "coords-csv",
+    "--export", "residuals-csv", "--export", "svg",
+]
+DESIGN = {
+    "qs": [5], "ks": [2], "hs": [1], "rs": [3], "balances": ["balanced"],
+    "replicates": 2, "starts": 5,
+}
+
+
+def run(argv: list[str]) -> None:
+    code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"exit {code}: mscca {' '.join(argv)}")
+
+
+def write_inputs(inputs: Path) -> None:
+    if not (inputs / "illustration" / "data.csv").exists():
+        run(["illustrate", "--out", str(inputs / "illustration")])
+    for name, workload in WORKLOADS.items():
+        if not (inputs / name / "input.csv").exists():
+            make_inputs(workload, 0, inputs / name)
+    if not (inputs / "design.json").exists():
+        (inputs / "design.json").write_text(json.dumps(DESIGN), encoding="utf-8")
+
+
+def commands(inputs: Path, out: Path) -> list[list[str]]:
+    illustration = ["--input", str(inputs / "illustration" / "data.csv")]
+    illustration += ["--sup-cols", "Nationality,Gender"]
+    cmds = [
+        ["illustrate", "--out", str(out / "illustrate")],
+        ["fit", *illustration, *ILLUSTRATION_K, "--starts", "20", "--seed", "0", *ALL_EXPORTS,
+         "--out", str(out / "fit")],
+        ["fit", *illustration, "--k-auto", "--k-max", "4", "--starts", "5", *ALL_EXPORTS,
+         "--out", str(out / "fit-k-auto")],
+    ]
+    for method in ("averaging", "removal", "mca"):
+        cmds.append(["variants", *illustration, "--method", method, *ALL_EXPORTS,
+                     "--out", str(out / f"variants-{method}")])
+    cmds.append(["variants", *illustration, "--method", "cluster-ca", "--k", "3", *ALL_EXPORTS,
+                 "--out", str(out / "variants-cluster-ca")])
+    for name, workload in WORKLOADS.items():
+        path = inputs / name / "input.csv"
+        with path.open(encoding="utf-8") as fh:
+            sup_cols = next(csv.reader(fh))[-workload.n_sup :]
+        _, sup = read_csv_dataset(path, sup_cols)
+        k_map = [
+            arg
+            for h, variable in enumerate(sup.names)
+            for label in sup.labels[h]
+            for arg in ("--k", f"{variable}:{label}:{K}")
+        ]
+        data = ["--input", str(path), "--sup-cols", ",".join(sup_cols)]
+        cmds.append(["fit", *data, *k_map, "--starts", "5", "--max-iter", "5", "--seed", "0",
+                     "--out", str(out / name / "fit")])
+        cmds.append(["variants", *data, "--method", "removal",
+                     "--out", str(out / name / "removal")])
+    cmds.append(["simulate", "--design", str(inputs / "design.json"),
+                 "--out", str(out / "simulate")])
+    return cmds
+
+
+def digest(path: Path) -> str:
+    if path.name != "results.csv":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("runtime_ms")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    for row in rows:
+        writer.writerow(row[:column] + [""] + row[column + 1 :])
+    return hashlib.sha256(text.getvalue().encode()).hexdigest()
+
+
+def main() -> None:
+    if len(sys.argv) != 3:
+        raise SystemExit(__doc__)
+    inputs, out = (Path(arg).resolve() for arg in sys.argv[1:])
+    inputs.mkdir(parents=True, exist_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()):  # the commands' progress lines
+        write_inputs(inputs)
+        for argv in commands(inputs, out):
+            run(argv)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
+
+
+if __name__ == "__main__":
+    main()
