@@ -656,9 +656,9 @@ def biplot_svg(archive: Any) -> str:
 
     Raises ``ConfigError`` when the archive holds no category points or a
     point is malformed (its coords not two finite numbers, or its share or
-    mass neither null nor a finite number) or the padded viewport of the
-    points and the origin is not finite, and ``ExportError`` unless the
-    first category point is 2-dimensional.
+    mass neither null nor a number in [0, 1]) or the padded viewport of
+    the points and the origin is not finite, and ``ExportError`` unless
+    the first category point is 2-dimensional.
     """
     biplot = archive.get("biplot") if isinstance(archive, dict) else None
     if not isinstance(biplot, dict) or not biplot.get("categories"):
@@ -675,6 +675,8 @@ def biplot_svg(archive: Any) -> str:
             # math.isfinite raises TypeError on a string or null, and accepts a bool
             if any(isinstance(v, bool) or not math.isfinite(v) for v in values):
                 raise ValueError(f"{kind} {rec['label']!r} needs finite coords and size")
+            if size is not None and not 0 <= size <= 1:
+                raise ValueError(f"{kind} {rec['label']!r} has size {size!r} outside [0, 1]")
             points.append((kind, rec["label"], x, y, size))
         return render_scatter(points)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:

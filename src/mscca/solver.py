@@ -130,10 +130,11 @@ def _direct_objective(
     N x p score blocks, one variable's quantified rows at a time; for S x
     N x p blocks and S x Q x p quantifications, one value per start.
 
-    The differences are formed for the whole stack, but each start's
-    N x p slice is reduced by its own ``einsum``: a stacked reduction of
-    more than 8192 entries per start rounds otherwise than the lone one,
-    so the value would depend on the stack.
+    Each difference is squared in place and each start's flattened N p
+    row summed by numpy's ``sum(axis=1)`` over the whole stack: every row
+    is reduced on its own, pairwise, so a start's value has the bits of
+    the lone start's whatever the stack.  No BLAS dot product is used,
+    since its rounding depends on the thread count.
     """
     total = np.zeros(quantifications.shape[:-2])
     per_start = total.reshape(-1)
@@ -141,8 +142,8 @@ def _direct_objective(
         fitted = np.take(quantifications[..., lo : lo + q, :], row, axis=-2)
         for block in blocks:
             diff = block - fitted
-            for s, part in enumerate(diff.reshape(-1, *diff.shape[-2:])):
-                per_start[s] += np.einsum("ij,ij->", part, part)
+            np.square(diff, out=diff)
+            per_start += diff.reshape(per_start.size, -1).sum(axis=1)
     return total / (dataset.n_obs * len(blocks) * dataset.n_vars)
 
 
@@ -181,15 +182,18 @@ def _draw_clusters(
     sup: SupplementaryData, spec: ClusterSpec, rng: np.random.Generator, clusters: np.ndarray
 ) -> None:
     """``init_random``'s draw into the N x H array ``clusters``, for a
-    spec already validated against ``sup``."""
+    spec already validated against ``sup``.  The classes draw in order,
+    each its permutation and then its uniform tail, and each variable's
+    column is written by one scatter."""
     for h in range(sup.n_sup):
+        members, drawn = [], []
         for s in range(sup.r[h]):
-            members = sup.members(h, s)
             k = spec.k_of(h, s)
-            perm = rng.permutation(members)
-            clusters[perm[:k], h] = np.arange(k)
-            if perm.size > k:
-                clusters[perm[k:], h] = rng.integers(0, k, size=perm.size - k)
+            members.append(rng.permutation(sup.members(h, s)))
+            drawn.append(np.arange(k))
+            if members[-1].size > k:
+                drawn.append(rng.integers(0, k, size=members[-1].size - k))
+        clusters[np.concatenate(members), h] = np.concatenate(drawn)
 
 
 def update_B(
@@ -418,24 +422,37 @@ def _nearest_clusters(
     within-class index of each observation's nearest center of its own
     class, the lowest index on ties.  One pass per cluster slot measures
     every observation's distance to its class's center in that slot and
-    keeps a running minimum, so no observation-by-cluster array is built."""
-    clusters = np.zeros((*scores.shape[:-1], sup.n_sup), dtype=np.int64)
+    keeps a running minimum, so no observation-by-cluster array is built.
+
+    A slot's centers are gathered per class (r_h x p), then per
+    observation by its class code.  Each squared distance is a running sum
+    of per-column squares, which has the bits of ``einsum``'s dot product
+    at p <= 2 (not above) and costs less.  A closer slot k is written
+    as the maximum of the nearest index so far (below k) and k times the
+    comparison, which costs no branch per observation."""
+    clusters = np.empty((*scores.shape[:-1], sup.n_sup), dtype=np.int64)
     best, dist = np.empty(scores.shape[:-1]), np.empty(scores.shape[:-1])
-    for h in range(sup.n_sup):
+    nearest, closer = np.empty(best.shape, dtype=np.int64), np.empty(best.shape, dtype=np.int64)
+    for h, codes in enumerate(sup.codes.T):
         counts = np.array(spec.counts[h])
         slots = np.arange(counts.max())
         # Row s holds class s's rows of G; slots past K_hs repeat its first
         # row, so they tie slot 0 and never win.
         own = spec.first_rows[h][:, None] + np.where(slots < counts[:, None], slots, 0)
-        codes = sup.codes[:, h]
-        nearest = clusters[..., h]
+        nearest.fill(0)
         for k in slots:
-            gap = scores - np.take(centers, own[codes, k], axis=-2)
-            np.einsum("...d,...d->...", gap, gap, out=dist if k else best)
+            gap = scores - np.take(np.take(centers, own[:, k], axis=-2), codes, axis=-2)
+            np.square(gap, out=gap)
+            out = dist if k else best
+            np.copyto(out, gap[..., 0])
+            for d in range(1, gap.shape[-1]):
+                out += gap[..., d]
             if k:
-                # strict, so ties stay with the lower slot
-                np.copyto(nearest, k, where=dist < best)
+                np.less(dist, best, out=closer)  # strict, so ties stay with the lower slot
+                closer *= k
+                np.maximum(nearest, closer, out=nearest)
                 np.minimum(best, dist, out=best)
+        clusters[..., h] = nearest
     return clusters
 
 
@@ -479,8 +496,10 @@ _CHUNK_BYTES = int(3.6 * 2**20)
 def _start_bytes(dataset: CategoricalDataset, spec: ClusterSpec, p: int) -> int:
     """One start's share of the engine's largest arrays: N x m count
     cells, three N x H arrays of rows (current, candidate and end), N x p
-    scores and differences and N distances, and three K x Q arrays (the
-    count table, the factors, and a fresh count or copy of a block)."""
+    scores, gathered centers and differences, two N-long distances, and
+    three K x Q arrays (the count table, the factors, and a fresh count
+    or copy of a block).  The assignment step's two N-long index arrays
+    live only while no count cells do, so the sum covers them for m >= 2."""
     n, m, n_sup = dataset.n_obs, dataset.n_vars, len(spec.counts)
     big_k, big_q = spec.k_total, dataset.total_categories
     return 8 * (n * (m + 3 * n_sup + 3 * p + 2) + 3 * big_k * big_q)
@@ -520,7 +539,15 @@ def _run_start(
     exactly the cycle it would run alone: each array operation gives
     a start the numpy call, shape and memory layout of a lone start, so
     its trace and result do not depend on the other starts of the chunk.
-    A start leaves the stack when it converges or reaches ``max_iter``.
+
+    A cycle forms B, the centers and the objective from the count table.
+    A start leaves the stack there when its objective fell by less than
+    ``epsilon`` or it reaches ``max_iter``; only the starts that go on get
+    object scores and an assignment step.  A start whose rows come out of
+    that step (and any repair) unchanged is at a fixed point and leaves
+    too: the next cycle would rebuild the same table, B, centers and
+    objective bit for bit and settle, so the start ends as that cycle
+    would end it, converged, with its objective once more in its trace.
 
     The trace records the objective after each centering update, where
     the centers are exact for the current assignment, so it reads
@@ -547,9 +574,17 @@ def _run_start(
     ends: list[_StartEnd] = [None] * len(seeds)
     live = np.arange(len(seeds))  # chunk position of each start still running
     previous = np.full(len(seeds), np.inf)  # no start settles on its first cycle
+
+    def finish(stop: np.ndarray, converged: np.ndarray) -> np.ndarray:
+        for i in np.flatnonzero(stop):
+            ends[live[i]] = _StartEnd(
+                rows[i] - first, centers[i].copy(), quantifications[i].copy(),
+                traces[live[i]], bool(converged[i]), float(dataset.n_vars**2 * spread[i]),
+            )
+        return ~stop
+
     for t in range(max_iter):
         quantifications = _between_quantify(table, sizes, dataset, n_sup, p)
-        scores = object_scores(dataset, quantifications)
         centers = _centroids(table, sizes, dataset, quantifications)
         spread = (sizes[..., None] * centers * centers).sum(axis=(1, 2))
         objective = p - spread / (dataset.n_obs * n_sup)
@@ -557,18 +592,15 @@ def _run_start(
             traces[s].append(value)
         settled = previous - objective < options.epsilon
         stop = settled | (t == max_iter - 1)
-        for i in np.flatnonzero(stop):
-            ends[live[i]] = _StartEnd(
-                rows[i] - first, centers[i].copy(), quantifications[i].copy(),
-                traces[live[i]], bool(settled[i]), float(dataset.n_vars**2 * spread[i]),
-            )
         if stop.any():
-            go = ~stop
-            live, rows, table, objective = live[go], rows[go], table[go], objective[go]
-            scores, centers, quantifications = scores[go], centers[go], quantifications[go]
+            go = finish(stop, settled)
+            live, rows, table, objective, spread = (
+                live[go], rows[go], table[go], objective[go], spread[go]
+            )
+            centers, quantifications = centers[go], quantifications[go]
             if not live.size:  # filtered first, so the chunk's arrays are freed
                 break
-        previous = objective
+        scores = object_scores(dataset, quantifications)
         candidate = _nearest_clusters(scores, centers, sup, spec)
         candidate += first
         sizes = moved_counts(table, rows, candidate, spec, dataset)
@@ -586,6 +618,20 @@ def _run_start(
                 table[s : s + 1], candidate[s : s + 1], kept.rows[None], spec, dataset
             )[0]
             candidate[s] = kept.rows
+        del scores
+        # Unmoved rows: the next cycle would repeat this one bit for bit and
+        # settle, so the start ends as that cycle would end it.
+        fixed = (candidate == rows).all(axis=(1, 2))
+        if fixed.any():
+            for i in np.flatnonzero(fixed):
+                traces[live[i]].append(float(objective[i]))
+            go = finish(fixed, fixed)
+            live, candidate, table, sizes, objective = (
+                live[go], candidate[go], table[go], sizes[go], objective[go]
+            )
+            if not live.size:
+                break
+        previous = objective
         rows = candidate
     centers = np.stack([end.centers for end in ends])
     rows = np.stack([end.clusters for end in ends]) + first

@@ -606,7 +606,9 @@ def run_start_sequential(
     final entry is replaced by the direct residual sum ``objective_phi``.
     The assignment step keeps the previous (feasible) assignment whenever
     an empty-cluster repair would have pushed the objective up, so the
-    trace never increases beyond float jitter.
+    trace never increases beyond float jitter.  A start whose assignment
+    does not move still runs one more cycle, which the engine skips, so
+    the oracle checks that the skipped cycle would have changed nothing.
     """
     assignment = init_random(sup, spec, rng)
     table, sizes = cluster_counts(assignment, dataset)

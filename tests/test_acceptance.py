@@ -393,6 +393,35 @@ def test_criterion_9_variants_independent_of_blas_threads(tmp_path):
         _assert_same_archive_by_threads(tmp_path, runs)
 
 
+_FIT_FINALS = """
+from mscca import ClusterSpec, SolverOptions, fit_mscca
+from mscca.simulation import GenSpec, SupGenSpec, generate_clustered, generate_supplementary
+ds, _ = generate_clustered(GenSpec(q=4, k=3, n_obs=6000, n_vars=4, seed=7))
+sup = generate_supplementary(SupGenSpec(n_sup=2, r=3, seed=8), 6000)
+sol = fit_mscca(ds, sup, ClusterSpec.uniform(sup, 2), SolverOptions(n_starts=4, max_iter=8))
+print(" ".join(t[-1].hex() for t in sol.start_traces))
+"""
+
+
+def test_criterion_9_fit_objectives_independent_of_blas_threads():
+    with criterion(9, "final objectives do not depend on the BLAS thread count"):
+        # N p = 12 000 entries per residual block, several starts per chunk:
+        # a BLAS dot product over that many entries rounds otherwise on one
+        # thread and on two, and the final objectives use none.
+        src = str(Path(mscca.__file__).resolve().parents[1])
+        finals = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", _FIT_FINALS],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            finals.append(done.stdout.split())
+        assert len(finals[0]) == 4
+        assert finals[0] == finals[1]
+
+
 def test_criterion_10_performance_envelope():
     with criterion(10, "desk-scale multistart fit completes inside a minute"):
         ds, _truth = generate_clustered(GenSpec(q=7, k=3, n_obs=300, n_vars=10, seed=10))

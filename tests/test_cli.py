@@ -484,6 +484,13 @@ class TestExportSvg:
                                        {"label": "b", "coords": [0.5, 1.0]}]}},
             {"biplot": {"categories": [{"label": "a", "coords": [1.0, 1.7e308]},
                                        {"label": "b", "coords": [0.5, -1.0]}]}},
+            # finite label sizes outside [0, 1]
+            {"biplot": {"categories": [{"label": "a", "coords": [0.0, 1.0]}],
+                        "clusters": [{"label": "x", "coords": [1.0, 0.0], "share": -5.0}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": [0.0, 1.0]}],
+                        "clusters": [{"label": "x", "coords": [1.0, 0.0], "share": 1e308}]}},
+            {"biplot": {"categories": [{"label": "a", "coords": [0.0, 1.0]}],
+                        "classes": [{"label": "c", "coords": [1.0, 0.0], "mass": 2.0}]}},
         ],
     )
     def test_malformed_archive_exit_2(self, tmp_path, capsys, archive):
@@ -535,6 +542,27 @@ class TestVariants:
         archive = load_json(out / "solution.json")
         assert archive["config"]["starts"] == 7
         assert archive["solution"]["start_index"] == 0
+
+    def test_averaging_runs_one_b_step(self, illustration_csv, tmp_path, monkeypatch):
+        # One cluster per class: the first assignment step moves nothing,
+        # so the start ends at its first cycle's B-step.
+        import mscca.solver
+
+        steps = []
+        real = mscca.solver._between_quantify
+
+        def counted(*args):
+            steps.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mscca.solver, "_between_quantify", counted)
+        code = main(
+            ["variants", "--input", str(illustration_csv),
+             "--sup-cols", "Nationality,Gender", "--method", "averaging",
+             "--out", str(tmp_path / "ave")]
+        )
+        assert code == 0
+        assert len(steps) == 1
 
     def test_removal_centers_classes(self, illustration_csv, tmp_path):
         out = tmp_path / "rem"

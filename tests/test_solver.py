@@ -192,6 +192,38 @@ class TestInitRandom:
             for h in range(sup.n_sup):
                 assert (cluster_sizes(asg, h) > 0).all()
 
+    def test_draws_the_numbers_of_the_per_class_loop(self):
+        # The per-class draw, two scatters per class: the same clusters, and
+        # the generator left in the same state.  Class sizes of 1-6 against
+        # cluster counts of 1-4 make some classes saturated (K_hs = size).
+        saturated = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n_sup = int(rng.integers(1, 4))
+            sup = random_sup(rng, int(rng.integers(6, 30)), n_sup, int(rng.integers(2, 5)))
+            spec = ClusterSpec(
+                tuple(
+                    tuple(int(min(size, rng.integers(1, 5))) for size in sup.class_sizes(h))
+                    for h in range(n_sup)
+                )
+            )
+            want = np.zeros((sup.n_obs, n_sup), dtype=np.int64)
+            loop = np.random.default_rng(seed)
+            for h in range(n_sup):
+                for s in range(sup.r[h]):
+                    k = spec.k_of(h, s)
+                    perm = loop.permutation(sup.members(h, s))
+                    want[perm[:k], h] = np.arange(k)
+                    if perm.size > k:
+                        want[perm[k:], h] = loop.integers(0, k, size=perm.size - k)
+                    saturated += 1 < perm.size == k
+            drawn = np.random.default_rng(seed)
+            got = np.full_like(want, -1)
+            mscca.solver._draw_clusters(sup, spec, drawn, got)
+            assert np.array_equal(got, want)
+            assert drawn.bit_generator.state == loop.bit_generator.state
+        assert saturated
+
 
 class TestUpdateB:
     def test_normalization_constraint(self, rng):
@@ -1108,6 +1140,47 @@ class TestBatchedEngine:
         assert peak <= 4 * 2**20
 
 
+class TestFixedPointStop:
+    """A start whose assignment step moves no entry ends there, with the
+    record the repeat cycle would give it (the sequential oracle still
+    runs that cycle; ``TestBatchedEngine``), and object scores are formed
+    only for the starts that go on to an assignment step."""
+
+    def test_settled_starts_skip_their_repeat_cycle(self, monkeypatch):
+        ds, sup, spec = criterion_10_problem()
+        steps = []
+        real = mscca.solver._between_quantify
+
+        def counted(table, *args):
+            steps.append(len(table))
+            return real(table, *args)
+
+        monkeypatch.setattr(mscca.solver, "_between_quantify", counted)
+        sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=20, seed=0))
+        # every start of this fit ends at its fixed point, before the cap
+        assert max(len(t) for t in sol.start_traces) < sol.options.max_iter
+        assert sum(steps) == sum(len(t) - 1 for t in sol.start_traces)
+
+    def test_scores_only_for_starts_that_go_on(self, monkeypatch):
+        ds, sup, spec = criterion_10_problem()
+        scored, assigned = [], []
+        scores, nearest = mscca.solver.object_scores, mscca.solver._nearest_clusters
+
+        def scores_counted(dataset, quantifications):
+            scored.append(len(quantifications))
+            return scores(dataset, quantifications)
+
+        def nearest_counted(values, *args):
+            assigned.append(len(values))
+            return nearest(values, *args)
+
+        monkeypatch.setattr(mscca.solver, "object_scores", scores_counted)
+        monkeypatch.setattr(mscca.solver, "_nearest_clusters", nearest_counted)
+        sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=20, max_iter=4, seed=0))
+        assert [len(t) for t in sol.start_traces].count(4) > 0  # capped starts
+        assert scored == assigned
+
+
 def criterion_10_problem():
     ds, _ = generate_clustered(GenSpec(q=7, k=3, n_obs=300, n_vars=10, seed=10))
     sup = generate_supplementary(SupGenSpec(n_sup=3, r=3, seed=11), 300)
@@ -1188,6 +1261,28 @@ class TestChunkedObjective:
         )
 
 
+    @pytest.mark.parametrize("n_obs", [300, 6000])
+    def test_stacked_values_are_the_lone_values(self, n_obs, monkeypatch):
+        # N p = 600 and 12 000 entries per (variable, block) difference: on
+        # either side of 8192, where a stacked numpy reduction could round
+        # otherwise than a lone one.  No start is reduced by its own einsum.
+        rng = np.random.default_rng(n_obs)
+        ds = random_dataset(rng, n_obs, 3, 3)
+        blocks = [rng.normal(size=(5, n_obs, 2)) for _ in range(2)]
+        quantifications = rng.normal(size=(5, ds.total_categories, 2))
+        lone = [
+            float(mscca.solver._direct_objective([b[s] for b in blocks], quantifications[s], ds))
+            for s in range(5)
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("einsum called")
+
+        monkeypatch.setattr(np, "einsum", forbidden)
+        stacked = mscca.solver._direct_objective(blocks, quantifications, ds)
+        assert [v.hex() for v in stacked.tolist()] == [v.hex() for v in lone]
+
+
 class TestNearestClusters:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -1211,6 +1306,45 @@ class TestNearestClusters:
         for s in np.ndindex(stack):
             want = update_U_by_class(scores[s], centers[s], sup, spec).clusters
             assert np.array_equal(got[s], want)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_einsum_distances_bit_for_bit(self, p, monkeypatch):
+        # Random real scores and centers, with exact ties built in: in each
+        # class of two or more clusters, slot 1 mirrors slot 0's center, and
+        # a fifth of the observations score 0, equally far from both; a tie
+        # goes to the lower slot.  The oracle takes argmin over einsum
+        # distances of every slot; the assignment step calls no einsum.
+        rng = np.random.default_rng(p)
+        ties = 0
+        for n_stack in (0, 1, 3):
+            asg, _, _ = assignment_step_case(rng, 2, p)
+            sup, spec = asg.sup, asg.spec
+            stack = (n_stack,) if n_stack else ()
+            scores = rng.normal(size=(*stack, sup.n_obs, p))
+            scores[..., rng.random(sup.n_obs) < 0.2, :] = 0.0
+            centers = rng.normal(size=(*stack, spec.k_total, p))
+            want = np.zeros((*stack, sup.n_obs, sup.n_sup), dtype=np.int64)
+            for h, codes in enumerate(sup.codes.T):
+                counts = np.array(spec.counts[h])
+                first = spec.first_rows[h]
+                mirrored = first[counts > 1]
+                centers[..., mirrored + 1, :] = -centers[..., mirrored, :]
+                slots = np.arange(counts.max())
+                own = first[:, None] + np.where(slots < counts[:, None], slots, 0)
+                gaps = scores[..., None, :] - np.take(centers, own[codes], axis=-2)
+                dist = np.einsum("...d,...d->...", gaps, gaps)
+                want[..., h] = dist.argmin(axis=-1)
+                low = dist.min(axis=-1, keepdims=True)
+                ties += int(((dist == low).sum(axis=-1) > 1 + (slots.size - counts[codes])).sum())
+
+            def forbidden(*args, **kwargs):
+                raise AssertionError("einsum called")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "einsum", forbidden)
+                got = mscca.solver._nearest_clusters(scores, centers, sup, spec)
+            assert np.array_equal(got, want)
+        assert ties
 
 
 class TestConstrainedSolveMemory:

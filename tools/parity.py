@@ -40,10 +40,10 @@ ILLUSTRATION_K = [
     "--k", "Gender:Male:3",
     "--k", "Gender:Female:2",
 ]
-ALL_EXPORTS = [
-    "--export", "solution-json", "--export", "coords-csv",
-    "--export", "residuals-csv", "--export", "svg",
+TABLE_EXPORTS = [
+    "--export", "solution-json", "--export", "coords-csv", "--export", "residuals-csv",
 ]
+ALL_EXPORTS = [*TABLE_EXPORTS, "--export", "svg"]
 DESIGN = {
     "qs": [5], "ks": [2], "hs": [1], "rs": [3], "balances": ["balanced"],
     "replicates": 2, "starts": 5,
@@ -75,6 +75,10 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
          "--out", str(out / "fit")],
         ["fit", *illustration, "--k-auto", "--k-max", "4", "--starts", "5", *ALL_EXPORTS,
          "--out", str(out / "fit-k-auto")],
+        # p = 3, where the assignment step's running-sum distances can round
+        # otherwise than a dot product
+        ["fit", *illustration, *ILLUSTRATION_K, "--dims", "3", "--starts", "20", "--seed", "0",
+         *TABLE_EXPORTS, "--out", str(out / "fit-dims-3")],
     ]
     for method in ("averaging", "removal", "mca"):
         cmds.append(["variants", *illustration, "--method", method, *ALL_EXPORTS,
@@ -97,6 +101,9 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
                      "--out", str(out / name / "fit")])
         cmds.append(["variants", *data, "--method", "removal",
                      "--out", str(out / name / "removal")])
+        if name == "paper":
+            cmds.append(["fit", *data, "--k-auto", "--k-max", "4", "--dims", "3",
+                         "--starts", "10", "--out", str(out / name / "fit-k-auto-dims-3")])
     cmds.append(["simulate", "--design", str(inputs / "design.json"),
                  "--out", str(out / "simulate")])
     return cmds
