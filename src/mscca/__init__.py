@@ -8,7 +8,6 @@ from .data import (
     ClusterSpec,
     HierarchicalAssignment,
     SupplementaryData,
-    build_assignment,
     cluster_counts,
     encode_dataset,
     encode_supplementary,
@@ -34,7 +33,6 @@ from .solver import (
 )
 from .biplot import (
     BiplotModel,
-    ResidualComparison,
     biplot_coordinates,
     contingency,
     rescale_spread,

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .biplot import BiplotModel, ResidualComparison
+from .biplot import BiplotModel
 from .data import CategoricalDataset, ClusterSpec, HierarchicalAssignment, SupplementaryData
 from .errors import ConfigError, ExportError, ShapeError
 from .solver import ConstrainedFit, MsccaSolution
@@ -155,7 +155,7 @@ def _joined(obj: dict | list) -> dict | list | _Json:
 _ATOMS = {str, int, bool, type(None)}
 
 
-def _round_items(items: list, arrays: Callable[[np.ndarray], Any]) -> list:
+def _round_items(items: list) -> list:
     """``_round_floats`` of every item of a list.  Floats, records that
     share their keys, and lists are rounded together: floats in one
     vectorized pass, records field by field, lists as one flat list."""
@@ -167,42 +167,41 @@ def _round_items(items: list, arrays: Callable[[np.ndarray], Any]) -> list:
     if kinds == {dict}:
         keys = list(items[0])
         if all(list(item) == keys for item in items):
-            fields = [_round_items([item[key] for item in items], arrays) for key in keys]
+            fields = [_round_items([item[key] for item in items]) for key in keys]
             records = [dict(zip(keys, values)) for values in zip(*fields)]
             if any(_Json in map(type, field) for field in fields):
                 records = list(map(_joined, records))
             return records
     if kinds <= {list, tuple}:
-        flat = _round_items([value for item in items for value in item], arrays)
+        flat = _round_items([value for item in items for value in item])
         values = iter(flat)
         lists = [list(islice(values, len(item))) for item in items]
         return list(map(_joined, lists)) if _Json in map(type, flat) else lists
-    return [_round_floats(item, arrays) for item in items]
+    return [_round_floats(item) for item in items]
 
 
-def _round_floats(obj: Any, arrays: Callable[[np.ndarray], Any]) -> Any:
+def _round_floats(obj: Any) -> Any:
     """Round every float to 15 significant digits, recursively, as
     ``_round_one`` does; the floats of a list are rounded together
-    (``_round_items``).  A float array becomes ``arrays(obj)``: the writer
-    passes ``_array_json``, the tests ``_rounded_lists``.  An integer
-    array becomes its JSON text (``_int_json``), and every container that
-    holds JSON text becomes JSON text."""
+    (``_round_items``).  A float array becomes its JSON text
+    (``_array_json``), as does an integer array (``_int_json``), and every
+    container that holds JSON text becomes JSON text."""
     if isinstance(obj, (float, np.floating)):
         return _round_one(float(obj))
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
-            return arrays(obj)
+            return _array_json(obj)
         if obj.dtype.kind in "iu":
             return _int_json(obj)
         if obj.dtype.kind == "b":
             return obj.tolist()
-        return _round_floats(obj.tolist(), arrays)
+        return _round_floats(obj.tolist())
     if isinstance(obj, dict):
-        return _joined(dict(zip(obj, _round_items(list(obj.values()), arrays))))
+        return _joined(dict(zip(obj, _round_items(list(obj.values())))))
     if isinstance(obj, (list, tuple)):
-        return _joined(_round_items(list(obj), arrays))
+        return _joined(_round_items(list(obj)))
     return obj
 
 
@@ -414,7 +413,7 @@ def write_json(path: str | Path, payload: dict) -> None:
     text ``json.dumps(sort_keys=True)`` gives the payload with every float
     rounded by ``_round_one``, with every float array written straight
     from its mantissas and every integer array from its digits."""
-    write_text(Path(path), _dumps(_round_floats(payload, _array_json)) + "\n")
+    write_text(Path(path), _dumps(_round_floats(payload)) + "\n")
 
 
 def load_json(path: str | Path) -> dict:
@@ -535,11 +534,14 @@ def build_archive(
     config: dict,
     solution: MsccaSolution,
     model: BiplotModel,
-    comparison: ResidualComparison,
+    residuals: Sequence[tuple[str, BiplotModel]],
 ) -> dict:
     """Assemble the JSON archive for a clustering fit.
 
     ``model`` must carry residuals and coordinates (display order).
+    ``residuals`` names the standardized tables whose residuals the
+    archive lists, in order, as (method, model) pairs
+    (``_residual_records``).
     """
     assignment = solution.assignment
     sup = assignment.sup
@@ -580,7 +582,7 @@ def build_archive(
             "categories": category_points(model.col_labels, model.col_masses, model.col_coords),
             "classes": _class_points(model, centers_by_row, sup),
         },
-        "residuals": list(comparison.records),
+        "residuals": _residual_records(residuals, sup),
     }
 
 
@@ -638,6 +640,23 @@ def coords_rows(archive: dict) -> list[list]:
     return [
         [kind, rec["label"], *rec["coords"], rec["mass"], rec.get("size")]
         for kind, rec in biplot_points(archive)
+    ]
+
+
+def _residual_records(
+    tables: Sequence[tuple[str, BiplotModel]], sup: SupplementaryData
+) -> list[dict]:
+    """The residual records of standardized tables, table by table and row
+    by row: method, row label, class label, column label and value.  The
+    class label maps an averaging row to the cluster rows that partition
+    it."""
+    return [
+        {"method": method, "row": row, "class": sup.labels[h][s], "column": column, "value": value}
+        for method, model in tables
+        for row, (h, s, _k), values in zip(
+            model.row_labels, model.row_index, model.residuals.tolist()
+        )
+        for column, value in zip(model.col_labels, values)
     ]
 
 

@@ -156,46 +156,21 @@ def rescale_spread(model: BiplotModel) -> BiplotModel:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualComparison:
-    """Standardized residuals of the class-level (averaged) table, with
-    long-format records of it and of the fit's cluster-level table."""
-
-    averaging: BiplotModel
-    records: tuple[dict, ...]
-
-
 def residual_comparison(
     dataset: CategoricalDataset,
     sup: SupplementaryData,
     clustered: BiplotModel,
-) -> ResidualComparison:
-    """Residual tables of the averaging table (one row per class) and the
-    cluster table (one row per cluster), both on the 1/(N H m) scaling.
+) -> BiplotModel:
+    """The standardized averaging table (one row per class, size order, on
+    the 1/(N H m) scaling) to compare with the fit's cluster table.
 
-    ``clustered`` is the fit's standardized cluster model; only the
-    averaging table is counted here.  Each record carries its class label
-    so an averaging row can be mapped to the cluster rows that partition
-    it.  Raises ``ShapeError`` when the model's classes are not those of
-    ``sup``.
+    ``clustered`` is the fit's cluster model; only the averaging table is
+    counted here.  Raises ``ShapeError`` when the model's classes are not
+    those of ``sup``.
     """
     classes = {(h, s) for h in range(sup.n_sup) for s in range(sup.r[h])}
     if {(h, s) for h, s, _k in clustered.row_index} != classes:
         raise ShapeError("cluster model does not cover the classes of the supplementary data")
-    averaging = standardized_residuals(
+    return standardized_residuals(
         contingency(HierarchicalAssignment.by_class(sup), dataset, order="size")
     )
-    records: list[dict] = []
-    for name, model in (("averaging", averaging), ("mscca", clustered)):
-        for i, (h, s, _k) in enumerate(model.row_index):
-            for j, col in enumerate(model.col_labels):
-                records.append(
-                    {
-                        "method": name,
-                        "row": model.row_labels[i],
-                        "class": sup.labels[h][s],
-                        "column": col,
-                        "value": float(model.residuals[i, j]),
-                    }
-                )
-    return ResidualComparison(averaging=averaging, records=tuple(records))

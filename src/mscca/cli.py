@@ -6,7 +6,7 @@ Subcommands: ``fit`` (hierarchical clustering fit with biplot exports),
 ``illustrate`` (write the built-in demonstration dataset).
 
 Exit codes: 0 success, 2 configuration or input problems, 3 solver
-specification errors, 4 export problems.
+specification errors or running out of memory, 4 export problems.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .archive import (
     write_text,
 )
 from .biplot import (
+    BiplotModel,
     biplot_coordinates,
     contingency,
     rescale_spread,
@@ -252,15 +253,24 @@ def _write_exports(out_dir: Path, archive: dict, exports: list[str]) -> None:
             write_text(out_dir / "biplot.svg", svg)
 
 
-def _clustering_archive(echo: dict, dataset, solution) -> dict:
-    """Biplot, residual comparison and archive of a clustering fit, all
-    read from one count of the fit's cluster table."""
-    clustered = standardized_residuals(contingency(solution.assignment, dataset))
-    model = rescale_spread(
-        biplot_coordinates(clustered, solution.centers, solution.quantifications)
+def _biplot(dataset, solution) -> BiplotModel:
+    """The standardized cluster table of a clustering fit, with its biplot
+    coordinates: one count of the fit's cluster table."""
+    return rescale_spread(
+        biplot_coordinates(
+            standardized_residuals(contingency(solution.assignment, dataset)),
+            solution.centers,
+            solution.quantifications,
+        )
     )
-    comparison = residual_comparison(dataset, solution.assignment.sup, clustered)
-    return build_archive(echo, solution, model, comparison)
+
+
+def _clustering_archive(echo: dict, dataset, solution) -> dict:
+    """The archive of a ``fit``: its biplot, and the residuals of the
+    class-level (averaged) table beside those of the fit's cluster table."""
+    model = _biplot(dataset, solution)
+    averaging = residual_comparison(dataset, solution.assignment.sup, model)
+    return build_archive(echo, solution, model, (("averaging", averaging), ("mscca", model)))
 
 
 def cmd_fit(args) -> int:
@@ -327,17 +337,20 @@ def cmd_variants(args) -> int:
     out_dir = Path(args.out)
 
     if method in ("averaging", "cluster-ca"):
+        # Each lists the residuals of the one table it plots.
         if method == "averaging":
             # One cluster per class leaves every start the same assignment,
             # so one start gives the result of any number of them.
             solution = fit_mscca(
                 dataset, sup, ClusterSpec.uniform(sup, 1), replace(options, n_starts=1)
             )
+            model = _biplot(dataset, solution)
+            archive = build_archive(echo, solution, model, (("averaging", model),))
+            class_points_only(archive)
         else:
             solution = fit_cluster_ca(dataset, k, options)
-        archive = _clustering_archive(echo, dataset, solution)
-        if method == "averaging":
-            class_points_only(archive)
+            model = _biplot(dataset, solution)
+            archive = build_archive(echo, solution, model, (("mscca", model),))
         _write_exports(out_dir, archive, echo["exports"])
         print(f"variants {method}: objective {solution.objective:.6g}, outputs in {args.out}")
         return 0
@@ -448,6 +461,9 @@ def main(argv=None) -> int:
         return 4
     except MsccaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

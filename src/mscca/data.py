@@ -577,30 +577,6 @@ def _sizes(table: np.ndarray, dataset: CategoricalDataset) -> np.ndarray:
     return table[..., : dataset.q[0]].sum(axis=-1)
 
 
-def build_assignment(
-    sup: SupplementaryData,
-    spec: ClusterSpec,
-    cluster_of: Callable[[int, int], int],
-) -> HierarchicalAssignment:
-    """Materialize an assignment from a ``(h, i) -> cluster`` function.
-
-    Raises ``AssignmentError`` when the function returns an index outside
-    ``[0, K_hs)`` for the observed class.
-    """
-    spec.validate(sup)
-    clusters = np.empty((sup.n_obs, sup.n_sup), dtype=np.int64)
-    for h in range(sup.n_sup):
-        for i in range(sup.n_obs):
-            k = int(cluster_of(h, i))
-            limit = spec.k_of(h, int(sup.codes[i, h]))
-            if not 0 <= k < limit:
-                raise AssignmentError(
-                    f"cluster_of({h}, {i}) = {k} outside [0, {limit})"
-                )
-            clusters[i, h] = k
-    return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
-
-
 # Lines coded per block when reading a CSV: only one block's cells are
 # alive at a time.
 _BLOCK_ROWS = 4096

@@ -664,13 +664,6 @@ def _contenders(finals: Sequence[float]) -> np.ndarray:
     return ties
 
 
-def _winner(finals: Sequence[float]) -> int:
-    """The lowest start index among the ties for the smallest final
-    objective, so starts that reach the same optimum up to rounding do not
-    hand the win to float noise."""
-    return int(np.argmax(_ties(finals)))
-
-
 def fit_mscca(
     dataset: CategoricalDataset,
     sup: SupplementaryData,
@@ -703,7 +696,8 @@ def fit_mscca(
         can_win = _contenders([trace[-1] for trace in traces])
         contenders = {index: end for index, end in contenders.items() if can_win[index]}
         contenders.update((lo + int(s), ends[s]) for s in np.flatnonzero(can_win[lo:]))
-    best_index = _winner([trace[-1] for trace in traces])
+    # the lowest-indexed tie has no lower-indexed tie, so it is the first contender
+    best_index = int(np.argmax(can_win))
     best = contenders[best_index]
     return MsccaSolution(
         assignment=HierarchicalAssignment(sup=sup, spec=spec, clusters=best.clusters),

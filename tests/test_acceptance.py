@@ -236,10 +236,9 @@ def test_criterion_7_illustration_contrast():
         assert binary_ari >= 0.8, f"alcohol-cluster agreement {binary_ari}"
         # the averaged table shows no class whose strongest positive
         # deviation is the alcohol column
-        comp = residual_comparison(
+        ave = residual_comparison(
             ds, sup, standardized_residuals(contingency(sol.assignment, ds))
         )
-        ave = comp.averaging
         alcohol_col = list(ave.col_labels).index("Drink:Alcohol")
         for i in range(len(ave.row_labels)):
             top = int(ave.residuals[i].argmax())

@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from mscca import archive, cli, generate_illustration, read_csv_dataset
 from mscca.archive import (
     ARCHIVE_FORMAT,
+    _dumps,
     _round_floats,
-    _rounded_lists,
     assignment_from_archive,
     load_json,
     write_csv,
@@ -169,15 +169,15 @@ class TestArchiveFormat:
         assignment_from_archive(truth_json, sup)  # the unedited archive loads
 
 
-def _bits(values):
-    """The float64 bit patterns of a flat list or a nested list of floats."""
-    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+def _text(values):
+    """The archive text of ``values`` as ``_round_floats`` rounds them."""
+    return _dumps(_round_floats(values)) + "\n"
 
 
 class TestVectorizedRounding:
     """``_round_floats`` on float arrays against the per-element oracle
-    ``round_floats_recursive``, compared bit for bit (sign of zero and NaN
-    included)."""
+    ``round_floats_recursive``, compared as JSON text (``_oracle_text``):
+    equal text means equal floats, the sign of zero included."""
 
     EDGES = [
         9.99999999999999e-09,  # log10 rounds up to -8; rint of the product is 1e14
@@ -217,12 +217,12 @@ class TestVectorizedRounding:
             values = rng.standard_normal(size)
         else:
             values = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 18, size)
-        assert _bits(_round_floats(values, _rounded_lists)) == _bits(round_floats_recursive(values))
+        assert _text(values) == _oracle_text(values)
 
     @pytest.mark.parametrize("value", EDGES, ids=repr)
     def test_edge_values_match_oracle(self, value):
         values = np.array([value, -value, 0.5, value])
-        assert _bits(_round_floats(values, _rounded_lists)) == _bits(round_floats_recursive(values))
+        assert _text(values) == _oracle_text(values)
 
     def test_edge_values_in_blocks_and_shapes(self, monkeypatch):
         # blocks of 7 split the edges across block borders
@@ -230,22 +230,19 @@ class TestVectorizedRounding:
         rng = np.random.default_rng(5)
         values = np.concatenate([self.EDGES, rng.standard_normal(60 - len(self.EDGES))])
         values = values.reshape(4, 3, 5)
-        rounded = _round_floats(values, _rounded_lists)
-        assert np.shape(rounded) == (4, 3, 5)
-        assert _bits(rounded) == _bits(round_floats_recursive(values))
+        assert np.shape(json.loads(_text(values))) == (4, 3, 5)
+        assert _text(values) == _oracle_text(values)
         column = values[:, 0]
-        assert _bits(_round_floats(column, _rounded_lists)) == _bits(round_floats_recursive(column))
-        assert _round_floats(np.float64(-0.0), _rounded_lists) == 0.0
-        assert np.signbit(_round_floats(np.array(-0.0), _rounded_lists))
+        assert _text(column) == _oracle_text(column)
+        assert _text(np.float64(-0.0)) == _oracle_text(np.float64(-0.0)) == "-0.0\n"
+        assert _text(np.array(-0.0)) == "-0.0\n"
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
     def test_other_float_dtypes_match_oracle(self, dtype):
         rng = np.random.default_rng(6)
         finite = [v for v in self.EDGES if np.isfinite(v) and abs(v) < 6e4]
         values = np.concatenate([finite, rng.standard_normal(200) * 100]).astype(dtype)
-        rounded = _round_floats(values, _rounded_lists)
-        assert all(type(v) is float for v in rounded)
-        assert _bits(rounded) == _bits(round_floats_recursive(values))
+        assert _text(values) == _oracle_text(values)
 
     def test_normal_scores_take_the_fast_path(self, monkeypatch):
         fallbacks = []
@@ -256,10 +253,10 @@ class TestVectorizedRounding:
 
         monkeypatch.setattr(archive, "_round_one", round_one)
         values = np.random.default_rng(7).standard_normal((100_000, 2))
-        rounded = _round_floats(values, _rounded_lists)
+        text = _text(values)
         assert fallbacks == []
-        assert _bits(rounded) == _bits(round_floats_recursive(values))
-        _round_floats(np.array(self.EDGES), _rounded_lists)
+        assert text == _oracle_text(values)
+        _text(np.array(self.EDGES))
         assert len(fallbacks) >= 10  # zeros, subnormals, non-finite, ties, range ends
 
 

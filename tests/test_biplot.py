@@ -16,6 +16,7 @@ from mscca import (
     residual_comparison,
     standardized_residuals,
 )
+from mscca.archive import RESIDUALS_HEADER, _residual_records
 from mscca.biplot import BiplotModel
 from mscca.errors import DegenerateGeometryError, EmptyClusterError, MassError, ShapeError
 from mscca.solver import update_B, update_G, init_random
@@ -291,39 +292,43 @@ class TestResidualComparison:
             sup=sup, spec=spec, clusters=np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
         )
         clustered = standardized_residuals(contingency(asg, ds))
-        comp = residual_comparison(ds, sup, clustered)
-        assert_allclose(comp.averaging.residuals, clustered.residuals, atol=1e-12)
+        averaging = residual_comparison(ds, sup, clustered)
+        assert_allclose(averaging.residuals, clustered.residuals, atol=1e-12)
 
     def test_splitting_concentrates_deviations(self):
         ds, sup, truth = generate_illustration()
         clustered = standardized_residuals(contingency(truth, ds))
-        comp = residual_comparison(ds, sup, clustered)
-        assert np.abs(clustered.residuals).max() >= np.abs(comp.averaging.residuals).max()
+        averaging = residual_comparison(ds, sup, clustered)
+        assert np.abs(clustered.residuals).max() >= np.abs(averaging.residuals).max()
 
     def test_class_mass_additivity(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = init_random(sup, spec, rng)
         clustered = standardized_residuals(contingency(asg, ds))
-        comp = residual_comparison(ds, sup, clustered)
-        for i, (h, s, _k) in enumerate(comp.averaging.row_index):
+        averaging = residual_comparison(ds, sup, clustered)
+        for i, (h, s, _k) in enumerate(averaging.row_index):
             cluster_mass = sum(
                 clustered.row_masses[j]
                 for j, (h2, s2, _k2) in enumerate(clustered.row_index)
                 if (h2, s2) == (h, s)
             )
-            assert comp.averaging.row_masses[i] == pytest.approx(cluster_mass, abs=1e-12)
+            assert averaging.row_masses[i] == pytest.approx(cluster_mass, abs=1e-12)
 
     def test_records_cover_both_methods(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = init_random(sup, spec, rng)
         clustered = standardized_residuals(contingency(asg, ds))
-        comp = residual_comparison(ds, sup, clustered)
-        methods = {rec["method"] for rec in comp.records}
-        assert methods == {"averaging", "mscca"}
-        expected = (len(comp.averaging.row_labels) + len(clustered.row_labels)) * len(
-            comp.averaging.col_labels
-        )
-        assert len(comp.records) == expected
+        averaging = residual_comparison(ds, sup, clustered)
+        # the archive's records of the two tables, in order, row by row
+        records = _residual_records((("averaging", averaging), ("mscca", clustered)), sup)
+        expected = [
+            (method, model.row_labels[i], sup.labels[h][s], column, model.residuals[i, j])
+            for method, model in (("averaging", averaging), ("mscca", clustered))
+            for i, (h, s, _k) in enumerate(model.row_index)
+            for j, column in enumerate(model.col_labels)
+        ]
+        assert [tuple(rec.values()) for rec in records] == expected
+        assert all(list(rec) == RESIDUALS_HEADER for rec in records)
 
     def test_model_of_other_classes_rejected(self, rng):
         ds, sup, spec = random_problem(rng, n_sup=2, r=3)

@@ -665,6 +665,71 @@ class TestVariants:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, blocks, comparisons",
+        [
+            # the 4 class rows, then the 9 cluster rows, of 5 columns each
+            (["fit", *ILLUSTRATION_K], [("averaging", 20), ("mscca", 45)], 1),
+            (["variants", "--method", "averaging"], [("averaging", 20)], 0),
+            (["variants", "--method", "cluster-ca", "--k", "3"], [("mscca", 15)], 0),
+        ],
+        ids=["fit", "averaging", "cluster-ca"],
+    )
+    def test_residual_methods_of_each_command(
+        self, illustration_csv, tmp_path, monkeypatch, argv, blocks, comparisons
+    ):
+        # fit lists the averaged table beside its own; a variant lists only
+        # the table it plots, without counting the averaged one.
+        import mscca.cli
+
+        calls = []
+        real = mscca.cli.residual_comparison
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(mscca.cli, "residual_comparison", counted)
+        out = tmp_path / "o"
+        code = main(
+            [*argv, "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
+             "--starts", "5", "--out", str(out)]
+        )
+        assert code == 0
+        assert len(calls) == comparisons
+        methods = [rec["method"] for rec in load_json(out / "solution.json")["residuals"]]
+        assert [(m, methods.count(m)) for m in dict.fromkeys(methods)] == blocks
+        with (out / "residuals.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == methods
+
+    def test_out_of_memory_exit_3_in_one_line(
+        self, illustration_csv, tmp_path, capsys, monkeypatch
+    ):
+        # numpy's own allocation error, raised without allocating
+        try:
+            from numpy._core._exceptions import _ArrayMemoryError
+        except ImportError:  # numpy < 2
+            from numpy.core._exceptions import _ArrayMemoryError
+
+        def failing(dataset, n_stack):
+            raise _ArrayMemoryError((100_000, 100_000), np.dtype(np.float64))
+
+        monkeypatch.setattr(mscca.solver, "_centered_burt", failing)
+        out = tmp_path / "o"
+        code = main(
+            ["variants", "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
+             "--method", "removal", "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error: out of memory: Unable to allocate 74.5 GiB for an array with shape "
+            "(100000, 100000) and data type float64\n"
+        )
+        assert "Traceback" not in err
+        assert not (out / "solution.json").exists()
+
 
 
 class TestConfigEcho:

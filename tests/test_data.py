@@ -14,7 +14,6 @@ from mscca import (
     HierarchicalAssignment,
     SolverOptions,
     SupplementaryData,
-    build_assignment,
     cluster_counts,
     encode_dataset,
     encode_supplementary,
@@ -223,8 +222,8 @@ class TestCodeTable:
 def _gender_example():
     sup = encode_supplementary([["M"], ["F"], ["M"], ["F"], ["M"]], names=["gender"])
     spec = ClusterSpec(counts=((2, 1),))
-    male_cluster = {0: 0, 2: 0, 4: 1}
-    return sup, spec, build_assignment(sup, spec, lambda h, i: male_cluster.get(i, 0))
+    clusters = np.array([[0], [0], [0], [0], [1]])
+    return sup, spec, HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
 
 
 class TestBuildAssignment:
@@ -242,7 +241,7 @@ class TestBuildAssignment:
     def test_single_cluster_equals_class_indicator(self):
         sup = encode_supplementary([["M"], ["F"], ["M"]])
         spec = ClusterSpec.uniform(sup, 1)
-        asg = build_assignment(sup, spec, lambda h, i: 0)
+        asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=np.zeros((3, 1), dtype=int))
         expected = np.zeros((3, 2))
         expected[np.arange(3), sup.codes[:, 0]] = 1.0
         assert_allclose(indicator(asg, 0), expected)
@@ -250,8 +249,14 @@ class TestBuildAssignment:
     def test_out_of_range_cluster(self):
         sup = encode_supplementary([["M"], ["F"], ["M"]])
         spec = ClusterSpec(counts=((2, 1),))
-        with pytest.raises(AssignmentError):
-            build_assignment(sup, spec, lambda h, i: spec.k_of(h, int(sup.codes[i, h])))
+        # M (code 0) has clusters 0 and 1, F (code 1) only cluster 0
+        for clusters, message in (
+            ([[0], [1], [0]], "observation 1, variable 0: cluster 1 outside its class range"),
+            ([[1], [0], [2]], "observation 2, variable 0: cluster 2 outside its class range"),
+            ([[0], [0], [-1]], "observation 2, variable 0: cluster -1 outside its class range"),
+        ):
+            with pytest.raises(AssignmentError, match=re.escape(message)):
+                HierarchicalAssignment(sup=sup, spec=spec, clusters=np.array(clusters))
 
     def test_stacked_block_diagonal(self, rng):
         ds, sup, spec = random_problem(rng)

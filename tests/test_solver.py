@@ -454,10 +454,10 @@ class TestFitMscca:
         ],
     )
     def test_winner_ignores_float_noise_between_starts(self, rng, finals, winner):
-        assert mscca.solver._winner(finals) == winner
+        assert np.argmax(mscca.solver._ties(finals)) == winner
         ds, sup, spec = random_problem(rng)
         sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=len(finals), seed=3))
-        assert sol.start_index == mscca.solver._winner([t[-1] for t in sol.start_traces])
+        assert sol.start_index == np.argmax(mscca.solver._ties([t[-1] for t in sol.start_traces]))
         assert sol.objective == sol.start_traces[sol.start_index][-1]
 
     def test_solution_invariants(self, rng):
