@@ -14,12 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (
-    CategoricalDataset,
-    HierarchicalAssignment,
-    SupplementaryData,
-    cluster_counts,
-)
+from .data import CategoricalDataset, HierarchicalAssignment
 from .errors import DegenerateGeometryError, MassError, ShapeError
 
 
@@ -53,20 +48,25 @@ class BiplotModel:
 def contingency(
     assignment: HierarchicalAssignment,
     dataset: CategoricalDataset,
+    counts: tuple[np.ndarray, np.ndarray],
     order: str = "size",
 ) -> BiplotModel:
     """Scaled contingency table P = (N H m)^{-1} U' Z^H.
 
+    ``counts`` is the assignment's (K x Q table, K sizes) pair: a fit's
+    ``table`` and ``sizes``, or ``cluster_counts(assignment, dataset)``.
     ``order='size'`` arranges each class's rows by descending cluster size
     (display convention); ``order='natural'`` keeps the (h, class, cluster)
     enumeration, which is what alignment against a reference assignment
-    needs.  Raises ``EmptyClusterError`` when a cluster has no members.
+    needs.
     """
     if order not in ("size", "natural"):
         raise ShapeError(f"order must be 'size' or 'natural', got {order!r}")
     sup, spec = assignment.sup, assignment.spec
     n, m, n_sup = dataset.n_obs, dataset.n_vars, assignment.n_sup
-    counts, sizes = cluster_counts(assignment, dataset)
+    table, sizes = counts
+    if table.shape != (spec.k_total, dataset.total_categories) or sizes.shape != (spec.k_total,):
+        raise ShapeError("counts do not match the assignment's clusters and the dataset's columns")
     rows: list[int] = []
     index: list[tuple[int, int, int]] = []
     labels: list[str] = []
@@ -81,7 +81,7 @@ def contingency(
                 index.append((h, s, int(c)))
                 base = sup.labels[h][s]
                 labels.append(base if k == 1 else f"{base}{rank_of[int(c)]}")
-    table = counts[rows] / (n * n_sup * m)
+    table = table[rows] / (n * n_sup * m)
     rows = np.array(rows, dtype=np.int64)
     return BiplotModel(
         table=table,
@@ -157,20 +157,17 @@ def rescale_spread(model: BiplotModel) -> BiplotModel:
 
 
 def residual_comparison(
+    assignment: HierarchicalAssignment,
     dataset: CategoricalDataset,
-    sup: SupplementaryData,
-    clustered: BiplotModel,
+    counts: tuple[np.ndarray, np.ndarray],
 ) -> BiplotModel:
     """The standardized averaging table (one row per class, size order, on
     the 1/(N H m) scaling) to compare with the fit's cluster table.
 
-    ``clustered`` is the fit's cluster model; only the averaging table is
-    counted here.  Raises ``ShapeError`` when the model's classes are not
-    those of ``sup``.
+    A class is the union of its clusters, so its counts are the exact
+    integer sums of its clusters' rows of ``counts`` (as in ``contingency``).
     """
-    classes = {(h, s) for h in range(sup.n_sup) for s in range(sup.r[h])}
-    if {(h, s) for h, s, _k in clustered.row_index} != classes:
-        raise ShapeError("cluster model does not cover the classes of the supplementary data")
-    return standardized_residuals(
-        contingency(HierarchicalAssignment.by_class(sup), dataset, order="size")
-    )
+    firsts = np.concatenate(assignment.spec.first_rows)
+    summed = tuple(np.add.reduceat(part, firsts) for part in counts)
+    classes = HierarchicalAssignment.by_class(assignment.sup)
+    return standardized_residuals(contingency(classes, dataset, summed))

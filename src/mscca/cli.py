@@ -255,10 +255,11 @@ def _write_exports(out_dir: Path, archive: dict, exports: list[str]) -> None:
 
 def _biplot(dataset, solution) -> BiplotModel:
     """The standardized cluster table of a clustering fit, with its biplot
-    coordinates: one count of the fit's cluster table."""
+    coordinates, from the counts the fit kept."""
+    counts = (solution.table, solution.sizes)
     return rescale_spread(
         biplot_coordinates(
-            standardized_residuals(contingency(solution.assignment, dataset)),
+            standardized_residuals(contingency(solution.assignment, dataset, counts)),
             solution.centers,
             solution.quantifications,
         )
@@ -269,7 +270,7 @@ def _clustering_archive(echo: dict, dataset, solution) -> dict:
     """The archive of a ``fit``: its biplot, and the residuals of the
     class-level (averaged) table beside those of the fit's cluster table."""
     model = _biplot(dataset, solution)
-    averaging = residual_comparison(dataset, solution.assignment.sup, model)
+    averaging = residual_comparison(solution.assignment, dataset, (solution.table, solution.sizes))
     return build_archive(echo, solution, model, (("averaging", averaging), ("mscca", model)))
 
 

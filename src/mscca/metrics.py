@@ -11,7 +11,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .data import CategoricalDataset, HierarchicalAssignment, SupplementaryData
+from .data import CategoricalDataset, HierarchicalAssignment, SupplementaryData, cluster_counts
 from .errors import DegenerateGeometryError, ShapeError, SpecError
 
 # A partition is any equal-length sequence of hashable cluster ids; the ids
@@ -106,7 +106,8 @@ def gf_against_truth(
             )
             base = len(order)
             order.extend(base + c for c in perm)
-    truth = standardized_residuals(contingency(true_assignment, dataset, order="natural"))
+    counts = cluster_counts(true_assignment, dataset)
+    truth = standardized_residuals(contingency(true_assignment, dataset, counts, order="natural"))
     recon = solution.centers[order] @ solution.quantifications.T
     scaled = (
         np.sqrt(truth.row_masses)[:, None] * recon * np.sqrt(truth.col_masses)[None, :]

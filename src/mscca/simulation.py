@@ -202,8 +202,10 @@ def generate_illustration(
     illustration (the rare choice belongs to one small group).  Restricted
     to classes, the truth has two clusters for Americans, Japanese and
     females, and three for males; the alcohol cluster sits entirely inside
-    the American males.
+    the American males.  Raises ``SpecError`` for a negative ``seed``.
     """
+    if seed < 0:
+        raise SpecError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     mainstream = [(mi, di) for mi in range(len(_MEAL_LABELS)) for di in (0, 1)]
     all_patterns = [

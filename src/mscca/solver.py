@@ -77,7 +77,8 @@ class MsccaSolution:
     """A converged fit: assignment, centers, quantifications, diagnostics.
 
     ``centers`` stacks the per-variable center blocks G_h in the natural
-    (h, class, cluster) order, matching the rows of ``cluster_counts``.
+    (h, class, cluster) order, matching the rows of ``table`` and ``sizes``,
+    the assignment's ``cluster_counts`` as the engine left them.
     ``objective_trace`` holds the winning start's objective after each
     centering update; ``start_traces`` keeps every start's trace so
     monotonicity can be audited across the whole multistart.
@@ -86,6 +87,8 @@ class MsccaSolution:
     assignment: HierarchicalAssignment
     centers: np.ndarray
     quantifications: np.ndarray
+    table: np.ndarray
+    sizes: np.ndarray
     objective: float
     psi: float
     objective_trace: tuple[float, ...]
@@ -511,16 +514,17 @@ def _chunk_size(dataset: CategoricalDataset, spec: ClusterSpec, p: int) -> int:
 
 
 class _StartEnd(NamedTuple):
-    """Where one start ended: its N x H clusters, K x p centers and Q x p
-    quantifications (each its own copy), its objective trace, whether it
-    converged, and its psi."""
+    """Where one start ended: its N x H clusters, K x p centers, Q x p
+    quantifications, K x Q count table and K sizes (each its own copy),
+    its objective trace and whether it converged."""
 
     clusters: np.ndarray
     centers: np.ndarray
     quantifications: np.ndarray
+    table: np.ndarray
+    sizes: np.ndarray
     trace: tuple[float, ...]
     converged: bool
-    psi: float
 
 
 def _run_start(
@@ -552,9 +556,7 @@ def _run_start(
     The trace records the objective after each centering update, where
     the centers are exact for the current assignment, so it reads
     phi = p - psi / (N H m^2) from the cluster sizes and centers; the
-    final entry is replaced by the direct residual sum.  Each start's psi
-    at its end, read from its count table, sizes and centers, is kept: a
-    lone start's sums have the bits of ``psi_value``'s.  A start whose
+    final entry is replaced by the direct residual sum.  A start whose
     assignment step empties a cluster is repaired alone, and keeps its
     previous (feasible) assignment whenever the repair would have pushed
     the objective up, so the trace never increases beyond float jitter.
@@ -579,7 +581,7 @@ def _run_start(
         for i in np.flatnonzero(stop):
             ends[live[i]] = _StartEnd(
                 rows[i] - first, centers[i].copy(), quantifications[i].copy(),
-                traces[live[i]], bool(converged[i]), float(dataset.n_vars**2 * spread[i]),
+                table[i].copy(), sizes[i].copy(), traces[live[i]], bool(converged[i]),
             )
         return ~stop
 
@@ -594,9 +596,7 @@ def _run_start(
         stop = settled | (t == max_iter - 1)
         if stop.any():
             go = finish(stop, settled)
-            live, rows, table, objective, spread = (
-                live[go], rows[go], table[go], objective[go], spread[go]
-            )
+            live, rows, table, objective = live[go], rows[go], table[go], objective[go]
             centers, quantifications = centers[go], quantifications[go]
             if not live.size:  # filtered first, so the chunk's arrays are freed
                 break
@@ -696,6 +696,7 @@ def fit_mscca(
         can_win = _contenders([trace[-1] for trace in traces])
         contenders = {index: end for index, end in contenders.items() if can_win[index]}
         contenders.update((lo + int(s), ends[s]) for s in np.flatnonzero(can_win[lo:]))
+        del ends  # the other ends' arrays go before the next chunk's are made
     # the lowest-indexed tie has no lower-indexed tie, so it is the first contender
     best_index = int(np.argmax(can_win))
     best = contenders[best_index]
@@ -703,8 +704,10 @@ def fit_mscca(
         assignment=HierarchicalAssignment(sup=sup, spec=spec, clusters=best.clusters),
         centers=best.centers,
         quantifications=best.quantifications,
+        table=best.table,
+        sizes=best.sizes,
         objective=best.trace[-1],
-        psi=best.psi,
+        psi=float(dataset.n_vars**2 * (best.sizes[:, None] * best.centers * best.centers).sum()),
         objective_trace=best.trace,
         start_index=best_index,
         converged=best.converged,
@@ -742,17 +745,17 @@ class ConstraintSpec:
 
     kind:
       - ``identity``: no constraint (plain multiple correspondence analysis)
-      - ``projector-on``: scores projected onto class indicators (each class
-        represented by its members' average)
       - ``projector-off``: class means removed from the scores
       - ``membership-projector``: scores projected onto a fixed hierarchical
-        cluster assignment (the quantification step of the clustering fit)
+        cluster assignment (the quantification step of the clustering fit);
+        over ``HierarchicalAssignment.by_class(sup)`` each class is
+        represented by its members' average
     """
 
     kind: str
     source: SupplementaryData | HierarchicalAssignment | None = None
 
-    _KINDS = ("identity", "projector-on", "projector-off", "membership-projector")
+    _KINDS = ("identity", "projector-off", "membership-projector")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
@@ -789,21 +792,17 @@ def fit_constrained_mca(
 
     Every projector is onto the indicators of a partition (the source
     assignment, or one group per class), so the projected scores are the
-    group means of the object scores.  ``projector-on`` and
-    ``membership-projector`` solve the clustering fit's B-step on the
-    partition's count table (``_between_quantify``: a K x K problem, with
-    its centered completion when K - H < p).  ``identity`` and
-    ``projector-off`` solve the Q x Q problem on the centered Burt matrix,
-    less the partition's between-group cross-product for removal.
+    group means of the object scores.  ``membership-projector`` solves the
+    clustering fit's B-step on the partition's count table
+    (``_between_quantify``: a K x K problem, with its centered completion
+    when K - H < p).  ``identity`` and ``projector-off`` solve the Q x Q
+    problem on the centered Burt matrix, less the partition's
+    between-group cross-product for removal.
     """
     kind, source = cspec.kind, cspec.source
     if source is not None and source.n_obs != dataset.n_obs:
         raise ShapeError("constraint source disagrees with the dataset on N")
-    partition = None
-    if kind == "membership-projector":
-        partition = source
-    elif kind != "identity":
-        partition = HierarchicalAssignment.by_class(source)
+    partition = HierarchicalAssignment.by_class(source) if kind == "projector-off" else source
     n_stack = 1 if partition is None else partition.n_sup
     if partition is not None:
         try:

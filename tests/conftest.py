@@ -681,10 +681,13 @@ def fit_mscca_sequential(
         low = min(r.trace[-1] for _, r in tied)
         tied = [(i, r) for i, r in tied if r.trace[-1] <= low + WINNER_RTOL * abs(low)]
     best_index, best = tied[0]
+    table, sizes = cluster_counts(best.assignment, dataset)
     return MsccaSolution(
         assignment=best.assignment,
         centers=best.centers,
         quantifications=best.quantifications,
+        table=table,
+        sizes=sizes,
         objective=best.trace[-1],
         psi=psi_value(best.assignment, best.quantifications, dataset),
         objective_trace=best.trace,

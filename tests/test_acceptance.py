@@ -149,7 +149,9 @@ def test_criterion_4_rank_p_residual_optimality():
             ds, sup, spec = random_mixed_problem(rng, n=60, m=4, q=3)
             sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=3, seed=int(rng.integers(1 << 31))))
             model = biplot_coordinates(
-                standardized_residuals(contingency(sol.assignment, ds)),
+                standardized_residuals(
+                    contingency(sol.assignment, ds, (sol.table, sol.sizes))
+                ),
                 sol.centers,
                 sol.quantifications,
             )
@@ -236,9 +238,7 @@ def test_criterion_7_illustration_contrast():
         assert binary_ari >= 0.8, f"alcohol-cluster agreement {binary_ari}"
         # the averaged table shows no class whose strongest positive
         # deviation is the alcohol column
-        ave = residual_comparison(
-            ds, sup, standardized_residuals(contingency(sol.assignment, ds))
-        )
+        ave = residual_comparison(sol.assignment, ds, (sol.table, sol.sizes))
         alcohol_col = list(ave.col_labels).index("Drink:Alcohol")
         for i in range(len(ave.row_labels)):
             top = int(ave.residuals[i].argmax())

@@ -7,6 +7,7 @@ from mscca import (
     HierarchicalAssignment,
     SolverOptions,
     biplot_coordinates,
+    cluster_counts,
     contingency,
     encode_dataset,
     encode_supplementary,
@@ -21,7 +22,7 @@ from mscca.biplot import BiplotModel
 from mscca.errors import DegenerateGeometryError, EmptyClusterError, MassError, ShapeError
 from mscca.solver import update_B, update_G, init_random
 
-from conftest import random_problem, z_full
+from conftest import random_mixed_problem, random_problem, z_full
 
 
 def two_singleton_model():
@@ -29,7 +30,7 @@ def two_singleton_model():
     sup = encode_supplementary([["x"], ["x"]])
     spec = ClusterSpec(counts=((2,),))
     asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=np.array([[0], [1]]))
-    return contingency(asg, ds, order="natural")
+    return contingency(asg, ds, cluster_counts(asg, ds), order="natural")
 
 
 class TestContingency:
@@ -40,7 +41,7 @@ class TestContingency:
     def test_total_mass_one(self, rng):
         ds, sup, spec = random_problem(rng, n_sup=3)
         asg = init_random(sup, spec, rng)
-        model = contingency(asg, ds)
+        model = contingency(asg, ds, cluster_counts(asg, ds))
         assert model.table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_cluster_rows_are_class_frequencies(self, rng):
@@ -49,7 +50,7 @@ class TestContingency:
         asg = HierarchicalAssignment(
             sup=sup, spec=spec, clusters=np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
         )
-        model = contingency(asg, ds)
+        model = contingency(asg, ds, cluster_counts(asg, ds))
         n, m, n_sup = ds.n_obs, ds.n_vars, sup.n_sup
         row = 0
         for h in range(n_sup):
@@ -62,12 +63,12 @@ class TestContingency:
     def test_observation_permutation_invariant(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = init_random(sup, spec, rng)
-        model = contingency(asg, ds)
+        model = contingency(asg, ds, cluster_counts(asg, ds))
         perm = rng.permutation(ds.n_obs)
         ds2 = type(ds)(codes=ds.codes[perm], labels=ds.labels, names=ds.names)
         sup2 = type(sup)(codes=sup.codes[perm], labels=sup.labels, names=sup.names)
         asg2 = HierarchicalAssignment(sup=sup2, spec=spec, clusters=asg.clusters[perm])
-        model2 = contingency(asg2, ds2)
+        model2 = contingency(asg2, ds2, cluster_counts(asg2, ds2))
         assert_allclose(model.table, model2.table, atol=1e-15)
 
     def test_empty_cluster_rejected(self):
@@ -76,7 +77,15 @@ class TestContingency:
         spec = ClusterSpec(counts=((2,),))
         asg = HierarchicalAssignment(sup=sup, spec=spec, clusters=np.zeros((2, 1), dtype=np.int64))
         with pytest.raises(EmptyClusterError):
-            contingency(asg, ds)
+            contingency(asg, ds, cluster_counts(asg, ds))
+
+    def test_counts_of_another_shape_rejected(self, rng):
+        ds, sup, spec = random_problem(rng)
+        asg = init_random(sup, spec, rng)
+        table, sizes = cluster_counts(asg, ds)
+        for counts in ((table[:-1], sizes[:-1]), (table[:, :-1], sizes), (table, sizes[:-1])):
+            with pytest.raises(ShapeError):
+                contingency(asg, ds, counts)
 
     def test_size_order_labels_largest_first(self):
         ds = encode_dataset([["a"], ["a"], ["b"], ["a"]])
@@ -85,7 +94,7 @@ class TestContingency:
         asg = HierarchicalAssignment(
             sup=sup, spec=spec, clusters=np.array([[1], [1], [0], [1]])
         )
-        model = contingency(asg, ds, order="size")
+        model = contingency(asg, ds, cluster_counts(asg, ds), order="size")
         # cluster 1 has three members: it is ranked 1 and listed first
         assert model.row_labels == ("x1", "x2")
         assert model.row_index == ((0, 0, 1), (0, 0, 0))
@@ -94,7 +103,7 @@ class TestContingency:
     def test_rows_are_rows_of_g(self, rng, order):
         ds, sup, spec = random_problem(rng, n_sup=3)
         asg = init_random(sup, spec, rng)
-        model = contingency(asg, ds, order=order)
+        model = contingency(asg, ds, cluster_counts(asg, ds), order=order)
         assert model.rows.shape == (spec.k_total,)
         for i, (h, s, k) in enumerate(model.row_index):
             assert model.rows[i] == spec.first_rows[h][s] + k
@@ -103,7 +112,7 @@ class TestContingency:
     def test_sizes_are_member_counts(self, rng, order):
         ds, sup, spec = random_problem(rng, n_sup=3)
         asg = init_random(sup, spec, rng)
-        model = contingency(asg, ds, order=order)
+        model = contingency(asg, ds, cluster_counts(asg, ds), order=order)
         for i, (h, s, k) in enumerate(model.row_index):
             members = (sup.codes[:, h] == s) & (asg.clusters[:, h] == k)
             assert model.sizes[i] == members.sum()
@@ -164,7 +173,7 @@ class TestStandardizedResiduals:
     def test_grand_total_property(self, rng):
         ds, sup, spec = random_problem(rng)
         asg = init_random(sup, spec, rng)
-        model = standardized_residuals(contingency(asg, ds))
+        model = standardized_residuals(contingency(asg, ds, cluster_counts(asg, ds)))
         back = (
             np.sqrt(model.row_masses)[:, None]
             * model.residuals
@@ -192,7 +201,8 @@ class TestBiplotCoordinates:
     def _fitted(self, rng, p=2):
         ds, sup, spec = random_problem(rng, n=40)
         sol = fit_mscca(ds, sup, spec, SolverOptions(p=p, n_starts=3, seed=1))
-        model = standardized_residuals(contingency(sol.assignment, ds))
+        counts = (sol.table, sol.sizes)
+        model = standardized_residuals(contingency(sol.assignment, ds, counts))
         return sol, biplot_coordinates(model, sol.centers, sol.quantifications)
 
     def test_rank_p_optimality(self, rng):
@@ -208,8 +218,9 @@ class TestBiplotCoordinates:
         # p at the rank bound recovers the residual table exactly
         p = ds.total_categories - ds.n_vars
         sol = fit_mscca(ds, sup, spec, SolverOptions(p=p, n_starts=3, seed=5))
+        counts = (sol.table, sol.sizes)
         model = biplot_coordinates(
-            standardized_residuals(contingency(sol.assignment, ds)),
+            standardized_residuals(contingency(sol.assignment, ds, counts)),
             sol.centers,
             sol.quantifications,
         )
@@ -223,13 +234,14 @@ class TestBiplotCoordinates:
     def test_display_and_natural_order_agree(self, rng):
         ds, sup, spec = random_problem(rng, n=40)
         sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=3, seed=1))
+        counts = (sol.table, sol.sizes)
         display = biplot_coordinates(
-            standardized_residuals(contingency(sol.assignment, ds, order="size")),
+            standardized_residuals(contingency(sol.assignment, ds, counts, order="size")),
             sol.centers,
             sol.quantifications,
         )
         natural = biplot_coordinates(
-            standardized_residuals(contingency(sol.assignment, ds, order="natural")),
+            standardized_residuals(contingency(sol.assignment, ds, counts, order="natural")),
             sol.centers,
             sol.quantifications,
         )
@@ -285,27 +297,25 @@ class TestRescaleSpread:
 
 
 class TestResidualComparison:
+    @staticmethod
+    def _tables(asg, ds):
+        counts = cluster_counts(asg, ds)
+        clustered = standardized_residuals(contingency(asg, ds, counts))
+        return clustered, residual_comparison(asg, ds, counts)
+
     def test_single_cluster_tables_identical(self, rng):
         ds, sup, _ = random_problem(rng)
-        spec = ClusterSpec.uniform(sup, 1)
-        asg = HierarchicalAssignment(
-            sup=sup, spec=spec, clusters=np.zeros((sup.n_obs, sup.n_sup), dtype=np.int64)
-        )
-        clustered = standardized_residuals(contingency(asg, ds))
-        averaging = residual_comparison(ds, sup, clustered)
+        clustered, averaging = self._tables(HierarchicalAssignment.by_class(sup), ds)
         assert_allclose(averaging.residuals, clustered.residuals, atol=1e-12)
 
     def test_splitting_concentrates_deviations(self):
-        ds, sup, truth = generate_illustration()
-        clustered = standardized_residuals(contingency(truth, ds))
-        averaging = residual_comparison(ds, sup, clustered)
+        ds, _sup, truth = generate_illustration()
+        clustered, averaging = self._tables(truth, ds)
         assert np.abs(clustered.residuals).max() >= np.abs(averaging.residuals).max()
 
     def test_class_mass_additivity(self, rng):
         ds, sup, spec = random_problem(rng)
-        asg = init_random(sup, spec, rng)
-        clustered = standardized_residuals(contingency(asg, ds))
-        averaging = residual_comparison(ds, sup, clustered)
+        clustered, averaging = self._tables(init_random(sup, spec, rng), ds)
         for i, (h, s, _k) in enumerate(averaging.row_index):
             cluster_mass = sum(
                 clustered.row_masses[j]
@@ -314,11 +324,25 @@ class TestResidualComparison:
             )
             assert averaging.row_masses[i] == pytest.approx(cluster_mass, abs=1e-12)
 
+    def test_summed_class_table_has_the_bits_of_a_class_count(self, rng):
+        # the class rows are sums of integer cluster rows, so the model is
+        # the one a count of the class partition gives, bit for bit
+        for n_sup in (1, 3):
+            ds, sup, spec = random_mixed_problem(rng, n=60, m=4, q=3, n_sup=n_sup)
+            _clustered, averaging = self._tables(init_random(sup, spec, rng), ds)
+            classes = HierarchicalAssignment.by_class(sup)
+            counted = standardized_residuals(
+                contingency(classes, ds, cluster_counts(classes, ds))
+            )
+            for field in ("table", "residuals", "row_masses", "col_masses", "rows", "sizes"):
+                got, want = getattr(averaging, field), getattr(counted, field)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+            assert averaging.row_index == counted.row_index
+            assert averaging.row_labels == counted.row_labels
+
     def test_records_cover_both_methods(self, rng):
         ds, sup, spec = random_problem(rng)
-        asg = init_random(sup, spec, rng)
-        clustered = standardized_residuals(contingency(asg, ds))
-        averaging = residual_comparison(ds, sup, clustered)
+        clustered, averaging = self._tables(init_random(sup, spec, rng), ds)
         # the archive's records of the two tables, in order, row by row
         records = _residual_records((("averaging", averaging), ("mscca", clustered)), sup)
         expected = [
@@ -330,26 +354,15 @@ class TestResidualComparison:
         assert [tuple(rec.values()) for rec in records] == expected
         assert all(list(rec) == RESIDUALS_HEADER for rec in records)
 
-    def test_model_of_other_classes_rejected(self, rng):
-        ds, sup, spec = random_problem(rng, n_sup=2, r=3)
-        first = type(sup)(codes=sup.codes[:, :1], labels=sup.labels[:1], names=sup.names[:1])
-        fewer = standardized_residuals(
-            contingency(init_random(first, ClusterSpec(spec.counts[:1]), rng), ds)
-        )
-        full = standardized_residuals(contingency(init_random(sup, spec, rng), ds))
-        with pytest.raises(ShapeError):
-            residual_comparison(ds, sup, fewer)
-        with pytest.raises(ShapeError):
-            residual_comparison(ds, first, full)
-
 
 class TestIllustrationBiplot:
     def test_alcohol_cluster_has_largest_alcohol_inner_product(self):
         ds, sup, truth = generate_illustration()
         sol = fit_mscca(ds, sup, truth.spec, SolverOptions(n_starts=50, seed=0))
+        counts = (sol.table, sol.sizes)
         model = rescale_spread(
             biplot_coordinates(
-                standardized_residuals(contingency(sol.assignment, ds)),
+                standardized_residuals(contingency(sol.assignment, ds, counts)),
                 sol.centers,
                 sol.quantifications,
             )

@@ -96,23 +96,42 @@ class TestFit:
         )
         assert abs(phi - archive["solution"]["objective"]) < 1e-10
 
-    def test_cluster_table_counted_once_for_the_archive(
-        self, illustration_csv, tmp_path, monkeypatch
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", *ILLUSTRATION_K],
+            ["variants", "--method", "averaging"],
+            ["variants", "--method", "cluster-ca", "--k", "3"],
+        ],
+        ids=["fit", "averaging", "cluster-ca"],
+    )
+    def test_archive_counts_nothing_after_the_fit(
+        self, illustration_csv, tmp_path, monkeypatch, argv
     ):
-        import mscca.biplot
+        # The exports read the count table and sizes the fit kept, so once
+        # the fit has returned no cell is counted again.
+        real = mscca.solver.fit_mscca
+        fits = []
 
-        real = mscca.biplot.cluster_counts
-        rows = []
+        def forbidden(*args):
+            raise AssertionError("cells counted after the fit")
 
-        def recording_counts(assignment, dataset):
-            counts, sizes = real(assignment, dataset)
-            rows.append(counts.shape[0])
-            return counts, sizes
+        def fit_then_forbid_counting(*args):
+            fits.append(real(*args))
+            monkeypatch.setattr(mscca.data, "_count_into", forbidden)
+            return fits[-1]
 
-        monkeypatch.setattr(mscca.biplot, "cluster_counts", recording_counts)
-        assert run_fit(illustration_csv, tmp_path / "out") == 0
-        # the fit's 9 cluster rows once, then the 4-class averaging table
-        assert rows == [9, 4]
+        monkeypatch.setattr(mscca.solver, "fit_mscca", fit_then_forbid_counting)  # cluster-ca
+        monkeypatch.setattr(mscca.cli, "fit_mscca", fit_then_forbid_counting)
+        out = tmp_path / "o"
+        code = main(
+            [*argv, "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
+             "--starts", "3", "--export", "solution-json", "--export", "coords-csv",
+             "--export", "residuals-csv", "--export", "svg", "--out", str(out)]
+        )
+        assert code == 0 and len(fits) == 1
+        names = ["biplot.svg", "coords.csv", "residuals.csv", "solution.json"]
+        assert sorted(path.name for path in out.iterdir()) == names
 
     def test_byte_identical_reruns(self, illustration_csv, tmp_path):
         assert run_fit(illustration_csv, tmp_path / "a") == 0
@@ -323,6 +342,11 @@ class TestFit:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == "error: seed must be >= 0\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_illustrate_negative_seed_exit_3_in_one_line(self, tmp_path, capsys):
+        assert main(["illustrate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not (tmp_path / "o").exists()
 
     def test_huge_max_iter_runs_like_a_small_one(self, illustration_csv, tmp_path):

@@ -13,6 +13,7 @@ from mscca import (
     HierarchicalAssignment,
     SolverOptions,
     SupplementaryData,
+    cluster_counts,
     encode_dataset,
     encode_supplementary,
     fit_cluster_ca,
@@ -513,7 +514,8 @@ class TestFitMscca:
         ds, sup, _ = random_problem(rng, n=40)
         spec = ClusterSpec.uniform(sup, 1)
         sol = fit_mscca(ds, sup, spec, SolverOptions(n_starts=1, seed=0))
-        fit = fit_constrained_mca(ds, ConstraintSpec(kind="projector-on", source=sup), 2)
+        classes = HierarchicalAssignment.by_class(sup)
+        fit = fit_constrained_mca(ds, ConstraintSpec(kind="membership-projector", source=classes), 2)
         assert sol.objective == pytest.approx(fit.objective, abs=1e-8)
         angles = principal_angles(sol.quantifications, fit.quantifications)
         assert angles.max() < 1e-6
@@ -586,7 +588,8 @@ class TestFitConstrainedMca:
 
     def test_projector_on_scores_are_class_means(self, rng):
         ds, sup, _ = random_problem(rng, n=30, n_sup=2)
-        fit = fit_constrained_mca(ds, ConstraintSpec(kind="projector-on", source=sup), 2)
+        classes = HierarchicalAssignment.by_class(sup)
+        fit = fit_constrained_mca(ds, ConstraintSpec(kind="membership-projector", source=classes), 2)
         n = ds.n_obs
         for h in range(sup.n_sup):
             block = fit.scores[h * n : (h + 1) * n]
@@ -622,19 +625,21 @@ class TestFitConstrainedMca:
         assert fit.quantifications.tobytes() == update_B(asg, ds, 2).tobytes()
 
     @pytest.mark.parametrize(
-        "kind", ["identity", "projector-on", "projector-off", "membership-projector"]
+        "case", ["identity", "by-class", "projector-off", "membership-projector"]
     )
-    def test_matches_dense_projector_route(self, rng, kind):
+    def test_matches_dense_projector_route(self, rng, case):
         # the last problem has Q = 150 categories: more than two row
         # blocks, not a multiple of one
         for size in [dict(n=40)] * 5 + [dict(n=400, m=5, q=30)]:
             ds, sup, _ = random_problem(rng, **size)
-            source = sup
-            if kind == "identity":
+            kind, source = case, sup
+            if case == "identity":
                 source = None
-            elif kind == "membership-projector":
+            elif case == "membership-projector":
                 # two clusters per class keep the top-2 eigenspace well separated
                 source = init_random(sup, ClusterSpec.uniform(sup, 2), rng)
+            elif case == "by-class":  # class averaging
+                kind, source = "membership-projector", HierarchicalAssignment.by_class(sup)
             cspec = ConstraintSpec(kind=kind, source=source)
             fit = fit_constrained_mca(ds, cspec, 2)
             dense = dense_constrained_fit(ds, cspec, 2)
@@ -663,7 +668,11 @@ class TestFitConstrainedMca:
         with pytest.raises(SpecError):
             ConstraintSpec(kind="identity", source=sup)
         with pytest.raises(SpecError):
-            ConstraintSpec(kind="projector-on")
+            ConstraintSpec(kind="projector-off")
+        with pytest.raises(SpecError):
+            ConstraintSpec(kind="membership-projector", source=sup)
+        with pytest.raises(SpecError):  # averaging is membership-projector over classes
+            ConstraintSpec(kind="projector-on", source=sup)
 
 
 class TestLabelPermutationEquivariance:
@@ -893,8 +902,9 @@ class TestCenteredCompletion:
         # with K - H = 3 < p = 4
         ds, _ = generate_clustered(GenSpec(q=4, k=2, n_obs=120, n_vars=5, seed=5))
         sup = generate_supplementary(SupGenSpec(n_sup=1, r=2, seed=6), 120)
-        fit = fit_constrained_mca(ds, ConstraintSpec(kind="projector-on", source=sup), 2)
-        yield ds, HierarchicalAssignment.by_class(sup), 2, fit.quantifications
+        classes = HierarchicalAssignment.by_class(sup)
+        cspec = ConstraintSpec(kind="membership-projector", source=classes)
+        yield ds, classes, 2, fit_constrained_mca(ds, cspec, 2).quantifications
         sup = generate_supplementary(SupGenSpec(n_sup=2, r=2, seed=7), 120)
         asg = init_random(sup, ClusterSpec(((1, 1), (2, 1))), rng)
         cspec = ConstraintSpec(kind="membership-projector", source=asg)
@@ -1025,6 +1035,9 @@ def assert_identical_fits(batched, sequential):
     assert batched.assignment.clusters.tobytes() == sequential.assignment.clusters.tobytes()
     assert batched.centers.tobytes() == sequential.centers.tobytes()
     assert batched.quantifications.tobytes() == sequential.quantifications.tobytes()
+    for counts in ("table", "sizes"):  # the oracle recounts the winner's clusters
+        got, want = getattr(batched, counts), getattr(sequential, counts)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert batched.objective.hex() == sequential.objective.hex()
     assert batched.psi.hex() == sequential.psi.hex()
     assert batched.converged == sequential.converged
@@ -1098,6 +1111,58 @@ class TestBatchedEngine:
             assert_identical_fits(sol, fit_mscca_sequential(ds, sup, spec, options))
         assert all(events.values()), events
 
+    def test_every_end_table_matches_a_recount(self, monkeypatch):
+        # Each start's end record holds the count table and sizes of its end
+        # clusters, however it ended.  A start that stops at its fixed point
+        # ran one B-step fewer than its trace has entries, so a chunk's
+        # fixed-point ends are its trace entries less its B-steps.  The one
+        # chunk of tiny problem 44 holds all four kinds of end.
+        cases = [tiny_problem(np.random.default_rng(seed)) for seed in (*range(30), 44)]
+        run, step, phi = (
+            mscca.solver._run_start, mscca.solver._between_quantify, mscca.solver.objective_phi
+        )
+        steps, compared, chunks = [], [], []
+
+        def step_counted(table, *args):
+            steps.append(len(table))
+            return step(table, *args)
+
+        def phi_recorded(*args):
+            compared.append(phi(*args))
+            return compared[-1]
+
+        def run_recorded(dataset, sup, spec, options, seeds):
+            steps.clear()
+            compared.clear()
+            ends = run(dataset, sup, spec, options, seeds)
+            # repaired first, current second, per repair tried
+            accepted = sum(a <= b for a, b in zip(compared[::2], compared[1::2]))
+            fixed = sum(len(end.trace) for end in ends) - sum(steps)
+            converged = sum(end.converged for end in ends)
+            kinds = {
+                "repaired": accepted,
+                "capped": len(ends) - converged,
+                "settled": converged - fixed,
+                "fixed": fixed,
+            }
+            chunks.append((dataset, sup, spec, ends, kinds))
+            return ends
+
+        monkeypatch.setattr(mscca.solver, "_between_quantify", step_counted)
+        monkeypatch.setattr(mscca.solver, "objective_phi", phi_recorded)
+        monkeypatch.setattr(mscca.solver, "_run_start", run_recorded)
+        for ds, sup, spec, options in cases:
+            fit_mscca(ds, sup, spec, options)
+        for ds, sup, spec, ends, _kinds in chunks:
+            for end in ends:
+                ended = HierarchicalAssignment(sup=sup, spec=spec, clusters=end.clusters)
+                table, sizes = cluster_counts(ended, ds)
+                assert end.table.dtype == table.dtype and end.table.tobytes() == table.tobytes()
+                assert end.sizes.dtype == sizes.dtype and end.sizes.tobytes() == sizes.tobytes()
+        seen = [kinds for *_, kinds in chunks]
+        assert all(any(kinds[name] for kinds in seen) for name in seen[0]), seen
+        assert any(all(kinds.values()) for kinds in seen), seen
+
     def test_result_independent_of_chunk_size(self, rng, monkeypatch):
         ds, sup, spec = random_mixed_problem(rng, n=60, m=4, q=3, n_sup=2)
         options = SolverOptions(n_starts=7, max_iter=8, seed=4)
@@ -1127,7 +1192,8 @@ class TestBatchedEngine:
         monkeypatch.setattr(mscca.solver, "_CHUNK_BYTES", 2 * per_start)
         assert mscca.solver._chunk_size(ds, spec, options.p) == 2  # four chunks
         sol = fit_mscca(ds, sup, spec, options)
-        for array in (sol.centers, sol.quantifications, sol.assignment.clusters):
+        arrays = (sol.centers, sol.quantifications, sol.table, sol.sizes, sol.assignment.clusters)
+        for array in arrays:
             assert array.base is None
 
     def test_memory_bounded_at_criterion_10_size(self):
@@ -1354,10 +1420,10 @@ class TestConstrainedSolveMemory:
     vectors (LAPACK's workspace ``tracemalloc`` does not see).  Counting
     the Burt matrix briefly adds one variable's pair cells; removal
     subtracts the between part one block of rows at a time.
-    ``projector-on`` runs the fit's K x K B-step and forms no Q x Q
-    array."""
+    ``membership-projector`` over the classes (averaging) runs the fit's
+    K x K B-step and forms no Q x Q array."""
 
-    @pytest.mark.parametrize("kind", ["projector-off", "identity", "projector-on"])
+    @pytest.mark.parametrize("kind", ["projector-off", "identity", "by-class"])
     def test_peak_bounded_by_a_few_q_by_q_arrays(self, kind, monkeypatch):
         ds, _ = generate_clustered(GenSpec(q=40, k=3, n_obs=1000, n_vars=12, seed=12))
         sup = generate_supplementary(SupGenSpec(n_sup=3, r=3, seed=13), 1000)
@@ -1371,10 +1437,13 @@ class TestConstrainedSolveMemory:
             return direct(matrix, p)
 
         monkeypatch.setattr(mscca.solver, "sym_eig_top", recorded)
-        cspec = ConstraintSpec(kind=kind, source=None if kind == "identity" else sup)
+        if kind == "by-class":
+            cspec = ConstraintSpec("membership-projector", HierarchicalAssignment.by_class(sup))
+        else:
+            cspec = ConstraintSpec(kind=kind, source=None if kind == "identity" else sup)
         fit_constrained_mca(ds, cspec, 2)  # lazy set-up
         peak = traced_peak(lambda: fit_constrained_mca(ds, cspec, 2))
-        if kind == "projector-on":
+        if kind == "by-class":
             assert orders == []
             assert peak <= 0.5 * big_q * big_q * 8
             return
