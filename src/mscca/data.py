@@ -16,9 +16,9 @@ import warnings
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, islice
+from itertools import count, groupby, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -215,6 +215,47 @@ class _CodedColumns:
         return cls(codes, labels, _column_names(names, codes.shape[1], cls._prefix))
 
 
+def _marginal_matrix(shape: tuple[int, ...]) -> np.ndarray:
+    """The prod(shape) x sum(shape) 0/1 matrix whose row w has a 1 in the
+    column of each digit of the mixed-radix code w, digit i of radix
+    ``shape[i]`` in the columns after those of digits 0..i-1: a row of
+    joint counts times it gives each variable's marginal counts."""
+    digits = np.indices(shape).reshape(len(shape), -1)
+    columns = digits + np.cumsum((0, *shape[:-1]))[:, None]
+    matrix = np.zeros((digits.shape[1], sum(shape)))
+    np.put_along_axis(matrix, columns.T, 1.0, axis=1)
+    return _freeze(matrix)
+
+
+# A packed group of variables has at most this many joint codes, and at
+# least this many observations per joint code (``CategoricalDataset.packed``).
+_PACK_CODES = 128
+_PACK_OBS = 64
+
+
+class PackedCodes(NamedTuple):
+    """The m variables as G groups of consecutive ones, each group one
+    packed variable.  ``rows[g]`` holds, per observation, the mixed-radix
+    joint code of the variables ``groups[g]``, ((c_j1 q_j2 + c_j2) q_j3 +
+    c_j3) and so on, one of ``sizes[g]``; ``offsets[g]`` is the first of
+    group g's joint columns in a W = ``width`` axis that lays the groups
+    side by side, as Z's columns lay the variables (a one-variable group's
+    joint columns are its Z columns).  ``marginals[g]`` is None for a
+    one-variable group, else the 0/1 matrix (``_marginal_matrix``) that
+    maps the group's joint columns to its variables' Z columns, one shared
+    by the groups of one shape."""
+
+    rows: np.ndarray
+    groups: tuple[range, ...]
+    sizes: tuple[int, ...]
+    offsets: np.ndarray
+    marginals: tuple[np.ndarray | None, ...]
+
+    @property
+    def width(self) -> int:
+        return sum(self.sizes)
+
+
 @dataclass(frozen=True, eq=False)
 class CategoricalDataset(_CodedColumns):
     """N observations of m categorical variables, integer coded.
@@ -222,7 +263,10 @@ class CategoricalDataset(_CodedColumns):
     ``codes[i, j]`` is the category index of observation ``i`` on variable
     ``j`` and always lies in ``[0, q[j])``; every category occurs at least
     once.  ``labels[j]`` maps codes back to the original category labels.
-    The codes are stored as m x N rows (``_CodedColumns``).
+    The codes are stored as m x N rows (``_CodedColumns``).  The count
+    tables and the Burt matrix are counted from ``packed``, one joint code
+    per group of consecutive small variables: a second G x N array, made
+    only where some group holds two variables or more.
     """
 
     _prefix, _outside, _unused = "v", "codes", "has categories that never occur"
@@ -250,6 +294,43 @@ class CategoricalDataset(_CodedColumns):
     def offsets(self) -> np.ndarray:
         """Column offset of each variable's block in the concatenated Z."""
         return _freeze(np.cumsum((0, *self.q[:-1]), dtype=np.int64))
+
+    @cached_property
+    def packed(self) -> PackedCodes:
+        """The variables in groups of consecutive ones, each group coded by
+        one joint code (``PackedCodes``).
+
+        A group grows, in variable order, while the product of its
+        category counts stays within ``_PACK_CODES`` joint codes and N
+        holds at least ``_PACK_OBS`` observations per joint code; a
+        variable above that bound stands alone.  Where no group has two
+        variables, the rows are the code rows themselves, not a copy; else
+        they are one more G x N int64 array.
+        """
+        bound = min(_PACK_CODES, self.n_obs // _PACK_OBS)
+        groups, sizes = [], []
+        for j, q in enumerate(self.q):
+            if groups and sizes[-1] * q <= bound:
+                groups[-1], sizes[-1] = range(groups[-1].start, j + 1), sizes[-1] * q
+            else:
+                groups.append(range(j, j + 1))
+                sizes.append(q)
+        code_rows = self.codes.T
+        if len(groups) == self.n_vars:
+            rows = code_rows
+        else:
+            rows = np.empty((len(groups), self.n_obs), dtype=np.int64)
+            for row, group in zip(rows, groups):
+                row[:] = code_rows[group.start]
+                for j in group[1:]:
+                    row *= self.q[j]
+                    row += code_rows[j]
+            rows = _freeze(rows)
+        offsets = _freeze(np.cumsum((0, *sizes[:-1]), dtype=np.int64))
+        shapes = [tuple(self.q[j] for j in group) for group in groups]
+        matrices = {shape: _marginal_matrix(shape) for shape in shapes if len(shape) > 1}
+        marginals = tuple(matrices.get(shape) for shape in shapes)
+        return PackedCodes(rows, tuple(groups), tuple(sizes), offsets, marginals)
 
     @cached_property
     def column_means(self) -> np.ndarray:
@@ -510,24 +591,33 @@ def _count_into(
     it, and return the S x K cluster sizes.
 
     Each supplementary variable's block of rows comes from one
-    ``bincount`` of the (start, cluster, category column) cells of all
-    observations and variables of a group of starts, which holds at most
-    ``_CELL_BLOCK`` cells or one start's; the sizes are the row sums of
-    the first variable's block.
+    ``bincount`` of the (start, cluster, joint column) cells of all
+    observations and packed variables (``CategoricalDataset.packed``) of a
+    group of starts, which holds at most ``_CELL_BLOCK`` cells or one
+    start's: N G cells per start, where m variables pack into G.  Where
+    some group holds two variables or more, the counts fill S x K x W
+    joint tables, unpacked into ``table`` once (``_unpacked``); else they
+    are the table's columns and go straight in.  The sizes are the row
+    sums of the first variable's block.
     """
-    code_rows, big_q = dataset.codes.T, dataset.total_categories
-    group = max(1, _CELL_BLOCK // code_rows.size)
+    packed = dataset.packed
+    width = packed.width
+    packs = len(packed.rows) < dataset.n_vars
+    joint = np.empty((*table.shape[:2], width), dtype=np.int64) if packs else table
+    group = max(1, _CELL_BLOCK // packed.rows.size)
     bounds = np.cumsum((0, *spec.k_per_variable))
     for h, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         for a in range(0, len(rows), group):
             part = rows[a : a + group, :, h]
             local = part + ((hi - lo) * np.arange(len(part)) - lo)[:, None]
-            cells = np.empty((len(part), *code_rows.shape), dtype=np.int64)
-            np.add(local[:, None, :] * big_q, code_rows, out=cells)
-            cells += dataset.offsets[:, None]
-            counts = np.bincount(cells.ravel(), minlength=len(part) * (hi - lo) * big_q)
+            cells = np.empty((len(part), *packed.rows.shape), dtype=np.int64)
+            np.add(local[:, None, :] * width, packed.rows, out=cells)
+            cells += packed.offsets[:, None]
+            counts = np.bincount(cells.ravel(), minlength=len(part) * (hi - lo) * width)
             del cells  # one group's cells at a time
-            table[a : a + group, lo:hi] = counts.reshape(len(part), hi - lo, big_q)
+            joint[a : a + group, lo:hi] = counts.reshape(len(part), hi - lo, width)
+    if packs:
+        table[...] = _unpacked(joint, dataset)
     return _sizes(table, dataset)
 
 
@@ -545,30 +635,75 @@ def moved_counts(
     While fewer than half of the (start, observation, variable) entries
     moved, ``table`` gets, per supplementary variable, one ``bincount`` of
     the moved entries' new cells minus one of their old cells, for every
-    ``_CELL_BLOCK`` cells: that touches 2 cells per moved entry where a
-    recount touches one per entry.  Otherwise the tables are counted
-    afresh.  Counts are integers, so either way gives the same tables.
+    ``_CELL_BLOCK`` cells: that touches 2 cells per moved entry and
+    variable where a recount touches one per entry and variable.
+    Otherwise the tables are counted afresh.  Counts are integers, so
+    either way gives the same tables.
+
+    The cells are joint cells, as ``_count_into`` counts them, when the
+    2 (m - G) cells per moved entry that packing saves outnumber twice the
+    S x K x W joint tables their changes are summed in and unpacked from
+    (``_unpacked``); else they are the variables' own cells, added
+    straight into ``table``.  A few moved entries over large tables, as in
+    the late cycles of a fit, take the variables' cells.
     """
     moved = rows != new_rows
-    if 2 * np.count_nonzero(moved) >= moved.size:
+    n_moved = np.count_nonzero(moved)
+    if 2 * n_moved >= moved.size:
         return _count_into(table, new_rows, spec, dataset)
-    n_stack, big_q = len(rows), dataset.total_categories
-    group = max(1, _CELL_BLOCK // dataset.n_vars)
+    packed, (n_stack, big_k, big_q) = dataset.packed, table.shape
+    packs = n_moved * (dataset.n_vars - len(packed.rows)) > n_stack * big_k * packed.width
+    if packs:
+        codes, offsets, width = packed.rows, packed.offsets, packed.width
+        joint = np.zeros((n_stack, big_k, width), dtype=np.int64)
+    else:
+        codes, offsets, width, joint = dataset.codes.T, dataset.offsets, big_q, table
+    group = max(1, _CELL_BLOCK // len(codes))
     bounds = np.cumsum((0, *spec.k_per_variable))
     for h, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        size = n_stack * (hi - lo) * big_q
+        size = n_stack * (hi - lo) * width
         entries = np.nonzero(moved[..., h])
         for a in range(0, entries[0].size, group):
             starts, obs = (index[a : a + group] for index in entries)
             new, old = new_rows[starts, obs, h], rows[starts, obs, h]
-            cells = dataset.codes.T[:, obs]
-            cells += dataset.offsets[:, None]
-            cells += ((hi - lo) * starts - lo + new) * big_q
+            cells = codes[:, obs]
+            cells += offsets[:, None]
+            cells += ((hi - lo) * starts - lo + new) * width
             counts = np.bincount(cells.ravel(), minlength=size)
-            cells += (old - new) * big_q
+            cells += (old - new) * width
             counts -= np.bincount(cells.ravel(), minlength=size)
-            table[:, lo:hi] += counts.reshape(n_stack, hi - lo, big_q)
+            joint[:, lo:hi] += counts.reshape(n_stack, hi - lo, width)
+    if packs:
+        table += _unpacked(joint, dataset)
     return _sizes(table, dataset)
+
+
+def _unpacked(joint: np.ndarray, dataset: CategoricalDataset, first: int = 0) -> np.ndarray:
+    """The per-category counts of joint-code counts: ``joint``'s last axis
+    holds the joint columns of the packed groups ``first``.. side by side
+    (``PackedCodes``), and the result's holds the Z columns of their
+    variables.  A one-variable group's joint columns are its Z columns; a
+    larger group's counts are multiplied by its ``marginals`` matrix,
+    which sums each variable's marginal.  A run of groups that share a
+    matrix takes one product, and a run of one-variable groups is one
+    slice.  The product is in float64, so it is exact while the counts,
+    integers, stay below 2^53 in magnitude.  Where no group has two
+    variables, ``joint`` itself is returned."""
+    packed = dataset.packed
+    if len(packed.rows) == dataset.n_vars:
+        return joint
+    parts, lo = [], 0
+    groups = zip(packed.marginals[first:], packed.sizes[first:])
+    for _, run in groupby(groups, key=lambda group: id(group[0])):
+        matrices, sizes = zip(*run)
+        block = joint[..., lo : lo + sum(sizes)]
+        lo += sum(sizes)
+        if matrices[0] is None:
+            parts.append(block)
+            continue
+        sums = block.reshape(-1, sizes[0]).astype(np.float64) @ matrices[0]
+        parts.append(sums.astype(np.int64).reshape(*joint.shape[:-1], -1))
+    return np.concatenate(parts, axis=-1)
 
 
 def _sizes(table: np.ndarray, dataset: CategoricalDataset) -> np.ndarray:

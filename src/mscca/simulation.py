@@ -57,6 +57,8 @@ class GenSpec:
             raise SpecError("active_ratio must lie in [0, 1]")
         if self.n_active > 0 and self.q < self.k:
             raise SpecError(f"q={self.q} < K={self.k}: distinct signal categories are impossible")
+        if self.seed < 0:
+            raise SpecError("seed must be >= 0")
 
     @property
     def n_active(self) -> int:
@@ -139,6 +141,8 @@ class SupGenSpec:
             raise SpecError("classes per supplementary variable must be >= 2")
         if self.balance not in ("balanced", "unbalanced"):
             raise SpecError(f"balance must be 'balanced' or 'unbalanced', got {self.balance!r}")
+        if self.seed < 0:
+            raise SpecError("seed must be >= 0")
 
 
 def class_probabilities(r: int, balance: str) -> np.ndarray:

@@ -16,6 +16,7 @@ nearest center inside their own class.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,6 +28,7 @@ from .data import (
     ClusterSpec,
     HierarchicalAssignment,
     SupplementaryData,
+    _unpacked,
     cluster_counts,
     moved_counts,
     stacked_counts,
@@ -321,6 +323,34 @@ def _subtract_between(
         target[lo:hi] -= factor[:, lo:hi].T @ factor
 
 
+# Q x Q arrays of doubles the solve of ``_quantify`` peaks at, with the
+# Burt count that builds its target.
+_SOLVE_ARRAYS = 2.5
+
+
+def _memory_budget() -> int:
+    """Bytes a Q x Q solve may take: the machine's physical memory, as
+    ``os.sysconf`` reports it (no limit where it reports none)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return np.iinfo(np.int64).max
+
+
+def _check_solve_budget(dataset: CategoricalDataset) -> None:
+    """Raise ``MemoryError``, naming Q and the bytes needed, when the Q x Q
+    solve would take more than ``_memory_budget()``: before any Q x Q
+    array is made, so the fill cannot exhaust the machine's memory."""
+    big_q = dataset.total_categories
+    need = int(_SOLVE_ARRAYS * 8 * big_q * big_q)
+    budget = _memory_budget()
+    if need > budget:
+        raise MemoryError(
+            f"the Q x Q solve at Q = {big_q} categories needs about {need} bytes, "
+            f"more than the {budget} bytes of physical memory"
+        )
+
+
 def _quantify(
     target: np.ndarray, dataset: CategoricalDataset, n_stack: int, p: int
 ) -> np.ndarray:
@@ -353,22 +383,44 @@ def _centered_burt(dataset: CategoricalDataset, n_stack: int) -> np.ndarray:
 
     The Burt matrix Z'Z is counted over the variable pairs j < j' only:
     those cells lie above the diagonal, which holds the category counts.
-    Variable j's pairs fill only its own q_j rows, so one ``bincount`` of
-    q_j x Q cells per variable is added into those rows.  The lower
-    triangle is then mirrored in, the diagonal set and the independence
-    term subtracted, one block of rows at a time.  The counts are exact
-    integers, so every entry gets the same float operations as on whole
-    arrays.
+    They are counted on the packed variables (``CategoricalDataset.packed``),
+    one group's cells at a time.  Per group a, one ``bincount`` of a's
+    joint code against the joint codes of all later groups gives the rows
+    of a's variables in the later groups' columns: the later axis is
+    unpacked (``_unpacked``), and a's axis is multiplied by a's marginal
+    matrix when a holds two variables or more.  Such a group also gets one
+    ``bincount`` of its own joint codes, whose product with its marginal
+    matrix on both sides holds the pairs inside it.  The lower triangle is
+    then mirrored in, the diagonal set and the independence term
+    subtracted, one block of rows at a time.  The counts are exact
+    integers, in float64 below 2^53, so every entry gets the same float
+    value as on whole arrays.
     """
-    code_rows, n, big_q = dataset.codes.T, dataset.n_obs, dataset.total_categories
+    packed, q, n, big_q = dataset.packed, dataset.q, dataset.n_obs, dataset.total_categories
+    bins = [*packed.offsets.tolist(), packed.width]  # each group's joint columns
+    columns = [*dataset.offsets.tolist(), big_q]  # each variable's Z columns
     target = np.zeros((big_q, big_q))
-    for j in range(dataset.n_vars - 1):
-        lo, q = dataset.offsets[j], dataset.q[j]
-        cells = code_rows[j + 1 :] + dataset.offsets[j + 1 :, None]
-        cells += code_rows[j] * big_q
-        pairs = np.bincount(cells.ravel(), minlength=q * big_q)
-        del cells  # one variable's cells at a time
-        target[lo : lo + q] += pairs.reshape(q, big_q)
+    packs = len(packed.rows) < dataset.n_vars
+    for a, (group, matrix) in enumerate(zip(packed.groups, packed.marginals)):
+        lo, after = columns[group.start], columns[group.stop]  # a's rows
+        if matrix is not None:
+            own = np.bincount(packed.rows[a], minlength=len(matrix))
+            variable = np.repeat(np.arange(len(group)), [q[j] for j in group])
+            upper = variable[:, None] < variable  # pairs of two of a's variables
+            target[lo:after, lo:after] += np.where(upper, (matrix.T * own) @ matrix, 0.0)
+        if after == big_q:
+            break
+        width = bins[-1] - bins[a + 1]  # the later groups' joint columns
+        cells = packed.rows[a + 1 :] + packed.offsets[a + 1 :, None]
+        cells += packed.rows[a] * width
+        pairs = np.bincount(cells.ravel(), minlength=packed.sizes[a] * width + bins[a + 1])
+        del cells  # one group's cells at a time
+        pairs = pairs[bins[a + 1] :].reshape(packed.sizes[a], width)
+        if packs:
+            pairs = _unpacked(pairs, dataset, a + 1)
+        if matrix is not None:
+            pairs = matrix.T @ pairs.astype(np.float64)
+        target[lo:after, after:] += pairs
     mu = dataset.column_means
     for lo in range(0, big_q, ROW_BLOCK):
         hi = lo + ROW_BLOCK
@@ -502,7 +554,14 @@ def _start_bytes(dataset: CategoricalDataset, spec: ClusterSpec, p: int) -> int:
     scores, gathered centers and differences, two N-long distances, and
     three K x Q arrays (the count table, the factors, and a fresh count
     or copy of a block).  The assignment step's two N-long index arrays
-    live only while no count cells do, so the sum covers them for m >= 2."""
+    live only while no count cells do, so the sum covers them for m >= 2.
+
+    Where variables pack (``CategoricalDataset.packed``), a count takes
+    N x G cells, G < m, a K x W joint table and K_h x W bins; the N x m
+    term still stands for them, so the chunk sizes do not depend on the
+    packing.  A group of two or more variables has at most N / 64 joint
+    codes, so its share of both fits in the N (m - G) cells packing saves
+    while K <= 32; a lone variable's share is its K x q_j table columns."""
     n, m, n_sup = dataset.n_obs, dataset.n_vars, len(spec.counts)
     big_k, big_q = spec.k_total, dataset.total_categories
     return 8 * (n * (m + 3 * n_sup + 3 * p + 2) + 3 * big_k * big_q)
@@ -797,7 +856,10 @@ def fit_constrained_mca(
     (``_between_quantify``: a K x K problem, with its centered completion
     when K - H < p).  ``identity`` and ``projector-off`` solve the Q x Q
     problem on the centered Burt matrix, less the partition's
-    between-group cross-product for removal.
+    between-group cross-product for removal.  That solve peaks at about
+    2.5 Q x Q arrays of doubles; when those bytes exceed the machine's
+    physical memory (``_memory_budget``), ``MemoryError`` is raised before
+    any of them is made.
     """
     kind, source = cspec.kind, cspec.source
     if source is not None and source.n_obs != dataset.n_obs:
@@ -814,6 +876,7 @@ def fit_constrained_mca(
     SolverOptions(p=p).validate(dataset)
 
     if kind in ("identity", "projector-off"):
+        _check_solve_budget(dataset)
         target = _centered_burt(dataset, n_stack)
         if kind == "projector-off":
             _subtract_between(target, table, sizes, dataset)

@@ -755,6 +755,26 @@ class TestVariants:
         assert not (out / "solution.json").exists()
 
 
+    @pytest.mark.parametrize("method", ["removal", "mca"])
+    def test_solve_over_budget_exit_3_in_one_line(
+        self, illustration_csv, tmp_path, capsys, monkeypatch, method
+    ):
+        # the budget is patched; the check runs before any Q x Q array (the
+        # illustration has Q = 5: 2.5 x 25 doubles are 500 bytes)
+        monkeypatch.setattr(mscca.solver, "_memory_budget", lambda: 100)
+        out = tmp_path / "o"
+        code = main(
+            ["variants", "--input", str(illustration_csv), "--sup-cols", "Nationality,Gender",
+             "--method", method, "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error: out of memory: the Q x Q solve at Q = 5 categories needs about 500 bytes, "
+            "more than the 100 bytes of physical memory\n"
+        )
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestConfigEcho:
     SOLVER_FLAGS = ["--dims", "2", "--starts", "3", "--seed", "5", "--epsilon", "1e-06",

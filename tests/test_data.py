@@ -295,6 +295,38 @@ class TestBuildAssignment:
         assert_allclose(gram, np.diag(sizes))
 
 
+# Category counts and the groups they pack into at 64 joint codes and one
+# observation per joint code (``packing``): one long group of binary
+# variables; groups split mid-list, with a q = 40 between them that
+# nothing joins; a q = 70 above the bound standing alone.
+PACKING_QS = {
+    "binary-run": ([2] * 9, [range(0, 6), range(6, 9)]),
+    "split": ([2, 2, 2, 3, 5, 7, 40, 2, 2], [range(0, 4), range(4, 6), range(6, 7), range(7, 9)]),
+    "above-bound": ([3, 70, 2, 2, 2], [range(0, 1), range(1, 2), range(2, 5)]),
+    # two pairs of binary variables: W = Q, though two groups pack
+    "width-q": ([2, 2, 40, 2, 2], [range(0, 2), range(2, 3), range(3, 5)]),
+}
+
+
+@pytest.fixture
+def packing(monkeypatch):
+    """Small datasets pack: 64 joint codes at most, one observation per
+    joint code at least (the packed view is cached, so build the dataset
+    inside the test)."""
+    monkeypatch.setattr(mscca.data, "_PACK_CODES", 64)
+    monkeypatch.setattr(mscca.data, "_PACK_OBS", 1)
+
+
+def dense_tables(rows, spec, ds):
+    """U'Z and the cluster sizes of S x N x H rows, from the dense
+    indicators."""
+    u = np.zeros((len(rows), ds.n_obs, spec.k_total), dtype=np.int64)
+    for s in range(len(rows)):
+        for h in range(rows.shape[2]):
+            u[s, np.arange(ds.n_obs), rows[s, :, h]] = 1
+    return u.transpose(0, 2, 1) @ z_full(ds).astype(np.int64), u.sum(axis=1)
+
+
 class TestClusterCounts:
     def test_matches_dense_indicator_products(self, rng):
         # U'Z^H and diag(U'U) from the dense stacked indicators
@@ -313,14 +345,23 @@ class TestClusterCounts:
         share=st.sampled_from([0.0, 0.02, 0.2, 0.45, 0.55, 0.8, 1.0]),
         empty=st.booleans(),
         block=st.sampled_from([1, 50, 1 << 16]),
+        packs=st.sampled_from([None, *PACKING_QS]),
     )
-    def test_moved_counts_match_a_recount(self, seed, n_sup, n_stack, share, empty, block):
+    def test_moved_counts_match_a_recount(self, seed, n_sup, n_stack, share, empty, block, packs):
         # Tables updated in place from the moved entries equal a fresh
-        # count, on both sides of the half rule, also where a move empties
-        # a cluster, whether each bincount takes one entry or start
-        # (block 1), a few (50 cells) or all of them.
+        # count and the dense indicators' U'Z, on both sides of the half
+        # rule, also where a move empties a cluster, whether each bincount
+        # takes one entry or start (block 1), a few (50 cells) or all of
+        # them, and whether the variables pack (``packing``) or not.
         rng = np.random.default_rng(seed)
-        ds, sup, spec = random_mixed_problem(rng, n=int(rng.integers(20, 80)), n_sup=n_sup)
+        n = int(rng.integers(20, 80) if packs is None else rng.integers(70, 100))
+        ds, sup, spec = random_mixed_problem(rng, n=n, n_sup=n_sup)
+        if packs is not None:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mscca.data, "_PACK_CODES", 64)
+                patch.setattr(mscca.data, "_PACK_OBS", 1)
+                ds, _, _ = unequal_blocks_problem(rng, n, PACKING_QS[packs][0])
+                assert len(ds.packed.rows) < ds.n_vars  # the view is cached packed
         first = np.stack([spec.first_rows[h][sup.codes[:, h]] for h in range(n_sup)], axis=1)
         limit = np.stack([np.array(spec.counts[h])[sup.codes[:, h]] for h in range(n_sup)], axis=1)
         rows = first + (rng.random((n_stack, *first.shape)) * limit).astype(np.int64)
@@ -346,6 +387,8 @@ class TestClusterCounts:
         assert table.dtype == want_table.dtype
         assert np.array_equal(table, want_table)
         assert np.array_equal(got_sizes, want_sizes)
+        dense_table, dense_sizes = dense_tables(new_rows, spec, ds)
+        assert np.array_equal(table, dense_table) and np.array_equal(got_sizes, dense_sizes)
 
     def test_moved_counts_recount_only_when_half_moved(self, rng, monkeypatch):
         # 40 observations, 2 variables of one class with 2 clusters each:
@@ -385,6 +428,106 @@ class TestClusterCounts:
         )
         with pytest.raises(EmptyClusterError):
             cluster_counts(asg, ds)
+
+
+class TestPackedCounts:
+    """Counting on packed variables (``CategoricalDataset.packed``) gives
+    the tables of the dense indicators, integer for integer."""
+
+    @pytest.mark.parametrize("name", list(PACKING_QS))
+    def test_runs_and_joint_codes(self, rng, packing, name):
+        q, groups = PACKING_QS[name]
+        ds, _, _ = unequal_blocks_problem(rng, 80, q)
+        packed = ds.packed
+        assert list(packed.groups) == groups
+        assert packed.sizes == tuple(int(np.prod([q[j] for j in g])) for g in groups)
+        assert packed.offsets.tolist() == np.cumsum([0, *packed.sizes[:-1]]).tolist()
+        assert packed.width == sum(packed.sizes)
+        for group, size, matrix in zip(groups, packed.sizes, packed.marginals):
+            if len(group) == 1:
+                assert matrix is None
+                continue
+            # row w: a 1 in the column of each variable's digit of w
+            digits = np.array(np.unravel_index(np.arange(size), [q[j] for j in group]))
+            want = np.zeros((size, sum(q[j] for j in group)))
+            for i, j in enumerate(group):
+                lo = sum(q[k] for k in group[:i])
+                want[np.arange(size), lo + digits[i]] = 1.0
+            assert np.array_equal(matrix, want) and not matrix.flags.writeable
+        assert packed.rows.shape == (len(groups), 80) and not packed.rows.flags.writeable
+        assert not np.shares_memory(packed.rows, ds.codes)
+        for i in range(0, 80, 7):
+            for row, group in zip(packed.rows, groups):
+                code = 0
+                for j in group:
+                    code = code * q[j] + int(ds.codes[i, j])
+                assert row[i] == code
+
+    def test_unpacked_view_is_the_code_rows(self, rng):
+        # default bound: min(128 joint codes, N / 64); perfbench paper and
+        # wide, acceptance criteria 6 and 10 pack nothing, tall and cli
+        # pack 20 five-category variables into 7 runs
+        for gen, n_sup in (
+            (GenSpec(q=7, k=3, n_obs=300, n_vars=10, seed=10), 3),
+            (GenSpec(q=5, k=3, n_obs=300, n_vars=10, seed=606), 1),
+            (GenSpec(q=40, k=3, n_obs=2000, n_vars=20, seed=1), 3),
+        ):
+            ds, _ = generate_clustered(gen)
+            assert len(ds.packed.rows) == ds.n_vars
+            assert np.shares_memory(ds.packed.rows, ds.codes)
+            assert ds.packed.offsets.tolist() == ds.offsets.tolist()
+        for n in (20_000, 50_000):
+            ds, _ = generate_clustered(GenSpec(q=5, k=3, n_obs=n, n_vars=20, seed=1))
+            assert [len(g) for g in ds.packed.groups] == [3] * 6 + [2]
+        ds, _, _ = unequal_blocks_problem(rng, 63, [2] * 5)
+        assert len(ds.packed.rows) == 5  # fewer than 64 observations per joint code
+
+    @pytest.mark.parametrize("name", list(PACKING_QS))
+    @pytest.mark.parametrize("block", [1, 50, 1 << 16])
+    def test_stacked_counts_match_dense_products(self, rng, packing, name, block, monkeypatch):
+        monkeypatch.setattr(mscca.data, "_CELL_BLOCK", block)
+        ds, sup, spec = unequal_blocks_problem(rng, 80, PACKING_QS[name][0])
+        rows = np.stack([random_assignment(rng, sup, spec).rows for _ in range(3)])
+        table, sizes = stacked_counts(rows, spec, ds)
+        want_table, want_sizes = dense_tables(rows, spec, ds)
+        assert table.dtype == np.int64 and sizes.dtype == np.int64
+        assert np.array_equal(table, want_table) and np.array_equal(sizes, want_sizes)
+
+    @pytest.mark.parametrize("name", list(PACKING_QS))
+    @pytest.mark.parametrize("block", [1, 50, 1 << 16])
+    def test_moved_counts_take_both_routes(self, rng, packing, name, block, monkeypatch):
+        # 400 rows in one class of two clusters.  45% of the entries moved,
+        # or the 30% in cluster 1 all moved to cluster 0 (emptying it),
+        # save more cells than twice the joint tables hold, and take the
+        # joint cells; 2% moved take the variables' own cells.
+        monkeypatch.setattr(mscca.data, "_CELL_BLOCK", block)
+        ds, _, _ = unequal_blocks_problem(rng, 400, PACKING_QS[name][0])
+        sup = SupplementaryData(
+            codes=np.zeros((400, 1), dtype=np.int64), labels=(("all",),), names=("s",)
+        )
+        spec = ClusterSpec(((2,),))
+        unpacked, calls = mscca.data._unpacked, []
+
+        def recording(*args):
+            calls.append(args)
+            return unpacked(*args)
+
+        monkeypatch.setattr(mscca.data, "_unpacked", recording)
+        rows = (rng.random((1, 400, 1)) < 0.3).astype(np.int64)
+        cases = [
+            (rng.random(rows.shape) < 0.45, True),
+            (rng.random(rows.shape) < 0.02, False),
+            (rows == 1, True),  # every member of cluster 1 leaves it
+        ]
+        for moves, joint in cases:
+            new_rows = np.where(moves, 1 - rows, rows)
+            table, _ = stacked_counts(rows, spec, ds)
+            calls.clear()
+            sizes = moved_counts(table, rows, new_rows, spec, ds)
+            assert bool(calls) == joint
+            want_table, want_sizes = dense_tables(new_rows, spec, ds)
+            assert np.array_equal(table, want_table) and np.array_equal(sizes, want_sizes)
+        assert sizes.tolist() == [[400, 0]]  # the last update emptied cluster 1
 
 
 class TestValidateAssignment:
@@ -888,14 +1031,27 @@ class TestOneCellLayout:
     their transposed view."""
 
     @staticmethod
-    def assert_one_layout(data):
+    def held_arrays(data):
+        """Every array the container holds, also inside tuples (such as a
+        cached ``PackedCodes``)."""
+        held, todo = [], list(vars(data).values())
+        while todo:
+            value = todo.pop()
+            if isinstance(value, np.ndarray):
+                held.append(value)
+            elif isinstance(value, tuple):
+                todo.extend(value)
+        return held
+
+    @classmethod
+    def assert_one_layout(cls, data):
         rows = data.codes.T  # the stored rows
         assert rows.flags.c_contiguous and not rows.flags.writeable and rows.dtype == np.int64
         assert data.codes.base is not None
         for j in range(data.codes.shape[1]):
             assert data.codes[:, j].flags.c_contiguous
         # no second N x m copy among the arrays the container holds
-        held = [a for a in vars(data).values() if isinstance(a, np.ndarray)]
+        held = cls.held_arrays(data)
         assert all(np.shares_memory(a, rows) for a in held if a.shape == data.codes.shape)
 
     def test_read_csv_dataset(self, tmp_path):
@@ -910,10 +1066,12 @@ class TestOneCellLayout:
         assert ds.codes.tolist() == [[0, 0], [1, 0], [0, 1]]
         assert sup.codes.tolist() == [[0], [1], [1]]
 
-    def test_cell_readers_keep_no_second_copy(self, rng):
-        # the readers of the cells use the code rows and each variable's
-        # block of Z's columns: the dataset holds no other array of N m cells
-        ds, sup, spec = unequal_blocks_problem(rng)
+    def read_every_cell(self, rng):
+        """A dataset after every reader of its cells has run on it: the
+        object scores, a count, a moved-row update, the Burt matrix and a
+        fit.  Its arrays of N m cells or of N rows other than the code
+        rows, and its marginal matrices, are returned with it."""
+        ds, sup, spec = unequal_blocks_problem(rng, q=(2, 5, 3, 7, 2, 2))
         asg = init_random(sup, spec, rng)
         b = rng.normal(size=(ds.total_categories, 2))
         object_scores(ds, b)
@@ -922,9 +1080,39 @@ class TestOneCellLayout:
         _centered_burt(ds, sup.n_sup)
         fit_mscca(ds, sup, spec, SolverOptions(n_starts=1))
         self.assert_one_layout(ds)
-        rows = ds.codes.T
-        held = [a for a in vars(ds).values() if isinstance(a, np.ndarray)]
-        assert all(np.shares_memory(a, rows) for a in held if a.size == rows.size)
+        rows, held = ds.codes.T, self.held_arrays(ds)
+        assert any(np.shares_memory(a, ds.packed.rows) for a in held)  # the cached view
+        marginals = [a for a in ds.packed.marginals if a is not None]
+        others = [
+            a
+            for a in held
+            if (a.size >= rows.size or ds.n_obs in a.shape)
+            and not np.shares_memory(a, rows)
+            and not any(a is matrix for matrix in marginals)
+        ]
+        return ds, others, marginals
+
+    def test_cell_readers_keep_no_second_copy(self, rng):
+        # the readers of the cells use the code rows and each variable's
+        # block of Z's columns: where no variables pack, the dataset holds
+        # no other array of N m cells or of N rows, even inside a tuple
+        # (the packed view is the code rows)
+        ds, others, marginals = self.read_every_cell(rng)
+        assert len(ds.packed.rows) == ds.n_vars
+        assert others == [] and marginals == []
+
+    def test_cell_readers_keep_one_packed_copy(self, rng, monkeypatch):
+        # packed, the dataset holds one more G x N array, G < m, beside a
+        # prod(q) x sum(q) marginal matrix per group shape
+        monkeypatch.setattr(mscca.data, "_PACK_OBS", 1)
+        ds, others, marginals = self.read_every_cell(rng)
+        packed = ds.packed
+        assert len(packed.groups) < ds.n_vars and marginals
+        assert len(others) == 1 and others[0] is packed.rows
+        assert others[0].shape == (len(packed.groups), ds.n_obs)
+        for group, size, matrix in zip(packed.groups, packed.sizes, packed.marginals):
+            if len(group) > 1:
+                assert matrix.shape == (size, sum(ds.q[j] for j in group))
 
     def test_containers_built_from_codes(self, rng):
         codes = rng.integers(0, 3, size=(40, 4))

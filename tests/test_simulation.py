@@ -89,6 +89,11 @@ class TestGenerateClustered:
         with pytest.raises(SpecError):
             generate_clustered(GenSpec(q=2, k=3))
 
+    def test_negative_seed_rejected(self):
+        # numpy's ValueError came out of generate_clustered before
+        with pytest.raises(SpecError, match="seed must be >= 0"):
+            GenSpec(q=3, k=2, seed=-1)
+
 
 class TestGenerateSupplementary:
     def test_exact_probability_vectors(self):
@@ -124,6 +129,11 @@ class TestGenerateSupplementary:
             SupGenSpec(n_sup=1, r=1)
         with pytest.raises(SpecError):
             SupGenSpec(n_sup=1, r=3, balance="other")
+
+    def test_negative_seed_rejected(self):
+        # numpy's ValueError came out of generate_supplementary before
+        with pytest.raises(SpecError, match="seed must be >= 0"):
+            SupGenSpec(n_sup=1, r=3, seed=-1)
 
 
 class TestGenerateIllustration:

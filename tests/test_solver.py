@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mscca.data
 import mscca.solver
 from hypothesis import given
 from hypothesis import strategies as st
@@ -1464,7 +1465,74 @@ class TestConstrainedSolveMemory:
         assert peak <= 2.25 * big_q * big_q * 8
 
 
+class TestSolveBudget:
+    """The Q x Q solve of ``identity`` and ``projector-off`` checks its
+    bytes, 2.5 Q x Q arrays of doubles, against ``_memory_budget`` before
+    it builds any Q x Q array; the budget is patched, nothing is allocated
+    to see what happens."""
+
+    @pytest.mark.parametrize("kind", ["projector-off", "identity"])
+    def test_over_budget_raises_before_any_q_by_q_array(self, kind, monkeypatch):
+        ds, _ = generate_clustered(GenSpec(q=5, k=3, n_obs=200, n_vars=6, seed=1))
+        sup = generate_supplementary(SupGenSpec(n_sup=2, r=3, seed=2), 200)
+        cspec = ConstraintSpec(kind=kind, source=None if kind == "identity" else sup)
+        big_q = ds.total_categories
+        need = int(2.5 * 8 * big_q * big_q)
+        burt = mscca.solver._centered_burt
+
+        def forbidden(*args):
+            raise AssertionError("a Q x Q target was built")
+
+        monkeypatch.setattr(mscca.solver, "_centered_burt", forbidden)
+        monkeypatch.setattr(mscca.solver, "_memory_budget", lambda: need - 1)
+        with pytest.raises(MemoryError) as err:
+            fit_constrained_mca(ds, cspec, 2)
+        assert f"Q = {big_q} categories needs about {need} bytes" in str(err.value)
+        assert f"the {need - 1} bytes of physical memory" in str(err.value)
+        monkeypatch.setattr(mscca.solver, "_centered_burt", burt)
+        monkeypatch.setattr(mscca.solver, "_memory_budget", lambda: need)
+        fit_constrained_mca(ds, cspec, 2)  # at the budget, the solve runs
+
+    def test_budget_is_physical_memory(self):
+        import os
+
+        budget = mscca.solver._memory_budget()
+        assert budget == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") > 0
+
+    def test_fit_and_k_by_k_solve_stay_within_k_by_q_memory(self, monkeypatch):
+        # one column of 2,500 distinct labels: the fit and the class-average
+        # B-step hold K x Q tables, no Q x Q array, and check no budget
+        n, big_q, rows = 3000, 2509, np.arange(3000)
+        codes = np.stack([rows % 2500, rows % 3, rows // 1000, rows % 7 % 3], axis=1)
+        labels = [[f"c{c}" for c in range(k)] for k in (2500, 3, 3, 3)]
+        ds = CategoricalDataset.from_codes(codes, labels)
+        sup = generate_supplementary(SupGenSpec(n_sup=1, r=2, seed=3), n)
+        assert ds.total_categories == big_q
+        monkeypatch.setattr(mscca.solver, "_memory_budget", lambda: 0)
+        spec = ClusterSpec.uniform(sup, 2)
+        options = SolverOptions(n_starts=1, max_iter=3, seed=0)
+        by_class = ConstraintSpec("membership-projector", HierarchicalAssignment.by_class(sup))
+        fit_mscca(ds, sup, spec, options)  # lazy set-up
+        for call in (
+            lambda: fit_mscca(ds, sup, spec, options),
+            lambda: fit_constrained_mca(ds, by_class, 2),
+        ):
+            assert traced_peak(call) <= 0.05 * big_q * big_q * 8
+
+
 class TestCenteredBurt:
+    @staticmethod
+    def assert_matches_dense_indicator(rng, n, q):
+        codes = np.stack([rng.permutation(np.arange(n) % k) for k in q], axis=1)
+        ds = CategoricalDataset.from_codes(codes, [[f"c{c}" for c in range(k)] for k in q])
+        assert ds.total_categories == sum(q)
+        z = z_full(ds)
+        mu = ds.column_means
+        for n_stack in (1, 3):
+            oracle = n_stack * (z.T @ z - n * np.outer(mu, mu))
+            assert _centered_burt(ds, n_stack).tobytes() == oracle.tobytes()
+        return ds
+
     @pytest.mark.parametrize(
         "n, q",
         [
@@ -1477,11 +1545,22 @@ class TestCenteredBurt:
         ],
     )
     def test_matches_dense_indicator(self, rng, n, q):
-        codes = np.stack([rng.permutation(np.arange(n) % k) for k in q], axis=1)
-        ds = CategoricalDataset.from_codes(codes, [[f"c{c}" for c in range(k)] for k in q])
-        assert ds.total_categories == sum(q)
-        z = z_full(ds)
-        mu = ds.column_means
-        for n_stack in (1, 3):
-            oracle = n_stack * (z.T @ z - n * np.outer(mu, mu))
-            assert _centered_burt(ds, n_stack).tobytes() == oracle.tobytes()
+        ds = self.assert_matches_dense_indicator(rng, n, q)
+        assert len(ds.packed.rows) == ds.n_vars  # below 64 observations per joint code
+
+    @pytest.mark.parametrize(
+        "n, q",
+        [
+            (80, [2] * 9),  # one long group of binary variables and a shorter one
+            (80, [2, 2, 2, 3, 5, 7, 40, 2, 2]),  # groups split mid-list, q = 40 alone
+            (80, [3, 70, 2, 2, 2]),  # q = 70 above the bound, alone
+            (80, [2, 3]),  # one group holds every variable
+            (200, [2, 2, 40, 2, 3, 50, 2, 2, 2, 30]),  # Q = 135, three row blocks
+        ],
+    )
+    def test_packed_matches_dense_indicator(self, rng, monkeypatch, n, q):
+        # packing forced: 64 joint codes at most, one observation per code
+        monkeypatch.setattr(mscca.data, "_PACK_CODES", 64)
+        monkeypatch.setattr(mscca.data, "_PACK_OBS", 1)
+        ds = self.assert_matches_dense_indicator(rng, n, q)
+        assert len(ds.packed.rows) < ds.n_vars

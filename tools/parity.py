@@ -5,7 +5,10 @@ checkouts can be compared file for file.
 
 Missing inputs are written into INPUTS first: the illustration CSV
 (``mscca illustrate``), the four perfbench CSVs (``perfbench/workloads.py``
-at workload seed 0) and a one-cell simulation design.  Every command then
+at workload seed 0), a "mixed" CSV whose category counts cycle through
+``MIXED_Q`` (runs of small variables pack into joint codes of several
+sizes beside variables that stand alone) and a one-cell simulation
+design.  Every command then
 runs in process through ``mscca.cli.main`` and must exit 0; its outputs go
 under OUT.  One ``sha256  relative/path`` line is printed per file under
 OUT, sorted by path; ``runtime_ms`` in ``results.csv`` is emptied before
@@ -24,6 +27,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 # The winning start of the wide workload depends on the BLAS thread count.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -32,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from mscca import read_csv_dataset  # noqa: E402
 from mscca.cli import main as cli_main  # noqa: E402
+from mscca.simulation import SupGenSpec, generate_supplementary, signal_distributions  # noqa: E402
 from workloads import K, WORKLOADS, make_inputs  # noqa: E402
 
 ILLUSTRATION_K = [
@@ -44,6 +50,8 @@ TABLE_EXPORTS = [
     "--export", "solution-json", "--export", "coords-csv", "--export", "residuals-csv",
 ]
 ALL_EXPORTS = [*TABLE_EXPORTS, "--export", "svg"]
+MIXED_Q = (2, 2, 2, 3, 5, 7, 40)
+MIXED_N = 20_000
 DESIGN = {
     "qs": [5], "ks": [2], "hs": [1], "rs": [3], "balances": ["balanced"],
     "replicates": 2, "starts": 5,
@@ -56,12 +64,36 @@ def run(argv: list[str]) -> None:
         raise SystemExit(f"exit {code}: mscca {' '.join(argv)}")
 
 
+def write_mixed(path: Path) -> None:
+    """MIXED_N rows of two cycles of MIXED_Q categories (the variables of
+    three or more categories tied to three planted clusters, the binary
+    ones uniform) and two supplementary variables of three classes."""
+    rng = np.random.default_rng(0)
+    truth = rng.integers(0, K, size=MIXED_N)
+    columns = []
+    for q in MIXED_Q * 2:
+        if q < K:
+            codes = rng.integers(0, q, size=MIXED_N)
+        else:
+            _, probs = signal_distributions(rng, q, K, 0.8)
+            codes = (rng.random(MIXED_N)[:, None] > probs.cumsum(axis=1)[truth]).sum(axis=1)
+        columns.append([f"c{c + 1}" for c in codes.tolist()])
+    sup = generate_supplementary(SupGenSpec(n_sup=2, r=3, seed=1), MIXED_N)
+    columns += [np.asarray(sup.labels[h])[sup.codes[:, h]].tolist() for h in range(sup.n_sup)]
+    names = [f"v{j + 1}" for j in range(len(MIXED_Q) * 2)] + list(sup.names)
+    lines = [",".join(names)] + [",".join(row) for row in zip(*columns)]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_inputs(inputs: Path) -> None:
     if not (inputs / "illustration" / "data.csv").exists():
         run(["illustrate", "--out", str(inputs / "illustration")])
     for name, workload in WORKLOADS.items():
         if not (inputs / name / "input.csv").exists():
             make_inputs(workload, 0, inputs / name)
+    if not (inputs / "mixed" / "input.csv").exists():
+        write_mixed(inputs / "mixed" / "input.csv")
     if not (inputs / "design.json").exists():
         (inputs / "design.json").write_text(json.dumps(DESIGN), encoding="utf-8")
 
@@ -85,10 +117,11 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
                      "--out", str(out / f"variants-{method}")])
     cmds.append(["variants", *illustration, "--method", "cluster-ca", "--k", "3", *ALL_EXPORTS,
                  "--out", str(out / "variants-cluster-ca")])
-    for name, workload in WORKLOADS.items():
+    n_sups = {name: workload.n_sup for name, workload in WORKLOADS.items()}
+    for name, n_sup in {**n_sups, "mixed": 2}.items():
         path = inputs / name / "input.csv"
         with path.open(encoding="utf-8") as fh:
-            sup_cols = next(csv.reader(fh))[-workload.n_sup :]
+            sup_cols = next(csv.reader(fh))[-n_sup:]
         _, sup = read_csv_dataset(path, sup_cols)
         k_map = [
             arg
