@@ -8,7 +8,9 @@ their rounded values.  Loading an archive plus the
 original input is enough to rebuild the assignment and re-evaluate the
 objective.  The assignment is stored column by column: per supplementary
 variable its class labels once, then one class code and one cluster
-index per observation.
+index per observation.  The residual section (``ResidualTables``) is
+written, in ``solution.json`` and in ``residuals.csv``, straight from its
+tables' K x Q residual arrays, with each label quoted once per table.
 
 This is the only module that builds or reads archive dicts; every export
 reads the biplot section's points through ``biplot_points``.
@@ -138,18 +140,26 @@ def _dumps(obj: Any) -> str:
 
 
 def _joined(obj: dict | list) -> dict | list | _Json:
-    """A rounded container, or its JSON text when it holds JSON text."""
+    """A rounded container, or its JSON text when it holds JSON text.  The
+    text is one join of the keys, values and punctuation, so no item's text
+    is copied twice."""
     if isinstance(obj, dict):
         if _Json not in map(type, obj.values()):
             return obj
         # a key that is not a string is written as json.dumps writes it
-        return _Json("{" + ",".join(
-            f"{json.dumps(key if isinstance(key, str) else json.dumps(key))}:{_dumps(value)}"
-            for key, value in sorted(obj.items())
-        ) + "}")
+        parts = ["{"]
+        for key, value in sorted(obj.items()):
+            parts += [json.dumps(key if isinstance(key, str) else json.dumps(key)), ":",
+                      _dumps(value), ","]
+        parts[-1] = "}"
+        return _Json("".join(parts))
     if _Json not in map(type, obj):
         return obj
-    return _Json("[" + ",".join(map(_dumps, obj)) + "]")
+    parts = ["["]
+    for value in obj:
+        parts += [_dumps(value), ","]
+    parts[-1] = "]"
+    return _Json("".join(parts))
 
 
 _ATOMS = {str, int, bool, type(None)}
@@ -184,8 +194,11 @@ def _round_floats(obj: Any) -> Any:
     """Round every float to 15 significant digits, recursively, as
     ``_round_one`` does; the floats of a list are rounded together
     (``_round_items``).  A float array becomes its JSON text
-    (``_array_json``), as does an integer array (``_int_json``), and every
-    container that holds JSON text becomes JSON text."""
+    (``_array_json``), as do an integer array (``_int_json``) and a
+    residual section (``_residual_json``), and every container that holds
+    JSON text becomes JSON text."""
+    if type(obj) is ResidualTables:
+        return _residual_json(obj)
     if isinstance(obj, (float, np.floating)):
         return _round_one(float(obj))
     if isinstance(obj, np.integer):
@@ -421,8 +434,12 @@ def load_json(path: str | Path) -> dict:
         return json.load(fh)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """CSV writer with the archive float convention and atomic replace."""
+def write_csv(
+    path: str | Path, header: Sequence[str], rows: Sequence[Sequence] | ResidualTables
+) -> None:
+    """CSV writer with the archive float convention and atomic replace.  A
+    residual section is written from its tables' arrays
+    (``_residual_csv``)."""
 
     def cell(value: Any) -> str:
         if value is None:
@@ -434,9 +451,13 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([cell(v) for v in row])
-    write_text(Path(path), buffer.getvalue())
+    if type(rows) is ResidualTables:
+        text = buffer.getvalue() + _residual_csv(rows)
+    else:
+        for row in rows:
+            writer.writerow([cell(v) for v in row])
+        text = buffer.getvalue()
+    write_text(Path(path), text)
 
 
 def assignment_columns(assignment: HierarchicalAssignment) -> dict:
@@ -541,7 +562,7 @@ def build_archive(
     ``model`` must carry residuals and coordinates (display order).
     ``residuals`` names the standardized tables whose residuals the
     archive lists, in order, as (method, model) pairs
-    (``_residual_records``).
+    (``ResidualTables``).
     """
     assignment = solution.assignment
     sup = assignment.sup
@@ -582,7 +603,7 @@ def build_archive(
             "categories": category_points(model.col_labels, model.col_masses, model.col_coords),
             "classes": _class_points(model, centers_by_row, sup),
         },
-        "residuals": _residual_records(residuals, sup),
+        "residuals": ResidualTables(tuple(residuals), sup),
     }
 
 
@@ -643,30 +664,86 @@ def coords_rows(archive: dict) -> list[list]:
     ]
 
 
-def _residual_records(
-    tables: Sequence[tuple[str, BiplotModel]], sup: SupplementaryData
-) -> list[dict]:
-    """The residual records of standardized tables, table by table and row
-    by row: method, row label, class label, column label and value.  The
-    class label maps an averaging row to the cluster rows that partition
-    it."""
-    return [
-        {"method": method, "row": row, "class": sup.labels[h][s], "column": column, "value": value}
-        for method, model in tables
-        for row, (h, s, _k), values in zip(
-            model.row_labels, model.row_index, model.residuals.tolist()
-        )
-        for column, value in zip(model.col_labels, values)
-    ]
+class ResidualTables:
+    """The residual section of an archive: standardized tables as (method,
+    model) pairs, in order, and the supplementary data whose class labels
+    align their rows.  It lists one record per cell, table by table and
+    row by row: method, row label, class label, column label and value.
+    The class label maps an averaging row to the cluster rows that
+    partition it.  ``_round_floats`` writes the records as JSON objects
+    (``_residual_json``) and ``write_csv`` as CSV rows (``_residual_csv``),
+    both from each model's ``residuals`` array; ``len`` counts the cells."""
+
+    __slots__ = ("tables", "sup")
+
+    def __init__(self, tables: tuple[tuple[str, BiplotModel], ...], sup: SupplementaryData):
+        self.tables = tables
+        self.sup = sup
+
+    def __len__(self) -> int:
+        return sum(model.residuals.size for _method, model in self.tables)
+
+    def quoted(
+        self, quote: Callable[[str], str]
+    ) -> Iterator[tuple[str, list[tuple[str, str]], list[str], np.ndarray]]:
+        """Per table with cells: its method, its (row, class) labels and
+        its column labels, each passed through ``quote`` once, and its
+        residual array."""
+        labels = self.sup.labels
+        for method, model in self.tables:
+            if model.residuals.size:
+                rows = [(quote(row), quote(labels[h][s]))
+                        for row, (h, s, _k) in zip(model.row_labels, model.row_index)]
+                yield quote(method), rows, list(map(quote, model.col_labels)), model.residuals
 
 
-def residual_rows(archive: dict) -> list[list]:
-    """The residual export rows (``RESIDUALS_HEADER``); none for an archive
-    without a residual section."""
-    return [
-        [rec["method"], rec["row"], rec["class"], rec["column"], rec["value"]]
-        for rec in archive.get("residuals", [])
-    ]
+def _residual_json(section: ResidualTables) -> _Json:
+    """The JSON list of a residual section's records, keys sorted.  The
+    value texts of a table come from one ``_array_json`` call, split at its
+    commas (a float's text holds none)."""
+    cells = []
+    for method, rows, columns, residuals in section.quoted(json.dumps):
+        texts = _array_json(residuals).text[2:-2].split("],[")
+        for (row, label), values in zip(rows, texts):
+            head, tail = f'{{"class":{label},"column":', f',"method":{method},"row":{row},"value":'
+            pairs = zip(columns, values.split(","))
+            cells.append(",".join([f"{head}{column}{tail}{value}}}" for column, value in pairs]))
+    text = ",".join(cells)
+    cells.clear()
+    return _Json(f"[{text}]")
+
+
+class _Echo:
+    """A file whose ``write`` returns the text it is given."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _residual_csv(section: ResidualTables) -> str:
+    """The CSV lines of a residual section's records (``RESIDUALS_HEADER``),
+    each value written ``format(v, ".15g")``."""
+    writer = csv.writer(_Echo(), lineterminator="\n")
+
+    def quote(text: str) -> str:
+        # the cell as write_csv's writer writes it in a row of several cells
+        return writer.writerow((text, ""))[:-2]
+
+    lines = []
+    for method, rows, columns, residuals in section.quoted(quote):
+        for (row, label), values in zip(rows, residuals):
+            head = f"{method},{row},{label},"
+            lines.append("".join([
+                f"{head}{column},{value:.15g}\n" for column, value in zip(columns, values.tolist())
+            ]))
+    return "".join(lines)
+
+
+def residual_rows(archive: dict) -> ResidualTables | None:
+    """The residual section of an archive from ``build_archive``, which
+    ``write_csv`` writes as the residual export (``RESIDUALS_HEADER``);
+    None for an archive without one."""
+    return archive.get("residuals")
 
 
 def biplot_svg(archive: Any) -> str:

@@ -8,6 +8,7 @@ labels at a fixed size.  Origin axes are always drawn.
 from __future__ import annotations
 
 import math
+import re
 from typing import Sequence
 
 _FILL = {"cluster": "#1f4e9c", "class": "#b02a2a", "category": "#1d7a35"}
@@ -15,6 +16,10 @@ _FILL = {"cluster": "#1f4e9c", "class": "#b02a2a", "category": "#1d7a35"}
 WIDTH = 760
 HEIGHT = 560
 MARGIN = 48
+
+# Every character outside XML 1.0's Char production: the C0 controls but
+# tab, newline and carriage return, lone surrogates, U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _font_size(kind: str, share: float | None) -> float:
@@ -69,6 +74,7 @@ def render_scatter(points: Sequence[tuple]) -> str:
 
 
 def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
+    """``text`` as XML character data: markup characters escaped, and each
+    character that XML 1.0 forbids replaced by U+FFFD."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML.sub("\ufffd", text)

@@ -217,6 +217,19 @@ def round_floats_recursive(obj: Any) -> Any:
     return obj
 
 
+def residual_cells(section) -> list[tuple]:
+    """Oracle for an archive's residual section (``ResidualTables``): per
+    cell, table by table and row by row, its (method, row, class, column,
+    value) read from the models one element at a time."""
+    return [
+        (method, model.row_labels[i], section.sup.labels[h][s], column,
+         float(model.residuals[i, j]))
+        for method, model in section.tables
+        for i, (h, s, _k) in enumerate(model.row_index)
+        for j, column in enumerate(model.col_labels)
+    ]
+
+
 def random_dataset(rng: np.random.Generator, n: int, m: int, q: int) -> CategoricalDataset:
     codes = rng.integers(0, q, size=(n, m))
     labels = tuple(tuple(f"c{x + 1}" for x in range(q)) for _ in range(m))

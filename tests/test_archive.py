@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import os
 import stat
@@ -10,19 +12,34 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from mscca import archive, cli, generate_illustration, read_csv_dataset
+from mscca import (
+    ClusterSpec,
+    SolverOptions,
+    archive,
+    cli,
+    encode_dataset,
+    encode_supplementary,
+    fit_mscca,
+    generate_illustration,
+    read_csv_dataset,
+)
 from mscca.archive import (
     ARCHIVE_FORMAT,
+    RESIDUALS_HEADER,
+    ResidualTables,
     _dumps,
     _round_floats,
+    _round_one,
     assignment_from_archive,
     load_json,
+    residual_rows,
     write_csv,
     write_json,
 )
 from mscca.cli import main
+from mscca.biplot import BiplotModel
 from mscca.errors import ConfigError, ShapeError
-from conftest import round_floats_recursive
+from conftest import residual_cells, round_floats_recursive, traced_peak
 
 
 @pytest.fixture
@@ -261,7 +278,13 @@ class TestVectorizedRounding:
 
 
 def _oracle_text(payload):
-    """The archive text of ``payload`` by rounding every float on its own."""
+    """The archive text of ``payload`` by rounding every float on its own,
+    with a residual section expanded to one record per cell from its
+    models (``residual_cells``)."""
+    if isinstance(payload, dict) and "residuals" in payload:
+        cells = residual_cells(payload["residuals"])
+        records = [dict(zip(RESIDUALS_HEADER, cell)) for cell in cells]
+        payload = {**payload, "residuals": records}
     rounded = round_floats_recursive(payload)
     return json.dumps(rounded, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -396,19 +419,8 @@ class TestCliArchivesMatchOracle:
     payloads it hands to ``write_json``."""
 
     def _run(self, tall_csv, out, argv, monkeypatch):
-        payloads = []
-
-        def spy(path, payload):
-            payloads.append(payload)
-            write_json(path, payload)
-
-        monkeypatch.setattr(cli, "write_json", spy)
-        common = ["--input", str(tall_csv), "--sup-cols", "s1,s2", "--out", str(out)]
-        assert main([*argv, *common]) == 0
-        (payload,) = payloads
-        text = (out / "solution.json").read_text(encoding="utf-8")
-        assert text == _oracle_text(payload)
-        return payload
+        common = ["--input", str(tall_csv), "--sup-cols", "s1,s2"]
+        return self._run_at([*argv, *common], out, monkeypatch)
 
     def test_removal_archive(self, tmp_path, tall_csv, monkeypatch):
         payload = self._run(tall_csv, tmp_path, ["variants", "--method", "removal"], monkeypatch)
@@ -429,3 +441,179 @@ class TestCliArchivesMatchOracle:
         assert len(payload["residuals"]) == (6 + 12) * 32
         # records, their float fields and lists are rounded together, not leaf by leaf
         assert 0 < len(calls) < 100
+
+    def test_fit_archive_of_quoted_labels(self, tmp_path, monkeypatch):
+        # labels that csv.writer quotes or that JSON escapes, end to end
+        rng = np.random.default_rng(4)
+        path = tmp_path / "quoted.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["v,1", 'v"2', "s"])
+            for a, b, c in rng.integers(0, len(LABELS), size=(300, 3)).tolist():
+                writer.writerow([LABELS[a], LABELS[b], LABELS[c % 3]])
+        sections = []
+        real = archive.write_csv
+
+        def spy(path, header, rows):
+            sections.append(rows)
+            real(path, header, rows)
+
+        monkeypatch.setattr(cli, "write_csv", spy)
+        k = [x for c in LABELS[:3] for x in ("--k", f"s:{c}:2")]
+        out = tmp_path / "out"
+        argv = ["fit", "--input", str(path), "--sup-cols", "s", *k, "--starts", "2"]
+        payload = self._run_at(argv, out, monkeypatch)
+        section = sections[-1]
+        assert section is payload["residuals"]
+        assert (out / "residuals.csv").read_bytes().decode("utf-8") == _csv_oracle(section)
+        assert {cell[3].split(":", 1)[1] for cell in residual_cells(section)} == set(LABELS)
+
+    def _run_at(self, argv, out, monkeypatch):
+        payloads = []
+
+        def spy(path, payload):
+            payloads.append(payload)
+            write_json(path, payload)
+
+        monkeypatch.setattr(cli, "write_json", spy)
+        assert main([*argv, "--out", str(out)]) == 0
+        (payload,) = payloads
+        assert (out / "solution.json").read_text(encoding="utf-8") == _oracle_text(payload)
+        return payload
+
+
+# Labels that need quoting in CSV or escaping in JSON: a comma, a quote, a
+# newline inside a quoted cell, a carriage return, a backslash, non-ASCII
+# text and a vertical tab.
+LABELS = [
+    "a,b", 'say "hi"', "two\nlines", "back\\slash", "naïve €", "cr\rlf", "v\x0bt", "plain",
+]
+# Values whose JSON and CSV forms differ (1.0 is "1.0" and "1"), and the
+# range ends of the fast encoder.
+VALUES = [1.0, 1e-05, 1e16, -0.0, 0.0, -1.0, 0.1, 1 / 3, -2.5e-09, 123456.78901234567,
+          9.999999999999998, float("nan"), float("inf"), -float("inf")]
+
+
+def _model(row_labels, col_labels, row_index, residuals):
+    k, q = residuals.shape
+    return BiplotModel(
+        table=np.zeros((k, q)), row_masses=np.zeros(k), col_masses=np.zeros(q),
+        row_labels=tuple(row_labels), col_labels=tuple(col_labels), row_index=tuple(row_index),
+        rows=np.arange(k), sizes=np.ones(k, dtype=np.int64), residuals=residuals,
+    )
+
+
+def _json_oracle(section):
+    """The archive text of a residual section: ``json.dumps`` of one dict
+    per cell, each value rounded on its own."""
+    records = [
+        {**dict(zip(RESIDUALS_HEADER, cell[:4])), "value": _round_one(cell[4])}
+        for cell in residual_cells(section)
+    ]
+    return json.dumps({"residuals": records}, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _csv_oracle(section):
+    """``residuals.csv`` of a residual section through ``csv.writer``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(RESIDUALS_HEADER)
+    writer.writerows([*cell[:4], f"{cell[4]:.15g}"] for cell in residual_cells(section))
+    return buffer.getvalue()
+
+
+def _section(values, row_labels, col_labels, classes):
+    """Two tables of ``values``: an averaging row per class and a mscca
+    table of the given rows, each row of class ``i % len(classes)``."""
+    sup = encode_supplementary([[c] for c in classes], ["s"])
+    r = len(classes)
+    k, q = len(row_labels), len(col_labels)
+    flat = np.resize(np.asarray(values, dtype=float), (r + k) * q)
+    averaging = _model(
+        classes, col_labels, [(0, s, 0) for s in range(r)], flat[: r * q].reshape(r, q)
+    )
+    clustered = _model(row_labels, col_labels, [(0, i % r, i // r) for i in range(k)],
+                       flat[r * q :].reshape(k, q))
+    return ResidualTables((("averaging", averaging), ("mscca", clustered)), sup)
+
+
+def _write_section(directory, section):
+    write_json(directory / "s.json", {"residuals": section})
+    write_csv(directory / "r.csv", RESIDUALS_HEADER, section)
+    # bytes, as a text read would turn "\r" into "\n"
+    return tuple((directory / name).read_bytes().decode("utf-8") for name in ("s.json", "r.csv"))
+
+
+class TestResidualWriters:
+    """The residual section is written from its tables' arrays, byte for
+    byte as ``json.dumps`` and ``csv.writer`` write its records."""
+
+    def test_labels_and_values_match_oracles(self, tmp_path):
+        section = _section(VALUES, [*LABELS, ""], LABELS, LABELS[:3])
+        assert len(section) == (3 + 9) * len(LABELS)
+        text, table = _write_section(tmp_path, section)
+        assert text == _json_oracle(section)
+        assert table == _csv_oracle(section)
+        # the two forms differ where the oracles say they do
+        assert '"value":1.0}' in text and '"value":-0.0}' in text and '"value":1e+16}' in text
+        assert ",1\n" in table and ",-0\n" in table and ",1e+16\n" in table and ",1e-05\n" in table
+        assert '"a,b"' in table and '"say ""hi"""' in table and '"two\nlines"' in table
+
+    @given(
+        st.lists(_ELEMENTS, min_size=1, max_size=30),
+        st.lists(st.text(max_size=4), min_size=1, max_size=4),
+        st.lists(
+            st.text(alphabet=st.sampled_from('a,"\n\\é\r'), max_size=4), min_size=1, max_size=5
+        ),
+    )
+    def test_drawn_sections_match_oracles(self, tmp_path_factory, values, rows, columns):
+        section = _section(values, rows, columns, ["x", "y\n"])
+        text, table = _write_section(tmp_path_factory.mktemp("res"), section)
+        assert text == _json_oracle(section)
+        assert table == _csv_oracle(section)
+
+    def test_tables_without_cells(self, tmp_path):
+        sup = encode_supplementary([["x"]], ["s"])
+        empty = _model([], ["c"], [], np.zeros((0, 1)))
+        section = ResidualTables((("mscca", empty),), sup)
+        assert not section
+        assert _dumps(_round_floats({"residuals": section})) == '{"residuals":[]}'
+        full = _section([0.5], ["r"], ["c"], ["x"])
+        both = ResidualTables((("mscca", empty), *full.tables), full.sup)
+        assert _write_section(tmp_path, both) == (_json_oracle(both), _csv_oracle(both))
+
+    def test_removal_archive_has_no_section(self, tmp_path, tall_csv):
+        argv = ["variants", "--method", "removal", "--input", str(tall_csv),
+                "--sup-cols", "s1,s2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert not (tmp_path / "residuals.csv").exists()
+        assert residual_rows({"format": "mscca-variant"}) is None
+
+
+# The tracemalloc peak of writing the default exports of the archive below,
+# per residual cell, as measured when the residual section was first written
+# from its tables' arrays (the per-cell record path it replaced measured 512).
+EXPORT_PEAK_PER_CELL = 290
+
+
+def test_export_peak_per_residual_cell(tmp_path):
+    # a column of distinct labels: Q = n + 4 columns, K = 4 cluster rows
+    # beside 2 class rows
+    n = 16_000
+    rng = np.random.default_rng(3)
+    raw = [[f"x{i}", f"b{c}"] for i, c in enumerate(rng.integers(0, 4, n).tolist())]
+    dataset = encode_dataset(raw, ["a", "b"])
+    sup = encode_supplementary([[c] for c in rng.choice(["A", "B"], n).tolist()], ["s"])
+    solution = fit_mscca(
+        dataset, sup, ClusterSpec.uniform(sup, 2), SolverOptions(n_starts=1, max_iter=3)
+    )
+    payload = cli._clustering_archive({}, dataset, solution)
+    cells = len(payload["residuals"])
+    assert cells >= 80_000
+
+    def export():
+        cli._write_exports(tmp_path, payload, list(cli.DEFAULT_EXPORTS))
+
+    export()  # lazy set-up first
+    peak = traced_peak(export)
+    assert peak / cells < 2 * EXPORT_PEAK_PER_CELL, peak / cells

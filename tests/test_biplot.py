@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,12 +20,12 @@ from mscca import (
     residual_comparison,
     standardized_residuals,
 )
-from mscca.archive import RESIDUALS_HEADER, _residual_records
+from mscca.archive import RESIDUALS_HEADER, ResidualTables, write_csv, write_json
 from mscca.biplot import BiplotModel
 from mscca.errors import DegenerateGeometryError, EmptyClusterError, MassError, ShapeError
 from mscca.solver import update_B, update_G, init_random
 
-from conftest import random_mixed_problem, random_problem, z_full
+from conftest import random_mixed_problem, random_problem, residual_cells, z_full
 
 
 def two_singleton_model():
@@ -340,19 +343,30 @@ class TestResidualComparison:
             assert averaging.row_index == counted.row_index
             assert averaging.row_labels == counted.row_labels
 
-    def test_records_cover_both_methods(self, rng):
+    def test_records_cover_both_methods(self, rng, tmp_path):
         ds, sup, spec = random_problem(rng)
         clustered, averaging = self._tables(init_random(sup, spec, rng), ds)
         # the archive's records of the two tables, in order, row by row
-        records = _residual_records((("averaging", averaging), ("mscca", clustered)), sup)
+        section = ResidualTables((("averaging", averaging), ("mscca", clustered)), sup)
         expected = [
             (method, model.row_labels[i], sup.labels[h][s], column, model.residuals[i, j])
             for method, model in (("averaging", averaging), ("mscca", clustered))
             for i, (h, s, _k) in enumerate(model.row_index)
             for j, column in enumerate(model.col_labels)
         ]
-        assert [tuple(rec.values()) for rec in records] == expected
-        assert all(list(rec) == RESIDUALS_HEADER for rec in records)
+        assert len(section) == len(expected)
+        write_json(tmp_path / "a.json", {"residuals": section})
+        records = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))["residuals"]
+        assert all(list(rec) == sorted(RESIDUALS_HEADER) for rec in records)
+        assert [tuple(rec[key] for key in RESIDUALS_HEADER) for rec in records] == [
+            (*cell[:4], float(f"{cell[4]:.15g}")) for cell in expected
+        ]
+        write_csv(tmp_path / "a.csv", RESIDUALS_HEADER, section)
+        with (tmp_path / "a.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == RESIDUALS_HEADER
+        assert rows[1:] == [[*cell[:4], f"{cell[4]:.15g}"] for cell in expected]
+        assert residual_cells(section) == expected
 
 
 class TestIllustrationBiplot:

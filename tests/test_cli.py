@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -411,6 +412,33 @@ class TestExportSvg:
         )
         assert svg.count("<text") == n_points
         assert "<svg" in svg and "</svg>" in svg
+
+    def test_labels_with_control_characters_parse(self, tmp_path):
+        # XML 1.0 forbids a vertical tab, which a plain-CSV label may hold
+        path = tmp_path / "in.csv"
+        b = ("y\x0b1", "y2")
+        rows = [f"x{i % 3},{b[i % 2]},{'AB'[i % 4 // 2]}" for i in range(40)]
+        path.write_text("\n".join(["a,b,s", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["fit", "--input", str(path), "--sup-cols", "s", "--k", "s:A:2", "--k", "s:B:2",
+                "--export", "svg", "--out", str(out)]
+        assert main(argv) == 0
+        texts = minidom.parse(str(out / "biplot.svg")).getElementsByTagName("text")
+        labels = {node.firstChild.data for node in texts}
+        assert {"b:y\ufffd1", "b:y2"} <= labels
+
+    def test_archive_labels_outside_xml_parse(self, tmp_path):
+        # NUL, a lone surrogate and U+FFFF, as JSON escapes them
+        archive = tmp_path / "archive.json"
+        label = "\\u0000a\\ud800b\\uffff&<c>"
+        archive.write_text(
+            f'{{"biplot":{{"categories":[{{"label":"{label}","coords":[0.5,-0.5]}}]}}}}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "biplot.svg"
+        assert main(["export-svg", "--archive", str(archive), "--out", str(out)]) == 0
+        (text,) = minidom.parse(str(out)).getElementsByTagName("text")
+        assert text.firstChild.data == "\ufffda\ufffdb\ufffd&<c>"
 
     def test_label_sizes_monotone_in_share(self, illustration_csv, tmp_path):
         out = tmp_path / "out"

@@ -7,8 +7,9 @@ Missing inputs are written into INPUTS first: the illustration CSV
 (``mscca illustrate``), the four perfbench CSVs (``perfbench/workloads.py``
 at workload seed 0), a "mixed" CSV whose category counts cycle through
 ``MIXED_Q`` (runs of small variables pack into joint codes of several
-sizes beside variables that stand alone) and a one-cell simulation
-design.  Every command then
+sizes beside variables that stand alone), a "quoted" CSV written by
+``csv.writer`` whose labels need quoting in CSV and escaping in JSON
+(``QUOTED_LABELS``) and a one-cell simulation design.  Every command then
 runs in process through ``mscca.cli.main`` and must exit 0; its outputs go
 under OUT.  One ``sha256  relative/path`` line is printed per file under
 OUT, sorted by path; ``runtime_ms`` in ``results.csv`` is emptied before
@@ -52,6 +53,10 @@ TABLE_EXPORTS = [
 ALL_EXPORTS = [*TABLE_EXPORTS, "--export", "svg"]
 MIXED_Q = (2, 2, 2, 3, 5, 7, 40)
 MIXED_N = 20_000
+# A comma, a quote, a newline inside a quoted cell, a carriage return, a
+# backslash and non-ASCII text.
+QUOTED_LABELS = ("a,b", 'say "hi"', "two\nlines", "cr\rlf", "back\\slash", "naïve €", "plain")
+QUOTED_N = 3_000
 DESIGN = {
     "qs": [5], "ks": [2], "hs": [1], "rs": [3], "balances": ["balanced"],
     "replicates": 2, "starts": 5,
@@ -86,6 +91,21 @@ def write_mixed(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_quoted(path: Path) -> None:
+    """QUOTED_N rows of four analysis variables and one supplementary
+    variable of three classes, every label drawn from QUOTED_LABELS (each
+    column's labels suffixed with its number) and every name quoted too."""
+    rng = np.random.default_rng(2)
+    codes = rng.integers(0, len(QUOTED_LABELS), size=(QUOTED_N, 5))
+    codes[:, 4] %= 3
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["v,1", 'v"2', "v\n3", "v\\4", "s"])
+        for row in codes.tolist():
+            writer.writerow([f"{QUOTED_LABELS[c]}{j}" for j, c in enumerate(row)])
+
+
 def write_inputs(inputs: Path) -> None:
     if not (inputs / "illustration" / "data.csv").exists():
         run(["illustrate", "--out", str(inputs / "illustration")])
@@ -94,6 +114,8 @@ def write_inputs(inputs: Path) -> None:
             make_inputs(workload, 0, inputs / name)
     if not (inputs / "mixed" / "input.csv").exists():
         write_mixed(inputs / "mixed" / "input.csv")
+    if not (inputs / "quoted" / "input.csv").exists():
+        write_quoted(inputs / "quoted" / "input.csv")
     if not (inputs / "design.json").exists():
         (inputs / "design.json").write_text(json.dumps(DESIGN), encoding="utf-8")
 
@@ -137,6 +159,12 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
         if name == "paper":
             cmds.append(["fit", *data, "--k-auto", "--k-max", "4", "--dims", "3",
                          "--starts", "10", "--out", str(out / name / "fit-k-auto-dims-3")])
+    quoted = ["--input", str(inputs / "quoted" / "input.csv"), "--sup-cols", "s"]
+    quoted_k = [arg for label in QUOTED_LABELS[:3] for arg in ("--k", f"s:{label}4:2")]
+    cmds.append(["fit", *quoted, *quoted_k, "--starts", "5", "--seed", "0", *TABLE_EXPORTS,
+                 "--out", str(out / "quoted" / "fit")])
+    cmds.append(["variants", *quoted, "--method", "averaging", *TABLE_EXPORTS,
+                 "--out", str(out / "quoted" / "averaging")])
     cmds.append(["simulate", "--design", str(inputs / "design.json"),
                  "--out", str(out / "simulate")])
     return cmds
