@@ -24,9 +24,9 @@ import json
 import math
 import os
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,42 +124,54 @@ def _rounded_lists(obj: np.ndarray) -> list:
 
 
 class _Json:
-    """JSON text that a container's text takes as it stands."""
+    """JSON text that a container's text takes as it stands: one string,
+    or the iterable of the pieces it is made of, in order (a residual
+    section, ``_residual_json``)."""
 
     __slots__ = ("text",)
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str | Iterable[str]) -> None:
         self.text = text
 
 
 def _dumps(obj: Any) -> str:
     """Compact sorted-key JSON of a rounded value."""
     if type(obj) is _Json:
-        return obj.text
+        return obj.text if type(obj.text) is str else "".join(obj.text)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _pieces(obj: dict | list) -> list[str | _Json]:
+    """The JSON text of a rounded container that is not empty, in order:
+    its punctuation and keys, and each item's text, a ``_Json`` as it
+    stands."""
+    if isinstance(obj, dict):
+        # a key that is not a string is written as json.dumps writes it
+        parts = ["{"]
+        for key, value in sorted(obj.items()):
+            parts += [json.dumps(key if isinstance(key, str) else json.dumps(key)), ":",
+                      value if type(value) is _Json else _dumps(value), ","]
+        parts[-1] = "}"
+    else:
+        parts = ["["]
+        for value in obj:
+            parts += [value if type(value) is _Json else _dumps(value), ","]
+        parts[-1] = "]"
+    return parts
+
+
+def _holds_json(obj: dict | list) -> bool:
+    """Whether a rounded container holds JSON text."""
+    return _Json in map(type, obj.values() if isinstance(obj, dict) else obj)
 
 
 def _joined(obj: dict | list) -> dict | list | _Json:
     """A rounded container, or its JSON text when it holds JSON text.  The
     text is one join of the keys, values and punctuation, so no item's text
     is copied twice."""
-    if isinstance(obj, dict):
-        if _Json not in map(type, obj.values()):
-            return obj
-        # a key that is not a string is written as json.dumps writes it
-        parts = ["{"]
-        for key, value in sorted(obj.items()):
-            parts += [json.dumps(key if isinstance(key, str) else json.dumps(key)), ":",
-                      _dumps(value), ","]
-        parts[-1] = "}"
-        return _Json("".join(parts))
-    if _Json not in map(type, obj):
+    if not _holds_json(obj):
         return obj
-    parts = ["["]
-    for value in obj:
-        parts += [_dumps(value), ","]
-    parts[-1] = "]"
-    return _Json("".join(parts))
+    return _Json("".join([part if type(part) is str else _dumps(part) for part in _pieces(obj)]))
 
 
 _ATOMS = {str, int, bool, type(None)}
@@ -212,10 +224,15 @@ def _round_floats(obj: Any) -> Any:
             return obj.tolist()
         return _round_floats(obj.tolist())
     if isinstance(obj, dict):
-        return _joined(dict(zip(obj, _round_items(list(obj.values())))))
+        return _joined(_rounded_dict(obj))
     if isinstance(obj, (list, tuple)):
         return _joined(_round_items(list(obj)))
     return obj
+
+
+def _rounded_dict(obj: dict) -> dict:
+    """A dict with every value rounded (``_round_floats``), not joined."""
+    return dict(zip(obj, _round_items(list(obj.values()))))
 
 
 # The text of a float array is built from fixed-width rows of candidate
@@ -404,8 +421,10 @@ def _encode_ints(x: np.ndarray, lo: int, shape: tuple[int, ...]) -> str:
     return np.compress(keep.ravel(), rows.ravel()).tobytes().decode("ascii")
 
 
-def write_text(path: Path, text: str) -> None:
-    """Write ``text`` through a temporary sibling and an atomic replace.
+def write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its pieces in order, through a temporary sibling
+    and an atomic replace.  Pieces are written as they come, so the whole
+    text is never held at once.
 
     The temporary file is created like a plain ``open`` would create it
     (mode 0666 less the umask), so the final file has the usual mode.
@@ -414,7 +433,8 @@ def write_text(path: Path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            # writelines drops each piece before it takes the next
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -425,8 +445,27 @@ def write_json(path: str | Path, payload: dict) -> None:
     """Serialize as compact JSON with sorted keys and atomic replace: the
     text ``json.dumps(sort_keys=True)`` gives the payload with every float
     rounded by ``_round_one``, with every float array written straight
-    from its mantissas and every integer array from its digits."""
-    write_text(Path(path), _dumps(_round_floats(payload)) + "\n")
+    from its mantissas and every integer array from its digits.
+
+    The top-level dict's text is written piece by piece (``_pieces``), and
+    a residual section table by table, so neither the archive's text nor
+    the section's is ever joined whole."""
+    rounded = _rounded_dict(payload)
+    parts = [*(_pieces(rounded) if _holds_json(rounded) else [_dumps(rounded)]), "\n"]
+    del rounded  # the values' objects go once their text is made
+    write_text(Path(path), _streamed(parts))
+
+
+def _streamed(parts: list[str | _Json]) -> Iterator[str]:
+    """The strings of ``_pieces``, each ``_Json`` made of pieces given
+    piece by piece."""
+    for part in parts:
+        if type(part) is str:
+            yield part
+        elif type(part.text) is str:
+            yield part.text
+        else:
+            yield from part.text
 
 
 def load_json(path: str | Path) -> dict:
@@ -452,12 +491,11 @@ def write_csv(
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     if type(rows) is ResidualTables:
-        text = buffer.getvalue() + _residual_csv(rows)
-    else:
-        for row in rows:
-            writer.writerow([cell(v) for v in row])
-        text = buffer.getvalue()
-    write_text(Path(path), text)
+        write_text(Path(path), chain([buffer.getvalue()], _residual_csv(rows)))
+        return
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    write_text(Path(path), buffer.getvalue())
 
 
 def assignment_columns(assignment: HierarchicalAssignment) -> dict:
@@ -698,19 +736,35 @@ class ResidualTables:
 
 
 def _residual_json(section: ResidualTables) -> _Json:
-    """The JSON list of a residual section's records, keys sorted.  The
-    value texts of a table come from one ``_array_json`` call, split at its
-    commas (a float's text holds none)."""
+    """The JSON list of a residual section's records, keys sorted, as
+    pieces made when they are read: one per table with cells, and the
+    punctuation.  The value texts of a table come from one ``_array_json``
+    call, split at its commas (a float's text holds none)."""
+
+    def pieces() -> Iterator[str]:
+        yield "["
+        for i, table in enumerate(section.quoted(json.dumps)):
+            if i:
+                yield ","
+            yield _residual_table_json(*table)
+        yield "]"
+
+    return _Json(pieces())
+
+
+def _residual_table_json(
+    method: str, rows: list[tuple[str, str]], columns: list[str], residuals: np.ndarray
+) -> str:
+    """The records of one residual table, labels already quoted, joined
+    by commas."""
+    texts = _array_json(residuals).text[2:-2].split("],[")
     cells = []
-    for method, rows, columns, residuals in section.quoted(json.dumps):
-        texts = _array_json(residuals).text[2:-2].split("],[")
-        for (row, label), values in zip(rows, texts):
-            head, tail = f'{{"class":{label},"column":', f',"method":{method},"row":{row},"value":'
-            pairs = zip(columns, values.split(","))
-            cells.append(",".join([f"{head}{column}{tail}{value}}}" for column, value in pairs]))
-    text = ",".join(cells)
-    cells.clear()
-    return _Json(f"[{text}]")
+    for (row, label), values in zip(rows, texts):
+        head, tail = f'{{"class":{label},"column":', f',"method":{method},"row":{row},"value":'
+        pairs = zip(columns, values.split(","))
+        cells.append(",".join([f"{head}{column}{tail}{value}}}" for column, value in pairs]))
+    del texts  # the value texts go before the records are joined
+    return ",".join(cells)
 
 
 class _Echo:
@@ -720,22 +774,30 @@ class _Echo:
         return text
 
 
-def _residual_csv(section: ResidualTables) -> str:
+def _residual_csv(section: ResidualTables) -> Iterator[str]:
     """The CSV lines of a residual section's records (``RESIDUALS_HEADER``),
-    each value written ``format(v, ".15g")``."""
+    each value written ``format(v, ".15g")``: one piece per table with
+    cells, made when it is read."""
     writer = csv.writer(_Echo(), lineterminator="\n")
 
     def quote(text: str) -> str:
         # the cell as write_csv's writer writes it in a row of several cells
         return writer.writerow((text, ""))[:-2]
 
+    for table in section.quoted(quote):
+        yield _residual_table_csv(*table)
+
+
+def _residual_table_csv(
+    method: str, rows: list[tuple[str, str]], columns: list[str], residuals: np.ndarray
+) -> str:
+    """The CSV lines of one residual table, labels already quoted."""
     lines = []
-    for method, rows, columns, residuals in section.quoted(quote):
-        for (row, label), values in zip(rows, residuals):
-            head = f"{method},{row},{label},"
-            lines.append("".join([
-                f"{head}{column},{value:.15g}\n" for column, value in zip(columns, values.tolist())
-            ]))
+    for (row, label), values in zip(rows, residuals):
+        head = f"{method},{row},{label},"
+        lines.append("".join([
+            f"{head}{column},{value:.15g}\n" for column, value in zip(columns, values.tolist())
+        ]))
     return "".join(lines)
 
 

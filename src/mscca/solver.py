@@ -119,13 +119,41 @@ def objective_phi(
     quantifications: np.ndarray,
     dataset: CategoricalDataset,
 ) -> float:
-    """Direct evaluation of the objective at (U, G, B).
-
-    Sums the squared residuals || U_h G_h - Z_j B_j ||^2 over every
-    (variable, supplementary variable) pair and scales by 1/(N H m).
+    """Evaluation of the objective at (U, G, B), with no use of the
+    centering or the normalization: the squared residuals
+    || U_h G_h - Z_j B_j ||^2 over every (variable, supplementary variable)
+    pair, scaled by 1/(N H m), summed per cell of the assignment's count
+    table (``_table_objective``).  An empty cluster is a zero row there,
+    so any assignment can be evaluated.
     """
-    blocks = [centers[assignment.rows[:, h]] for h in range(assignment.n_sup)]
-    return float(_direct_objective(blocks, quantifications, dataset))
+    table, _sizes = stacked_counts(assignment.rows[None], assignment.spec, dataset)
+    return _table_objective(table[0], centers, quantifications, dataset, assignment.n_sup)
+
+
+def _table_objective(
+    table: np.ndarray,
+    centers: np.ndarray,
+    quantifications: np.ndarray,
+    dataset: CategoricalDataset,
+    n_stack: int,
+) -> float:
+    """(1/(N H m)) sum_{k,c} n_kc || g_k - b_c ||^2 for one K x Q count
+    table, its K x p centers and its Q x p quantifications, H = ``n_stack``.
+
+    Every member of cluster k that has category c leaves the residual
+    g_k - b_c, so this is the residual sum over all N H m (observation,
+    supplementary variable, variable) terms, grouped by cell.  The squared
+    distances are built one coordinate at a time as K x Q arrays, weighted
+    by the integer counts (exact in float64 below 2^53) and reduced by one
+    ``sum``, so a start's value depends only on its own arrays.
+    """
+    dist = np.zeros(table.shape)
+    for d in range(centers.shape[-1]):
+        gap = np.subtract.outer(centers[:, d], quantifications[:, d])
+        np.square(gap, out=gap)
+        dist += gap
+    dist *= table
+    return float(dist.sum()) / (dataset.n_obs * n_stack * dataset.n_vars)
 
 
 def _direct_objective(
@@ -614,8 +642,11 @@ def _run_start(
 
     The trace records the objective after each centering update, where
     the centers are exact for the current assignment, so it reads
-    phi = p - psi / (N H m^2) from the cluster sizes and centers; the
-    final entry is replaced by the direct residual sum.  A start whose
+    phi = p - psi / (N H m^2) from the cluster sizes and centers.  The
+    final entry is replaced by the residual sum of the start's end, read
+    from the count table its ``_StartEnd`` keeps (``_table_objective``, as
+    ``objective_phi`` reads it), which uses neither the centering nor the
+    normalization.  A start whose
     assignment step empties a cluster is repaired alone, and keeps its
     previous (feasible) assignment whenever the repair would have pushed
     the objective up, so the trace never increases beyond float jitter.
@@ -692,11 +723,11 @@ def _run_start(
                 break
         previous = objective
         rows = candidate
-    centers = np.stack([end.centers for end in ends])
-    rows = np.stack([end.clusters for end in ends]) + first
-    blocks = [np.take_along_axis(centers, rows[..., h, None], axis=1) for h in range(n_sup)]
-    finals = _direct_objective(blocks, np.stack([end.quantifications for end in ends]), dataset)
-    return [end._replace(trace=(*end.trace[:-1], f)) for end, f in zip(ends, finals.tolist())]
+    finals = [
+        _table_objective(end.table, end.centers, end.quantifications, dataset, n_sup)
+        for end in ends
+    ]
+    return [end._replace(trace=(*end.trace[:-1], f)) for end, f in zip(ends, finals)]
 
 
 def _ties(finals: Sequence[float]) -> np.ndarray:
@@ -737,7 +768,9 @@ def fit_mscca(
     ``WINNER_RTOL`` (relative) of the smallest, so starts that reach the
     same optimum up to rounding do not hand the win to float noise.  The
     starts run in chunks (``_run_start``) whose size is set by a fixed
-    memory budget; the result does not depend on it.  The returned
+    memory budget; the result does not depend on it.  A start's final
+    objective is ``objective_phi`` at its end, summed over the cells of
+    its count table.  The returned
     (U, G, B) triple is mutually consistent: the centers and
     quantifications are the exact optimum for the returned assignment.
     """
@@ -847,7 +880,12 @@ def fit_constrained_mca(
     Solves min (1/(N H m)) sum_j || C F - Z_j^H B_j ||^2 under the usual
     normalization, with C the projector implied by ``cspec``.  The
     identity kind reproduces plain multiple correspondence analysis; the
-    reported objective is evaluated directly from the residuals.
+    reported objective is evaluated from the residuals.  For
+    ``membership-projector`` every residual is a center less a category's
+    quantification, so it is summed per cell of the partition's count
+    table (``_table_objective``); for ``identity`` and ``projector-off``
+    the scores vary by observation, and all N H m residuals are summed
+    (``_direct_objective``).
 
     Every projector is onto the indicators of a partition (the source
     assignment, or one group per class), so the projected scores are the
@@ -891,8 +929,10 @@ def fit_constrained_mca(
         blocks = [means[partition.rows[:, h]] for h in range(n_stack)]
         if kind == "projector-off":
             blocks = [scores - block for block in blocks]
+    if kind == "membership-projector":  # constant on each cell of the table
+        objective = _table_objective(table, means, quantifications, dataset, n_stack)
+    else:
+        objective = float(_direct_objective(blocks, quantifications, dataset))
     return ConstrainedFit(
-        scores=np.concatenate(blocks),
-        quantifications=quantifications,
-        objective=float(_direct_objective(blocks, quantifications, dataset)),
+        scores=np.concatenate(blocks), quantifications=quantifications, objective=objective
     )

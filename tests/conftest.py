@@ -398,6 +398,23 @@ def stacked_indicator(assignment: HierarchicalAssignment) -> np.ndarray:
     return u
 
 
+def dense_objective(
+    assignment: HierarchicalAssignment,
+    centers: np.ndarray,
+    quantifications: np.ndarray,
+    dataset: CategoricalDataset,
+) -> float:
+    """Oracle for ``objective_phi``: (1/(N H m)) sum_j || U G - Z_j^H B_j ||^2
+    from the dense stacked indicator U and each variable's dense Z_j, one
+    residual per (observation, supplementary variable, variable)."""
+    ug = stacked_indicator(assignment) @ centers
+    total = 0.0
+    for j, (lo, q) in enumerate(zip(dataset.offsets, dataset.q)):
+        fitted = z_var_stacked(dataset, assignment.n_sup, j) @ quantifications[lo : lo + q]
+        total += float(((ug - fitted) ** 2).sum())
+    return total / (dataset.n_obs * assignment.n_sup * dataset.n_vars)
+
+
 def update_B_qxq(
     assignment: HierarchicalAssignment, dataset: CategoricalDataset, p: int
 ) -> np.ndarray:
@@ -616,12 +633,14 @@ def run_start_sequential(
     The trace records the objective after each centering update, where
     the centers are exact for the current assignment, so it reads
     phi = p - psi / (N H m^2) from the cluster sizes and centers; the
-    final entry is replaced by the direct residual sum ``objective_phi``.
-    The assignment step keeps the previous (feasible) assignment whenever
-    an empty-cluster repair would have pushed the objective up, so the
-    trace never increases beyond float jitter.  A start whose assignment
-    does not move still runs one more cycle, which the engine skips, so
-    the oracle checks that the skipped cycle would have changed nothing.
+    final entry is replaced by ``objective_phi``, the residual sum grouped
+    by the cells of the count table, which uses neither the centering nor
+    the normalization.  The assignment step keeps the previous (feasible)
+    assignment whenever an empty-cluster repair would have pushed the
+    objective up, so the trace never increases beyond float jitter.  A
+    start whose assignment does not move still runs one more cycle, which
+    the engine skips, so the oracle checks that the skipped cycle would
+    have changed nothing.
     """
     assignment = init_random(sup, spec, rng)
     table, sizes = cluster_counts(assignment, dataset)

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import mscca.archive
 from mscca import (
     ClusterSpec,
     SolverOptions,
@@ -581,6 +582,29 @@ class TestResidualWriters:
         full = _section([0.5], ["r"], ["c"], ["x"])
         both = ResidualTables((("mscca", empty), *full.tables), full.sup)
         assert _write_section(tmp_path, both) == (_json_oracle(both), _csv_oracle(both))
+
+    def test_files_get_their_text_table_by_table(self, tmp_path, monkeypatch):
+        # Both writers hand the file its text in pieces: each table's records
+        # are one piece, and no piece holds two tables' records, so neither
+        # the section's text nor the file's is ever one string.
+        section = _section(VALUES, [*LABELS, ""], LABELS, LABELS[:3])
+        payload = {"a": np.arange(3.0), "residuals": section, "z": [{"x": 0.5}]}
+        write_text, written = mscca.archive.write_text, {}
+
+        def recording(path, text):
+            written[path.name] = list(text)
+            write_text(path, written[path.name])
+
+        monkeypatch.setattr(mscca.archive, "write_text", recording)
+        write_json(tmp_path / "s.json", payload)
+        write_csv(tmp_path / "r.csv", RESIDUALS_HEADER, section)
+        for name, method in (("s.json", '"method":"{}"'), ("r.csv", "\n{},")):
+            pieces = written[name]
+            assert "".join(pieces) == (tmp_path / name).read_bytes().decode("utf-8")
+            held = [[m for m, _ in section.tables if method.format(m) in "\n" + piece]
+                    for piece in pieces]
+            assert [tables for tables in held if tables] == [["averaging"], ["mscca"]]
+        assert load_json(tmp_path / "s.json")["a"] == [0.0, 1.0, 2.0]
 
     def test_removal_archive_has_no_section(self, tmp_path, tall_csv):
         argv = ["variants", "--method", "removal", "--input", str(tall_csv),

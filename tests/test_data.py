@@ -26,7 +26,7 @@ from mscca import (
 import mscca.data
 from mscca.cli import main
 from mscca.data import _code_table, moved_counts, stacked_counts
-from mscca.solver import _centered_burt, _direct_objective
+from mscca.solver import _centered_burt, _direct_objective, _table_objective
 from mscca.simulation import GenSpec, SupGenSpec, generate_clustered, generate_supplementary
 from mscca.errors import (
     AssignmentError,
@@ -39,12 +39,14 @@ from mscca.errors import (
 from conftest import (
     cluster_sizes,
     code_table_by_sort,
+    dense_objective,
     encode_columns_by_cell,
     indicator,
     random_assignment,
     random_dataset,
     random_mixed_problem,
     random_problem,
+    random_sup,
     read_csv_by_reader,
     stacked_indicator,
     traced_peak,
@@ -666,6 +668,37 @@ class TestCellReadersMatchDenseIndicator:
         )
         want /= ds.n_obs * sup.n_sup * ds.n_vars
         assert objective_phi(asg, g, b[0], ds) == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def assert_table_objective(rng, ds, sup, spec, starts=4):
+        # the residual sum grouped by the cells of the count table against
+        # the dense residuals; a random assignment may leave a cluster empty
+        for _ in range(starts):
+            asg = random_assignment(rng, sup, spec)
+            g = rng.normal(size=(spec.k_total, 2))
+            b = rng.normal(size=(ds.total_categories, 2))
+            table, _ = stacked_counts(asg.rows[None], spec, ds)
+            got = _table_objective(table[0], g, b, ds, sup.n_sup)
+            assert got == pytest.approx(dense_objective(asg, g, b, ds), rel=1e-12)
+            assert objective_phi(asg, g, b, ds) == got
+
+    def test_table_objective(self, rng):
+        self.assert_table_objective(rng, *unequal_blocks_problem(rng))
+
+    @pytest.mark.parametrize("name", list(PACKING_QS))
+    def test_table_objective_packed(self, rng, packing, name):
+        ds, sup, spec = unequal_blocks_problem(rng, 80, PACKING_QS[name][0])
+        assert len(ds.packed.rows) < ds.n_vars
+        self.assert_table_objective(rng, ds, sup, spec)
+
+    @pytest.mark.parametrize("q", [1017, 1027])
+    def test_table_objective_either_side_of_8192(self, rng, q):
+        # K = 8 cluster rows and Q = q + 3 categories: K Q = 8160 and 8240
+        ds, _, _ = unequal_blocks_problem(rng, 1100, (q, 3))
+        sup = random_sup(rng, 1100, 2, 2)
+        spec = ClusterSpec.uniform(sup, 2)
+        assert (spec.k_total * ds.total_categories > 8192) == (q > 1020)
+        self.assert_table_objective(rng, ds, sup, spec, starts=2)
 
     def test_moved_counts(self, rng):
         # stacked_counts is checked on this dataset by TestClusterCounts

@@ -31,7 +31,7 @@ from mscca import (
 )
 from mscca.errors import EmptyClusterError, ProjectorError, SpecError
 from mscca.linalg import TOL
-from mscca.solver import _centered_burt
+from mscca.solver import _centered_burt, _direct_objective
 from mscca.simulation import GenSpec, SupGenSpec, generate_clustered, generate_supplementary
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     center_columns,
     cluster_sizes,
     dense_constrained_fit,
+    dense_objective,
     fit_mscca_sequential,
     principal_angles,
     random_assignment,
@@ -107,6 +108,23 @@ class TestObjectivePhi:
         b = update_B(asg, ds, 2)
         g = update_G(asg, ds, b)
         assert objective_phi(asg, g, b, ds) == pytest.approx(0.0, abs=1e-12)
+
+    def test_assignment_with_an_empty_cluster(self, rng):
+        # the engine judges repairs with objective_phi, so it takes an
+        # assignment that the count table of cluster_counts refuses
+        ds, sup, spec = random_problem(rng)
+        asg = nonempty_random_assignment(rng, sup, spec)
+        s = next(s for s in range(sup.r[0]) if spec.k_of(0, s) >= 2)
+        clusters = np.array(asg.clusters)
+        clusters[sup.members(0, s), 0] = 0
+        emptied = asg.with_clusters(clusters)
+        with pytest.raises(EmptyClusterError):
+            cluster_counts(emptied, ds)
+        g = rng.normal(size=(spec.k_total, 2))
+        b = rng.normal(size=(ds.total_categories, 2))
+        assert objective_phi(emptied, g, b, ds) == pytest.approx(
+            dense_objective(emptied, g, b, ds), rel=1e-12
+        )
 
 
 class TestPsiValue:
@@ -625,6 +643,21 @@ class TestFitConstrainedMca:
         asg = sol.assignment
         assert fit.quantifications.tobytes() == update_B(asg, ds, 2).tobytes()
 
+    def test_membership_projector_objective_is_the_direct_sum(self, rng):
+        # the objective grouped by count-table cell against the residual sum
+        # over the projected blocks, for clusters and for one group per class
+        for _ in range(5):
+            ds, sup, spec = random_problem(rng, n=40)
+            for source in (
+                nonempty_random_assignment(rng, sup, spec), HierarchicalAssignment.by_class(sup)
+            ):
+                fit = fit_constrained_mca(
+                    ds, ConstraintSpec(kind="membership-projector", source=source), 2
+                )
+                blocks = np.split(fit.scores, source.n_sup)
+                direct = float(_direct_objective(blocks, fit.quantifications, ds))
+                assert fit.objective == pytest.approx(direct, rel=1e-12)
+
     @pytest.mark.parametrize(
         "case", ["identity", "by-class", "projector-off", "membership-projector"]
     )
@@ -1111,6 +1144,22 @@ class TestBatchedEngine:
             events["settled"] += len({n for n in lengths if n < options.max_iter}) > 1
             assert_identical_fits(sol, fit_mscca_sequential(ds, sup, spec, options))
         assert all(events.values()), events
+
+    def test_finals_are_objective_phi_of_the_ends(self):
+        # Each start's final objective, evaluated from the count table its
+        # end record keeps, has the bits of objective_phi at its end, in a
+        # chunk of several starts; the last problem has K Q > 8192.
+        cases = [tiny_problem(np.random.default_rng(seed)) for seed in range(20)]
+        ds, _ = generate_clustered(GenSpec(q=40, k=3, n_obs=2000, n_vars=60, seed=4))
+        sup = generate_supplementary(SupGenSpec(n_sup=2, r=3, seed=5), 2000)
+        cases.append((ds, sup, ClusterSpec.uniform(sup, 3), SolverOptions(n_starts=3, seed=6)))
+        assert cases[-1][2].k_total * ds.total_categories > 8192
+        for ds, sup, spec, options in cases:
+            seeds = np.random.SeedSequence(options.seed).spawn(max(options.n_starts, 3))
+            for end in mscca.solver._run_start(ds, sup, spec, options, seeds):
+                ended = HierarchicalAssignment(sup=sup, spec=spec, clusters=end.clusters)
+                phi = objective_phi(ended, end.centers, end.quantifications, ds)
+                assert end.trace[-1].hex() == phi.hex()
 
     def test_every_end_table_matches_a_recount(self, monkeypatch):
         # Each start's end record holds the count table and sizes of its end
