@@ -105,12 +105,36 @@ def object_scores(dataset: CategoricalDataset, quantifications: np.ndarray) -> n
     variable count, i.e. (1/m) * centered(Z B).  Rows i and i + N of the
     stacked version are identical, so one block carries everything.
 
-    A stack of S quantifications (S x Q x p) gives S x N x p scores."""
+    Each group of packed variables (``CategoricalDataset.packed``) adds
+    one gather by its joint codes, from its rows of B summed per joint
+    code (``_joint_rows``).  Every sum is elementwise, in a fixed order,
+    so the bits do not depend on the BLAS thread count, and a stack of S
+    quantifications (S x Q x p, giving S x N x p) gives each start the
+    bits of the lone start."""
+    packed, q, offsets = dataset.packed, dataset.q, dataset.offsets
     scores = np.zeros((*quantifications.shape[:-2], dataset.n_obs, quantifications.shape[-1]))
-    for row, lo, q in zip(dataset.codes.T, dataset.offsets, dataset.q):
-        scores += np.take(quantifications[..., lo : lo + q, :], row, axis=-2)
+    for row, group in zip(packed.rows, packed.groups):
+        lo, hi = group.start, group.stop
+        scores += np.take(_joint_rows(quantifications, q[lo:hi], offsets[lo:hi]), row, axis=-2)
     scores -= (dataset.column_means @ quantifications)[..., None, :]
     return scores / dataset.n_vars
+
+
+def _joint_rows(
+    quantifications: np.ndarray, q: tuple[int, ...], offsets: np.ndarray
+) -> np.ndarray:
+    """Row w holds the sum, in variable order, of the rows of B of the
+    categories that joint code w of a group of variables stands for: the
+    group's category counts are ``q``, its variables' first columns of Z
+    are ``offsets``, and w is their mixed-radix code (``PackedCodes``).
+    A one-variable group's rows are its own q rows of B."""
+    if len(q) == 1:
+        return quantifications[..., offsets[0] : offsets[0] + q[0], :]
+    columns = np.indices(q).reshape(len(q), -1) + offsets[:, None]
+    rows = quantifications[..., columns[0], :]
+    for column in columns[1:]:
+        rows += quantifications[..., column, :]
+    return rows
 
 
 def objective_phi(
@@ -154,30 +178,6 @@ def _table_objective(
         dist += gap
     dist *= table
     return float(dist.sum()) / (dataset.n_obs * n_stack * dataset.n_vars)
-
-
-def _direct_objective(
-    blocks: list[np.ndarray], quantifications: np.ndarray, dataset: CategoricalDataset
-) -> np.ndarray | float:
-    """(1/(N H m)) sum_j sum_h || blocks[h] - Z_j B_j ||^2 for H per-h
-    N x p score blocks, one variable's quantified rows at a time; for S x
-    N x p blocks and S x Q x p quantifications, one value per start.
-
-    Each difference is squared in place and each start's flattened N p
-    row summed by numpy's ``sum(axis=1)`` over the whole stack: every row
-    is reduced on its own, pairwise, so a start's value has the bits of
-    the lone start's whatever the stack.  No BLAS dot product is used,
-    since its rounding depends on the thread count.
-    """
-    total = np.zeros(quantifications.shape[:-2])
-    per_start = total.reshape(-1)
-    for row, lo, q in zip(dataset.codes.T, dataset.offsets, dataset.q):
-        fitted = np.take(quantifications[..., lo : lo + q, :], row, axis=-2)
-        for block in blocks:
-            diff = block - fitted
-            np.square(diff, out=diff)
-            per_start += diff.reshape(per_start.size, -1).sum(axis=1)
-    return total / (dataset.n_obs * len(blocks) * dataset.n_vars)
 
 
 def psi_value(
@@ -381,13 +381,13 @@ def _check_solve_budget(dataset: CategoricalDataset) -> None:
 
 def _quantify(
     target: np.ndarray, dataset: CategoricalDataset, n_stack: int, p: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(N H m) D^{-1/2} times the top-p eigenvectors of
     (1/m) D^{-1/2} target D^{-1/2}, with H = ``n_stack`` and D the stacked
-    masses (category counts times H).  H cancels out of the result; it
-    only sets the scale of the eigenvalues.  This is the Q x Q solve of
-    the ``identity`` and ``projector-off`` constraints, whose centered
-    Burt target has no low-rank factor.
+    masses (category counts times H), and those p eigenvalues.  H cancels
+    out of both, since ``target`` carries it too.  This is the Q x Q
+    solve of the ``identity`` and ``projector-off`` constraints, whose
+    centered Burt target has no low-rank factor.
 
     ``target`` is consumed: it is scaled in place, so the solve holds two
     Q x Q arrays, it and ``sym_eig_top``'s symmetric part of it.  LAPACK's
@@ -403,7 +403,7 @@ def _quantify(
     target *= d_isqrt[None, :]
     target /= m
     eig = sym_eig_top(target, p)
-    return float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5)
+    return float(np.sqrt(n * n_stack * m)) * mass_scale(eig.vectors, d, -0.5), eig.values
 
 
 def _centered_burt(dataset: CategoricalDataset, n_stack: int) -> np.ndarray:
@@ -865,7 +865,7 @@ class ConstraintSpec:
 class ConstrainedFit(NamedTuple):
     """Result of a row-constrained quantification: the constrained object
     scores (NH x p, one block per supplementary variable), the
-    quantifications, and the directly evaluated objective."""
+    quantifications, and the objective at them."""
 
     scores: np.ndarray
     quantifications: np.ndarray
@@ -879,25 +879,23 @@ def fit_constrained_mca(
 
     Solves min (1/(N H m)) sum_j || C F - Z_j^H B_j ||^2 under the usual
     normalization, with C the projector implied by ``cspec``.  The
-    identity kind reproduces plain multiple correspondence analysis; the
-    reported objective is evaluated from the residuals.  For
-    ``membership-projector`` every residual is a center less a category's
-    quantification, so it is summed per cell of the partition's count
-    table (``_table_objective``); for ``identity`` and ``projector-off``
-    the scores vary by observation, and all N H m residuals are summed
-    (``_direct_objective``).
+    identity kind reproduces plain multiple correspondence analysis.
 
     Every projector is onto the indicators of a partition (the source
     assignment, or one group per class), so the projected scores are the
     group means of the object scores.  ``membership-projector`` solves the
     clustering fit's B-step on the partition's count table
     (``_between_quantify``: a K x K problem, with its centered completion
-    when K - H < p).  ``identity`` and ``projector-off`` solve the Q x Q
-    problem on the centered Burt matrix, less the partition's
-    between-group cross-product for removal.  That solve peaks at about
-    2.5 Q x Q arrays of doubles; when those bytes exceed the machine's
-    physical memory (``_memory_budget``), ``MemoryError`` is raised before
-    any of them is made.
+    when K - H < p); every residual is then a center less a category's
+    quantification, so the objective is summed per cell of that table
+    (``_table_objective``).  ``identity`` and ``projector-off`` solve the
+    Q x Q problem on the centered Burt matrix, less the partition's
+    between-group cross-product for removal; at the solution the residual
+    sum is p less the top p eigenvalues (``_quantify``), whichever of
+    tied eigenvectors is taken.  That solve peaks at about 2.5 Q x Q
+    arrays of doubles; when those bytes exceed the machine's physical
+    memory (``_memory_budget``), ``MemoryError`` is raised before any of
+    them is made.
     """
     kind, source = cspec.kind, cspec.source
     if source is not None and source.n_obs != dataset.n_obs:
@@ -913,26 +911,19 @@ def fit_constrained_mca(
             ) from exc
     SolverOptions(p=p).validate(dataset)
 
-    if kind in ("identity", "projector-off"):
-        _check_solve_budget(dataset)
-        target = _centered_burt(dataset, n_stack)
-        if kind == "projector-off":
-            _subtract_between(target, table, sizes, dataset)
-        quantifications = _quantify(target, dataset, n_stack, p)
-    else:
-        quantifications = _between_quantify(table, sizes, dataset, n_stack, p)
-
-    scores = object_scores(dataset, quantifications)  # (1/m) J Z B, one block
-    blocks = [scores]
-    if partition is not None:
-        means = _centroids(table, sizes, dataset, quantifications)
-        blocks = [means[partition.rows[:, h]] for h in range(n_stack)]
-        if kind == "projector-off":
-            blocks = [scores - block for block in blocks]
     if kind == "membership-projector":  # constant on each cell of the table
+        quantifications = _between_quantify(table, sizes, dataset, n_stack, p)
+        means = _centroids(table, sizes, dataset, quantifications)
         objective = _table_objective(table, means, quantifications, dataset, n_stack)
-    else:
-        objective = float(_direct_objective(blocks, quantifications, dataset))
-    return ConstrainedFit(
-        scores=np.concatenate(blocks), quantifications=quantifications, objective=objective
-    )
+        return ConstrainedFit(means[partition.rows.T].reshape(-1, p), quantifications, objective)
+    _check_solve_budget(dataset)
+    target = _centered_burt(dataset, n_stack)
+    if kind == "projector-off":
+        _subtract_between(target, table, sizes, dataset)
+    quantifications, values = _quantify(target, dataset, n_stack, p)
+    scores = object_scores(dataset, quantifications)  # (1/m) J Z B, one block
+    if kind == "projector-off":
+        means = _centroids(table, sizes, dataset, quantifications)
+        blocks = means[partition.rows.T]  # H x N x p: each observation's class means
+        scores = np.subtract(scores, blocks, out=blocks).reshape(-1, p)
+    return ConstrainedFit(scores, quantifications, float(p - values.sum()))

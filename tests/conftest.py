@@ -415,6 +415,33 @@ def dense_objective(
     return total / (dataset.n_obs * assignment.n_sup * dataset.n_vars)
 
 
+def _direct_objective(
+    blocks: list[np.ndarray], quantifications: np.ndarray, dataset: CategoricalDataset
+) -> np.ndarray | float:
+    """(1/(N H m)) sum_j sum_h || blocks[h] - Z_j B_j ||^2 for H per-h
+    N x p score blocks, one variable's quantified rows at a time; for S x
+    N x p blocks and S x Q x p quantifications, one value per start.
+
+    Each difference is squared in place and each start's flattened N p
+    row summed by numpy's ``sum(axis=1)`` over the whole stack: every row
+    is reduced on its own, pairwise, so a start's value has the bits of
+    the lone start's whatever the stack.  No BLAS dot product is used,
+    since its rounding depends on the thread count.
+
+    The oracle for the ``identity`` and ``projector-off`` objectives of
+    ``fit_constrained_mca``, which are read from the spectrum.
+    """
+    total = np.zeros(quantifications.shape[:-2])
+    per_start = total.reshape(-1)
+    for row, lo, q in zip(dataset.codes.T, dataset.offsets, dataset.q):
+        fitted = np.take(quantifications[..., lo : lo + q, :], row, axis=-2)
+        for block in blocks:
+            diff = block - fitted
+            np.square(diff, out=diff)
+            per_start += diff.reshape(per_start.size, -1).sum(axis=1)
+    return total / (dataset.n_obs * len(blocks) * dataset.n_vars)
+
+
 def update_B_qxq(
     assignment: HierarchicalAssignment, dataset: CategoricalDataset, p: int
 ) -> np.ndarray:
@@ -424,7 +451,7 @@ def update_B_qxq(
     route, and the oracle for the K x K route's kept columns)."""
     table, sizes = cluster_counts(assignment, dataset)
     factor = _between_factor(table, sizes, dataset)
-    return _quantify(factor.T @ factor, dataset, assignment.n_sup, p)
+    return _quantify(factor.T @ factor, dataset, assignment.n_sup, p)[0]
 
 
 def sym_eig_top_full_spectrum(matrix: np.ndarray, p: int) -> SymEigResult:

@@ -26,7 +26,7 @@ from mscca import (
 import mscca.data
 from mscca.cli import main
 from mscca.data import _code_table, moved_counts, stacked_counts
-from mscca.solver import _centered_burt, _direct_objective, _table_objective
+from mscca.solver import _centered_burt, _table_objective
 from mscca.simulation import GenSpec, SupGenSpec, generate_clustered, generate_supplementary
 from mscca.errors import (
     AssignmentError,
@@ -37,6 +37,7 @@ from mscca.errors import (
     SpecError,
 )
 from conftest import (
+    _direct_objective,
     cluster_sizes,
     code_table_by_sort,
     dense_objective,
@@ -646,6 +647,20 @@ class TestCellReadersMatchDenseIndicator:
         b = rng.normal(size=(3, ds.total_categories, 2))
         for got, bs in ((object_scores(ds, b[0]), b[0]), (object_scores(ds, b), b)):
             assert_allclose(got, centered @ bs / ds.n_vars, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("name", list(PACKING_QS))
+    def test_object_scores_packed(self, rng, packing, name):
+        # one gather per packed group, from its rows of B summed per joint
+        # code, against the dense Z; each start of a stack has the lone
+        # start's bytes
+        ds, _, _ = unequal_blocks_problem(rng, 80, PACKING_QS[name][0])
+        assert len(ds.packed.rows) < ds.n_vars
+        centered = z_full(ds) - ds.column_means
+        b = rng.normal(size=(3, ds.total_categories, 2))
+        stacked = object_scores(ds, b)
+        assert_allclose(stacked, centered @ b / ds.n_vars, rtol=1e-12, atol=1e-14)
+        for s in range(3):
+            assert object_scores(ds, b[s]).tobytes() == stacked[s].tobytes()
 
     def test_direct_objective(self, rng):
         ds, sup, spec = unequal_blocks_problem(rng)

@@ -31,10 +31,11 @@ from mscca import (
 )
 from mscca.errors import EmptyClusterError, ProjectorError, SpecError
 from mscca.linalg import TOL
-from mscca.solver import _centered_burt, _direct_objective
+from mscca.solver import _centered_burt
 from mscca.simulation import GenSpec, SupGenSpec, generate_clustered, generate_supplementary
 
 from conftest import (
+    _direct_objective,
     between_spectrum,
     center_columns,
     cluster_sizes,
@@ -657,6 +658,49 @@ class TestFitConstrainedMca:
                 blocks = np.split(fit.scores, source.n_sup)
                 direct = float(_direct_objective(blocks, fit.quantifications, ds))
                 assert fit.objective == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("packs", [False, True])
+    def test_spectrum_objective_is_the_direct_sum(self, rng, packs):
+        # p less the top p eigenvalues against the residual sum over the
+        # fit's scores; 2,000 rows of q = 3 pack three variables per group
+        for _ in range(3):
+            if packs:
+                ds, sup = random_dataset(rng, 2000, 7, 3), random_sup(rng, 2000, 2, 3)
+            else:
+                ds, sup, _ = random_problem(rng, n=40)
+            assert (len(ds.packed.rows) < ds.n_vars) == packs
+            for kind, source in (("identity", None), ("projector-off", sup)):
+                fit = fit_constrained_mca(ds, ConstraintSpec(kind=kind, source=source), 2)
+                blocks = np.split(fit.scores, 1 if source is None else sup.n_sup)
+                direct = float(_direct_objective(blocks, fit.quantifications, ds))
+                assert fit.objective == pytest.approx(direct, rel=1e-14)
+
+    def test_spectrum_objective_on_a_tied_spectrum(self, rng):
+        # Every cell of 3 variables of q = 3 and a class variable of 3
+        # classes, 25 times: the variables and the classes are orthogonal,
+        # so all 6 nontrivial eigenvalues are 1/m and lambda_2 = lambda_3.
+        # Any orthonormal pair from that eigenspace gives the residual sum
+        # p - 2/m.
+        cells = np.indices((3, 3, 3, 3)).reshape(4, -1).T
+        codes = np.tile(cells, (25, 1))
+        ds = CategoricalDataset.from_codes(codes[:, :3], [["a", "b", "c"]] * 3)
+        sup = SupplementaryData(codes[:, 3:], (("x", "y", "z"),), ("s",))
+        assert len(ds.packed.rows) < ds.n_vars
+        d_isqrt = 1.0 / np.sqrt(ds.counts)
+        zc = z_full(ds) - ds.column_means
+        values, vectors = np.linalg.eigh(d_isqrt[:, None] * (zc.T @ zc) * d_isqrt / ds.n_vars)
+        assert_allclose(values[-6:], 1 / 3, rtol=1e-14)
+        want = 2 - 2 / ds.n_vars
+        for kind, source in (("identity", None), ("projector-off", sup)):
+            fit = fit_constrained_mca(ds, ConstraintSpec(kind=kind, source=source), 2)
+            direct = float(_direct_objective([fit.scores], fit.quantifications, ds))
+            assert fit.objective == pytest.approx(direct, rel=1e-14)
+            assert fit.objective == pytest.approx(want, rel=1e-14)
+        for _ in range(3):  # another pair of tied vectors
+            rotation, _ = np.linalg.qr(rng.normal(size=(6, 2)))
+            b = np.sqrt(ds.n_obs * ds.n_vars) * d_isqrt[:, None] * (vectors[:, -6:] @ rotation)
+            direct = float(_direct_objective([object_scores(ds, b)], b, ds))
+            assert direct == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize(
         "case", ["identity", "by-class", "projector-off", "membership-projector"]
@@ -1387,7 +1431,7 @@ class TestChunkedObjective:
         blocks = [rng.normal(size=(5, n_obs, 2)) for _ in range(2)]
         quantifications = rng.normal(size=(5, ds.total_categories, 2))
         lone = [
-            float(mscca.solver._direct_objective([b[s] for b in blocks], quantifications[s], ds))
+            float(_direct_objective([b[s] for b in blocks], quantifications[s], ds))
             for s in range(5)
         ]
 
@@ -1395,7 +1439,7 @@ class TestChunkedObjective:
             raise AssertionError("einsum called")
 
         monkeypatch.setattr(np, "einsum", forbidden)
-        stacked = mscca.solver._direct_objective(blocks, quantifications, ds)
+        stacked = _direct_objective(blocks, quantifications, ds)
         assert [v.hex() for v in stacked.tolist()] == [v.hex() for v in lone]
 
 

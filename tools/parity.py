@@ -156,6 +156,8 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
                      "--out", str(out / name / "fit")])
         cmds.append(["variants", *data, "--method", "removal",
                      "--out", str(out / name / "removal")])
+        if name == "mixed":  # object scores summed over joint codes of several sizes
+            cmds.append(["variants", *data, "--method", "mca", "--out", str(out / name / "mca")])
         if name == "paper":
             cmds.append(["fit", *data, "--k-auto", "--k-max", "4", "--dims", "3",
                          "--starts", "10", "--out", str(out / name / "fit-k-auto-dims-3")])
