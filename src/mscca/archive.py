@@ -2,29 +2,35 @@
 
 Archives are compact JSON with sorted keys and floats rounded to 15
 significant digits, written atomically, so identical (input, config,
-seed) runs produce byte-identical files.  Float arrays are written
-straight from their 15-digit mantissas, in the bytes ``json.dumps`` gives
-their rounded values.  Loading an archive plus the
-original input is enough to rebuild the assignment and re-evaluate the
-objective.  The assignment is stored column by column: per supplementary
-variable its class labels once, then one class code and one cluster
-index per observation.  The residual section (``ResidualTables``) is
-written, in ``solution.json`` and in ``residuals.csv``, straight from its
-tables' K x Q residual arrays, with each label quoted once per table.
+seed) runs produce byte-identical files.  One walk of the payload
+(``_walk``) yields the archive's text in order, piece by piece, so the
+whole text is never held at once.  Float arrays are written straight
+from their 15-digit mantissas, in the bytes ``json.dumps`` gives their
+rounded values.  Loading an archive plus the original input is enough to
+rebuild the assignment and re-evaluate the objective.  The assignment is
+stored column by column: per supplementary variable its class labels
+once, then one class code and one cluster index per observation.
+
+Two sections stay column tables until they are written.  The biplot's
+cluster, class and category points are ``Records``: one column per key,
+written from one float array per float column.  The residual section
+(``ResidualTables``) is written, in ``solution.json`` and in
+``residuals.csv``, straight from its tables' K x Q residual arrays, with
+each label quoted once per table.
 
 This is the only module that builds or reads archive dicts; every export
-reads the biplot section's points through ``biplot_points``.
+reads the biplot section's points through ``biplot_points``, from
+``Records`` in memory or from a reloaded archive's lists alike.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -44,10 +50,10 @@ RESIDUALS_HEADER = ["method", "row", "class", "column", "value"]
 
 # Exact powers of ten (10**22 is the largest a double holds exactly), the
 # Veltkamp splitter 2**27 + 1, and the block length of the vectorized
-# rounding and encoding, which bounds their working memory.
+# encoding and of iterating ``Records``, which bounds their working memory.
 _POW10 = np.array([float(10**k) for k in range(23)])
 _SPLIT = 134217729.0
-_ROUND_BLOCK = 1 << 15
+_ROUND_BLOCK = 1 << 13
 
 
 def _round_one(x: float) -> float:
@@ -94,145 +100,6 @@ def _mantissas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = (p - r) + err
     ok &= (p >= 1e14) & (p < 1e15) & ((p > 1e14) | (err >= 0)) & (np.abs(d) != 0.5)
     return r + (d > 0.5) - (d < -0.5), k, ok
-
-
-def _round_block(x: np.ndarray) -> np.ndarray:
-    """``_round_one`` of every element of a float64 block, bit for bit."""
-    m, k, ok = _mantissas(x)
-    out = np.copysign(m / _POW10[np.clip(k, 0, 22)], x)
-    for i in np.flatnonzero(~ok).tolist():
-        out[i] = _round_one(float(x[i]))
-    return out
-
-
-def _round_array(obj: np.ndarray) -> np.ndarray:
-    """``_round_one`` of every element of a float array, as float64,
-    rounded in blocks of ``_ROUND_BLOCK`` elements."""
-    if obj.dtype.itemsize > 8:
-        flat = [_round_one(x) for x in obj.ravel().tolist()]
-        return np.array(flat, dtype=float).reshape(obj.shape)
-    flat = obj.astype(np.float64).ravel()
-    out = np.empty_like(flat)
-    for lo in range(0, flat.size, _ROUND_BLOCK):
-        out[lo : lo + _ROUND_BLOCK] = _round_block(flat[lo : lo + _ROUND_BLOCK])
-    return out.reshape(obj.shape)
-
-
-def _rounded_lists(obj: np.ndarray) -> list:
-    """``_round_array(obj)`` as nested lists of floats."""
-    return _round_array(obj).tolist()
-
-
-class _Json:
-    """JSON text that a container's text takes as it stands: one string,
-    or the iterable of the pieces it is made of, in order (a residual
-    section, ``_residual_json``)."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str | Iterable[str]) -> None:
-        self.text = text
-
-
-def _dumps(obj: Any) -> str:
-    """Compact sorted-key JSON of a rounded value."""
-    if type(obj) is _Json:
-        return obj.text if type(obj.text) is str else "".join(obj.text)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _pieces(obj: dict | list) -> list[str | _Json]:
-    """The JSON text of a rounded container that is not empty, in order:
-    its punctuation and keys, and each item's text, a ``_Json`` as it
-    stands."""
-    if isinstance(obj, dict):
-        # a key that is not a string is written as json.dumps writes it
-        parts = ["{"]
-        for key, value in sorted(obj.items()):
-            parts += [json.dumps(key if isinstance(key, str) else json.dumps(key)), ":",
-                      value if type(value) is _Json else _dumps(value), ","]
-        parts[-1] = "}"
-    else:
-        parts = ["["]
-        for value in obj:
-            parts += [value if type(value) is _Json else _dumps(value), ","]
-        parts[-1] = "]"
-    return parts
-
-
-def _holds_json(obj: dict | list) -> bool:
-    """Whether a rounded container holds JSON text."""
-    return _Json in map(type, obj.values() if isinstance(obj, dict) else obj)
-
-
-def _joined(obj: dict | list) -> dict | list | _Json:
-    """A rounded container, or its JSON text when it holds JSON text.  The
-    text is one join of the keys, values and punctuation, so no item's text
-    is copied twice."""
-    if not _holds_json(obj):
-        return obj
-    return _Json("".join([part if type(part) is str else _dumps(part) for part in _pieces(obj)]))
-
-
-_ATOMS = {str, int, bool, type(None)}
-
-
-def _round_items(items: list) -> list:
-    """``_round_floats`` of every item of a list.  Floats, records that
-    share their keys, and lists are rounded together: floats in one
-    vectorized pass, records field by field, lists as one flat list."""
-    kinds = set(map(type, items))
-    if kinds <= _ATOMS:
-        return items
-    if all(issubclass(kind, (float, np.floating)) for kind in kinds):
-        return _round_array(np.array(items, dtype=np.float64)).tolist()
-    if kinds == {dict}:
-        keys = list(items[0])
-        if all(list(item) == keys for item in items):
-            fields = [_round_items([item[key] for item in items]) for key in keys]
-            records = [dict(zip(keys, values)) for values in zip(*fields)]
-            if any(_Json in map(type, field) for field in fields):
-                records = list(map(_joined, records))
-            return records
-    if kinds <= {list, tuple}:
-        flat = _round_items([value for item in items for value in item])
-        values = iter(flat)
-        lists = [list(islice(values, len(item))) for item in items]
-        return list(map(_joined, lists)) if _Json in map(type, flat) else lists
-    return [_round_floats(item) for item in items]
-
-
-def _round_floats(obj: Any) -> Any:
-    """Round every float to 15 significant digits, recursively, as
-    ``_round_one`` does; the floats of a list are rounded together
-    (``_round_items``).  A float array becomes its JSON text
-    (``_array_json``), as do an integer array (``_int_json``) and a
-    residual section (``_residual_json``), and every container that holds
-    JSON text becomes JSON text."""
-    if type(obj) is ResidualTables:
-        return _residual_json(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round_one(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            return _array_json(obj)
-        if obj.dtype.kind in "iu":
-            return _int_json(obj)
-        if obj.dtype.kind == "b":
-            return obj.tolist()
-        return _round_floats(obj.tolist())
-    if isinstance(obj, dict):
-        return _joined(_rounded_dict(obj))
-    if isinstance(obj, (list, tuple)):
-        return _joined(_round_items(list(obj)))
-    return obj
-
-
-def _rounded_dict(obj: dict) -> dict:
-    """A dict with every value rounded (``_round_floats``), not joined."""
-    return dict(zip(obj, _round_items(list(obj.values()))))
 
 
 # The text of a float array is built from fixed-width rows of candidate
@@ -330,7 +197,9 @@ def _encode_block(x: np.ndarray, lo: int, shape: tuple[int, ...]) -> str:
     digits are looked up four at a time, and the keep mask of its code
     (exponent, significant-digit count, sign, separator) selects the
     bytes of ``json.dumps(_round_one(x))``.  Elements that are not ``ok``
-    get that expression itself, spliced in before their separator.
+    get that expression's text, from one ``json.dumps`` of all of them
+    split at its commas (a float's text holds none), spliced in before
+    their separators.
     """
     candidates, keeps = _layout(len(shape))
     m, k, ok = _mantissas(x)
@@ -350,42 +219,48 @@ def _encode_block(x: np.ndarray, lo: int, shape: tuple[int, ...]) -> str:
     rows[:, 40] = ord("0") - np.minimum(e, 0)
     keep = np.take(keeps, code, axis=0)
     text = np.compress(keep.ravel(), rows.ravel()).tobytes().decode("ascii")
-    bad = np.flatnonzero(~ok).tolist()
-    if not bad:
+    bad = np.flatnonzero(~ok)
+    if not bad.size:
         return text
     lengths = keep.sum(axis=1)
-    starts = (np.cumsum(lengths) - lengths)[bad].tolist()
-    pieces, done = [], 0
-    for i, start in zip(bad, starts):
-        pieces += [text[done:start], json.dumps(_round_one(float(x[i])))]
-        done = start
-    pieces.append(text[done:])
-    return "".join(pieces)
+    cuts = [0, *(np.cumsum(lengths) - lengths)[bad].tolist(), len(text)]
+    tokens = json.dumps(list(map(_round_one, x[bad].tolist())), separators=(",", ":"))
+    pieces = [text[a:b] for a, b in zip(cuts, cuts[1:])]
+    return "".join(chain.from_iterable(zip(pieces, tokens[1:-1].split(",")))) + pieces[-1]
 
 
-def _array_json(obj: np.ndarray) -> _Json:
-    """The JSON text of the nested lists of ``_round_array(obj)``, encoded
-    in blocks of ``_ROUND_BLOCK`` elements."""
+def _array_json(obj: np.ndarray) -> str:
+    """The JSON text of a float array's nested lists, each element rounded
+    by ``_round_one``, encoded in blocks of ``_ROUND_BLOCK`` elements.  A
+    longdouble or an empty array is rounded one element at a time."""
     if obj.dtype.itemsize > 8 or obj.size == 0:
-        return _Json(_dumps(_rounded_lists(obj)))
+        flat = np.array([_round_one(x) for x in obj.ravel().tolist()], dtype=float)
+        return json.dumps(flat.reshape(obj.shape).tolist(), separators=(",", ":"))
     return _blocks_json(obj, np.float64, _encode_block)
+
+
+def _rows_json(obj: np.ndarray) -> list[str]:
+    """The JSON text of each row of a float matrix with rows, without its
+    brackets: one ``_array_json`` split at its row borders (a float's text
+    holds no bracket)."""
+    return _array_json(obj)[2:-2].split("],[")
 
 
 _INT64 = np.iinfo(np.int64)
 
 
-def _int_json(obj: np.ndarray) -> _Json:
+def _int_json(obj: np.ndarray) -> str:
     """The JSON text of ``obj.tolist()`` for an integer array, encoded in
     blocks of ``_ROUND_BLOCK`` elements (``_encode_ints``).  An empty
     array, or one with a value outside (int64 min, int64 max], is dumped
     from its list."""
     flat = obj.reshape(-1)
     if not obj.size or not _INT64.min < int(flat.min()) <= int(flat.max()) <= _INT64.max:
-        return _Json(_dumps(obj.tolist()))
+        return json.dumps(obj.tolist(), separators=(",", ":"))
     return _blocks_json(obj, np.int64, _encode_ints)
 
 
-def _blocks_json(obj: np.ndarray, dtype: type, encode: Callable[..., str]) -> _Json:
+def _blocks_json(obj: np.ndarray, dtype: type, encode: Callable[..., str]) -> str:
     """The JSON text of an array whose elements, as ``dtype``, ``encode``
     writes with their separators, ``_ROUND_BLOCK`` elements at a time."""
     flat = obj.reshape(-1)
@@ -393,7 +268,7 @@ def _blocks_json(obj: np.ndarray, dtype: type, encode: Callable[..., str]) -> _J
     for lo in range(0, flat.size, _ROUND_BLOCK):
         pieces.append(encode(flat[lo : lo + _ROUND_BLOCK].astype(dtype), lo, obj.shape))
     pieces.append("]" * obj.ndim)
-    return _Json("".join(pieces))
+    return "".join(pieces)
 
 
 def _encode_ints(x: np.ndarray, lo: int, shape: tuple[int, ...]) -> str:
@@ -444,28 +319,48 @@ def write_text(path: Path, text: str | Iterable[str]) -> None:
 def write_json(path: str | Path, payload: dict) -> None:
     """Serialize as compact JSON with sorted keys and atomic replace: the
     text ``json.dumps(sort_keys=True)`` gives the payload with every float
-    rounded by ``_round_one``, with every float array written straight
-    from its mantissas and every integer array from its digits.
-
-    The top-level dict's text is written piece by piece (``_pieces``), and
-    a residual section table by table, so neither the archive's text nor
-    the section's is ever joined whole."""
-    rounded = _rounded_dict(payload)
-    parts = [*(_pieces(rounded) if _holds_json(rounded) else [_dumps(rounded)]), "\n"]
-    del rounded  # the values' objects go once their text is made
-    write_text(Path(path), _streamed(parts))
+    rounded by ``_round_one``, written piece by piece as ``_walk`` yields
+    it."""
+    write_text(Path(path), chain(_walk(payload), ["\n"]))
 
 
-def _streamed(parts: list[str | _Json]) -> Iterator[str]:
-    """The strings of ``_pieces``, each ``_Json`` made of pieces given
-    piece by piece."""
-    for part in parts:
-        if type(part) is str:
-            yield part
-        elif type(part.text) is str:
-            yield part.text
+def _walk(obj: Any) -> Iterator[str]:
+    """The archive text of a value, in pieces, in order.  Dict keys are
+    sorted, and a key that is not a string is written as ``json.dumps``
+    writes it; lists and tuples are walked item by item.  A float array
+    is written from its mantissas (``_array_json``), an integer array
+    from its digits (``_int_json``), a ``Records`` table from its columns
+    and a residual section table by table.  Every other float is
+    ``_round_one`` of it, and every other leaf its ``json.dumps``."""
+    if isinstance(obj, dict):
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            yield f"{sep}{json.dumps(key if isinstance(key, str) else json.dumps(key))}:"
+            yield from _walk(value)
+            sep = ","
+        yield "}" if obj else "{}"
+    elif isinstance(obj, (list, tuple)):
+        sep = "["
+        for value in obj:
+            yield sep
+            yield from _walk(value)
+            sep = ","
+        yield "]" if obj else "[]"
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            yield _array_json(obj)
+        elif obj.dtype.kind in "iu":
+            yield _int_json(obj)
         else:
-            yield from part.text
+            yield from _walk(obj.tolist())
+    elif type(obj) is Records:
+        yield _records_json(obj)
+    elif type(obj) is ResidualTables:
+        yield from _residual_json(obj)
+    elif isinstance(obj, (float, np.floating)):
+        yield json.dumps(_round_one(float(obj)))
+    else:
+        yield json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
 
 
 def load_json(path: str | Path) -> dict:
@@ -474,11 +369,11 @@ def load_json(path: str | Path) -> dict:
 
 
 def write_csv(
-    path: str | Path, header: Sequence[str], rows: Sequence[Sequence] | ResidualTables
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence] | ResidualTables
 ) -> None:
-    """CSV writer with the archive float convention and atomic replace.  A
-    residual section is written from its tables' arrays
-    (``_residual_csv``)."""
+    """CSV writer with the archive float convention and atomic replace.
+    Rows are written one at a time as they come, and a residual section
+    from its tables' arrays (``_residual_csv``)."""
 
     def cell(value: Any) -> str:
         if value is None:
@@ -487,15 +382,12 @@ def write_csv(
             return f"{float(value):.15g}"
         return str(value)
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    writer = csv.writer(_Echo(), lineterminator="\n")
     if type(rows) is ResidualTables:
-        write_text(Path(path), chain([buffer.getvalue()], _residual_csv(rows)))
-        return
-    for row in rows:
-        writer.writerow([cell(v) for v in row])
-    write_text(Path(path), buffer.getvalue())
+        lines = _residual_csv(rows)
+    else:
+        lines = (writer.writerow([cell(v) for v in row]) for row in rows)
+    write_text(Path(path), chain([writer.writerow(header)], lines))
 
 
 def assignment_columns(assignment: HierarchicalAssignment) -> dict:
@@ -557,17 +449,57 @@ def truth_archive(truth: HierarchicalAssignment) -> dict:
     return {"format": ARCHIVE_FORMAT, **assignment_columns(truth)}
 
 
-def category_points(labels: Sequence[str], masses: np.ndarray, coords: np.ndarray) -> list[dict]:
+class Records:
+    """A table of records held as columns: each key maps to a float array
+    with one row per record (a row of several values is that record's
+    list) or to a sequence of labels, integers or None.  Iterating it
+    yields each record as a dict of Python values, as a reloaded archive
+    lists them; ``_walk`` writes it as that list of records (keys sorted),
+    each float column from one ``_array_json``."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, Any]) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __iter__(self) -> Iterator[dict]:
+        keys = list(self.columns)
+        for lo in range(0, len(self), _ROUND_BLOCK):
+            block = [column[lo : lo + _ROUND_BLOCK] for column in self.columns.values()]
+            values = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            yield from (dict(zip(keys, row)) for row in zip(*values))
+
+
+def _records_json(records: Records) -> str:
+    """The JSON list of a ``Records`` table's records, keys sorted."""
+    if not len(records):
+        return "[]"
+    keys = sorted(records.columns)
+    texts = []
+    for key in keys:
+        column = records.columns[key]
+        if not isinstance(column, np.ndarray):
+            texts.append(list(map(json.dumps, column)))
+        else:
+            lines = _rows_json(column.reshape(len(column), -1))
+            texts.append(lines if column.ndim == 1 else [f"[{line}]" for line in lines])
+    heads = [f"{json.dumps(key)}:" for key in keys]
+    rows = [",".join(map(str.__add__, heads, row)) for row in zip(*texts)]
+    del texts  # the column texts go before the records are joined
+    return "[{" + "},{".join(rows) + "}]"
+
+
+def category_points(labels: Sequence[str], masses: np.ndarray, coords: np.ndarray) -> Records:
     """The biplot's category points: label, mass and coordinates."""
-    return [
-        {"label": label, "mass": float(mass), "coords": [float(v) for v in row]}
-        for label, mass, row in zip(labels, masses, coords)
-    ]
+    return Records({"label": list(labels), "mass": masses, "coords": coords})
 
 
 def _class_points(
     model: BiplotModel, centers_by_row: np.ndarray, sup: SupplementaryData
-) -> list[dict]:
+) -> Records:
     """Mass-weighted class centroids in display coordinates.
 
     A class's point is gamma * sqrt(class mass) times the mass-weighted
@@ -582,11 +514,11 @@ def _class_points(
     np.add.at(mass, index, model.row_masses)
     np.add.at(weighted, index, model.row_masses[:, None] * centers_by_row)
     coords = model.gamma * np.sqrt(mass)[:, None] * (weighted / mass[:, None])
-    return [
-        {"h": h, "s": s, "label": sup.labels[h][s], "coords": [float(v) for v in coords[c]],
-         "mass": float(mass[c]), "size": None}
-        for c, (h, s) in enumerate(classes)
-    ]
+    return Records({
+        "h": [h for h, _s in classes], "s": [s for _h, s in classes],
+        "label": [sup.labels[h][s] for h, s in classes], "coords": coords, "mass": mass,
+        "size": [None] * len(classes),
+    })
 
 
 def build_archive(
@@ -606,21 +538,17 @@ def build_archive(
     sup = assignment.sup
     centers_by_row = solution.centers[model.rows]
     class_sizes = [sup.class_sizes(h) for h in range(sup.n_sup)]
-    rows = []
-    for i, (h, s, k) in enumerate(model.row_index):
-        size = int(model.sizes[i])
-        rows.append(
-            {
-                "label": model.row_labels[i],
-                "variable": sup.names[h],
-                "class": sup.labels[h][s],
-                "cluster": int(k),
-                "size": size,
-                "share": size / int(class_sizes[h][s]),
-                "mass": float(model.row_masses[i]),
-                "coords": [float(v) for v in model.row_coords[i]],
-            }
-        )
+    index = model.row_index
+    rows = Records({
+        "label": list(model.row_labels),
+        "variable": [sup.names[h] for h, _s, _k in index],
+        "class": [sup.labels[h][s] for h, s, _k in index],
+        "cluster": [int(k) for _h, _s, k in index],
+        "size": model.sizes.tolist(),
+        "share": model.sizes / np.array([class_sizes[h][s] for h, s, _k in index], dtype=float),
+        "mass": model.row_masses,
+        "coords": model.row_coords,
+    })
     return {
         "format": ARCHIVE_FORMAT,
         "version": __version__,
@@ -649,8 +577,8 @@ def class_points_only(archive: dict) -> None:
     """Rewrite an averaging fit's archive in place: its rows are whole
     classes (one cluster per class), exported as class points only."""
     biplot = archive["biplot"]
-    keep = ("label", "coords", "mass", "size")
-    biplot["classes"] = [{key: rec[key] for key in keep} for rec in biplot["clusters"]]
+    columns = biplot["clusters"].columns
+    biplot["classes"] = Records({key: columns[key] for key in ("label", "coords", "mass", "size")})
     biplot["clusters"] = []
 
 
@@ -688,18 +616,18 @@ def biplot_points(archive: dict) -> Iterator[tuple[str, dict]]:
 
 
 def coords_header(archive: dict) -> list[str]:
-    categories = archive["biplot"]["categories"]
-    p = len(categories[0]["coords"]) if categories else 2
+    first = next(iter(archive["biplot"]["categories"]), None)
+    p = 2 if first is None else len(first["coords"])
     return ["point_kind", "label", *[f"dim{i + 1}" for i in range(p)], "mass", "size"]
 
 
-def coords_rows(archive: dict) -> list[list]:
+def coords_rows(archive: dict) -> Iterator[list]:
     """Flatten an archive's points to the coordinate export schema:
-    (point_kind, label, dim1..dimp, mass, size)."""
-    return [
+    (point_kind, label, dim1..dimp, mass, size), one row at a time."""
+    return (
         [kind, rec["label"], *rec["coords"], rec["mass"], rec.get("size")]
         for kind, rec in biplot_points(archive)
-    ]
+    )
 
 
 class ResidualTables:
@@ -708,7 +636,7 @@ class ResidualTables:
     align their rows.  It lists one record per cell, table by table and
     row by row: method, row label, class label, column label and value.
     The class label maps an averaging row to the cluster rows that
-    partition it.  ``_round_floats`` writes the records as JSON objects
+    partition it.  ``_walk`` writes the records as JSON objects
     (``_residual_json``) and ``write_csv`` as CSV rows (``_residual_csv``),
     both from each model's ``residuals`` array; ``len`` counts the cells."""
 
@@ -735,21 +663,17 @@ class ResidualTables:
                 yield quote(method), rows, list(map(quote, model.col_labels)), model.residuals
 
 
-def _residual_json(section: ResidualTables) -> _Json:
+def _residual_json(section: ResidualTables) -> Iterator[str]:
     """The JSON list of a residual section's records, keys sorted, as
     pieces made when they are read: one per table with cells, and the
-    punctuation.  The value texts of a table come from one ``_array_json``
-    call, split at its commas (a float's text holds none)."""
-
-    def pieces() -> Iterator[str]:
-        yield "["
-        for i, table in enumerate(section.quoted(json.dumps)):
-            if i:
-                yield ","
-            yield _residual_table_json(*table)
-        yield "]"
-
-    return _Json(pieces())
+    punctuation.  The value texts of a table come from ``_rows_json``,
+    each row split at its commas (a float's text holds none)."""
+    yield "["
+    for i, table in enumerate(section.quoted(json.dumps)):
+        if i:
+            yield ","
+        yield _residual_table_json(*table)
+    yield "]"
 
 
 def _residual_table_json(
@@ -757,7 +681,7 @@ def _residual_table_json(
 ) -> str:
     """The records of one residual table, labels already quoted, joined
     by commas."""
-    texts = _array_json(residuals).text[2:-2].split("],[")
+    texts = _rows_json(residuals)
     cells = []
     for (row, label), values in zip(rows, texts):
         head, tail = f'{{"class":{label},"column":', f',"method":{method},"row":{row},"value":'
@@ -822,7 +746,7 @@ def biplot_svg(archive: Any) -> str:
     if not isinstance(biplot, dict) or not biplot.get("categories"):
         raise ConfigError("archive holds no biplot coordinates")
     try:
-        p = len(biplot["categories"][0]["coords"])
+        p = len(next(iter(biplot["categories"]))["coords"])
         if p != 2:
             raise ExportError(f"SVG export needs 2-dimensional coordinates, archive has p={p}")
         points = []

@@ -28,6 +28,7 @@ from mscca import (
     repair_empty_clusters,
     update_U,
 )
+from mscca.archive import Records
 from mscca.errors import (
     EmptyClusterError,
     MissingValueError,
@@ -201,7 +202,14 @@ def read_csv_by_reader(
 
 def round_floats_recursive(obj: Any) -> Any:
     """Oracle for the archive rounding: every float to 15 significant
-    digits, one element at a time."""
+    digits, one element at a time.  A ``Records`` table becomes its list
+    of records, read from its columns one element at a time."""
+    if type(obj) is Records:
+        n = len(next(iter(obj.columns.values()), ()))
+        return [
+            {key: round_floats_recursive(column[i]) for key, column in obj.columns.items()}
+            for i in range(n)
+        ]
     if isinstance(obj, float):
         return float(f"{obj:.15g}")
     if isinstance(obj, (np.floating,)):

@@ -28,9 +28,8 @@ from mscca.archive import (
     ARCHIVE_FORMAT,
     RESIDUALS_HEADER,
     ResidualTables,
-    _dumps,
-    _round_floats,
     _round_one,
+    _walk,
     assignment_from_archive,
     load_json,
     residual_rows,
@@ -188,12 +187,12 @@ class TestArchiveFormat:
 
 
 def _text(values):
-    """The archive text of ``values`` as ``_round_floats`` rounds them."""
-    return _dumps(_round_floats(values)) + "\n"
+    """The archive text of ``values`` as ``_walk`` writes it."""
+    return "".join(_walk(values)) + "\n"
 
 
 class TestVectorizedRounding:
-    """``_round_floats`` on float arrays against the per-element oracle
+    """``_walk`` on float arrays against the per-element oracle
     ``round_floats_recursive``, compared as JSON text (``_oracle_text``):
     equal text means equal floats, the sign of zero included."""
 
@@ -429,18 +428,18 @@ class TestCliArchivesMatchOracle:
 
     def test_fit_archive(self, tmp_path, tall_csv, monkeypatch):
         calls = []
-        real = archive._round_floats
+        real = archive._walk
 
         def counted(*args):
             calls.append(None)
             return real(*args)
 
-        monkeypatch.setattr(archive, "_round_floats", counted)
+        monkeypatch.setattr(archive, "_walk", counted)
         k = [x for s in ("s1", "s2") for c in ("c0", "c1", "c2") for x in ("--k", f"{s}:{c}:2")]
         argv = ["fit", *k, "--starts", "1", "--max-iter", "3"]
         payload = self._run(tall_csv, tmp_path, argv, monkeypatch)
         assert len(payload["residuals"]) == (6 + 12) * 32
-        # records, their float fields and lists are rounded together, not leaf by leaf
+        # point records are written column by column, not walked record by record
         assert 0 < len(calls) < 100
 
     def test_fit_archive_of_quoted_labels(self, tmp_path, monkeypatch):
@@ -578,7 +577,7 @@ class TestResidualWriters:
         empty = _model([], ["c"], [], np.zeros((0, 1)))
         section = ResidualTables((("mscca", empty),), sup)
         assert not section
-        assert _dumps(_round_floats({"residuals": section})) == '{"residuals":[]}'
+        assert "".join(_walk({"residuals": section})) == '{"residuals":[]}'
         full = _section([0.5], ["r"], ["c"], ["x"])
         both = ResidualTables((("mscca", empty), *full.tables), full.sup)
         assert _write_section(tmp_path, both) == (_json_oracle(both), _csv_oracle(both))

@@ -18,7 +18,16 @@ from hypothesis import strategies as st
 
 import mscca
 from mscca import ClusterSpec, objective_phi, read_csv_dataset
-from mscca.archive import assignment_from_archive, load_json
+from mscca.archive import (
+    Records,
+    assignment_from_archive,
+    biplot_svg,
+    coords_header,
+    coords_rows,
+    load_json,
+    write_csv,
+    write_json,
+)
 from mscca.cli import main
 
 
@@ -81,6 +90,18 @@ class TestFit:
             if rec["variable"] == "Gender" and rec["class"] == "Male"
         ]
         assert len(male_rows) == 3
+
+    def test_cluster_shares_are_sizes_over_class_sizes(self, illustration_csv, tmp_path):
+        assert run_fit(illustration_csv, tmp_path / "out") == 0
+        clusters = load_json(tmp_path / "out" / "solution.json")["biplot"]["clusters"]
+        # a class's clusters partition it, so their sizes sum to its size
+        totals = {}
+        for rec in clusters:
+            key = (rec["variable"], rec["class"])
+            totals[key] = totals.get(key, 0) + rec["size"]
+        for rec in clusters:
+            share = rec["size"] / totals[rec["variable"], rec["class"]]
+            assert rec["share"] == float(f"{share:.15g}") and 0 < share < 1
 
     def test_archive_reproduces_objective(self, illustration_csv, tmp_path):
         out = tmp_path / "out"
@@ -475,6 +496,41 @@ class TestExportSvg:
         )
         assert code == 0
         assert svg_path.exists()
+
+    @pytest.mark.parametrize(
+        "command, kinds",
+        [
+            (["fit", *ILLUSTRATION_K], {"cluster", "class", "category"}),
+            (["variants", "--method", "averaging"], {"class", "category"}),
+            (["variants", "--method", "removal"], {"category"}),
+        ],
+        ids=["fit", "averaging", "removal"],
+    )
+    def test_in_memory_and_reloaded_points_export_alike(
+        self, illustration_csv, tmp_path, monkeypatch, command, kinds
+    ):
+        # the points of the archive handed to write_json are column tables;
+        # those of the reloaded solution.json are lists of records
+        payloads = []
+
+        def spy(path, payload):
+            payloads.append(payload)
+            write_json(path, payload)
+
+        monkeypatch.setattr(mscca.cli, "write_json", spy)
+        out = tmp_path / "out"
+        argv = [*command, "--input", str(illustration_csv),
+                "--sup-cols", "Nationality,Gender", "--out", str(out)]
+        assert main(argv) == 0
+        (in_memory,) = payloads
+        assert isinstance(in_memory["biplot"]["categories"], Records)
+        exports = []
+        for name, archive in (("memory", in_memory), ("reloaded", load_json(out / "solution.json"))):
+            path = tmp_path / f"{name}.csv"
+            write_csv(path, coords_header(archive), coords_rows(archive))
+            exports.append((path.read_bytes(), biplot_svg(archive)))
+            assert {row[0] for row in coords_rows(archive)} == kinds
+        assert exports[0] == exports[1]
 
     def test_three_dim_archive_exit_4(self, illustration_csv, tmp_path):
         out = tmp_path / "out"

@@ -127,6 +127,9 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
         ["illustrate", "--out", str(out / "illustrate")],
         ["fit", *illustration, *ILLUSTRATION_K, "--starts", "20", "--seed", "0", *ALL_EXPORTS,
          "--out", str(out / "fit")],
+        # biplot points read back from a reloaded archive's lists of records
+        ["export-svg", "--archive", str(out / "fit" / "solution.json"),
+         "--out", str(out / "export-svg" / "biplot.svg")],
         ["fit", *illustration, "--k-auto", "--k-max", "4", "--starts", "5", *ALL_EXPORTS,
          "--out", str(out / "fit-k-auto")],
         # p = 3, where the assignment step's running-sum distances can round
