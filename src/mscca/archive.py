@@ -16,7 +16,9 @@ cluster, class and category points are ``Records``: one column per key,
 written from one float array per float column.  The residual section
 (``ResidualTables``) is written, in ``solution.json`` and in
 ``residuals.csv``, straight from its tables' K x Q residual arrays, with
-each label quoted once per table.
+each label quoted once per table or row.  Both sections' text is made and
+written a block of at most ``_ROUND_BLOCK`` (8,192) records at a time, so
+no piece of it holds more records than that.
 
 This is the only module that builds or reads archive dicts; every export
 reads the biplot section's points through ``biplot_points``, from
@@ -50,7 +52,8 @@ RESIDUALS_HEADER = ["method", "row", "class", "column", "value"]
 
 # Exact powers of ten (10**22 is the largest a double holds exactly), the
 # Veltkamp splitter 2**27 + 1, and the block length of the vectorized
-# encoding and of iterating ``Records``, which bounds their working memory.
+# encoding and of the record sections' text, which bounds their working
+# memory.
 _POW10 = np.array([float(10**k) for k in range(23)])
 _SPLIT = 134217729.0
 _ROUND_BLOCK = 1 << 13
@@ -240,10 +243,13 @@ def _array_json(obj: np.ndarray) -> str:
 
 
 def _rows_json(obj: np.ndarray) -> list[str]:
-    """The JSON text of each row of a float matrix with rows, without its
-    brackets: one ``_array_json`` split at its row borders (a float's text
-    holds no bracket)."""
-    return _array_json(obj)[2:-2].split("],[")
+    """The JSON text of each row of a nonempty 1- or 2-dimensional float
+    array: one ``_array_json`` split at its top-level commas (a float's
+    text holds no comma and no bracket)."""
+    text = _array_json(obj)[1:-1]
+    if obj.ndim == 1:
+        return text.split(",")
+    return [f"[{row}]" for row in text[1:-1].split("],[")]
 
 
 _INT64 = np.iinfo(np.int64)
@@ -329,23 +335,15 @@ def _walk(obj: Any) -> Iterator[str]:
     sorted, and a key that is not a string is written as ``json.dumps``
     writes it; lists and tuples are walked item by item.  A float array
     is written from its mantissas (``_array_json``), an integer array
-    from its digits (``_int_json``), a ``Records`` table from its columns
-    and a residual section table by table.  Every other float is
+    from its digits (``_int_json``), and a ``Records`` table and a
+    residual section a block of records at a time.  Every other float is
     ``_round_one`` of it, and every other leaf its ``json.dumps``."""
     if isinstance(obj, dict):
-        sep = "{"
-        for key, value in sorted(obj.items()):
-            yield f"{sep}{json.dumps(key if isinstance(key, str) else json.dumps(key))}:"
-            yield from _walk(value)
-            sep = ","
-        yield "}" if obj else "{}"
+        keys = {key: json.dumps(key if isinstance(key, str) else json.dumps(key)) for key in obj}
+        members = (chain([f"{keys[key]}:"], _walk(value)) for key, value in sorted(obj.items()))
+        yield from _listed(members, "{}")
     elif isinstance(obj, (list, tuple)):
-        sep = "["
-        for value in obj:
-            yield sep
-            yield from _walk(value)
-            sep = ","
-        yield "]" if obj else "[]"
+        yield from _listed(map(_walk, obj))
     elif isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
             yield _array_json(obj)
@@ -354,13 +352,25 @@ def _walk(obj: Any) -> Iterator[str]:
         else:
             yield from _walk(obj.tolist())
     elif type(obj) is Records:
-        yield _records_json(obj)
+        yield from _listed(zip(_records_json(obj)))  # each block of records is one item
     elif type(obj) is ResidualTables:
-        yield from _residual_json(obj)
+        yield from _listed(zip(_residual_json(obj)))
     elif isinstance(obj, (float, np.floating)):
         yield json.dumps(_round_one(float(obj)))
     else:
         yield json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
+
+
+def _listed(items: Iterable[Iterable[str]], brackets: str = "[]") -> Iterator[str]:
+    """The JSON list (or object, with ``brackets`` "{}") of items given as
+    the pieces of their text: the opening bracket, the items' pieces with
+    ``,`` between items, and the closing bracket."""
+    sep = brackets[0]
+    for item in items:
+        yield sep
+        yield from item
+        sep = ","
+    yield brackets[1] if sep == "," else brackets
 
 
 def load_json(path: str | Path) -> dict:
@@ -414,7 +424,8 @@ def assignment_from_archive(archive: dict, sup: SupplementaryData) -> Hierarchic
     ``solution`` key) or a ``truth.json`` (at the top level).
 
     Raises ``ConfigError`` for an archive of another format, and
-    ``ShapeError`` when its variables or classes disagree with ``sup``.
+    ``ShapeError`` when its variables, classes or cluster counts disagree
+    with ``sup``, or a class code, cluster index or count is not an integer.
     """
     found = archive.get("format") if isinstance(archive, dict) else None
     if found != ARCHIVE_FORMAT:
@@ -424,11 +435,17 @@ def assignment_from_archive(archive: dict, sup: SupplementaryData) -> Hierarchic
     if names != sup.names:
         raise ShapeError(f"archived variables {list(names)} do not match input {list(sup.names)}")
     clusters = np.empty((sup.n_obs, sup.n_sup), dtype=np.int64)
+    counts = stored["cluster_counts"]
+    if len(counts) != sup.n_sup:
+        raise ShapeError(f"archive holds counts of {len(counts)} variables, not {sup.n_sup}")
     for h, col in enumerate(stored["assignment"]):
-        codes = np.asarray(col["class_codes"], dtype=np.int64)
+        codes = _integers(col["class_codes"], names[h], "class codes")
+        found = _integers(col["clusters"], names[h], "clusters")
         classes = col["classes"]
-        if codes.shape != (sup.n_obs,) or len(col["clusters"]) != sup.n_obs:
+        if codes.shape != (sup.n_obs,) or found.shape != (sup.n_obs,):
             raise ShapeError(f"variable {names[h]!r}: archive does not hold {sup.n_obs} rows")
+        if _integers(counts[h], names[h], "cluster counts").shape != (sup.r[h],):
+            raise ShapeError(f"variable {names[h]!r}: archive does not hold {sup.r[h]} counts")
         if codes.min() < 0 or codes.max() >= len(classes):
             raise ShapeError(f"variable {names[h]!r}: class codes outside [0, {len(classes)})")
         position = {label: s for s, label in enumerate(sup.labels[h])}
@@ -438,9 +455,18 @@ def assignment_from_archive(archive: dict, sup: SupplementaryData) -> Hierarchic
             i = int(np.flatnonzero(bad)[0])
             label = classes[codes[i]]
             raise ShapeError(f"observation {i}: archived class {label!r} does not match input")
-        clusters[:, h] = col["clusters"]
-    spec = ClusterSpec(tuple(tuple(row) for row in stored["cluster_counts"]))
+        clusters[:, h] = found
+    spec = ClusterSpec(tuple(tuple(row) for row in counts))
     return HierarchicalAssignment(sup=sup, spec=spec, clusters=clusters)
+
+
+def _integers(values: Any, variable: str, what: str) -> np.ndarray:
+    """An archived list of integers as an int64 array; ``ShapeError``
+    naming the variable when a value is not an integer."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ShapeError(f"variable {variable!r}: {what} are not all integers")
+    return array.astype(np.int64)
 
 
 def truth_archive(truth: HierarchicalAssignment) -> dict:
@@ -455,7 +481,7 @@ class Records:
     list) or to a sequence of labels, integers or None.  Iterating it
     yields each record as a dict of Python values, as a reloaded archive
     lists them; ``_walk`` writes it as that list of records (keys sorted),
-    each float column from one ``_array_json``."""
+    a block of records at a time (``_records_json``)."""
 
     __slots__ = ("columns",)
 
@@ -466,30 +492,26 @@ class Records:
         return len(next(iter(self.columns.values()), ()))
 
     def __iter__(self) -> Iterator[dict]:
-        keys = list(self.columns)
+        for block in self.blocks():
+            values = [c.tolist() if isinstance(c, np.ndarray) else c for c in block.values()]
+            yield from (dict(zip(block, row)) for row in zip(*values))
+
+    def blocks(self) -> Iterator[dict[str, Any]]:
+        """The table's columns sliced to blocks of ``_ROUND_BLOCK`` records."""
         for lo in range(0, len(self), _ROUND_BLOCK):
-            block = [column[lo : lo + _ROUND_BLOCK] for column in self.columns.values()]
-            values = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-            yield from (dict(zip(keys, row)) for row in zip(*values))
+            yield {key: column[lo : lo + _ROUND_BLOCK] for key, column in self.columns.items()}
 
 
-def _records_json(records: Records) -> str:
-    """The JSON list of a ``Records`` table's records, keys sorted."""
-    if not len(records):
-        return "[]"
-    keys = sorted(records.columns)
-    texts = []
-    for key in keys:
-        column = records.columns[key]
-        if not isinstance(column, np.ndarray):
-            texts.append(list(map(json.dumps, column)))
-        else:
-            lines = _rows_json(column.reshape(len(column), -1))
-            texts.append(lines if column.ndim == 1 else [f"[{line}]" for line in lines])
-    heads = [f"{json.dumps(key)}:" for key in keys]
-    rows = [",".join(map(str.__add__, heads, row)) for row in zip(*texts)]
-    del texts  # the column texts go before the records are joined
-    return "[{" + "},{".join(rows) + "}]"
+def _records_json(records: Records) -> Iterator[str]:
+    """The JSON objects of a ``Records`` table's records, keys sorted,
+    one piece per block of records, joined by commas; a float column's
+    texts come from ``_rows_json``."""
+    heads = {key: f"{json.dumps(key)}:" for key in sorted(records.columns)}
+    for block in records.blocks():
+        texts = [_rows_json(c) if isinstance(c, np.ndarray) else list(map(json.dumps, c))
+                 for c in map(block.get, heads)]
+        yield ",".join(["{" + ",".join(map(str.__add__, heads.values(), row)) + "}"
+                        for row in zip(*texts)])
 
 
 def category_points(labels: Sequence[str], masses: np.ndarray, coords: np.ndarray) -> Records:
@@ -638,7 +660,8 @@ class ResidualTables:
     The class label maps an averaging row to the cluster rows that
     partition it.  ``_walk`` writes the records as JSON objects
     (``_residual_json``) and ``write_csv`` as CSV rows (``_residual_csv``),
-    both from each model's ``residuals`` array; ``len`` counts the cells."""
+    both from each model's ``residuals`` array through ``blocks``; ``len``
+    counts the cells."""
 
     __slots__ = ("tables", "sup")
 
@@ -649,46 +672,31 @@ class ResidualTables:
     def __len__(self) -> int:
         return sum(model.residuals.size for _method, model in self.tables)
 
-    def quoted(
+    def blocks(
         self, quote: Callable[[str], str]
-    ) -> Iterator[tuple[str, list[tuple[str, str]], list[str], np.ndarray]]:
-        """Per table with cells: its method, its (row, class) labels and
-        its column labels, each passed through ``quote`` once, and its
-        residual array."""
+    ) -> Iterator[tuple[str, str, str, list[str], np.ndarray]]:
+        """Each table row in order, in blocks of at most ``_ROUND_BLOCK``
+        cells: the method, row label, class label and column labels, each
+        passed through ``quote`` once per table or row, and the block's
+        residuals."""
         labels = self.sup.labels
         for method, model in self.tables:
-            if model.residuals.size:
-                rows = [(quote(row), quote(labels[h][s]))
-                        for row, (h, s, _k) in zip(model.row_labels, model.row_index)]
-                yield quote(method), rows, list(map(quote, model.col_labels)), model.residuals
+            method, columns = quote(method), list(map(quote, model.col_labels))
+            for row, (h, s, _k), values in zip(model.row_labels, model.row_index, model.residuals):
+                row, label = quote(row), quote(labels[h][s])
+                for lo in range(0, len(columns), _ROUND_BLOCK):
+                    hi = lo + _ROUND_BLOCK
+                    yield method, row, label, columns[lo:hi], values[lo:hi]
 
 
 def _residual_json(section: ResidualTables) -> Iterator[str]:
-    """The JSON list of a residual section's records, keys sorted, as
-    pieces made when they are read: one per table with cells, and the
-    punctuation.  The value texts of a table come from ``_rows_json``,
-    each row split at its commas (a float's text holds none)."""
-    yield "["
-    for i, table in enumerate(section.quoted(json.dumps)):
-        if i:
-            yield ","
-        yield _residual_table_json(*table)
-    yield "]"
-
-
-def _residual_table_json(
-    method: str, rows: list[tuple[str, str]], columns: list[str], residuals: np.ndarray
-) -> str:
-    """The records of one residual table, labels already quoted, joined
-    by commas."""
-    texts = _rows_json(residuals)
-    cells = []
-    for (row, label), values in zip(rows, texts):
+    """The JSON objects of a residual section's records, keys sorted, one
+    piece per block of ``ResidualTables.blocks``, joined by commas; the
+    value texts come from ``_rows_json``."""
+    for method, row, label, columns, values in section.blocks(json.dumps):
         head, tail = f'{{"class":{label},"column":', f',"method":{method},"row":{row},"value":'
-        pairs = zip(columns, values.split(","))
-        cells.append(",".join([f"{head}{column}{tail}{value}}}" for column, value in pairs]))
-    del texts  # the value texts go before the records are joined
-    return ",".join(cells)
+        yield ",".join([f"{head}{column}{tail}{value}}}"
+                        for column, value in zip(columns, _rows_json(values))])
 
 
 class _Echo:
@@ -700,29 +708,18 @@ class _Echo:
 
 def _residual_csv(section: ResidualTables) -> Iterator[str]:
     """The CSV lines of a residual section's records (``RESIDUALS_HEADER``),
-    each value written ``format(v, ".15g")``: one piece per table with
-    cells, made when it is read."""
+    each value written ``format(v, ".15g")``: one piece per block of
+    ``ResidualTables.blocks``."""
     writer = csv.writer(_Echo(), lineterminator="\n")
 
     def quote(text: str) -> str:
         # the cell as write_csv's writer writes it in a row of several cells
         return writer.writerow((text, ""))[:-2]
 
-    for table in section.quoted(quote):
-        yield _residual_table_csv(*table)
-
-
-def _residual_table_csv(
-    method: str, rows: list[tuple[str, str]], columns: list[str], residuals: np.ndarray
-) -> str:
-    """The CSV lines of one residual table, labels already quoted."""
-    lines = []
-    for (row, label), values in zip(rows, residuals):
+    for method, row, label, columns, values in section.blocks(quote):
         head = f"{method},{row},{label},"
-        lines.append("".join([
-            f"{head}{column},{value:.15g}\n" for column, value in zip(columns, values.tolist())
-        ]))
-    return "".join(lines)
+        yield "".join([f"{head}{column},{value:.15g}\n" for column, value in
+                       zip(columns, values.tolist())])
 
 
 def residual_rows(archive: dict) -> ResidualTables | None:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import stat
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -27,10 +28,12 @@ from mscca import (
 from mscca.archive import (
     ARCHIVE_FORMAT,
     RESIDUALS_HEADER,
+    Records,
     ResidualTables,
     _round_one,
     _walk,
     assignment_from_archive,
+    category_points,
     load_json,
     residual_rows,
     write_csv,
@@ -157,20 +160,41 @@ class TestArchiveFormat:
         column["classes"] = column["classes"][::-1]
         n = sup.n_obs
 
-        def renamed(col):
-            col["variable"] = "Age"
+        def renamed(archive):
+            archive["assignment"][1]["variable"] = "Age"
 
-        def short_codes(col):
-            col["class_codes"] = col["class_codes"][:-1]
+        def short_codes(archive):
+            archive["assignment"][1]["class_codes"].pop()
 
-        def short_clusters(col):
-            col["clusters"] = col["clusters"][:-1]
+        def short_clusters(archive):
+            archive["assignment"][1]["clusters"].pop()
 
-        def code_past_classes(col):
-            col["class_codes"][3] = len(col["classes"])
+        def code_past_classes(archive):
+            archive["assignment"][1]["class_codes"][3] = 2
 
-        def negative_code(col):
-            col["class_codes"][3] = -1
+        def negative_code(archive):
+            archive["assignment"][1]["class_codes"][3] = -1
+
+        def fractional_code(archive):
+            archive["assignment"][1]["class_codes"][3] += 0.7  # once read as its integer part
+
+        def fractional_cluster(archive):
+            archive["assignment"][1]["clusters"][3] += 0.7
+
+        def string_cluster(archive):
+            archive["assignment"][1]["clusters"][3] = "x"
+
+        def short_counts(archive):
+            archive["cluster_counts"][1].pop()
+
+        def missing_counts(archive):
+            archive["cluster_counts"].pop()
+
+        def extra_counts(archive):
+            archive["cluster_counts"].append([2, 2])
+
+        def fractional_count(archive):
+            archive["cluster_counts"][1][0] += 0.5
 
         for edit, message in [
             (renamed, r"archived variables \['Nationality', 'Age'\] do not match input"),
@@ -178,11 +202,19 @@ class TestArchiveFormat:
             (short_clusters, f"'Gender': archive does not hold {n} rows"),
             (code_past_classes, r"'Gender': class codes outside \[0, 2\)"),
             (negative_code, r"'Gender': class codes outside \[0, 2\)"),
+            (fractional_code, "'Gender': class codes are not all integers"),
+            (fractional_cluster, "'Gender': clusters are not all integers"),
+            (string_cluster, "'Gender': clusters are not all integers"),
+            (short_counts, "'Gender': archive does not hold 2 counts"),
+            (missing_counts, "archive holds counts of 1 variables, not 2"),
+            (extra_counts, "archive holds counts of 3 variables, not 2"),
+            (fractional_count, "'Gender': cluster counts are not all integers"),
         ]:
             edited = copy.deepcopy(truth_json)
-            edit(edited["assignment"][1])
-            with pytest.raises(ShapeError, match=message):
+            edit(edited)
+            with pytest.raises(ShapeError, match=message) as err:
                 assignment_from_archive(edited, sup)
+            assert "\n" not in str(err.value)
         assignment_from_archive(truth_json, sup)  # the unedited archive loads
 
 
@@ -583,11 +615,14 @@ class TestResidualWriters:
         assert _write_section(tmp_path, both) == (_json_oracle(both), _csv_oracle(both))
 
     def test_files_get_their_text_table_by_table(self, tmp_path, monkeypatch):
-        # Both writers hand the file its text in pieces: each table's records
-        # are one piece, and no piece holds two tables' records, so neither
-        # the section's text nor the file's is ever one string.
-        section = _section(VALUES, [*LABELS, ""], LABELS, LABELS[:3])
-        payload = {"a": np.arange(3.0), "residuals": section, "z": [{"x": 0.5}]}
+        # Both writers hand the file its text in pieces of at most one block
+        # of records, each within one table: no piece holds two tables'
+        # records or more than _ROUND_BLOCK of them, so neither a table's
+        # text nor the file's is ever one string.
+        monkeypatch.setattr(archive, "_ROUND_BLOCK", 4)
+        section = _section(VALUES, [*LABELS, ""], LABELS, LABELS[:3])  # 3 + 9 rows of 8 cells
+        points = category_points([f"p{i}" for i in range(10)], np.ones(10), np.ones((10, 2)))
+        payload = {"a": np.arange(3.0), "points": points, "residuals": section, "z": [{"x": 0.5}]}
         write_text, written = mscca.archive.write_text, {}
 
         def recording(path, text):
@@ -597,13 +632,41 @@ class TestResidualWriters:
         monkeypatch.setattr(mscca.archive, "write_text", recording)
         write_json(tmp_path / "s.json", payload)
         write_csv(tmp_path / "r.csv", RESIDUALS_HEADER, section)
-        for name, method in (("s.json", '"method":"{}"'), ("r.csv", "\n{},")):
+        # the text that starts each record of each table
+        starts = {
+            "s.json": {"averaging": '"method":"averaging"', "mscca": '"method":"mscca"',
+                       "points": '"label":"p'},
+            "r.csv": {"averaging": "\naveraging,", "mscca": "\nmscca,"},
+        }
+        for name, marks in starts.items():
             pieces = written[name]
             assert "".join(pieces) == (tmp_path / name).read_bytes().decode("utf-8")
-            held = [[m for m, _ in section.tables if method.format(m) in "\n" + piece]
-                    for piece in pieces]
-            assert [tables for tables in held if tables] == [["averaging"], ["mscca"]]
+            held = [[(table, ("\n" + piece).count(mark)) for table, mark in marks.items()
+                     if mark in "\n" + piece] for piece in pieces]
+            held = [tables for tables in held if tables]
+            assert all(len(tables) == 1 for tables in held)
+            assert all(n <= 4 for ((_table, n),) in held)
+            # each row of 8 cells is two pieces, and the 10 points are three
+            expected = {"averaging": 6, "mscca": 18, "points": 3}
+            assert Counter(table for ((table, _n),) in held) == {t: expected[t] for t in marks}
         assert load_json(tmp_path / "s.json")["a"] == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_sections_across_block_borders_match_oracles(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(archive, "_ROUND_BLOCK", block)
+        # rows of 7 cells and 8 records cross the block borders
+        section = _section(VALUES, LABELS[:5], [*LABELS[:6], ""], LABELS[:2])
+        no_cells = [("mscca", _model([], ["c"], [], np.zeros((0, 1)))),
+                    ("mscca", _model(["r"], [], [(0, 0, 0)], np.zeros((1, 0))))]
+        mixed = ResidualTables((no_cells[0], *section.tables, no_cells[1]), section.sup)
+        assert _write_section(tmp_path, mixed) == (_json_oracle(mixed), _csv_oracle(mixed))
+        coords = np.array(VALUES[:8] * 2).reshape(2, 8).T
+        points = Records({"label": LABELS, "mass": np.array(VALUES[-8:]), "coords": coords,
+                          "size": [None, 1, 2, 3, 4, 5, 6, 7], "flat": np.zeros((8, 0))})
+        empty = Records({"label": [], "coords": np.zeros((0, 2))})
+        payload = {"points": points, "empty": empty, "none": Records({}), "residuals": mixed}
+        assert _written(tmp_path, payload) == _oracle_text(payload)
+        assert len(json.loads(_written(tmp_path, payload))["points"]) == 8
 
     def test_removal_archive_has_no_section(self, tmp_path, tall_csv):
         argv = ["variants", "--method", "removal", "--input", str(tall_csv),
@@ -614,9 +677,10 @@ class TestResidualWriters:
 
 
 # The tracemalloc peak of writing the default exports of the archive below,
-# per residual cell, as measured when the residual section was first written
-# from its tables' arrays (the per-cell record path it replaced measured 512).
-EXPORT_PEAK_PER_CELL = 290
+# per residual cell, as measured when both record sections were first
+# written a block of records at a time (writing each residual table's text
+# whole measured 147; the per-cell record path before it, 512).
+EXPORT_PEAK_PER_CELL = 63
 
 
 def test_export_peak_per_residual_cell(tmp_path):

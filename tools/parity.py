@@ -9,12 +9,14 @@ at workload seed 0), a "mixed" CSV whose category counts cycle through
 ``MIXED_Q`` (runs of small variables pack into joint codes of several
 sizes beside variables that stand alone), a "quoted" CSV written by
 ``csv.writer`` whose labels need quoting in CSV and escaping in JSON
-(``QUOTED_LABELS``) and a one-cell simulation design.  Every command then
-runs in process through ``mscca.cli.main`` and must exit 0; its outputs go
-under OUT.  One ``sha256  relative/path`` line is printed per file under
-OUT, sorted by path; ``runtime_ms`` in ``results.csv`` is emptied before
-hashing.  Archives echo ``--input``, so compare runs made from the same
-INPUTS.
+(``QUOTED_LABELS``), a "wide-q" CSV whose column of distinct labels puts
+Q past the archive's 8,192-record block (so its residual rows and
+category points are written in several blocks) and a one-cell
+simulation design.  Every command then runs in process through
+``mscca.cli.main`` and must exit 0; its outputs go under OUT.  One
+``sha256  relative/path`` line is printed per file under OUT, sorted by
+path; ``runtime_ms`` in ``results.csv`` is emptied before hashing.
+Archives echo ``--input``, so compare runs made from the same INPUTS.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ MIXED_N = 20_000
 # backslash and non-ASCII text.
 QUOTED_LABELS = ("a,b", 'say "hi"', "two\nlines", "cr\rlf", "back\\slash", "naïve €", "plain")
 QUOTED_N = 3_000
+WIDE_Q_N = 10_000
 DESIGN = {
     "qs": [5], "ks": [2], "hs": [1], "rs": [3], "balances": ["balanced"],
     "replicates": 2, "starts": 5,
@@ -106,6 +109,19 @@ def write_quoted(path: Path) -> None:
             writer.writerow([f"{QUOTED_LABELS[c]}{j}" for j, c in enumerate(row)])
 
 
+def write_wide_q(path: Path) -> None:
+    """WIDE_Q_N rows of an id column of distinct labels, three analysis
+    variables of five categories and one supplementary variable of two
+    classes (Q = WIDE_Q_N + 15)."""
+    rng = np.random.default_rng(3)
+    codes = rng.integers(0, 5, size=(WIDE_Q_N, 4))
+    lines = ["id,v1,v2,v3,s"] + [
+        f"id{i},c{a},c{b},c{c},g{d % 2}" for i, (a, b, c, d) in enumerate(codes.tolist())
+    ]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_inputs(inputs: Path) -> None:
     if not (inputs / "illustration" / "data.csv").exists():
         run(["illustrate", "--out", str(inputs / "illustration")])
@@ -116,6 +132,8 @@ def write_inputs(inputs: Path) -> None:
         write_mixed(inputs / "mixed" / "input.csv")
     if not (inputs / "quoted" / "input.csv").exists():
         write_quoted(inputs / "quoted" / "input.csv")
+    if not (inputs / "wide-q" / "input.csv").exists():
+        write_wide_q(inputs / "wide-q" / "input.csv")
     if not (inputs / "design.json").exists():
         (inputs / "design.json").write_text(json.dumps(DESIGN), encoding="utf-8")
 
@@ -170,6 +188,9 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
                  "--out", str(out / "quoted" / "fit")])
     cmds.append(["variants", *quoted, "--method", "averaging", *TABLE_EXPORTS,
                  "--out", str(out / "quoted" / "averaging")])
+    wide_q = ["--input", str(inputs / "wide-q" / "input.csv"), "--sup-cols", "s"]
+    cmds.append(["fit", *wide_q, "--k", "s:g0:2", "--k", "s:g1:2", "--starts", "1",
+                 "--max-iter", "3", *TABLE_EXPORTS, "--out", str(out / "wide-q" / "fit")])
     cmds.append(["simulate", "--design", str(inputs / "design.json"),
                  "--out", str(out / "simulate")])
     return cmds
