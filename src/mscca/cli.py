@@ -376,6 +376,12 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+_RESULT_COLUMNS = (
+    "q", "K", "H", "r", "balance", "replicate", "h", "s", "ari", "gf", "phi", "error", "runtime_ms",
+)
+_SUMMARY_COLUMNS = ("q", "K", "H", "cond", "median_ari", "median_gf", "n_rows", "failures")
+
+
 def cmd_simulate(args) -> int:
     raw = _read_json(args.design, "design")
     if not isinstance(raw, dict):
@@ -389,25 +395,12 @@ def cmd_simulate(args) -> int:
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_study(design, workers)
-    header = [
-        "q", "K", "H", "r", "balance", "replicate", "h", "s",
-        "ari", "gf", "phi", "error", "runtime_ms",
-    ]
     summary = summarize_study(rows)
     with _writing(out_dir):
-        write_csv(
-            out_dir / "results.csv",
-            header,
-            [[row[c] for c in header] for row in rows],
-        )
-        write_csv(
-            out_dir / "summary.csv",
-            ["q", "K", "H", "cond", "median_ari", "median_gf", "n_rows", "failures"],
-            [
-                [s["q"], s["K"], s["H"], s["cond"], s["median_ari"], s["median_gf"], s["n_rows"], s["failures"]]
-                for s in summary
-            ],
-        )
+        for name, header, table in (
+            ("results.csv", _RESULT_COLUMNS, rows), ("summary.csv", _SUMMARY_COLUMNS, summary)
+        ):
+            write_csv(out_dir / name, header, [[row[c] for c in header] for row in table])
     print(f"simulate: {len(rows)} rows over {len(design.cells())} cells, outputs in {args.out}")
     return 0
 
@@ -425,19 +418,10 @@ def cmd_export_svg(args) -> int:
 def cmd_illustrate(args) -> int:
     dataset, sup, truth = generate_illustration(seed=args.seed)
     out_dir = Path(args.out)
-    header = list(dataset.names) + list(sup.names)
-    data_rows = dataset.decode()
-    sup_rows = [
-        [sup.labels[h][sup.codes[i, h]] for h in range(sup.n_sup)]
-        for i in range(sup.n_obs)
-    ]
+    rows = [a + b for a, b in zip(dataset.decode(), sup.decode())]
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_csv(
-            out_dir / "data.csv",
-            header,
-            [data_rows[i] + sup_rows[i] for i in range(dataset.n_obs)],
-        )
+        write_csv(out_dir / "data.csv", dataset.names + sup.names, rows)
         write_json(out_dir / "truth.json", truth_archive(truth))
     k_flags = " ".join(
         f"--k {sup.names[h]}:{lab}:{truth.spec.k_of(h, s)}"

@@ -192,6 +192,10 @@ class _CodedColumns:
     def n_obs(self) -> int:
         return self.codes.shape[0]
 
+    def decode(self) -> list[list[str]]:
+        """Recover the original table of labels, cell for cell."""
+        return [[labels[c] for labels, c in zip(self.labels, row)] for row in self.codes.tolist()]
+
     @classmethod
     def from_codes(
         cls: type[_Coded],
@@ -343,13 +347,6 @@ class CategoricalDataset(_CodedColumns):
         return tuple(
             f"{name}:{lab}" for name, labels in zip(self.names, self.labels) for lab in labels
         )
-
-    def decode(self) -> list[list[str]]:
-        """Recover the original table of labels, cell for cell."""
-        return [
-            [self.labels[j][self.codes[i, j]] for j in range(self.n_vars)]
-            for i in range(self.n_obs)
-        ]
 
     def subset(self, rows: Sequence[int]) -> "CategoricalDataset":
         """Restrict to the given observations; unused categories are dropped

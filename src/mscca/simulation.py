@@ -78,19 +78,13 @@ def signal_distributions(
     if q < k:
         raise SpecError(f"q={q} < K={k}: distinct signal categories are impossible")
     signal = rng.choice(q, size=k, replace=False)
-    probs = np.zeros((k, q))
+    probs = np.empty((k, q))
     for c in range(k):
         low = rng.uniform(0.0, 1.0 - high_prob, size=q - 1)
         total = low.sum()
         if total == 0.0:
-            low = np.full(q - 1, 1.0)
-            total = float(q - 1)
-        low = (1.0 - high_prob) * low / total
-        row = np.empty(q)
-        others = np.setdiff1d(np.arange(q), [signal[c]])
-        row[others] = low
-        row[signal[c]] = high_prob
-        probs[c] = row
+            low, total = np.ones(q - 1), float(q - 1)
+        probs[c] = np.insert((1.0 - high_prob) * low / total, signal[c], high_prob)
     return signal, probs
 
 
@@ -111,8 +105,7 @@ def generate_clustered(spec: GenSpec) -> tuple[CategoricalDataset, np.ndarray]:
         cumulative = probs.cumsum(axis=1)
         u = rng.random(n)
         codes[j] = (u[:, None] > cumulative[truth]).sum(axis=1)
-    for j in range(spec.n_active, m):
-        codes[j] = rng.integers(0, q, size=n)
+    codes[spec.n_active :] = rng.integers(0, q, size=(m - spec.n_active, n))
     labels = tuple(tuple(f"c{x + 1}" for x in range(q)) for _ in range(m))
     names = tuple(f"v{j + 1}" for j in range(m))
     with warnings.catch_warnings():
@@ -159,10 +152,8 @@ def generate_supplementary(spec: SupGenSpec, n_obs: int) -> SupplementaryData:
     rng = np.random.default_rng(spec.seed)
     r = spec.r
     cumulative = class_probabilities(r, spec.balance).cumsum()
-    codes = np.empty((spec.n_sup, n_obs), dtype=np.int64)  # a row per variable, as stored
-    for h in range(spec.n_sup):
-        u = rng.random(n_obs)
-        codes[h] = (u[:, None] > cumulative[None, :]).sum(axis=1)
+    # a row per variable, as stored
+    codes = (rng.random((spec.n_sup, n_obs))[:, :, None] > cumulative).sum(axis=2)
     labels = tuple(tuple(f"c{s + 1}" for s in range(r)) for _ in range(spec.n_sup))
     names = tuple(f"s{h + 1}" for h in range(spec.n_sup))
     with warnings.catch_warnings():
@@ -184,6 +175,8 @@ _ILLUSTRATION_CELLS = (
     ("WA", "American", "Male", 12),
 )
 
+# Each cluster's (meal, drink) signature; within a class, clusters are
+# numbered in this order.
 _ILLUSTRATION_SIGNATURES = {
     "WJ": ("Western", "Fruit juice"),
     "AT": ("Asian", "Tea"),
@@ -192,6 +185,7 @@ _ILLUSTRATION_SIGNATURES = {
 
 _MEAL_LABELS = ("Western", "Asian")
 _DRINK_LABELS = ("Fruit juice", "Tea", "Alcohol")
+_CLASS_LABELS = (("American", "Japanese"), ("Male", "Female"))
 
 
 def generate_illustration(
@@ -211,63 +205,46 @@ def generate_illustration(
     if seed < 0:
         raise SpecError("seed must be >= 0")
     rng = np.random.default_rng(seed)
-    mainstream = [(mi, di) for mi in range(len(_MEAL_LABELS)) for di in (0, 1)]
-    all_patterns = [
-        (mi, di) for mi in range(len(_MEAL_LABELS)) for di in range(len(_DRINK_LABELS))
+    order = tuple(_ILLUSTRATION_SIGNATURES)
+    cells = [
+        (order.index(cluster), _CLASS_LABELS[0].index(nat), _CLASS_LABELS[1].index(gender))
+        for cluster, nat, gender, _count in _ILLUSTRATION_CELLS
     ]
-    rows: list[tuple[str, str, str]] = []
-    for cluster, nat, gender, count in _ILLUSTRATION_CELLS:
-        rows.extend((cluster, nat, gender) for _ in range(count))
-    n = len(rows)
-    codes = np.empty((n, 2), dtype=np.int64)
-    for i, (cluster, _nat, _gender) in enumerate(rows):
-        meal, drink = _ILLUSTRATION_SIGNATURES[cluster]
-        sig = (_MEAL_LABELS.index(meal), _DRINK_LABELS.index(drink))
+    # per observation: planted cluster, nationality, gender
+    rows = np.repeat(cells, [cell[3] for cell in _ILLUSTRATION_CELLS], axis=0)
+    planted = rows[:, 0]
+    signatures = [
+        (_MEAL_LABELS.index(meal), _DRINK_LABELS.index(drink))
+        for meal, drink in _ILLUSTRATION_SIGNATURES.values()
+    ]
+    # Off its signature, a member draws one of the other (meal, drink)
+    # patterns; only the alcohol cluster's members may draw alcohol.
+    alcohol = _DRINK_LABELS.index("Alcohol")
+    patterns = [(mi, di) for mi in range(len(_MEAL_LABELS)) for di in range(len(_DRINK_LABELS))]
+    pools = [
+        [pat for pat in patterns if pat != sig and (pat[1] != alcohol or sig[1] == alcohol)]
+        for sig in signatures
+    ]
+    codes = np.empty((len(planted), 2), dtype=np.int64)
+    for i, c in enumerate(planted.tolist()):
         if rng.random() < high_prob:
-            codes[i] = sig
+            codes[i] = signatures[c]
         else:
-            pool = all_patterns if cluster == "WA" else mainstream
-            others = [pat for pat in pool if pat != sig]
-            codes[i] = others[rng.integers(0, len(others))]
+            codes[i] = pools[c][rng.integers(0, len(pools[c]))]
     dataset = CategoricalDataset.from_codes(
         codes, (_MEAL_LABELS, _DRINK_LABELS), ("Meal", "Drink")
     )
-    sup_codes = np.array(
-        [
-            (("American", "Japanese").index(nat), ("Male", "Female").index(gender))
-            for _cluster, nat, gender in rows
-        ],
-        dtype=np.int64,
-    )
-    sup = SupplementaryData.from_codes(
-        sup_codes,
-        (("American", "Japanese"), ("Male", "Female")),
-        ("Nationality", "Gender"),
-    )
-    order = ("WJ", "AT", "WA")
-    clusters = np.empty((n, 2), dtype=np.int64)
+    sup = SupplementaryData.from_codes(rows[:, 1:], _CLASS_LABELS, ("Nationality", "Gender"))
+    clusters = np.empty((len(planted), 2), dtype=np.int64)
     counts: list[tuple[int, ...]] = []
     for h in range(2):
-        per_class: list[int] = []
-        for s, class_label in enumerate(sup.labels[h]):
-            present = [
-                c
-                for c in order
-                if any(
-                    row[0] == c and (row[1], row[2])[h] == class_label
-                    for row in rows
-                )
-            ]
-            rank = {c: i for i, c in enumerate(present)}
+        per_class = []
+        for s in range(sup.r[h]):
+            members = sup.members(h, s)
+            present, clusters[members, h] = np.unique(planted[members], return_inverse=True)
             per_class.append(len(present))
-            for i, row in enumerate(rows):
-                if (row[1], row[2])[h] == class_label:
-                    clusters[i, h] = rank[row[0]]
         counts.append(tuple(per_class))
-    assignment = HierarchicalAssignment(
-        sup=sup, spec=ClusterSpec(tuple(counts)), clusters=clusters
-    )
-    return dataset, sup, assignment
+    return dataset, sup, HierarchicalAssignment(sup, ClusterSpec(tuple(counts)), clusters)
 
 
 @dataclass(frozen=True)
@@ -389,14 +366,7 @@ def _study_task(design: StudyDesign, cell_index: int, replicate: int) -> list[di
     sup = generate_supplementary(
         SupGenSpec(n_sup=n_sup, r=r, balance=balance, seed=sup_seed), design.n_obs
     )
-    base = {
-        "q": q,
-        "K": k,
-        "H": n_sup,
-        "r": r,
-        "balance": balance,
-        "replicate": replicate,
-    }
+    classes = [(h, s, sup.members(h, s)) for h in range(sup.n_sup) for s in range(sup.r[h])]
     started = time.perf_counter()
     try:
         spec = ClusterSpec.uniform(sup, k)
@@ -404,31 +374,23 @@ def _study_task(design: StudyDesign, cell_index: int, replicate: int) -> list[di
         solution = fit_mscca(dataset, sup, spec, design.options(fit_seed))
         elapsed = int(1000 * (time.perf_counter() - started))
         reference = _true_assignment(sup, truth, k)
-        gf = None
-        if reference is not None:
-            gf = gf_against_truth(solution, reference, dataset)
-        rows = []
-        for h in range(sup.n_sup):
-            for s in range(sup.r[h]):
-                members = sup.members(h, s)
-                ari = adjusted_rand_index(
-                    solution.assignment.clusters[members, h].tolist(),
-                    truth[members].tolist(),
-                )
-                rows.append(
-                    {**base, "h": h, "s": s, "ari": ari, "gf": gf,
-                     "phi": solution.objective, "runtime_ms": elapsed, "error": ""}
-                )
+        gf = None if reference is None else gf_against_truth(solution, reference, dataset)
+        phi, error = solution.objective, ""
+        clusters = solution.assignment.clusters
+        aris = [
+            adjusted_rand_index(clusters[members, h].tolist(), truth[members].tolist())
+            for h, _s, members in classes
+        ]
     except MsccaError as exc:  # a cell that cannot be fitted or scored is recorded, not fatal
         elapsed = int(1000 * (time.perf_counter() - started))
+        gf = phi = None
         error = type(exc).__name__ + ": " + str(exc).partition("\n")[0]
-        return [
-            {**base, "h": h, "s": s, "ari": None, "gf": None, "phi": None,
-             "runtime_ms": elapsed, "error": error}
-            for h in range(sup.n_sup)
-            for s in range(sup.r[h])
-        ]
-    return rows
+        aris = [None] * len(classes)
+    return [
+        {"q": q, "K": k, "H": n_sup, "r": r, "balance": balance, "replicate": replicate,
+         "h": h, "s": s, "ari": ari, "gf": gf, "phi": phi, "runtime_ms": elapsed, "error": error}
+        for (h, s, _members), ari in zip(classes, aris)
+    ]
 
 
 def study_workers() -> int:
@@ -465,9 +427,7 @@ def run_study(design: StudyDesign, workers: int | None = None) -> list[dict]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(_study_task, [design] * len(tasks), *zip(*tasks))
-            )
+            chunks = list(pool.map(_study_task, [design] * len(tasks), *zip(*tasks)))
     else:
         chunks = [_study_task(design, ci, rep) for ci, rep in tasks]
     return [row for chunk in chunks for row in chunk]
@@ -486,19 +446,13 @@ def summarize_study(rows: Iterable[dict]) -> list[dict]:
         cell["ari"].append(row["ari"])
         if row["gf"] is not None:
             cell["gf"].append(row["gf"])
-    out = []
-    for (q, k, n_sup, r, balance), cell in cells.items():
-        out.append(
-            {
-                "q": q,
-                "K": k,
-                "H": n_sup,
-                "r": r,
-                "cond": condition_label(r, balance),
-                "median_ari": float(np.median(cell["ari"])) if cell["ari"] else None,
-                "median_gf": float(np.median(cell["gf"])) if cell["gf"] else None,
-                "n_rows": len(cell["ari"]),
-                "failures": cell["failures"],
-            }
-        )
-    return out
+
+    def median(values: list) -> float | None:
+        return float(np.median(values)) if values else None
+
+    return [
+        {"q": q, "K": k, "H": n_sup, "r": r, "cond": condition_label(r, balance),
+         "median_ari": median(cell["ari"]), "median_gf": median(cell["gf"]),
+         "n_rows": len(cell["ari"]), "failures": cell["failures"]}
+        for (q, k, n_sup, r, balance), cell in cells.items()
+    ]

@@ -17,7 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import mscca
-from mscca import ClusterSpec, objective_phi, read_csv_dataset
+from mscca import ClusterSpec, generate_illustration, objective_phi, read_csv_dataset
 from mscca.archive import (
     Records,
     assignment_from_archive,
@@ -992,6 +992,14 @@ class TestModuleEntry:
         assert main(["illustrate", "--out", str(tmp_path / "direct")]) == 0
         for name in ("data.csv", "truth.json"):
             assert (tmp_path / "ill" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+    def test_illustrate_rows_join_the_two_decodes(self, illustration_csv):
+        dataset, sup, _truth = generate_illustration()
+        with illustration_csv.open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["Meal", "Drink", "Nationality", "Gender"]
+        assert rows == [a + b for a, b in zip(dataset.decode(), sup.decode())]
+        assert len(rows) == 200
 
     def test_import_does_not_load_multiprocessing(self, tmp_path):
         # simulate imports its process pool only when it runs one

@@ -89,6 +89,19 @@ class TestEncodeDataset:
             ds = encode_dataset(raw)
             assert ds.decode() == raw
 
+    @pytest.mark.parametrize("cls", [CategoricalDataset, SupplementaryData])
+    def test_decode_round_trips_through_from_codes(self, cls, rng):
+        codes = rng.integers(0, 4, size=(30, 3))
+        codes[:4] = np.arange(4)[:, None]  # every label used
+        labels = tuple(tuple(f"{j}:{c}" for c in range(4)) for j in range(3))
+        coded = cls.from_codes(codes, labels, ("a", "b", "c"))
+        table = coded.decode()
+        assert table == [[labels[j][c] for j, c in enumerate(row)] for row in codes.tolist()]
+        recoded = [[labels[j].index(cell) for j, cell in enumerate(row)] for row in table]
+        back = cls.from_codes(np.array(recoded), labels, coded.names)
+        assert back.codes.tolist() == coded.codes.tolist()
+        assert back.decode() == table
+
     def test_from_codes_drops_unused(self):
         with pytest.warns(UserWarning, match="dropping unused"):
             ds = CategoricalDataset.from_codes(

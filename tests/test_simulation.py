@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import re
 from dataclasses import replace
 
@@ -313,3 +314,73 @@ class TestRunStudy:
         full = _true_assignment(sup, np.array([0, 1, 0, 1]), 2)
         assert full is not None
         assert full.clusters[:, 0].tolist() == [0, 1, 0, 1]
+
+
+def _digest(*parts) -> str:
+    """sha256 (first 16 hex digits) of integer arrays as int64, float arrays
+    as float64 and anything else as its repr."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            dtype = np.int64 if part.dtype.kind in "iu" else np.float64
+            h.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+class TestGoldenDraws:
+    """The generators' draws, pinned across versions: every perfbench input
+    and the illustration come from them, so a rewrite must keep each bit."""
+
+    @pytest.mark.parametrize(
+        "high_prob, expected",
+        [
+            (0.0, "d6078b877f20b563"),
+            (0.5, "15f426b1db0a5564"),
+            (0.9, "a97cfb9cdcac280a"),
+            (1.0, "7b6b8736407bc3f3"),
+        ],
+        ids=["0", "0.5", "0.9", "1"],
+    )
+    def test_illustration(self, high_prob, expected):
+        parts = []
+        for seed in range(10):
+            ds, sup, truth = generate_illustration(seed=seed, high_prob=high_prob)
+            parts += [ds.codes, ds.labels, sup.codes, sup.labels, truth.clusters, truth.spec.counts]
+        assert _digest(*parts) == expected
+
+    def test_signal_distributions(self):
+        # high_prob 1 leaves no low mass: the zero-total guard
+        parts = []
+        for seed in range(5):
+            for q, k in ((2, 2), (3, 1), (5, 3), (40, 3)):
+                for high_prob in (0.5, 0.8, 1.0):
+                    rng = np.random.default_rng(seed)
+                    parts += signal_distributions(rng, q, k, high_prob)
+                    parts.append(rng.random())  # the draws consumed
+        assert _digest(*parts) == "3a9ea6c6b1f6b25c"
+
+    def test_supplementary(self):
+        parts = []
+        for seed in range(5):
+            for n_sup, r, balance in ((1, 2, "balanced"), (2, 3, "unbalanced"), (3, 5, "balanced")):
+                sup = generate_supplementary(SupGenSpec(n_sup, r, balance, seed), 500)
+                parts += [sup.codes, sup.labels]
+        assert _digest(*parts) == "566dcb1d22bf19d8"
+
+    @pytest.mark.parametrize(
+        "n_obs, n_vars, q, expected",
+        [
+            (300, 10, 7, "690108476f201958"),
+            (20_000, 20, 5, "3b8656f189ed7f0c"),
+            (2_000, 20, 40, "ab4212734f413bf0"),
+            (50_000, 20, 5, "0dd0f437956b2919"),
+        ],
+        ids=["paper", "tall", "wide", "cli"],
+    )
+    def test_perfbench_inputs(self, n_obs, n_vars, q, expected):
+        # perfbench's data seed for workload seed 0, K = 3
+        seed = int(np.random.SeedSequence(0).generate_state(3)[0])
+        ds, truth = generate_clustered(GenSpec(q=q, k=3, n_obs=n_obs, n_vars=n_vars, seed=seed))
+        assert _digest(ds.codes, ds.labels, truth) == expected

@@ -11,9 +11,10 @@ sizes beside variables that stand alone), a "quoted" CSV written by
 ``csv.writer`` whose labels need quoting in CSV and escaping in JSON
 (``QUOTED_LABELS``), a "wide-q" CSV whose column of distinct labels puts
 Q past the archive's 8,192-record block (so its residual rows and
-category points are written in several blocks) and a one-cell
-simulation design.  Every command then runs in process through
-``mscca.cli.main`` and must exit 0; its outputs go under OUT.  One
+category points are written in several blocks) and two one-cell
+simulation designs, the second with classes too small for its clusters
+(every row a recorded failure).  Every command then runs in process
+through ``mscca.cli.main`` and must exit 0; its outputs go under OUT.  One
 ``sha256  relative/path`` line is printed per file under OUT, sorted by
 path; ``runtime_ms`` in ``results.csv`` is emptied before hashing.
 Archives echo ``--input``, so compare runs made from the same INPUTS.
@@ -60,9 +61,16 @@ MIXED_N = 20_000
 QUOTED_LABELS = ("a,b", 'say "hi"', "two\nlines", "cr\rlf", "back\\slash", "naïve €", "plain")
 QUOTED_N = 3_000
 WIDE_Q_N = 10_000
-DESIGN = {
-    "qs": [5], "ks": [2], "hs": [1], "rs": [3], "balances": ["balanced"],
-    "replicates": 2, "starts": 5,
+DESIGNS = {
+    "design": {
+        "qs": [5], "ks": [2], "hs": [1], "rs": [3], "balances": ["balanced"],
+        "replicates": 2, "starts": 5,
+    },
+    # classes too small to host K clusters
+    "infeasible": {
+        "qs": [4], "ks": [4], "hs": [1], "rs": [5], "balances": ["unbalanced"],
+        "replicates": 2, "starts": 2, "n_obs": 20, "n_vars": 3, "seed": 9,
+    },
 }
 
 
@@ -134,8 +142,9 @@ def write_inputs(inputs: Path) -> None:
         write_quoted(inputs / "quoted" / "input.csv")
     if not (inputs / "wide-q" / "input.csv").exists():
         write_wide_q(inputs / "wide-q" / "input.csv")
-    if not (inputs / "design.json").exists():
-        (inputs / "design.json").write_text(json.dumps(DESIGN), encoding="utf-8")
+    for name, design in DESIGNS.items():
+        if not (inputs / f"{name}.json").exists():
+            (inputs / f"{name}.json").write_text(json.dumps(design), encoding="utf-8")
 
 
 def commands(inputs: Path, out: Path) -> list[list[str]]:
@@ -193,6 +202,8 @@ def commands(inputs: Path, out: Path) -> list[list[str]]:
                  "--max-iter", "3", *TABLE_EXPORTS, "--out", str(out / "wide-q" / "fit")])
     cmds.append(["simulate", "--design", str(inputs / "design.json"),
                  "--out", str(out / "simulate")])
+    cmds.append(["simulate", "--design", str(inputs / "infeasible.json"),
+                 "--out", str(out / "simulate-infeasible")])
     return cmds
 
 
